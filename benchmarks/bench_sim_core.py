@@ -21,6 +21,9 @@ Three end-to-end scenarios bracket the design space:
 * ``paper_workload`` -- a synthetic paper workload (``web_search``), whose
   deliberately poor cache locality pushes most accesses through the DRAM
   model; the engines share most of that cost, so the ratio is smaller.
+  ``paper_workload_bump`` runs the same trace under BuMP, so the parity gate
+  also covers the LLC agent path (bulk reads, bulk writebacks, evictions
+  nested inside agent-requested fills).
 
 A fourth section benchmarks ``resident_blocks_in_region`` (the BuMP
 bulk-writeback scan): the flat engine probes candidate sets directly
@@ -52,7 +55,7 @@ from repro import __version__
 from repro.cache.engine import make_cache_array
 from repro.common.params import CacheParams
 from repro.exec.campaign import result_fingerprint
-from repro.sim.config import base_open
+from repro.sim.config import base_open, bump_system
 from repro.sim.runner import build_trace, run_trace
 from repro.trace.buffer import TraceBuffer
 
@@ -98,7 +101,8 @@ MODES = (
 )
 
 
-def bench_scenario(name: str, trace: TraceBuffer, repeats: int) -> dict:
+def bench_scenario(name: str, trace: TraceBuffer, repeats: int,
+                   config=base_open) -> dict:
     """Run one trace under all three modes; report rates, ratios, parity."""
     accesses = len(trace)
     timings = {}
@@ -107,7 +111,7 @@ def bench_scenario(name: str, trace: TraceBuffer, repeats: int) -> dict:
         best = float("inf")
         for _ in range(repeats):
             start = time.perf_counter()
-            result = run_trace(trace, base_open(), warmup_fraction=0.5,
+            result = run_trace(trace, config(), warmup_fraction=0.5,
                                cache_engine=engine, dram_engine=dram_engine,
                                interp=interp)
             best = min(best, time.perf_counter() - start)
@@ -118,6 +122,7 @@ def bench_scenario(name: str, trace: TraceBuffer, repeats: int) -> dict:
     identical = len(set(fingerprints.values())) == 1
     counters = results["flat"].counters
     row = {
+        "config": config().name,
         "accesses": accesses,
         "dict_seconds": timings["dict"],
         "flat_seconds": timings["flat"],
@@ -209,7 +214,9 @@ def main(argv=None) -> int:
     repeats = 1 if args.smoke else 3
 
     print(f"sim-core benchmark ({'smoke' if args.smoke else 'full'}), "
-          f"baseline config base_open, {CORES} cores")
+          f"baseline config base_open (plus a BuMP row), {CORES} cores")
+    paper_trace = build_trace(WORKLOAD, workload_accesses, num_cores=CORES,
+                              seed=SEED)
     scenarios = {
         "l1_resident": bench_scenario(
             "l1_resident",
@@ -219,10 +226,9 @@ def main(argv=None) -> int:
             "llc_resident",
             synthetic_trace(llc_accesses, footprint_bytes_per_core=192 * 1024),
             repeats),
-        "paper_workload": bench_scenario(
-            "paper_workload",
-            build_trace(WORKLOAD, workload_accesses, num_cores=CORES, seed=SEED),
-            repeats),
+        "paper_workload": bench_scenario("paper_workload", paper_trace, repeats),
+        "paper_workload_bump": bench_scenario(
+            "paper_workload_bump", paper_trace, repeats, config=bump_system),
     }
     region_scan = bench_region_scan(repeats)
 

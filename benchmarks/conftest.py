@@ -16,16 +16,48 @@ Four environment variables control the fidelity/runtime trade-off:
   first benchmark runs, so each benchmark only aggregates;
 * ``REPRO_ARTIFACT_DIR`` -- on-disk artifact store; a second harness run
   against the same directory re-simulates nothing.
+
+The modules are named ``bench_*.py``, which pytest's default ``python_files``
+does not match; :func:`pytest_collect_file` collects them whenever the run
+was pointed at this directory (``python -m pytest benchmarks/``), so a
+repository-wide ``python -m pytest`` still collects only ``tests/``.
 """
 
 from __future__ import annotations
 
 import os
+from fnmatch import fnmatch
+from pathlib import Path
 from typing import List
 
 import pytest
 
 from repro.workloads.catalog import workload_names
+
+
+HERE = Path(__file__).resolve().parent
+
+
+def _run_targets_this_directory(config) -> bool:
+    """True when a collection argument names this directory or a file in it."""
+    for arg in config.args:
+        target = Path(config.invocation_params.dir, arg.split("::")[0]).resolve()
+        if target == HERE or HERE in target.parents:
+            return True
+    return False
+
+
+def pytest_collect_file(file_path: Path, parent):
+    """Collect ``bench_*.py`` modules when the run targets this directory."""
+    if file_path.suffix != ".py" or not file_path.name.startswith("bench_"):
+        return None
+    config = parent.config
+    if any(fnmatch(file_path.name, pattern)
+           for pattern in config.getini("python_files")):
+        return None  # the default collector already takes it
+    if not _run_targets_this_directory(config):
+        return None
+    return pytest.Module.from_parent(parent, path=file_path)
 
 
 def selected_workloads() -> List[str]:

@@ -7,7 +7,7 @@ paper:
   that filter the processor reference stream before it reaches the shared
   LLC;
 * a shared 4MB 16-way last-level cache (:class:`repro.cache.llc.LastLevelCache`)
-  whose access, miss, fill and eviction streams feed the prefetchers, the
+  whose access, miss and eviction streams feed the prefetchers, the
   eager-writeback engine and BuMP.
 
 Both levels are built on one of two interchangeable, result-identical cache
@@ -21,7 +21,7 @@ want to observe or inject LLC traffic implement the
 :class:`repro.cache.agent.LLCAgent` interface.
 """
 
-from repro.cache.agent import AgentActions, LLCAgent
+from repro.cache.agent import LLCAgent
 from repro.cache.engine import cache_engine_name, make_cache_array
 from repro.cache.flat import FlatLineView, FlatSetAssociativeCache
 from repro.cache.l1 import L1DataCache
@@ -30,7 +30,6 @@ from repro.cache.replacement import LRUPolicy, RandomPolicy, ReplacementPolicy
 from repro.cache.set_assoc import CacheLine, EvictedLine, SetAssociativeCache
 
 __all__ = [
-    "AgentActions",
     "LLCAgent",
     "L1DataCache",
     "LastLevelCache",

@@ -2,82 +2,56 @@
 
 The paper places three kinds of engines next to the shared LLC: prefetchers
 (the stride baseline and SMS), the eager-writeback engine (VWQ) and BuMP
-itself.  All of them observe the LLC's access, miss, fill and eviction
-streams and may ask the system to inject additional block reads (prefetches /
-bulk reads) or additional writebacks (eager / bulk writebacks).
+itself.  All of them observe the LLC's access, miss and eviction streams and
+may ask the system to inject additional block reads (prefetches / bulk
+reads) or additional writebacks (eager / bulk writebacks).
 
 To keep control flow simple and acyclic, agents do not act on the LLC
-directly.  Each notification returns an :class:`AgentActions` bundle listing
-the block addresses the agent wants fetched or written back; the system model
-(:mod:`repro.sim.system`) performs those actions and attributes the resulting
-DRAM traffic.
+directly.  The system owns one *action sink* -- a fetch list and a
+writeback list -- and binds it to every agent once per run
+(:meth:`LLCAgent.bind_sink`).  Hooks take plain scalars, return nothing, and
+append the block addresses they want fetched or written back to the bound
+lists; the system model (:mod:`repro.sim.system`) takes what the hooks of
+one LLC event appended, performs that traffic and attributes it.  Nothing is
+allocated per notification.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
-from repro.common.request import LLCRequest
 from repro.cache.set_assoc import EvictedLine
-
-
-class AgentActions:
-    """Traffic an LLC agent asks the system to generate.
-
-    A plain ``__slots__`` class rather than a dataclass: one bundle is built
-    per notification on the simulator hot path, so construction cost matters.
-    """
-
-    __slots__ = ("fetch_blocks", "writeback_blocks")
-
-    def __init__(self, fetch_blocks: Optional[List[int]] = None,
-                 writeback_blocks: Optional[List[int]] = None) -> None:
-        #: Block addresses to fetch from memory into the LLC if not resident.
-        self.fetch_blocks: List[int] = fetch_blocks if fetch_blocks is not None else []
-        #: Block addresses whose dirty copies should be eagerly written back.
-        self.writeback_blocks: List[int] = (
-            writeback_blocks if writeback_blocks is not None else []
-        )
-
-    def merge(self, other: "AgentActions") -> None:
-        """Append the actions requested by another agent."""
-        self.fetch_blocks.extend(other.fetch_blocks)
-        self.writeback_blocks.extend(other.writeback_blocks)
-
-    @property
-    def empty(self) -> bool:
-        """True when the agent requested no additional traffic."""
-        return not self.fetch_blocks and not self.writeback_blocks
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"AgentActions(fetch_blocks={self.fetch_blocks!r}, "
-                f"writeback_blocks={self.writeback_blocks!r})")
 
 
 class LLCAgent:
     """Base class for engines attached to the LLC.
 
-    Subclasses override only the notifications they care about; every default
-    implementation returns an empty :class:`AgentActions`.
+    Subclasses override only the notifications they care about; the system
+    never calls a hook an agent leaves at the base-class no-op.  Hooks may
+    only run after :meth:`bind_sink`.
     """
 
     name = "agent"
 
-    def on_access(self, request: LLCRequest, hit: bool) -> AgentActions:
+    #: Block addresses to fetch into the LLC if not resident (system-owned).
+    fetches: List[int]
+    #: Block addresses whose dirty copies to write back (system-owned).
+    writebacks: List[int]
+
+    def bind_sink(self, fetches: List[int], writebacks: List[int]) -> None:
+        """Direct this agent's requests into the system's action sink."""
+        self.fetches = fetches
+        self.writebacks = writebacks
+
+    def on_access(self, core: int, pc: int, block: int, is_store: bool,
+                  hit: bool) -> None:
         """A demand request (read or write) probed the LLC."""
-        return AgentActions()
 
-    def on_miss(self, request: LLCRequest) -> AgentActions:
+    def on_miss(self, core: int, pc: int, block: int, is_store: bool) -> None:
         """A demand request missed in the LLC and will be sent to memory."""
-        return AgentActions()
 
-    def on_fill(self, block_address: int, prefetched: bool) -> AgentActions:
-        """A block was installed in the LLC."""
-        return AgentActions()
-
-    def on_eviction(self, victim: EvictedLine) -> AgentActions:
+    def on_eviction(self, victim: EvictedLine) -> None:
         """A block was evicted from the LLC (clean or dirty)."""
-        return AgentActions()
 
     def storage_bits(self) -> int:
         """Total storage the agent's hardware structures require, in bits.

@@ -48,7 +48,7 @@ import numpy as np
 
 from repro.common.addressing import BLOCK_BITS
 from repro.common.params import CacheParams
-from repro.common.stats import StatGroup
+from repro.common.stats import StatGroup, fold_pending
 from repro.cache.replacement import LRUPolicy, ReplacementPolicy
 from repro.cache.set_assoc import CacheLine, EvictedLine
 
@@ -264,13 +264,7 @@ class FlatSetAssociativeCache:
     @property
     def stats(self) -> StatGroup:
         """Counters as a :class:`StatGroup` (pending increments flushed)."""
-        group = self._stats
-        for attr, key in self._PENDING_COUNTERS:
-            value = getattr(self, attr)
-            if value:
-                group.inc(key, value)
-                setattr(self, attr, 0)
-        return group
+        return fold_pending(self, self._stats, self._PENDING_COUNTERS)
 
     # ------------------------------------------------------------------ #
     # Probing

@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from repro.common.params import CacheParams
-from repro.common.stats import StatGroup
+from repro.common.stats import StatGroup, fold_pending
 from repro.cache.engine import make_cache_array
 from repro.cache.flat import (
     FLAG_PREFETCHED,
@@ -66,13 +66,7 @@ class LastLevelCache:
     @property
     def stats(self) -> StatGroup:
         """Wrapper-level counters (pending hot increments flushed)."""
-        group = self._stats
-        for attr, key in self._PENDING_COUNTERS:
-            value = getattr(self, attr)
-            if value:
-                group.inc(key, value)
-                setattr(self, attr, 0)
-        return group
+        return fold_pending(self, self._stats, self._PENDING_COUNTERS)
 
     # ------------------------------------------------------------------ #
     # Demand path

@@ -6,7 +6,7 @@ single microarchitectural component:
 * :mod:`repro.common.params` -- the architectural parameters of Table II of
   the paper (cache geometry, DRAM organisation, DDR3 timing).
 * :mod:`repro.common.request` -- the record types that flow through the
-  simulator: processor-side accesses, LLC-side requests and DRAM commands.
+  simulator: processor-side accesses and DRAM requests and commands.
 * :mod:`repro.common.addressing` -- helpers for carving physical addresses
   into blocks, regions and DRAM coordinates.
 * :mod:`repro.common.stats` -- lightweight named counters and histograms used
@@ -41,7 +41,6 @@ from repro.common.request import (
     DRAMCommandKind,
     DRAMRequest,
     DRAMRequestKind,
-    LLCRequest,
 )
 from repro.common.stats import StatGroup
 
@@ -67,6 +66,5 @@ __all__ = [
     "DRAMCommandKind",
     "DRAMRequest",
     "DRAMRequestKind",
-    "LLCRequest",
     "StatGroup",
 ]

@@ -7,6 +7,20 @@ key-value store organised as ``entries / associativity`` sets, where
 insertion into a full set evicts the least-recently-used entry of that set
 and reports the eviction to the caller (BuMP uses such conflict evictions as
 region terminations).
+
+The layout is part of the contract, because the predictors on the
+simulator's per-access path (BuMP's four tables, SMS's two) operate on
+:attr:`AssociativeTable.sets` directly instead of paying a method call per
+operation:
+
+* a key lives in set ``hash(key) % num_sets``;
+* each set is a dict ordered least- to most-recently used: a hit that
+  promotes deletes and re-inserts the key, and inserting into a full set
+  evicts the first key.
+
+Those direct users keep their own statistics; the ``lookups`` / ``hits`` /
+``insertions`` / ``conflict_evictions`` counters here count method calls
+only.
 """
 
 from __future__ import annotations
@@ -29,14 +43,15 @@ class AssociativeTable(Generic[K, V]):
         self.entries = entries
         self.associativity = associativity
         self.num_sets = entries // associativity
-        self._sets: List[Dict[K, V]] = [dict() for _ in range(self.num_sets)]
+        #: One LRU-ordered dict per set (see the module docstring).
+        self.sets: List[Dict[K, V]] = [dict() for _ in range(self.num_sets)]
         self.lookups = 0
         self.hits = 0
         self.insertions = 0
         self.conflict_evictions = 0
 
     def _set_for(self, key: K) -> Dict[K, V]:
-        return self._sets[hash(key) % self.num_sets]
+        return self.sets[hash(key) % self.num_sets]
 
     def lookup(self, key: K, touch: bool = True) -> Optional[V]:
         """Return the value stored under ``key`` or ``None``.
@@ -44,8 +59,8 @@ class AssociativeTable(Generic[K, V]):
         ``touch`` promotes the entry to most-recently-used on a hit.
         """
         self.lookups += 1
-        # _set_for inlined: predictor lookups run once per LLC access.
-        table_set = self._sets[hash(key) % self.num_sets]
+        # _set_for inlined: the stride prefetcher looks up once per access.
+        table_set = self.sets[hash(key) % self.num_sets]
         value = table_set.get(key)
         if value is None:
             return None
@@ -80,10 +95,10 @@ class AssociativeTable(Generic[K, V]):
         return self._set_for(key).pop(key, None)
 
     def __len__(self) -> int:
-        return sum(len(s) for s in self._sets)
+        return sum(len(s) for s in self.sets)
 
     def __iter__(self) -> Iterator[Tuple[K, V]]:
-        for table_set in self._sets:
+        for table_set in self.sets:
             yield from table_set.items()
 
     @property

@@ -1,14 +1,10 @@
 """Record types that flow between simulator components.
 
-Three layers of the memory system exchange three kinds of records:
+Two layers of the memory system exchange records:
 
 * :class:`Access` -- a processor-side memory reference produced by the
   workload generators: a program counter, a byte address and whether the
   instruction is a load or a store.
-* :class:`LLCRequest` -- a block-granular request arriving at the shared LLC
-  after the private L1 filter, still carrying the triggering PC (the paper
-  extends L1-to-LLC requests with the PC so BuMP and SMS can correlate code
-  with data).
 * :class:`DRAMRequest` -- a block transfer between the LLC and main memory,
   tagged with the reason it was generated (demand miss, prefetch, bulk read,
   demand writeback, eager/bulk writeback) so the experiment harness can
@@ -44,46 +40,6 @@ class Access:
     def is_store(self) -> bool:
         """True when the access was produced by a store instruction."""
         return self.type == AccessType.STORE
-
-
-class LLCRequestKind(Enum):
-    """Why a block-granular request reached the LLC."""
-
-    DEMAND_READ = "demand_read"
-    DEMAND_WRITE = "demand_write"
-    PREFETCH = "prefetch"
-    BULK_READ = "bulk_read"
-    WRITEBACK_PROBE = "writeback_probe"
-
-
-class LLCRequest:
-    """A block request at the shared LLC, carrying prediction metadata.
-
-    A plain ``__slots__`` class: one is built per post-L1 demand access on
-    the simulator hot path.
-    """
-
-    __slots__ = ("core", "pc", "block_address", "kind", "is_store")
-
-    def __init__(self, core: int, pc: int, block_address: int,
-                 kind: LLCRequestKind, is_store: bool = False) -> None:
-        self.core = core
-        self.pc = pc
-        self.block_address = block_address
-        self.kind = kind
-        self.is_store = is_store
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LLCRequest):
-            return NotImplemented
-        return (self.core == other.core and self.pc == other.pc
-                and self.block_address == other.block_address
-                and self.kind == other.kind and self.is_store == other.is_store)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"LLCRequest(core={self.core}, pc={self.pc}, "
-                f"block_address=0x{self.block_address:x}, kind={self.kind}, "
-                f"is_store={self.is_store})")
 
 
 class DRAMRequestKind(Enum):

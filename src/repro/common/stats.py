@@ -10,7 +10,7 @@ benchmark harness assemble the exact rows the paper's figures report.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Iterable, Mapping
+from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
 
 class StatGroup:
@@ -90,3 +90,22 @@ class StatGroup:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         body = ", ".join(f"{k}={v:g}" for k, v in sorted(self._counters.items()))
         return f"StatGroup({self.name}: {body})"
+
+
+def fold_pending(owner, group: StatGroup,
+                 pending: Sequence[Tuple[str, str]]) -> StatGroup:
+    """Fold ``owner``'s pending hot-counter ints into ``group``; return it.
+
+    Hot paths bump plain int attributes instead of paying a
+    :meth:`StatGroup.inc` call per event; ``pending`` lists the
+    ``(attribute, key)`` pairs, and the owner's ``stats`` property calls
+    this so the group is complete whenever it is read.  Each folded
+    attribute is zeroed.  Zero values are skipped, so a key still appears
+    only once its event has happened.
+    """
+    for attr, key in pending:
+        value = getattr(owner, attr)
+        if value:
+            group.inc(key, value)
+            setattr(owner, attr, 0)
+    return group

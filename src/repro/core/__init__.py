@@ -30,7 +30,7 @@ from repro.core.bump import BuMPPredictor
 from repro.core.config import BuMPConfig
 from repro.core.drt import DirtyRegionTable
 from repro.core.fullregion import FullRegionStreamer
-from repro.core.rdtt import RegionDensityTracker, RegionEntry, TerminationReason
+from repro.core.rdtt import RegionDensityTracker, RegionEntry
 
 __all__ = [
     "BulkHistoryTable",
@@ -40,5 +40,4 @@ __all__ = [
     "FullRegionStreamer",
     "RegionDensityTracker",
     "RegionEntry",
-    "TerminationReason",
 ]

@@ -12,9 +12,8 @@ memory systems do.
 
 from __future__ import annotations
 
-from repro.common.request import LLCRequest
 from repro.common.stats import StatGroup
-from repro.cache.agent import AgentActions, LLCAgent
+from repro.cache.agent import LLCAgent
 from repro.cache.set_assoc import EvictedLine
 from repro.core.config import BuMPConfig
 
@@ -28,29 +27,28 @@ class FullRegionStreamer(LLCAgent):
         self.config = config if config is not None else BuMPConfig()
         self.stats = StatGroup("full_region")
 
-    def on_miss(self, request: LLCRequest) -> AgentActions:
-        """Fetch the whole region around every LLC miss."""
-        actions = AgentActions()
-        region = self.config.region_of(request.block_address)
-        for block in self.config.region_blocks(region):
-            if block != request.block_address:
-                actions.fetch_blocks.append(block)
-        self.stats.inc("bulk_read_triggers")
-        self.stats.inc("bulk_read_blocks_requested", len(actions.fetch_blocks))
-        return actions
+    def _region_except(self, block: int, sink: list) -> int:
+        """Append ``block``'s region minus ``block`` itself; return the count."""
+        config = self.config
+        requested = len(sink)
+        for candidate in config.region_blocks(config.region_of(block)):
+            if candidate != block:
+                sink.append(candidate)
+        return len(sink) - requested
 
-    def on_eviction(self, victim: EvictedLine) -> AgentActions:
+    def on_miss(self, core: int, pc: int, block: int, is_store: bool) -> None:
+        """Fetch the whole region around every LLC miss."""
+        requested = self._region_except(block, self.fetches)
+        self.stats.inc("bulk_read_triggers")
+        self.stats.inc("bulk_read_blocks_requested", requested)
+
+    def on_eviction(self, victim: EvictedLine) -> None:
         """Write back the whole region around every dirty eviction."""
-        actions = AgentActions()
         if not victim.dirty:
-            return actions
-        region = self.config.region_of(victim.block_address)
-        for block in self.config.region_blocks(region):
-            if block != victim.block_address:
-                actions.writeback_blocks.append(block)
+            return
+        requested = self._region_except(victim.block_address, self.writebacks)
         self.stats.inc("bulk_writeback_triggers")
-        self.stats.inc("bulk_writeback_blocks_requested", len(actions.writeback_blocks))
-        return actions
+        self.stats.inc("bulk_writeback_blocks_requested", requested)
 
     def storage_bits(self) -> int:
         """Full-region needs no prediction state at all."""

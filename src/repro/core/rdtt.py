@@ -13,60 +13,58 @@ Internally it is split exactly as Section IV.B describes:
   adding a per-block access bit-vector ("pattern").
 
 A region *terminates* when one of its blocks is evicted from the LLC, or when
-its tracking entry is displaced by a table conflict.  Termination produces a
-:class:`TerminatedRegion` describing the observed density, which the BuMP
-engine uses to train the bulk history table and the dirty region table.
+its tracking entry is displaced by a table conflict.  Both observers return
+the terminated region's :class:`RegionEntry` (the caller knows which stream
+it fed), which the BuMP engine uses to train the bulk history table and the
+dirty region table.
+
+Both tables run once per LLC access, so the operations below work on the
+:class:`~repro.common.assoc_table.AssociativeTable` sets directly, under the
+table's set-index and LRU rules, and count events in plain ints that the
+``stats`` property folds into the :class:`StatGroup`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
-from typing import List, Optional
+from typing import Optional
 
+from repro.common.addressing import BLOCK_SIZE
 from repro.common.assoc_table import AssociativeTable
-from repro.common.stats import StatGroup
+from repro.common.stats import StatGroup, fold_pending
 from repro.core.config import BuMPConfig
 
 
-class TerminationReason(Enum):
-    """Why an active region stopped being tracked."""
-
-    EVICTION = "eviction"
-    CONFLICT = "conflict"
-
-
-@dataclass
 class RegionEntry:
     """Tracking state of one active region."""
 
-    region: int
-    trigger_pc: int
-    trigger_offset: int
-    pattern: int
-    dirty: bool = False
+    __slots__ = ("region", "trigger_pc", "trigger_offset", "pattern", "dirty")
+
+    def __init__(self, region: int, trigger_pc: int, trigger_offset: int,
+                 pattern: int, dirty: bool = False) -> None:
+        self.region = region
+        self.trigger_pc = trigger_pc
+        self.trigger_offset = trigger_offset
+        self.pattern = pattern
+        self.dirty = dirty
 
     def accessed_blocks(self) -> int:
         """Number of distinct blocks accessed so far."""
         return bin(self.pattern).count("1")
 
 
-@dataclass
-class TerminatedRegion:
-    """Summary handed to the BuMP engine when a region terminates."""
-
-    entry: RegionEntry
-    reason: TerminationReason
-    #: For eviction-triggered terminations, whether the evicted block was dirty.
-    evicted_dirty: bool = False
-
-    def is_high_density(self, threshold_blocks: int) -> bool:
-        """True when the region reached the high-density threshold."""
-        return self.entry.accessed_blocks() >= threshold_blocks
-
-
 class RegionDensityTracker:
     """The RDTT: trigger table + density table."""
+
+    #: (pending attribute, StatGroup key) pairs folded by ``stats``.
+    _PENDING_COUNTERS = (
+        ("_n_accesses", "accesses"),
+        ("_n_promotions", "promotions"),
+        ("_n_density_conflicts", "density_conflicts"),
+        ("_n_allocations", "allocations"),
+        ("_n_trigger_conflicts", "trigger_conflicts"),
+        ("_n_evictions_seen", "evictions_seen"),
+        ("_n_eviction_terminations", "eviction_terminations"),
+    )
 
     def __init__(self, config: BuMPConfig = None) -> None:
         self.config = config if config is not None else BuMPConfig()
@@ -76,77 +74,92 @@ class RegionDensityTracker:
         self.density = AssociativeTable(
             self.config.density_entries, self.config.associativity, name="density"
         )
-        self.stats = StatGroup("rdtt")
+        self._region_size = self.config.region_size_bytes
+        self._ways = self.config.associativity
+        self._trigger_sets = self.trigger.sets
+        self._trigger_num_sets = self.trigger.num_sets
+        self._density_sets = self.density.sets
+        self._density_num_sets = self.density.num_sets
+        self._stats = StatGroup("rdtt")
+        for attr, _key in self._PENDING_COUNTERS:
+            setattr(self, attr, 0)
+
+    @property
+    def stats(self) -> StatGroup:
+        """Counters (pending hot increments folded in)."""
+        return fold_pending(self, self._stats, self._PENDING_COUNTERS)
 
     # ------------------------------------------------------------------ #
     # LLC access stream
     # ------------------------------------------------------------------ #
     def observe_access(self, block_address: int, pc: int,
-                       is_write: bool) -> List[TerminatedRegion]:
-        """Record a demand LLC access; return regions terminated by conflicts."""
-        config = self.config
-        region = config.region_of(block_address)
-        offset = config.offset_of(block_address)
-        terminated: List[TerminatedRegion] = []
-        self.stats.inc("accesses")
+                       is_write: bool) -> Optional[RegionEntry]:
+        """Record a demand LLC access; return the entry a table conflict displaced.
 
-        entry = self.density.lookup(region)
+        At most one region terminates per access: either a promotion
+        displaces a density-table entry or an allocation displaces a
+        trigger-table entry.
+        """
+        region_size = self._region_size
+        region = block_address // region_size
+        offset = (block_address % region_size) // BLOCK_SIZE
+        key_hash = hash(region)
+        self._n_accesses += 1
+
+        density_set = self._density_sets[key_hash % self._density_num_sets]
+        entry = density_set.get(region)
         if entry is not None:
+            del density_set[region]  # promote to most-recently used
+            density_set[region] = entry
             entry.pattern |= 1 << offset
-            entry.dirty = entry.dirty or is_write
-            return terminated
+            if is_write:
+                entry.dirty = True
+            return None
 
-        entry = self.trigger.remove(region)
+        trigger_set = self._trigger_sets[key_hash % self._trigger_num_sets]
+        entry = trigger_set.pop(region, None)
         if entry is not None:
             # Second distinct access: promote the region to the density table.
             entry.pattern |= 1 << offset
-            entry.dirty = entry.dirty or is_write
-            victim = self.density.insert(region, entry)
-            self.stats.inc("promotions")
-            if victim is not None:
-                self.stats.inc("density_conflicts")
-                terminated.append(
-                    TerminatedRegion(entry=victim[1], reason=TerminationReason.CONFLICT)
-                )
-            return terminated
+            if is_write:
+                entry.dirty = True
+            self._n_promotions += 1
+            victim = None
+            if len(density_set) >= self._ways:
+                victim = density_set.pop(next(iter(density_set)))
+                self._n_density_conflicts += 1
+            density_set[region] = entry
+            return victim
 
-        # First access to the region: allocate in the trigger table.
-        new_entry = RegionEntry(
-            region=region,
-            trigger_pc=pc,
-            trigger_offset=offset,
-            pattern=1 << offset,
-            dirty=is_write,
-        )
-        victim = self.trigger.insert(region, new_entry)
-        self.stats.inc("allocations")
-        if victim is not None:
-            # A displaced single-access region is by definition low density;
-            # report it anyway so callers can count it.
-            self.stats.inc("trigger_conflicts")
-            terminated.append(
-                TerminatedRegion(entry=victim[1], reason=TerminationReason.CONFLICT)
-            )
-        return terminated
+        # First access to the region: allocate in the trigger table.  A
+        # displaced single-access region is by definition low density; it
+        # is reported anyway so the caller can count it.
+        self._n_allocations += 1
+        victim = None
+        if len(trigger_set) >= self._ways:
+            victim = trigger_set.pop(next(iter(trigger_set)))
+            self._n_trigger_conflicts += 1
+        trigger_set[region] = RegionEntry(region, pc, offset, 1 << offset,
+                                          is_write)
+        return victim
 
     # ------------------------------------------------------------------ #
     # LLC eviction stream
     # ------------------------------------------------------------------ #
-    def observe_eviction(self, block_address: int,
-                         dirty: bool) -> Optional[TerminatedRegion]:
-        """Record an LLC eviction; return the terminated region if it was active."""
-        region = self.config.region_of(block_address)
-        self.stats.inc("evictions_seen")
-
-        entry = self.density.remove(region)
+    def observe_eviction(self, block_address: int) -> Optional[RegionEntry]:
+        """Record an LLC eviction; return the terminated entry if it was active."""
+        region = block_address // self._region_size
+        key_hash = hash(region)
+        self._n_evictions_seen += 1
+        entry = self._density_sets[key_hash % self._density_num_sets].pop(
+            region, None)
         if entry is None:
-            entry = self.trigger.remove(region)
-        if entry is None:
-            return None
-        self.stats.inc("eviction_terminations")
-        return TerminatedRegion(
-            entry=entry, reason=TerminationReason.EVICTION, evicted_dirty=dirty
-        )
+            entry = self._trigger_sets[key_hash % self._trigger_num_sets].pop(
+                region, None)
+            if entry is None:
+                return None
+        self._n_eviction_terminations += 1
+        return entry
 
     # ------------------------------------------------------------------ #
     # Introspection

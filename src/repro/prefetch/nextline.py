@@ -11,9 +11,8 @@ footprint schemes (SMS) and BuMP capture.
 from __future__ import annotations
 
 from repro.common.addressing import BLOCK_SIZE
-from repro.common.request import LLCRequest
 from repro.common.stats import StatGroup
-from repro.cache.agent import AgentActions, LLCAgent
+from repro.cache.agent import LLCAgent
 
 
 class NextLinePrefetcher(LLCAgent):
@@ -29,25 +28,23 @@ class NextLinePrefetcher(LLCAgent):
         self.miss_triggered = miss_triggered
         self.stats = StatGroup("nextline")
 
-    def _emit(self, block_address: int) -> AgentActions:
-        actions = AgentActions()
+    def _emit(self, block: int) -> None:
+        fetches = self.fetches
         for step in range(1, self.degree + 1):
-            actions.fetch_blocks.append(block_address + step * BLOCK_SIZE)
+            fetches.append(block + step * BLOCK_SIZE)
         self.stats.inc("prefetch_bursts")
         self.stats.inc("prefetches_issued", self.degree)
-        return actions
 
-    def on_access(self, request: LLCRequest, hit: bool) -> AgentActions:
+    def on_access(self, core: int, pc: int, block: int, is_store: bool,
+                  hit: bool) -> None:
         """Optionally trigger on hits as well as misses."""
-        if self.miss_triggered or hit:
-            return AgentActions()
-        return self._emit(request.block_address)
+        if not self.miss_triggered and not hit:
+            self._emit(block)
 
-    def on_miss(self, request: LLCRequest) -> AgentActions:
+    def on_miss(self, core: int, pc: int, block: int, is_store: bool) -> None:
         """Trigger a sequential burst on a demand miss."""
-        if not self.miss_triggered:
-            return AgentActions()
-        return self._emit(request.block_address)
+        if self.miss_triggered:
+            self._emit(block)
 
     def storage_bits(self) -> int:
         """The next-line prefetcher holds no prediction state."""

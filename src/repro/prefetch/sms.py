@@ -24,8 +24,6 @@ recover (Figure 2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.common.addressing import (
     BLOCK_SIZE,
     BLOCKS_PER_REGION,
@@ -34,25 +32,41 @@ from repro.common.addressing import (
     region_address,
 )
 from repro.common.assoc_table import AssociativeTable
-from repro.common.request import LLCRequest
-from repro.common.stats import StatGroup
-from repro.cache.agent import AgentActions, LLCAgent
+from repro.common.stats import StatGroup, fold_pending
+from repro.cache.agent import LLCAgent
 from repro.cache.set_assoc import EvictedLine
 
 
-@dataclass
 class _Generation:
     """Footprint of one active spatial region generation."""
 
-    trigger_pc: int
-    trigger_offset: int
-    pattern: int
+    __slots__ = ("trigger_pc", "trigger_offset", "pattern")
+
+    def __init__(self, trigger_pc: int, trigger_offset: int, pattern: int) -> None:
+        self.trigger_pc = trigger_pc
+        self.trigger_offset = trigger_offset
+        self.pattern = pattern
 
 
 class SpatialMemoryStreaming(LLCAgent):
-    """SMS spatial footprint prefetcher attached to the LLC."""
+    """SMS spatial footprint prefetcher attached to the LLC.
+
+    The AGT is consulted on every load that reaches the LLC, so both tables
+    are operated on directly (set ``hash(key) % num_sets``, LRU per set, as
+    :class:`~repro.common.assoc_table.AssociativeTable` lays them out) with
+    counters held as plain ints folded into the :class:`StatGroup` on read.
+    """
 
     name = "sms"
+
+    #: (pending attribute, StatGroup key) pairs folded by ``stats``.
+    _PENDING_COUNTERS = (
+        ("_n_pht_hits", "pht_hits"),
+        ("_n_pht_misses", "pht_misses"),
+        ("_n_prefetches_issued", "prefetches_issued"),
+        ("_n_generations_trained", "generations_trained"),
+        ("_n_generations_single_block", "generations_single_block"),
+    )
 
     def __init__(self, agt_entries: int = 1024, pht_entries: int = 16384,
                  associativity: int = 16, region_size: int = REGION_SIZE) -> None:
@@ -64,74 +78,87 @@ class SpatialMemoryStreaming(LLCAgent):
         self.pht: AssociativeTable[tuple, int] = AssociativeTable(
             pht_entries, associativity, name="sms_pht"
         )
-        self.stats = StatGroup("sms")
+        self._ways = associativity
+        self._agt_sets = self.agt.sets
+        self._agt_num_sets = self.agt.num_sets
+        self._pht_sets = self.pht.sets
+        self._pht_num_sets = self.pht.num_sets
+        self._stats = StatGroup("sms")
+        for attr, _key in self._PENDING_COUNTERS:
+            setattr(self, attr, 0)
 
-    # ------------------------------------------------------------------ #
-    # Region helpers
-    # ------------------------------------------------------------------ #
-    def _region(self, block_address: int) -> int:
-        return block_address // self.region_size
-
-    def _offset(self, block_address: int) -> int:
-        return (block_address % self.region_size) // BLOCK_SIZE
-
-    def _region_blocks(self, region: int) -> list:
-        base = region * self.region_size
-        return [base + i * BLOCK_SIZE for i in range(self.blocks_per_region)]
+    @property
+    def stats(self) -> StatGroup:
+        """Counters (pending hot increments folded in)."""
+        return fold_pending(self, self._stats, self._PENDING_COUNTERS)
 
     # ------------------------------------------------------------------ #
     # Training
     # ------------------------------------------------------------------ #
-    def on_access(self, request: LLCRequest, hit: bool) -> AgentActions:
+    def on_access(self, core: int, pc: int, block: int, is_store: bool,
+                  hit: bool) -> None:
         """Track load footprints of active regions; trigger predictions on new ones."""
-        actions = AgentActions()
-        if request.is_store:
-            return actions
+        if is_store:
+            return
 
-        region = self._region(request.block_address)
-        offset = self._offset(request.block_address)
-        generation = self.agt.lookup(region)
+        region_size = self.region_size
+        region = block // region_size
+        offset = (block % region_size) // BLOCK_SIZE
+        agt_set = self._agt_sets[hash(region) % self._agt_num_sets]
+        generation = agt_set.get(region)
         if generation is not None:
+            del agt_set[region]  # promote to most-recently used
+            agt_set[region] = generation
             generation.pattern |= 1 << offset
-            return actions
+            return
 
         # First (trigger) access of a new generation: consult the PHT and
         # start tracking the footprint.
-        prediction = self.pht.lookup((request.pc, offset))
+        key = (pc, offset)
+        pht_set = self._pht_sets[hash(key) % self._pht_num_sets]
+        prediction = pht_set.get(key)
         if prediction is not None:
-            self.stats.inc("pht_hits")
+            del pht_set[key]  # promote to most-recently used
+            pht_set[key] = prediction
+            self._n_pht_hits += 1
+            fetches = self.fetches
+            requested = len(fetches)
+            base = region * region_size
             for index in range(self.blocks_per_region):
-                if index == offset or not (prediction >> index) & 1:
-                    continue
-                actions.fetch_blocks.append(region * self.region_size + index * BLOCK_SIZE)
-            self.stats.inc("prefetches_issued", len(actions.fetch_blocks))
+                if index != offset and (prediction >> index) & 1:
+                    fetches.append(base + index * BLOCK_SIZE)
+            self._n_prefetches_issued += len(fetches) - requested
         else:
-            self.stats.inc("pht_misses")
+            self._n_pht_misses += 1
 
-        victim = self.agt.insert(
-            region, _Generation(trigger_pc=request.pc, trigger_offset=offset,
-                                pattern=1 << offset)
-        )
+        victim = None
+        if len(agt_set) >= self._ways:
+            victim = agt_set.pop(next(iter(agt_set)))
+        agt_set[region] = _Generation(pc, offset, 1 << offset)
         if victim is not None:
-            self._end_generation(victim[1])
-        return actions
+            self._end_generation(victim)
 
-    def on_eviction(self, victim: EvictedLine) -> AgentActions:
+    def on_eviction(self, victim: EvictedLine) -> None:
         """The first eviction of a block of an active region ends its generation."""
-        region = self._region(victim.block_address)
-        generation = self.agt.remove(region)
+        region = victim.block_address // self.region_size
+        generation = self._agt_sets[hash(region) % self._agt_num_sets].pop(
+            region, None)
         if generation is not None:
             self._end_generation(generation)
-        return AgentActions()
 
     def _end_generation(self, generation: _Generation) -> None:
         """Commit a finished generation's footprint into the pattern history."""
         if bin(generation.pattern).count("1") > 1:
-            self.pht.insert((generation.trigger_pc, generation.trigger_offset),
-                            generation.pattern)
-            self.stats.inc("generations_trained")
+            key = (generation.trigger_pc, generation.trigger_offset)
+            pht_set = self._pht_sets[hash(key) % self._pht_num_sets]
+            if key in pht_set:
+                del pht_set[key]  # re-insert as most-recently used
+            elif len(pht_set) >= self._ways:
+                del pht_set[next(iter(pht_set))]
+            pht_set[key] = generation.pattern
+            self._n_generations_trained += 1
         else:
-            self.stats.inc("generations_single_block")
+            self._n_generations_single_block += 1
 
     # ------------------------------------------------------------------ #
     # Overheads

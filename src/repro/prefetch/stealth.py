@@ -28,9 +28,8 @@ from dataclasses import dataclass
 
 from repro.common.addressing import BLOCK_SIZE, REGION_SIZE
 from repro.common.assoc_table import AssociativeTable
-from repro.common.request import LLCRequest
 from repro.common.stats import StatGroup
-from repro.cache.agent import AgentActions, LLCAgent
+from repro.cache.agent import LLCAgent
 from repro.cache.set_assoc import EvictedLine
 
 
@@ -89,11 +88,11 @@ class StealthPrefetcher(LLCAgent):
     # ------------------------------------------------------------------ #
     # LLC streams
     # ------------------------------------------------------------------ #
-    def on_access(self, request: LLCRequest, hit: bool) -> AgentActions:
+    def on_access(self, core: int, pc: int, block: int, is_store: bool,
+                  hit: bool) -> None:
         """Track the live footprint and stream once the trigger count is hit."""
-        actions = AgentActions()
-        region = self._region(request.block_address)
-        offset = self._offset(request.block_address)
+        region = self._region(block)
+        offset = self._offset(block)
 
         history = self.table.lookup(region)
         if history is None:
@@ -107,7 +106,7 @@ class StealthPrefetcher(LLCAgent):
         history.live_pattern |= bit
 
         if history.streamed or history.live_accesses < self.trigger_count:
-            return actions
+            return
 
         history.streamed = True
         pattern = history.learned_pattern
@@ -115,24 +114,22 @@ class StealthPrefetcher(LLCAgent):
             # No previous generation: fetch the whole region.
             pattern = (1 << self.blocks_per_region) - 1
         fetch = self._region_blocks(region, pattern & ~history.live_pattern,
-                                    exclude=request.block_address)
-        actions.fetch_blocks.extend(fetch)
+                                    exclude=block)
+        self.fetches.extend(fetch)
         self.stats.inc("streams_triggered")
         self.stats.inc("blocks_requested", len(fetch))
-        return actions
 
-    def on_eviction(self, victim: EvictedLine) -> AgentActions:
+    def on_eviction(self, victim: EvictedLine) -> None:
         """Close the region's generation when one of its blocks is evicted."""
         region = self._region(victim.block_address)
         history = self.table.lookup(region, touch=False)
         if history is None or history.live_pattern == 0:
-            return AgentActions()
+            return
         history.learned_pattern = history.live_pattern
         history.live_pattern = 0
         history.live_accesses = 0
         history.streamed = False
         self.stats.inc("generations_closed")
-        return AgentActions()
 
     # ------------------------------------------------------------------ #
     # Overheads

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from repro.common.addressing import BLOCK_SIZE
 from repro.common.assoc_table import AssociativeTable
-from repro.common.request import LLCRequest
 from repro.common.stats import StatGroup
-from repro.cache.agent import AgentActions, LLCAgent
+from repro.cache.agent import LLCAgent
 
 
 class _StrideEntry:
@@ -46,25 +45,25 @@ class StridePrefetcher(LLCAgent):
         )
         self.stats = StatGroup("stride")
 
-    def on_access(self, request: LLCRequest, hit: bool) -> AgentActions:
+    def on_access(self, core: int, pc: int, block: int, is_store: bool,
+                  hit: bool) -> None:
         """Observe a demand access and emit prefetches on a confirmed stride."""
-        actions = AgentActions()
-        block = request.block_address
-        key = (request.core, request.pc)
+        key = (core, pc)
         entry = self.table.lookup(key)
         if entry is None:
             self.table.insert(key, _StrideEntry(last_block=block))
-            return actions
+            return
 
         stride = block - entry.last_block
         if stride == 0:
             # Same-block re-reference (mostly filtered by the L1); ignore it
             # rather than tearing down an established stride.
-            return actions
+            return
         if stride == entry.stride:
             if entry.confident:
+                fetches = self.fetches
                 for step in range(1, self.degree + 1):
-                    actions.fetch_blocks.append(block + step * stride)
+                    fetches.append(block + step * stride)
                 self.stats.inc("prefetch_bursts")
                 self.stats.inc("prefetches_issued", self.degree)
             entry.confident = True
@@ -72,7 +71,6 @@ class StridePrefetcher(LLCAgent):
             entry.confident = False
         entry.stride = stride
         entry.last_block = block
-        return actions
 
     def storage_bits(self) -> int:
         """Storage of the reference prediction table (tag + address + stride)."""

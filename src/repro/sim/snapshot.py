@@ -75,7 +75,9 @@ __all__ = [
 #: changes incompatibly; :func:`load_snapshot` and :func:`restore` refuse
 #: other versions (the fingerprint additionally carries the package version,
 #: so stale-but-loadable snapshots never match a fresh fingerprint either).
-SNAPSHOT_FORMAT_VERSION = 1
+#: v2: agents carry their counters as pending ints and their tables' entries
+#: as ``__slots__`` objects.
+SNAPSHOT_FORMAT_VERSION = 2
 
 #: Crossbar counters (plain ints on the hot path), captured by name.
 _NOC_COUNTERS = (
@@ -421,6 +423,7 @@ def restore(snapshot: SystemSnapshot, telemetry=None,
     system.agents = state["agents"]
     system.bump = state["bump"]
     system.profiler = state["profiler"]
+    # Binds the restored agents to this system's (empty) action sink.
     system._refresh_agent_hooks()
     system.counters = state["counters"]
     for name, value in state["noc"].items():
@@ -490,6 +493,7 @@ def capture_warmup(system: ServerSystem, trace, warmup_accesses: int):
         n = len(chunk)
         if not n:
             continue
+        system._check_chunk(chunk, processed)
         if processed + n >= warmup_accesses:
             split = warmup_accesses - processed
             system._run_chunk(chunk if split == n else chunk[:split])

@@ -30,21 +30,15 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.cache.agent import AgentActions, LLCAgent
+from repro.cache.agent import LLCAgent
 from repro.cache.engine import cache_engine_name
 from repro.cache.flat import FLAG_DIRTY, FLAG_PREFETCHED, FLAG_USED
 from repro.cache.l1 import L1DataCache
 from repro.cache.llc import LastLevelCache
 from repro.cache.set_assoc import EvictedLine
 from repro.common.addressing import BLOCK_BITS, block_address
-from repro.common.request import (
-    Access,
-    DRAMRequest,
-    DRAMRequestKind,
-    LLCRequest,
-    LLCRequestKind,
-)
-from repro.common.stats import StatGroup
+from repro.common.request import Access, DRAMRequest, DRAMRequestKind
+from repro.common.stats import StatGroup, fold_pending
 from repro.core.bump import BuMPPredictor
 from repro.core.fullregion import FullRegionStreamer
 from repro.dram.address_mapping import make_block_interleaving, make_region_interleaving
@@ -246,6 +240,12 @@ class ServerSystem:
         self.bump: Optional[BuMPPredictor] = None
         self.profiler: Optional[RegionDensityProfiler] = None
         self._build_agents()
+        #: The agents' action sink (see :mod:`repro.cache.agent`): hooks
+        #: append block addresses here, and the LLC event whose hooks
+        #: appended them takes and applies them before it returns, so both
+        #: lists are empty between events.
+        self._fetches: List[int] = []
+        self._writebacks: List[int] = []
         self._refresh_agent_hooks()
 
         self.counters = StatGroup("system")
@@ -302,25 +302,29 @@ class ServerSystem:
             self.agents.append(self.profiler)
 
     def _refresh_agent_hooks(self) -> None:
-        """Partition agents by which notification hooks they actually override.
+        """Bind the action sink to every agent and list each hook's callees.
 
-        The fast path then skips agents whose hook is the base-class no-op
-        (e.g. the stride prefetcher neither observes misses nor evictions),
-        avoiding a call and an empty-:class:`AgentActions` allocation per
-        event.  Recomputed at the start of every run so agents attached after
-        construction (``run_trace``'s ``extra_agents``) are picked up.
+        Runs at construction, at the start of every run and on snapshot
+        restore, so agents attached after construction (``run_trace``'s
+        ``extra_agents``) and restored agents are bound to *this* system's
+        sink.  A hook an agent leaves at the base-class no-op is never
+        called.  Hooks are taken from the instance, so instance-level
+        wrappers installed before a run (profilers, tracers) are the ones
+        called.
         """
         agents = self.agents
-        self._access_agents = [
-            agent for agent in agents
+        for agent in agents:
+            agent.bind_sink(self._fetches, self._writebacks)
+        self._access_hooks = [
+            agent.on_access for agent in agents
             if type(agent).on_access is not LLCAgent.on_access
         ]
-        self._miss_agents = [
-            agent for agent in agents
+        self._miss_hooks = [
+            agent.on_miss for agent in agents
             if type(agent).on_miss is not LLCAgent.on_miss
         ]
-        self._eviction_agents = [
-            agent for agent in agents
+        self._eviction_hooks = [
+            agent.on_eviction for agent in agents
             if type(agent).on_eviction is not LLCAgent.on_eviction
         ]
 
@@ -382,6 +386,7 @@ class ServerSystem:
                 break
             if not len(chunk):
                 continue
+            self._check_chunk(chunk, processed)
             if warmup_accesses and not measuring:
                 split = warmup_accesses - processed
                 if len(chunk) >= split:
@@ -416,6 +421,33 @@ class ServerSystem:
             result = self._collect_results()
         recorder.on_run_end(self)
         return result
+
+    def _check_chunk(self, chunk: TraceBuffer, first_row: int) -> None:
+        """Reject a chunk whose rows this system cannot simulate.
+
+        Cores must lie in ``[0, num_cores)`` and instruction gaps must be
+        non-negative.  Otherwise a negative core silently runs as the core
+        Python's negative indexing picks, an out-of-range core fails deep
+        inside the interpreter, and a negative gap runs backwards in time.
+        ``first_row`` is the chunk's offset in the trace, so the error names
+        the offending row of the whole trace.  One vectorized pass per
+        column.
+        """
+        num_cores = self.config.system.num_cores
+        cores = chunk.core
+        bad = (cores < 0) | (cores >= num_cores)
+        if bad.any():
+            row = int(np.argmax(bad))
+            raise ValueError(
+                f"trace row {first_row + row}: column 'core' is "
+                f"{int(cores[row])}, outside [0, {num_cores})")
+        instructions = chunk.instructions
+        bad = instructions < 0
+        if bad.any():
+            row = int(np.argmax(bad))
+            raise ValueError(
+                f"trace row {first_row + row}: column 'instructions' is "
+                f"{int(instructions[row])}, must be >= 0")
 
     def _cross_warmup_boundary(self, chunk, split: int, recorder, timing: bool,
                                clock, source) -> Optional[TraceBuffer]:
@@ -939,12 +971,7 @@ class ServerSystem:
 
     def _flush_hot_counters(self) -> None:
         """Fold the hoisted per-chunk counter ints into the StatGroup."""
-        counters = self.counters
-        for attr, key in _HOT_COUNTERS:
-            value = getattr(self, attr)
-            if value:
-                counters.inc(key, value)
-                setattr(self, attr, 0)
+        fold_pending(self, self.counters, _HOT_COUNTERS)
 
     def begin_measurement(self) -> None:
         """Discard warmup statistics while keeping all architectural state."""
@@ -991,6 +1018,15 @@ class ServerSystem:
 
     # ------------------------------------------------------------------ #
     # LLC demand path
+    #
+    # Agents append the traffic they want to the action sink; each LLC
+    # event (a demand access, an eviction) applies what its own hooks
+    # appended before it returns.  An eviction remembers the sink lengths
+    # before calling its hooks and takes only what lies past them, so an
+    # eviction caused by a fill inside another event's handling applies its
+    # actions first, nested, exactly where it happens.  A demand access
+    # starts with an empty sink (every event drains its share), so its
+    # share is everything left once its own miss handling is done.
     # ------------------------------------------------------------------ #
     def _llc_demand_access(self, core: int, pc: int, address: int,
                            is_store: bool) -> None:
@@ -1008,15 +1044,10 @@ class ServerSystem:
         line = self.llc.access(block, is_write=is_store)
         hit = line is not None
 
-        kind = LLCRequestKind.DEMAND_WRITE if is_store else LLCRequestKind.DEMAND_READ
-        request = LLCRequest(core=core, pc=pc, block_address=block,
-                             kind=kind, is_store=is_store)
-
         if self.agents:
             self.noc.send(MessageType.PREDICTOR_NOTIFY)
-        actions = AgentActions()
-        for agent in self.agents:
-            actions.merge(agent.on_access(request, hit))
+        for hook in self._access_hooks:
+            hook(core, pc, block, is_store, hit)
 
         if hit:
             counters.inc("llc_hits")
@@ -1029,8 +1060,8 @@ class ServerSystem:
             self.noc.send(MessageType.DATA)
         else:
             counters.inc("llc_misses")
-            for agent in self.agents:
-                actions.merge(agent.on_miss(request))
+            for hook in self._miss_hooks:
+                hook(core, pc, block, is_store)
             self._issue_dram(block, DRAMRequestKind.DEMAND_READ, core, pc)
             counters.inc("demand_reads")
             if is_store:
@@ -1043,16 +1074,15 @@ class ServerSystem:
             if victim is not None:
                 self._handle_llc_eviction(victim)
 
-        self._apply_actions(actions, core, pc)
+        self._apply_actions(0, 0, core, pc)
 
     def _llc_demand_fast(self, core: int, pc: int, block: int,
                          is_store: bool) -> None:
         """LLC demand path for the fused flat-engine loop.
 
         Same event sequence as :meth:`_llc_demand_access`, with the probe and
-        access fused into one call, NOC counters bumped as plain attributes,
-        system counters hoisted to instance ints, and agent action bundles
-        merged only when an agent actually requested traffic.
+        access fused into one call, NOC counters bumped as plain attributes
+        and system counters hoisted to instance ints.
         """
         noc = self.noc
         if self._carries_pc:
@@ -1067,19 +1097,10 @@ class ServerSystem:
         prior = self._llc_array.demand_access(block, is_store)
         hit = prior >= 0
 
-        actions = None
-        request = None
         if self.agents:
             noc.n_predictor_notify += 1
-            kind = LLCRequestKind.DEMAND_WRITE if is_store else LLCRequestKind.DEMAND_READ
-            request = LLCRequest(core, pc, block, kind, is_store)
-            for agent in self._access_agents:
-                bundle = agent.on_access(request, hit)
-                if bundle.fetch_blocks or bundle.writeback_blocks:
-                    if actions is None:
-                        actions = bundle
-                    else:
-                        actions.merge(bundle)
+            for hook in self._access_hooks:
+                hook(core, pc, block, is_store, hit)
 
         if hit:
             llc._p_demand_hits += 1
@@ -1094,13 +1115,8 @@ class ServerSystem:
         else:
             llc._p_demand_misses += 1
             self._h_llc_misses += 1
-            for agent in self._miss_agents:
-                bundle = agent.on_miss(request)
-                if bundle.fetch_blocks or bundle.writeback_blocks:
-                    if actions is None:
-                        actions = bundle
-                    else:
-                        actions.merge(bundle)
+            for hook in self._miss_hooks:
+                hook(core, pc, block, is_store)
             if self._flat_dram:
                 # Inlined _issue_dram: stage the demand read for the batched
                 # flush without a call frame or a DRAMRequest allocation.
@@ -1120,8 +1136,8 @@ class ServerSystem:
             if victim is not None:
                 self._handle_llc_eviction_fast(victim)
 
-        if actions is not None:
-            self._apply_actions_fast(actions, core, pc)
+        if self._fetches or self._writebacks:
+            self._apply_actions_fast(0, 0, core, pc)
 
     def _l1_writeback(self, victim) -> None:
         """Forward a dirty L1 victim to the LLC."""
@@ -1146,9 +1162,10 @@ class ServerSystem:
         counters = self.counters
         counters.inc("llc_evictions")
 
-        actions = AgentActions()
-        for agent in self.agents:
-            actions.merge(agent.on_eviction(victim))
+        fetch_mark = len(self._fetches)
+        writeback_mark = len(self._writebacks)
+        for hook in self._eviction_hooks:
+            hook(victim)
 
         if victim.dirty:
             counters.inc("demand_writebacks")
@@ -1158,20 +1175,18 @@ class ServerSystem:
         if victim.prefetched and not victim.used:
             counters.inc("overfetch_evictions")
 
-        self._apply_actions(actions, victim.core, victim.pc)
+        self._apply_actions(fetch_mark, writeback_mark, victim.core, victim.pc)
 
     def _handle_llc_eviction_fast(self, victim: EvictedLine) -> None:
         """Eviction handling with hoisted counters (flat-engine fast path)."""
         self._h_llc_evictions += 1
 
-        actions = None
-        for agent in self._eviction_agents:
-            bundle = agent.on_eviction(victim)
-            if bundle.fetch_blocks or bundle.writeback_blocks:
-                if actions is None:
-                    actions = bundle
-                else:
-                    actions.merge(bundle)
+        fetches = self._fetches
+        writebacks = self._writebacks
+        fetch_mark = len(fetches)
+        writeback_mark = len(writebacks)
+        for hook in self._eviction_hooks:
+            hook(victim)
 
         if victim.dirty:
             self._h_demand_writebacks += 1
@@ -1187,20 +1202,36 @@ class ServerSystem:
         if victim.prefetched and not victim.used:
             self._h_overfetch_evictions += 1
 
-        if actions is not None:
-            self._apply_actions_fast(actions, victim.core, victim.pc)
+        if len(fetches) > fetch_mark or len(writebacks) > writeback_mark:
+            self._apply_actions_fast(fetch_mark, writeback_mark,
+                                     victim.core, victim.pc)
 
-    def _apply_actions(self, actions: AgentActions, core: int, pc: int) -> None:
-        if actions.empty:
+    def _take_actions(self, fetch_mark: int, writeback_mark: int):
+        """Remove and return the sink entries past the marks: ``(fetches, writebacks)``."""
+        fetches = self._fetches
+        writebacks = self._writebacks
+        fetch_blocks = fetches[fetch_mark:]
+        del fetches[fetch_mark:]
+        writeback_blocks = writebacks[writeback_mark:]
+        del writebacks[writeback_mark:]
+        return fetch_blocks, writeback_blocks
+
+    def _apply_actions(self, fetch_mark: int, writeback_mark: int, core: int,
+                       pc: int) -> None:
+        """Perform the traffic one event's hooks appended past the marks."""
+        if (len(self._fetches) == fetch_mark
+                and len(self._writebacks) == writeback_mark):
             return
+        fetch_blocks, writeback_blocks = self._take_actions(fetch_mark,
+                                                            writeback_mark)
         config = self.config
         counters = self.counters
 
-        if actions.fetch_blocks:
+        if fetch_blocks:
             bulk = config.uses_bulk_streaming
             kind = DRAMRequestKind.BULK_READ if bulk else DRAMRequestKind.PREFETCH_READ
             counter = "bulk_reads" if bulk else "prefetch_reads"
-            for block in actions.fetch_blocks:
+            for block in fetch_blocks:
                 if block < 0 or self.llc.contains(block):
                     continue
                 self.noc.send(MessageType.GENERATED_REQUEST)
@@ -1211,11 +1242,11 @@ class ServerSystem:
                 if victim is not None:
                     self._handle_llc_eviction(victim)
 
-        if actions.writeback_blocks:
+        if writeback_blocks:
             bulk = config.uses_bulk_streaming
             kind = DRAMRequestKind.BULK_WRITEBACK if bulk else DRAMRequestKind.EAGER_WRITEBACK
             counter = "bulk_writebacks" if bulk else "eager_writebacks"
-            for block in actions.writeback_blocks:
+            for block in writeback_blocks:
                 if block < 0:
                     continue
                 self.noc.send(MessageType.GENERATED_REQUEST)
@@ -1224,7 +1255,8 @@ class ServerSystem:
                     counters.inc(counter)
                     self.noc.send(MessageType.DATA)
 
-    def _apply_actions_fast(self, actions: AgentActions, core: int, pc: int) -> None:
+    def _apply_actions_fast(self, fetch_mark: int, writeback_mark: int,
+                            core: int, pc: int) -> None:
         """Agent-generated traffic for the fused flat-engine loop.
 
         Same event sequence as :meth:`_apply_actions` -- this is the bulk
@@ -1232,12 +1264,12 @@ class ServerSystem:
         block, several per miss under BuMP/Full-region) -- with the per-block
         overhead between the layers stripped: NOC counters bumped as plain
         attributes, traffic counters hoisted to instance ints, the LLC
-        residence probe bound once per bundle, and DRAM transfers staged as
+        residence probe bound once per event, and DRAM transfers staged as
         scalars for the batched flush instead of one ``_issue_dram`` call
         (frame + request object) per block.
         """
-        if actions.empty:
-            return
+        fetch_blocks, writeback_blocks = self._take_actions(fetch_mark,
+                                                            writeback_mark)
         noc = self.noc
         llc = self.llc
         array = self._llc_array
@@ -1249,7 +1281,7 @@ class ServerSystem:
             dram_arrivals = self._dram_arrivals
             arrival = self._arrival_bus
 
-        if actions.fetch_blocks:
+        if fetch_blocks:
             contains = array.contains
             array_fill = array.fill
             if bulk:
@@ -1258,7 +1290,7 @@ class ServerSystem:
                 kind = DRAMRequestKind.PREFETCH_READ
             kind_code = kind.code
             fetched = 0
-            for block in actions.fetch_blocks:
+            for block in fetch_blocks:
                 if block < 0 or contains(block):
                     continue
                 noc.n_generated_request += 1
@@ -1288,7 +1320,7 @@ class ServerSystem:
                 else:
                     self._h_prefetch_reads += fetched
 
-        if actions.writeback_blocks:
+        if writeback_blocks:
             array_clean = array.clean
             if bulk:
                 kind = DRAMRequestKind.BULK_WRITEBACK
@@ -1297,7 +1329,7 @@ class ServerSystem:
             kind_code = kind.code
             cleaned = 0
             probed = 0
-            for block in actions.writeback_blocks:
+            for block in writeback_blocks:
                 if block < 0:
                     continue
                 noc.n_generated_request += 1

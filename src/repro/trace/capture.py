@@ -34,9 +34,9 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.common.request import Access, AccessType, LLCRequest
+from repro.common.request import Access, AccessType
 from repro.common.stats import StatGroup
-from repro.cache.agent import AgentActions, LLCAgent
+from repro.cache.agent import LLCAgent
 from repro.cache.set_assoc import EvictedLine
 from repro.trace.buffer import TRACE_DTYPES, TraceBuffer
 
@@ -160,30 +160,24 @@ class LLCTraceRecorder(LLCAgent):
         self.stats.inc("dropped_records")
         return False
 
-    def on_access(self, request: LLCRequest, hit: bool) -> AgentActions:
+    def on_access(self, core: int, pc: int, block: int, is_store: bool,
+                  hit: bool) -> None:
         """Record a demand access."""
-        if self._record(self._accesses, (request.core, request.pc,
-                                         request.block_address,
-                                         request.is_store, hit)):
+        if self._record(self._accesses, (core, pc, block, is_store, hit)):
             if not hit:
                 self._access_misses += 1
         self.stats.inc("accesses_recorded")
-        return AgentActions()
 
-    def on_miss(self, request: LLCRequest) -> AgentActions:
+    def on_miss(self, core: int, pc: int, block: int, is_store: bool) -> None:
         """Record a demand miss."""
-        self._record(self._misses, (request.core, request.pc,
-                                    request.block_address,
-                                    request.is_store, False))
+        self._record(self._misses, (core, pc, block, is_store, False))
         self.stats.inc("misses_recorded")
-        return AgentActions()
 
-    def on_eviction(self, victim: EvictedLine) -> AgentActions:
+    def on_eviction(self, victim: EvictedLine) -> None:
         """Record an eviction."""
         self._record(self._evictions, (victim.block_address, victim.dirty,
                                        victim.prefetched, victim.used))
         self.stats.inc("evictions_recorded")
-        return AgentActions()
 
     # ------------------------------------------------------------------ #
     # Boxed views (materialized on demand; sized for inspection, not bulk)

@@ -26,9 +26,8 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from repro.common.addressing import BLOCK_SIZE, REGION_SIZE
-from repro.common.request import LLCRequest
 from repro.common.stats import StatGroup
-from repro.cache.agent import AgentActions, LLCAgent
+from repro.cache.agent import LLCAgent
 from repro.cache.set_assoc import EvictedLine
 
 #: Density class boundaries from Figure 5 of the paper.
@@ -121,10 +120,11 @@ class RegionDensityProfiler(LLCAgent):
     # ------------------------------------------------------------------ #
     # LLC streams
     # ------------------------------------------------------------------ #
-    def on_access(self, request: LLCRequest, hit: bool) -> AgentActions:
+    def on_access(self, core: int, pc: int, block: int, is_store: bool,
+                  hit: bool) -> None:
         """Track a demand access; start a new lifetime after a termination."""
-        region = self._region(request.block_address)
-        bit = self._offset_bit(request.block_address)
+        region = self._region(block)
+        bit = self._offset_bit(block)
         lifetime = self._lifetimes.get(region)
 
         if lifetime is None or (lifetime.terminated and not hit):
@@ -136,33 +136,31 @@ class RegionDensityProfiler(LLCAgent):
         if lifetime.terminated:
             # The lifetime has ended but its blocks are still trickling out of
             # the LLC; record late modifications for the Table I measurement.
-            if request.is_store:
+            if is_store:
                 lifetime.modified_after |= bit
                 lifetime.modified |= bit
-            return AgentActions()
+            return
 
         lifetime.accessed |= bit
-        if request.is_store:
+        if is_store:
             lifetime.modified |= bit
         if not hit:
             lifetime.reads += 1
             self._total_reads += 1
-        return AgentActions()
 
-    def on_eviction(self, victim: EvictedLine) -> AgentActions:
+    def on_eviction(self, victim: EvictedLine) -> None:
         """The first eviction of a block of an active region ends its lifetime."""
         region = self._region(victim.block_address)
         lifetime = self._lifetimes.get(region)
         if victim.dirty:
             self._total_writes += 1
         if lifetime is None:
-            return AgentActions()
+            return
         if victim.dirty:
             lifetime.writes += 1
         if not lifetime.terminated:
             lifetime.terminated = True
             lifetime.terminated_by_dirty = victim.dirty
-        return AgentActions()
 
     # ------------------------------------------------------------------ #
     # Aggregation

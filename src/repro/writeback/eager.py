@@ -19,9 +19,8 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
-from repro.common.request import LLCRequest
 from repro.common.stats import StatGroup
-from repro.cache.agent import AgentActions, LLCAgent
+from repro.cache.agent import LLCAgent
 from repro.cache.set_assoc import EvictedLine
 
 
@@ -44,29 +43,27 @@ class EagerWriteback(LLCAgent):
     # ------------------------------------------------------------------ #
     # LLC streams
     # ------------------------------------------------------------------ #
-    def on_access(self, request: LLCRequest, hit: bool) -> AgentActions:
+    def on_access(self, core: int, pc: int, block: int, is_store: bool,
+                  hit: bool) -> None:
         """Record stores as new dirty blocks; drain the oldest past the limit."""
-        actions = AgentActions()
-        if request.is_store:
-            block = request.block_address
+        if is_store:
             # Re-dirtied blocks move to the young end of the queue.
             self._dirty.pop(block, None)
             self._dirty[block] = None
             self.stats.inc("dirty_blocks_tracked")
 
-        while len(self._dirty) > self.pending_limit and \
-                len(actions.writeback_blocks) < self.drain_batch:
+        drained = 0
+        while len(self._dirty) > self.pending_limit and drained < self.drain_batch:
             oldest, _ = self._dirty.popitem(last=False)
-            actions.writeback_blocks.append(oldest)
-        if actions.writeback_blocks:
+            self.writebacks.append(oldest)
+            drained += 1
+        if drained:
             self.stats.inc("eager_drains")
-            self.stats.inc("blocks_drained", len(actions.writeback_blocks))
-        return actions
+            self.stats.inc("blocks_drained", drained)
 
-    def on_eviction(self, victim: EvictedLine) -> AgentActions:
+    def on_eviction(self, victim: EvictedLine) -> None:
         """Forget blocks that left the cache on their own."""
         self._dirty.pop(victim.block_address, None)
-        return AgentActions()
 
     # ------------------------------------------------------------------ #
     # Introspection

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from repro.common.addressing import BLOCK_SIZE, REGION_SIZE
 from repro.common.stats import StatGroup
-from repro.cache.agent import AgentActions, LLCAgent
+from repro.cache.agent import LLCAgent
 from repro.cache.set_assoc import EvictedLine
 
 
@@ -35,25 +35,25 @@ class VirtualWriteQueue(LLCAgent):
         self.region_size = region_size
         self.stats = StatGroup("vwq")
 
-    def on_eviction(self, victim: EvictedLine) -> AgentActions:
+    def on_eviction(self, victim: EvictedLine) -> None:
         """Request eager writebacks of the blocks adjacent to a dirty victim."""
-        actions = AgentActions()
         if not victim.dirty:
-            return actions
+            return
 
         self.stats.inc("dirty_evictions_seen")
         region_base = victim.block_address - (victim.block_address % self.region_size)
         region_limit = region_base + self.region_size
+        writebacks = []
         for step in range(1, self.lookahead_blocks + 1):
             for candidate in (victim.block_address + step * BLOCK_SIZE,
                               victim.block_address - step * BLOCK_SIZE):
                 if region_base <= candidate < region_limit:
-                    actions.writeback_blocks.append(candidate)
+                    writebacks.append(candidate)
         # Keep only the closest `lookahead_blocks` candidates so the engine
         # matches the paper's "three adjacent cache blocks" budget.
-        actions.writeback_blocks = actions.writeback_blocks[: self.lookahead_blocks]
-        self.stats.inc("probes_issued", len(actions.writeback_blocks))
-        return actions
+        writebacks = writebacks[: self.lookahead_blocks]
+        self.writebacks.extend(writebacks)
+        self.stats.inc("probes_issued", len(writebacks))
 
     def storage_bits(self) -> int:
         """VWQ proper reuses LLC state; its queue metadata is negligible."""

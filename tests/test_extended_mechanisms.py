@@ -4,9 +4,8 @@ writeback, and the extended system configurations that wire them up."""
 
 import pytest
 
+from agent_harness import AgentHarness
 from repro.common.addressing import BLOCK_SIZE, REGION_SIZE
-from repro.common.request import LLCRequest, LLCRequestKind
-from repro.cache.set_assoc import EvictedLine
 from repro.prefetch.nextline import NextLinePrefetcher
 from repro.prefetch.stealth import StealthPrefetcher
 from repro.sim.config import (
@@ -21,37 +20,27 @@ from repro.sim.runner import build_trace, run_trace
 from repro.writeback.eager import EagerWriteback
 
 
-def read_request(block, pc=0x400000, core=0):
-    return LLCRequest(core=core, pc=pc, block_address=block,
-                      kind=LLCRequestKind.DEMAND_READ, is_store=False)
-
-
-def write_request(block, pc=0x500000, core=0):
-    return LLCRequest(core=core, pc=pc, block_address=block,
-                      kind=LLCRequestKind.DEMAND_WRITE, is_store=True)
-
-
-def evicted(block, dirty=False):
-    return EvictedLine(block_address=block, dirty=dirty, prefetched=False, used=True)
+READ_PC = 0x400000
+WRITE_PC = 0x500000
 
 
 class TestNextLinePrefetcher:
     def test_miss_triggers_sequential_burst(self):
-        prefetcher = NextLinePrefetcher(degree=3)
-        actions = prefetcher.on_miss(read_request(0x1000))
+        prefetcher = AgentHarness(NextLinePrefetcher(degree=3))
+        actions = prefetcher.miss(READ_PC, 0x1000)
         assert actions.fetch_blocks == [0x1000 + BLOCK_SIZE,
                                         0x1000 + 2 * BLOCK_SIZE,
                                         0x1000 + 3 * BLOCK_SIZE]
 
     def test_access_path_is_silent_in_miss_triggered_mode(self):
-        prefetcher = NextLinePrefetcher(degree=2)
-        assert prefetcher.on_access(read_request(0x1000), hit=True).empty
-        assert prefetcher.on_access(read_request(0x1000), hit=False).empty
+        prefetcher = AgentHarness(NextLinePrefetcher(degree=2))
+        assert prefetcher.access(READ_PC, 0x1000, hit=True).empty
+        assert prefetcher.access(READ_PC, 0x1000, hit=False).empty
 
     def test_hit_triggered_mode_fires_on_misses_via_access(self):
-        prefetcher = NextLinePrefetcher(degree=1, miss_triggered=False)
-        assert prefetcher.on_miss(read_request(0x1000)).empty
-        actions = prefetcher.on_access(read_request(0x1000), hit=False)
+        prefetcher = AgentHarness(NextLinePrefetcher(degree=1, miss_triggered=False))
+        assert prefetcher.miss(READ_PC, 0x1000).empty
+        actions = prefetcher.access(READ_PC, 0x1000, hit=False)
         assert actions.fetch_blocks == [0x1000 + BLOCK_SIZE]
 
     def test_degree_validation_and_zero_storage(self):
@@ -60,11 +49,11 @@ class TestNextLinePrefetcher:
         assert NextLinePrefetcher().storage_bits() == 0
 
     def test_stats_count_issued_prefetches(self):
-        prefetcher = NextLinePrefetcher(degree=4)
-        prefetcher.on_miss(read_request(0))
-        prefetcher.on_miss(read_request(REGION_SIZE))
-        assert prefetcher.stats["prefetches_issued"] == 8
-        assert prefetcher.stats["prefetch_bursts"] == 2
+        prefetcher = AgentHarness(NextLinePrefetcher(degree=4))
+        prefetcher.miss(READ_PC, 0)
+        prefetcher.miss(READ_PC, REGION_SIZE)
+        assert prefetcher.agent.stats["prefetches_issued"] == 8
+        assert prefetcher.agent.stats["prefetch_bursts"] == 2
 
 
 class TestStealthPrefetcher:
@@ -72,45 +61,45 @@ class TestStealthPrefetcher:
         return [base + i * BLOCK_SIZE for i in range(REGION_SIZE // BLOCK_SIZE)]
 
     def test_does_not_stream_before_trigger_count(self):
-        prefetcher = StealthPrefetcher(trigger_count=4)
+        prefetcher = AgentHarness(StealthPrefetcher(trigger_count=4))
         blocks = self.region_blocks()
         for block in blocks[:3]:
-            assert prefetcher.on_access(read_request(block), hit=False).empty
+            assert prefetcher.access(READ_PC, block, hit=False).empty
 
     def test_streams_whole_region_without_history(self):
-        prefetcher = StealthPrefetcher(trigger_count=2)
+        prefetcher = AgentHarness(StealthPrefetcher(trigger_count=2))
         blocks = self.region_blocks()
-        prefetcher.on_access(read_request(blocks[0]), hit=False)
-        actions = prefetcher.on_access(read_request(blocks[1]), hit=False)
+        prefetcher.access(READ_PC, blocks[0], hit=False)
+        actions = prefetcher.access(READ_PC, blocks[1], hit=False)
         # Everything except the two already-touched blocks is requested.
         assert set(actions.fetch_blocks) == set(blocks[2:])
 
     def test_streams_learned_footprint_on_second_generation(self):
-        prefetcher = StealthPrefetcher(trigger_count=2)
+        prefetcher = AgentHarness(StealthPrefetcher(trigger_count=2))
         blocks = self.region_blocks()
         footprint = blocks[:6]
         for block in footprint:
-            prefetcher.on_access(read_request(block), hit=False)
+            prefetcher.access(READ_PC, block, hit=False)
         # Close the generation; the learned footprint is blocks[:6].
-        prefetcher.on_eviction(evicted(blocks[0]))
+        prefetcher.evict(blocks[0])
 
-        prefetcher.on_access(read_request(blocks[0]), hit=False)
-        actions = prefetcher.on_access(read_request(blocks[1]), hit=False)
+        prefetcher.access(READ_PC, blocks[0], hit=False)
+        actions = prefetcher.access(READ_PC, blocks[1], hit=False)
         assert set(actions.fetch_blocks) == set(footprint[2:])
 
     def test_streams_only_once_per_generation(self):
-        prefetcher = StealthPrefetcher(trigger_count=2)
+        prefetcher = AgentHarness(StealthPrefetcher(trigger_count=2))
         blocks = self.region_blocks()
-        prefetcher.on_access(read_request(blocks[0]), hit=False)
-        first = prefetcher.on_access(read_request(blocks[1]), hit=False)
-        second = prefetcher.on_access(read_request(blocks[2]), hit=False)
+        prefetcher.access(READ_PC, blocks[0], hit=False)
+        first = prefetcher.access(READ_PC, blocks[1], hit=False)
+        second = prefetcher.access(READ_PC, blocks[2], hit=False)
         assert first.fetch_blocks and second.empty
 
     def test_repeated_access_to_same_block_does_not_advance_trigger(self):
-        prefetcher = StealthPrefetcher(trigger_count=2)
+        prefetcher = AgentHarness(StealthPrefetcher(trigger_count=2))
         block = self.region_blocks()[0]
-        prefetcher.on_access(read_request(block), hit=False)
-        assert prefetcher.on_access(read_request(block), hit=True).empty
+        prefetcher.access(READ_PC, block, hit=False)
+        assert prefetcher.access(READ_PC, block, hit=True).empty
 
     def test_storage_requirement_far_exceeds_bump(self):
         prefetcher = StealthPrefetcher()
@@ -126,38 +115,38 @@ class TestStealthPrefetcher:
 
 class TestEagerWriteback:
     def test_drains_oldest_dirty_blocks_past_limit(self):
-        agent = EagerWriteback(pending_limit=2, drain_batch=2)
-        agent.on_access(write_request(0x0000), hit=True)
-        agent.on_access(write_request(0x1000), hit=True)
-        actions = agent.on_access(write_request(0x2000), hit=True)
+        eager = AgentHarness(EagerWriteback(pending_limit=2, drain_batch=2))
+        eager.access(WRITE_PC, 0x0000, store=True, hit=True)
+        eager.access(WRITE_PC, 0x1000, store=True, hit=True)
+        actions = eager.access(WRITE_PC, 0x2000, store=True, hit=True)
         assert actions.writeback_blocks == [0x0000]
 
     def test_rewritten_block_moves_to_young_end(self):
-        agent = EagerWriteback(pending_limit=2, drain_batch=1)
-        agent.on_access(write_request(0x0000), hit=True)
-        agent.on_access(write_request(0x1000), hit=True)
-        agent.on_access(write_request(0x0000), hit=True)  # re-dirty the first
-        actions = agent.on_access(write_request(0x2000), hit=True)
+        eager = AgentHarness(EagerWriteback(pending_limit=2, drain_batch=1))
+        eager.access(WRITE_PC, 0x0000, store=True, hit=True)
+        eager.access(WRITE_PC, 0x1000, store=True, hit=True)
+        eager.access(WRITE_PC, 0x0000, store=True, hit=True)  # re-dirty the first
+        actions = eager.access(WRITE_PC, 0x2000, store=True, hit=True)
         assert actions.writeback_blocks == [0x1000]
 
     def test_reads_do_not_enqueue_candidates(self):
-        agent = EagerWriteback(pending_limit=1)
-        agent.on_access(read_request(0x0000), hit=True)
-        agent.on_access(read_request(0x1000), hit=True)
-        assert agent.tracked_dirty_blocks == 0
+        eager = AgentHarness(EagerWriteback(pending_limit=1))
+        eager.access(READ_PC, 0x0000, hit=True)
+        eager.access(READ_PC, 0x1000, hit=True)
+        assert eager.agent.tracked_dirty_blocks == 0
 
     def test_evicted_blocks_are_forgotten(self):
-        agent = EagerWriteback(pending_limit=8)
-        agent.on_access(write_request(0x0000), hit=True)
-        agent.on_eviction(evicted(0x0000, dirty=True))
-        assert agent.tracked_dirty_blocks == 0
+        eager = AgentHarness(EagerWriteback(pending_limit=8))
+        eager.access(WRITE_PC, 0x0000, store=True, hit=True)
+        eager.evict(0x0000, dirty=True)
+        assert eager.agent.tracked_dirty_blocks == 0
 
     def test_drain_batch_bounds_per_access_work(self):
-        agent = EagerWriteback(pending_limit=1, drain_batch=2)
+        eager = AgentHarness(EagerWriteback(pending_limit=1, drain_batch=2))
         for index in range(6):
-            agent.on_access(write_request(index * 0x1000), hit=True)
+            eager.access(WRITE_PC, index * 0x1000, store=True, hit=True)
         # Never more than drain_batch writebacks per notification.
-        actions = agent.on_access(write_request(0x7000), hit=True)
+        actions = eager.access(WRITE_PC, 0x7000, store=True, hit=True)
         assert len(actions.writeback_blocks) <= 2
 
     def test_parameter_validation(self):

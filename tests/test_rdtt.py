@@ -2,7 +2,7 @@
 
 from repro.common.addressing import BLOCK_SIZE, REGION_SIZE
 from repro.core.config import BuMPConfig
-from repro.core.rdtt import RegionDensityTracker, TerminationReason
+from repro.core.rdtt import RegionDensityTracker
 
 
 def block(region, offset):
@@ -48,25 +48,25 @@ def test_eviction_terminates_active_region():
     rdtt = RegionDensityTracker()
     for offset in range(10):
         rdtt.observe_access(block(7, offset), pc=0x400, is_write=False)
-    terminated = rdtt.observe_eviction(block(7, 3), dirty=False)
+    terminated = rdtt.observe_eviction(block(7, 3))
     assert terminated is not None
-    assert terminated.reason is TerminationReason.EVICTION
-    assert terminated.entry.accessed_blocks() == 10
-    assert terminated.is_high_density(8)
+    assert terminated.region == 7
+    assert terminated.accessed_blocks() == 10
+    assert terminated.accessed_blocks() >= rdtt.config.density_threshold_blocks
     assert rdtt.lookup_active(block(7, 0)) is None
 
 
 def test_eviction_outside_tracked_regions_returns_none():
     rdtt = RegionDensityTracker()
-    assert rdtt.observe_eviction(block(99, 0), dirty=True) is None
+    assert rdtt.observe_eviction(block(99, 0)) is None
 
 
 def test_eviction_terminates_single_access_region_as_low_density():
     rdtt = RegionDensityTracker()
     rdtt.observe_access(block(3, 0), pc=1, is_write=False)
-    terminated = rdtt.observe_eviction(block(3, 0), dirty=False)
+    terminated = rdtt.observe_eviction(block(3, 0))
     assert terminated is not None
-    assert not terminated.is_high_density(8)
+    assert terminated.accessed_blocks() < rdtt.config.density_threshold_blocks
 
 
 def test_density_table_conflict_reports_termination():
@@ -76,11 +76,13 @@ def test_density_table_conflict_reports_termination():
     # the 17th promotion must displace the least recently used region.
     terminated = []
     for region in range(17):
-        terminated += rdtt.observe_access(block(region, 0), pc=0x10, is_write=False)
-        terminated += rdtt.observe_access(block(region, 1), pc=0x10, is_write=False)
-    conflict_terms = [t for t in terminated if t.reason is TerminationReason.CONFLICT]
-    assert len(conflict_terms) == 1
-    assert conflict_terms[0].entry.region == 0
+        for offset in (0, 1):
+            displaced = rdtt.observe_access(block(region, offset), pc=0x10,
+                                            is_write=False)
+            if displaced is not None:
+                terminated.append(displaced)
+    assert len(terminated) == 1
+    assert terminated[0].region == 0
 
 
 def test_trigger_table_conflict_reports_low_density_region():
@@ -88,9 +90,11 @@ def test_trigger_table_conflict_reports_low_density_region():
     rdtt = RegionDensityTracker(config)
     terminated = []
     for region in range(17):
-        terminated += rdtt.observe_access(block(region, 0), pc=0x10, is_write=False)
+        displaced = rdtt.observe_access(block(region, 0), pc=0x10, is_write=False)
+        if displaced is not None:
+            terminated.append(displaced)
     assert len(terminated) == 1
-    assert terminated[0].entry.accessed_blocks() == 1
+    assert terminated[0].accessed_blocks() == 1
 
 
 def test_active_region_count_and_storage():

@@ -1,0 +1,60 @@
+"""Malformed trace rows are rejected at the run loop with a clean error.
+
+Without the check a negative core silently simulates as the core Python's
+negative indexing selects, an out-of-range core dies inside the interpreter,
+and a negative instruction gap runs with a negative IPC.
+"""
+
+import numpy as np
+import pytest
+
+from repro.sim.config import base_open
+from repro.sim.system import ServerSystem
+from repro.trace.buffer import TraceBuffer
+from repro.trace.io import save_trace
+from repro.trace.source import IngestSource
+
+ROWS = 16
+BAD_ROW = 5
+MALFORMED = [("core", -1), ("core", 99), ("instructions", -5)]
+
+
+def _trace(column, value):
+    """A valid 16-core trace with ``column`` set to ``value`` in one row."""
+    rows = np.arange(ROWS)
+    columns = {
+        "core": (rows % 16).astype(np.int32),
+        "pc": np.full(ROWS, 0x400, dtype=np.uint64),
+        "address": (rows * 4096).astype(np.uint64),
+        "is_store": rows % 3 == 0,
+        "instructions": np.ones(ROWS, dtype=np.int32),
+    }
+    columns[column][BAD_ROW] = value
+    return TraceBuffer(**columns)
+
+
+def _expected(column, value):
+    return rf"trace row {BAD_ROW}: column '{column}' is {value}\b"
+
+
+@pytest.mark.parametrize("column,value", MALFORMED)
+@pytest.mark.parametrize("cache_engine", ["flat", "dict"])
+def test_malformed_row_in_trace_buffer_raises(column, value, cache_engine):
+    system = ServerSystem(base_open(), cache_engine=cache_engine)
+    with pytest.raises(ValueError, match=_expected(column, value)):
+        system.run(_trace(column, value))
+
+
+@pytest.mark.parametrize("column,value", MALFORMED)
+def test_malformed_row_in_ingested_trace_raises(tmp_path, column, value):
+    path = save_trace(_trace(column, value), tmp_path / "trace.npy")
+    # Four-row chunks put the bad row in the second chunk: the reported row
+    # is its position in the whole trace, not in the chunk.
+    source = IngestSource(path, chunk_size=4)
+    with pytest.raises(ValueError, match=_expected(column, value)):
+        ServerSystem(base_open()).run(source)
+
+
+def test_valid_trace_runs():
+    result = ServerSystem(base_open()).run(_trace("core", 3))
+    assert result.counters["accesses"] == ROWS

@@ -2,24 +2,20 @@
 
 import pytest
 
+from agent_harness import AgentHarness
 from repro.common.addressing import BLOCK_SIZE, REGION_SIZE
-from repro.cache.set_assoc import EvictedLine
 from repro.writeback.vwq import VirtualWriteQueue
 
 
-def evicted(address, dirty=True):
-    return EvictedLine(block_address=address, dirty=dirty, prefetched=False, used=True)
-
-
 def test_clean_eviction_generates_nothing():
-    vwq = VirtualWriteQueue()
-    assert vwq.on_eviction(evicted(0, dirty=False)).writeback_blocks == []
+    vwq = AgentHarness(VirtualWriteQueue())
+    assert vwq.evict(0, dirty=False).writeback_blocks == []
 
 
 def test_dirty_eviction_targets_adjacent_blocks():
-    vwq = VirtualWriteQueue(lookahead_blocks=3)
+    vwq = AgentHarness(VirtualWriteQueue(lookahead_blocks=3))
     base = 8 * REGION_SIZE + 4 * BLOCK_SIZE
-    actions = vwq.on_eviction(evicted(base))
+    actions = vwq.evict(base, dirty=True)
     assert len(actions.writeback_blocks) == 3
     for candidate in actions.writeback_blocks:
         assert abs(candidate - base) <= 3 * BLOCK_SIZE
@@ -27,18 +23,18 @@ def test_dirty_eviction_targets_adjacent_blocks():
 
 
 def test_candidates_stay_within_the_dram_row_region():
-    vwq = VirtualWriteQueue(lookahead_blocks=3)
+    vwq = AgentHarness(VirtualWriteQueue(lookahead_blocks=3))
     base = 8 * REGION_SIZE  # first block of a region
-    actions = vwq.on_eviction(evicted(base))
+    actions = vwq.evict(base, dirty=True)
     for candidate in actions.writeback_blocks:
         assert base <= candidate < base + REGION_SIZE
 
 
 def test_lookahead_budget_respected():
-    vwq = VirtualWriteQueue(lookahead_blocks=2)
-    actions = vwq.on_eviction(evicted(10 * REGION_SIZE + 5 * BLOCK_SIZE))
+    vwq = AgentHarness(VirtualWriteQueue(lookahead_blocks=2))
+    actions = vwq.evict(10 * REGION_SIZE + 5 * BLOCK_SIZE, dirty=True)
     assert len(actions.writeback_blocks) == 2
-    assert vwq.stats["probes_issued"] == 2
+    assert vwq.agent.stats["probes_issued"] == 2
 
 
 def test_invalid_lookahead_rejected():
