@@ -1,21 +1,21 @@
 """Throughput benchmark for the simulation core's cache-engine overhaul.
 
 Measures ``ServerSystem.run`` end to end on the baseline configuration
-(``base_open``) under three modes: the legacy dict-of-CacheLine engine
+(``base_open``) under two modes: the legacy dict-of-CacheLine engine
 (``REPRO_CACHE_ENGINE=dict``), which preserves the pre-overhaul simulation
 core (per-access object allocation, per-event StatGroup increments, window
-scan FR-FCFS scheduling) as an honest baseline; the flat-array engine under
-the fused scalar row interpreter (``REPRO_INTERP=scalar``); and the flat
-engine under the two-pass vectorized batch interpreter (the default,
-``REPRO_INTERP=vector``).  Results are bit-identical across all modes
-(asserted here and by the parity suites); only the speed differs.
+scan FR-FCFS scheduling) as an honest baseline; and the flat-array engine
+with its fused row loop (the default).  Results are bit-identical across
+both modes (asserted here and by the parity suites); only the speed
+differs.
 
 Three end-to-end scenarios bracket the design space:
 
 * ``l1_resident`` -- every core's working set fits its L1, so the run is
-  dominated by the interpreter + L1 hot path the overhaul de-abstracts.
-  Server workloads filter ~90% of references in the L1, so this bounds the
-  common case; it is where the >= 3x acceptance target applies.
+  dominated by the row loop + L1 hot path the overhaul de-abstracts.  It
+  is a synthetic upper bound, not the common case: on the paper's six
+  workloads and the six catalog scenarios only 11-20% of accesses hit the
+  L1.  It is where the >= 3x acceptance target applies.
 * ``llc_resident`` -- working sets overflow the L1s into the shared LLC,
   exercising the fused LLC probe/access path.
 * ``paper_workload`` -- a synthetic paper workload (``web_search``), whose
@@ -36,9 +36,8 @@ by default) so CI can archive one point per commit.  Run directly::
 
 ``--smoke`` shrinks every trace so the whole file finishes in seconds; CI
 runs it and fails when the flat engine is not faster than the dict engine
-or the vector interpreter is not faster than the scalar one on the
-L1-resident hot path.  The full run additionally enforces the 3x targets
-(flat over dict, and vector over flat on ``l1_resident``).
+or the engines diverge.  The full run additionally enforces the 3x
+flat-over-dict target on ``l1_resident``.
 """
 
 from __future__ import annotations
@@ -89,36 +88,33 @@ def synthetic_trace(accesses: int, footprint_bytes_per_core: int,
     return TraceBuffer(core, pc, address, is_store, instructions)
 
 
-#: (mode name, cache engine, DRAM engine, interpreter) measured per scenario.
-#: The dict baseline preserves the pre-overhaul core *end to end* (object
-#: DRAM engine, scalar rows); ``flat`` is the flat-array engine under the
-#: scalar row interpreter, and ``vector`` adds the two-pass vectorized batch
-#: interpreter on top.  Results are bit-identical across all three.
+#: (mode name, cache engine, DRAM engine) measured per scenario.  The dict
+#: baseline preserves the pre-overhaul core *end to end* (object DRAM
+#: engine); ``flat`` is the flat-array engine pair.  Results are
+#: bit-identical across both.
 MODES = (
-    ("dict", "dict", "object", "scalar"),
-    ("flat", "flat", "flat", "scalar"),
-    ("vector", "flat", "flat", "vector"),
+    ("dict", "dict", "object"),
+    ("flat", "flat", "flat"),
 )
 
 
 def bench_scenario(name: str, trace: TraceBuffer, repeats: int,
                    config=base_open) -> dict:
-    """Run one trace under all three modes; report rates, ratios, parity."""
+    """Run one trace under both modes; report rates, the ratio, parity."""
     accesses = len(trace)
     timings = {}
     results = {}
-    for mode, engine, dram_engine, interp in MODES:
+    for mode, engine, dram_engine in MODES:
         best = float("inf")
         for _ in range(repeats):
             start = time.perf_counter()
             result = run_trace(trace, config(), warmup_fraction=0.5,
-                               cache_engine=engine, dram_engine=dram_engine,
-                               interp=interp)
+                               cache_engine=engine, dram_engine=dram_engine)
             best = min(best, time.perf_counter() - start)
         timings[mode] = best
         results[mode] = result
     fingerprints = {mode: result_fingerprint(results[mode])
-                    for mode, _, _, _ in MODES}
+                    for mode, _, _ in MODES}
     identical = len(set(fingerprints.values())) == 1
     counters = results["flat"].counters
     row = {
@@ -126,21 +122,16 @@ def bench_scenario(name: str, trace: TraceBuffer, repeats: int,
         "accesses": accesses,
         "dict_seconds": timings["dict"],
         "flat_seconds": timings["flat"],
-        "vector_seconds": timings["vector"],
         "dict_accesses_per_second": _rate(accesses, timings["dict"]),
         "flat_accesses_per_second": _rate(accesses, timings["flat"]),
-        "vector_accesses_per_second": _rate(accesses, timings["vector"]),
         "speedup": timings["dict"] / timings["flat"],
-        "vector_speedup": timings["flat"] / timings["vector"],
         "results_identical": identical,
         "l1_hit_fraction": (counters["l1_hits"] / counters["accesses"]
                             if counters["accesses"] else 0.0),
     }
     print(f"  {name}: dict {row['dict_accesses_per_second']:,.0f} acc/s, "
           f"flat {row['flat_accesses_per_second']:,.0f} acc/s "
-          f"({row['speedup']:.2f}x), "
-          f"vector {row['vector_accesses_per_second']:,.0f} acc/s "
-          f"({row['vector_speedup']:.2f}x over flat, "
+          f"({row['speedup']:.2f}x, "
           f"L1 hit {row['l1_hit_fraction']:.0%}, identical={identical})")
     return row
 
@@ -205,9 +196,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     # Full-mode l1_resident runs long enough that the one-off cold-cache
-    # ramp (shared by every mode) amortizes and the steady-state hot path
-    # dominates -- that is the regime the vector-interpreter target is
-    # stated for.
+    # ramp (shared by both modes) amortizes and the steady-state hot path
+    # dominates -- that is the regime the 3x target is stated for.
     hot_accesses = 100_000 if args.smoke else 2_000_000
     llc_accesses = 30_000 if args.smoke else 120_000
     workload_accesses = 12_000 if args.smoke else 60_000
@@ -241,9 +231,7 @@ def main(argv=None) -> int:
         "seed": SEED,
         "engines": {
             "dict": "legacy dict-of-CacheLine core (window-scan FR-FCFS)",
-            "flat": "flat-array cache engine + fused scalar row interpreter",
-            "vector": "flat-array engine + two-pass vectorized batch "
-                      "interpreter (REPRO_INTERP=vector)",
+            "flat": "flat-array cache and DRAM engines + fused row loop",
         },
         "scenarios": scenarios,
         "region_scan": region_scan,
@@ -260,21 +248,10 @@ def main(argv=None) -> int:
             failures.append(
                 f"{name}: flat engine not faster than dict "
                 f"({row['speedup']:.2f}x)")
-    if scenarios["l1_resident"]["vector_speedup"] <= 1.0:
+    if not args.smoke and scenarios["l1_resident"]["speedup"] < 3.0:
         failures.append(
-            f"l1_resident: vector interpreter not faster than scalar "
-            f"({scenarios['l1_resident']['vector_speedup']:.2f}x)")
-    if not args.smoke:
-        if scenarios["l1_resident"]["speedup"] < 3.0:
-            failures.append(
-                f"l1_resident: hot-path speedup "
-                f"{scenarios['l1_resident']['speedup']:.2f}x below the 3x "
-                "target")
-        if scenarios["l1_resident"]["vector_speedup"] < 3.0:
-            failures.append(
-                f"l1_resident: vector interpreter speedup "
-                f"{scenarios['l1_resident']['vector_speedup']:.2f}x below "
-                "the 3x target")
+            f"l1_resident: hot-path speedup "
+            f"{scenarios['l1_resident']['speedup']:.2f}x below the 3x target")
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)
     return 1 if failures else 0

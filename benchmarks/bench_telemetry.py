@@ -17,6 +17,13 @@ so telemetry samples many times per run -- several times more often than the
 default 65536-access streaming granularity -- making this a conservative
 upper bound on the per-sample cost.
 
+Each scenario runs :data:`PAIRS` pairs of one telemetry-off and one
+full-telemetry simulation, alternating which of the two runs first, and
+gates on the median of the per-pair ``full/off - 1`` ratios.  The two runs
+of a pair sit next to each other in time, so slow drift in a shared
+machine's load hits both; alternation cancels any first-run or second-run
+bias; and the median ignores the pairs a burst of contention lands in.
+
 Results are written as a JSON trajectory file (``BENCH_telemetry.json`` by
 default) so CI can archive one point per commit.  Run directly::
 
@@ -51,6 +58,8 @@ CORES = 16
 CHUNK = 8192
 #: Full-mode overhead budget relative to off (the acceptance gate).
 OVERHEAD_GATE = 0.05
+#: Off/full run pairs per scenario, in smoke and full mode alike.
+PAIRS = 9
 
 
 def synthetic_trace(accesses: int, footprint_bytes_per_core: int,
@@ -73,45 +82,48 @@ def _chunked(trace: TraceBuffer) -> list:
     return [trace[lo:lo + CHUNK] for lo in range(0, len(trace), CHUNK)]
 
 
-def bench_scenario(name: str, trace: TraceBuffer, config, repeats: int) -> dict:
-    """Time one trace with telemetry off and full; compare results and cost."""
+def bench_scenario(name: str, trace: TraceBuffer, config, pairs: int) -> dict:
+    """Time off/full run pairs of one trace; compare results and cost."""
     chunks = _chunked(trace)
-    timings = {"off": float("inf"), "full": float("inf")}
-    digests = {}
+    seconds = {"off": [], "full": []}
+    digests = set()
     samples = 0
     events = 0
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result_off = run_trace(chunks, config, warmup_fraction=0.5,
-                               num_accesses=len(trace), telemetry="off")
-        timings["off"] = min(timings["off"], time.perf_counter() - start)
-        digests["off"] = result_fingerprint(result_off)
+    for pair in range(pairs):
+        for mode in (("off", "full") if pair % 2 == 0 else ("full", "off")):
+            telemetry = TelemetryRecorder("full") if mode == "full" else "off"
+            start = time.perf_counter()
+            result = run_trace(chunks, config, warmup_fraction=0.5,
+                               num_accesses=len(trace), telemetry=telemetry)
+            seconds[mode].append(time.perf_counter() - start)
+            digests.add(result_fingerprint(result))
+            if mode == "full":
+                samples = len(telemetry.timeline)
+                events = len(telemetry.tracer.events) + samples
 
-        recorder = TelemetryRecorder("full")
-        start = time.perf_counter()
-        result_full = run_trace(chunks, config, warmup_fraction=0.5,
-                                num_accesses=len(trace), telemetry=recorder)
-        timings["full"] = min(timings["full"], time.perf_counter() - start)
-        digests["full"] = result_fingerprint(result_full)
-        samples = len(recorder.timeline)
-        events = len(recorder.tracer.events) + samples
-
-    overhead = timings["full"] / timings["off"] - 1.0
-    identical = digests["off"] == digests["full"]
+    ratios = [full / off - 1.0
+              for off, full in zip(seconds["off"], seconds["full"])]
+    overhead = float(np.median(ratios))
+    identical = len(digests) == 1
+    off_seconds = float(np.median(seconds["off"]))
+    full_seconds = float(np.median(seconds["full"]))
     row = {
         "accesses": len(trace),
         "chunk_size": CHUNK,
         "config": config.name,
-        "off_seconds": timings["off"],
-        "full_seconds": timings["full"],
+        "pairs": pairs,
+        "off_seconds": off_seconds,
+        "full_seconds": full_seconds,
+        "pair_overheads": ratios,
         "overhead_fraction": overhead,
         "timeline_samples": samples,
         "event_log_entries": events,
         "results_identical": identical,
     }
-    print(f"  {name}: off {timings['off']:.3f}s, full {timings['full']:.3f}s "
-          f"({overhead:+.1%} overhead, {samples} samples, "
-          f"identical={identical})")
+    print(f"  {name}: median off {off_seconds:.3f}s, full {full_seconds:.3f}s; "
+          f"median pair overhead {overhead:+.1%} "
+          f"(pairs {min(ratios):+.1%}..{max(ratios):+.1%}), "
+          f"{samples} samples, identical={identical}")
     return row
 
 
@@ -124,7 +136,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     accesses = 40_000 if args.smoke else 160_000
-    repeats = 5
 
     print(f"telemetry overhead benchmark ({'smoke' if args.smoke else 'full'}),"
           f" {CORES} cores, chunk {CHUNK}")
@@ -132,10 +143,11 @@ def main(argv=None) -> int:
     scenarios = {
         "l1_resident": bench_scenario(
             "l1_resident",
-            synthetic_trace(accesses, 16 * 1024), base_open(), repeats),
+            synthetic_trace(accesses, 16 * 1024), base_open(), PAIRS),
         "dram_resident": bench_scenario(
             "dram_resident",
-            synthetic_trace(accesses, 2 * 1024 * 1024), bump_system(), repeats),
+            synthetic_trace(accesses, 2 * 1024 * 1024), bump_system(),
+            PAIRS),
     }
 
     payload = {
@@ -146,6 +158,7 @@ def main(argv=None) -> int:
         "seed": SEED,
         "chunk_size": CHUNK,
         "overhead_gate": OVERHEAD_GATE,
+        "pairs": PAIRS,
         "scenarios": scenarios,
     }
     output = Path(args.output)
@@ -160,8 +173,9 @@ def main(argv=None) -> int:
                 "(telemetry is no longer observational)")
         if row["overhead_fraction"] > OVERHEAD_GATE:
             failures.append(
-                f"{name}: full-mode overhead {row['overhead_fraction']:+.1%} "
-                f"exceeds the {OVERHEAD_GATE:.0%} budget")
+                f"{name}: median full-mode overhead "
+                f"{row['overhead_fraction']:+.1%} exceeds the "
+                f"{OVERHEAD_GATE:.0%} budget")
         if row["timeline_samples"] < 2:
             failures.append(
                 f"{name}: only {row['timeline_samples']} timeline sample(s) "

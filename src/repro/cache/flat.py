@@ -158,10 +158,18 @@ class FlatSetAssociativeCache:
         self.stamps = np.zeros((self.num_sets, ways), dtype=np.int64)
         #: Per-set monotonic stamp counter; never reset, so stamps are unique
         #: and strictly increasing across the whole run (evictions included).
-        #: An ndarray (bulk gather/scatter by the batched stamp paths) with a
-        #: ``_tick`` memoryview alias for the scalar hit paths.
+        #: An ndarray (captured by snapshots) with a ``_tick`` memoryview
+        #: alias for the scalar hit paths.
         self.ticks = np.zeros(self.num_sets, dtype=np.int64)
-        self._rebuild_views()
+        # Zero-copy memoryviews over the flattened arrays (slot = ``set *
+        # ways + way``) for scalar access: a memoryview read/write beats
+        # NumPy scalar indexing ~3x.
+        self._tags_mv = memoryview(self.tags.reshape(total))
+        self._flags_mv = memoryview(self.flags.reshape(total))
+        self._pcs_mv = memoryview(self.pcs.reshape(total))
+        self._cores_mv = memoryview(self.cores.reshape(total))
+        self._stamps_mv = memoryview(self.stamps.reshape(total))
+        self._tick = memoryview(self.ticks)
 
         #: Associative index: resident block address -> flat slot.
         self._slot_of: Dict[int, int] = {}
@@ -194,58 +202,6 @@ class FlatSetAssociativeCache:
         self._stats = StatGroup(name)
         for attr, _key in self._PENDING_COUNTERS:
             setattr(self, attr, 0)
-
-    def _rebuild_views(self) -> None:
-        """(Re)derive the flat zero-copy views over the 2-D state arrays.
-
-        Slot = ``set * ways + way``: ndarray views for the batched
-        primitives, memoryviews for scalar access (a memoryview read/write
-        beats NumPy scalar indexing ~3x).  Called at construction and again
-        by :meth:`share_storage` after the backing arrays are swapped.
-        """
-        total = self.num_sets * self.ways
-        self._tags_flat = self.tags.reshape(total)
-        self._flags_flat = self.flags.reshape(total)
-        self._stamps_flat = self.stamps.reshape(total)
-        self._tags_mv = memoryview(self._tags_flat)
-        self._flags_mv = memoryview(self._flags_flat)
-        self._pcs_mv = memoryview(self.pcs.reshape(total))
-        self._cores_mv = memoryview(self.cores.reshape(total))
-        self._stamps_mv = memoryview(self._stamps_flat)
-        self._tick = memoryview(self.ticks)
-
-    def share_storage(self, tags: np.ndarray, flags: np.ndarray,
-                      pcs: np.ndarray, cores: np.ndarray,
-                      stamps: np.ndarray, ticks: np.ndarray) -> None:
-        """Re-home this cache's state into caller-provided array views.
-
-        The vector interpreter probes and stamps *all* per-core L1s in
-        single NumPy operations, which needs every core's arrays to be rows
-        of one pooled ``[core, set, way]`` allocation
-        (:class:`repro.sim.system.ServerSystem` builds the pool and adopts
-        each L1 into its row).  Current contents are copied over, so
-        adoption is state-preserving at any point; each view must be
-        C-contiguous with this cache's ``[num_sets, ways]`` geometry and
-        dtype.  Scalar paths are untouched -- they run on the rebuilt
-        flat/memoryview aliases of the same storage.
-        """
-        for mine, pooled in ((self.tags, tags), (self.flags, flags),
-                             (self.pcs, pcs), (self.cores, cores),
-                             (self.stamps, stamps), (self.ticks, ticks)):
-            if pooled.shape != mine.shape or pooled.dtype != mine.dtype:
-                raise ValueError(
-                    f"storage view mismatch: got {pooled.shape}/{pooled.dtype}, "
-                    f"need {mine.shape}/{mine.dtype}")
-            if not pooled.flags["C_CONTIGUOUS"]:
-                raise ValueError("storage views must be C-contiguous")
-            pooled[...] = mine
-        self.tags = tags
-        self.flags = flags
-        self.pcs = pcs
-        self.cores = cores
-        self.stamps = stamps
-        self.ticks = ticks
-        self._rebuild_views()
 
     #: (pending attribute, StatGroup key) pairs flushed by ``stats``.
     _PENDING_COUNTERS = (
@@ -323,76 +279,6 @@ class FlatSetAssociativeCache:
         if self.demand_access(block_address, is_write) < 0:
             return None
         return FlatLineView(self, self._slot_of[block_address])
-
-    # ------------------------------------------------------------------ #
-    # Batched primitives (vector interpreter)
-    # ------------------------------------------------------------------ #
-    def batch_probe(self, blocks: np.ndarray, set_indices: np.ndarray):
-        """Vectorized residency probe for a whole batch of accesses.
-
-        ``blocks`` (``int64`` block addresses) and ``set_indices`` (their
-        precomputed set indices) describe one batch of probes against the
-        *current* tag state.  Returns ``(hit_mask, slots)``: a boolean hit
-        mask and, for hit rows, the flat slot each block occupies (the slot
-        value of miss rows is meaningless).  Purely observational: no stamp,
-        flag or statistic is touched -- classification is not an access.
-        """
-        rows = self.tags[set_indices]                  # (batch, ways) gather
-        matches = rows == blocks[:, None]
-        hit_mask = matches.any(axis=1)
-        slots = set_indices * self.ways + matches.argmax(axis=1)
-        return hit_mask, slots
-
-    def batch_verify(self, blocks: np.ndarray, slots: np.ndarray) -> np.ndarray:
-        """Re-check a prior classification: does ``slots[i]`` still hold ``blocks[i]``?
-
-        Used by the vector interpreter after an escape evicted L1 lines: a
-        stale classified hit (its block was the victim) fails this check and
-        is re-routed through the scalar path.
-        """
-        return self._tags_flat[slots] == blocks
-
-    def batch_apply_hits(self, set_indices: np.ndarray, slots: np.ndarray,
-                         store_mask: np.ndarray) -> None:
-        """Apply the hit side effects of one chronological batch in bulk.
-
-        Mirrors the fused scalar hit path under the L1 invariants (LRU
-        replacement, resident lines always have the used bit set): every hit
-        bumps its set's tick and stamps the hit slot with it; store hits OR
-        the dirty flag in.  Tick arithmetic is exact -- the j-th hit of a set
-        receives ``tick0 + j`` and a slot's final stamp is the tick of its
-        last touch -- so the post-batch stamp state is bit-identical to
-        replaying the batch through :meth:`demand_access` row by row.
-
-        Promotion is unconditional, exactly like the inlined scalar hit path
-        (the L1 is always LRU; see :meth:`ServerSystem._run_chunk_flat`).
-        """
-        if len(set_indices):
-            order = np.argsort(set_indices, kind="stable")
-            sorted_sets = set_indices[order]
-            sorted_slots = slots[order]
-            uniq, starts, counts = np.unique(sorted_sets, return_index=True,
-                                             return_counts=True)
-            tick0 = self.ticks[uniq]
-            # Stamp of the j-th touch (0-based) in set g: tick0[g] + j + 1.
-            values = np.repeat(tick0 - starts + 1, counts)
-            values += np.arange(len(sorted_sets), dtype=np.int64)
-            self.ticks[uniq] = tick0 + counts
-            # A slot's final stamp is its *last* chronological touch.  The
-            # stable set sort preserves chronology inside each set (hence
-            # inside each slot); a second stable sort by slot then makes the
-            # last row of every slot group the last touch.
-            slot_order = np.argsort(sorted_slots, kind="stable")
-            final_slots = sorted_slots[slot_order]
-            final_values = values[slot_order]
-            last = np.empty(len(final_slots), dtype=bool)
-            last[:-1] = final_slots[1:] != final_slots[:-1]
-            last[-1] = True
-            self._stamps_flat[final_slots[last]] = final_values[last]
-        if store_mask.any():
-            # Duplicate slots are harmless: every occurrence ORs in the same
-            # bit, so the gather/or/scatter of fancy in-place |= is exact.
-            self._flags_flat[slots[store_mask]] |= FLAG_DIRTY
 
     def fill(self, block_address: int, dirty: bool = False, prefetched: bool = False,
              pc: int = 0, core: int = 0) -> Optional[EvictedLine]:

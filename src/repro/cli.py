@@ -61,7 +61,6 @@ from repro.exec.store import ArtifactStore, default_snapshot_store, default_stor
 from repro.scenario.catalog import get_scenario, scenario_names
 from repro.scenario.runner import run_scenario
 from repro.sim.config import extended_configs, named_configs
-from repro.sim.interp import INTERPS
 from repro.sim.runner import build_trace, run_trace, trace_cache_info
 from repro.sim.snapshot import (
     capture_warmup,
@@ -193,7 +192,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         result = run_trace(trace, config, workload_name=args.workload,
                            warmup_fraction=args.warmup,
                            dram_engine=args.dram_engine,
-                           interp=args.interp,
                            telemetry=recorder,
                            snapshot=args.snapshot or None,
                            warmup_snapshot=args.warmup_snapshot,
@@ -221,7 +219,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
             result = run_trace(trace, config, workload_name=args.workload,
                                warmup_fraction=args.warmup,
                                dram_engine=args.dram_engine,
-                               interp=args.interp,
                                warmup_snapshot=args.warmup_snapshot,
                                snapshot_key=_warmup_snapshot_key(args, config))
         except (ValueError, OSError) as exc:
@@ -385,7 +382,6 @@ def cmd_scenario_run(args: argparse.Namespace) -> int:
                               chunk_size=args.chunk_size,
                               cache_engine=args.engine,
                               dram_engine=args.dram_engine,
-                              interp=args.interp,
                               telemetry=recorder,
                               snapshot=args.snapshot or None,
                               warmup_snapshot=args.warmup_snapshot,
@@ -505,8 +501,7 @@ def cmd_trace_ingest(args: argparse.Namespace) -> int:
                            workload_name=f"ingest:{args.path}",
                            warmup_fraction=args.warmup,
                            num_accesses=source.total_accesses,
-                           dram_engine=args.dram_engine,
-                           interp=args.interp)
+                           dram_engine=args.dram_engine)
     except (ValueError, OSError) as exc:
         raise SystemExit(str(exc))
     _print(f"replayed {source.total_accesses} accesses from {args.path} "
@@ -798,9 +793,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--dram-engine", choices=["flat", "object"], default=None,
                      help="DRAM engine (default: REPRO_DRAM_ENGINE or flat; "
                           "results are bit-identical)")
-    run.add_argument("--interp", choices=list(INTERPS), default=None,
-                     help="batch interpreter (default: REPRO_INTERP or "
-                          "vector; results are bit-identical)")
     run.add_argument("--telemetry", choices=list(TELEMETRY_MODES), default=None,
                      help="observability mode (default: REPRO_TELEMETRY or "
                           "off; results are bit-identical)")
@@ -828,9 +820,6 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--dram-engine", choices=["flat", "object"], default=None,
                          help="DRAM engine (default: REPRO_DRAM_ENGINE or "
                               "flat; results are bit-identical)")
-    compare.add_argument("--interp", choices=list(INTERPS), default=None,
-                         help="batch interpreter (default: REPRO_INTERP or "
-                              "vector; results are bit-identical)")
     compare.add_argument("--warmup-snapshot", nargs="?", const=True,
                          default=None, metavar="DIR",
                          help="reuse each system's warmup through a snapshot "
@@ -904,9 +893,6 @@ def build_parser() -> argparse.ArgumentParser:
                               default=None,
                               help="DRAM engine (default: REPRO_DRAM_ENGINE "
                                    "or flat; results are bit-identical)")
-    scenario_run.add_argument("--interp", choices=list(INTERPS), default=None,
-                              help="batch interpreter (default: REPRO_INTERP "
-                                   "or vector; results are bit-identical)")
     scenario_run.add_argument("--telemetry", choices=list(TELEMETRY_MODES),
                               default=None,
                               help="observability mode (default: "
@@ -996,9 +982,6 @@ def build_parser() -> argparse.ArgumentParser:
                               default=None,
                               help="DRAM engine (default: REPRO_DRAM_ENGINE "
                                    "or flat; results are bit-identical)")
-    trace_ingest.add_argument("--interp", choices=list(INTERPS), default=None,
-                              help="batch interpreter (default: REPRO_INTERP "
-                                   "or vector; results are bit-identical)")
     trace_ingest.set_defaults(handler=cmd_trace_ingest)
 
     snapshot = subparsers.add_parser(

@@ -8,9 +8,9 @@ This package turns that checklist into a coverage engine:
   specs over the full spec surface (multi-tenant core partitions, phases,
   bursts, intensity scaling, idle cores, page policies, interleavings,
   warmup lengths, chunk sizes) from a seed, deterministically;
-* :mod:`repro.fuzz.oracle` runs one sample across the cache x DRAM x
-  interpreter engine cube plus chunk-size invariance, telemetry on/off and a
-  snapshot split-then-resume, and asserts every cell fingerprints identically
+* :mod:`repro.fuzz.oracle` runs one sample across the cache x DRAM engine
+  cube plus chunk-size invariance, telemetry on/off and a snapshot
+  split-then-resume, and asserts every cell fingerprints identically
   to the object-engine reference;
 * :mod:`repro.fuzz.shrink` reduces a failing sample to a minimal reproducer
   (drop phases and tenants, halve accesses, strip bursts/intensities,

@@ -3,15 +3,14 @@
 One sample, one verdict: the oracle simulates the spec's scenario under its
 configuration in every distinguishable cell of the engine space and demands
 that all of them fingerprint identically to the **reference cell** -- the
-original object engines (``dict`` cache, ``object`` DRAM, ``scalar``
-interpreter), the same baseline every flat-engine PR was proven against.
+original object engines (``dict`` cache, ``object`` DRAM), the same baseline
+every flat engine was proven against.
 
 Checks (each independently selectable; ``CHECKS`` lists them all):
 
 ``cube``
-    The cache x DRAM x interpreter engine cube.  The vector interpreter
-    transparently downgrades to scalar on the dict cache engine, so the
-    distinguishable cells are the two dict cells plus all four flat cells.
+    The cache x DRAM engine cube: ``dict/flat``, ``flat/object`` and
+    ``flat/flat`` against the reference cell.
 ``chunk``
     Chunk-size invariance: the same run at a perturbed streaming chunk size
     must not leak batch boundaries into any statistic.
@@ -58,18 +57,15 @@ __all__ = [
     "run_oracle",
 ]
 
-#: The reference engine cell every other cell is compared against.
-REFERENCE_CELL = ("dict", "object", "scalar")
+#: The reference engine cell (cache, DRAM) every other cell is compared
+#: against.
+REFERENCE_CELL = ("dict", "object")
 
-#: Engine cells of the cube check (reference excluded).  ``(dict, *,
-#: vector)`` cells are omitted: interpreter resolution downgrades them to
-#: scalar, so they are byte-for-byte reruns of the dict/scalar cells.
-_CUBE_CELLS: Tuple[Tuple[str, str, str], ...] = (
-    ("dict", "flat", "scalar"),
-    ("flat", "object", "scalar"),
-    ("flat", "flat", "scalar"),
-    ("flat", "object", "vector"),
-    ("flat", "flat", "vector"),
+#: Engine cells of the cube check (reference excluded).
+_CUBE_CELLS: Tuple[Tuple[str, str], ...] = (
+    ("dict", "flat"),
+    ("flat", "object"),
+    ("flat", "flat"),
 )
 
 #: All check names, in execution order.
@@ -125,13 +121,13 @@ class OracleReport:
                 + " ".join(c.describe() for c in self.failures))
 
 
-def _run_cell(case: FuzzCase, cache: str, dram: str, interp: str,
+def _run_cell(case: FuzzCase, cache: str, dram: str,
               chunk_size: Optional[int] = None, telemetry=None) -> str:
     result = run_scenario(
         case.scenario, case.config, seed=case.seed,
         warmup_fraction=case.warmup_fraction,
         chunk_size=chunk_size if chunk_size is not None else case.chunk_size,
-        cache_engine=cache, dram_engine=dram, interp=interp,
+        cache_engine=cache, dram_engine=dram,
         telemetry=telemetry, closed_loop=case.closed_loop)
     return result_fingerprint(result)
 
@@ -204,18 +200,18 @@ def run_oracle(spec: Dict, checks: Optional[Sequence[str]] = None,
             report.checks.append(
                 CheckResult("cube", "repeat:" + "/".join(REFERENCE_CELL),
                             matches))
-        for cache, dram, interp in _CUBE_CELLS:
-            cell = f"{cache}/{dram}/{interp}"
-            matches = _run_cell(case, cache, dram, interp) == reference
+        for cache, dram in _CUBE_CELLS:
+            cell = f"{cache}/{dram}"
+            matches = _run_cell(case, cache, dram) == reference
             report.checks.append(CheckResult("cube", cell, matches))
     if "chunk" in selected:
         alt = _perturbed_chunk_size(case.chunk_size)
-        matches = _run_cell(case, "flat", "flat", "vector",
+        matches = _run_cell(case, "flat", "flat",
                             chunk_size=alt) == reference
         report.checks.append(
             CheckResult("chunk", f"chunk={alt}", matches))
     if "telemetry" in selected:
-        matches = _run_cell(case, "flat", "flat", "vector",
+        matches = _run_cell(case, "flat", "flat",
                             telemetry="full") == reference
         report.checks.append(
             CheckResult("telemetry", "telemetry=full", matches))

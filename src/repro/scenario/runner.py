@@ -34,7 +34,6 @@ def run_scenario(scenario: Union[str, Scenario], config: SystemConfig,
                  chunk_size: int = DEFAULT_CHUNK_SIZE,
                  cache_engine: Optional[str] = None,
                  dram_engine: Optional[str] = None,
-                 interp: Optional[str] = None,
                  scale: float = 1.0,
                  extra_agents: Optional[Iterable] = None,
                  telemetry=None,
@@ -115,7 +114,6 @@ def run_scenario(scenario: Union[str, Scenario], config: SystemConfig,
                      extra_agents=extra_agents,
                      cache_engine=cache_engine,
                      dram_engine=dram_engine,
-                     interp=interp,
                      telemetry=recorder,
                      snapshot=snapshot,
                      warmup_snapshot=warmup_snapshot,
@@ -129,7 +127,6 @@ def run_scenario_configs(scenario: Union[str, Scenario],
                          chunk_size: int = DEFAULT_CHUNK_SIZE,
                          cache_engine: Optional[str] = None,
                          dram_engine: Optional[str] = None,
-                         interp: Optional[str] = None,
                          scale: float = 1.0,
                          telemetry=None) -> Dict[str, SimulationResult]:
     """Run one scenario under several configurations over the identical trace.
@@ -146,5 +143,5 @@ def run_scenario_configs(scenario: Union[str, Scenario],
         results[config.name] = run_scenario(
             resolved, config, seed=seed, warmup_fraction=warmup_fraction,
             chunk_size=chunk_size, cache_engine=cache_engine,
-            dram_engine=dram_engine, interp=interp, telemetry=telemetry)
+            dram_engine=dram_engine, telemetry=telemetry)
     return results

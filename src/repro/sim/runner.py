@@ -152,7 +152,6 @@ def run_trace(trace: TraceLike, config: SystemConfig,
               num_accesses: Optional[int] = None,
               cache_engine: Optional[str] = None,
               dram_engine: Optional[str] = None,
-              interp: Optional[str] = None,
               telemetry=None,
               snapshot=None,
               warmup_snapshot=None,
@@ -178,9 +177,6 @@ def run_trace(trace: TraceLike, config: SystemConfig,
     memory-system engine (``"flat"`` or ``"object"``; default
     ``REPRO_DRAM_ENGINE``).  Every engine combination produces bit-identical
     results -- the knobs exist for benchmarking and the parity suite.
-    ``interp`` selects the flat-engine trace interpreter (``"vector"`` or
-    ``"scalar"``; default ``REPRO_INTERP`` -- see :mod:`repro.sim.interp`),
-    also bit-identical either way.
 
     ``telemetry`` selects the observability mode (``"off"``, ``"chunks"``,
     ``"spans"``, ``"full"``, a :class:`repro.telemetry.TelemetryRecorder`
@@ -213,7 +209,7 @@ def run_trace(trace: TraceLike, config: SystemConfig,
             "agents are not part of the snapshot fingerprint")
     if snapshot is not None:
         return _run_from_snapshot(_coerce_snapshot(snapshot), trace, config,
-                                  interp=interp, telemetry=telemetry)
+                                  telemetry=telemetry)
     warmup = 0
     if warmup_fraction > 0:
         total = num_accesses
@@ -240,10 +236,10 @@ def run_trace(trace: TraceLike, config: SystemConfig,
             trace, config, warmup_snapshot, snapshot_key,
             workload_name=workload_name, warmup=warmup,
             cache_engine=cache_engine, dram_engine=dram_engine,
-            interp=interp, telemetry=telemetry)
+            telemetry=telemetry)
     system = ServerSystem(config, workload_name=workload_name,
                           cache_engine=cache_engine, dram_engine=dram_engine,
-                          interp=interp, telemetry=telemetry)
+                          telemetry=telemetry)
     if extra_agents is not None:
         system.agents.extend(extra_agents)
     return system.run(trace, warmup_accesses=warmup)
@@ -271,13 +267,13 @@ def _coerce_snapshot(snapshot) -> SystemSnapshot:
 
 
 def _run_from_snapshot(snap: SystemSnapshot, trace: TraceLike,
-                       config: SystemConfig, interp: Optional[str] = None,
+                       config: SystemConfig,
                        telemetry=None) -> SimulationResult:
     """Fork a system from ``snap`` and measure the remainder of ``trace``."""
     if snap.config_key != _snapshot_config_key(config):
         raise ValueError(
             "snapshot was captured under a different system configuration")
-    system = restore(snap, telemetry=telemetry, interp=interp)
+    system = restore(snap, telemetry=telemetry)
     record_snapshot_restore(snap.nbytes)
     stream = _as_stream(trace)
     restore_state = getattr(stream, "restore_state", None)
@@ -324,7 +320,6 @@ def _run_with_warmup_store(trace: TraceLike, config: SystemConfig,
                            workload_name: str, warmup: int,
                            cache_engine: Optional[str],
                            dram_engine: Optional[str],
-                           interp: Optional[str],
                            telemetry) -> SimulationResult:
     """Warmup via the snapshot store: restore on hit, capture-once on miss."""
     store = _resolve_snapshot_store(warmup_snapshot)
@@ -339,11 +334,10 @@ def _run_with_warmup_store(trace: TraceLike, config: SystemConfig,
             raise ValueError(
                 f"snapshot under key {snapshot_key!r} was captured after "
                 f"{snap.processed} accesses, not the requested {warmup}")
-        return _run_from_snapshot(snap, trace, config, interp=interp,
-                                  telemetry=telemetry)
+        return _run_from_snapshot(snap, trace, config, telemetry=telemetry)
     system = ServerSystem(config, workload_name=workload_name,
                           cache_engine=cache_engine, dram_engine=dram_engine,
-                          interp=interp, telemetry=telemetry)
+                          telemetry=telemetry)
     snap, leftover, source = capture_warmup(system, _as_stream(trace),
                                             warmup)
     store.put_snapshot(snapshot_key, snap)
@@ -376,7 +370,6 @@ def run_workload(workload: Union[str, WorkloadSpec], config: SystemConfig,
                  warmup_fraction: float = DEFAULT_WARMUP_FRACTION,
                  cache_engine: Optional[str] = None,
                  dram_engine: Optional[str] = None,
-                 interp: Optional[str] = None,
                  telemetry=None,
                  snapshot=None,
                  warmup_snapshot=None) -> SimulationResult:
@@ -396,7 +389,7 @@ def run_workload(workload: Union[str, WorkloadSpec], config: SystemConfig,
             cache_engine=cache_engine, dram_engine=dram_engine)
     return run_trace(trace, config, workload_name=spec.name,
                      warmup_fraction=warmup_fraction, cache_engine=cache_engine,
-                     dram_engine=dram_engine, interp=interp, telemetry=telemetry,
+                     dram_engine=dram_engine, telemetry=telemetry,
                      snapshot=snapshot, warmup_snapshot=warmup_snapshot,
                      snapshot_key=key)
 
@@ -409,7 +402,6 @@ def run_workload_streaming(workload: Union[str, WorkloadSpec], config: SystemCon
                            chunk_size: int = DEFAULT_CHUNK_SIZE,
                            cache_engine: Optional[str] = None,
                            dram_engine: Optional[str] = None,
-                           interp: Optional[str] = None,
                            telemetry=None,
                            snapshot=None,
                            warmup_snapshot=None,
@@ -444,7 +436,7 @@ def run_workload_streaming(workload: Union[str, WorkloadSpec], config: SystemCon
         return run_scenario(workload, config, seed=seed,
                             warmup_fraction=warmup_fraction,
                             chunk_size=chunk_size, cache_engine=cache_engine,
-                            dram_engine=dram_engine, interp=interp,
+                            dram_engine=dram_engine,
                             telemetry=telemetry, snapshot=snapshot,
                             warmup_snapshot=warmup_snapshot,
                             closed_loop=closed_loop)
@@ -464,7 +456,7 @@ def run_workload_streaming(workload: Union[str, WorkloadSpec], config: SystemCon
     return run_trace(chunks, config, workload_name=spec.name,
                      warmup_fraction=warmup_fraction, num_accesses=num_accesses,
                      cache_engine=cache_engine, dram_engine=dram_engine,
-                     interp=interp, telemetry=telemetry,
+                     telemetry=telemetry,
                      snapshot=snapshot, warmup_snapshot=warmup_snapshot,
                      snapshot_key=key)
 

@@ -24,18 +24,16 @@ checkpoint/restore a cheap serialization problem.  This module provides it:
 
 **Restore strategy.**  ``restore`` never unpickles a live system wholesale.
 It builds a fresh :class:`ServerSystem` from the snapshot's configuration
-(re-deriving every view, memoryview alias and pooled allocation exactly as
-``__init__`` does), then copies the captured state *into* it: pooled cache
-arrays are written in place (so the per-core memoryview aliases stay valid),
-slot indices / stat groups / the memory system / agents are replaced as
-objects, and the one derived binding that references a replaced dict
-(``_l1_slot_get``) is rebuilt.  Each restore unpickles a private copy of the
-state blob, so many systems can be forked from one snapshot without sharing
-mutable state.
+(re-deriving every view and memoryview alias exactly as ``__init__`` does),
+then copies the captured state *into* it: cache arrays are written in place
+(so the per-core memoryview aliases stay valid), slot indices / stat groups
+/ the memory system / agents are replaced as objects, and the one derived
+binding that references a replaced dict (``_l1_slot_get``) is rebuilt.
+Each restore unpickles a private copy of the state blob, so many systems
+can be forked from one snapshot without sharing mutable state.
 
 **What is deliberately not captured.**  Telemetry recorders (an observer,
-never observable -- off==on bit-identity is an invariant), the interpreter
-selection (vector and scalar are bit-identical; the restorer picks), and
+never observable -- off==on bit-identity is an invariant) and
 ``extra_agents`` attached after construction (they cannot be fingerprinted;
 :func:`capture` refuses systems whose agent roster differs from what the
 configuration builds).
@@ -99,6 +97,10 @@ _SCALARS = (
 
 #: npz member-name prefix for the native array members.
 _ARRAY_PREFIX = "array_"
+
+#: State planes of a flat cache, captured as ``l1_<plane>`` (every core's
+#: plane stacked along a leading core axis) and ``llc_<plane>`` members.
+_CACHE_PLANES = ("tags", "flags", "pcs", "cores", "stamps", "ticks")
 
 
 def _package_version() -> str:
@@ -286,19 +288,12 @@ def capture(system: ServerSystem, processed: int,
     }
     arrays: Dict[str, np.ndarray] = {}
     if system._flat_engine:
-        arrays["l1_tags"] = system._l1_pool_tags.copy()
-        arrays["l1_flags"] = system._l1_pool_flags.copy()
-        arrays["l1_pcs"] = system._l1_pool_pcs.copy()
-        arrays["l1_cores"] = system._l1_pool_cores.copy()
-        arrays["l1_stamps"] = system._l1_pool_stamps.copy()
-        arrays["l1_ticks"] = system._l1_pool_ticks.copy()
         llc = system._llc_array
-        arrays["llc_tags"] = llc.tags.copy()
-        arrays["llc_flags"] = llc.flags.copy()
-        arrays["llc_pcs"] = llc.pcs.copy()
-        arrays["llc_cores"] = llc.cores.copy()
-        arrays["llc_stamps"] = llc.stamps.copy()
-        arrays["llc_ticks"] = llc.ticks.copy()
+        for plane in _CACHE_PLANES:
+            arrays[f"l1_{plane}"] = np.stack(
+                [getattr(cache, plane) for cache in system._l1_arrays])
+        for plane in _CACHE_PLANES:
+            arrays[f"llc_{plane}"] = getattr(llc, plane).copy()
         state["l1_state"] = [_flat_cache_state(cache)
                              for cache in system._l1_arrays]
         state["llc_state"] = _flat_cache_state(llc)
@@ -358,8 +353,7 @@ def _flat_cache_state(cache) -> Dict[str, object]:
 # --------------------------------------------------------------------- #
 # Restore
 # --------------------------------------------------------------------- #
-def restore(snapshot: SystemSnapshot, telemetry=None,
-            interp: Optional[str] = None) -> ServerSystem:
+def restore(snapshot: SystemSnapshot, telemetry=None) -> ServerSystem:
     """Build a fresh :class:`ServerSystem` in the snapshot's captured state.
 
     Continuing the returned system over the remainder of the capturing trace
@@ -367,8 +361,8 @@ def restore(snapshot: SystemSnapshot, telemetry=None,
     copy of the state blob, so any number of independent systems can be
     forked from one snapshot (the fork-per-query pattern).
 
-    ``telemetry`` and ``interp`` are free choices of the restorer -- both
-    are bit-identity-invariant, so neither is part of the captured state.
+    ``telemetry`` is a free choice of the restorer -- it is
+    bit-identity-invariant, so it is not part of the captured state.
     """
     if snapshot.format_version != SNAPSHOT_FORMAT_VERSION:
         raise ValueError(
@@ -380,7 +374,6 @@ def restore(snapshot: SystemSnapshot, telemetry=None,
         workload_name=state["workload_name"],
         cache_engine=snapshot.cache_engine,
         dram_engine=snapshot.dram_engine,
-        interp=interp,
         telemetry=telemetry,
     )
     if system.cache_engine != snapshot.cache_engine \
@@ -392,21 +385,13 @@ def restore(snapshot: SystemSnapshot, telemetry=None,
 
     arrays = snapshot.arrays
     if system._flat_engine:
-        # Pooled L1 planes are written *in place*: every per-core cache's
-        # flat views and memoryview aliases stay valid.
-        np.copyto(system._l1_pool_tags, arrays["l1_tags"])
-        np.copyto(system._l1_pool_flags, arrays["l1_flags"])
-        np.copyto(system._l1_pool_pcs, arrays["l1_pcs"])
-        np.copyto(system._l1_pool_cores, arrays["l1_cores"])
-        np.copyto(system._l1_pool_stamps, arrays["l1_stamps"])
-        np.copyto(system._l1_pool_ticks, arrays["l1_ticks"])
+        # Planes are written *in place*, each core's from its row of the
+        # stacked L1 member: every cache's memoryview aliases stay valid.
         llc = system._llc_array
-        np.copyto(llc.tags, arrays["llc_tags"])
-        np.copyto(llc.flags, arrays["llc_flags"])
-        np.copyto(llc.pcs, arrays["llc_pcs"])
-        np.copyto(llc.cores, arrays["llc_cores"])
-        np.copyto(llc.stamps, arrays["llc_stamps"])
-        np.copyto(llc.ticks, arrays["llc_ticks"])
+        for plane in _CACHE_PLANES:
+            for cache, saved in zip(system._l1_arrays, arrays[f"l1_{plane}"]):
+                np.copyto(getattr(cache, plane), saved)
+            np.copyto(getattr(llc, plane), arrays[f"llc_{plane}"])
         for cache, saved in zip(system._l1_arrays, state["l1_state"]):
             _load_flat_cache(cache, saved)
         _load_flat_cache(llc, state["llc_state"])

@@ -50,7 +50,6 @@ from repro.noc.crossbar import Crossbar, MessageType
 from repro.prefetch.sms import SpatialMemoryStreaming
 from repro.prefetch.stride import StridePrefetcher
 from repro.sim.config import SystemConfig
-from repro.sim.interp import resolve_interp
 from repro.sim.results import SimulationResult
 from repro.sim.timing import TimingModel
 from repro.telemetry.recorder import resolve_telemetry
@@ -94,21 +93,9 @@ _DEMAND_WRITEBACK_CODE = DRAMRequestKind.DEMAND_WRITEBACK.code
 #: saves).
 _CYCLE_CACHE_LIMIT = 1024
 
-#: When more than one access in this many classifies as an escape, the
-#: vector interpreter replays the sub-batch through the scalar flat loop:
-#: nearly every row would take the scalar escape path anyway, and the
-#: per-segment bookkeeping of the two-pass walk cannot pay for itself.
-#: Results are bit-identical on both sides of the threshold -- it only
-#: decides which (identical-result) loop runs.
-_VECTOR_ESCAPE_FALLBACK_DENOMINATOR = 8
-
-#: Classification granularity of the vector interpreter.  Chunks are walked
-#: in sub-batches so each classifies against near-current cache state: a
-#: cold or phase-change window densifies escapes only inside its own
-#: sub-batches (which fall back to the scalar loop) instead of poisoning
-#: the classification of a whole 64K-row chunk.  Large enough that the
-#: fixed cost of the ~20 NumPy calls per sub-batch amortizes to noise.
-_VECTOR_SUBBATCH = 8192
+#: Exclusive upper bound on trace addresses: the chunk decode shifts block
+#: numbers back into byte addresses in ``int64``, which wraps at ``2**63``.
+_ADDRESS_LIMIT = np.uint64(1 << 63)
 
 
 def _source_intensity(source) -> float:
@@ -122,7 +109,6 @@ class ServerSystem:
     def __init__(self, config: SystemConfig, workload_name: str = "workload",
                  cache_engine: Optional[str] = None,
                  dram_engine: Optional[str] = None,
-                 interp: Optional[str] = None,
                  telemetry=None) -> None:
         self.config = config
         self.workload_name = workload_name
@@ -148,47 +134,11 @@ class ServerSystem:
             # references never go stale.  L1s are always LRU (L1DataCache
             # never takes a policy), which the inlined promote relies on.
             arrays = self._l1_arrays
-            # Pool the per-core L1 arrays into one [core, set, way]
-            # allocation (each cache adopts its row as a view) so the vector
-            # interpreter can probe and stamp every core's L1 in single
-            # NumPy operations.  Scalar paths are oblivious: their
-            # memoryview aliases are rebuilt over the same storage.
-            geometry = arrays[0]
-            pool_shape = (len(arrays), geometry.num_sets, geometry.ways)
-            self._l1_pool_tags = np.empty(pool_shape, dtype=np.int64)
-            self._l1_pool_flags = np.empty(pool_shape, dtype=np.uint8)
-            self._l1_pool_pcs = np.empty(pool_shape, dtype=np.int64)
-            self._l1_pool_cores = np.empty(pool_shape, dtype=np.int32)
-            self._l1_pool_stamps = np.empty(pool_shape, dtype=np.int64)
-            self._l1_pool_ticks = np.empty(pool_shape[:2], dtype=np.int64)
-            for core, cache in enumerate(arrays):
-                cache.share_storage(
-                    self._l1_pool_tags[core], self._l1_pool_flags[core],
-                    self._l1_pool_pcs[core], self._l1_pool_cores[core],
-                    self._l1_pool_stamps[core], self._l1_pool_ticks[core])
-            # Global flat views (gslot = (core * sets + set) * ways + way).
-            self._l1_tags_gflat = self._l1_pool_tags.reshape(-1)
-            self._l1_flags_gflat = self._l1_pool_flags.reshape(-1)
-            self._l1_stamps_gflat = self._l1_pool_stamps.reshape(-1)
-            self._l1_ticks_gflat = self._l1_pool_ticks.reshape(-1)
-            # Global set/slot keys fit uint16 for every realistic L1 pool;
-            # NumPy's stable sort is an O(n) radix sort for 16-bit integers
-            # (~12x the 64-bit merge sort on sub-batch-sized keys), so the
-            # bulk stamp path sorts narrow keys whenever it can.
-            self._l1_small_keys = self._l1_tags_gflat.size <= 0xFFFF
-            self._l1_num_sets = geometry.num_sets
-            self._l1_ways = geometry.ways
             self._l1_slot_get = [cache._slot_of.get for cache in arrays]
             self._l1_ticks = [cache._tick for cache in arrays]
             self._l1_stamps = [cache._stamps_mv for cache in arrays]
             self._l1_flags = [cache._flags_mv for cache in arrays]
-            self._l1_set_mask = geometry._set_mask
-        # Effective interpreter: the two-pass vector interpreter reads the
-        # flat cache arrays directly, so a non-flat cache engine transparently
-        # falls back to the scalar row loop (results are bit-identical either
-        # way).  Resolution: explicit argument > ``REPRO_INTERP`` > vector.
-        self.interp = resolve_interp(interp, self.cache_engine)
-        self._vector_interp = self.interp == "vector"
+            self._l1_set_mask = arrays[0]._set_mask
         self._carries_pc = config.carries_pc
         self.noc = Crossbar(num_cores=params.num_cores)
         #: instruction count -> core-cycle increment (config-fixed arithmetic).
@@ -425,13 +375,15 @@ class ServerSystem:
     def _check_chunk(self, chunk: TraceBuffer, first_row: int) -> None:
         """Reject a chunk whose rows this system cannot simulate.
 
-        Cores must lie in ``[0, num_cores)`` and instruction gaps must be
-        non-negative.  Otherwise a negative core silently runs as the core
-        Python's negative indexing picks, an out-of-range core fails deep
-        inside the interpreter, and a negative gap runs backwards in time.
-        ``first_row`` is the chunk's offset in the trace, so the error names
-        the offending row of the whole trace.  One vectorized pass per
-        column.
+        Cores must lie in ``[0, num_cores)``, instruction gaps must be
+        non-negative and addresses must lie below ``2**63``.  Otherwise a
+        negative core silently runs as the core Python's negative indexing
+        picks, an out-of-range core fails deep inside the row loop, a
+        negative gap runs backwards in time, and an address at or past
+        ``2**63`` wraps to a negative block in the chunk decode's ``int64``
+        arithmetic.  ``first_row`` is the chunk's offset in the trace, so
+        the error names the offending row of the whole trace.  One
+        vectorized pass per column.
         """
         num_cores = self.config.system.num_cores
         cores = chunk.core
@@ -448,6 +400,13 @@ class ServerSystem:
             raise ValueError(
                 f"trace row {first_row + row}: column 'instructions' is "
                 f"{int(instructions[row])}, must be >= 0")
+        addresses = chunk.address
+        bad = addresses >= _ADDRESS_LIMIT
+        if bad.any():
+            row = int(np.argmax(bad))
+            raise ValueError(
+                f"trace row {first_row + row}: column 'address' is "
+                f"{int(addresses[row])}, must be < 2**63")
 
     def _cross_warmup_boundary(self, chunk, split: int, recorder, timing: bool,
                                clock, source) -> Optional[TraceBuffer]:
@@ -508,19 +467,14 @@ class ServerSystem:
         Zero-length chunks (phase-boundary splices, empty streams) return
         immediately -- before this guard they paid the full five-column
         decode.  Under the flat cache engine the chunk runs through the
-        selected interpreter: the two-pass vector interpreter
-        (:meth:`_run_chunk_vector`, the default) or the fused scalar row
-        loop (:meth:`_run_chunk_flat`, the reference baseline).  Under the
-        dict engine every access walks the original per-access call chain,
-        preserving it as the benchmark baseline.
+        fused row loop (:meth:`_run_chunk_flat`).  Under the dict engine
+        every access walks the original per-access call chain, preserving
+        it as the reference baseline.
         """
         if not len(chunk):
             return
         if self._flat_engine:
-            if self._vector_interp:
-                self._run_chunk_vector(chunk)
-            else:
-                self._run_chunk_flat(chunk)
+            self._run_chunk_flat(chunk)
             self._flush_dram()
             return
         cores, pcs, addresses, stores, instructions = chunk.columns_as_lists()
@@ -554,10 +508,9 @@ class ServerSystem:
         """Fused row loop over the flat-array caches.
 
         Block addresses and L1 set indices are decoded for the whole chunk in
-        two vector ops; the L1-hit case -- the common one for server
-        workloads -- is then fully inlined: one dict probe, one stamp write
-        and (for stores) one flag write, with no method call and no
-        allocation.  ``accesses``/``l1_hits`` live in loop locals, the
+        two vector ops; the L1-hit case is then fully inlined: one dict
+        probe, one stamp write and (for stores) one flag write, with no
+        method call and no allocation.  ``accesses``/``l1_hits`` live in loop locals, the
         per-access cycle accumulation runs on a local float (same add
         sequence as the scalar path, so results stay bit-identical), and
         everything is flushed into the StatGroups once per chunk.  The
@@ -652,322 +605,6 @@ class ServerSystem:
         if l1_hits:
             counters.inc("l1_hits", l1_hits)
         self._flush_hot_counters()
-
-    def _run_chunk_vector(self, chunk: TraceBuffer) -> None:
-        """Two-pass vectorized interpreter over the flat-array caches.
-
-        The chunk's per-row cycle increments are accumulated once up front
-        (``np.cumsum`` folds strictly left to right, so ``cycles[i + 1]`` is
-        bit-identical to the scalar loop's running ``core_cycle += delta``
-        after row i; the element-wise ``(instructions * cpi) / cores`` keeps
-        the scalar path's operation order -- see :meth:`_run_chunk_flat` on
-        why it must not be folded into one factor).  The rows then run in
-        sub-batches of :data:`_VECTOR_SUBBATCH` through
-        :meth:`_run_subbatch_vector`, each classifying against the cache
-        state its predecessors left behind.
-
-        **Pass 1 (classify).**  A sub-batch's L1 probes run as single NumPy
-        operations across *all* cores at once (the per-core L1 arrays are
-        rows of one pooled ``[core, set, way]`` allocation -- see
-        ``FlatSetAssociativeCache.share_storage``): gather each row's set
-        from its core's tag plane, compare across ways, reduce to a hit
-        mask.  Each access is either a *pure L1 hit* -- it touches no state
-        outside its core's stamp/flag arrays and no agent can observe it --
-        or an *escape*: an L1 miss and everything a miss can trigger
-        (evictions, writebacks, LLC/DRAM traffic, agent hooks).
-
-        **Pass 2 (apply).**  Hit side effects are applied in bulk
-        (:meth:`_apply_l1_hits_bulk` reproduces the exact LRU tick
-        arithmetic of the scalar loop) and only the escape rows replay
-        through the scalar path, with ``_core_cycle`` / ``_arrival_bus``
-        synced at each escape from the precomputed cycle array, so DRAM
-        arrival timestamps are bit-identical to the scalar loop's running
-        float.
-
-        **Segmentation at escapes.**  Each sub-batch is split at its escape
-        rows and every vector segment is applied *before* the escape that
-        follows it, so the tick/stamp interleaving of vector hits and
-        scalar escapes follows row order exactly.  Classification stays
-        valid inside a segment because only escapes mutate L1 residency;
-        after an escape *evicts* a line, later classified hits are
-        re-verified against the tag state and any stale row -- its block
-        was the victim -- is re-routed through the scalar path, which
-        re-probes true state and is therefore always correct.
-
-        Batch boundaries (chunk or sub-batch) are architecturally
-        invisible: no interconnect, cache or DRAM decision ever depends on
-        where a batch starts, so any partition of the trace replays to the
-        same state -- the same argument that made the DRAM engine's batched
-        intake exact.
-        """
-        n = len(chunk)
-        if not n:
-            return
-        shifted = (chunk.address >> np.uint64(BLOCK_BITS)).astype(np.int64)
-        blocks_arr = shifted << BLOCK_BITS
-        sets_arr = shifted & self._l1_set_mask
-        cores_arr = chunk.core.astype(np.int64)
-        config = self.config
-        deltas = chunk.instructions.astype(np.float64)
-        deltas *= config.arrival_cpi
-        deltas /= config.system.num_cores
-        cycles = np.empty(n + 1, dtype=np.float64)
-        cycles[0] = self._core_cycle
-        cycles[1:] = deltas
-        np.cumsum(cycles, out=cycles)
-        pos = 0
-        while pos < n:
-            end = min(pos + _VECTOR_SUBBATCH, n)
-            self._run_subbatch_vector(chunk, pos, end, blocks_arr, sets_arr,
-                                      cores_arr, cycles)
-            pos = end
-
-    def _run_subbatch_vector(self, chunk: TraceBuffer, start: int, end: int,
-                             blocks_arr: np.ndarray, sets_arr: np.ndarray,
-                             cores_arr: np.ndarray,
-                             cycles: np.ndarray) -> None:
-        """Classify and apply rows [start, end) of ``chunk`` (vector pass).
-
-        Escape-dense sub-batches (more than one row in
-        ``_VECTOR_ESCAPE_FALLBACK_DENOMINATOR`` classifying as an escape --
-        cold caches, capacity-thrashing phases) replay through
-        :meth:`_run_chunk_flat` on a zero-copy slice: nearly every row
-        would take the scalar path anyway.  Both interpreters are
-        bit-identical, so the threshold only decides which loop runs.
-
-        Accounting mirrors the scalar loop's chunk tail exactly, folded
-        once per sub-batch: the per-core hit/miss tallies land in the same
-        pending cache counters, ``accesses``/``l1_hits`` take the same
-        ``inc`` calls (integer-valued, so the finer-grained folding is
-        exact), and ``_core_cycle`` picks up the precomputed post-row value
-        it would have reached row by row.
-        """
-        n = end - start
-        blocks = blocks_arr[start:end]
-        sets = sets_arr[start:end]
-        cores = cores_arr[start:end]
-        num_sets = self._l1_num_sets
-        ways = self._l1_ways
-        gsets = cores * num_sets + sets
-        # Pass 1: probe all cores at once against the pooled tag planes.
-        # The way loop runs backwards over flat 1D gathers so the first
-        # matching way wins, exactly like a scalar left-to-right scan
-        # (ways is tiny; per-way 1D gathers beat a 2D fancy index by ~3x).
-        tags_gflat = self._l1_tags_gflat
-        base = gsets * ways
-        hit_way = np.zeros(n, dtype=np.int64)
-        hit_mask = np.zeros(n, dtype=bool)
-        for way in range(ways - 1, -1, -1):
-            way_match = tags_gflat[base + way] == blocks
-            hit_way[way_match] = way
-            hit_mask |= way_match
-        escape_rows = np.flatnonzero(~hit_mask)
-        num_escapes = len(escape_rows)
-        if num_escapes * _VECTOR_ESCAPE_FALLBACK_DENOMINATOR > n:
-            self._run_chunk_flat(chunk[start:end])
-            return
-
-        gslots = base + hit_way
-        if self._l1_small_keys:
-            gsets = gsets.astype(np.uint16)
-            gslots = gslots.astype(np.uint16)
-        stores = chunk.is_store[start:end]
-
-        num_cores = len(self._l1_arrays)
-        hits_by_core = [0] * num_cores
-        misses_by_core = [0] * num_cores
-        if not num_escapes:
-            # Fast path: the whole sub-batch is one escape-free segment.
-            self._apply_l1_hits_bulk(gsets, gslots, stores)
-            per_core = np.bincount(cores)
-            for core in np.flatnonzero(per_core).tolist():
-                hits_by_core[core] += int(per_core[core])
-        else:
-            # Escape-row columns decoded to Python scalars in one bulk pass
-            # each (the scalar path needs native ints for the dict probes
-            # and block arithmetic; per-row NumPy unboxing would dominate).
-            esc_list = escape_rows.tolist()
-            esc_cores = cores[escape_rows].tolist()
-            esc_pcs = chunk.pc[start:end][escape_rows].tolist()
-            esc_blocks = blocks[escape_rows].tolist()
-            esc_sets = sets[escape_rows].tolist()
-            esc_stores = stores[escape_rows].tolist()
-            esc_cycles = cycles[escape_rows + (start + 1)].tolist()
-
-            state = (gsets, gslots, blocks, sets, cores, stores,
-                     chunk.pc[start:end], cycles, start,
-                     hits_by_core, misses_by_core)
-            # Pass 2: bulk-apply each escape-free segment, replay each
-            # escape.  ``stale`` records whether any escape evicted an L1
-            # line since classification; segments after that point
-            # re-verify their rows.
-            stale = False
-            pos = 0
-            for k in range(num_escapes):
-                row = esc_list[k]
-                if row > pos:
-                    stale = self._apply_hit_segment(pos, row, stale, state)
-                stale |= self._interpret_escape_row(
-                    esc_cores[k], esc_pcs[k], esc_blocks[k], esc_sets[k],
-                    esc_stores[k], esc_cycles[k], hits_by_core,
-                    misses_by_core)
-                pos = row + 1
-            if pos < n:
-                self._apply_hit_segment(pos, n, stale, state)
-
-        self._core_cycle = float(cycles[end])
-        self._instructions += int(
-            chunk.instructions[start:end].sum(dtype=np.int64))
-        l1_arrays = self._l1_arrays
-        l1_hits = 0
-        for core in range(num_cores):
-            hits = hits_by_core[core]
-            if hits:
-                l1_hits += hits
-                l1_arrays[core]._p_hits += hits
-            if misses_by_core[core]:
-                l1_arrays[core]._p_misses += misses_by_core[core]
-        counters = self.counters
-        counters.inc("accesses", n)
-        if l1_hits:
-            counters.inc("l1_hits", l1_hits)
-        self._flush_hot_counters()
-
-    def _apply_hit_segment(self, start: int, end: int, stale: bool,
-                           state: tuple) -> bool:
-        """Bulk-apply one escape-free run of classified hits (rows [start, end)).
-
-        While no escape has evicted an L1 line since classification
-        (``stale`` false) the whole segment is provably valid and applies
-        in one bulk call.  Afterwards the segment's rows are re-verified
-        first (one gather-compare against the pooled tags; rows of
-        untouched cores trivially pass): the segment is split at the first
-        stale row, everything before it applies in bulk, the stale row
-        replays through the scalar path (which may itself evict), and the
-        remainder re-verifies -- preserving exact row order.  Returns the
-        updated staleness.
-        """
-        (gsets, gslots, blocks, sets, cores, stores, pcs, cycles, offset,
-         hits_by_core, misses_by_core) = state
-        tags_gflat = self._l1_tags_gflat
-        while True:
-            split = -1
-            if stale:
-                bad = np.flatnonzero(
-                    tags_gflat[gslots[start:end]] != blocks[start:end])
-                if len(bad):
-                    split = start + int(bad[0])
-            stop = end if split < 0 else split
-            if stop > start:
-                # Slices, not index arrays: the common (non-stale, whole
-                # segment) case must not pay for fancy-index copies.
-                self._apply_l1_hits_bulk(gsets[start:stop],
-                                         gslots[start:stop],
-                                         stores[start:stop])
-                per_core = np.bincount(cores[start:stop])
-                for core in np.flatnonzero(per_core).tolist():
-                    hits_by_core[core] += int(per_core[core])
-            if split < 0:
-                return stale
-            row = split
-            stale |= self._interpret_escape_row(
-                int(cores[row]), int(pcs[row]), int(blocks[row]),
-                int(sets[row]), bool(stores[row]),
-                float(cycles[offset + row + 1]),
-                hits_by_core, misses_by_core)
-            start = row + 1
-            if start >= end:
-                return stale
-
-    def _apply_l1_hits_bulk(self, gsets: np.ndarray, gslots: np.ndarray,
-                            stores: np.ndarray) -> None:
-        """Apply the hit side effects of one chronological segment in bulk.
-
-        Mirrors the inlined scalar hit path across all cores at once on the
-        pooled arrays (global set/slot index space): every hit bumps its
-        set's tick and stamps the hit slot with it; store hits OR the dirty
-        flag in.  Tick arithmetic is exact -- the j-th hit of a set
-        receives ``tick0 + j`` and a slot's final stamp is the tick of its
-        last chronological touch -- so the post-segment stamp state is
-        bit-identical to replaying the segment row by row.  Promotion is
-        unconditional, exactly like the scalar loop (the L1 is always LRU).
-        """
-        order = np.argsort(gsets, kind="stable")
-        sorted_gsets = gsets[order]
-        sorted_slots = gslots[order]
-        # Group boundaries of the sorted keys via adjacent-difference (the
-        # generic np.unique would sort again).
-        m = len(sorted_gsets)
-        change = np.empty(m, dtype=bool)
-        change[0] = True
-        np.not_equal(sorted_gsets[1:], sorted_gsets[:-1], out=change[1:])
-        starts = np.flatnonzero(change)
-        uniq = sorted_gsets[starts]
-        counts = np.diff(starts, append=m)
-        ticks_gflat = self._l1_ticks_gflat
-        tick0 = ticks_gflat[uniq]
-        # Stamp of the j-th touch (0-based) of group g: tick0[g] + j + 1.
-        values = np.repeat(tick0 - starts + 1, counts)
-        values += np.arange(m, dtype=np.int64)
-        ticks_gflat[uniq] = tick0 + counts
-        # A slot's final stamp is its *last* chronological touch.  The
-        # stable set sort preserves chronology inside each set (hence
-        # inside each slot); a second stable sort by slot then makes the
-        # last row of every slot group the last touch.
-        slot_order = np.argsort(sorted_slots, kind="stable")
-        final_slots = sorted_slots[slot_order]
-        last = np.empty(m, dtype=bool)
-        last[:-1] = final_slots[1:] != final_slots[:-1]
-        last[-1] = True
-        # Select-then-gather: only the winning rows' values are fetched.
-        sel = slot_order[last]
-        self._l1_stamps_gflat[final_slots[last]] = values[sel]
-        if stores.any():
-            # Duplicate slots are harmless: every occurrence ORs in the
-            # same bit, so the gather/or/scatter of fancy |= is exact.
-            self._l1_flags_gflat[gslots[stores]] |= FLAG_DIRTY
-
-    def _interpret_escape_row(self, core: int, pc: int, block: int,
-                              set_index: int, is_store: bool, cycle: float,
-                              hits_by_core: list,
-                              misses_by_core: list) -> bool:
-        """Replay one escape row through the scalar path (vector interpreter).
-
-        Identical, statement for statement, to one iteration of the fused
-        scalar loop: the probe reads *true* current state, so a classified
-        escape that an earlier fill turned into a hit resolves correctly
-        (and, like any scalar-loop hit, does not sync ``_core_cycle``).  On
-        a miss the precomputed post-row cycle is synced before any DRAM
-        transfer can be generated.  Returns True when the fill evicted an
-        L1 line (later classified hits must then be re-verified).
-        """
-        slot = self._l1_slot_get[core](block)
-        if slot is not None:
-            tick_list = self._l1_ticks[core]
-            tick = tick_list[set_index] + 1
-            tick_list[set_index] = tick
-            self._l1_stamps[core][slot] = tick
-            if is_store:
-                flags_mv = self._l1_flags[core]
-                line_flags = flags_mv[slot]
-                if not line_flags & FLAG_DIRTY:
-                    flags_mv[slot] = line_flags | FLAG_DIRTY
-            hits_by_core[core] += 1
-            return False
-        misses_by_core[core] += 1
-        self._core_cycle = cycle
-        # One divide per miss: every DRAM transfer generated while this
-        # access is processed arrives at the same bus timestamp (see the
-        # scalar loop).
-        self._arrival_bus = cycle / self._bus_ratio
-        cache = self._l1_arrays[core]
-        evictions_before = cache._p_evictions
-        victim = cache.fill_l1(block, is_store, pc, core)
-        evicted = cache._p_evictions != evictions_before
-        if victim is not None:
-            self._l1_writeback_fast(victim)
-        self._llc_demand_fast(core, pc, block, is_store)
-        return evicted
 
     def _flush_hot_counters(self) -> None:
         """Fold the hoisted per-chunk counter ints into the StatGroup."""

@@ -20,18 +20,24 @@ boxed :class:`Access` records; loading returns a :class:`TraceBuffer` via
 :func:`load_trace` (compatibility).  All formats round-trip exactly:
 ``load_trace_buffer(save_trace(trace, path))`` reproduces the original
 field-for-field.
+
+Binary formats are checked at load: every stored column must cast *safely*
+(``np.can_cast(..., casting="safe")``) to its :data:`TRACE_DTYPES` type.
+Narrower types widen exactly and load; a float ``core``, a float
+``instructions`` or a signed ``address`` column is rejected with a
+``ValueError`` instead of being truncated or wrapped.
 """
 
 from __future__ import annotations
 
 import csv
 from pathlib import Path
-from typing import Iterable, List, Union
+from typing import Dict, Iterable, List, Union
 
 import numpy as np
 
 from repro.common.request import Access, AccessType
-from repro.trace.buffer import TRACE_FIELDS, TraceBuffer
+from repro.trace.buffer import TRACE_DTYPES, TRACE_FIELDS, TraceBuffer
 
 _CSV_HEADER = ["core", "pc", "address", "type", "instructions"]
 _CSV_SUFFIXES = {".csv", ".txt"}
@@ -142,12 +148,32 @@ def _save_npz(buffer: TraceBuffer, path: Path) -> None:
         path, **{name: getattr(buffer, name) for name in TRACE_FIELDS})
 
 
+def _check_stored_dtypes(path: Path, stored: Dict[str, np.dtype]) -> None:
+    """Reject stored trace columns that do not cast safely to the schema.
+
+    :class:`TraceBuffer` converts with ``np.asarray``, which truncates
+    floats (core 1.9 loads as 1) and wraps negative integers into unsigned
+    columns (address -64 loads as 2**64 - 64); files must already hold the
+    schema's types or ones that widen into them exactly.
+    """
+    for name, dtype in stored.items():
+        required = TRACE_DTYPES.get(name)
+        if required is not None and not np.can_cast(dtype, required,
+                                                     casting="safe"):
+            raise ValueError(
+                f"trace file {path}: column {name!r} is stored as {dtype}, "
+                f"which does not cast safely to the required {required}")
+
+
 def _load_npz(path: Path) -> TraceBuffer:
     with np.load(path) as data:
         missing = set(TRACE_FIELDS) - set(data.files)
         if missing:
             raise ValueError(f"trace file {path} is missing arrays: {sorted(missing)}")
-        return TraceBuffer(*(data[name] for name in TRACE_FIELDS))
+        columns = {name: data[name] for name in TRACE_FIELDS}
+    _check_stored_dtypes(path, {name: column.dtype
+                                for name, column in columns.items()})
+    return TraceBuffer(**columns)
 
 
 # --------------------------------------------------------------------- #
@@ -161,4 +187,6 @@ def _load_npy(path: Path, mmap: bool = False) -> TraceBuffer:
     records = np.load(path, mmap_mode="r" if mmap else None, allow_pickle=False)
     if records.dtype.names is None:
         raise ValueError(f"trace file {path} does not hold structured records")
+    _check_stored_dtypes(path, {name: records.dtype[name]
+                                for name in records.dtype.names})
     return TraceBuffer.from_structured(records)

@@ -295,9 +295,12 @@ class TestFailurePaths:
         assert err.value.code not in (0, None)
 
     def test_bad_interp_is_an_argparse_error(self, capsys):
-        with pytest.raises(SystemExit) as err:
-            run_cli(capsys, "run", "web_search", "--interp", "quantum")
-        assert err.value.code == 2  # argparse usage error
+        """There is one chunk loop, so no ``--interp`` value is accepted."""
+        for value in ("quantum", "scalar"):
+            with pytest.raises(SystemExit) as err:
+                run_cli(capsys, "run", "web_search", "--interp", value)
+            assert err.value.code == 2  # argparse usage error
+            assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_bad_cache_engine_is_an_argparse_error(self, capsys):
         with pytest.raises(SystemExit) as err:

@@ -7,7 +7,7 @@ also sampled continuously by the fuzz oracle):
   fingerprint and the entire intensity trajectory bit for bit;
 * the streaming chunk size is invisible: control updates land at fixed
   access-count boundaries, so any chunk size yields the identical run;
-* every engine cell (cache x DRAM x interpreter) agrees;
+* every engine cell (cache x DRAM) agrees;
 * telemetry is an observer, and the intensity gauge actually records the
   controller's trajectory;
 * a warm-state snapshot taken mid-run carries the controller state, so the
@@ -174,15 +174,15 @@ class TestDeterminismEnvelope:
         assert (result_fingerprint(run(chunk_size=chunk_size))
                 == result_fingerprint(run(chunk_size=160)))
 
-    @pytest.mark.parametrize("cache,dram,interp", [
-        ("dict", "object", "scalar"),
-        ("dict", "flat", "scalar"),
-        ("flat", "object", "vector"),
-        ("flat", "flat", "vector"),
+    @pytest.mark.parametrize("cache,dram", [
+        ("dict", "object"),
+        ("dict", "flat"),
+        ("flat", "object"),
+        ("flat", "flat"),
     ])
-    def test_engine_cube_is_bit_identical(self, cache, dram, interp):
+    def test_engine_cube_is_bit_identical(self, cache, dram):
         reference = run()
-        cell = run(cache_engine=cache, dram_engine=dram, interp=interp)
+        cell = run(cache_engine=cache, dram_engine=dram)
         assert result_fingerprint(cell) == result_fingerprint(reference)
 
     def test_spec_and_prebuilt_source_agree(self):

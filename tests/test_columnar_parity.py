@@ -7,10 +7,7 @@ Two acceptance bars live here:
   chunked columnar path produces a :class:`SimulationResult` *identical* --
   full content fingerprint, every counter -- to the legacy object-list path;
 * the flat-array cache engine: for the same matrix, the flat engine's fused
-  hot path produces results bit-identical to the legacy dict engine;
-* the vectorized batch interpreter (PR 7): for the same matrix again, the
-  two-pass vector interpreter produces results bit-identical to the fused
-  scalar row loop.
+  hot path produces results bit-identical to the legacy dict engine.
 """
 
 import pytest
@@ -68,20 +65,6 @@ def test_flat_engine_matches_dict_engine(workload):
                                 warmup_fraction=WARMUP, cache_engine="dict")
         assert result_fingerprint(flat) == result_fingerprint(dict_engine), (
             f"flat cache engine diverged from dict engine for {workload}/{name}")
-
-
-@pytest.mark.parametrize("workload", workload_names())
-def test_vector_interp_matches_scalar_interp(workload):
-    """Six workloads x all named paper configs: both interpreters bit-identical."""
-    trace = build_trace(workload, ACCESSES, num_cores=CORES, seed=DEFAULT_SEED)
-    for name, config in named_configs().items():
-        config = _small(config)
-        scalar = run_trace(trace, config, workload_name=workload,
-                           warmup_fraction=WARMUP, interp="scalar")
-        vector = run_trace(trace, config, workload_name=workload,
-                           warmup_fraction=WARMUP, interp="vector")
-        assert result_fingerprint(vector) == result_fingerprint(scalar), (
-            f"vector interpreter diverged from scalar for {workload}/{name}")
 
 
 def test_streaming_generation_matches_materialized_path():

@@ -51,16 +51,6 @@ class TestScenarioCatalog:
         assert result_fingerprint(flat) == result_fingerprint(obj), (
             f"{scenario_name}: flat and object DRAM engines diverged")
 
-    @pytest.mark.parametrize("scenario_name", scenario_names())
-    def test_catalog_scenarios_interp_bit_identical(self, scenario_name):
-        """Phased/bursty scenario streams under the vector interpreter."""
-        scenario = get_scenario(scenario_name, scale=SCENARIO_SCALE)
-        config = named_configs(["bump"])["bump"]
-        vector = run_scenario(scenario, config, interp="vector")
-        scalar = run_scenario(scenario, config, interp="scalar")
-        assert result_fingerprint(vector) == result_fingerprint(scalar), (
-            f"{scenario_name}: vector and scalar interpreters diverged")
-
 
 class TestEngineMatrix:
     def test_cache_and_dram_engines_compose(self):
@@ -71,25 +61,6 @@ class TestEngineMatrix:
                 _run("web_search", config, dram, cache_engine=cache))
             for cache in ("flat", "dict")
             for dram in ("flat", "object")
-        }
-        assert len(set(fingerprints.values())) == 1, fingerprints
-
-    def test_engines_and_interpreters_compose(self):
-        """The cache x DRAM x interpreter cube agrees on one fingerprint.
-
-        The vector interpreter transparently falls back to scalar rows on
-        the dict cache engine, so every cell must still match.
-        """
-        config = named_configs(["bump"])["bump"]
-        trace = build_trace("web_search", ACCESSES)
-        fingerprints = {
-            (cache, dram, interp): result_fingerprint(
-                run_trace(trace, config, workload_name="web_search",
-                          dram_engine=dram, cache_engine=cache,
-                          interp=interp))
-            for cache in ("flat", "dict")
-            for dram in ("flat", "object")
-            for interp in ("vector", "scalar")
         }
         assert len(set(fingerprints.values())) == 1, fingerprints
 

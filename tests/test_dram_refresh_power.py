@@ -1,18 +1,9 @@
-"""Tests for the refresh scheduler and the IDD-based DRAM power model."""
+"""Tests for the DRAM refresh scheduler."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.common.params import DDR3Timing, DRAMOrganization
-from repro.dram.power import (
-    DRAMPowerModel,
-    IDDCurrents,
-    RankActivity,
-    activity_from_counters,
-)
+from repro.common.params import DRAMOrganization
 from repro.dram.refresh import RefreshParams, RefreshScheduler
-from repro.energy.params import DRAMEnergyParams
 
 
 class TestRefreshScheduler:
@@ -63,141 +54,3 @@ class TestRefreshScheduler:
         # 64 ms / 7.8 us = 8192 refresh commands per retention window.
         assert RefreshParams().refreshes_per_window == 8205 or \
             abs(RefreshParams().refreshes_per_window - 8192) < 32
-
-
-class TestIDDPowerModel:
-    def make_activity(self, **overrides):
-        defaults = dict(elapsed_cycles=100_000, activations=500,
-                        read_cycles=8_000, write_cycles=2_000)
-        defaults.update(overrides)
-        return RankActivity(**defaults)
-
-    def test_idle_rank_power_is_background_plus_refresh_only(self):
-        model = DRAMPowerModel()
-        idle = RankActivity(elapsed_cycles=100_000, activations=0,
-                            read_cycles=0, write_cycles=0,
-                            any_bank_open_fraction=0.0)
-        breakdown = model.rank_power(idle)
-        assert breakdown.activate_w == 0.0
-        assert breakdown.read_w == 0.0
-        assert breakdown.write_w == 0.0
-        assert breakdown.termination_w == 0.0
-        assert breakdown.background_w > 0.0
-        assert breakdown.total_w == pytest.approx(
-            breakdown.background_w + breakdown.refresh_w
-        )
-
-    def test_background_power_in_table3_band(self):
-        """Idle and fully-active background power should bracket Table III's
-        540-770 mW per-rank range (within a loose fidelity band)."""
-        model = DRAMPowerModel()
-        idle = model.background_power_w(
-            RankActivity(100_000, 0, 0, 0, any_bank_open_fraction=0.0)
-        )
-        busy = model.background_power_w(
-            RankActivity(100_000, 0, 0, 0, any_bank_open_fraction=1.0)
-        )
-        params = DRAMEnergyParams()
-        assert idle < busy
-        assert idle == pytest.approx(params.background_power_idle_w, rel=0.4)
-        assert busy == pytest.approx(params.background_power_active_w, rel=0.4)
-
-    def test_powerdown_reduces_background_power(self):
-        model = DRAMPowerModel()
-        awake = model.background_power_w(
-            RankActivity(100_000, 0, 0, 0, any_bank_open_fraction=0.5,
-                         powerdown_fraction=0.0)
-        )
-        asleep = model.background_power_w(
-            RankActivity(100_000, 0, 0, 0, any_bank_open_fraction=0.5,
-                         powerdown_fraction=0.9)
-        )
-        assert asleep < awake
-
-    def test_activate_power_scales_with_activation_rate(self):
-        model = DRAMPowerModel()
-        sparse = model.activate_power_w(self.make_activity(activations=100))
-        dense = model.activate_power_w(self.make_activity(activations=1000))
-        assert dense > sparse
-        assert model.activate_power_w(self.make_activity(activations=0)) == 0.0
-
-    def test_activate_power_saturates_at_trc_cadence(self):
-        model = DRAMPowerModel()
-        timing = DDR3Timing()
-        at_spec = self.make_activity(
-            activations=100_000 / timing.tRC, elapsed_cycles=100_000
-        )
-        beyond_spec = self.make_activity(activations=100_000, elapsed_cycles=100_000)
-        assert model.activate_power_w(beyond_spec) == pytest.approx(
-            model.activate_power_w(at_spec)
-        )
-
-    def test_burst_power_scales_with_duty_cycle(self):
-        model = DRAMPowerModel()
-        light = self.make_activity(read_cycles=1_000, write_cycles=0)
-        heavy = self.make_activity(read_cycles=50_000, write_cycles=0)
-        assert model.read_power_w(heavy) > model.read_power_w(light)
-        assert model.write_power_w(light) == 0.0
-
-    def test_termination_power_includes_other_ranks(self):
-        lonely = DRAMPowerModel(org=DRAMOrganization(ranks_per_channel=1))
-        crowded = DRAMPowerModel(org=DRAMOrganization(ranks_per_channel=4))
-        activity = self.make_activity()
-        assert crowded.termination_power_w(activity) > lonely.termination_power_w(activity)
-
-    def test_activation_energy_matches_table3_constant_roughly(self):
-        model = DRAMPowerModel()
-        table3 = DRAMEnergyParams().activation_energy_nj
-        assert model.activation_energy_nj() == pytest.approx(table3, rel=0.5)
-
-    def test_transfer_energy_matches_table3_constant_roughly(self):
-        model = DRAMPowerModel()
-        params = DRAMEnergyParams()
-        assert model.transfer_energy_nj(is_write=False) == pytest.approx(
-            params.read_transfer_energy_nj, rel=0.6
-        )
-        assert model.transfer_energy_nj(is_write=True) == pytest.approx(
-            params.write_transfer_energy_nj, rel=0.6
-        )
-
-    def test_rank_energy_integrates_power_over_time(self):
-        model = DRAMPowerModel()
-        breakdown = model.rank_power(self.make_activity())
-        assert breakdown.energy_nj(2.0) == pytest.approx(2 * breakdown.energy_nj(1.0))
-
-    def test_activity_from_counters_divides_across_ranks(self):
-        activity = activity_from_counters(elapsed_cycles=10_000, activations=400,
-                                          reads=800, writes=200, ranks_sharing=4)
-        assert activity.activations == 100
-        assert activity.read_cycles == 800
-        assert activity.write_cycles == 200
-
-    def test_custom_currents_propagate(self):
-        cheap = IDDCurrents(idd3n=30.0, idd2n=20.0)
-        model = DRAMPowerModel(currents=cheap)
-        default = DRAMPowerModel()
-        activity = self.make_activity(any_bank_open_fraction=1.0)
-        assert model.background_power_w(activity) < default.background_power_w(activity)
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    activations=st.integers(min_value=0, max_value=5000),
-    reads=st.integers(min_value=0, max_value=20000),
-    writes=st.integers(min_value=0, max_value=20000),
-    open_fraction=st.floats(min_value=0.0, max_value=1.0),
-)
-def test_property_rank_power_is_nonnegative_and_monotone_in_activity(
-    activations, reads, writes, open_fraction
-):
-    model = DRAMPowerModel()
-    elapsed = 200_000.0
-    base = RankActivity(elapsed, activations, reads * 4.0, writes * 4.0,
-                        any_bank_open_fraction=open_fraction)
-    breakdown = model.rank_power(base)
-    assert breakdown.total_w >= 0.0
-    assert breakdown.background_w >= 0.0
-
-    busier = RankActivity(elapsed, activations + 100, reads * 4.0 + 400,
-                          writes * 4.0 + 400, any_bank_open_fraction=open_fraction)
-    assert model.rank_power(busier).dynamic_w >= breakdown.dynamic_w

@@ -72,7 +72,7 @@ class TestHealthyOracle:
             assert _perturbed_chunk_size(size) != size
 
     def test_reference_cell_is_the_object_engines(self):
-        assert REFERENCE_CELL == ("dict", "object", "scalar")
+        assert REFERENCE_CELL == ("dict", "object")
 
 
 class TestFaultSensitivity:
@@ -86,8 +86,7 @@ class TestFaultSensitivity:
         assert not report.ok
         # Every flat cell diverges; the dict cells still match the reference.
         failing = {c.cell for c in report.failures}
-        assert failing == {"flat/object/scalar", "flat/flat/scalar",
-                           "flat/object/vector", "flat/flat/vector"}
+        assert failing == {"flat/object", "flat/flat"}
 
     def test_report_describe_names_the_failures(self, monkeypatch):
         monkeypatch.setattr(
@@ -95,7 +94,7 @@ class TestFaultSensitivity:
             _skewed_victim(FlatSetAssociativeCache._victim_slot))
         report = run_oracle(SPEC, checks=("cube",))
         text = report.describe()
-        assert "FAIL" in text and "flat/flat/vector" in text
+        assert "FAIL" in text and "flat/flat" in text
 
 
 class TestMaterialize:

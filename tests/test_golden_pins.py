@@ -1,16 +1,22 @@
-"""Golden result pins for every named configuration's LLC agent stack.
+"""Golden result pins for every named configuration, workload and scenario.
 
 Agents (stride, SMS, VWQ, BuMP, Full-region, next-line, Stealth, eager
 writeback, the density profiler) are shared by every cell of the engine
 parity matrices, so those suites cannot see an agent behaviour change: both
-sides of every comparison move together.  This module pins the full result
-fingerprint of each named configuration on one short paper trace against a
-committed table, plus one run with an :class:`LLCTraceRecorder` attached
-whose recorded streams are pinned too.
+sides of every comparison move together.  This module pins full result
+fingerprints against a committed table:
+
+* every named configuration on one short ``web_search`` trace, plus one run
+  with an :class:`LLCTraceRecorder` attached whose recorded streams are
+  pinned too;
+* the other five paper workloads under ``base_open``, ``sms_vwq`` and
+  ``bump``;
+* the six catalog scenarios under ``bump`` at scale 0.05 (50k-60k accesses
+  each).
 
 60k accesses is the shortest length at which every configuration sees LLC
 evictions after warmup, so the eviction, bulk-writeback and eager-writeback
-paths are all covered.
+paths are all covered; every workload and scenario cell sees evictions too.
 
 The table is regenerated only when a change is *meant* to alter simulated
 results (say why in CHANGES.md)::
@@ -32,6 +38,8 @@ import numpy as np
 import pytest
 
 from repro.exec.campaign import result_fingerprint
+from repro.scenario.catalog import scenario_names
+from repro.scenario.runner import run_scenario
 from repro.sim.config import named_configs
 from repro.sim.runner import build_trace, run_trace
 from repro.trace.capture import LLCTraceRecorder
@@ -50,10 +58,18 @@ CONFIGS = ("base_close", "base_open", "sms", "vwq", "sms_vwq", "full_region",
            "eager_writeback")
 #: Configuration of the run that carries an attached trace recorder.
 RECORDER_CONFIG = "bump"
+#: The other five paper workloads, each pinned under these configurations.
+OTHER_WORKLOADS = ("data_serving", "media_streaming", "online_analytics",
+                   "software_testing", "web_serving")
+WORKLOAD_CONFIGS = ("base_open", "sms_vwq", "bump")
+#: Catalog scenarios run at this scale under this configuration.
+SCENARIO_SCALE = 0.05
+SCENARIO_CONFIG = "bump"
+SCENARIOS = tuple(scenario_names())
 
 
-def _trace():
-    return build_trace(WORKLOAD, ACCESSES, num_cores=CORES, seed=SEED)
+def _trace(workload: str = WORKLOAD):
+    return build_trace(workload, ACCESSES, num_cores=CORES, seed=SEED)
 
 
 def _summary(result) -> dict:
@@ -68,10 +84,17 @@ def _summary(result) -> dict:
     }
 
 
-def config_pin(name: str) -> dict:
-    """Run one named configuration on the golden trace."""
+def config_pin(name: str, workload: str = WORKLOAD) -> dict:
+    """Run one named configuration on a workload's golden trace."""
     config = named_configs([name])[name]
-    return _summary(run_trace(_trace(), config, workload_name=WORKLOAD))
+    return _summary(run_trace(_trace(workload), config, workload_name=workload))
+
+
+def scenario_pin(name: str) -> dict:
+    """Run one catalog scenario, scaled down, under the scenario config."""
+    config = named_configs([SCENARIO_CONFIG])[SCENARIO_CONFIG]
+    return _summary(run_scenario(name, config, seed=SEED,
+                                 scale=SCENARIO_SCALE))
 
 
 def _digest(arrays) -> str:
@@ -117,6 +140,16 @@ def compute_pins() -> dict:
         "seed": SEED,
         "configs": {name: config_pin(name) for name in CONFIGS},
         "recorder": {"config": RECORDER_CONFIG, **recorder_pin()},
+        "workloads": {
+            workload: {name: config_pin(name, workload)
+                       for name in WORKLOAD_CONFIGS}
+            for workload in OTHER_WORKLOADS
+        },
+        "scenarios": {
+            "config": SCENARIO_CONFIG,
+            "scale": SCENARIO_SCALE,
+            "cells": {name: scenario_pin(name) for name in SCENARIOS},
+        },
     }
 
 
@@ -141,6 +174,28 @@ def test_trace_recorder_matches_golden_pin():
     pinned = dict(_pins()["recorder"])
     assert pinned.pop("config") == RECORDER_CONFIG
     assert recorder_pin() == pinned
+
+
+def test_pin_table_covers_every_workload_and_scenario():
+    pins = _pins()
+    assert sorted(pins["workloads"]) == sorted(OTHER_WORKLOADS)
+    for workload in OTHER_WORKLOADS:
+        assert sorted(pins["workloads"][workload]) == sorted(WORKLOAD_CONFIGS)
+    scenarios = pins["scenarios"]
+    assert (scenarios["config"], scenarios["scale"]) \
+        == (SCENARIO_CONFIG, SCENARIO_SCALE)
+    assert sorted(scenarios["cells"]) == sorted(SCENARIOS)
+
+
+@pytest.mark.parametrize("name", WORKLOAD_CONFIGS)
+@pytest.mark.parametrize("workload", OTHER_WORKLOADS)
+def test_workload_matches_golden_pin(workload, name):
+    assert config_pin(name, workload) == _pins()["workloads"][workload][name]
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_scenario_matches_golden_pin(name):
+    assert scenario_pin(name) == _pins()["scenarios"]["cells"][name]
 
 
 def main(argv=None) -> int:

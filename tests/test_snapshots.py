@@ -3,10 +3,10 @@
 The acceptance bar for ``repro.sim.snapshot`` is absolute: restoring a
 warmup snapshot and simulating the measured tail must produce the
 *identical* :class:`SimulationResult` (full fingerprint, every counter and
-energy figure) as an uninterrupted run -- across the cache x DRAM x
-interpreter engine cube, both DRAM page policies, any chunking of the
-stream, scenario mid-phase boundaries, and across process boundaries
-(snapshot written by one process, restored in another).
+energy figure) as an uninterrupted run -- across the cache x DRAM engine
+cube, both DRAM page policies, any chunking of the stream, scenario
+mid-phase boundaries, and across process boundaries (snapshot written by
+one process, restored in another).
 """
 
 import os
@@ -15,6 +15,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.exec.campaign import result_fingerprint, run_campaign
@@ -86,35 +87,17 @@ def _warm_twice(config, store, **engines):
 class TestEngineCube:
     @pytest.mark.parametrize("cache_engine", ["flat", "dict"])
     @pytest.mark.parametrize("dram_engine", ["flat", "object"])
-    @pytest.mark.parametrize("interp", ["vector", "scalar"])
     def test_capture_restore_bit_identical(self, tmp_path, cache_engine,
-                                           dram_engine, interp):
+                                           dram_engine):
         config = _config()
-        engines = dict(cache_engine=cache_engine, dram_engine=dram_engine,
-                       interp=interp)
+        engines = dict(cache_engine=cache_engine, dram_engine=dram_engine)
         cold = _cold(config, **engines)
         captured, restored = _warm_twice(config, ArtifactStore(tmp_path),
                                          **engines)
         assert result_fingerprint(cold) == result_fingerprint(captured), (
-            f"{cache_engine}/{dram_engine}/{interp}: capture run diverged")
+            f"{cache_engine}/{dram_engine}: capture run diverged")
         assert result_fingerprint(cold) == result_fingerprint(restored), (
-            f"{cache_engine}/{dram_engine}/{interp}: restored run diverged")
-
-    def test_restore_interp_is_free_choice(self, tmp_path):
-        """The interpreter is not part of the snapshot: capture under the
-        vector interpreter, restore under the scalar one, same result."""
-        config = _config()
-        store = ArtifactStore(tmp_path)
-        key = snapshot_fingerprint(get_workload(WORKLOAD), config,
-                                   ACCESSES // 2, num_cores=CORES, seed=SEED)
-        run_trace(_trace(), config, workload_name=WORKLOAD,
-                  warmup_fraction=0.5, warmup_snapshot=store,
-                  snapshot_key=key, interp="vector")
-        restored = run_trace(_trace(), config, workload_name=WORKLOAD,
-                             warmup_fraction=0.5, warmup_snapshot=store,
-                             snapshot_key=key, interp="scalar")
-        cold = _cold(config, interp="scalar")
-        assert result_fingerprint(cold) == result_fingerprint(restored)
+            f"{cache_engine}/{dram_engine}: restored run diverged")
 
 
 class TestPagePolicies:
@@ -212,6 +195,30 @@ class TestSerialization:
         describe = loaded.describe()
         assert describe["processed_accesses"] == 2_000
         assert describe["total_bytes"] == loaded.nbytes
+
+    def test_cache_plane_members_keep_their_layout(self):
+        """L1 planes carry a leading core axis; LLC planes are the array's."""
+        config = _config()
+        system = ServerSystem(config, workload_name=WORKLOAD)
+        snapshot, _, _ = capture_warmup(system, _trace(), 2_000)
+        params = config.system
+        cores = params.num_cores
+        l1 = (params.l1d.num_sets, params.l1d.associativity)
+        llc = (params.llc.num_sets, params.llc.associativity)
+        expected = {}
+        for prefix, geometry, lead in (("l1", l1, (cores,)), ("llc", llc, ())):
+            for plane, dtype in (("tags", np.int64), ("flags", np.uint8),
+                                 ("pcs", np.int64), ("cores", np.int32),
+                                 ("stamps", np.int64)):
+                expected[f"{prefix}_{plane}"] = (lead + geometry,
+                                                 np.dtype(dtype))
+            expected[f"{prefix}_ticks"] = (lead + geometry[:1],
+                                           np.dtype(np.int64))
+        assert {name: (array.shape, array.dtype)
+                for name, array in snapshot.arrays.items()} == expected
+        for core, cache in enumerate(system._l1_arrays):
+            assert (snapshot.arrays["l1_tags"][core] == cache.tags).all()
+            assert (snapshot.arrays["l1_ticks"][core] == cache.ticks).all()
 
     def test_snapshot_restore_via_file(self, tmp_path):
         """run_trace(snapshot=path) loads the file and runs only the tail."""

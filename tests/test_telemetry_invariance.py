@@ -48,13 +48,6 @@ def test_invariance_holds_on_every_engine_combination(cache_engine, dram_engine)
     assert off == full
 
 
-@pytest.mark.parametrize("interp", ["vector", "scalar"])
-def test_invariance_holds_under_both_interpreters(interp):
-    trace = build_trace("web_search", ACCESSES)
-    off, full = _digests(trace, bump_system(), interp=interp)
-    assert off == full
-
-
 def test_invariance_holds_for_streaming_runs():
     kwargs = dict(num_accesses=4000, chunk_size=1000)
     off = run_workload_streaming("media_streaming", base_open(),

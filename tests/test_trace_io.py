@@ -1,11 +1,13 @@
-"""Tests for trace persistence (CSV and NPZ round-trips)."""
+"""Tests for trace persistence (CSV, NPZ and NPY round-trips and load checks)."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.request import Access, AccessType
-from repro.trace.io import load_trace, save_trace
+from repro.trace.buffer import TRACE_DTYPES, TRACE_RECORD_DTYPE
+from repro.trace.io import load_trace, load_trace_buffer, save_trace
 from repro.workloads.catalog import get_workload
 from repro.workloads.generator import generate_trace
 
@@ -20,7 +22,7 @@ def make_trace():
     ]
 
 
-@pytest.mark.parametrize("suffix", [".csv", ".txt", ".npz"])
+@pytest.mark.parametrize("suffix", [".csv", ".txt", ".npz", ".npy"])
 def test_round_trip_preserves_every_field(tmp_path, suffix):
     trace = make_trace()
     path = save_trace(trace, tmp_path / f"trace{suffix}")
@@ -65,12 +67,62 @@ def test_unknown_access_type_is_rejected(tmp_path):
 
 
 def test_npz_with_missing_arrays_is_rejected(tmp_path):
-    import numpy as np
-
     path = tmp_path / "broken.npz"
     np.savez(path, core=np.array([1]))
     with pytest.raises(ValueError):
         load_trace(path)
+
+
+def _npz_columns(**overrides):
+    """Two valid stored rows per column, with ``overrides`` swapped in."""
+    columns = {
+        "core": np.array([1, 0], dtype=np.int32),
+        "pc": np.array([0x400, 0x404], dtype=np.uint64),
+        "address": np.array([64, 128], dtype=np.uint64),
+        "is_store": np.array([False, True]),
+        "instructions": np.array([2, 3], dtype=np.int32),
+    }
+    columns.update(overrides)
+    return columns
+
+
+@pytest.mark.parametrize("column,values", [
+    ("core", [1.9, 0.2]),
+    ("instructions", [2.5, 1.0]),
+    ("address", [-64, 128]),
+])
+def test_npz_column_that_does_not_cast_safely_is_rejected(tmp_path, column,
+                                                          values):
+    stored = np.array(values)
+    path = tmp_path / "lossy.npz"
+    np.savez(path, **_npz_columns(**{column: stored}))
+    expected = (f"lossy.npz: column '{column}' is stored as {stored.dtype}, "
+                f"which does not cast safely to the required "
+                f"{TRACE_DTYPES[column]}")
+    with pytest.raises(ValueError, match=expected):
+        load_trace_buffer(path)
+
+
+def test_structured_npy_with_float_core_is_rejected(tmp_path):
+    fields = [(name, "f8" if name == "core" else TRACE_RECORD_DTYPE[name])
+              for name in TRACE_RECORD_DTYPE.names]
+    records = np.zeros(2, dtype=fields)
+    records["core"] = [3.7, 1.0]
+    path = tmp_path / "lossy.npy"
+    np.save(path, records)
+    with pytest.raises(ValueError, match="column 'core' is stored as float64"):
+        load_trace_buffer(path)
+
+
+def test_narrower_stored_columns_widen_exactly(tmp_path):
+    path = tmp_path / "narrow.npz"
+    np.savez(path, **_npz_columns(core=np.array([1, 0], dtype=np.uint8),
+                                  address=np.array([64, 128], dtype=np.uint32),
+                                  instructions=np.array([2, 3], dtype=np.int16)))
+    buffer = load_trace_buffer(path)
+    assert buffer.core.tolist() == [1, 0]
+    assert buffer.address.tolist() == [64, 128]
+    assert buffer.instructions.tolist() == [2, 3]
 
 
 def test_empty_trace_round_trips(tmp_path):

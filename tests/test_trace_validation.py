@@ -1,8 +1,9 @@
 """Malformed trace rows are rejected at the run loop with a clean error.
 
 Without the check a negative core silently simulates as the core Python's
-negative indexing selects, an out-of-range core dies inside the interpreter,
-and a negative instruction gap runs with a negative IPC.
+negative indexing selects, an out-of-range core dies inside the row loop, a
+negative instruction gap runs with a negative IPC, and an address at or past
+``2**63`` wraps to a negative block address in the chunk decode.
 """
 
 import numpy as np
@@ -16,7 +17,8 @@ from repro.trace.source import IngestSource
 
 ROWS = 16
 BAD_ROW = 5
-MALFORMED = [("core", -1), ("core", 99), ("instructions", -5)]
+MALFORMED = [("core", -1), ("core", 99), ("instructions", -5),
+             ("address", 2**63), ("address", 2**64 - 64)]
 
 
 def _trace(column, value):
@@ -57,4 +59,9 @@ def test_malformed_row_in_ingested_trace_raises(tmp_path, column, value):
 
 def test_valid_trace_runs():
     result = ServerSystem(base_open()).run(_trace("core", 3))
+    assert result.counters["accesses"] == ROWS
+
+
+def test_highest_block_below_the_address_limit_runs():
+    result = ServerSystem(base_open()).run(_trace("address", 2**63 - 64))
     assert result.counters["accesses"] == ROWS
