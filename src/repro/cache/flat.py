@@ -340,57 +340,6 @@ class FlatSetAssociativeCache:
         self._p_fills += 1
         return victim
 
-    def fill_l1(self, block_address: int, dirty: bool, pc: int,
-                core: int) -> Optional[EvictedLine]:
-        """Write-allocate L1 fill: return the victim only when it was dirty.
-
-        The L1 never fills prefetched blocks and its caller forwards only
-        dirty victims to the LLC, so clean evictions skip the victim-record
-        allocation entirely.  Statistics match :meth:`fill` exactly.
-        """
-        slot_of = self._slot_of
-        set_index = (block_address >> BLOCK_BITS) & self._set_mask
-        # The caller just observed a miss, so the block cannot be resident.
-        victim = None
-        base = set_index * self.ways
-        count = self._count[set_index]
-        tags_mv = self._tags_mv
-        flags_mv = self._flags_mv
-        if count >= self.ways:
-            slot = self._victim_slot(set_index, base)
-            victim_tag = tags_mv[slot]
-            victim_flags = flags_mv[slot]
-            del slot_of[victim_tag]
-            self._p_evictions += 1
-            if victim_flags & FLAG_DIRTY:
-                self._p_dirty_evictions += 1
-                victim = EvictedLine(
-                    victim_tag,
-                    True,
-                    bool(victim_flags & FLAG_PREFETCHED),
-                    bool(victim_flags & FLAG_USED),
-                    self._pcs_mv[slot],
-                    self._cores_mv[slot],
-                )
-            if victim_flags & (FLAG_PREFETCHED | FLAG_USED) == FLAG_PREFETCHED:
-                self._p_unused_prefetch_evictions += 1
-        else:
-            slot = base
-            while tags_mv[slot] != -1:
-                slot += 1
-            self._count[set_index] = count + 1
-
-        slot_of[block_address] = slot
-        tags_mv[slot] = block_address
-        flags_mv[slot] = (FLAG_DIRTY | FLAG_USED) if dirty else FLAG_USED
-        self._pcs_mv[slot] = pc
-        self._cores_mv[slot] = core
-        tick = self._tick[set_index] + 1
-        self._tick[set_index] = tick
-        self._stamps_mv[slot] = tick
-        self._p_fills += 1
-        return victim
-
     def _victim_slot(self, set_index: int, base: int) -> int:
         """Pick the slot to evict from the full set starting at ``base``."""
         stamps_mv = self._stamps_mv

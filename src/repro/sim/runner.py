@@ -8,7 +8,7 @@ the trace and hand back the :class:`SimulationResult`.
 Traces are columnar :class:`repro.trace.buffer.TraceBuffer` bundles end to
 end: :func:`build_trace` returns a buffer (it still iterates as boxed
 ``Access`` records for legacy callers), :func:`run_trace` feeds buffers --
-or streaming chunk iterators -- straight into the simulator's row loop, and
+or streaming chunk iterators -- straight into the simulator's chunk loop, and
 :func:`run_workload_streaming` runs arbitrarily long traces at bounded
 memory without ever materializing per-access Python objects.
 

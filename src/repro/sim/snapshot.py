@@ -26,9 +26,8 @@ checkpoint/restore a cheap serialization problem.  This module provides it:
 It builds a fresh :class:`ServerSystem` from the snapshot's configuration
 (re-deriving every view and memoryview alias exactly as ``__init__`` does),
 then copies the captured state *into* it: cache arrays are written in place
-(so the per-core memoryview aliases stay valid), slot indices / stat groups
-/ the memory system / agents are replaced as objects, and the one derived
-binding that references a replaced dict (``_l1_slot_get``) is rebuilt.
+(so the memoryview aliases stay valid), and slot indices / stat groups /
+the memory system / agents are replaced as objects.
 Each restore unpickles a private copy of the state blob, so many systems
 can be forked from one snapshot without sharing mutable state.
 
@@ -74,8 +73,10 @@ __all__ = [
 #: other versions (the fingerprint additionally carries the package version,
 #: so stale-but-loadable snapshots never match a fresh fingerprint either).
 #: v2: agents carry their counters as pending ints and their tables' entries
-#: as ``__slots__`` objects.
-SNAPSHOT_FORMAT_VERSION = 2
+#: as ``__slots__`` objects.  v3: the flat engine's L1s are one
+#: :class:`~repro.cache.l1.StackedL1`, so no per-core slot index, occupancy,
+#: statistics or policy is pickled.
+SNAPSHOT_FORMAT_VERSION = 3
 
 #: Crossbar counters (plain ints on the hot path), captured by name.
 _NOC_COUNTERS = (
@@ -248,8 +249,6 @@ def _flush_pending(system: ServerSystem) -> None:
     system._flush_hot_counters()
     system.llc.stats  # wrapper pendings -> StatGroup
     if system._flat_engine:
-        for cache in system._l1_arrays:
-            cache.stats
         system._llc_array.stats
 
 
@@ -289,13 +288,10 @@ def capture(system: ServerSystem, processed: int,
     arrays: Dict[str, np.ndarray] = {}
     if system._flat_engine:
         llc = system._llc_array
-        for plane in _CACHE_PLANES:
-            arrays[f"l1_{plane}"] = np.stack(
-                [getattr(cache, plane) for cache in system._l1_arrays])
+        for plane, array in system.l1.core_planes().items():
+            arrays[f"l1_{plane}"] = array
         for plane in _CACHE_PLANES:
             arrays[f"llc_{plane}"] = getattr(llc, plane).copy()
-        state["l1_state"] = [_flat_cache_state(cache)
-                             for cache in system._l1_arrays]
         state["llc_state"] = _flat_cache_state(llc)
         state["llc_wrapper_stats"] = system.llc._stats
     else:
@@ -385,20 +381,14 @@ def restore(snapshot: SystemSnapshot, telemetry=None) -> ServerSystem:
 
     arrays = snapshot.arrays
     if system._flat_engine:
-        # Planes are written *in place*, each core's from its row of the
-        # stacked L1 member: every cache's memoryview aliases stay valid.
+        # Planes are written *in place*, so the LLC's memoryview aliases
+        # stay valid.
         llc = system._llc_array
+        system.l1.load_core_planes(
+            {plane: arrays[f"l1_{plane}"] for plane in _CACHE_PLANES})
         for plane in _CACHE_PLANES:
-            for cache, saved in zip(system._l1_arrays, arrays[f"l1_{plane}"]):
-                np.copyto(getattr(cache, plane), saved)
             np.copyto(getattr(llc, plane), arrays[f"llc_{plane}"])
-        for cache, saved in zip(system._l1_arrays, state["l1_state"]):
-            _load_flat_cache(cache, saved)
         _load_flat_cache(llc, state["llc_state"])
-        # The slot-index dicts were replaced; rebuild the one derived
-        # binding that captured the old dicts' bound methods.
-        system._l1_slot_get = [cache._slot_of.get
-                               for cache in system._l1_arrays]
         system.llc._stats = state["llc_wrapper_stats"]
     else:
         system.l1s = state["l1s"]

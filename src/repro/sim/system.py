@@ -33,11 +33,11 @@ import numpy as np
 from repro.cache.agent import LLCAgent
 from repro.cache.engine import cache_engine_name
 from repro.cache.flat import FLAG_DIRTY, FLAG_PREFETCHED, FLAG_USED
-from repro.cache.l1 import L1DataCache
+from repro.cache.l1 import L1DataCache, StackedL1
 from repro.cache.llc import LastLevelCache
 from repro.cache.set_assoc import EvictedLine
 from repro.common.addressing import BLOCK_BITS, block_address
-from repro.common.request import Access, DRAMRequest, DRAMRequestKind
+from repro.common.request import DRAMRequest, DRAMRequestKind
 from repro.common.stats import StatGroup, fold_pending
 from repro.core.bump import BuMPPredictor
 from repro.core.fullregion import FullRegionStreamer
@@ -83,19 +83,14 @@ _HOT_COUNTERS = (
 _DEMAND_READ_CODE = DRAMRequestKind.DEMAND_READ.code
 _DEMAND_WRITEBACK_CODE = DRAMRequestKind.DEMAND_WRITEBACK.code
 
-#: Upper bound on the per-instruction-count cycle-increment memo
-#: (``_cycle_increment_cache``).  Synthetic workloads draw from a handful of
-#: distinct instruction counts, but fuzzed or externally captured traces can
-#: carry thousands; past this bound the memo evicts its oldest entry, so it
-#: can never grow with trace length.  Eviction is insertion-ordered (hits
-#: vastly outnumber inserts and the cached values are config-fixed
-#: arithmetic, so per-hit recency tracking would cost more than the memo
-#: saves).
-_CYCLE_CACHE_LIMIT = 1024
+#: Exclusive upper bound on trace addresses and PCs: the chunk decode shifts
+#: block numbers back into byte addresses, and the L1 stage keeps PCs, in
+#: ``int64``, which wraps at ``2**63``.
+_COLUMN_LIMIT = np.uint64(1 << 63)
 
-#: Exclusive upper bound on trace addresses: the chunk decode shifts block
-#: numbers back into byte addresses in ``int64``, which wraps at ``2**63``.
-_ADDRESS_LIMIT = np.uint64(1 << 63)
+#: L1 misses per slice of the chunk loop's second stage, whose Python lists
+#: are built a slice at a time so their memory does not grow with the chunk.
+_MISS_SLICE = 8192
 
 
 def _source_intensity(source) -> float:
@@ -121,28 +116,17 @@ class ServerSystem:
 
         self.cache_engine = cache_engine_name(cache_engine)
         self._flat_engine = self.cache_engine == "flat"
-        self.l1s = [L1DataCache(params.l1d, core, engine=self.cache_engine)
-                    for core in range(params.num_cores)]
+        #: Every core's L1: one :class:`StackedL1` on the flat engine (run a
+        #: chunk at a time), one :class:`L1DataCache` per core on the dict one.
+        flat = self._flat_engine
+        self.l1 = StackedL1(params.l1d, params.num_cores) if flat else None
+        self.l1s = [] if flat else [
+            L1DataCache(params.l1d, core, engine=self.cache_engine)
+            for core in range(params.num_cores)]
         self.llc = LastLevelCache(params.llc, engine=self.cache_engine)
-        #: Raw flat cache arrays, indexed by core (fused-loop fast path).
-        self._l1_arrays = [l1._cache for l1 in self.l1s] if self._flat_engine else None
         self._llc_array = self.llc._cache if self._flat_engine else None
-        if self._flat_engine:
-            # Per-core L1 state unbundled for the fused row loop: bound dict
-            # probes and the raw stamp/flag buffers, indexed by core.  The
-            # underlying objects live for the system's lifetime, so the bound
-            # references never go stale.  L1s are always LRU (L1DataCache
-            # never takes a policy), which the inlined promote relies on.
-            arrays = self._l1_arrays
-            self._l1_slot_get = [cache._slot_of.get for cache in arrays]
-            self._l1_ticks = [cache._tick for cache in arrays]
-            self._l1_stamps = [cache._stamps_mv for cache in arrays]
-            self._l1_flags = [cache._flags_mv for cache in arrays]
-            self._l1_set_mask = arrays[0]._set_mask
         self._carries_pc = config.carries_pc
         self.noc = Crossbar(num_cores=params.num_cores)
-        #: instruction count -> core-cycle increment (config-fixed arithmetic).
-        self._cycle_increment_cache = {}
         for attr, _key in _HOT_COUNTERS:
             setattr(self, attr, 0)
 
@@ -210,7 +194,7 @@ class ServerSystem:
         self.energy_model = ServerEnergyModel(params)
         self._core_cycle = 0.0
         #: Bus-cycle arrival timestamp of the access being processed
-        #: (maintained by the fused loop for the staged DRAM issue sites).
+        #: (maintained by the chunk loop for the staged DRAM issue sites).
         self._arrival_bus = 0.0
         self._instructions = 0.0
         self._bus_ratio = params.core_cycles_per_dram_cycle
@@ -290,7 +274,7 @@ class ServerSystem:
         shape), a :class:`repro.scenario.spec.Scenario` (compiled to a chunk
         stream on the fly, at the compiler's default seed), or any
         :class:`repro.trace.source.TraceSource`.  Every shape is interpreted
-        through the same columnar row loop, so the result is identical
+        through the same columnar chunk loop, so the result is identical
         regardless of how the trace arrives.
 
         Production is pull-based: the system fully services chunk *k* before
@@ -376,14 +360,14 @@ class ServerSystem:
         """Reject a chunk whose rows this system cannot simulate.
 
         Cores must lie in ``[0, num_cores)``, instruction gaps must be
-        non-negative and addresses must lie below ``2**63``.  Otherwise a
-        negative core silently runs as the core Python's negative indexing
-        picks, an out-of-range core fails deep inside the row loop, a
-        negative gap runs backwards in time, and an address at or past
-        ``2**63`` wraps to a negative block in the chunk decode's ``int64``
-        arithmetic.  ``first_row`` is the chunk's offset in the trace, so
-        the error names the offending row of the whole trace.  One
-        vectorized pass per column.
+        non-negative and addresses and PCs must lie below ``2**63``.
+        Otherwise a negative core silently runs as the core Python's
+        negative indexing picks, an out-of-range core fails deep inside the
+        chunk loop, a negative gap runs backwards in time, and an address or
+        PC at or past ``2**63`` wraps to a negative value in the chunk
+        loop's ``int64`` arithmetic.  ``first_row`` is the chunk's offset in
+        the trace, so the error names the offending row of the whole trace.
+        One vectorized pass per column.
         """
         num_cores = self.config.system.num_cores
         cores = chunk.core
@@ -400,13 +384,14 @@ class ServerSystem:
             raise ValueError(
                 f"trace row {first_row + row}: column 'instructions' is "
                 f"{int(instructions[row])}, must be >= 0")
-        addresses = chunk.address
-        bad = addresses >= _ADDRESS_LIMIT
-        if bad.any():
-            row = int(np.argmax(bad))
-            raise ValueError(
-                f"trace row {first_row + row}: column 'address' is "
-                f"{int(addresses[row])}, must be < 2**63")
+        for column in ("address", "pc"):
+            values = getattr(chunk, column)
+            bad = values >= _COLUMN_LIMIT
+            if bad.any():
+                row = int(np.argmax(bad))
+                raise ValueError(
+                    f"trace row {first_row + row}: column {column!r} is "
+                    f"{int(values[row])}, must be < 2**63")
 
     def _cross_warmup_boundary(self, chunk, split: int, recorder, timing: bool,
                                clock, source) -> Optional[TraceBuffer]:
@@ -465,9 +450,8 @@ class ServerSystem:
         """Interpret one columnar chunk.
 
         Zero-length chunks (phase-boundary splices, empty streams) return
-        immediately -- before this guard they paid the full five-column
-        decode.  Under the flat cache engine the chunk runs through the
-        fused row loop (:meth:`_run_chunk_flat`).  Under the dict engine
+        immediately.  Under the flat cache engine the chunk runs through the
+        staged chunk loop (:meth:`_run_chunk_flat`).  Under the dict engine
         every access walks the original per-access call chain, preserving
         it as the reference baseline.
         """
@@ -505,103 +489,60 @@ class ServerSystem:
             self._dram_arrivals = []
 
     def _run_chunk_flat(self, chunk: TraceBuffer) -> None:
-        """Fused row loop over the flat-array caches.
+        """Staged chunk loop over the flat-array caches.
 
-        Block addresses and L1 set indices are decoded for the whole chunk in
-        two vector ops; the L1-hit case is then fully inlined: one dict
-        probe, one stamp write and (for stores) one flag write, with no
-        method call and no allocation.  ``accesses``/``l1_hits`` live in loop locals, the
-        per-access cycle accumulation runs on a local float (same add
-        sequence as the scalar path, so results stay bit-identical), and
-        everything is flushed into the StatGroups once per chunk.  The
-        architectural state the slow path reads (``_core_cycle``) is synced
-        before every L1 miss, so DRAM arrival timestamps are unchanged.
-
-        The inlined probe mirrors ``FlatSetAssociativeCache.demand_access``
-        under two L1 invariants: replacement is LRU (touch always promotes)
-        and resident lines always have the used bit set (the L1 never fills
-        prefetched blocks), so the prefetch-hit branch cannot fire.
+        Only the trace reaches the L1s, so stage 1 computes each row's hit,
+        dirty victim and arrival cycle in NumPy before the LLC sees the
+        chunk: :meth:`StackedL1.access_chunk`, and one cumulative sum,
+        seeded with the running core cycle, of ``(instructions *
+        arrival_cpi) / num_cores`` computed elementwise.  That is
+        :meth:`_step_fields`' operation and addition order, so results stay
+        bit-identical.  Stage 2 visits the L1 misses alone, in trace order:
+        it syncs the core cycle and bus arrival stamp that the DRAM issue
+        sites read, forwards the dirty victim to the LLC and takes the LLC
+        demand path.  Counters are folded once per chunk.
         """
-        shifted = (chunk.address >> np.uint64(BLOCK_BITS)).astype(np.int64)
-        blocks = (shifted << BLOCK_BITS).tolist()
-        l1_sets = (shifted & self._l1_set_mask).tolist()
-        cores = chunk.core.tolist()
-        pcs = chunk.pc.tolist()
-        stores = chunk.is_store.tolist()
-        instructions = chunk.instructions.tolist()
-        n = len(cores)
+        blocks = (chunk.address >> np.uint64(BLOCK_BITS)).astype(np.int64)
+        blocks <<= BLOCK_BITS
+        cores, stores, pcs = chunk.core, chunk.is_store, chunk.pc.astype(np.int64)
+        hits, victims, victim_pcs = self.l1.access_chunk(cores, blocks, stores, pcs)
         config = self.config
-        # Per-access cycle increments are memoized by instruction count; each
-        # entry is computed as (instructions * cpi) / cores -- the exact
-        # operation order of _step_fields -- because folding it into one
-        # precomputed factor rounds differently for non-power-of-two core
-        # counts and would break bit-identity with the dict engine.
-        arrival_cpi = config.arrival_cpi
-        num_cores_divisor = config.system.num_cores
-        cycle_of = self._cycle_increment_cache
-        dirty_flag = FLAG_DIRTY
-        l1_arrays = self._l1_arrays
-        slot_get = self._l1_slot_get
-        ticks = self._l1_ticks
-        stamps = self._l1_stamps
-        flags = self._l1_flags
+        cycles = np.empty(len(chunk) + 1)
+        cycles[0] = self._core_cycle
+        np.multiply(chunk.instructions, config.arrival_cpi, out=cycles[1:],
+                    dtype=np.float64)
+        cycles[1:] /= config.system.num_cores
+        cycles = np.cumsum(cycles, out=cycles)[1:]
+        misses = np.flatnonzero(~hits)
+
         demand = self._llc_demand_fast
-        num_cores = len(l1_arrays)
-        hits_by_core = [0] * num_cores
-        misses_by_core = [0] * num_cores
-        core_cycle = self._core_cycle
-        bus_ratio = self._bus_ratio
-        # Integer column sum: exact regardless of order, so summing it
-        # vectorized matches the scalar path's per-access accumulation.
-        instruction_total = int(chunk.instructions.sum(dtype=np.int64))
-        for core, pc, block, set_index, is_store, instructions_i in zip(
-                cores, pcs, blocks, l1_sets, stores, instructions):
-            delta = cycle_of.get(instructions_i)
-            if delta is None:
-                delta = cycle_of[instructions_i] = (
-                    instructions_i * arrival_cpi / num_cores_divisor)
-                if len(cycle_of) > _CYCLE_CACHE_LIMIT:
-                    del cycle_of[next(iter(cycle_of))]
-            core_cycle += delta
-            slot = slot_get[core](block)
-            if slot is not None:
-                # L1 hit: promote to MRU, set the dirty bit on stores.
-                tick_list = ticks[core]
-                tick = tick_list[set_index] + 1
-                tick_list[set_index] = tick
-                stamps[core][slot] = tick
-                if is_store:
-                    flags_mv = flags[core]
-                    line_flags = flags_mv[slot]
-                    if not line_flags & dirty_flag:
-                        flags_mv[slot] = line_flags | dirty_flag
-                hits_by_core[core] += 1
-                continue
-            # L1 miss: allocate (write-allocate), forward a dirty victim,
-            # then take the LLC demand path.
-            misses_by_core[core] += 1
-            self._core_cycle = core_cycle
-            # One divide per miss: every DRAM transfer generated while this
-            # access is processed arrives at the same bus timestamp (the
-            # object engine divides per transfer with an unchanged
-            # numerator, so the values are identical).
-            self._arrival_bus = core_cycle / bus_ratio
-            victim = l1_arrays[core].fill_l1(block, is_store, pc, core)
-            if victim is not None:
-                self._l1_writeback_fast(victim)
-            demand(core, pc, block, is_store)
-        self._core_cycle = core_cycle
-        self._instructions += instruction_total
-        l1_hits = 0
-        for core in range(num_cores):
-            hits = hits_by_core[core]
-            if hits:
-                l1_hits += hits
-                l1_arrays[core]._p_hits += hits
-            if misses_by_core[core]:
-                l1_arrays[core]._p_misses += misses_by_core[core]
+        write_from_l1 = self.llc.write_from_l1
+        handle_eviction = self._handle_llc_eviction_fast
+        for first in range(0, len(misses), _MISS_SLICE):
+            rows = misses[first:first + _MISS_SLICE]
+            for core, pc, block, is_store, cycle, arrival, victim, victim_pc in zip(
+                    cores[rows].tolist(), pcs[rows].tolist(),
+                    blocks[rows].tolist(), stores[rows].tolist(),
+                    cycles[rows].tolist(), (cycles[rows] / self._bus_ratio).tolist(),
+                    victims[rows].tolist(), victim_pcs[rows].tolist()):
+                self._core_cycle = cycle
+                # Every DRAM transfer generated while this access is
+                # processed arrives at the same bus timestamp.
+                self._arrival_bus = arrival
+                if victim >= 0:
+                    evicted = write_from_l1(victim, victim_pc, core)
+                    if evicted is not None:
+                        handle_eviction(evicted)
+                demand(core, pc, block, is_store)
+        # One NOC data message per dirty victim forwarded above.
+        writebacks = int(np.count_nonzero(victims >= 0))
+        self._h_l1_writebacks += writebacks
+        self.noc.n_data += writebacks
+        self._core_cycle = float(cycles[-1])
+        self._instructions += int(chunk.instructions.sum(dtype=np.int64))
         counters = self.counters
-        counters.inc("accesses", n)
+        counters.inc("accesses", len(chunk))
+        l1_hits = len(chunk) - len(misses)
         if l1_hits:
             counters.inc("l1_hits", l1_hits)
         self._flush_hot_counters()
@@ -628,11 +569,6 @@ class ServerSystem:
         self._instructions = 0.0
         self._measurement_start_core_cycle = self._core_cycle
         self._measurement_start_bus_cycle = self._core_cycle / self._bus_ratio
-
-    def _step(self, access: Access) -> None:
-        """Interpret one boxed access (compatibility shim over the row path)."""
-        self._step_fields(access.core, access.pc, access.address,
-                          access.is_store, access.instructions)
 
     def _step_fields(self, core: int, pc: int, address: int, is_store: bool,
                      instructions: int) -> None:
@@ -715,7 +651,7 @@ class ServerSystem:
 
     def _llc_demand_fast(self, core: int, pc: int, block: int,
                          is_store: bool) -> None:
-        """LLC demand path for the fused flat-engine loop.
+        """LLC demand path for the flat-engine chunk loop.
 
         Same event sequence as :meth:`_llc_demand_access`, with the probe and
         access fused into one call, NOC counters bumped as plain attributes
@@ -783,14 +719,6 @@ class ServerSystem:
         evicted = self.llc.write_from_l1(victim.block_address, victim.pc, victim.core)
         if evicted is not None:
             self._handle_llc_eviction(evicted)
-
-    def _l1_writeback_fast(self, victim) -> None:
-        """Forward a dirty L1 victim to the LLC (flat-engine fast path)."""
-        self._h_l1_writebacks += 1
-        self.noc.n_data += 1
-        evicted = self.llc.write_from_l1(victim.block_address, victim.pc, victim.core)
-        if evicted is not None:
-            self._handle_llc_eviction_fast(evicted)
 
     # ------------------------------------------------------------------ #
     # Eviction handling and agent-generated traffic
@@ -894,7 +822,7 @@ class ServerSystem:
 
     def _apply_actions_fast(self, fetch_mark: int, writeback_mark: int,
                             core: int, pc: int) -> None:
-        """Agent-generated traffic for the fused flat-engine loop.
+        """Agent-generated traffic for the flat-engine chunk loop.
 
         Same event sequence as :meth:`_apply_actions` -- this is the bulk
         datapath the paper's mechanisms live on (one iteration per streamed

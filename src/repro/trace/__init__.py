@@ -8,7 +8,7 @@ needs around those streams:
 * :mod:`repro.trace.buffer` -- the structure-of-arrays trace representation
   (parallel ``core``/``pc``/``address``/``is_store``/``instructions`` NumPy
   columns) that flows from the generators through the artifact store into
-  the simulator's row loop.
+  the simulator's chunk loop.
 * :mod:`repro.trace.io` -- persist traces to disk (a human-readable CSV text
   format, a compact ``.npz`` binary format and a memory-mappable structured
   ``.npy`` format) and load them back, so expensive generator configurations

@@ -1,17 +1,23 @@
-"""Edge cases of the fused chunk loop (``ServerSystem._run_chunk_flat``).
+"""The staged chunk loop (``ServerSystem._run_chunk_flat``).
 
 Zero-length chunks -- phase-boundary splices, empty streams -- must leave no
-trace in the results, and the per-instruction-count cycle-increment memo
-must stay bounded however many distinct instruction counts a trace carries.
+trace in the results, and the L1 stage must agree with two specifications of
+LRU that share no code with it: Mattson's stack property for hits and a
+reference LRU of one ordered dict per (core, set) lane for dirty victims.
 """
 
-import numpy as np
+from collections import OrderedDict
 
+import numpy as np
+import pytest
+
+from repro.cache.l1 import StackedL1
 from repro.common.addressing import BLOCK_BITS
+from repro.common.params import SystemParams
 from repro.exec.campaign import result_fingerprint
 from repro.sim.config import base_open
 from repro.sim.runner import run_trace
-from repro.sim.system import _CYCLE_CACHE_LIMIT, ServerSystem
+from repro.sim.system import ServerSystem
 from repro.trace.buffer import TraceBuffer
 
 CORES = 8
@@ -50,18 +56,94 @@ class TestChunkEdgeCases:
         padded = run_trace(chunks, config)
         assert result_fingerprint(padded) == result_fingerprint(whole)
 
-    def test_cycle_increment_cache_is_bounded(self):
-        accesses = 3 * _CYCLE_CACHE_LIMIT
-        rng = np.random.default_rng(5)
-        core = np.zeros(accesses, dtype=np.int32)
-        address = (rng.integers(0, 64, accesses).astype(np.uint64)
-                   << np.uint64(BLOCK_BITS))
-        pc = np.full(accesses, 0x400000, dtype=np.uint64)
-        is_store = np.zeros(accesses, dtype=bool)
-        # Every row carries a distinct instruction count, so an unbounded
-        # memo would grow to ``accesses`` entries.
-        instructions = np.arange(1, accesses + 1, dtype=np.int32)
-        trace = TraceBuffer(core, pc, address, is_store, instructions)
-        system = ServerSystem(base_open())
-        system.run(trace)
-        assert len(system._cycle_increment_cache) <= _CYCLE_CACHE_LIMIT
+
+def _lanes(trace: TraceBuffer, num_sets: int):
+    """Per-row (lane, block address) lists; lane = core * num_sets + set."""
+    shifted = (trace.address >> np.uint64(BLOCK_BITS)).astype(np.int64)
+    lanes = trace.core.astype(np.int64) * num_sets + (shifted & (num_sets - 1))
+    return lanes.tolist(), (shifted << BLOCK_BITS).tolist()
+
+
+def _mattson_hits(trace: TraceBuffer, num_sets: int, ways: int) -> np.ndarray:
+    """Per-row hit mask from Mattson's LRU stack property.
+
+    Under LRU a reference hits if and only if fewer than ``ways`` distinct
+    blocks of its lane were referenced since its previous reference.
+    """
+    history = {}     # lane -> blocks referenced so far, in order
+    last = {}        # (lane, block) -> index of its latest reference
+    hits = np.zeros(len(trace), dtype=bool)
+    for row, (lane, block) in enumerate(zip(*_lanes(trace, num_sets))):
+        seen = history.setdefault(lane, [])
+        previous = last.get((lane, block))
+        if previous is not None:
+            hits[row] = len(set(seen[previous + 1:])) < ways
+        last[(lane, block)] = len(seen)
+        seen.append(block)
+    return hits
+
+
+def _reference_victims(trace: TraceBuffer, num_sets: int, ways: int):
+    """Per-row dirty victim (block, PC), ``(-1, 0)`` for none, from an LRU
+    of one ordered dict per lane (least recently used first)."""
+    sets = {}
+    victims = []
+    for lane, block, is_store, pc in zip(*_lanes(trace, num_sets),
+                                         trace.is_store.tolist(),
+                                         trace.pc.tolist()):
+        lines = sets.setdefault(lane, OrderedDict())
+        victim = (-1, 0)
+        if block in lines:
+            lines.move_to_end(block)
+            dirty, line_pc = lines[block]
+            lines[block] = (dirty or is_store, line_pc)
+        else:
+            if len(lines) == ways:
+                old_block, (dirty, line_pc) = lines.popitem(last=False)
+                if dirty:
+                    victim = (old_block, line_pc)
+            lines[block] = (is_store, pc)
+        victims.append(victim)
+    return victims
+
+
+class TestL1StageOracle:
+    CASES = [  # (seed, blocks per core, chunk size; None = one chunk)
+        (1, 1_024, None),
+        (2, 2_048, 3_000),
+        (3, 700, 997),
+    ]
+
+    @pytest.mark.parametrize("seed,blocks_per_core,chunk_size", CASES)
+    def test_l1_stage_matches_lru_specifications(self, seed, blocks_per_core,
+                                                 chunk_size):
+        params = SystemParams()
+        cores = params.num_cores
+        num_sets, ways = params.l1d.num_sets, params.l1d.associativity
+        trace = _random_trace(12_000, blocks_per_core, seed=seed, cores=cores)
+        chunks = list(trace.iter_chunks(chunk_size or len(trace)))
+
+        l1 = StackedL1(params.l1d, cores)
+        stage = [l1.access_chunk(
+                     chunk.core,
+                     ((chunk.address >> np.uint64(BLOCK_BITS))
+                      << np.uint64(BLOCK_BITS)).astype(np.int64),
+                     chunk.is_store, chunk.pc.astype(np.int64))
+                 for chunk in chunks]
+        hits, victims, victim_pcs = (np.concatenate(parts)
+                                     for parts in zip(*stage))
+
+        expected_hits = _mattson_hits(trace, num_sets, ways)
+        assert 0 < expected_hits.sum() < len(trace)
+        assert (hits == expected_hits).all()
+        expected = _reference_victims(trace, num_sets, ways)
+        assert any(block >= 0 for block, _pc in expected)
+        assert list(zip(victims.tolist(),
+                        np.where(victims >= 0, victim_pcs, 0).tolist())) \
+            == expected
+
+        writebacks = sum(block >= 0 for block, _pc in expected)
+        for engine in ("flat", "dict"):
+            result = ServerSystem(base_open(), cache_engine=engine).run(chunks)
+            assert result.counters["l1_hits"] == expected_hits.sum()
+            assert result.counters["l1_writebacks"] == writebacks

@@ -332,15 +332,9 @@ class TestFuzzCli:
 
     def test_failure_produces_artifact_and_nonzero_exit(
             self, capsys, tmp_path, monkeypatch):
-        from repro.cache.flat import FlatSetAssociativeCache
+        from cache_faults import skew_flat_victims
 
-        original = FlatSetAssociativeCache._victim_slot
-
-        def skewed(self, set_index, base):
-            slot = original(self, set_index, base)
-            return base + (slot - base + 1) % self.ways
-
-        monkeypatch.setattr(FlatSetAssociativeCache, "_victim_slot", skewed)
+        skew_flat_victims(monkeypatch)
         artifacts = tmp_path / "artifacts"
         status, out = run_cli(capsys, "fuzz", "--budget", "4", "--seed", "0",
                               "--artifacts", str(artifacts),

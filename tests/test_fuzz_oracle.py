@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cache.flat import FlatSetAssociativeCache
+from cache_faults import skew_flat_victims
 from repro.fuzz import CHECKS, materialize, run_oracle
 from repro.fuzz.oracle import REFERENCE_CELL, _perturbed_chunk_size
 
@@ -28,15 +28,6 @@ SPEC = {
     },
     "config": {"base": "bump"},
 }
-
-
-def _skewed_victim(original):
-    """The injected parity fault: rotate the flat cache's victim choice by
-    one way -- a minimal 'stamp bump' that leaves the dict engine alone."""
-    def skewed(self, set_index, base):
-        slot = original(self, set_index, base)
-        return base + (slot - base + 1) % self.ways
-    return skewed
 
 
 class TestHealthyOracle:
@@ -79,9 +70,7 @@ class TestFaultSensitivity:
     def test_injected_flat_cache_fault_is_caught(self, monkeypatch):
         """The oracle exists to see exactly this: a flat-engine divergence
         the fixed parity matrix might miss on its hand-picked inputs."""
-        monkeypatch.setattr(
-            FlatSetAssociativeCache, "_victim_slot",
-            _skewed_victim(FlatSetAssociativeCache._victim_slot))
+        skew_flat_victims(monkeypatch)
         report = run_oracle(SPEC, checks=("cube",))
         assert not report.ok
         # Every flat cell diverges; the dict cells still match the reference.
@@ -89,9 +78,7 @@ class TestFaultSensitivity:
         assert failing == {"flat/object", "flat/flat"}
 
     def test_report_describe_names_the_failures(self, monkeypatch):
-        monkeypatch.setattr(
-            FlatSetAssociativeCache, "_victim_slot",
-            _skewed_victim(FlatSetAssociativeCache._victim_slot))
+        skew_flat_victims(monkeypatch)
         report = run_oracle(SPEC, checks=("cube",))
         text = report.describe()
         assert "FAIL" in text and "flat/flat" in text

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro.cache.flat import FlatSetAssociativeCache
+from cache_faults import skew_flat_victims
 from repro.fuzz import (
     generate_spec,
     load_spec,
@@ -54,13 +54,7 @@ BULKY = {
 def flat_cache_fault(monkeypatch):
     """Rotate the flat cache's eviction victim by one way: the canonical
     'one engine drifted' bug class the differential oracle exists to catch."""
-    original = FlatSetAssociativeCache._victim_slot
-
-    def skewed(self, set_index, base):
-        slot = original(self, set_index, base)
-        return base + (slot - base + 1) % self.ways
-
-    monkeypatch.setattr(FlatSetAssociativeCache, "_victim_slot", skewed)
+    skew_flat_victims(monkeypatch)
 
 
 class TestShrinkWithInjectedFault:

@@ -54,14 +54,6 @@ def test_l1_clean_eviction_produces_no_writeback():
         assert result.writebacks == []
 
 
-def test_l1_invalidate():
-    l1 = make_l1()
-    l1.access(0x100, is_store=False)
-    assert l1.contains(0x100)
-    l1.invalidate(0x100)
-    assert not l1.contains(0x100)
-
-
 # --------------------------------------------------------------------- #
 # LLC
 # --------------------------------------------------------------------- #

@@ -9,8 +9,10 @@
 
 import random
 
+import numpy as np
 import pytest
 
+from repro.common.addressing import BLOCK_BITS
 from repro.common.params import DDR3Timing, DRAMOrganization
 from repro.common.request import DRAMRequest, DRAMRequestKind
 from repro.dram.address_mapping import DRAMCoordinates, make_region_interleaving
@@ -19,6 +21,7 @@ from repro.dram.scheduler import FRFCFSQueue, row_state_key
 from repro.sim.config import base_open
 from repro.sim.runner import build_trace
 from repro.sim.system import ServerSystem
+from repro.trace.buffer import TraceBuffer
 
 KINDS = list(DRAMRequestKind)
 
@@ -113,23 +116,43 @@ def test_controller_fast_scheduler_is_result_identical(page_policy):
     assert fast.stats.snapshot() == scan.stats.snapshot()
 
 
+def _distinct_gap_trace(cores: int, accesses: int = 4_000) -> TraceBuffer:
+    """A random trace in which every row carries its own instruction gap."""
+    rng = np.random.default_rng(9)
+    core = rng.integers(0, cores, accesses).astype(np.int32)
+    offsets = rng.integers(0, 2_048, accesses).astype(np.uint64)
+    address = (core.astype(np.uint64) << np.uint64(32)) | \
+        (offsets << np.uint64(BLOCK_BITS))
+    pc = np.full(accesses, 0x400000, dtype=np.uint64)
+    is_store = rng.random(accesses) < 0.3
+    instructions = rng.permutation(np.arange(1, accesses + 1, dtype=np.int32))
+    return TraceBuffer(core, pc, address, is_store, instructions)
+
+
 def test_engines_bit_identical_with_non_power_of_two_cores():
     """Cycle accumulation must round identically for any core count.
 
     Regression: folding ``instructions * cpi / cores`` into one precomputed
     factor rounds differently when ``cores`` is not a power of two, which
-    shifted DRAM arrival cycles and broke engine parity.
+    shifted DRAM arrival cycles and broke engine parity.  The second trace
+    gives every row a distinct instruction gap, so each row's cycle
+    increment is computed afresh.
     """
     from repro.common.params import SystemParams
     from repro.exec.campaign import result_fingerprint
-    from repro.sim.runner import run_trace
 
     config = base_open(system=SystemParams().scaled(num_cores=12))
-    trace = build_trace("web_search", 3_000, num_cores=12, seed=5)
-    flat = run_trace(trace, config, warmup_fraction=0.4, cache_engine="flat")
-    dict_engine = run_trace(trace, config, warmup_fraction=0.4,
-                            cache_engine="dict")
-    assert result_fingerprint(flat) == result_fingerprint(dict_engine)
+    traces = (build_trace("web_search", 3_000, num_cores=12, seed=5),
+              _distinct_gap_trace(12))
+    assert len(np.unique(traces[1].instructions)) >= 3_000
+    for trace in traces:
+        warmup = len(trace) * 2 // 5
+        flat = ServerSystem(config, cache_engine="flat")
+        dict_engine = ServerSystem(config, cache_engine="dict")
+        flat_result = flat.run(trace, warmup_accesses=warmup)
+        dict_result = dict_engine.run(trace, warmup_accesses=warmup)
+        assert flat._core_cycle == dict_engine._core_cycle
+        assert result_fingerprint(flat_result) == result_fingerprint(dict_result)
 
 
 # --------------------------------------------------------------------- #

@@ -216,9 +216,13 @@ class TestSerialization:
                                            np.dtype(np.int64))
         assert {name: (array.shape, array.dtype)
                 for name, array in snapshot.arrays.items()} == expected
-        for core, cache in enumerate(system._l1_arrays):
-            assert (snapshot.arrays["l1_tags"][core] == cache.tags).all()
-            assert (snapshot.arrays["l1_ticks"][core] == cache.ticks).all()
+        sets = params.l1d.num_sets
+        for core in range(cores):
+            lanes = slice(core * sets, (core + 1) * sets)
+            assert (snapshot.arrays["l1_tags"][core]
+                    == system.l1.tags[lanes]).all()
+            assert (snapshot.arrays["l1_ticks"][core]
+                    == system.l1.ticks[lanes]).all()
 
     def test_snapshot_restore_via_file(self, tmp_path):
         """run_trace(snapshot=path) loads the file and runs only the tail."""

@@ -1,9 +1,11 @@
 """Malformed trace rows are rejected at the run loop with a clean error.
 
 Without the check a negative core silently simulates as the core Python's
-negative indexing selects, an out-of-range core dies inside the row loop, a
-negative instruction gap runs with a negative IPC, and an address at or past
-``2**63`` wraps to a negative block address in the chunk decode.
+negative indexing selects, an out-of-range core dies inside the chunk loop, a
+negative instruction gap runs with a negative IPC, an address at or past
+``2**63`` wraps to a negative block address in the chunk decode, and a PC at
+or past ``2**63`` (an x86-64 kernel-half PC) wraps in the chunk loop's
+``int64`` arithmetic.
 """
 
 import numpy as np
@@ -18,7 +20,8 @@ from repro.trace.source import IngestSource
 ROWS = 16
 BAD_ROW = 5
 MALFORMED = [("core", -1), ("core", 99), ("instructions", -5),
-             ("address", 2**63), ("address", 2**64 - 64)]
+             ("address", 2**63), ("address", 2**64 - 64),
+             ("pc", 2**63), ("pc", 2**64 - 4)]
 
 
 def _trace(column, value):
@@ -64,4 +67,11 @@ def test_valid_trace_runs():
 
 def test_highest_block_below_the_address_limit_runs():
     result = ServerSystem(base_open()).run(_trace("address", 2**63 - 64))
+    assert result.counters["accesses"] == ROWS
+
+
+@pytest.mark.parametrize("cache_engine", ["flat", "dict"])
+def test_highest_pc_below_the_limit_runs(cache_engine):
+    system = ServerSystem(base_open(), cache_engine=cache_engine)
+    result = system.run(_trace("pc", 2**63 - 4))
     assert result.counters["accesses"] == ROWS
