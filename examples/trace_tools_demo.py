@@ -8,8 +8,9 @@ that boundary:
 
 1. generate a multi-core Web Serving trace and characterise it statically
    (footprint, read/write mix, code/data correlation, static region density);
-2. save it to disk in both supported formats and verify the round trip;
-3. slice it: one core's stream, the store-only stream, a SMARTS-style sample;
+2. save it to disk in two of the supported formats and verify the round trip;
+3. slice it with column masks: one core's stream, the store-only stream, and
+   a zero-copy window of the first tenth;
 4. run it through the open-row baseline with an LLC trace recorder attached
    and compare the processor-side trace with the post-L1 stream the memory
    system (and BuMP) actually sees.
@@ -31,14 +32,18 @@ from repro.sim import base_open
 from repro.sim.runner import build_trace, run_trace
 from repro.trace import (
     LLCTraceRecorder,
+    TraceBuffer,
     characterize_trace,
-    filter_by_core,
-    filter_by_type,
-    load_trace,
-    sample_systematic,
+    load_trace_buffer,
     save_trace,
 )
+from repro.trace.buffer import TRACE_FIELDS
 from repro.workloads.catalog import workload_names
+
+
+def select(trace: TraceBuffer, mask) -> TraceBuffer:
+    """The rows of ``trace`` where the boolean ``mask`` is set, in order."""
+    return TraceBuffer(*(getattr(trace, name)[mask] for name in TRACE_FIELDS))
 
 
 def characterisation_report(title: str, trace) -> None:
@@ -68,21 +73,22 @@ def main() -> None:
         csv_path = save_trace(trace, Path(tmp) / "trace.csv")
         npz_path = save_trace(trace, Path(tmp) / "trace.npz")
         sizes = [[path.name, f"{path.stat().st_size / 1024:.1f} KiB",
-                  str(load_trace(path) == trace)]
+                  str(load_trace_buffer(path) == trace)]
                  for path in (csv_path, npz_path)]
         print_report("\n== on-disk formats ==")
         print_report(format_table(sizes, headers=["file", "size", "round-trips"]))
 
-    # 3. Slice the trace.
-    core0 = filter_by_core(trace, cores=[0])
-    stores = filter_by_type(trace, loads=False, stores=True)
-    sampled = sample_systematic(trace, period=10, unit_length=500)
+    # 3. Slice the trace: masks select rows, a slice is a zero-copy view.
+    slices = {
+        "core 0 only": select(trace, trace.core == 0),
+        "stores only": select(trace, trace.is_store),
+        "first tenth (view)": trace[:len(trace) // 10],
+    }
     print_report("\n== slices ==")
     print_report(format_table(
-        [["core 0 only", str(len(core0))],
-         ["stores only", str(len(stores))],
-         ["systematic 1-in-10 sample", str(len(sampled))]],
-        headers=["slice", "accesses"]))
+        [[name, str(len(part)), f"{part.store_fraction:.1%}"]
+         for name, part in slices.items()],
+        headers=["slice", "accesses", "stores"]))
 
     # 4. Run the trace with a recorder attached and compare the two levels.
     small_llc = SystemParams().scaled(
@@ -92,7 +98,7 @@ def main() -> None:
     result = run_trace(trace, base_open().with_overrides(system=small_llc),
                        warmup_fraction=0.0, extra_agents=[recorder])
     characterisation_report("post-L1 miss stream (what DRAM sees)",
-                            recorder.miss_trace())
+                            recorder.miss_trace_buffer())
     print_report(format_table(
         [["LLC demand accesses", f"{len(recorder.accesses)}"],
          ["LLC miss ratio", f"{recorder.llc_miss_ratio:.1%}"],

@@ -12,15 +12,16 @@ The package is organised as one subpackage per subsystem:
   compared against (stride, SMS, VWQ) plus the related-work foils used by the
   ablations (next-line, Stealth-style region prefetching, age-based eager
   writeback).
-* :mod:`repro.cpu` -- core microarchitecture models (MSHR file, ROB/MLP
-  model, interval timing).
+* :mod:`repro.cpu` -- core microarchitecture models (ROB/MLP model,
+  interval timing).
 * :mod:`repro.workloads` -- synthetic server workload generators calibrated
   to the paper's characterisation of CloudSuite and TPC-H behaviour.
 * :mod:`repro.scenario` -- the composable scenario engine: multi-tenant,
   phased, bursty compositions of the workload generators, compiled to the
   same columnar trace pipeline.
-* :mod:`repro.trace` -- trace persistence, characterisation, slicing and
-  post-L1 stream capture.
+* :mod:`repro.trace` -- the columnar :class:`~repro.trace.TraceBuffer`,
+  the one trace shape from generator to simulator, plus persistence,
+  characterisation, trace sources and post-L1 stream capture.
 * :mod:`repro.sim` -- the trace-driven full-system model, system
   configurations, timing, the experiment runner and the warm-state
   snapshot engine (:mod:`repro.sim.snapshot`: checkpoint/restore of the
@@ -68,13 +69,12 @@ from repro.trace import TraceBuffer
 from repro.workloads import (
     WORKLOADS,
     WorkloadSpec,
-    generate_trace,
     generate_trace_buffer,
     get_workload,
     iter_trace_chunks,
 )
 
-__version__ = "1.13.0"
+__version__ = "1.14.0"
 
 __all__ = [
     "BuMPConfig",
@@ -95,7 +95,6 @@ __all__ = [
     "TraceBuffer",
     "WORKLOADS",
     "WorkloadSpec",
-    "generate_trace",
     "generate_trace_buffer",
     "get_workload",
     "iter_trace_chunks",

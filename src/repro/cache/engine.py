@@ -11,8 +11,8 @@ every workload and named configuration):
 
 ``dict``
     :class:`repro.cache.set_assoc.SetAssociativeCache` -- the original
-    dict-of-CacheLine model, kept as the benchmark baseline the same way the
-    trace pipeline kept ``generate_trace_legacy``.
+    dict-of-CacheLine model, kept as the benchmark baseline and the parity
+    suite's reference engine.
 
 Select globally with the ``REPRO_CACHE_ENGINE`` environment variable or per
 run via the ``cache_engine`` argument of :class:`repro.sim.system.ServerSystem`

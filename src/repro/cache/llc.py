@@ -83,9 +83,6 @@ class LastLevelCache:
             self._stats.inc("demand_misses")
         else:
             self._stats.inc("demand_hits")
-            if line.prefetched and not self._counted_as_used(line):
-                # access() already flipped the used bit; nothing more to do.
-                pass
         return line
 
     def demand_access(self, block_address: int, is_write: bool) -> Tuple[bool, bool]:
@@ -108,10 +105,6 @@ class LastLevelCache:
         covered = resident is not None and resident.prefetched and not resident.used
         line = self.access(block_address, is_write)
         return line is not None, covered
-
-    @staticmethod
-    def _counted_as_used(line: CacheLine) -> bool:
-        return line.used
 
     def fill(self, block_address: int, dirty: bool = False, prefetched: bool = False,
              pc: int = 0, core: int = 0) -> Optional[EvictedLine]:

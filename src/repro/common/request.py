@@ -1,45 +1,15 @@
-"""Record types that flow between simulator components.
+"""Record types for block transfers between the LLC and main memory.
 
-Two layers of the memory system exchange records:
-
-* :class:`Access` -- a processor-side memory reference produced by the
-  workload generators: a program counter, a byte address and whether the
-  instruction is a load or a store.
-* :class:`DRAMRequest` -- a block transfer between the LLC and main memory,
-  tagged with the reason it was generated (demand miss, prefetch, bulk read,
-  demand writeback, eager/bulk writeback) so the experiment harness can
-  attribute traffic, coverage and overfetch.
+A :class:`DRAMRequest` is one block transfer, tagged with the reason it was
+generated (demand miss, prefetch, bulk read, demand writeback, eager/bulk
+writeback) so the experiment harness can attribute traffic, coverage and
+overfetch.  Processor-side references never exist as records: they travel
+as :class:`repro.trace.buffer.TraceBuffer` columns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum, IntEnum
-
-
-class AccessType(IntEnum):
-    """Kind of processor memory reference."""
-
-    LOAD = 0
-    STORE = 1
-
-
-@dataclass
-class Access:
-    """One processor-side memory reference emitted by a workload generator."""
-
-    core: int
-    pc: int
-    address: int
-    type: AccessType = AccessType.LOAD
-    #: Number of instructions the core executed since its previous memory
-    #: reference; drives the analytic timing model.
-    instructions: int = 1
-
-    @property
-    def is_store(self) -> bool:
-        """True when the access was produced by a store instruction."""
-        return self.type == AccessType.STORE
+from enum import Enum
 
 
 class DRAMRequestKind(Enum):
@@ -85,15 +55,6 @@ for _code, _kind in enumerate(DRAMRequestKind):
 #: ``KIND_IS_READ[kind.code]`` / ``KIND_IS_DEMAND[kind.code]`` fast tables.
 KIND_IS_READ = tuple(kind.is_read for kind in DRAMRequestKind)
 KIND_IS_DEMAND = tuple(kind.is_demand for kind in DRAMRequestKind)
-
-
-class DRAMCommandKind(Enum):
-    """Low-level DRAM commands issued by the memory controller."""
-
-    ACTIVATE = "activate"
-    READ = "read"
-    WRITE = "write"
-    PRECHARGE = "precharge"
 
 
 class DRAMRequest:

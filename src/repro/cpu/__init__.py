@@ -5,14 +5,12 @@ are simulated cycle-accurately in Flexus.  The reproduction's default timing
 model (:mod:`repro.sim.timing`) treats the core analytically with a *fixed*
 memory-level-parallelism factor; this package provides the first-order
 microarchitectural models needed to derive that factor instead of assuming
-it, plus the structures the derivation depends on:
+it:
 
-* :mod:`repro.cpu.mshr` -- a miss-status-holding-register file: bounds the
-  number of outstanding off-chip misses and merges secondary misses to the
-  same block.
 * :mod:`repro.cpu.rob` -- a first-order ROB-occupancy model (in the spirit of
   Karkhanis & Smith's interval analysis): how many independent misses a
-  48-entry-ROB core can expose under a given miss density and latency.
+  48-entry-ROB core can expose under a given miss density and latency,
+  capped by the number of L1 MSHRs (an ``mshr_entries`` count).
 * :mod:`repro.cpu.interval` -- an alternative timing model with the same
   interface as :class:`repro.sim.timing.TimingModel`, selectable through
   ``SystemConfig.timing_model = "interval"``, that derives the exposed-stall
@@ -20,7 +18,6 @@ it, plus the structures the derivation depends on:
 """
 
 from repro.cpu.interval import IntervalTimingModel
-from repro.cpu.mshr import MSHRFile
 from repro.cpu.rob import ROBModel
 
-__all__ = ["IntervalTimingModel", "MSHRFile", "ROBModel"]
+__all__ = ["IntervalTimingModel", "ROBModel"]

@@ -14,8 +14,7 @@ Formats: results are small and stay pickled; traces are stored as compact
 structured ``.npy`` column files through the :mod:`repro.trace.io` codec and
 read back **memory-mapped** as :class:`repro.trace.buffer.TraceBuffer`
 bundles -- no per-access objects are ever serialised, so shipping a trace to
-a worker costs page-cache reads instead of unpickling hundreds of thousands
-of boxed records.
+a worker costs page-cache reads instead of unpickling.
 
 Concurrency model: many worker processes share one store directory.  Writers
 stage into a temporary file and ``os.replace`` it into place, so readers never
@@ -49,7 +48,8 @@ __all__ = [
 #: serialised payload layout changes, so mismatching artifacts are treated
 #: as misses and rewritten rather than unpickled into garbage.  History:
 #:
-#: * **1** -- results and traces both pickled (traces as ``Access`` lists).
+#: * **1** -- results and traces both pickled (traces as lists of boxed
+#:   per-access records).
 #: * **2** (current) -- traces moved to structured ``.npy`` record files
 #:   (``repro.trace.buffer.TRACE_RECORD_DTYPE`` schema, loaded back
 #:   memory-mapped); results remain pickled ``(version, payload)`` tuples.
@@ -269,11 +269,13 @@ class ArtifactStore:
         self._touch(path, size)
         return buffer
 
-    def put_trace(self, digest: str, trace) -> Path:
-        """Persist a trace (a :class:`TraceBuffer` or ``Access`` iterable)."""
-        buffer = TraceBuffer.coerce(trace)
+    def put_trace(self, digest: str, trace: TraceBuffer) -> Path:
+        """Persist a :class:`TraceBuffer` (anything else is a ``TypeError``)."""
+        if not isinstance(trace, TraceBuffer):
+            raise TypeError(f"put_trace needs a TraceBuffer, got "
+                            f"{type(trace).__name__}")
         return self._publish(self._path("traces", digest),
-                             lambda staging: save_trace(buffer, staging))
+                             lambda staging: save_trace(trace, staging))
 
     def get_result(self, digest: str):
         """Return the stored :class:`SimulationResult` for ``digest`` or ``None``."""

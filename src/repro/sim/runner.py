@@ -6,8 +6,7 @@ sees the identical reference stream), instantiate the configured system, run
 the trace and hand back the :class:`SimulationResult`.
 
 Traces are columnar :class:`repro.trace.buffer.TraceBuffer` bundles end to
-end: :func:`build_trace` returns a buffer (it still iterates as boxed
-``Access`` records for legacy callers), :func:`run_trace` feeds buffers --
+end: :func:`build_trace` returns a buffer, :func:`run_trace` feeds buffers --
 or streaming chunk iterators -- straight into the simulator's chunk loop, and
 :func:`run_workload_streaming` runs arbitrarily long traces at bounded
 memory without ever materializing per-access Python objects.
@@ -20,10 +19,9 @@ regenerating a trace costs more than simulating it.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Optional, Union
 
 from repro.common.fingerprint import workload_fingerprint
-from repro.common.request import Access
 from repro.sim.config import SystemConfig, named_configs
 from repro.sim.results import SimulationResult
 from repro.sim.snapshot import (
@@ -71,7 +69,9 @@ _TRACE_CACHE: "OrderedDict[tuple, TraceBuffer]" = OrderedDict()
 _TRACE_CACHE_HITS = 0
 _TRACE_CACHE_MISSES = 0
 
-TraceLike = Union[TraceBuffer, Sequence[Access], Iterable]
+#: A TraceBuffer, an iterable of TraceBuffer chunks, a Scenario or a
+#: TraceSource; :func:`run_trace` rejects anything else.
+TraceLike = Union[TraceBuffer, Iterable]
 
 
 def _freeze_trace(trace: TraceBuffer) -> TraceBuffer:
@@ -158,14 +158,16 @@ def run_trace(trace: TraceLike, config: SystemConfig,
               snapshot_key: Optional[str] = None) -> SimulationResult:
     """Run an explicit trace through one system configuration.
 
-    ``trace`` may be a :class:`TraceBuffer`, a sequence of ``Access``
-    records, an iterator of either (including a stream of ``TraceBuffer``
-    chunks), or a :class:`repro.scenario.spec.Scenario` (compiled to a
-    streaming chunk iterator; its ``total_accesses`` supplies the warmup
-    boundary).  Materialized inputs are consumed in place -- never copied;
-    for pure iterators the warmup boundary needs a length, so pass
-    ``num_accesses`` to stay streaming (otherwise the iterator is buffered
-    once into columnar form).
+    ``trace`` may be a :class:`TraceBuffer`, an iterable (list, tuple or
+    iterator) of ``TraceBuffer`` chunks, a
+    :class:`repro.scenario.spec.Scenario` (compiled to a streaming chunk
+    iterator; its ``total_accesses`` supplies the warmup boundary) or a
+    :class:`repro.trace.source.TraceSource`.  Anything else raises
+    ``TypeError``: before the run for a buffer list, and at the offending
+    chunk for an iterator.  Materialized inputs are consumed in place --
+    never copied; for pure iterators the warmup boundary needs a length, so
+    pass ``num_accesses`` to stay streaming (otherwise the iterator is
+    buffered once into columnar form).
 
     ``extra_agents`` are additional :class:`repro.cache.agent.LLCAgent`
     instances attached to the LLC for this run only -- typically passive
@@ -349,14 +351,15 @@ def _trace_length(trace: TraceLike) -> Optional[int]:
     """Number of accesses in ``trace``, or ``None`` if it must be drained.
 
     A materialized list of chunks counts *accesses*, not chunks -- ``len()``
-    on a ``[TraceBuffer, ...]`` would silently misplace the warmup boundary.
+    on a ``[TraceBuffer, ...]`` would silently misplace the warmup boundary
+    (and any other item is rejected with ``TypeError`` before counting).
     A scenario declares its length, so it stays streaming.
     """
     total = getattr(trace, "total_accesses", None)
     if isinstance(total, int):  # a Scenario (duck-typed to avoid the import)
         return total
-    if isinstance(trace, (list, tuple)) and trace and isinstance(trace[0], TraceBuffer):
-        return sum(len(chunk) for chunk in trace)
+    if isinstance(trace, (list, tuple)):
+        return sum(len(chunk) for chunk in as_chunk_iterator(trace))
     try:
         return len(trace)
     except TypeError:

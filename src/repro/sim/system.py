@@ -270,12 +270,12 @@ class ServerSystem:
 
         ``trace`` may be a :class:`repro.trace.buffer.TraceBuffer`, an
         iterable of :class:`TraceBuffer` chunks (the streaming pipeline), a
-        sequence/iterator of boxed :class:`Access` records (the legacy
-        shape), a :class:`repro.scenario.spec.Scenario` (compiled to a chunk
-        stream on the fly, at the compiler's default seed), or any
-        :class:`repro.trace.source.TraceSource`.  Every shape is interpreted
-        through the same columnar chunk loop, so the result is identical
-        regardless of how the trace arrives.
+        :class:`repro.scenario.spec.Scenario` (compiled to a chunk stream on
+        the fly, at the compiler's default seed), or any
+        :class:`repro.trace.source.TraceSource`; any other shape, or a chunk
+        that is not a :class:`TraceBuffer`, raises ``TypeError``.  Every
+        shape is interpreted through the same columnar chunk loop, so the
+        result is identical regardless of how the trace arrives.
 
         Production is pull-based: the system fully services chunk *k* before
         requesting chunk *k+1*, and sources declaring ``wants_feedback``

@@ -17,9 +17,6 @@ needs around those streams:
 * :mod:`repro.trace.stats` -- characterise a trace without simulating it:
   footprint, read/write mix, per-PC and per-region histograms, and a static
   region-density profile comparable to Figure 5.
-* :mod:`repro.trace.filters` -- slice and recombine traces: filter by core,
-  access type or address range, split per core, interleave per-core streams,
-  systematic (SMARTS-style) sampling, and deterministic truncation.
 * :mod:`repro.trace.capture` -- observe a simulation from the inside: an LLC
   agent that records the post-L1 request/eviction stream so the off-chip
   behaviour of a run can itself be saved, inspected and replayed.
@@ -39,17 +36,7 @@ from repro.trace.source import (
     as_trace_source,
     resume_source,
 )
-from repro.trace.filters import (
-    filter_by_address_range,
-    filter_by_core,
-    filter_by_type,
-    interleave_round_robin,
-    remap_cores,
-    sample_systematic,
-    split_by_core,
-    truncate,
-)
-from repro.trace.io import load_trace, load_trace_buffer, save_trace
+from repro.trace.io import load_trace_buffer, save_trace
 from repro.trace.stats import TraceStatistics, characterize_trace
 
 __all__ = [
@@ -65,15 +52,6 @@ __all__ = [
     "as_trace_source",
     "characterize_trace",
     "resume_source",
-    "filter_by_address_range",
-    "filter_by_core",
-    "filter_by_type",
-    "interleave_round_robin",
-    "load_trace",
     "load_trace_buffer",
-    "remap_cores",
-    "sample_systematic",
     "save_trace",
-    "split_by_core",
-    "truncate",
 ]

@@ -1,31 +1,27 @@
 """Columnar structure-of-arrays trace representation.
 
 A :class:`TraceBuffer` holds one access trace as five parallel NumPy arrays
-(``core``, ``pc``, ``address``, ``is_store``, ``instructions``) instead of a
-list of per-access :class:`repro.common.request.Access` objects.  The layout
-is the backbone of the streaming trace pipeline:
+(``core``, ``pc``, ``address``, ``is_store``, ``instructions``).  It is the
+only trace shape in the package, from the generators to the simulator:
 
 * the workload generators emit traces as chunks of these arrays (batched
   ``np.random.Generator`` draws, no per-access Python objects);
-* the simulator iterates a buffer row-wise over ``tolist()``-decoded columns,
-  so the hot loop sees plain Python scalars and produces results
-  bit-identical to the object path;
-* :mod:`repro.trace.io` persists buffers to disk (compressed ``.npz`` or a
-  memory-mappable structured ``.npy``) and :mod:`repro.exec.store` ships them
-  between campaign workers without pickling object lists.
+* the simulator decodes each chunk's columns with ``tolist()``, so the hot
+  loop sees plain Python scalars;
+* :mod:`repro.trace.io` persists buffers to disk (CSV, compressed ``.npz``
+  or a memory-mappable structured ``.npy``) and :mod:`repro.exec.store`
+  ships them between campaign workers without pickling.
 
 The dtypes are fixed (and shared with the on-disk formats): ``int32`` cores
 and instruction counts, ``uint64`` PCs and addresses, ``bool`` store flags --
-29 bytes per access versus several hundred for a boxed ``Access``.
+25 bytes per access.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Sequence, Tuple, Union
+from typing import Iterator, Sequence, Tuple
 
 import numpy as np
-
-from repro.common.request import Access, AccessType
 
 #: Column names in canonical order (also the on-disk schema).
 TRACE_FIELDS: Tuple[str, ...] = ("core", "pc", "address", "is_store", "instructions")
@@ -79,24 +75,6 @@ class TraceBuffer:
         return cls(*(np.empty(0, dtype=TRACE_DTYPES[name]) for name in TRACE_FIELDS))
 
     @classmethod
-    def from_accesses(cls, accesses: Iterable[Access]) -> "TraceBuffer":
-        """Build a buffer from an iterable of :class:`Access` records."""
-        records = accesses if isinstance(accesses, (list, tuple)) else list(accesses)
-        return cls(
-            core=np.fromiter((a.core for a in records),
-                             dtype=TRACE_DTYPES["core"], count=len(records)),
-            pc=np.fromiter((a.pc for a in records),
-                           dtype=TRACE_DTYPES["pc"], count=len(records)),
-            address=np.fromiter((a.address for a in records),
-                                dtype=TRACE_DTYPES["address"], count=len(records)),
-            is_store=np.fromiter((a.is_store for a in records),
-                                 dtype=TRACE_DTYPES["is_store"], count=len(records)),
-            instructions=np.fromiter((a.instructions for a in records),
-                                     dtype=TRACE_DTYPES["instructions"],
-                                     count=len(records)),
-        )
-
-    @classmethod
     def from_structured(cls, records: np.ndarray) -> "TraceBuffer":
         """Build a buffer from a structured array with the canonical fields.
 
@@ -110,13 +88,6 @@ class TraceBuffer:
                 f"structured trace records need fields {TRACE_FIELDS}, "
                 f"got {names}")
         return cls(*(records[name] for name in TRACE_FIELDS))
-
-    @classmethod
-    def coerce(cls, trace: Union["TraceBuffer", Iterable[Access]]) -> "TraceBuffer":
-        """Return ``trace`` as a buffer, converting object traces if needed."""
-        if isinstance(trace, TraceBuffer):
-            return trace
-        return cls.from_accesses(trace)
 
     @classmethod
     def concat(cls, buffers: Sequence["TraceBuffer"]) -> "TraceBuffer":
@@ -135,36 +106,23 @@ class TraceBuffer:
     def __len__(self) -> int:
         return len(self.core)
 
-    def __getitem__(self, index) -> Union[Access, "TraceBuffer"]:
-        """``buffer[i]`` boxes one row; ``buffer[a:b]`` is a zero-copy view."""
-        if isinstance(index, slice):
-            return TraceBuffer(*(getattr(self, name)[index] for name in TRACE_FIELDS))
-        return Access(
-            core=int(self.core[index]),
-            pc=int(self.pc[index]),
-            address=int(self.address[index]),
-            type=AccessType.STORE if self.is_store[index] else AccessType.LOAD,
-            instructions=int(self.instructions[index]),
-        )
+    def __getitem__(self, index: slice) -> "TraceBuffer":
+        """``buffer[a:b]`` is a zero-copy view; rows are never boxed."""
+        if not isinstance(index, slice):
+            raise TypeError(
+                f"TraceBuffer rows are not addressable one at a time "
+                f"(got index {index!r}): slice the buffer, index a column "
+                f"array, or decode with columns_as_lists()")
+        return TraceBuffer(*(getattr(self, name)[index] for name in TRACE_FIELDS))
 
-    def __iter__(self) -> Iterator[Access]:
-        """Iterate boxed :class:`Access` records (compatibility path).
-
-        Decoding goes through :meth:`columns_as_lists` so iteration costs one
-        bulk conversion rather than a NumPy scalar unboxing per field.
-        """
-        core, pc, address, is_store, instructions = self.columns_as_lists()
-        for i in range(len(core)):
-            yield Access(core=core[i], pc=pc[i], address=address[i],
-                         type=AccessType.STORE if is_store[i] else AccessType.LOAD,
-                         instructions=instructions[i])
+    #: Rows are not iterable either (``None`` disables the protocol, so
+    #: ``iter(buffer)`` fails at once instead of falling back to indexing).
+    __iter__ = None
 
     def __eq__(self, other) -> bool:
         if isinstance(other, TraceBuffer):
             return all(np.array_equal(getattr(self, name), getattr(other, name))
                        for name in TRACE_FIELDS)
-        if isinstance(other, (list, tuple)):
-            return len(self) == len(other) and self.to_accesses() == list(other)
         return NotImplemented
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -177,16 +135,12 @@ class TraceBuffer:
         """Decode every column to plain Python scalars in one pass.
 
         This is the simulator's entry point: ``tolist()`` yields native
-        ``int``/``bool`` values, so the interpretation loop performs the same
-        arithmetic as the boxed-object path (no ``uint64`` wraparound
-        surprises) while paying one bulk conversion per chunk.
+        ``int``/``bool`` values, so the interpretation loop does plain
+        integer arithmetic (no ``uint64`` wraparound surprises) while paying
+        one bulk conversion per chunk.
         """
         return (self.core.tolist(), self.pc.tolist(), self.address.tolist(),
                 self.is_store.tolist(), self.instructions.tolist())
-
-    def to_accesses(self) -> List[Access]:
-        """Materialize the buffer as a list of boxed :class:`Access` records."""
-        return list(self)
 
     def to_structured(self) -> np.ndarray:
         """Pack the columns into one structured record array (for ``.npy``)."""
@@ -224,40 +178,44 @@ class TraceBuffer:
         return int(self.instructions.sum(dtype=np.int64))
 
 
+#: The trace shapes the simulator accepts, for error messages.
+_ACCEPTED_SHAPES = ("a TraceBuffer, an iterable of TraceBuffer chunks, "
+                    "a Scenario or a TraceSource")
+
+
+def _not_a_chunk(item) -> TypeError:
+    return TypeError(
+        f"trace chunks must be TraceBuffer instances, got "
+        f"{type(item).__name__}; the simulator accepts {_ACCEPTED_SHAPES}")
+
+
 def as_chunk_iterator(trace, chunk_size: int = DEFAULT_CHUNK_SIZE
                       ) -> Iterator[TraceBuffer]:
-    """Normalise any trace shape to an iterator of :class:`TraceBuffer` chunks.
+    """Normalise a trace to an iterator of :class:`TraceBuffer` chunks.
 
-    Accepts a :class:`TraceBuffer`, a sequence of :class:`Access` records, an
-    iterator of :class:`Access` records (batched into chunks as it drains),
-    or an iterable that already yields :class:`TraceBuffer` chunks (passed
-    through unchanged).
+    Accepts a :class:`TraceBuffer` (windowed into ``chunk_size`` views), a
+    list or tuple of buffers, or an iterator of buffers (both passed through
+    chunk for chunk).  Any other item raises ``TypeError``: sequences are
+    checked up front, iterators as each item is drawn.
     """
     if isinstance(trace, TraceBuffer):
         return trace.iter_chunks(chunk_size)
     if isinstance(trace, (list, tuple)):
-        if trace and isinstance(trace[0], TraceBuffer):
-            return iter(trace)
-        return TraceBuffer.from_accesses(trace).iter_chunks(chunk_size)
-
-    def batched() -> Iterator[TraceBuffer]:
+        for item in trace:
+            if not isinstance(item, TraceBuffer):
+                raise _not_a_chunk(item)
+        return iter(trace)
+    try:
         iterator = iter(trace)
-        try:
-            first = next(iterator)
-        except StopIteration:
-            return
-        if isinstance(first, TraceBuffer):
-            yield first
-            for chunk in iterator:
-                yield chunk
-            return
-        batch = [first]
-        for access in iterator:
-            batch.append(access)
-            if len(batch) >= chunk_size:
-                yield TraceBuffer.from_accesses(batch)
-                batch = []
-        if batch:
-            yield TraceBuffer.from_accesses(batch)
+    except TypeError:
+        raise TypeError(
+            f"cannot read a trace from {type(trace).__name__}; the simulator "
+            f"accepts {_ACCEPTED_SHAPES}") from None
 
-    return batched()
+    def checked() -> Iterator[TraceBuffer]:
+        for chunk in iterator:
+            if not isinstance(chunk, TraceBuffer):
+                raise _not_a_chunk(chunk)
+            yield chunk
+
+    return checked()

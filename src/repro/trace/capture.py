@@ -34,7 +34,6 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.common.request import Access, AccessType
 from repro.common.stats import StatGroup
 from repro.cache.agent import LLCAgent
 from repro.cache.set_assoc import EvictedLine
@@ -251,24 +250,6 @@ class LLCTraceRecorder(LLCAgent):
         from repro.trace.io import save_trace
 
         return save_trace(self.miss_trace_buffer(), path)
-
-    def miss_trace(self) -> List[Access]:
-        """The recorded miss stream as processor-level ``Access`` records.
-
-        Boxed counterpart of :meth:`miss_trace_buffer`, kept for callers
-        that feed per-record APIs; the result can be saved with
-        :func:`repro.trace.io.save_trace` and replayed against a
-        memory-system model.
-        """
-        return [
-            Access(core=int(core), pc=int(pc), address=int(address),
-                   type=AccessType.STORE if store else AccessType.LOAD,
-                   instructions=1)
-            for core, pc, address, store in zip(
-                self._misses.column("core"), self._misses.column("pc"),
-                self._misses.column("block_address"),
-                self._misses.column("is_store"))
-        ]
 
     @property
     def llc_miss_ratio(self) -> float:

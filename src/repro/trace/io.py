@@ -14,56 +14,67 @@ Three formats are supported, selected by file extension:
   columns zero-copy straight out of the page cache, which is how the
   campaign artifact store ships traces between worker processes.
 
-Saving accepts either a columnar :class:`TraceBuffer` or any iterable of
-boxed :class:`Access` records; loading returns a :class:`TraceBuffer` via
-:func:`load_trace_buffer` (the canonical API) or a boxed list via
-:func:`load_trace` (compatibility).  All formats round-trip exactly:
+:func:`save_trace` writes a :class:`TraceBuffer` and
+:func:`load_trace_buffer` reads one back.  All formats round-trip exactly:
 ``load_trace_buffer(save_trace(trace, path))`` reproduces the original
 field-for-field.
 
-Binary formats are checked at load: every stored column must cast *safely*
-(``np.can_cast(..., casting="safe")``) to its :data:`TRACE_DTYPES` type.
-Narrower types widen exactly and load; a float ``core``, a float
-``instructions`` or a signed ``address`` column is rejected with a
-``ValueError`` instead of being truncated or wrapped.
+Every format is checked at load, so a value is never truncated or wrapped
+into its column:
+
+* binary formats: every stored column must cast *safely*
+  (``np.can_cast(..., casting="safe")``) to its :data:`TRACE_DTYPES` type.
+  Narrower types widen exactly and load; a float ``core``, a float
+  ``instructions`` or a signed ``address`` column is rejected;
+* CSV: every numeric field must parse as an integer that fits its column's
+  dtype.  The error names the file, the line, the column and the value.
 """
 
 from __future__ import annotations
 
 import csv
 from pathlib import Path
-from typing import Dict, Iterable, List, Union
+from typing import Dict, Iterator, TextIO, Union
 
 import numpy as np
 
-from repro.common.request import Access, AccessType
 from repro.trace.buffer import TRACE_DTYPES, TRACE_FIELDS, TraceBuffer
 
 _CSV_HEADER = ["core", "pc", "address", "type", "instructions"]
+#: Integer base and inclusive dtype range of each numeric CSV field.
+_CSV_INTEGERS = {
+    name: (base, int(np.iinfo(TRACE_DTYPES[name]).min),
+           int(np.iinfo(TRACE_DTYPES[name]).max))
+    for name, base in (("core", 10), ("pc", 0), ("address", 0),
+                       ("instructions", 10))
+}
 _CSV_SUFFIXES = {".csv", ".txt"}
 _NPZ_SUFFIXES = {".npz"}
 _NPY_SUFFIXES = {".npy"}
-
-TraceLike = Union[TraceBuffer, Iterable[Access]]
 
 
 def _as_path(path: Union[str, Path]) -> Path:
     return path if isinstance(path, Path) else Path(path)
 
 
-def save_trace(trace: TraceLike, path: Union[str, Path]) -> Path:
+def save_trace(trace: TraceBuffer, path: Union[str, Path]) -> Path:
     """Write a trace to ``path``; the format follows the file extension.
 
-    Returns the path written, for call chaining.  Raises ``ValueError`` for
-    unsupported extensions so typos do not silently produce empty files.
+    Returns the path written, for call chaining.  Raises ``TypeError`` for
+    anything but a :class:`TraceBuffer` and ``ValueError`` for unsupported
+    extensions, so typos do not silently produce empty files.
     """
+    if not isinstance(trace, TraceBuffer):
+        raise TypeError(
+            f"save_trace needs a TraceBuffer, got {type(trace).__name__} "
+            f"(join a chunk stream with TraceBuffer.concat)")
     path = _as_path(path)
     if path.suffix in _CSV_SUFFIXES:
         _save_csv(trace, path)
     elif path.suffix in _NPZ_SUFFIXES:
-        _save_npz(TraceBuffer.coerce(trace), path)
+        _save_npz(trace, path)
     elif path.suffix in _NPY_SUFFIXES:
-        _save_npy(TraceBuffer.coerce(trace), path)
+        _save_npy(trace, path)
     else:
         raise ValueError(
             f"unsupported trace format {path.suffix!r}; use .csv, .txt, .npz or .npy"
@@ -81,7 +92,7 @@ def load_trace_buffer(path: Union[str, Path], mmap: bool = False) -> TraceBuffer
     if not path.exists():
         raise FileNotFoundError(f"trace file {path} does not exist")
     if path.suffix in _CSV_SUFFIXES:
-        return TraceBuffer.from_accesses(_load_csv(path))
+        return _load_csv(path)
     if path.suffix in _NPZ_SUFFIXES:
         return _load_npz(path)
     if path.suffix in _NPY_SUFFIXES:
@@ -91,53 +102,60 @@ def load_trace_buffer(path: Union[str, Path], mmap: bool = False) -> TraceBuffer
     )
 
 
-def load_trace(path: Union[str, Path]) -> List[Access]:
-    """Read a trace as boxed :class:`Access` records (compatibility API)."""
-    path = _as_path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"trace file {path} does not exist")
-    if path.suffix in _CSV_SUFFIXES:
-        return _load_csv(path)
-    return load_trace_buffer(path).to_accesses()
-
-
 # --------------------------------------------------------------------- #
 # CSV format
 # --------------------------------------------------------------------- #
-def _save_csv(trace: TraceLike, path: Path) -> None:
+def _save_csv(buffer: TraceBuffer, path: Path) -> None:
+    core, pc, address, is_store, instructions = buffer.columns_as_lists()
     with path.open("w", newline="") as handle:
         handle.write("# " + ",".join(_CSV_HEADER) + "\n")
-        writer = csv.writer(handle)
-        for access in trace:
-            writer.writerow([
-                access.core,
-                f"0x{access.pc:x}",
-                f"0x{access.address:x}",
-                "S" if access.is_store else "L",
-                access.instructions,
-            ])
+        csv.writer(handle).writerows(
+            (c, f"0x{p:x}", f"0x{a:x}", "S" if s else "L", n)
+            for c, p, a, s, n in zip(core, pc, address, is_store, instructions))
 
 
-def _load_csv(path: Path) -> List[Access]:
-    trace: List[Access] = []
+def _load_csv(path: Path) -> TraceBuffer:
+    columns = {name: [] for name in TRACE_FIELDS}
+    line = 0
+
+    def data_lines(handle: TextIO) -> Iterator[str]:
+        nonlocal line
+        for line, text in enumerate(handle, start=1):
+            if not text.startswith("#"):
+                yield text
+
     with path.open(newline="") as handle:
-        reader = csv.reader(line for line in handle if not line.startswith("#"))
-        for row in reader:
+        for row in csv.reader(data_lines(handle)):
             if not row:
                 continue
             if len(row) != len(_CSV_HEADER):
-                raise ValueError(f"malformed trace row in {path}: {row!r}")
-            core, pc, address, kind, instructions = row
-            if kind not in ("L", "S"):
-                raise ValueError(f"unknown access type {kind!r} in {path}")
-            trace.append(Access(
-                core=int(core),
-                pc=int(pc, 0),
-                address=int(address, 0),
-                type=AccessType.STORE if kind == "S" else AccessType.LOAD,
-                instructions=int(instructions),
-            ))
-    return trace
+                raise ValueError(
+                    f"malformed trace row in {path}, line {line}: {row!r}")
+            for name, text in zip(_CSV_HEADER, row):
+                if name == "type":
+                    if text not in ("L", "S"):
+                        raise ValueError(f"unknown access type {text!r} in "
+                                         f"{path}, line {line}")
+                    columns["is_store"].append(text == "S")
+                else:
+                    columns[name].append(_csv_integer(path, line, name, text))
+    return TraceBuffer(**columns)
+
+
+def _csv_integer(path: Path, line: int, name: str, text: str) -> int:
+    """Parse one numeric CSV field, rejecting values its column cannot hold."""
+    base, low, high = _CSV_INTEGERS[name]
+    try:
+        value = int(text, base)
+    except ValueError:
+        raise ValueError(
+            f"trace file {path}, line {line}: column {name!r} holds {text!r}, "
+            f"which is not an integer") from None
+    if not low <= value <= high:
+        raise ValueError(
+            f"trace file {path}, line {line}: column {name!r} holds {text!r}, "
+            f"which does not fit the required {TRACE_DTYPES[name]}")
+    return value
 
 
 # --------------------------------------------------------------------- #

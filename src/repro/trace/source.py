@@ -25,7 +25,7 @@ Members:
 * :class:`FeedbackSample` -- the boundary observation record.
 * :class:`IteratorSource` / :func:`as_trace_source` -- adapt anything the
   chunk machinery already accepts (a :class:`~repro.trace.buffer.
-  TraceBuffer`, a chunk iterator, a list of accesses) into a source with
+  TraceBuffer`, or a list or iterator of buffers) into a source with
   bit-identical output.
 * :class:`IngestSource` -- replay an externally captured trace file
   (``trace/io`` codecs, including :class:`~repro.trace.capture.
@@ -97,9 +97,9 @@ class IteratorSource:
     """Adapter: any open-loop chunk producer as a :class:`TraceSource`.
 
     Accepts everything :func:`~repro.trace.buffer.as_chunk_iterator` accepts
-    -- a :class:`TraceBuffer`, an iterator/list of buffers, a list of boxed
-    accesses -- and replays it chunk for chunk.  ``feedback`` is ignored;
-    output is bit-identical to iterating the underlying stream directly.
+    -- a :class:`TraceBuffer`, or a list or iterator of buffers -- and
+    replays it chunk for chunk.  ``feedback`` is ignored; output is
+    bit-identical to iterating the underlying stream directly.
     """
 
     #: Open-loop: the run loop never assembles feedback for this source.

@@ -14,14 +14,13 @@ a cache hierarchy.  The statistics serve three purposes:
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence, Union
+from typing import Dict, List, Sequence
 
 import numpy as np
 
-from repro.common.addressing import BLOCK_SIZE, REGION_SIZE, block_address
-from repro.common.request import Access
+from repro.common.addressing import BLOCK_SIZE, REGION_SIZE
 from repro.trace.buffer import TraceBuffer
 
 
@@ -133,46 +132,13 @@ class TraceStatistics:
         }
 
 
-def characterize_trace(trace: Union[TraceBuffer, Iterable[Access]],
+def characterize_trace(trace: TraceBuffer,
                        region_size: int = REGION_SIZE) -> TraceStatistics:
-    """Compute :class:`TraceStatistics` over a trace in one pass.
+    """Compute :class:`TraceStatistics` over a trace in one vectorized pass.
 
-    Columnar :class:`TraceBuffer` inputs take a vectorized path (NumPy
-    ``unique``/``bincount`` over the columns) that produces the identical
-    statistics one to two orders of magnitude faster than boxed iteration.
+    NumPy ``unique`` over the columns gives the footprint and the per-core,
+    per-PC and per-region histograms.
     """
-    if isinstance(trace, TraceBuffer):
-        return _characterize_buffer(trace, region_size)
-    stats = TraceStatistics()
-    blocks = set()
-    region_blocks: Dict[int, set] = defaultdict(set)
-    per_core: Dict[int, int] = defaultdict(int)
-    per_pc: Dict[int, int] = defaultdict(int)
-
-    for access in trace:
-        stats.accesses += 1
-        stats.instructions += access.instructions
-        if access.is_store:
-            stats.stores += 1
-        block = block_address(access.address)
-        blocks.add(block)
-        region_blocks[access.address // region_size].add(block)
-        per_core[access.core] += 1
-        per_pc[access.pc] += 1
-
-    stats.footprint_blocks = len(blocks)
-    stats.footprint_regions = len(region_blocks)
-    stats.active_cores = len(per_core)
-    stats.distinct_pcs = len(per_pc)
-    stats.accesses_per_core = dict(per_core)
-    stats.accesses_per_pc = dict(per_pc)
-    stats.blocks_per_region = {region: len(members)
-                               for region, members in region_blocks.items()}
-    return stats
-
-
-def _characterize_buffer(trace: TraceBuffer, region_size: int) -> TraceStatistics:
-    """Vectorized characterisation of a columnar trace."""
     stats = TraceStatistics()
     stats.accesses = len(trace)
     if stats.accesses == 0:

@@ -121,7 +121,7 @@ class TestCommands:
         assert "virtualization" in out.lower()
 
     def test_trace_generation_round_trips(self, capsys, tmp_path):
-        from repro.trace.io import load_trace
+        from repro.trace.io import load_trace_buffer
 
         output = tmp_path / "trace.npz"
         status, out = run_cli(capsys, "trace", "generate", "web_search",
@@ -129,7 +129,7 @@ class TestCommands:
                               "--cores", "4", "-o", str(output))
         assert status == 0
         assert output.exists()
-        assert len(load_trace(output)) == 2000
+        assert len(load_trace_buffer(output)) == 2000
 
     def test_trace_ingest_replays_a_saved_trace(self, capsys, tmp_path):
         output = tmp_path / "trace.npy"
@@ -293,6 +293,25 @@ class TestFailurePaths:
         with pytest.raises(SystemExit) as err:
             run_cli(capsys, "snapshot", "info", str(tmp_path / "gone.npz"))
         assert err.value.code not in (0, None)
+
+    @pytest.mark.parametrize("row", [
+        "1,0x10,-64,L,2",                 # negative address
+        "1,0x10,0x40,L,3000000000",       # instructions overflow int32
+        "4294967296,0x10,0x40,L,2",       # core overflows int32
+        "1,-1,0x40,L,2",                  # negative pc
+        "1,0x10,0x10000000000000000,L,2",  # address >= 2**64
+        "1.5,0x10,0x40,L,2",              # not an integer
+    ])
+    def test_trace_ingest_rejects_out_of_range_csv_values(self, capsys,
+                                                          tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text("# core,pc,address,type,instructions\n" + row + "\n")
+        with pytest.raises(SystemExit) as err:
+            run_cli(capsys, "trace", "ingest", str(path), "--system",
+                    "base_open")
+        message = str(err.value)
+        assert message.startswith(f"cannot read trace {str(path)!r}")
+        assert "line 2: column" in message
 
     def test_bad_interp_is_an_argparse_error(self, capsys):
         """There is one chunk loop, so no ``--interp`` value is accepted."""

@@ -2,10 +2,11 @@
 
 Two acceptance bars live here:
 
-* the columnar refactor (PR 2): for every named paper configuration and
-  every workload at the default seed, simulating the trace through the
-  chunked columnar path produces a :class:`SimulationResult` *identical* --
-  full content fingerprint, every counter -- to the legacy object-list path;
+* chunk-size invariance: for every named paper configuration and every
+  workload at the default seed, simulating the trace in small chunks
+  (misaligned with the warmup boundary) produces a
+  :class:`SimulationResult` *identical* -- full content fingerprint, every
+  counter -- to simulating the whole buffer as one chunk;
 * the flat-array cache engine: for the same matrix, the flat engine's fused
   hot path produces results bit-identical to the legacy dict engine.
 """
@@ -21,6 +22,7 @@ from repro.sim.runner import (
     run_trace,
     run_workload_streaming,
 )
+from repro.trace.buffer import DEFAULT_CHUNK_SIZE
 from repro.workloads.catalog import workload_names
 
 #: Scaled-down LLC so evictions and writebacks occur within a short trace.
@@ -38,19 +40,19 @@ def _small(config):
 
 
 @pytest.mark.parametrize("workload", workload_names())
-def test_chunked_columnar_path_matches_object_path(workload):
+def test_chunked_path_matches_whole_buffer(workload):
     """Six workloads x all named paper configs: bit-identical results."""
     trace = build_trace(workload, ACCESSES, num_cores=CORES, seed=DEFAULT_SEED)
-    boxed = trace.to_accesses()
+    assert ACCESSES <= DEFAULT_CHUNK_SIZE  # the reference run is one chunk
     for name, config in named_configs().items():
         config = _small(config)
-        legacy = run_trace(boxed, config, workload_name=workload,
-                           warmup_fraction=WARMUP)
+        whole = run_trace(trace, config, workload_name=workload,
+                          warmup_fraction=WARMUP)
         chunked = run_trace(trace.iter_chunks(CHUNK), config,
                             workload_name=workload, warmup_fraction=WARMUP,
                             num_accesses=ACCESSES)
-        assert result_fingerprint(chunked) == result_fingerprint(legacy), (
-            f"columnar path diverged from object path for {workload}/{name}")
+        assert result_fingerprint(chunked) == result_fingerprint(whole), (
+            f"chunked run diverged from the whole buffer for {workload}/{name}")
 
 
 @pytest.mark.parametrize("workload", workload_names())
@@ -94,7 +96,7 @@ def test_warmup_boundary_alignment_does_not_matter():
     """The measurement split lands mid-chunk, at a chunk edge, everywhere."""
     config = _small(named_configs(["base_open"])["base_open"])
     trace = build_trace("data_serving", 2_000, num_cores=4, seed=DEFAULT_SEED)
-    reference = run_trace(trace.to_accesses(), config, warmup_fraction=0.5)
+    reference = run_trace(trace, config, warmup_fraction=0.5)  # one chunk
     for chunk_size in (1, 100, 999, 1000, 1001, 2_000):
         chunked = run_trace(trace.iter_chunks(chunk_size), config,
                             warmup_fraction=0.5, num_accesses=2_000)

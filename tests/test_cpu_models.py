@@ -1,4 +1,4 @@
-"""Tests for the CPU microarchitecture models (MSHR, ROB, interval timing)."""
+"""Tests for the CPU microarchitecture models (ROB, interval timing)."""
 
 import pytest
 from hypothesis import given, settings
@@ -6,58 +6,10 @@ from hypothesis import strategies as st
 
 from repro.common.params import CoreParams, SystemParams
 from repro.cpu.interval import IntervalTimingModel
-from repro.cpu.mshr import MSHRFile
 from repro.cpu.rob import ROBModel
 from repro.sim.config import base_open, bump_system
 from repro.sim.runner import build_trace, run_trace
 from repro.sim.timing import TimingModel
-
-
-class TestMSHRFile:
-    def test_primary_and_secondary_misses_are_distinguished(self):
-        mshrs = MSHRFile(entries=4)
-        first = mshrs.allocate(0x1000, issue_time=1.0, pc=0x40)
-        second = mshrs.allocate(0x1000, issue_time=2.0, pc=0x44)
-        assert first is second
-        assert mshrs.primary_misses == 1
-        assert mshrs.secondary_misses == 1
-        assert second.merged == 1
-        assert second.merged_pcs == [0x44]
-
-    def test_full_file_rejects_new_primary_misses(self):
-        mshrs = MSHRFile(entries=2)
-        assert mshrs.allocate(0x1000) is not None
-        assert mshrs.allocate(0x2000) is not None
-        assert mshrs.full
-        assert mshrs.allocate(0x3000) is None
-        assert mshrs.rejected_misses == 1
-        # Merging into an existing entry still works while full.
-        assert mshrs.allocate(0x1000) is not None
-
-    def test_complete_frees_the_entry(self):
-        mshrs = MSHRFile(entries=1)
-        mshrs.allocate(0x1000)
-        assert mshrs.is_outstanding(0x1000)
-        entry = mshrs.complete(0x1000)
-        assert entry is not None and entry.block_address == 0x1000
-        assert not mshrs.is_outstanding(0x1000)
-        assert mshrs.occupancy == 0
-        assert mshrs.complete(0x1000) is None
-
-    def test_statistics(self):
-        mshrs = MSHRFile(entries=4)
-        mshrs.allocate(0x1000)
-        mshrs.allocate(0x2000)
-        mshrs.allocate(0x1000)
-        assert mshrs.merge_ratio == pytest.approx(1 / 3)
-        assert mshrs.average_occupancy > 0.0
-        mshrs.reset_statistics()
-        assert mshrs.primary_misses == 0
-        assert mshrs.occupancy == 2  # in-flight entries survive a stats reset
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            MSHRFile(entries=0)
 
 
 class TestROBModel:

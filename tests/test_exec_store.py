@@ -3,19 +3,23 @@
 import os
 import pickle
 
+import numpy as np
 import pytest
 
-from repro.common.request import Access
 from repro.exec.campaign import result_fingerprint
 from repro.exec.jobs import JobSpec
 from repro.exec.pool import execute_job
 from repro.exec.store import STORE_ENV_VAR, ArtifactStore, default_store
 from repro.sim.config import base_open
 from repro.sim.results import SimulationResult
+from repro.trace.buffer import TraceBuffer
 
 
 def _small_trace(n=8):
-    return [Access(core=0, pc=4096, address=64 * i) for i in range(n)]
+    return TraceBuffer(core=np.zeros(n, dtype=np.int32), pc=np.full(n, 4096),
+                       address=64 * np.arange(n),
+                       is_store=np.zeros(n, dtype=bool),
+                       instructions=np.ones(n, dtype=np.int32))
 
 
 @pytest.fixture
@@ -28,7 +32,7 @@ class TestRoundTrip:
         trace = _small_trace()
         store.put_trace("abc123", trace)
         loaded = store.get_trace("abc123")
-        assert [a.address for a in loaded] == [a.address for a in trace]
+        assert loaded == trace
 
     def test_result_round_trip_preserves_every_field(self, store, tmp_path):
         job = JobSpec(workload="web_search", config=base_open(),
@@ -46,6 +50,16 @@ class TestRoundTrip:
 
 
 class TestRobustness:
+    @pytest.mark.parametrize("trace", [
+        [(0, 4096, 64, False, 1)],
+        [_small_trace()],
+    ])
+    def test_put_trace_rejects_anything_but_a_buffer(self, store, trace):
+        with pytest.raises(TypeError, match="put_trace needs a TraceBuffer"):
+            store.put_trace("d" * 32, trace)
+        assert store.get_trace("d" * 32) is None
+        assert not list(store.root.rglob("*.npy"))
+
     def test_truncated_artifact_is_treated_as_miss_and_removed(self, store):
         digest = "a" * 32
         store.put_result(digest, SimulationResult(workload="w", config_name="c"))

@@ -43,7 +43,7 @@ def test_cache_key_fingerprints_spec_parameters_not_just_name():
     base = build_trace(spec, 1000, num_cores=2, seed=1)
     other = build_trace(tweaked, 1000, num_cores=2, seed=1)
     assert other is not base
-    assert [a.address for a in other] != [a.address for a in base]
+    assert other.address.tolist() != base.address.tolist()
     # Both entries coexist in the cache and keep serving their own trace.
     assert build_trace(spec, 1000, num_cores=2, seed=1) is base
     assert build_trace(tweaked, 1000, num_cores=2, seed=1) is other
@@ -61,7 +61,7 @@ def test_build_trace_can_bypass_cache():
     first = build_trace("web_search", 1000, num_cores=2, seed=1, use_cache=False)
     second = build_trace("web_search", 1000, num_cores=2, seed=1, use_cache=False)
     assert first is not second
-    assert [a.address for a in first] == [a.address for a in second]
+    assert first == second
 
 
 def test_trace_cache_is_bounded_by_lru_eviction():

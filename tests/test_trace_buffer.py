@@ -1,15 +1,14 @@
 """Round-trip equivalence of the columnar trace pipeline.
 
-Covers the tentpole refactor's data-shape conversions: boxed object traces
-<-> :class:`TraceBuffer` columns <-> on-disk ``.npz``/``.npy`` artifacts, the
-chunk-size invariance of the streaming generator, and the artifact store's
+Covers :class:`TraceBuffer` columns <-> on-disk ``.npz``/``.npy``
+artifacts, the chunk-size invariance of the streaming generator, the chunk
+normalisation every trace input goes through, and the artifact store's
 columnar trace format.
 """
 
 import numpy as np
 import pytest
 
-from repro.common.request import Access, AccessType
 from repro.exec.store import ArtifactStore
 from repro.trace.buffer import (
     DEFAULT_CHUNK_SIZE,
@@ -17,64 +16,60 @@ from repro.trace.buffer import (
     TraceBuffer,
     as_chunk_iterator,
 )
-from repro.trace.io import load_trace, load_trace_buffer, save_trace
+from repro.trace.io import load_trace_buffer, save_trace
 from repro.workloads.catalog import get_workload, workload_names
-from repro.workloads.generator import (
-    generate_trace,
-    generate_trace_buffer,
-    iter_trace_chunks,
-    iterate_trace,
-)
+from repro.workloads.generator import generate_trace_buffer, iter_trace_chunks
+
+SAMPLE_ROWS = [
+    # core, pc, address, is_store, instructions
+    (0, 0x400010, 0x1234_5678, False, 3),
+    (5, 0x500020, 0xdead_bee8, True, 12),
+    (15, 0x600030, 0, False, 1),
+]
 
 
-def _sample_accesses():
-    return [
-        Access(core=0, pc=0x400010, address=0x1234_5678, type=AccessType.LOAD,
-               instructions=3),
-        Access(core=5, pc=0x500020, address=0xdead_bee8, type=AccessType.STORE,
-               instructions=12),
-        Access(core=15, pc=0x600030, address=0, type=AccessType.LOAD,
-               instructions=1),
-    ]
+def _sample_buffer(rows=SAMPLE_ROWS):
+    return TraceBuffer(*(list(column) for column in zip(*rows)))
 
 
 # --------------------------------------------------------------------- #
-# Object <-> buffer round trips
+# Construction, views and equality
 # --------------------------------------------------------------------- #
 def test_accesses_round_trip_through_buffer():
-    accesses = _sample_accesses()
-    buffer = TraceBuffer.from_accesses(accesses)
-    assert len(buffer) == len(accesses)
-    assert buffer.to_accesses() == accesses
-    assert buffer == accesses  # element-wise equality against boxed lists
-    assert list(buffer) == accesses  # iteration boxes identical records
+    buffer = _sample_buffer()
+    assert len(buffer) == len(SAMPLE_ROWS)
+    assert list(zip(*buffer.columns_as_lists())) == SAMPLE_ROWS
+    assert buffer.store_fraction == pytest.approx(1 / 3)
+    assert buffer.total_instructions == 16
+    assert buffer != _sample_buffer(SAMPLE_ROWS[:2])
 
 
 def test_buffer_indexing_and_views():
-    buffer = TraceBuffer.from_accesses(_sample_accesses())
-    assert buffer[1].pc == 0x500020
-    assert buffer[1].is_store
+    buffer = _sample_buffer()
     view = buffer[1:]
     assert isinstance(view, TraceBuffer)
-    assert len(view) == 2
+    assert view == _sample_buffer(SAMPLE_ROWS[1:])
     # Slices are zero-copy views over the same column memory.
     assert view.address.base is not None
-    assert view.to_accesses() == _sample_accesses()[1:]
+    with pytest.raises(TypeError, match="slice the buffer"):
+        buffer[1]
+    with pytest.raises(TypeError):
+        iter(buffer)
 
 
 def test_empty_buffer_behaviour():
     empty = TraceBuffer.empty()
     assert len(empty) == 0
-    assert empty.to_accesses() == []
+    assert empty.columns_as_lists() == ([], [], [], [], [])
     assert empty.store_fraction == 0.0
     assert TraceBuffer.concat([]) == empty
 
 
 def test_concat_matches_list_concatenation():
-    accesses = _sample_accesses()
-    first = TraceBuffer.from_accesses(accesses[:1])
-    rest = TraceBuffer.from_accesses(accesses[1:])
-    assert TraceBuffer.concat([first, rest]) == accesses
+    first = _sample_buffer(SAMPLE_ROWS[:1])
+    rest = _sample_buffer(SAMPLE_ROWS[1:])
+    assert TraceBuffer.concat([first, rest]) == _sample_buffer(
+        SAMPLE_ROWS[:1] + SAMPLE_ROWS[1:])
 
 
 def test_mismatched_column_lengths_rejected():
@@ -91,7 +86,7 @@ def test_from_structured_rejects_wrong_schema():
 
 
 def test_structured_round_trip():
-    buffer = TraceBuffer.from_accesses(_sample_accesses())
+    buffer = _sample_buffer()
     assert TraceBuffer.from_structured(buffer.to_structured()) == buffer
 
 
@@ -104,25 +99,16 @@ def test_buffer_round_trips_through_every_format(tmp_path, suffix):
                                    num_cores=4, seed=11)
     path = save_trace(buffer, tmp_path / f"trace{suffix}")
     assert load_trace_buffer(path) == buffer
-    # The boxed compatibility loader sees the same records.
-    assert load_trace(path) == buffer.to_accesses()
 
 
 def test_npy_round_trip_supports_memory_mapping(tmp_path):
-    buffer = TraceBuffer.from_accesses(_sample_accesses())
+    buffer = _sample_buffer()
     path = save_trace(buffer, tmp_path / "trace.npy")
     mapped = load_trace_buffer(path, mmap=True)
     assert mapped == buffer
     # Memory-mapped columns are views into the file, not copies.
     assert isinstance(mapped.core.base, np.memmap) or isinstance(
         mapped.core, np.memmap)
-
-
-def test_object_trace_saves_through_buffer_codec(tmp_path):
-    accesses = _sample_accesses()
-    for suffix in (".npz", ".npy"):
-        path = save_trace(accesses, tmp_path / f"obj{suffix}")
-        assert load_trace_buffer(path) == accesses
 
 
 # --------------------------------------------------------------------- #
@@ -138,22 +124,12 @@ def test_chunked_generation_is_chunk_size_invariant():
         assert TraceBuffer.concat(chunks) == whole
 
 
-def test_generate_trace_shim_matches_buffer_engine():
-    spec = get_workload("media_streaming")
-    buffer = generate_trace_buffer(spec, 800, num_cores=2, seed=3)
-    assert generate_trace(spec, 800, num_cores=2, seed=3) == buffer.to_accesses()
-    assert list(iterate_trace(spec, 800, num_cores=2, seed=3)) == buffer.to_accesses()
-
-
 @pytest.mark.parametrize("workload", workload_names())
-def test_every_workload_round_trips_object_buffer_npz(tmp_path, workload):
-    """Object trace <-> TraceBuffer <-> .npz identity for all six workloads."""
+def test_every_workload_round_trips_buffer_npz(tmp_path, workload):
+    """TraceBuffer <-> .npz identity for all six workloads."""
     buffer = generate_trace_buffer(get_workload(workload), 600, num_cores=4, seed=42)
-    boxed = buffer.to_accesses()
-    assert TraceBuffer.from_accesses(boxed) == buffer
     path = save_trace(buffer, tmp_path / f"{workload}.npz")
     assert load_trace_buffer(path) == buffer
-    assert load_trace(path) == boxed
 
 
 # --------------------------------------------------------------------- #
@@ -161,13 +137,11 @@ def test_every_workload_round_trips_object_buffer_npz(tmp_path, workload):
 # --------------------------------------------------------------------- #
 def test_as_chunk_iterator_accepts_every_trace_shape():
     buffer = generate_trace_buffer(get_workload("web_search"), 300, num_cores=2, seed=1)
-    boxed = buffer.to_accesses()
     shapes = [
         buffer,
-        boxed,
-        iter(boxed),
         buffer.iter_chunks(64),
         list(buffer.iter_chunks(64)),
+        tuple(buffer.iter_chunks(64)),
     ]
     for shape in shapes:
         assert TraceBuffer.concat(list(as_chunk_iterator(shape, chunk_size=50))) == buffer
@@ -189,7 +163,7 @@ def test_store_trace_round_trip_is_columnar_and_mmapped(tmp_path):
 
 def test_store_rejects_torn_trace_artifact(tmp_path):
     store = ArtifactStore(tmp_path / "store")
-    buffer = TraceBuffer.from_accesses(_sample_accesses())
+    buffer = _sample_buffer()
     path = store.put_trace("b" * 32, buffer)
     path.write_bytes(path.read_bytes()[:16])
     assert store.get_trace("b" * 32) is None

@@ -1,18 +1,19 @@
 """The ``TraceSource`` protocol layer: adapters, ingest and feedback records.
 
-The refactor guarantee under test: every trace shape the simulator accepted
-before the protocol existed (buffers, chunk iterators, boxed access lists)
-flows through :class:`~repro.trace.source.IteratorSource` bit-identically,
-and an externally stored trace file round-trips through
+The refactor guarantee under test: every trace shape the simulator accepts
+(a buffer, or a list or iterator of buffer chunks) flows through
+:class:`~repro.trace.source.IteratorSource` bit-identically, any other shape
+or chunk is rejected with a ``TypeError``, and an externally stored trace
+file round-trips through
 :class:`~repro.trace.source.IngestSource` bit-for-bit -- including the
 capture -> export -> ingest path out of the LLC recorder.
 """
 
 import pytest
 
-from repro.common.request import Access, AccessType
 from repro.sim.config import base_open
 from repro.sim.runner import build_trace, run_trace
+from repro.sim.system import ServerSystem
 from repro.trace import (
     FeedbackSample,
     IngestSource,
@@ -55,15 +56,6 @@ class TestIteratorSource:
         source = IteratorSource(iter(chunks), chunk_size=256)
         assert TraceBuffer.concat(drain(source)) == buffer
 
-    def test_boxed_access_list_input(self):
-        accesses = [Access(core=0, pc=0x40, address=i * 64,
-                           type=AccessType.LOAD, instructions=1)
-                    for i in range(100)]
-        source = IteratorSource(accesses, chunk_size=32)
-        chunks = drain(source)
-        assert sum(len(c) for c in chunks) == 100
-        assert all(len(c) <= 32 for c in chunks)
-
     def test_exhaustion_is_sticky_and_feedback_free(self):
         source = IteratorSource(small_buffer(200), chunk_size=128)
         assert not source.wants_feedback
@@ -76,6 +68,34 @@ class TestIteratorSource:
         via_iter = TraceBuffer.concat(list(IteratorSource(buffer, 300)))
         via_pull = TraceBuffer.concat(drain(IteratorSource(buffer, 300)))
         assert via_iter == via_pull == buffer
+
+
+#: One ``(core, pc, address, is_store, instructions)`` row: not a chunk.
+ROW = (0, 0x40, 0x1000, False, 1)
+ACCEPTED = ("a TraceBuffer, an iterable of TraceBuffer chunks, a Scenario "
+            "or a TraceSource")
+
+
+#: Rejected trace shapes, each built fresh (iterators are single-use).
+BAD_TRACES = {
+    "row list": lambda: [ROW] * 4,
+    "buffer list with a row": lambda: [small_buffer(200), ROW],
+    "buffer list with an int": lambda: [small_buffer(200), 42],
+    "buffer then row": lambda: iter([small_buffer(200), ROW]),
+    "not iterable": lambda: 42,
+}
+
+
+class TestShapeRejection:
+    @pytest.mark.parametrize("shape", list(BAD_TRACES))
+    def test_run_trace_names_the_accepted_shapes(self, shape):
+        with pytest.raises(TypeError, match=ACCEPTED):
+            run_trace(BAD_TRACES[shape](), base_open())
+
+    @pytest.mark.parametrize("shape", list(BAD_TRACES))
+    def test_system_run_checks_every_chunk(self, shape):
+        with pytest.raises(TypeError, match=ACCEPTED):
+            ServerSystem(base_open()).run(BAD_TRACES[shape]())
 
 
 class TestAsTraceSource:

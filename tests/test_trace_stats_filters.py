@@ -1,33 +1,28 @@
-"""Tests for trace characterisation, filtering and the LLC recorder."""
+"""Tests for trace characterisation and the LLC recorder."""
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.common.addressing import BLOCK_SIZE, REGION_SIZE
-from repro.common.request import Access, AccessType
 from repro.sim.config import base_open
 from repro.sim.runner import build_trace, run_trace
+from repro.trace.buffer import TraceBuffer
 from repro.trace.capture import LLCTraceRecorder
-from repro.trace.filters import (
-    filter_by_address_range,
-    filter_by_core,
-    filter_by_type,
-    interleave_round_robin,
-    remap_cores,
-    sample_systematic,
-    split_by_core,
-    truncate,
-)
 from repro.trace.stats import characterize_trace
 from repro.workloads.catalog import get_workload
-from repro.workloads.generator import generate_trace
+from repro.workloads.generator import generate_trace_buffer
 
 
 def access(core=0, pc=0x400000, address=0, store=False, instructions=1):
-    return Access(core=core, pc=pc, address=address,
-                  type=AccessType.STORE if store else AccessType.LOAD,
-                  instructions=instructions)
+    """One trace row: ``(core, pc, address, is_store, instructions)``."""
+    return core, pc, address, store, instructions
+
+
+def trace_of(rows):
+    """A :class:`TraceBuffer` holding ``rows`` in order."""
+    if not rows:
+        return TraceBuffer.empty()
+    return TraceBuffer(*(list(column) for column in zip(*rows)))
 
 
 class TestCharacterize:
@@ -37,7 +32,7 @@ class TestCharacterize:
             access(core=1, address=BLOCK_SIZE, store=True, instructions=4),
             access(core=0, address=8, instructions=6),  # same block as the first
         ]
-        stats = characterize_trace(trace)
+        stats = characterize_trace(trace_of(trace))
         assert stats.accesses == 3
         assert stats.stores == 1
         assert stats.store_fraction == pytest.approx(1 / 3)
@@ -47,7 +42,7 @@ class TestCharacterize:
         assert stats.mean_instructions_per_access == pytest.approx(4.0)
 
     def test_empty_trace_yields_zeroes(self):
-        stats = characterize_trace([])
+        stats = characterize_trace(TraceBuffer.empty())
         assert stats.accesses == 0
         assert stats.store_fraction == 0.0
         assert stats.summary()["footprint_mib"] == 0.0
@@ -57,7 +52,8 @@ class TestCharacterize:
         dense = [access(address=i * BLOCK_SIZE) for i in range(16)]           # 100%
         medium = [access(address=REGION_SIZE * 4 + i * BLOCK_SIZE) for i in range(5)]
         sparse = [access(address=REGION_SIZE * 8)]
-        histogram = characterize_trace(dense + medium + sparse).region_density_histogram()
+        histogram = characterize_trace(
+            trace_of(dense + medium + sparse)).region_density_histogram()
         assert histogram["high"] == pytest.approx(1 / 3)
         assert histogram["medium"] == pytest.approx(1 / 3)
         assert histogram["low"] == pytest.approx(1 / 3)
@@ -66,89 +62,19 @@ class TestCharacterize:
         hot = [access(pc=0x400000, address=i * BLOCK_SIZE) for i in range(90)]
         cold = [access(pc=0x700000 + i * 16, address=10 * REGION_SIZE + i * BLOCK_SIZE)
                 for i in range(10)]
-        stats = characterize_trace(hot + cold)
+        stats = characterize_trace(trace_of(hot + cold))
         assert stats.pc_concentration(1) == pytest.approx(0.9)
         assert stats.hot_pcs(1) == [0x400000]
 
     def test_workload_trace_matches_spec_characteristics(self):
         spec = get_workload("media_streaming")
-        trace = generate_trace(spec, 20_000, num_cores=8, seed=3)
+        trace = generate_trace_buffer(spec, 20_000, num_cores=8, seed=3)
         stats = characterize_trace(trace)
         assert stats.active_cores == 8
         # Stores exist but do not dominate.
         assert 0.02 < stats.store_fraction < 0.6
         # Code/data correlation: a small number of PCs issues most accesses.
         assert stats.pc_concentration(50) > 0.5
-
-
-class TestFilters:
-    def make_trace(self):
-        return [access(core=i % 4, address=i * BLOCK_SIZE, store=(i % 5 == 0))
-                for i in range(40)]
-
-    def test_filter_by_core(self):
-        trace = self.make_trace()
-        only = filter_by_core(trace, cores=[2])
-        assert only and all(a.core == 2 for a in only)
-
-    def test_filter_by_type_partitions_trace(self):
-        trace = self.make_trace()
-        loads = filter_by_type(trace, loads=True, stores=False)
-        stores = filter_by_type(trace, loads=False, stores=True)
-        assert len(loads) + len(stores) == len(trace)
-        assert all(not a.is_store for a in loads)
-        assert all(a.is_store for a in stores)
-
-    def test_filter_by_address_range(self):
-        trace = self.make_trace()
-        window = filter_by_address_range(trace, 5 * BLOCK_SIZE, 10 * BLOCK_SIZE)
-        assert [a.address for a in window] == [i * BLOCK_SIZE for i in range(5, 10)]
-        with pytest.raises(ValueError):
-            filter_by_address_range(trace, 10, 10)
-
-    def test_truncate(self):
-        trace = self.make_trace()
-        assert len(truncate(trace, 7)) == 7
-        assert truncate(trace, 0) == []
-        with pytest.raises(ValueError):
-            truncate(trace, -1)
-
-    def test_split_then_interleave_preserves_accesses(self):
-        trace = self.make_trace()
-        streams = split_by_core(trace)
-        merged = interleave_round_robin(list(streams.values()))
-        assert sorted(a.address for a in merged) == sorted(a.address for a in trace)
-
-    def test_interleave_handles_uneven_streams(self):
-        short = [access(core=0, address=0)]
-        long = [access(core=1, address=(i + 1) * BLOCK_SIZE) for i in range(5)]
-        merged = interleave_round_robin([short, long])
-        assert len(merged) == 6
-
-    def test_remap_cores_with_explicit_mapping(self):
-        trace = self.make_trace()
-        remapped = remap_cores(trace, mapping={0: 7})
-        assert {a.core for a in remapped} == {7, 1, 2, 3}
-
-    def test_remap_cores_by_folding(self):
-        trace = self.make_trace()
-        folded = remap_cores(trace, num_cores=2)
-        assert {a.core for a in folded} == {0, 1}
-
-    def test_remap_requires_exactly_one_mode(self):
-        with pytest.raises(ValueError):
-            remap_cores([], mapping={0: 1}, num_cores=2)
-        with pytest.raises(ValueError):
-            remap_cores([])
-
-    def test_systematic_sampling_keeps_one_unit_per_period(self):
-        trace = [access(address=i * BLOCK_SIZE) for i in range(100)]
-        sampled = sample_systematic(trace, period=5, unit_length=10)
-        assert len(sampled) == 20
-        assert sampled[0].address == 0
-        assert sampled[10].address == 50 * BLOCK_SIZE
-        with pytest.raises(ValueError):
-            sample_systematic(trace, period=0, unit_length=10)
 
 
 class TestLLCTraceRecorder:
@@ -179,9 +105,9 @@ class TestLLCTraceRecorder:
         trace = build_trace("web_serving", 4_000, seed=5)
         recorder = LLCTraceRecorder()
         run_trace(trace, base_open(), warmup_fraction=0.0, extra_agents=[recorder])
-        replay = recorder.miss_trace()
-        assert replay
-        assert all(a.address % BLOCK_SIZE == 0 for a in replay)
+        replay = recorder.miss_trace_buffer()
+        assert len(replay) == len(recorder.misses) > 0
+        assert np.all(replay.address % BLOCK_SIZE == 0)
         result = run_trace(replay, base_open(), warmup_fraction=0.0)
         assert result.total_dram_accesses > 0
 
@@ -203,16 +129,3 @@ class TestLLCTraceRecorder:
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
             LLCTraceRecorder(capacity=0)
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    cores=st.lists(st.integers(min_value=0, max_value=7), min_size=1, max_size=60),
-)
-def test_property_split_and_interleave_partition_the_trace(cores):
-    trace = [access(core=core, address=index * BLOCK_SIZE)
-             for index, core in enumerate(cores)]
-    streams = split_by_core(trace)
-    assert sum(len(s) for s in streams.values()) == len(trace)
-    merged = interleave_round_robin(list(streams.values()))
-    assert sorted(a.address for a in merged) == [a.address for a in trace]

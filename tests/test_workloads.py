@@ -1,11 +1,11 @@
 """Unit tests for the workload specs, the trace generator and the catalog."""
 
+import numpy as np
 import pytest
 
 from repro.common.addressing import BLOCK_SIZE
-from repro.common.request import AccessType
 from repro.workloads.catalog import DISPLAY_NAMES, WORKLOADS, display_name, get_workload, workload_names
-from repro.workloads.generator import CoreGenerator, generate_trace, iterate_trace, trace_store_fraction
+from repro.workloads.generator import generate_trace_buffer
 from repro.workloads.spec import WorkloadSpec
 
 
@@ -75,57 +75,45 @@ def test_catalog_specs_reflect_paper_characteristics():
 # --------------------------------------------------------------------- #
 def test_trace_is_deterministic_for_a_seed():
     spec = get_workload("web_search")
-    first = generate_trace(spec, 2000, num_cores=4, seed=7)
-    second = generate_trace(spec, 2000, num_cores=4, seed=7)
-    assert [(a.core, a.pc, a.address, a.type) for a in first] == [
-        (a.core, a.pc, a.address, a.type) for a in second
-    ]
+    first = generate_trace_buffer(spec, 2000, num_cores=4, seed=7)
+    second = generate_trace_buffer(spec, 2000, num_cores=4, seed=7)
+    assert first == second
 
 
 def test_trace_changes_with_seed():
     spec = get_workload("web_search")
-    first = generate_trace(spec, 1000, num_cores=4, seed=1)
-    second = generate_trace(spec, 1000, num_cores=4, seed=2)
-    assert [a.address for a in first] != [a.address for a in second]
+    first = generate_trace_buffer(spec, 1000, num_cores=4, seed=1)
+    second = generate_trace_buffer(spec, 1000, num_cores=4, seed=2)
+    assert not np.array_equal(first.address, second.address)
 
 
 def test_trace_interleaves_cores_round_robin():
     spec = get_workload("data_serving")
-    trace = generate_trace(spec, 64, num_cores=16, seed=3)
-    assert [a.core for a in trace[:16]] == list(range(16))
-    assert [a.core for a in trace[16:32]] == list(range(16))
-
-
-def test_iterate_trace_matches_generate_trace():
-    spec = get_workload("online_analytics")
-    listed = generate_trace(spec, 500, num_cores=2, seed=9)
-    streamed = list(iterate_trace(spec, 500, num_cores=2, seed=9))
-    assert [a.address for a in listed] == [a.address for a in streamed]
+    trace = generate_trace_buffer(spec, 64, num_cores=16, seed=3)
+    assert trace.core[:16].tolist() == list(range(16))
+    assert trace.core[16:32].tolist() == list(range(16))
 
 
 def test_trace_contains_loads_and_stores_with_positive_instruction_counts():
     spec = get_workload("web_serving")
-    trace = generate_trace(spec, 5000, num_cores=8, seed=5)
-    types = {a.type for a in trace}
-    assert types == {AccessType.LOAD, AccessType.STORE}
-    assert all(a.instructions >= 1 for a in trace)
-    assert all(a.address >= 0 for a in trace)
-    store_fraction = trace_store_fraction(trace)
-    assert 0.05 < store_fraction < 0.7
+    trace = generate_trace_buffer(spec, 5000, num_cores=8, seed=5)
+    assert set(trace.is_store.tolist()) == {False, True}
+    assert int(trace.instructions.min()) >= 1
+    assert 0.05 < trace.store_fraction < 0.7
 
 
-def test_core_generator_produces_coarse_and_fine_pcs():
+def test_single_core_trace_produces_coarse_and_fine_pcs():
     spec = get_workload("web_search")
-    generator = CoreGenerator(spec, core=0, seed=11)
-    pcs = {generator.next_access().pc for _ in range(3000)}
+    trace = generate_trace_buffer(spec, 3000, num_cores=1, seed=11)
+    pcs = set(trace.pc.tolist())
     coarse = [pc for pc in pcs if 0x400000 <= pc < 0x600000]
     fine = [pc for pc in pcs if 0x600000 <= pc < 0x700000]
     assert coarse and fine
 
 
-def test_generate_trace_rejects_negative_length():
+def test_generate_trace_buffer_rejects_negative_length():
     with pytest.raises(ValueError):
-        generate_trace(get_workload("web_search"), -1)
+        generate_trace_buffer(get_workload("web_search"), -1)
 
 
 def test_coarse_scans_touch_contiguous_region_blocks():
@@ -134,8 +122,7 @@ def test_coarse_scans_touch_contiguous_region_blocks():
         coarse_sequential_fraction=1.0, coarse_job_fraction=1.0, jobs_per_core=1,
         coarse_pc_noise=0.0,
     )
-    generator = CoreGenerator(spec, core=0, seed=13)
-    accesses = [generator.next_access() for _ in range(200)]
-    blocks = [a.address // BLOCK_SIZE for a in accesses]
+    trace = generate_trace_buffer(spec, 200, num_cores=1, seed=13)
+    blocks = (trace.address // BLOCK_SIZE).tolist()
     forward_steps = sum(1 for a, b in zip(blocks, blocks[1:]) if b - a in (0, 1))
     assert forward_steps > len(blocks) * 0.7
