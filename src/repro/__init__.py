@@ -74,7 +74,7 @@ from repro.workloads import (
     iter_trace_chunks,
 )
 
-__version__ = "1.14.0"
+__version__ = "1.15.0"
 
 __all__ = [
     "BuMPConfig",

@@ -96,6 +96,13 @@ _FLOAT_KEYS = ("bus_busy_cycles", "demand_read_latency_cycles",
 #: enough that the dead prefix never holds more than a few KB of tuples.
 _COMPACT_THRESHOLD = 512
 
+#: Mutable state of a :class:`FlatMemorySystem`: the NumPy arrays, then the
+#: queues, their cursors and the open-key map.
+_STATE = ("open_row", "bank_ready", "last_activate", "bus_free",
+          "last_completion", "counts", "fcounts", "kind_counts",
+          "_pending", "_seqs", "_head", "_next_seq", "_by_key", "_ready",
+          "_demand", "_open_key_of_bank")
+
 #: Rank/bank bound of the packed row-state key (``row_state_key`` packs
 #: ``(row << 12) | (rank << 6) | bank``); organisations beyond it fall back
 #: to the object engine (see :func:`repro.dram.engine.resolve_dram_engine`).
@@ -231,8 +238,8 @@ class FlatMemorySystem:
         self._ready: List[dict] = [{} for _ in range(channels)]
         #: FIFO of demand (latency-critical) seqs per channel.
         self._demand: List[deque] = [deque() for _ in range(channels)]
-        #: Currently open row-state keys per channel (one per open bank).
-        self._open_keys: List[set] = [set() for _ in range(channels)]
+        #: Open row-state key per (channel, bank); ``None`` = precharged.  A
+        #: key names its bank, so ``okob[fbank] == key`` is "key's row is open".
         self._open_key_of_bank: List[list] = [
             [None] * self._num_banks for _ in range(channels)
         ]
@@ -325,7 +332,7 @@ class FlatMemorySystem:
             by_key = self._by_key[ci]
             ready = self._ready[ci]
             demand = self._demand[ci]
-            open_keys = self._open_keys[ci]
+            okob = self._open_key_of_bank[ci]
             head = self._head[ci]
             seq = self._next_seq[ci]
             pending_append = pending.append
@@ -334,21 +341,22 @@ class FlatMemorySystem:
             demand_append = demand.append
             for i in range(lo, hi):
                 key = key_c[i]
+                fbank = fbank_c[i]
                 is_demand = demand_c[i]
-                pending_append((seq, kinds_c[i], arrivals_c[i], fbank_c[i],
+                pending_append((seq, kinds_c[i], arrivals_c[i], fbank,
                                 row_c[i], key, is_demand))
                 seqs_append(seq)
                 bucket = by_key_get(key)
                 if bucket is None:
                     by_key[key] = seq
-                    if key in open_keys:
+                    if okob[fbank] == key:
                         ready[key] = seq
                 else:
                     if type(bucket) is int:
                         bucket = by_key[key] = [bucket, seq]
                     else:
                         bucket.append(seq)
-                    if key in open_keys:
+                    if okob[fbank] == key:
                         ready[key] = bucket
                 if is_demand:
                     demand_append(seq)
@@ -384,7 +392,6 @@ class FlatMemorySystem:
         by_key = self._by_key[ci]
         ready = self._ready[ci]
         demand = self._demand[ci]
-        open_keys = self._open_keys[ci]
         okob = self._open_key_of_bank[ci]
         window = self.window
         close_policy = self._close_policy
@@ -545,12 +552,9 @@ class FlatMemorySystem:
             # ---- open-key maintenance (controller + note_row_* fused).
             old_key = okob[fbank]
             if new_key != old_key:
-                if old_key is not None:
-                    open_keys.discard(old_key)
-                    if old_key in ready:
-                        del ready[old_key]
+                if old_key is not None and old_key in ready:
+                    del ready[old_key]
                 if new_key is not None:
-                    open_keys.add(new_key)
                     other = by_key_get(new_key)
                     if other is not None:
                         ready[new_key] = other
@@ -606,6 +610,33 @@ class FlatMemorySystem:
     def pending_count(self) -> int:
         """Number of queued-but-unserved transfers across all channels."""
         return sum(self._live(ci) for ci in range(self._channels))
+
+    def row_outcomes(self) -> Tuple[int, int, int, int]:
+        """``(accesses, row_hits, row_misses, row_conflicts)`` across channels."""
+        accesses, hits, misses, conflicts = self.counts[:, :4].sum(axis=0).tolist()
+        return accesses, hits, misses, conflicts
+
+    # ------------------------------------------------------------------ #
+    # State transfer (the pipelined run loop's DRAM stage)
+    # ------------------------------------------------------------------ #
+    def export_state(self) -> Dict[str, object]:
+        """Every piece of mutable state, by attribute name.
+
+        Plain arrays, lists, dicts and deques -- never the object itself,
+        whose methods a caller may have wrapped in closures that do not
+        pickle.  :meth:`load_state` adopts it into another instance built
+        with the same geometry.
+        """
+        return {name: getattr(self, name) for name in _STATE}
+
+    def load_state(self, state: Dict[str, object]) -> None:
+        """Adopt :meth:`export_state` output; arrays are written in place."""
+        for name in _STATE:
+            value = state[name]
+            if isinstance(value, np.ndarray):
+                np.copyto(getattr(self, name), value)
+            else:
+                setattr(self, name, value)
 
     # ------------------------------------------------------------------ #
     # Aggregated metrics (mirrors repro.dram.system.MemorySystem)

@@ -68,9 +68,18 @@ class MemorySystem:
             completed.extend(controller.drain())
         return completed
 
+    def pending_count(self) -> int:
+        """Number of queued-but-unserved transfers across all channels."""
+        return sum(len(controller.queue) for controller in self.controllers)
+
     # ------------------------------------------------------------------ #
     # Aggregated metrics
     # ------------------------------------------------------------------ #
+    def reset_counters(self) -> None:
+        """Zero every measurement counter (architectural state is preserved)."""
+        for controller in self.controllers:
+            controller.reset_counters()
+
     def aggregate_stats(self) -> StatGroup:
         """Merge the per-channel statistics into one group."""
         merged = StatGroup("dram")

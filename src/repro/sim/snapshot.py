@@ -447,41 +447,26 @@ def capture_warmup(system: ServerSystem, trace, warmup_accesses: int):
     ``warmup_accesses=0`` -- chunk boundaries are architecturally invisible,
     so this is bit-identical to the uninterrupted warmup-split run.
 
-    The warmup interval itself runs unrecorded (``_run_chunk`` directly):
-    telemetry of a warmup that later queries skip entirely would be
-    misleading, and telemetry never affects results.
+    The warmup interval runs through :meth:`ServerSystem.run`'s pull loop,
+    unrecorded: telemetry of a warmup that later queries skip entirely would
+    be misleading, and telemetry never affects results.  A long warmup gets
+    the pipelined loop's DRAM stage (:mod:`repro.sim.pipeline`), which hands
+    the memory state back before the capture; never its read-ahead, since
+    the caller keeps using ``source``.
     """
     from repro.trace.source import as_trace_source
 
     if warmup_accesses <= 0:
         raise ValueError("capture_warmup requires a positive warmup interval")
-    system._refresh_agent_hooks()
     source = as_trace_source(trace)
-    wants_feedback = bool(getattr(source, "wants_feedback", False))
-    processed = 0
-    while True:
-        feedback = system.feedback_sample(processed) if wants_feedback else None
-        chunk = source.next_chunk(feedback)
-        if chunk is None:
-            raise ValueError(
-                "trace shorter than the requested warmup interval")
-        n = len(chunk)
-        if not n:
-            continue
-        system._check_chunk(chunk, processed)
-        if processed + n >= warmup_accesses:
-            split = warmup_accesses - processed
-            system._run_chunk(chunk if split == n else chunk[:split])
-            system.begin_measurement()
-            leftover = chunk[split:] if split < n else None
-            checkpoint = getattr(source, "checkpoint_state", None)
-            source_state = (checkpoint(leftover=leftover)
-                            if checkpoint is not None else None)
-            snapshot = capture(system, processed=warmup_accesses,
-                               source_state=source_state)
-            return snapshot, leftover, source
-        system._run_chunk(chunk)
-        processed += n
+    leftover = system._pull(source, warmup_accesses, recorder=None,
+                            stop_at_boundary=True)
+    checkpoint = getattr(source, "checkpoint_state", None)
+    source_state = (checkpoint(leftover=leftover)
+                    if checkpoint is not None else None)
+    snapshot = capture(system, processed=warmup_accesses,
+                       source_state=source_state)
+    return snapshot, leftover, source
 
 
 def skip_accesses(chunks, n: int) -> Iterator:

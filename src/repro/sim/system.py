@@ -169,6 +169,9 @@ class ServerSystem:
         self._dram_blocks: list = []
         self._dram_kinds: list = []
         self._dram_arrivals: list = []
+        #: The forked DRAM stage serving ``memory`` while a pipelined run
+        #: holds it (see :mod:`repro.sim.pipeline`); ``None`` otherwise.
+        self._dram_stage = None
 
         self.agents: List[LLCAgent] = []
         self.bump: Optional[BuMPPredictor] = None
@@ -288,6 +291,13 @@ class ServerSystem:
         the predictor tables and the DRAM row buffers (mirroring the paper's
         SMARTS-style warmed-checkpoint methodology); their events are then
         discarded and only the remainder of the trace is measured.
+
+        Sources are single-use.  Once a run has pulled
+        :data:`repro.sim.pipeline.ENGAGE_ACCESSES` accesses from an open-loop
+        source it may move trace production and DRAM service into forked
+        helper processes (:mod:`repro.sim.pipeline`); the source object the
+        caller holds then stops advancing, because only its copy in the
+        helper is pulled.  Results are identical either way.
         """
         # Imported lazily: repro.scenario sits above repro.sim in the layer
         # order, so a module-level import would be circular.  By the time a
@@ -299,62 +309,143 @@ class ServerSystem:
         if isinstance(trace, Scenario):
             trace = iter_scenario_chunks(trace)
         source = as_trace_source(trace)
-        wants_feedback = bool(getattr(source, "wants_feedback", False))
         recorder = self.telemetry
         if recorder is not None:
             recorder.on_run_start(self, self.workload_name)
-        timing = recorder is not None and recorder.wants_spans
-        clock = time.perf_counter
-        self._refresh_agent_hooks()
-        processed = 0
-        measuring = False
-        while True:
-            feedback = self.feedback_sample(processed) if wants_feedback else None
-            if timing:
-                tick = clock()
-                chunk = source.next_chunk(feedback)
-                recorder.add_stage("chunk_generation", clock() - tick)
-            else:
-                chunk = source.next_chunk(feedback)
-            if chunk is None:
-                break
-            if not len(chunk):
-                continue
-            self._check_chunk(chunk, processed)
-            if warmup_accesses and not measuring:
-                split = warmup_accesses - processed
-                if len(chunk) >= split:
-                    # The measurement boundary falls in (or at the end of)
-                    # this chunk: warm up on the head window, then measure
-                    # whatever remains.
-                    chunk = self._cross_warmup_boundary(
-                        chunk, split, recorder, timing, clock, source)
-                    processed += split
-                    measuring = True
-                    if chunk is None:
-                        continue
-            if timing:
-                tick = clock()
-                self._run_chunk(chunk)
-                recorder.add_stage("chunk_service", clock() - tick)
-            else:
-                self._run_chunk(chunk)
-            processed += len(chunk)
-            if recorder is not None:
-                recorder.on_chunk(self, intensity=_source_intensity(source))
-        if warmup_accesses and processed < warmup_accesses:
-            raise ValueError("trace shorter than the requested warmup interval")
+        self._pull(source, warmup_accesses, recorder)
         if recorder is None:
-            self._flush_dram()
-            self.memory.drain()
             return self._collect_results()
-        with recorder.span("dram_drain"):
-            self._flush_dram()
-            self.memory.drain()
         with recorder.span("result_assembly"):
             result = self._collect_results()
         recorder.on_run_end(self)
         return result
+
+    def _pull(self, source, warmup_accesses: int, recorder,
+              stop_at_boundary: bool = False) -> Optional[TraceBuffer]:
+        """The pull loop: service ``source`` chunk by chunk.
+
+        Shared by :meth:`run` (to the end of the trace, then drain the
+        memory system) and :func:`repro.sim.snapshot.capture_warmup`
+        (``stop_at_boundary``: return at the measurement boundary with the
+        unserviced tail of the boundary chunk, or ``None`` when the boundary
+        fell on a chunk edge).  Telemetry hooks fire only when ``recorder``
+        is set; the simulation call sequence is identical either way.
+
+        Once :data:`repro.sim.pipeline.ENGAGE_ACCESSES` accesses have been
+        pulled from an open-loop source, the loop may fork pipeline helpers:
+        a read-ahead of ``source`` (not when stopping at the boundary, whose
+        caller keeps using the source) and, on the flat DRAM engine, the DRAM
+        stage, which hands the memory state back before this method returns.
+        """
+        from repro.sim import pipeline as pipelining
+
+        wants_feedback = bool(getattr(source, "wants_feedback", False))
+        timing = recorder is not None and recorder.wants_spans
+        clock = time.perf_counter
+        self._refresh_agent_hooks()
+        processed = 0
+        pulled = 0
+        may_engage = not wants_feedback
+        measuring = False
+        pipe = None
+        try:
+            while True:
+                feedback = self.feedback_sample(processed) if wants_feedback else None
+                if timing:
+                    tick = clock()
+                    chunk = source.next_chunk(feedback)
+                    recorder.add_stage("chunk_generation", clock() - tick)
+                else:
+                    chunk = source.next_chunk(feedback)
+                if chunk is None:
+                    break
+                if not len(chunk):
+                    continue
+                pulled += len(chunk)
+                if may_engage and pulled >= pipelining.ENGAGE_ACCESSES:
+                    may_engage = False
+                    pipe = self._start_pipeline(
+                        None if stop_at_boundary else source, pulled,
+                        recorder, timing)
+                    if pipe is not None and pipe.reader is not None:
+                        source = pipe.reader
+                self._check_chunk(chunk, processed)
+                if warmup_accesses and not measuring:
+                    split = warmup_accesses - processed
+                    if len(chunk) >= split:
+                        # The measurement boundary falls in (or at the end
+                        # of) this chunk: warm up on the head window, then
+                        # measure whatever remains.
+                        chunk = self._cross_warmup_boundary(
+                            chunk, split, recorder, timing, clock, source)
+                        processed += split
+                        measuring = True
+                        if stop_at_boundary:
+                            if pipe is not None:
+                                self._end_pipeline(pipe, recorder)
+                            return chunk
+                        if chunk is None:
+                            continue
+                if timing:
+                    tick = clock()
+                    self._run_chunk(chunk)
+                    recorder.add_stage("chunk_service", clock() - tick)
+                else:
+                    self._run_chunk(chunk)
+                processed += len(chunk)
+                if recorder is not None:
+                    recorder.on_chunk(self, intensity=_source_intensity(source))
+            if warmup_accesses and processed < warmup_accesses:
+                raise ValueError("trace shorter than the requested warmup interval")
+            if recorder is None:
+                self._drain_memory(pipe, None)
+            else:
+                with recorder.span("dram_drain"):
+                    self._drain_memory(pipe, recorder)
+            return None
+        finally:
+            self._dram_stage = None
+            if pipe is not None:
+                pipe.close()
+
+    def _start_pipeline(self, source, pulled: int, recorder, timing: bool):
+        """Fork the helpers this run can use (see :mod:`repro.sim.pipeline`).
+
+        ``source`` is the source to read ahead, or ``None`` for no
+        read-ahead; the DRAM stage needs the flat DRAM engine.  Returns the
+        pipeline, or ``None`` when the run stays in-process.
+        """
+        from repro.sim import pipeline
+
+        pipe = pipeline.start_pipeline(
+            source, self.memory if self._flat_dram else None, timing)
+        if pipe is not None:
+            self._dram_stage = pipe.dram
+            if recorder is not None:
+                recorder.on_pipeline_start(pulled, pipe)
+        return pipe
+
+    def _drain_memory(self, pipe, recorder) -> None:
+        """Serve every outstanding transfer at the end of a run."""
+        self._flush_dram()
+        self._dram_target().drain()
+        if pipe is not None:
+            self._end_pipeline(pipe, recorder)
+
+    def _end_pipeline(self, pipe, recorder) -> None:
+        """Take the memory state back from the DRAM stage; report the waits."""
+        if pipe.dram is not None:
+            marks = pipe.dram.finish(self.memory)
+            self._dram_stage = None
+            if recorder is not None:
+                recorder.on_dram_marks(marks)
+        if recorder is not None:
+            seconds, calls = pipe.waited
+            recorder.add_stage("pipeline_wait", seconds, calls)
+
+    def _dram_target(self):
+        """Where DRAM work goes: the DRAM stage while one runs, else ``memory``."""
+        return self.memory if self._dram_stage is None else self._dram_stage
 
     def _check_chunk(self, chunk: TraceBuffer, first_row: int) -> None:
         """Reject a chunk whose rows this system cannot simulate.
@@ -432,17 +523,12 @@ class ServerSystem:
         self._flush_hot_counters()
         memory = self.memory
         stats = memory.aggregate_stats()
-        pending = getattr(memory, "pending_count", None)
-        if pending is not None:
-            queue_depth = int(pending())
-        else:
-            queue_depth = sum(len(c.queue) for c in memory.controllers)
         return FeedbackSample(
             accesses=int(accesses),
             core_cycle=float(self._core_cycle),
             demand_reads=int(stats["demand_reads"]),
             read_latency_cycles=float(stats["demand_read_latency_cycles"]),
-            queue_depth=queue_depth,
+            queue_depth=int(memory.pending_count()),
             llc_misses=int(self.counters["llc_misses"]),
         )
 
@@ -459,7 +545,6 @@ class ServerSystem:
             return
         if self._flat_engine:
             self._run_chunk_flat(chunk)
-            self._flush_dram()
             return
         cores, pcs, addresses, stores, instructions = chunk.columns_as_lists()
         step = self._step_fields
@@ -468,22 +553,23 @@ class ServerSystem:
         self._flush_dram()
 
     def _flush_dram(self) -> None:
-        """Hand the staged per-chunk DRAM transfers to the memory system.
+        """Hand the staged DRAM transfers to the memory system.
 
         Under the flat DRAM engine every ``_issue_dram`` site appends plain
         (block, kind code, arrival cycle) scalars to the staging lists; this
         flush routes the whole batch through
-        :meth:`repro.dram.flat.FlatMemorySystem.enqueue_block_batch` at chunk
-        boundaries.  FR-FCFS only ever inspects the oldest window of each
-        channel's queue and the batch preserves per-channel arrival order,
-        so serving at batch boundaries is cycle-identical to the object
-        engine's per-request enqueue (see :mod:`repro.dram.flat`).  No-op
-        for the object engine (the staging lists stay empty).
+        :meth:`repro.dram.flat.FlatMemorySystem.enqueue_block_batch` (or the
+        DRAM stage standing in for it) after every miss slice of the chunk
+        loop and at chunk boundaries.  FR-FCFS only ever inspects the oldest
+        window of each channel's queue and the batch preserves per-channel
+        arrival order, so serving at batch boundaries is cycle-identical to
+        the object engine's per-request enqueue (see :mod:`repro.dram.flat`).
+        No-op for the object engine (the staging lists stay empty).
         """
         blocks = self._dram_blocks
         if blocks:
-            self.memory.enqueue_block_batch(blocks, self._dram_kinds,
-                                            self._dram_arrivals)
+            self._dram_target().enqueue_block_batch(
+                blocks, self._dram_kinds, self._dram_arrivals)
             self._dram_blocks = []
             self._dram_kinds = []
             self._dram_arrivals = []
@@ -500,7 +586,10 @@ class ServerSystem:
         bit-identical.  Stage 2 visits the L1 misses alone, in trace order:
         it syncs the core cycle and bus arrival stamp that the DRAM issue
         sites read, forwards the dirty victim to the LLC and takes the LLC
-        demand path.  Counters are folded once per chunk.
+        demand path.  The transfers each slice stages are flushed at its
+        end, which bounds the staging lists and, in a pipelined run, feeds
+        the DRAM stage while the loop goes on.  Counters are folded once per
+        chunk.
         """
         blocks = (chunk.address >> np.uint64(BLOCK_BITS)).astype(np.int64)
         blocks <<= BLOCK_BITS
@@ -534,6 +623,7 @@ class ServerSystem:
                     if evicted is not None:
                         handle_eviction(evicted)
                 demand(core, pc, block, is_store)
+            self._flush_dram()
         # One NOC data message per dirty victim forwarded above.
         writebacks = int(np.count_nonzero(victims >= 0))
         self._h_l1_writebacks += writebacks
@@ -554,14 +644,14 @@ class ServerSystem:
     def begin_measurement(self) -> None:
         """Discard warmup statistics while keeping all architectural state."""
         self._flush_dram()
-        self.memory.drain()
+        dram = self._dram_target()
+        dram.drain()
         self._flush_hot_counters()
         self.counters.reset()
         self.noc.reset()
         self.llc.stats.reset()
         self.llc.array_stats.reset()
-        for controller in self.memory.controllers:
-            controller.reset_counters()
+        dram.reset_counters()
         for agent in self.agents:
             stats = getattr(agent, "stats", None)
             if stats is not None:

@@ -17,6 +17,13 @@ access.  Every sampled value is a counter the system already maintains as a
 plain int / flat NumPy array (``ServerSystem.counters``, the flat DRAM
 channel count arrays) -- the recorder only reads, subtracts the previous
 snapshot and appends one row.
+
+While a pipelined run's DRAM stage holds the memory system (see
+:mod:`repro.sim.pipeline`), the DRAM columns cannot be read at the boundary
+without stalling the run.  The recorder then sends the stage a mark instead,
+leaves the row's DRAM columns at zero, and fills them in from the stage's
+marks when it hands the memory back (:meth:`TelemetryRecorder.on_dram_marks`),
+so the finished timeline equals an in-process one bit for bit.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from typing import Optional, Union
 
 from repro.telemetry.events import EVENT_SCHEMA_VERSION, write_events_jsonl
 from repro.telemetry.spans import SpanTracer
-from repro.telemetry.timeline import TIMELINE_COLUMNS, Timeline
+from repro.telemetry.timeline import DELTA_COLUMNS, TIMELINE_COLUMNS, Timeline
 
 __all__ = [
     "DEFAULT_MODE",
@@ -72,12 +79,12 @@ def resolve_telemetry(
     return TelemetryRecorder(mode=telemetry)
 
 
-def _queue_occupancy(memory) -> int:
-    """Transfers enqueued but not yet served, across every channel."""
-    pending = getattr(memory, "pending_count", None)
-    if pending is not None:
-        return pending()
-    return sum(len(controller.queue) for controller in memory.controllers)
+#: The delta columns the memory system's row-buffer counters feed (the
+#: tail of ``DELTA_COLUMNS``; the system's own counters feed the rest).
+_DRAM_COLUMNS = DELTA_COLUMNS[-4:]
+_SYSTEM_TOTALS = len(DELTA_COLUMNS) - len(_DRAM_COLUMNS)
+#: Row-buffer totals right after a counter reset.
+_NO_DRAM = (0,) * len(_DRAM_COLUMNS)
 
 
 class TelemetryRecorder:
@@ -107,14 +114,29 @@ class TelemetryRecorder:
         #: different chunk sizes.
         self._accesses_total = 0.0
         self._runs = 0
+        #: Samples whose DRAM columns await the DRAM stage's marks: row
+        #: indices, with ``None`` where the counters were reset.  ``None``
+        #: while no DRAM stage holds the memory system.
+        self._deferred: Optional[list] = None
+        #: Row-buffer totals before the first deferred sample.
+        self._dram_base: tuple = ()
 
     # ------------------------------------------------------------------ #
     # Simulator hooks
     # ------------------------------------------------------------------ #
     def _totals(self, system) -> tuple:
         """Cumulative hot-counter totals, in ``DELTA_COLUMNS`` order."""
-        counters = system.counters
         dram = system.memory.aggregate_stats()
+        return self._system_totals(system) + (
+            dram["accesses"],
+            dram["row_hits"],
+            dram["row_misses"],
+            dram["row_conflicts"],
+        )
+
+    @staticmethod
+    def _system_totals(system) -> tuple:
+        counters = system.counters
         return (
             counters["accesses"],
             system._instructions,
@@ -128,10 +150,6 @@ class TelemetryRecorder:
             counters["prefetch_reads"],
             counters["bulk_writebacks"],
             counters["eager_writebacks"],
-            dram["accesses"],
-            dram["row_hits"],
-            dram["row_misses"],
-            dram["row_conflicts"],
         )
 
     def on_run_start(self, system, workload: str = "") -> None:
@@ -152,7 +170,16 @@ class TelemetryRecorder:
         """
         if not self.wants_samples:
             return
-        totals = self._totals(system)
+        stage = system._dram_stage
+        if stage is None:
+            totals = self._totals(system)
+            queue = system.memory.pending_count()
+        else:
+            # Zero DRAM deltas and queue for now; on_dram_marks fills them.
+            stage.mark()
+            self._deferred.append(len(self.timeline))
+            totals = self._system_totals(system) + self._prev[_SYSTEM_TOTALS:]
+            queue = 0
         prev = self._prev
         if prev is None:
             prev = (0.0,) * len(totals)
@@ -160,16 +187,55 @@ class TelemetryRecorder:
         self._prev = totals
         self._accesses_total += deltas[0]
         self.timeline.append(
-            [system._core_cycle, self._accesses_total,
-             _queue_occupancy(system.memory), float(intensity)] + deltas)
+            [system._core_cycle, self._accesses_total, queue,
+             float(intensity)] + deltas)
 
     def on_measurement_start(self, system) -> None:
         """Re-baseline after ``begin_measurement`` reset the counters."""
         if self.wants_samples:
-            self._prev = self._totals(system)
+            if system._dram_stage is None:
+                self._prev = self._totals(system)
+            else:
+                # The reset zeroed the DRAM counters the stage holds.
+                self._deferred.append(None)
+                self._prev = self._system_totals(system) + _NO_DRAM
         if self.tracer is not None:
             self.tracer.mark("measurement_start",
                              accesses_total=self._accesses_total)
+
+    def on_pipeline_start(self, accesses: int, pipeline) -> None:
+        """Note that a run forked its pipeline helpers after ``accesses``."""
+        if self.wants_samples and pipeline.dram is not None:
+            self._deferred = []
+            self._dram_base = self._prev[_SYSTEM_TOTALS:]
+        if self.tracer is not None:
+            self.tracer.mark("pipeline_start", accesses=accesses,
+                             stages=",".join(pipeline.names),
+                             cpus=list(pipeline.cpus))
+
+    def on_dram_marks(self, marks) -> None:
+        """Fill the DRAM columns of the samples taken while the DRAM stage ran.
+
+        ``marks`` are the stage's ``(queue occupancy, accesses, row hits,
+        row misses, row conflicts)`` records, one per deferred sample, in
+        order.
+        """
+        deferred = self._deferred
+        if deferred is None:
+            return
+        self._deferred = None
+        base = self._dram_base
+        marks = iter(marks)
+        for row in deferred:
+            if row is None:
+                base = _NO_DRAM
+                continue
+            queue, *totals = next(marks)
+            self.timeline.put(row, "queue_occupancy", queue)
+            for name, now, before in zip(_DRAM_COLUMNS, totals, base):
+                self.timeline.put(row, name, now - before)
+            base = tuple(totals)
+        self._prev = self._prev[:_SYSTEM_TOTALS] + base
 
     def on_run_end(self, system) -> None:
         """Flush aggregated stage spans and stamp the run summary mark."""

@@ -110,6 +110,12 @@ class Timeline:
         self._data[self._size] = row
         self._size += 1
 
+    def put(self, index: int, name: str, value: float) -> None:
+        """Overwrite one recorded value (a sample filled in after the fact)."""
+        if not 0 <= index < self._size:
+            raise IndexError(f"no sample {index} in a timeline of {self._size}")
+        self._data[index, _COLUMN_INDEX[name]] = value
+
     # ------------------------------------------------------------------ #
     # Reads
     # ------------------------------------------------------------------ #
