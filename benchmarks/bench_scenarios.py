@@ -11,8 +11,8 @@ to use for measurement:
 * **determinism gate** -- for every catalog scenario, two compilations at
   different chunk sizes must be bit-identical (chunk-size invariance) and a
   different seed must change the trace;
-* **parity gate** -- a streamed scenario run under the flat cache engine
-  must fingerprint identically to the dict engine;
+* **parity gate** -- a streamed scenario run under the flat DRAM engine
+  must fingerprint identically to the object DRAM engine;
 * **streaming simulation** -- end-to-end accesses/second of
   ``tenant-colocation`` under ``base_open`` and ``bump``;
 * **closed-loop gate** -- generation overhead of pulling a scenario
@@ -128,9 +128,9 @@ def bench_streaming_sim(scale: float, parity_scale: float) -> dict:
               f"{rows[config.name]['accesses_per_second']:,.0f} acc/s, "
               f"row-hit {result.row_buffer_hit_ratio:.3f}")
     parity_scenario = get_scenario("antagonist-burst", scale=parity_scale)
-    flat = run_scenario(parity_scenario, base_open(), cache_engine="flat")
-    legacy = run_scenario(parity_scenario, base_open(), cache_engine="dict")
-    identical = result_fingerprint(flat) == result_fingerprint(legacy)
+    flat = run_scenario(parity_scenario, base_open(), dram_engine="flat")
+    reference = run_scenario(parity_scenario, base_open(), dram_engine="object")
+    identical = result_fingerprint(flat) == result_fingerprint(reference)
     print(f"  engine parity (antagonist-burst): identical={identical}")
     return {
         "scenario": "tenant-colocation",
@@ -271,7 +271,7 @@ def main(argv=None) -> int:
         if not row["seed_sensitive"]:
             failures.append(f"{name}: reseeding did not change the trace")
     if not streaming["engine_parity_identical"]:
-        failures.append("flat and dict engines diverged on a scenario trace")
+        failures.append("flat and object DRAM engines diverged on a scenario trace")
     if not closed_loop["deterministic"]:
         failures.append("closed-loop rerun diverged from itself")
     if (not args.smoke

@@ -20,7 +20,29 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.cache.set_assoc import EvictedLine
+
+class EvictedLine:
+    """Summary of a line pushed out of the LLC by a fill.
+
+    A plain ``__slots__`` class: once the LLC is warm nearly every fill
+    evicts, so victim records are built on the simulator hot path.
+    """
+
+    __slots__ = ("block_address", "dirty", "prefetched", "used", "pc", "core")
+
+    def __init__(self, block_address: int, dirty: bool, prefetched: bool,
+                 used: bool, pc: int = 0, core: int = 0) -> None:
+        self.block_address = block_address
+        self.dirty = dirty
+        self.prefetched = prefetched
+        self.used = used
+        self.pc = pc
+        self.core = core
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (f"EvictedLine(block_address=0x{self.block_address:x}, "
+                f"dirty={self.dirty}, prefetched={self.prefetched}, "
+                f"used={self.used}, pc={self.pc}, core={self.core})")
 
 
 class LLCAgent:

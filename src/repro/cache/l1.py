@@ -6,76 +6,21 @@ realistic, filtered reference stream.  Write misses allocate (write-allocate)
 and writes mark the block dirty; a dirty L1 eviction is reported to the
 caller so it can be forwarded to the LLC as a write (this is how store
 traffic eventually becomes dirty LLC blocks and, later, DRAM writes).
-:class:`StackedL1` runs every core's L1 a chunk at a time (the flat engine);
-:class:`L1DataCache` runs one core's L1 an access at a time (the dict
-engine's reference path).
+:class:`StackedL1` runs every core's L1 a chunk at a time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.common.addressing import BLOCK_BITS, block_address
+from repro.common.addressing import BLOCK_BITS
 from repro.common.params import CacheParams
-from repro.cache.engine import make_cache_array
 from repro.cache.flat import FLAG_DIRTY, FLAG_USED
-from repro.cache.set_assoc import EvictedLine
 
 #: The state planes :class:`StackedL1` keeps.
 _PLANES = ("tags", "flags", "pcs", "stamps", "ticks")
-
-
-@dataclass
-class L1Result:
-    """Outcome of presenting one processor access to the L1."""
-
-    hit: bool
-    #: Dirty blocks evicted from the L1 by this access's fill (at most one).
-    writebacks: List[EvictedLine]
-
-
-class L1DataCache:
-    """One core's private L1 data cache."""
-
-    def __init__(self, params: CacheParams, core: int,
-                 engine: Optional[str] = None) -> None:
-        self.core = core
-        self._cache = make_cache_array(params, name=f"l1d{core}", engine=engine)
-
-    def access(self, address: int, is_store: bool, pc: int = 0) -> L1Result:
-        """Present a load or store to the L1.
-
-        On a miss the block is allocated immediately (the caller is expected
-        to fetch it from the LLC / memory); the result reports any dirty
-        victim that the allocation displaced so the caller can forward the
-        writeback to the LLC.
-        """
-        block = block_address(address)
-        line = self._cache.access(block, is_write=is_store)
-        if line is not None:
-            return L1Result(hit=True, writebacks=[])
-
-        victim = self._cache.fill(block, dirty=is_store, pc=pc, core=self.core)
-        writebacks = [victim] if victim is not None and victim.dirty else []
-        return L1Result(hit=False, writebacks=writebacks)
-
-    def lookup_dirty(self, address: int) -> bool:
-        """True when the block holding ``address`` is resident and dirty."""
-        line = self._cache.lookup(block_address(address))
-        return line is not None and line.dirty
-
-    @property
-    def stats(self):
-        """Statistics group of the underlying cache array."""
-        return self._cache.stats
-
-    @property
-    def hit_ratio(self) -> float:
-        """Demand hit ratio of this L1."""
-        return self._cache.hit_ratio
 
 
 def _lockstep_order(lanes: np.ndarray) -> Tuple[np.ndarray, List[int]]:
@@ -102,9 +47,9 @@ class StackedL1:
     """Every core's L1 data cache as one set of stacked LRU planes.
 
     Core ``c``'s set ``s`` is *lane* ``c * num_sets + s``.  The planes are
-    :class:`~repro.cache.flat.FlatSetAssociativeCache`'s (``tags``, ``-1``
-    when never filled; ``flags``; ``pcs``; LRU ``stamps``), each
-    ``[lanes, ways]``, plus each lane's running ``ticks``.
+    :class:`~repro.cache.flat.CacheArray`'s (``tags``, ``-1`` when never
+    filled; ``flags``; ``pcs``; LRU ``stamps``), each ``[lanes, ways]``,
+    plus each lane's running ``ticks``.
     """
 
     def __init__(self, params: CacheParams, num_cores: int) -> None:

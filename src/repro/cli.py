@@ -31,10 +31,11 @@ Command                Purpose
 ``report``             render telemetry artifacts: run timelines and span
                        tables from JSONL event logs, campaign metrics files,
                        and the in-process trace/snapshot-cache counters
-``fuzz``               scenario fuzzer + differential verification engine:
-                       generate random valid scenario/config specs and prove
-                       engine-cube / chunk-size / telemetry / snapshot
-                       bit-identity on each (``--budget``, ``--seed``,
+``fuzz``               scenario fuzzer + verification oracle: generate
+                       random valid scenario/config specs and check each
+                       against the reference LRU and the counter identities,
+                       and for DRAM-engine / chunk-size / telemetry /
+                       snapshot bit-identity (``--budget``, ``--seed``,
                        ``--corpus``); failures are shrunk to minimal
                        replayable reproducers
 =====================  =====================================================
@@ -380,7 +381,6 @@ def cmd_scenario_run(args: argparse.Namespace) -> int:
         result = run_scenario(scenario, config, seed=args.seed,
                               warmup_fraction=args.warmup,
                               chunk_size=args.chunk_size,
-                              cache_engine=args.engine,
                               dram_engine=args.dram_engine,
                               telemetry=recorder,
                               snapshot=args.snapshot or None,
@@ -537,7 +537,6 @@ def cmd_snapshot_create(args: argparse.Namespace) -> int:
     trace = build_trace(args.workload, args.accesses, num_cores=args.cores,
                         seed=args.seed)
     system = ServerSystem(config, workload_name=args.workload,
-                          cache_engine=args.engine,
                           dram_engine=args.dram_engine)
     try:
         snapshot, _, _ = capture_warmup(system, trace, warmup)
@@ -550,7 +549,6 @@ def cmd_snapshot_create(args: argparse.Namespace) -> int:
         store = _snapshot_store_or_exit(args.store)
         digest = snapshot_fingerprint(spec, config, warmup,
                                       num_cores=args.cores, seed=args.seed,
-                                      cache_engine=args.engine,
                                       dram_engine=args.dram_engine)
         store.put_snapshot(digest, snapshot)
         _print(f"stored snapshot {digest} in {store.root}")
@@ -562,7 +560,7 @@ def cmd_snapshot_create(args: argparse.Namespace) -> int:
 def cmd_snapshot_info(args: argparse.Namespace) -> int:
     try:
         snapshot = load_snapshot(args.path)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         raise SystemExit(f"cannot read snapshot {args.path!r}: {exc}")
     rows = [[key, str(value)] for key, value in snapshot.describe().items()]
     _print(format_table(rows, headers=["field", "value"]))
@@ -579,13 +577,12 @@ def cmd_snapshot_list(args: argparse.Namespace) -> int:
     for path in paths:
         try:
             snapshot = load_snapshot(path)
-        except (OSError, ValueError, KeyError):
-            rows.append([path.stem, "(unreadable)", "", "", "", ""])
+        except (OSError, ValueError):
+            rows.append([path.stem, "(unreadable)", "", "", ""])
             continue
-        rows.append([path.stem, snapshot.workload_name,
-                     snapshot.cache_engine, snapshot.dram_engine,
+        rows.append([path.stem, snapshot.workload_name, snapshot.dram_engine,
                      str(snapshot.processed), str(snapshot.nbytes)])
-    _print(format_table(rows, headers=["digest", "workload", "cache", "dram",
+    _print(format_table(rows, headers=["digest", "workload", "dram",
                                        "warmed accesses", "bytes"]))
     return 0
 
@@ -886,9 +883,6 @@ def build_parser() -> argparse.ArgumentParser:
                               help="fraction of the trace used for warmup")
     scenario_run.add_argument("--chunk-size", type=int, default=65_536,
                               help="streaming chunk granularity (accesses)")
-    scenario_run.add_argument("--engine", choices=["flat", "dict"], default=None,
-                              help="cache engine (default: REPRO_CACHE_ENGINE "
-                                   "or flat)")
     scenario_run.add_argument("--dram-engine", choices=["flat", "object"],
                               default=None,
                               help="DRAM engine (default: REPRO_DRAM_ENGINE "
@@ -996,10 +990,6 @@ def build_parser() -> argparse.ArgumentParser:
                                  help="system configuration name")
     snapshot_create.add_argument("--warmup", type=float, default=0.5,
                                  help="fraction of the trace to warm up over")
-    snapshot_create.add_argument("--engine", choices=["flat", "dict"],
-                                 default=None,
-                                 help="cache engine (default: "
-                                      "REPRO_CACHE_ENGINE or flat)")
     snapshot_create.add_argument("--dram-engine", choices=["flat", "object"],
                                  default=None,
                                  help="DRAM engine (default: "
@@ -1028,8 +1018,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     fuzz = subparsers.add_parser(
         "fuzz",
-        help="differential fuzzing: random scenario/config specs proven "
-             "bit-identical across the engine cube, chunk sizes, telemetry "
+        help="fuzzing: random scenario/config specs checked against the "
+             "reference LRU and counter identities, and proven "
+             "bit-identical across DRAM engines, chunk sizes, telemetry "
              "and snapshot resume")
     fuzz.add_argument("--budget", type=int, default=100,
                       help="number of generated samples to examine "

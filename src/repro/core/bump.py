@@ -25,8 +25,7 @@ from typing import Optional
 
 from repro.common.addressing import BLOCK_SIZE
 from repro.common.stats import StatGroup, fold_pending
-from repro.cache.agent import LLCAgent
-from repro.cache.set_assoc import EvictedLine
+from repro.cache.agent import EvictedLine, LLCAgent
 from repro.core.bht import BulkHistoryTable
 from repro.core.config import BuMPConfig
 from repro.core.drt import DirtyRegionTable

@@ -13,8 +13,7 @@ memory systems do.
 from __future__ import annotations
 
 from repro.common.stats import StatGroup
-from repro.cache.agent import LLCAgent
-from repro.cache.set_assoc import EvictedLine
+from repro.cache.agent import EvictedLine, LLCAgent
 from repro.core.config import BuMPConfig
 
 

@@ -84,9 +84,8 @@ class MemoryController:
         #: With ``fast_scheduler`` FR-FCFS maintains per-row readiness
         #: incrementally (the controller reports every bank state change and
         #: the queue never scans).  Without it the queue runs the legacy
-        #: window scan -- selected by the dict cache engine so the benchmark
-        #: baseline preserves the pre-overhaul core end to end.  Both paths
-        #: make identical scheduling decisions.
+        #: window scan, which tests compare against.  Both paths make
+        #: identical scheduling decisions.
         self._queue_tracks_rows = fast_scheduler and isinstance(self.queue, FRFCFSQueue)
         if self._queue_tracks_rows:
             self.queue.track_open_rows(self._open_keys)

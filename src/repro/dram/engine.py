@@ -13,8 +13,8 @@ for every workload, named configuration and catalog scenario):
 ``object``
     :class:`repro.dram.system.MemorySystem` driving per-channel
     :class:`repro.dram.controller.MemoryController` instances -- the
-    original request-object model, kept as the reference baseline the same
-    way the cache layer kept its dict engine (:mod:`repro.cache.engine`).
+    original request-object model, kept as the flat engine's reference and
+    as the only engine that runs the ablation schedulers.
 
 Select globally with the ``REPRO_DRAM_ENGINE`` environment variable or per
 run via the ``dram_engine`` argument of
@@ -26,7 +26,7 @@ FR-FCFS scheduling and DRAM organisations whose rank/bank counts fit the
 packed row-state key.  :func:`resolve_dram_engine` transparently falls back
 to the object engine outside that space (the ablation-only scheduling
 policies of :mod:`repro.dram.policies`, oversized organisations), mirroring
-how the cache layer's fast scheduler only engages for ``FRFCFSQueue``.
+how the object engine's fast scheduler only engages for ``FRFCFSQueue``.
 Results are bit-identical either way, so the fallback is a speed decision,
 never a fidelity one.
 """

@@ -15,10 +15,9 @@ dataclass (including the nested BuMP geometry and architectural parameters)
 are field-for-field identical.  Renaming a configuration does not fake a new
 artifact, and tweaking a nested knob never silently reuses a stale one.
 
-Execution-engine knobs are deliberately **not** part of a job's identity:
-the cache engines (``REPRO_CACHE_ENGINE=flat|dict``) and DRAM engines
-(``REPRO_DRAM_ENGINE=flat|object``) produce bit-identical results, so an
-artifact computed under any engine combination is *the* artifact for that
+The DRAM engine knob is deliberately **not** part of a job's identity: the
+DRAM engines (``REPRO_DRAM_ENGINE=flat|object``) produce bit-identical
+results, so an artifact computed under either is *the* artifact for that
 job -- a campaign resumed on a machine with a different engine setting
 reuses it safely.  (Engine *behaviour* changes do invalidate artifacts, via
 the package version embedded in every fingerprint.)
@@ -178,10 +177,10 @@ class JobSpec:
 
         Jobs that agree on workload, configuration (content, not name),
         warmup length, core count and seed share one warm snapshot: the
-        measure phase differs only in what runs *after* warmup.  Engine
-        knobs enter this fingerprint (unlike :meth:`result_fingerprint`)
-        because a snapshot stores engine-specific array layouts; the
-        defaults resolve deterministically inside
+        measure phase differs only in what runs *after* warmup.  The DRAM
+        engine enters this fingerprint (unlike :meth:`result_fingerprint`)
+        because a snapshot stores engine-specific state; the default
+        resolves deterministically inside
         :func:`repro.sim.snapshot.snapshot_fingerprint`.
         """
         return snapshot_fingerprint(

@@ -1,17 +1,18 @@
-"""Scenario fuzzer and differential verification engine.
+"""Scenario fuzzer and verification oracle.
 
-The parity suites (PR 3/5/7/8) prove engine bit-identity on a *fixed* matrix:
-six workloads x eight named configurations plus the six-scenario catalog.
+The golden pins and parity suites check results on a *fixed* matrix: six
+workloads x eight named configurations plus the six-scenario catalog.
 This package turns that checklist into a coverage engine:
 
 * :mod:`repro.fuzz.generator` samples random **valid** scenario/configuration
   specs over the full spec surface (multi-tenant core partitions, phases,
   bursts, intensity scaling, idle cores, page policies, interleavings,
   warmup lengths, chunk sizes) from a seed, deterministically;
-* :mod:`repro.fuzz.oracle` runs one sample across the cache x DRAM engine
-  cube plus chunk-size invariance, telemetry on/off and a snapshot
-  split-then-resume, and asserts every cell fingerprints identically
-  to the object-engine reference;
+* :mod:`repro.fuzz.oracle` runs one sample with the reference LRU of
+  :mod:`repro.fuzz.reference_lru` shadowing its caches, across both DRAM
+  engines, at a perturbed chunk size, with telemetry on and through a
+  snapshot split-then-resume; every cell must fingerprint identically to
+  the object-DRAM-engine reference and satisfy the counter identities;
 * :mod:`repro.fuzz.shrink` reduces a failing sample to a minimal reproducer
   (drop phases and tenants, halve accesses, strip bursts/intensities,
   simplify the configuration) and the :mod:`repro.fuzz.corpus` codec writes

@@ -1,16 +1,23 @@
-"""Differential verification of one fuzz spec across every engine axis.
+"""Verification of one fuzz spec against specifications and invariances.
 
 One sample, one verdict: the oracle simulates the spec's scenario under its
-configuration in every distinguishable cell of the engine space and demands
-that all of them fingerprint identically to the **reference cell** -- the
-original object engines (``dict`` cache, ``object`` DRAM), the same baseline
-every flat engine was proven against.
+configuration and checks the run against the cache layer's specification
+(a reference LRU), counter identities, and every invariance the simulator
+promises.  Cells are named ``<cache>/<DRAM engine>``; there is one cache
+engine, so every cell is ``flat/...``.  The **reference cell** is
+``flat/object``: the object DRAM engine, the flat DRAM engine's reference.
 
 Checks (each independently selectable; ``CHECKS`` lists them all):
 
+``lru``
+    The default ``flat/flat`` run with a reference LRU of one ordered dict
+    per set (:mod:`repro.fuzz.reference_lru`) shadowing every L1 stage call
+    and every LLC array call; the first result that differs fails the
+    check.
 ``cube``
-    The cache x DRAM engine cube: ``dict/flat``, ``flat/object`` and
-    ``flat/flat`` against the reference cell.
+    The DRAM engine axis: ``flat/flat`` against the reference cell.  When
+    the ``lru`` check runs too, its shadowed run is this cell's run (the
+    shadow never changes a result).
 ``chunk``
     Chunk-size invariance: the same run at a perturbed streaming chunk size
     must not leak batch boundaries into any statistic.
@@ -23,6 +30,11 @@ Checks (each independently selectable; ``CHECKS`` lists them all):
     system and measure the tail -- bit-identical to never having stopped.
     Skipped (reported, not run) when the spec has no warmup interval.
 
+Every checked run must also satisfy the counter identities of
+:func:`identity_problems` (conservation: every access, DRAM transfer and
+row-buffer outcome is counted exactly once).  The reference run is held to
+them through every cell that matches it.
+
 Specs with a ``closed_loop`` block run every cell through the
 feedback-driven :class:`~repro.scenario.closed_loop.ClosedLoopSource`: the
 cube check then additionally reruns the reference cell verbatim (asserting
@@ -31,8 +43,8 @@ checkpoints/restores the source's controller state alongside the simulator
 arrays.
 
 Every simulation in a check replays the identical deterministic chunk
-stream, so a mismatch is always an engine bug (or an injected fault), never
-workload noise.
+stream, so a mismatch is always a simulator bug (or an injected fault),
+never workload noise.
 """
 
 from __future__ import annotations
@@ -44,8 +56,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.exec.campaign import result_fingerprint
 from repro.fuzz.corpus import FuzzCase, materialize
+from repro.fuzz.reference_lru import LRUShadow
 from repro.scenario.compiler import iter_scenario_chunks
 from repro.scenario.runner import run_scenario
+from repro.sim.results import SimulationResult
 from repro.sim.snapshot import capture_warmup, load_snapshot, save_snapshot
 from repro.sim.system import ServerSystem
 
@@ -54,27 +68,24 @@ __all__ = [
     "CheckResult",
     "OracleReport",
     "REFERENCE_CELL",
+    "identity_problems",
     "run_oracle",
 ]
 
-#: The reference engine cell (cache, DRAM) every other cell is compared
+#: The reference cell (cache, DRAM engine) every other cell is compared
 #: against.
-REFERENCE_CELL = ("dict", "object")
+REFERENCE_CELL = ("flat", "object")
 
-#: Engine cells of the cube check (reference excluded).
-_CUBE_CELLS: Tuple[Tuple[str, str], ...] = (
-    ("dict", "flat"),
-    ("flat", "object"),
-    ("flat", "flat"),
-)
+#: The cell of the cube and ``lru`` checks: the default engines.
+_DEFAULT_CELL = ("flat", "flat")
 
 #: All check names, in execution order.
-CHECKS = ("cube", "chunk", "telemetry", "snapshot")
+CHECKS = ("lru", "cube", "chunk", "telemetry", "snapshot")
 
 
 @dataclass
 class CheckResult:
-    """Outcome of one differential cell."""
+    """Outcome of one checked cell."""
 
     check: str
     cell: str
@@ -82,10 +93,14 @@ class CheckResult:
     #: ``True`` when the cell could not run for this spec (e.g. the snapshot
     #: check on a spec with no warmup interval); never counted as a failure.
     skipped: bool = False
+    #: What failed: the differing fingerprint, the first reference-LRU
+    #: mismatch or a violated counter identity with both sides.
+    detail: str = ""
 
     def describe(self) -> str:
         state = "skip" if self.skipped else ("ok" if self.matches else "FAIL")
-        return f"{self.check}:{self.cell}={state}"
+        text = f"{self.check}:{self.cell}={state}"
+        return f"{text} ({self.detail})" if self.detail else text
 
 
 @dataclass
@@ -93,7 +108,8 @@ class OracleReport:
     """Every cell verdict for one spec, plus the reference fingerprint."""
 
     label: str
-    reference_fingerprint: str
+    #: ``None`` when no selected check compares against the reference.
+    reference_fingerprint: Optional[str]
     checks: List[CheckResult] = field(default_factory=list)
 
     @property
@@ -121,34 +137,95 @@ class OracleReport:
                 + " ".join(c.describe() for c in self.failures))
 
 
-def _run_cell(case: FuzzCase, cache: str, dram: str,
-              chunk_size: Optional[int] = None, telemetry=None) -> str:
-    result = run_scenario(
+def identity_problems(result: SimulationResult) -> List[str]:
+    """The counter identities ``result`` violates, each with both sides.
+
+    Every access is an L1 hit, an LLC hit or an LLC miss, and every LLC
+    miss is one demand read; every DRAM read and write is attributed to
+    exactly one kind; every DRAM access has one row-buffer outcome; and the
+    LLC's own demand-miss and prefetch-fill counts agree with the system's.
+    """
+    counters, dram, llc = result.counters, result.dram, result.llc
+
+    def total(*keys: str) -> float:
+        return sum(counters[key] for key in keys)
+
+    identities = (
+        ("accesses = l1_hits + llc_hits + llc_misses",
+         counters["accesses"], total("l1_hits", "llc_hits", "llc_misses")),
+        ("demand_reads = llc_misses",
+         counters["demand_reads"], counters["llc_misses"]),
+        ("dram reads = demand_reads + prefetch_reads + bulk_reads",
+         dram["reads"], total("demand_reads", "prefetch_reads", "bulk_reads")),
+        ("dram writes = demand_writebacks + eager_writebacks + bulk_writebacks",
+         dram["writes"],
+         total("demand_writebacks", "eager_writebacks", "bulk_writebacks")),
+        ("row_hits + row_misses + row_conflicts = dram accesses",
+         dram["row_hits"] + dram["row_misses"] + dram["row_conflicts"],
+         dram["accesses"]),
+        ("llc demand_misses = llc_misses",
+         llc["demand_misses"], counters["llc_misses"]),
+        ("llc prefetch_fills = prefetch_reads + bulk_reads",
+         llc["prefetch_fills"], total("prefetch_reads", "bulk_reads")),
+    )
+    return [f"{name}: {_count(left)} != {_count(right)}"
+            for name, left, right in identities if left != right]
+
+
+def _count(value: float):
+    """A counter value as written in a report: integral values as ints."""
+    return int(value) if float(value).is_integer() else value
+
+
+def _cell_name(cell: Tuple[str, str]) -> str:
+    return "/".join(cell)
+
+
+def _run_cell(case: FuzzCase, cell: Tuple[str, str],
+              chunk_size: Optional[int] = None,
+              telemetry=None) -> SimulationResult:
+    return run_scenario(
         case.scenario, case.config, seed=case.seed,
         warmup_fraction=case.warmup_fraction,
         chunk_size=chunk_size if chunk_size is not None else case.chunk_size,
-        cache_engine=cache, dram_engine=dram,
-        telemetry=telemetry, closed_loop=case.closed_loop)
-    return result_fingerprint(result)
+        dram_engine=cell[1], telemetry=telemetry,
+        closed_loop=case.closed_loop)
 
 
-def _snapshot_fingerprint_for(case: FuzzCase, workdir: Optional[Path]) -> str:
-    """Capture at the warmup boundary, file round-trip, restore, measure."""
-    system = ServerSystem(case.config, workload_name=case.scenario.name,
-                          cache_engine="flat", dram_engine="flat")
+def _chunks(case: FuzzCase):
+    """The case's chunk stream, built the way :func:`run_scenario` builds it."""
     if case.closed_loop is not None:
-        # Closed-loop capture: the source's controller state rides inside
-        # the snapshot, and the replay rebuilds a fresh source to restore
-        # into -- proving the checkpoint carries everything production
-        # needs, not just simulator state.
+        # Imported lazily, as run_scenario does.
         from repro.scenario.closed_loop import ClosedLoopSource
 
-        chunks = ClosedLoopSource(case.scenario, case.closed_loop,
-                                  seed=case.seed, chunk_size=case.chunk_size)
-    else:
-        chunks = iter_scenario_chunks(case.scenario, seed=case.seed,
-                                      chunk_size=case.chunk_size)
-    snapshot, _, _ = capture_warmup(system, chunks, case.warmup_accesses)
+        return ClosedLoopSource(case.scenario, case.closed_loop,
+                                seed=case.seed, chunk_size=case.chunk_size)
+    return iter_scenario_chunks(case.scenario, seed=case.seed,
+                                chunk_size=case.chunk_size)
+
+
+def _run_shadowed(case: FuzzCase) -> Tuple[SimulationResult, Optional[str]]:
+    """The default cell with the reference LRU shadowing its caches.
+
+    Returns the run's result (identical to :func:`_run_cell`'s) and the
+    first reference-LRU mismatch, or ``None``.
+    """
+    system = ServerSystem(case.config, workload_name=case.scenario.name,
+                          dram_engine=_DEFAULT_CELL[1])
+    shadow = LRUShadow(system)
+    result = system.run(_chunks(case), warmup_accesses=case.warmup_accesses)
+    return result, shadow.mismatch
+
+
+def _snapshot_result(case: FuzzCase, workdir: Optional[Path]) -> SimulationResult:
+    """Capture at the warmup boundary, file round-trip, restore, measure."""
+    system = ServerSystem(case.config, workload_name=case.scenario.name,
+                          dram_engine=_DEFAULT_CELL[1])
+    # A closed-loop source's controller state rides inside the snapshot,
+    # and the replay rebuilds a fresh source to restore into -- proving the
+    # checkpoint carries everything production needs, not just simulator
+    # state.
+    snapshot, _, _ = capture_warmup(system, _chunks(case), case.warmup_accesses)
     if workdir is None:
         with tempfile.TemporaryDirectory(prefix="repro-fuzz-") as tmp:
             path = Path(tmp) / "warm.npz"
@@ -158,11 +235,10 @@ def _snapshot_fingerprint_for(case: FuzzCase, workdir: Optional[Path]) -> str:
         path = Path(workdir) / f"{case.label}-warm.npz"
         save_snapshot(snapshot, path)
         snapshot = load_snapshot(path)
-    result = run_scenario(case.scenario, case.config, seed=case.seed,
-                          warmup_fraction=case.warmup_fraction,
-                          chunk_size=case.chunk_size, snapshot=snapshot,
-                          closed_loop=case.closed_loop)
-    return result_fingerprint(result)
+    return run_scenario(case.scenario, case.config, seed=case.seed,
+                        warmup_fraction=case.warmup_fraction,
+                        chunk_size=case.chunk_size, snapshot=snapshot,
+                        closed_loop=case.closed_loop)
 
 
 def _perturbed_chunk_size(chunk_size: int) -> int:
@@ -172,55 +248,67 @@ def _perturbed_chunk_size(chunk_size: int) -> int:
 
 def run_oracle(spec: Dict, checks: Optional[Sequence[str]] = None,
                workdir=None) -> OracleReport:
-    """Run the differential oracle over one spec dict.
+    """Run the oracle over one spec dict.
 
     ``checks`` restricts the run to a subset of :data:`CHECKS` (the shrinker
-    re-runs only the originally failing axis).  ``workdir`` keeps the
-    snapshot check's ``.npz`` round-trip file for inspection; by default it
-    lives in a temporary directory.
+    re-runs only the originally failing axis); the reference cell is only
+    simulated when a selected check compares against it.  ``workdir`` keeps
+    the snapshot check's ``.npz`` round-trip file for inspection; by default
+    it lives in a temporary directory.
 
     Raises ``ValueError`` for specs that do not materialize; every
-    simulation failure below that propagates -- an engine crash on a valid
-    spec is a finding, not an infrastructure error.
+    simulation failure below that propagates -- a crash on a valid spec is
+    a finding, not an infrastructure error.
     """
     selected = tuple(checks) if checks is not None else CHECKS
     unknown = [name for name in selected if name not in CHECKS]
     if unknown:
         raise ValueError(f"unknown oracle checks {unknown}; known: {CHECKS}")
     case = materialize(spec)
-    reference = _run_cell(case, *REFERENCE_CELL)
+    reference = None
+    if any(name != "lru" for name in selected):
+        reference = result_fingerprint(_run_cell(case, REFERENCE_CELL))
     report = OracleReport(label=case.label, reference_fingerprint=reference)
 
+    def record(check: str, cell: str, result: SimulationResult,
+               problems: Sequence[str] = ()) -> None:
+        problems = list(problems) + identity_problems(result)
+        report.checks.append(CheckResult(check, cell, not problems,
+                                         detail="; ".join(problems)))
+
+    def compare(check: str, cell: str, result: SimulationResult) -> None:
+        differs = result_fingerprint(result) != reference
+        record(check, cell, result,
+               [f"fingerprint differs from {_cell_name(REFERENCE_CELL)}"]
+               if differs else [])
+
+    default = None
+    if "lru" in selected:
+        default, mismatch = _run_shadowed(case)
+        record("lru", _cell_name(_DEFAULT_CELL), default,
+               [mismatch] if mismatch is not None else [])
     if "cube" in selected:
         if case.closed_loop is not None:
             # Closed-loop production feeds simulator observations back into
             # the stream, so assert run-to-run determinism explicitly: an
             # exact rerun of the reference cell must reproduce it.
-            matches = _run_cell(case, *REFERENCE_CELL) == reference
-            report.checks.append(
-                CheckResult("cube", "repeat:" + "/".join(REFERENCE_CELL),
-                            matches))
-        for cache, dram in _CUBE_CELLS:
-            cell = f"{cache}/{dram}"
-            matches = _run_cell(case, cache, dram) == reference
-            report.checks.append(CheckResult("cube", cell, matches))
+            compare("cube", "repeat:" + _cell_name(REFERENCE_CELL),
+                    _run_cell(case, REFERENCE_CELL))
+        if default is None:
+            default = _run_cell(case, _DEFAULT_CELL)
+        compare("cube", _cell_name(_DEFAULT_CELL), default)
     if "chunk" in selected:
         alt = _perturbed_chunk_size(case.chunk_size)
-        matches = _run_cell(case, "flat", "flat",
-                            chunk_size=alt) == reference
-        report.checks.append(
-            CheckResult("chunk", f"chunk={alt}", matches))
+        compare("chunk", f"chunk={alt}",
+                _run_cell(case, _DEFAULT_CELL, chunk_size=alt))
     if "telemetry" in selected:
-        matches = _run_cell(case, "flat", "flat",
-                            telemetry="full") == reference
-        report.checks.append(
-            CheckResult("telemetry", "telemetry=full", matches))
+        compare("telemetry", "telemetry=full",
+                _run_cell(case, _DEFAULT_CELL, telemetry="full"))
     if "snapshot" in selected:
         if case.warmup_accesses < 1:
             report.checks.append(
                 CheckResult("snapshot", "no-warmup", True, skipped=True))
         else:
-            matches = _snapshot_fingerprint_for(case, workdir) == reference
-            report.checks.append(CheckResult(
-                "snapshot", f"split@{case.warmup_accesses}", matches))
+            compare("snapshot", f"split@{case.warmup_accesses}",
+                    _snapshot_result(case, workdir))
     return report

@@ -33,8 +33,7 @@ from repro.common.addressing import (
 )
 from repro.common.assoc_table import AssociativeTable
 from repro.common.stats import StatGroup, fold_pending
-from repro.cache.agent import LLCAgent
-from repro.cache.set_assoc import EvictedLine
+from repro.cache.agent import EvictedLine, LLCAgent
 
 
 class _Generation:

@@ -29,8 +29,7 @@ from dataclasses import dataclass
 from repro.common.addressing import BLOCK_SIZE, REGION_SIZE
 from repro.common.assoc_table import AssociativeTable
 from repro.common.stats import StatGroup
-from repro.cache.agent import LLCAgent
-from repro.cache.set_assoc import EvictedLine
+from repro.cache.agent import EvictedLine, LLCAgent
 
 
 @dataclass

@@ -3,11 +3,10 @@
 ``run_scenario`` is the scenario counterpart of
 :func:`repro.sim.runner.run_workload_streaming`: the compiled chunk stream
 feeds the simulator directly, so a million-access multi-tenant run holds one
-chunk of columns in memory regardless of scenario length.  The cache-engine
-knob, warmup split and agent attachment behave exactly as they do for
-single-workload runs -- a scenario is just a trace.  The ``dram_engine``
-knob (flat/object, see :mod:`repro.dram.engine`) passes through the same
-way; every engine combination is bit-identical.
+chunk of columns in memory regardless of scenario length.  The warmup split,
+agent attachment and the ``dram_engine`` knob (flat/object, see
+:mod:`repro.dram.engine`) behave exactly as they do for single-workload
+runs -- a scenario is just a trace.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ def run_scenario(scenario: Union[str, Scenario], config: SystemConfig,
                  seed: int = DEFAULT_SEED,
                  warmup_fraction: float = DEFAULT_WARMUP_FRACTION,
                  chunk_size: int = DEFAULT_CHUNK_SIZE,
-                 cache_engine: Optional[str] = None,
                  dram_engine: Optional[str] = None,
                  scale: float = 1.0,
                  extra_agents: Optional[Iterable] = None,
@@ -47,7 +45,7 @@ def run_scenario(scenario: Union[str, Scenario], config: SystemConfig,
     materialized: generator chunks flow straight into the simulator's row
     loop, so memory stays bounded by ``chunk_size`` for arbitrarily long
     scenarios.  Results are bit-identical for any ``chunk_size`` and across
-    the flat/dict cache engines.
+    the flat/object DRAM engines.
 
     ``telemetry`` follows :func:`repro.sim.runner.run_trace`; when the mode
     records spans, the scenario's phase boundaries are emitted as ``phase``
@@ -57,7 +55,7 @@ def run_scenario(scenario: Union[str, Scenario], config: SystemConfig,
     ``snapshot`` / ``warmup_snapshot`` behave as in
     :func:`repro.sim.runner.run_trace`.  The snapshot fingerprint covers the
     resolved scenario (post-``scale``), the configuration, the warmup
-    length, the seed, the cache/DRAM engines and -- when set -- the
+    length, the seed, the DRAM engine and -- when set -- the
     closed-loop spec; ``chunk_size`` is excluded because results are
     chunk-size invariant.
 
@@ -100,8 +98,7 @@ def run_scenario(scenario: Union[str, Scenario], config: SystemConfig,
 
         snapshot_key = snapshot_fingerprint(
             resolved, config, int(resolved.total_accesses * warmup_fraction),
-            num_cores=None, seed=seed,
-            cache_engine=cache_engine, dram_engine=dram_engine,
+            num_cores=None, seed=seed, dram_engine=dram_engine,
             closed_loop=loop_spec)
     if source is not None:
         chunks = source
@@ -112,7 +109,6 @@ def run_scenario(scenario: Union[str, Scenario], config: SystemConfig,
                      warmup_fraction=warmup_fraction,
                      num_accesses=resolved.total_accesses,
                      extra_agents=extra_agents,
-                     cache_engine=cache_engine,
                      dram_engine=dram_engine,
                      telemetry=recorder,
                      snapshot=snapshot,
@@ -125,7 +121,6 @@ def run_scenario_configs(scenario: Union[str, Scenario],
                          seed: int = DEFAULT_SEED,
                          warmup_fraction: float = DEFAULT_WARMUP_FRACTION,
                          chunk_size: int = DEFAULT_CHUNK_SIZE,
-                         cache_engine: Optional[str] = None,
                          dram_engine: Optional[str] = None,
                          scale: float = 1.0,
                          telemetry=None) -> Dict[str, SimulationResult]:
@@ -142,6 +137,6 @@ def run_scenario_configs(scenario: Union[str, Scenario],
     for config in configs:
         results[config.name] = run_scenario(
             resolved, config, seed=seed, warmup_fraction=warmup_fraction,
-            chunk_size=chunk_size, cache_engine=cache_engine,
-            dram_engine=dram_engine, telemetry=telemetry)
+            chunk_size=chunk_size, dram_engine=dram_engine,
+            telemetry=telemetry)
     return results

@@ -20,7 +20,7 @@ checkpoint/restore a cheap serialization problem.  This module provides it:
   pickle blob) for the artifact store and cross-process restore;
 * :func:`snapshot_fingerprint` names a warm state by what produced it:
   (workload/scenario spec, system configuration, warmup length, cores, seed,
-  engine selection, package version).
+  DRAM engine, package version).
 
 **Restore strategy.**  ``restore`` never unpickles a live system wholesale.
 It builds a fresh :class:`ServerSystem` from the snapshot's configuration
@@ -44,12 +44,10 @@ import json
 import pickle
 import zipfile
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, Optional
 
 import numpy as np
 
-from repro.cache.engine import cache_engine_name
-from repro.cache.replacement import LRUPolicy
 from repro.common.fingerprint import canonical_data, fingerprint
 from repro.dram.engine import resolve_dram_engine
 from repro.sim.system import ServerSystem
@@ -62,7 +60,6 @@ __all__ = [
     "capture_warmup",
     "load_snapshot",
     "restore",
-    "resolved_engines",
     "save_snapshot",
     "skip_accesses",
     "snapshot_fingerprint",
@@ -75,8 +72,10 @@ __all__ = [
 #: v2: agents carry their counters as pending ints and their tables' entries
 #: as ``__slots__`` objects.  v3: the flat engine's L1s are one
 #: :class:`~repro.cache.l1.StackedL1`, so no per-core slot index, occupancy,
-#: statistics or policy is pickled.
-SNAPSHOT_FORMAT_VERSION = 3
+#: statistics or policy is pickled.  v4: one cache engine, so there is no
+#: ``cache_engine`` field and the LLC's pickled state carries no
+#: replacement policy.
+SNAPSHOT_FORMAT_VERSION = 4
 
 #: Crossbar counters (plain ints on the hot path), captured by name.
 _NOC_COUNTERS = (
@@ -103,6 +102,14 @@ _ARRAY_PREFIX = "array_"
 #: plane stacked along a leading core axis) and ``llc_<plane>`` members.
 _CACHE_PLANES = ("tags", "flags", "pcs", "cores", "stamps", "ticks")
 
+#: The twelve plane members every snapshot container must hold.
+_PLANE_MEMBERS = tuple(f"{cache}_{plane}" for cache in ("l1", "llc")
+                       for plane in _CACHE_PLANES)
+
+#: Keys of a container's JSON ``meta`` member.
+_META_KEYS = ("format_version", "package_version", "workload_name",
+              "dram_engine", "processed", "config_key")
+
 
 def _package_version() -> str:
     # Imported lazily: repro/__init__ imports repro.sim, so a module-level
@@ -116,7 +123,7 @@ def _package_version() -> str:
 class SystemSnapshot:
     """One captured warm state, self-describing and restore-ready.
 
-    ``arrays`` holds the big flat-engine cache planes as native NumPy arrays
+    ``arrays`` holds the big cache planes as native NumPy arrays
     (mmap-friendly in the ``.npz`` container); ``state_blob`` is one pickle
     of everything else -- slot indices, stat groups, the memory system,
     agents, NOC counters and interpreter cursors -- serialized as a single
@@ -128,7 +135,6 @@ class SystemSnapshot:
     format_version: int
     package_version: str
     workload_name: str
-    cache_engine: str
     dram_engine: str
     #: Accesses consumed before capture (the warmup length for warmup
     #: snapshots); restore paths skip exactly this many from the trace.
@@ -157,7 +163,6 @@ class SystemSnapshot:
             "format_version": self.format_version,
             "package_version": self.package_version,
             "workload": self.workload_name,
-            "cache_engine": self.cache_engine,
             "dram_engine": self.dram_engine,
             "processed_accesses": self.processed,
             "config_key": self.config_key,
@@ -182,25 +187,9 @@ def config_key(config) -> str:
     return fingerprint(data)
 
 
-def resolved_engines(config, cache_engine: Optional[str] = None,
-                     dram_engine: Optional[str] = None) -> Tuple[str, str]:
-    """The (cache, DRAM) engine names a system built this way would run.
-
-    Snapshot fingerprints must key on *effective* engines: the DRAM engine
-    transparently downgrades to ``object`` for ablation schedulers and
-    oversized organisations, and an env-var override changes the default.
-    """
-    return (
-        cache_engine_name(cache_engine),
-        resolve_dram_engine(dram_engine, scheduler=config.scheduler,
-                            org=config.system.dram_org),
-    )
-
-
 def snapshot_fingerprint(workload, config, warmup_accesses: int,
                          num_cores: Optional[int] = None,
                          seed: Optional[int] = None,
-                         cache_engine: Optional[str] = None,
                          dram_engine: Optional[str] = None,
                          closed_loop=None) -> str:
     """Content address of the warm state a (spec, config, warmup) run produces.
@@ -212,12 +201,14 @@ def snapshot_fingerprint(workload, config, warmup_accesses: int,
     the same 30k-access warmup share one snapshot.  Scenarios carry their
     core count in the spec, so ``num_cores`` may be ``None`` for them.
 
+    The digest keys on the *effective* DRAM engine: it transparently
+    downgrades to ``object`` for ablation schedulers and oversized
+    organisations, and an env-var override changes the default.
+
     ``closed_loop`` (a :class:`repro.scenario.closed_loop.ClosedLoopSpec`)
-    enters the digest only when set, so every pre-existing open-loop
-    fingerprint -- and every snapshot already in an artifact store -- stays
-    stable.
+    enters the digest only when set, so every open-loop fingerprint -- and
+    every snapshot already in an artifact store -- stays stable.
     """
-    engines = resolved_engines(config, cache_engine, dram_engine)
     data = {
         "kind": "snapshot",
         "version": _package_version(),
@@ -226,8 +217,9 @@ def snapshot_fingerprint(workload, config, warmup_accesses: int,
         "warmup_accesses": int(warmup_accesses),
         "num_cores": num_cores,
         "seed": seed,
-        "cache_engine": engines[0],
-        "dram_engine": engines[1],
+        "dram_engine": resolve_dram_engine(dram_engine,
+                                           scheduler=config.scheduler,
+                                           org=config.system.dram_org),
     }
     if closed_loop is not None:
         data["closed_loop"] = canonical_data(closed_loop)
@@ -248,8 +240,7 @@ def _flush_pending(system: ServerSystem) -> None:
     system._flush_dram()
     system._flush_hot_counters()
     system.llc.stats  # wrapper pendings -> StatGroup
-    if system._flat_engine:
-        system._llc_array.stats
+    system._llc_array.stats
 
 
 def capture(system: ServerSystem, processed: int,
@@ -285,27 +276,19 @@ def capture(system: ServerSystem, processed: int,
         "bump": system.bump,
         "profiler": system.profiler,
     }
-    arrays: Dict[str, np.ndarray] = {}
-    if system._flat_engine:
-        llc = system._llc_array
-        for plane, array in system.l1.core_planes().items():
-            arrays[f"l1_{plane}"] = array
-        for plane in _CACHE_PLANES:
-            arrays[f"llc_{plane}"] = getattr(llc, plane).copy()
-        state["llc_state"] = _flat_cache_state(llc)
-        state["llc_wrapper_stats"] = system.llc._stats
-    else:
-        # Dict engine: the per-line-object caches pickle wholesale (their
-        # pending counter ints ride along inside the objects).
-        state["l1s"] = system.l1s
-        state["llc"] = system.llc
+    llc = system._llc_array
+    arrays = {f"l1_{plane}": array
+              for plane, array in system.l1.core_planes().items()}
+    for plane in _CACHE_PLANES:
+        arrays[f"llc_{plane}"] = getattr(llc, plane).copy()
+    state["llc_state"] = _flat_cache_state(llc)
+    state["llc_wrapper_stats"] = system.llc._stats
 
     blob = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
     return SystemSnapshot(
         format_version=SNAPSHOT_FORMAT_VERSION,
         package_version=_package_version(),
         workload_name=system.workload_name,
-        cache_engine=system.cache_engine,
         dram_engine=system.dram_engine,
         processed=int(processed),
         config_key=config_key(system.config),
@@ -331,18 +314,16 @@ def _check_no_extra_agents(system: ServerSystem) -> None:
 
 
 def _flat_cache_state(cache) -> Dict[str, object]:
-    """The non-array state of one :class:`FlatSetAssociativeCache`.
+    """The non-array state of one :class:`CacheArray`.
 
     The five state planes + tick array travel as native npz members (see
     :func:`capture`); everything else -- the block->slot index, per-set
-    occupancy, flushed statistics and the replacement policy (including any
-    seeded RNG, which is the snapshot's "RNG state") -- pickles here.
+    occupancy and flushed statistics -- pickles here.
     """
     return {
         "slot_of": cache._slot_of,
         "count": cache._count,
         "stats": cache._stats,
-        "policy": cache.policy,
     }
 
 
@@ -359,40 +340,35 @@ def restore(snapshot: SystemSnapshot, telemetry=None) -> ServerSystem:
 
     ``telemetry`` is a free choice of the restorer -- it is
     bit-identity-invariant, so it is not part of the captured state.
+    A state blob that does not unpickle raises ``ValueError``.
     """
     if snapshot.format_version != SNAPSHOT_FORMAT_VERSION:
         raise ValueError(
             f"snapshot format v{snapshot.format_version} is not supported "
             f"by this build (expected v{SNAPSHOT_FORMAT_VERSION})")
-    state = pickle.loads(snapshot.state_blob)
+    state = _unpickle(snapshot.state_blob, "state")
     system = ServerSystem(
         state["config"],
         workload_name=state["workload_name"],
-        cache_engine=snapshot.cache_engine,
         dram_engine=snapshot.dram_engine,
         telemetry=telemetry,
     )
-    if system.cache_engine != snapshot.cache_engine \
-            or system.dram_engine != snapshot.dram_engine:
+    if system.dram_engine != snapshot.dram_engine:
         raise ValueError(
-            f"engine resolution drifted: snapshot was captured on "
-            f"({snapshot.cache_engine}, {snapshot.dram_engine}) but this "
-            f"build resolves ({system.cache_engine}, {system.dram_engine})")
+            f"engine resolution drifted: snapshot was captured on the "
+            f"{snapshot.dram_engine} DRAM engine but this build resolves "
+            f"{system.dram_engine}")
 
+    # Planes are written *in place*, so the LLC's memoryview aliases stay
+    # valid.
     arrays = snapshot.arrays
-    if system._flat_engine:
-        # Planes are written *in place*, so the LLC's memoryview aliases
-        # stay valid.
-        llc = system._llc_array
-        system.l1.load_core_planes(
-            {plane: arrays[f"l1_{plane}"] for plane in _CACHE_PLANES})
-        for plane in _CACHE_PLANES:
-            np.copyto(getattr(llc, plane), arrays[f"llc_{plane}"])
-        _load_flat_cache(llc, state["llc_state"])
-        system.llc._stats = state["llc_wrapper_stats"]
-    else:
-        system.l1s = state["l1s"]
-        system.llc = state["llc"]
+    llc = system._llc_array
+    system.l1.load_core_planes(
+        {plane: arrays[f"l1_{plane}"] for plane in _CACHE_PLANES})
+    for plane in _CACHE_PLANES:
+        np.copyto(getattr(llc, plane), arrays[f"llc_{plane}"])
+    _load_flat_cache(llc, state["llc_state"])
+    system.llc._stats = state["llc_wrapper_stats"]
 
     system.memory = state["memory"]
     system.agents = state["agents"]
@@ -409,20 +385,20 @@ def restore(snapshot: SystemSnapshot, telemetry=None) -> ServerSystem:
 
 
 def _load_flat_cache(cache, saved: Dict[str, object]) -> None:
-    """Adopt captured non-array state into a fresh flat cache.
-
-    The policy's promotion semantics are re-derived exactly as the
-    constructor does (``_lru`` drives the inlined victim scan, ``_promote``
-    the stamp writes); a captured RandomPolicy arrives with its RNG
-    mid-sequence, which is precisely what parity requires.
-    """
+    """Adopt captured non-array state into a fresh flat cache."""
     cache._slot_of = saved["slot_of"]
     cache._count = saved["count"]
     cache._stats = saved["stats"]
-    policy = saved["policy"]
-    cache.policy = policy
-    cache._lru = policy.__class__ is LRUPolicy
-    cache._promote = True if cache._lru else policy.touch_promotes
+
+
+def _unpickle(blob: bytes, member: str):
+    """Unpickle one container member; ``ValueError`` naming it if corrupt."""
+    try:
+        return pickle.loads(blob)
+    except Exception as exc:  # damaged bytes can raise nearly any type
+        raise ValueError(
+            f"snapshot member {member!r} does not unpickle: "
+            f"{type(exc).__name__}: {exc}") from exc
 
 
 # --------------------------------------------------------------------- #
@@ -504,7 +480,6 @@ def save_snapshot(snapshot: SystemSnapshot, path) -> None:
         "format_version": snapshot.format_version,
         "package_version": snapshot.package_version,
         "workload_name": snapshot.workload_name,
-        "cache_engine": snapshot.cache_engine,
         "dram_engine": snapshot.dram_engine,
         "processed": snapshot.processed,
         "config_key": snapshot.config_key,
@@ -533,9 +508,12 @@ def load_snapshot(path) -> SystemSnapshot:
     """Read a :func:`save_snapshot` container back into a :class:`SystemSnapshot`.
 
     Raises ``OSError`` for missing/unreadable files and ``ValueError`` for
-    corrupt or incomplete containers (truncated zip, missing members, bad
-    metadata) -- callers can rely on those two types covering every failure
-    mode instead of leaking ``zipfile``/``json`` internals.
+    corrupt or incomplete containers (truncated zip, missing metadata keys
+    or plane members, a ``source`` member that does not unpickle) --
+    callers can rely on those two types covering every failure mode
+    instead of leaking ``zipfile``/``json``/``pickle`` internals.  The
+    ``state`` member is unpickled by :func:`restore`, which raises the same
+    ``ValueError`` for a corrupt one.
     """
     try:
         # np.load raises ValueError too (e.g. misdetecting arbitrary bytes as
@@ -546,21 +524,34 @@ def load_snapshot(path) -> SystemSnapshot:
             arrays = {name[len(_ARRAY_PREFIX):]: data[name]
                       for name in data.files if name.startswith(_ARRAY_PREFIX)}
             blob = data["state"].tobytes()
-            source_state = (pickle.loads(data["source"].tobytes())
-                            if "source" in data.files else None)
+            source = (data["source"].tobytes()
+                      if "source" in data.files else None)
     except (ValueError, zipfile.BadZipFile, KeyError,
             json.JSONDecodeError) as exc:
         raise ValueError(f"corrupt snapshot container {path}: {exc}")
+    if not isinstance(meta, dict):
+        raise ValueError(f"corrupt snapshot container {path}: "
+                         f"metadata is not an object")
     version = meta.get("format_version")
     if version != SNAPSHOT_FORMAT_VERSION:
         raise ValueError(
             f"snapshot format v{version} is not supported by this "
             f"build (expected v{SNAPSHOT_FORMAT_VERSION})")
+    missing = [key for key in _META_KEYS if key not in meta]
+    if missing:
+        raise ValueError(f"corrupt snapshot container {path}: metadata "
+                         f"lacks {', '.join(missing)}")
+    missing = [_ARRAY_PREFIX + name for name in _PLANE_MEMBERS
+               if name not in arrays]
+    if missing:
+        raise ValueError(f"corrupt snapshot container {path}: missing "
+                         f"member(s) {', '.join(missing)}")
+    source_state = (None if source is None
+                    else _unpickle(source, "source"))
     return SystemSnapshot(
         format_version=version,
         package_version=meta["package_version"],
         workload_name=meta["workload_name"],
-        cache_engine=meta["cache_engine"],
         dram_engine=meta["dram_engine"],
         processed=int(meta["processed"]),
         config_key=meta["config_key"],

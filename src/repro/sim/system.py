@@ -30,13 +30,11 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.cache.agent import LLCAgent
-from repro.cache.engine import cache_engine_name
-from repro.cache.flat import FLAG_DIRTY, FLAG_PREFETCHED, FLAG_USED
-from repro.cache.l1 import L1DataCache, StackedL1
+from repro.cache.agent import EvictedLine, LLCAgent
+from repro.cache.flat import FLAG_PREFETCHED, FLAG_USED
+from repro.cache.l1 import StackedL1
 from repro.cache.llc import LastLevelCache
-from repro.cache.set_assoc import EvictedLine
-from repro.common.addressing import BLOCK_BITS, block_address
+from repro.common.addressing import BLOCK_BITS
 from repro.common.request import DRAMRequest, DRAMRequestKind
 from repro.common.stats import StatGroup, fold_pending
 from repro.core.bump import BuMPPredictor
@@ -46,7 +44,7 @@ from repro.dram.engine import resolve_dram_engine
 from repro.dram.flat import FlatMemorySystem
 from repro.dram.system import MemorySystem
 from repro.energy.accounting import ServerEnergyModel
-from repro.noc.crossbar import Crossbar, MessageType
+from repro.noc.crossbar import Crossbar
 from repro.prefetch.sms import SpatialMemoryStreaming
 from repro.prefetch.stride import StridePrefetcher
 from repro.sim.config import SystemConfig
@@ -57,8 +55,8 @@ from repro.trace.buffer import TraceBuffer
 from repro.workloads.density import RegionDensityProfiler
 
 
-#: System counters hoisted to plain instance ints on the flat-engine hot path
-#: and folded into the ``counters`` StatGroup once per chunk.
+#: System counters hoisted to plain instance ints on the hot path and folded
+#: into the ``counters`` StatGroup once per chunk.
 _HOT_COUNTERS = (
     ("_h_l1_writebacks", "l1_writebacks"),
     ("_h_llc_hits", "llc_hits"),
@@ -79,7 +77,7 @@ _HOT_COUNTERS = (
     ("_h_eager_writebacks", "eager_writebacks"),
 )
 
-#: DRAM request-kind codes, hoisted for the buffered flat-engine issue path.
+#: DRAM request-kind codes, hoisted for the staged flat-DRAM issue path.
 _DEMAND_READ_CODE = DRAMRequestKind.DEMAND_READ.code
 _DEMAND_WRITEBACK_CODE = DRAMRequestKind.DEMAND_WRITEBACK.code
 
@@ -102,7 +100,6 @@ class ServerSystem:
     """One configured instance of the simulated 16-core server."""
 
     def __init__(self, config: SystemConfig, workload_name: str = "workload",
-                 cache_engine: Optional[str] = None,
                  dram_engine: Optional[str] = None,
                  telemetry=None) -> None:
         self.config = config
@@ -114,17 +111,10 @@ class ServerSystem:
         self.telemetry = resolve_telemetry(telemetry)
         params = config.system
 
-        self.cache_engine = cache_engine_name(cache_engine)
-        self._flat_engine = self.cache_engine == "flat"
-        #: Every core's L1: one :class:`StackedL1` on the flat engine (run a
-        #: chunk at a time), one :class:`L1DataCache` per core on the dict one.
-        flat = self._flat_engine
-        self.l1 = StackedL1(params.l1d, params.num_cores) if flat else None
-        self.l1s = [] if flat else [
-            L1DataCache(params.l1d, core, engine=self.cache_engine)
-            for core in range(params.num_cores)]
-        self.llc = LastLevelCache(params.llc, engine=self.cache_engine)
-        self._llc_array = self.llc._cache if self._flat_engine else None
+        #: Every core's L1, run a chunk at a time.
+        self.l1 = StackedL1(params.l1d, params.num_cores)
+        self.llc = LastLevelCache(params.llc)
+        self._llc_array = self.llc._cache
         self._carries_pc = config.carries_pc
         self.noc = Crossbar(num_cores=params.num_cores)
         for attr, _key in _HOT_COUNTERS:
@@ -155,17 +145,16 @@ class ServerSystem:
                 params.dram_timing, params.dram_org, mapping, config.page_policy,
                 window=params.dram_org.transaction_queue_entries,
                 scheduler=config.scheduler,
-                fast_scheduler=self._flat_engine,
                 # Every measurement folds into scalar counters at serve time;
                 # retaining one request object per transfer would grow memory
                 # linearly with trace length and break the streaming paths'
                 # bounded-footprint promise.
                 record_completed=False,
             )
-        # Staged per-chunk DRAM transfers (flat engine): the fast paths
-        # append (block, kind code, arrival) scalars here and ``_flush_dram``
-        # hands the memory system the whole batch at chunk boundaries --
-        # no DRAMRequest object is ever built on the hot path.
+        # Staged DRAM transfers (flat DRAM engine): the hot paths append
+        # (block, kind code, arrival) scalars here and ``_flush_dram`` hands
+        # the memory system the whole batch after every miss slice -- no
+        # DRAMRequest object is ever built on the hot path.
         self._dram_blocks: list = []
         self._dram_kinds: list = []
         self._dram_arrivals: list = []
@@ -532,30 +521,10 @@ class ServerSystem:
             llc_misses=int(self.counters["llc_misses"]),
         )
 
-    def _run_chunk(self, chunk: TraceBuffer) -> None:
-        """Interpret one columnar chunk.
-
-        Zero-length chunks (phase-boundary splices, empty streams) return
-        immediately.  Under the flat cache engine the chunk runs through the
-        staged chunk loop (:meth:`_run_chunk_flat`).  Under the dict engine
-        every access walks the original per-access call chain, preserving
-        it as the reference baseline.
-        """
-        if not len(chunk):
-            return
-        if self._flat_engine:
-            self._run_chunk_flat(chunk)
-            return
-        cores, pcs, addresses, stores, instructions = chunk.columns_as_lists()
-        step = self._step_fields
-        for i in range(len(cores)):
-            step(cores[i], pcs[i], addresses[i], stores[i], instructions[i])
-        self._flush_dram()
-
     def _flush_dram(self) -> None:
         """Hand the staged DRAM transfers to the memory system.
 
-        Under the flat DRAM engine every ``_issue_dram`` site appends plain
+        Under the flat DRAM engine every DRAM issue site appends plain
         (block, kind code, arrival cycle) scalars to the staging lists; this
         flush routes the whole batch through
         :meth:`repro.dram.flat.FlatMemorySystem.enqueue_block_batch` (or the
@@ -574,23 +543,25 @@ class ServerSystem:
             self._dram_kinds = []
             self._dram_arrivals = []
 
-    def _run_chunk_flat(self, chunk: TraceBuffer) -> None:
-        """Staged chunk loop over the flat-array caches.
+    def _run_chunk(self, chunk: TraceBuffer) -> None:
+        """Interpret one columnar chunk: the staged chunk loop.
 
-        Only the trace reaches the L1s, so stage 1 computes each row's hit,
-        dirty victim and arrival cycle in NumPy before the LLC sees the
-        chunk: :meth:`StackedL1.access_chunk`, and one cumulative sum,
-        seeded with the running core cycle, of ``(instructions *
-        arrival_cpi) / num_cores`` computed elementwise.  That is
-        :meth:`_step_fields`' operation and addition order, so results stay
-        bit-identical.  Stage 2 visits the L1 misses alone, in trace order:
-        it syncs the core cycle and bus arrival stamp that the DRAM issue
-        sites read, forwards the dirty victim to the LLC and takes the LLC
-        demand path.  The transfers each slice stages are flushed at its
-        end, which bounds the staging lists and, in a pipelined run, feeds
-        the DRAM stage while the loop goes on.  Counters are folded once per
-        chunk.
+        Zero-length chunks (phase-boundary splices, empty streams) return
+        immediately.  Only the trace reaches the L1s, so stage 1 computes
+        each row's hit, dirty victim and arrival cycle in NumPy before the
+        LLC sees the chunk: :meth:`StackedL1.access_chunk`, and one
+        cumulative sum, seeded with the running core cycle, of
+        ``(instructions * arrival_cpi) / num_cores`` computed elementwise
+        (that operation order keeps every core count's rounding fixed).
+        Stage 2 visits the L1 misses alone, in trace order: it syncs the
+        core cycle and bus arrival stamp that the DRAM issue sites read,
+        forwards the dirty victim to the LLC and takes the LLC demand path.
+        The transfers each slice stages are flushed at its end, which bounds
+        the staging lists and, in a pipelined run, feeds the DRAM stage
+        while the loop goes on.  Counters are folded once per chunk.
         """
+        if not len(chunk):
+            return
         blocks = (chunk.address >> np.uint64(BLOCK_BITS)).astype(np.int64)
         blocks <<= BLOCK_BITS
         cores, stores, pcs = chunk.core, chunk.is_store, chunk.pc.astype(np.int64)
@@ -604,9 +575,9 @@ class ServerSystem:
         cycles = np.cumsum(cycles, out=cycles)[1:]
         misses = np.flatnonzero(~hits)
 
-        demand = self._llc_demand_fast
+        demand = self._llc_demand
         write_from_l1 = self.llc.write_from_l1
-        handle_eviction = self._handle_llc_eviction_fast
+        handle_eviction = self._handle_llc_eviction
         for first in range(0, len(misses), _MISS_SLICE):
             rows = misses[first:first + _MISS_SLICE]
             for core, pc, block, is_store, cycle, arrival, victim, victim_pc in zip(
@@ -660,25 +631,6 @@ class ServerSystem:
         self._measurement_start_core_cycle = self._core_cycle
         self._measurement_start_bus_cycle = self._core_cycle / self._bus_ratio
 
-    def _step_fields(self, core: int, pc: int, address: int, is_store: bool,
-                     instructions: int) -> None:
-        counters = self.counters
-        counters.inc("accesses")
-        self._instructions += instructions
-        self._core_cycle += (
-            instructions * self.config.arrival_cpi / self.config.system.num_cores
-        )
-
-        l1 = self.l1s[core]
-        result = l1.access(address, is_store, pc)
-        for victim in result.writebacks:
-            self._l1_writeback(victim)
-        if result.hit:
-            counters.inc("l1_hits")
-            return
-
-        self._llc_demand_access(core, pc, address, is_store)
-
     # ------------------------------------------------------------------ #
     # LLC demand path
     #
@@ -691,61 +643,13 @@ class ServerSystem:
     # starts with an empty sink (every event drains its share), so its
     # share is everything left once its own miss handling is done.
     # ------------------------------------------------------------------ #
-    def _llc_demand_access(self, core: int, pc: int, address: int,
-                           is_store: bool) -> None:
-        config = self.config
-        counters = self.counters
-        block = block_address(address)
+    def _llc_demand(self, core: int, pc: int, block: int,
+                    is_store: bool) -> None:
+        """One L1 miss's LLC demand request.
 
-        self.noc.send(
-            MessageType.REQUEST_WITH_PC if config.carries_pc else MessageType.REQUEST
-        )
-
-        resident = self.llc.probe(block, count_traffic=False)
-        covered = resident is not None and resident.prefetched and not resident.used
-
-        line = self.llc.access(block, is_write=is_store)
-        hit = line is not None
-
-        if self.agents:
-            self.noc.send(MessageType.PREDICTOR_NOTIFY)
-        for hook in self._access_hooks:
-            hook(core, pc, block, is_store, hit)
-
-        if hit:
-            counters.inc("llc_hits")
-            if not is_store:
-                counters.inc("llc_load_hits")
-            if covered:
-                counters.inc("covered_reads")
-                if not is_store:
-                    counters.inc("covered_loads")
-            self.noc.send(MessageType.DATA)
-        else:
-            counters.inc("llc_misses")
-            for hook in self._miss_hooks:
-                hook(core, pc, block, is_store)
-            self._issue_dram(block, DRAMRequestKind.DEMAND_READ, core, pc)
-            counters.inc("demand_reads")
-            if is_store:
-                counters.inc("store_triggered_reads")
-            else:
-                counters.inc("load_triggered_reads")
-                counters.inc("load_demand_misses")
-            victim = self.llc.fill(block, dirty=is_store, pc=pc, core=core)
-            self.noc.send(MessageType.DATA)
-            if victim is not None:
-                self._handle_llc_eviction(victim)
-
-        self._apply_actions(0, 0, core, pc)
-
-    def _llc_demand_fast(self, core: int, pc: int, block: int,
-                         is_store: bool) -> None:
-        """LLC demand path for the flat-engine chunk loop.
-
-        Same event sequence as :meth:`_llc_demand_access`, with the probe and
-        access fused into one call, NOC counters bumped as plain attributes
-        and system counters hoisted to instance ints.
+        The LLC probe and access are fused into one array call, NOC
+        counters are bumped as plain attributes and system counters are
+        hoisted to instance ints.
         """
         noc = self.noc
         if self._carries_pc:
@@ -781,8 +685,8 @@ class ServerSystem:
             for hook in self._miss_hooks:
                 hook(core, pc, block, is_store)
             if self._flat_dram:
-                # Inlined _issue_dram: stage the demand read for the batched
-                # flush without a call frame or a DRAMRequest allocation.
+                # Stage the demand read for the batched flush, without a
+                # call frame or a DRAMRequest allocation.
                 self._dram_blocks.append(block)
                 self._dram_kinds.append(_DEMAND_READ_CODE)
                 self._dram_arrivals.append(self._arrival_bus)
@@ -797,43 +701,16 @@ class ServerSystem:
             victim = llc.fill(block, dirty=is_store, pc=pc, core=core)
             noc.n_data += 1
             if victim is not None:
-                self._handle_llc_eviction_fast(victim)
+                self._handle_llc_eviction(victim)
 
         if self._fetches or self._writebacks:
-            self._apply_actions_fast(0, 0, core, pc)
-
-    def _l1_writeback(self, victim) -> None:
-        """Forward a dirty L1 victim to the LLC."""
-        self.counters.inc("l1_writebacks")
-        self.noc.send(MessageType.DATA)
-        evicted = self.llc.write_from_l1(victim.block_address, victim.pc, victim.core)
-        if evicted is not None:
-            self._handle_llc_eviction(evicted)
+            self._apply_actions(0, 0, core, pc)
 
     # ------------------------------------------------------------------ #
     # Eviction handling and agent-generated traffic
     # ------------------------------------------------------------------ #
     def _handle_llc_eviction(self, victim: EvictedLine) -> None:
-        counters = self.counters
-        counters.inc("llc_evictions")
-
-        fetch_mark = len(self._fetches)
-        writeback_mark = len(self._writebacks)
-        for hook in self._eviction_hooks:
-            hook(victim)
-
-        if victim.dirty:
-            counters.inc("demand_writebacks")
-            self._issue_dram(victim.block_address, DRAMRequestKind.DEMAND_WRITEBACK,
-                             victim.core, victim.pc)
-            self.noc.send(MessageType.DATA)
-        if victim.prefetched and not victim.used:
-            counters.inc("overfetch_evictions")
-
-        self._apply_actions(fetch_mark, writeback_mark, victim.core, victim.pc)
-
-    def _handle_llc_eviction_fast(self, victim: EvictedLine) -> None:
-        """Eviction handling with hoisted counters (flat-engine fast path)."""
+        """Notify the agents of an LLC eviction; write a dirty victim back."""
         self._h_llc_evictions += 1
 
         fetches = self._fetches
@@ -858,8 +735,8 @@ class ServerSystem:
             self._h_overfetch_evictions += 1
 
         if len(fetches) > fetch_mark or len(writebacks) > writeback_mark:
-            self._apply_actions_fast(fetch_mark, writeback_mark,
-                                     victim.core, victim.pc)
+            self._apply_actions(fetch_mark, writeback_mark,
+                                victim.core, victim.pc)
 
     def _take_actions(self, fetch_mark: int, writeback_mark: int):
         """Remove and return the sink entries past the marks: ``(fetches, writebacks)``."""
@@ -871,57 +748,18 @@ class ServerSystem:
         del writebacks[writeback_mark:]
         return fetch_blocks, writeback_blocks
 
-    def _apply_actions(self, fetch_mark: int, writeback_mark: int, core: int,
-                       pc: int) -> None:
-        """Perform the traffic one event's hooks appended past the marks."""
-        if (len(self._fetches) == fetch_mark
-                and len(self._writebacks) == writeback_mark):
-            return
-        fetch_blocks, writeback_blocks = self._take_actions(fetch_mark,
-                                                            writeback_mark)
-        config = self.config
-        counters = self.counters
+    def _apply_actions(self, fetch_mark: int, writeback_mark: int,
+                       core: int, pc: int) -> None:
+        """Perform the traffic one event's hooks appended past the marks.
 
-        if fetch_blocks:
-            bulk = config.uses_bulk_streaming
-            kind = DRAMRequestKind.BULK_READ if bulk else DRAMRequestKind.PREFETCH_READ
-            counter = "bulk_reads" if bulk else "prefetch_reads"
-            for block in fetch_blocks:
-                if block < 0 or self.llc.contains(block):
-                    continue
-                self.noc.send(MessageType.GENERATED_REQUEST)
-                self._issue_dram(block, kind, core, pc)
-                counters.inc(counter)
-                victim = self.llc.fill(block, prefetched=True, pc=pc, core=core)
-                self.noc.send(MessageType.DATA)
-                if victim is not None:
-                    self._handle_llc_eviction(victim)
-
-        if writeback_blocks:
-            bulk = config.uses_bulk_streaming
-            kind = DRAMRequestKind.BULK_WRITEBACK if bulk else DRAMRequestKind.EAGER_WRITEBACK
-            counter = "bulk_writebacks" if bulk else "eager_writebacks"
-            for block in writeback_blocks:
-                if block < 0:
-                    continue
-                self.noc.send(MessageType.GENERATED_REQUEST)
-                if self.llc.clean(block):
-                    self._issue_dram(block, kind, core, pc)
-                    counters.inc(counter)
-                    self.noc.send(MessageType.DATA)
-
-    def _apply_actions_fast(self, fetch_mark: int, writeback_mark: int,
-                            core: int, pc: int) -> None:
-        """Agent-generated traffic for the flat-engine chunk loop.
-
-        Same event sequence as :meth:`_apply_actions` -- this is the bulk
-        datapath the paper's mechanisms live on (one iteration per streamed
-        block, several per miss under BuMP/Full-region) -- with the per-block
-        overhead between the layers stripped: NOC counters bumped as plain
-        attributes, traffic counters hoisted to instance ints, the LLC
-        residence probe bound once per event, and DRAM transfers staged as
-        scalars for the batched flush instead of one ``_issue_dram`` call
-        (frame + request object) per block.
+        This is the bulk datapath the paper's mechanisms live on (one
+        iteration per streamed block, several per miss under
+        BuMP/Full-region), with the per-block overhead between the layers
+        stripped: NOC counters bumped as plain attributes, traffic counters
+        hoisted to instance ints, the LLC array's calls bound once per
+        event, and, on the flat DRAM engine, transfers staged as scalars for
+        the batched flush instead of one ``_issue_dram`` call (frame +
+        request object) per block.
         """
         fetch_blocks, writeback_blocks = self._take_actions(fetch_mark,
                                                             writeback_mark)
@@ -966,7 +804,7 @@ class ServerSystem:
                         llc._p_dirty_evictions += 1
                     if victim.prefetched and not victim.used:
                         llc._p_overfetched_blocks += 1
-                    self._handle_llc_eviction_fast(victim)
+                    self._handle_llc_eviction(victim)
             if fetched:
                 llc._p_traffic_ops += fetched
                 llc._p_prefetch_fills += fetched
@@ -1009,15 +847,8 @@ class ServerSystem:
                     self._h_eager_writebacks += cleaned
 
     def _issue_dram(self, block: int, kind: DRAMRequestKind, core: int, pc: int) -> None:
+        """Enqueue one transfer on the object DRAM engine."""
         arrival_bus_cycles = self._core_cycle / self._bus_ratio
-        if self._flat_dram:
-            # Stage the transfer for the next batched flush; the flat engine
-            # needs no request object (core/pc only matter to consumers of
-            # recorded completions, which the simulator never enables).
-            self._dram_blocks.append(block)
-            self._dram_kinds.append(kind.code)
-            self._dram_arrivals.append(arrival_bus_cycles)
-            return
         request = DRAMRequest(block_address=block, kind=kind, core=core, pc=pc,
                               arrival_cycle=arrival_bus_cycles)
         self.memory.enqueue(request)

@@ -1,6 +1,6 @@
 """Telemetry mode resolution and the per-run recorder.
 
-Telemetry follows the engine-selection idiom (:mod:`repro.cache.engine`):
+Telemetry follows the engine-selection idiom (:mod:`repro.dram.engine`):
 an explicit argument beats the ``REPRO_TELEMETRY`` environment variable,
 which beats the default (``off``).  :func:`resolve_telemetry` returns
 ``None`` for ``off`` -- the simulator's hot path tests ``recorder is

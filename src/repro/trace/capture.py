@@ -35,8 +35,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from repro.common.stats import StatGroup
-from repro.cache.agent import LLCAgent
-from repro.cache.set_assoc import EvictedLine
+from repro.cache.agent import EvictedLine, LLCAgent
 from repro.trace.buffer import TRACE_DTYPES, TraceBuffer
 
 

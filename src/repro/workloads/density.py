@@ -27,8 +27,7 @@ from typing import Dict, Optional
 
 from repro.common.addressing import BLOCK_SIZE, REGION_SIZE
 from repro.common.stats import StatGroup
-from repro.cache.agent import LLCAgent
-from repro.cache.set_assoc import EvictedLine
+from repro.cache.agent import EvictedLine, LLCAgent
 
 #: Density class boundaries from Figure 5 of the paper.
 LOW_DENSITY_BOUND = 0.25

@@ -20,8 +20,7 @@ from __future__ import annotations
 from collections import OrderedDict
 
 from repro.common.stats import StatGroup
-from repro.cache.agent import LLCAgent
-from repro.cache.set_assoc import EvictedLine
+from repro.cache.agent import EvictedLine, LLCAgent
 
 
 class EagerWriteback(LLCAgent):

@@ -19,8 +19,7 @@ from __future__ import annotations
 
 from repro.common.addressing import BLOCK_SIZE, REGION_SIZE
 from repro.common.stats import StatGroup
-from repro.cache.agent import LLCAgent
-from repro.cache.set_assoc import EvictedLine
+from repro.cache.agent import EvictedLine, LLCAgent
 
 
 class VirtualWriteQueue(LLCAgent):

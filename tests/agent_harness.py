@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.cache.set_assoc import EvictedLine
+from repro.cache.agent import EvictedLine
 
 
 class Requested:

@@ -85,9 +85,8 @@ def _record_transfers(system) -> list:
     return staged
 
 
-@pytest.mark.parametrize("cache_engine,dram_engine",
-                         [("flat", "flat"), ("dict", "object")])
-def test_eviction_writebacks_nest_inside_a_bulk_read(cache_engine, dram_engine):
+@pytest.mark.parametrize("dram_engine", ["flat", "object"])
+def test_eviction_writebacks_nest_inside_a_bulk_read(dram_engine):
     # A one-set, four-way LLC holds dirty D1..D4 (oldest first) when a miss
     # on M from the trigger PC asks for a bulk read of A1, A2.  M's own fill
     # evicts D1, whose hook asks for D3's writeback: it is staged inside that
@@ -96,7 +95,7 @@ def test_eviction_writebacks_nest_inside_a_bulk_read(cache_engine, dram_engine):
     params = SystemParams(llc=CacheParams(size_bytes=4 * 64, associativity=4,
                                           hit_latency_cycles=8, banks=1))
     system = ServerSystem(base_open(use_stride=False, system=params),
-                          cache_engine=cache_engine, dram_engine=dram_engine)
+                          dram_engine=dram_engine)
     system.agents.extend([BulkReader(), DirtyNeighbour()])
     staged = _record_transfers(system)
     rows = [(D1, 0x10, True), (D2, 0x10, True), (D3, 0x10, True),
@@ -139,9 +138,8 @@ def _web_search_chunks(accesses, chunk_size=2048):
                              seed=3, chunk_size=chunk_size)
 
 
-@pytest.mark.parametrize("cache_engine", ["flat", "dict"])
-def test_sink_is_empty_at_every_chunk_boundary_and_after_run(cache_engine):
-    system = ServerSystem(bump_vwq_system(), cache_engine=cache_engine)
+def test_sink_is_empty_at_every_chunk_boundary_and_after_run():
+    system = ServerSystem(bump_vwq_system())
     source = _SinkCheckingSource(system, _web_search_chunks(12_000))
     result = system.run(source, warmup_accesses=4000)
     assert result.counters["bulk_reads"] > 0

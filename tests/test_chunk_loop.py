@@ -1,12 +1,11 @@
-"""The staged chunk loop (``ServerSystem._run_chunk_flat``).
+"""The staged chunk loop (``ServerSystem._run_chunk``).
 
 Zero-length chunks -- phase-boundary splices, empty streams -- must leave no
 trace in the results, and the L1 stage must agree with two specifications of
 LRU that share no code with it: Mattson's stack property for hits and a
-reference LRU of one ordered dict per (core, set) lane for dirty victims.
+reference LRU of one ordered dict per (core, set) lane
+(:class:`repro.fuzz.reference_lru.ReferenceL1`) for dirty victims.
 """
-
-from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -15,6 +14,7 @@ from repro.cache.l1 import StackedL1
 from repro.common.addressing import BLOCK_BITS
 from repro.common.params import SystemParams
 from repro.exec.campaign import result_fingerprint
+from repro.fuzz.reference_lru import ReferenceL1
 from repro.sim.config import base_open
 from repro.sim.runner import run_trace
 from repro.sim.system import ServerSystem
@@ -83,30 +83,6 @@ def _mattson_hits(trace: TraceBuffer, num_sets: int, ways: int) -> np.ndarray:
     return hits
 
 
-def _reference_victims(trace: TraceBuffer, num_sets: int, ways: int):
-    """Per-row dirty victim (block, PC), ``(-1, 0)`` for none, from an LRU
-    of one ordered dict per lane (least recently used first)."""
-    sets = {}
-    victims = []
-    for lane, block, is_store, pc in zip(*_lanes(trace, num_sets),
-                                         trace.is_store.tolist(),
-                                         trace.pc.tolist()):
-        lines = sets.setdefault(lane, OrderedDict())
-        victim = (-1, 0)
-        if block in lines:
-            lines.move_to_end(block)
-            dirty, line_pc = lines[block]
-            lines[block] = (dirty or is_store, line_pc)
-        else:
-            if len(lines) == ways:
-                old_block, (dirty, line_pc) = lines.popitem(last=False)
-                if dirty:
-                    victim = (old_block, line_pc)
-            lines[block] = (is_store, pc)
-        victims.append(victim)
-    return victims
-
-
 class TestL1StageOracle:
     CASES = [  # (seed, blocks per core, chunk size; None = one chunk)
         (1, 1_024, None),
@@ -136,14 +112,15 @@ class TestL1StageOracle:
         expected_hits = _mattson_hits(trace, num_sets, ways)
         assert 0 < expected_hits.sum() < len(trace)
         assert (hits == expected_hits).all()
-        expected = _reference_victims(trace, num_sets, ways)
-        assert any(block >= 0 for block, _pc in expected)
-        assert list(zip(victims.tolist(),
-                        np.where(victims >= 0, victim_pcs, 0).tolist())) \
-            == expected
+        reference = ReferenceL1(cores, num_sets, ways)
+        _hits, expected, expected_pcs = reference.access_chunk(
+            trace.core, ((trace.address >> np.uint64(BLOCK_BITS))
+                         << np.uint64(BLOCK_BITS)).astype(np.int64),
+            trace.is_store, trace.pc.astype(np.int64))
+        assert (expected >= 0).any()
+        assert (victims == expected).all()
+        assert (np.where(victims >= 0, victim_pcs, 0) == expected_pcs).all()
 
-        writebacks = sum(block >= 0 for block, _pc in expected)
-        for engine in ("flat", "dict"):
-            result = ServerSystem(base_open(), cache_engine=engine).run(chunks)
-            assert result.counters["l1_hits"] == expected_hits.sum()
-            assert result.counters["l1_writebacks"] == writebacks
+        result = ServerSystem(base_open()).run(chunks)
+        assert result.counters["l1_hits"] == expected_hits.sum()
+        assert result.counters["l1_writebacks"] == (expected >= 0).sum()

@@ -165,8 +165,7 @@ class TestScenarioCommands:
 
     def test_run_streams_a_scaled_scenario(self, capsys):
         status, out = run_cli(capsys, "scenario", "run", "idle-cores",
-                              "--system", "base_open", "--scale", "0.002",
-                              "--engine", "flat")
+                              "--system", "base_open", "--scale", "0.002")
         assert status == 0
         assert "row_buffer_hit_ratio" in out
         assert "idle-cores" in out
@@ -282,6 +281,20 @@ class TestFailurePaths:
         assert err.value.code not in (0, None)
         assert "corrupt" in str(err.value)
 
+    @pytest.mark.parametrize("kind", ["missing-plane", "truncated-state",
+                                      "meta-without-processed"])
+    def test_run_rejects_damaged_snapshot_file(self, capsys, tmp_path, kind):
+        from broken_snapshots import BROKEN, write_broken
+
+        path = tmp_path / "S.npz"
+        write_broken(kind, path)
+        with pytest.raises(SystemExit) as err:
+            run_cli(capsys, "run", "web_search", "--system", "base_open",
+                    "--accesses", "4000", "--warmup", "0.5",
+                    "--snapshot", str(path))
+        assert err.value.code not in (0, None)
+        assert BROKEN[kind] in str(err.value)
+
     def test_snapshot_info_rejects_corrupt_file(self, capsys, tmp_path):
         corrupt = tmp_path / "corrupt.npz"
         corrupt.write_bytes(b"\x00\x01garbage")
@@ -322,10 +335,14 @@ class TestFailurePaths:
             assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_bad_cache_engine_is_an_argparse_error(self, capsys):
-        with pytest.raises(SystemExit) as err:
-            run_cli(capsys, "scenario", "run", "idle-cores",
-                    "--engine", "hashmap")
-        assert err.value.code == 2
+        """There is one cache engine, so no ``--engine`` value is accepted."""
+        for argv in (("scenario", "run", "idle-cores"),
+                     ("snapshot", "create", "web_search")):
+            for value in ("flat", "dict"):
+                with pytest.raises(SystemExit) as err:
+                    run_cli(capsys, *argv, "--engine", value)
+                assert err.value.code == 2  # argparse usage error
+                assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestFuzzCli:
@@ -359,6 +376,7 @@ class TestFuzzCli:
                               "--artifacts", str(artifacts),
                               "--shrink-attempts", "30")
         assert status == 1
+        assert "lru:flat/flat=FAIL" in out
         saved = list(artifacts.glob("*.json"))
         assert saved, "a shrunk reproducer artifact must be written"
 

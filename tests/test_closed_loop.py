@@ -7,7 +7,7 @@ also sampled continuously by the fuzz oracle):
   fingerprint and the entire intensity trajectory bit for bit;
 * the streaming chunk size is invisible: control updates land at fixed
   access-count boundaries, so any chunk size yields the identical run;
-* every engine cell (cache x DRAM) agrees;
+* both DRAM engines agree;
 * telemetry is an observer, and the intensity gauge actually records the
   controller's trajectory;
 * a warm-state snapshot taken mid-run carries the controller state, so the
@@ -174,15 +174,10 @@ class TestDeterminismEnvelope:
         assert (result_fingerprint(run(chunk_size=chunk_size))
                 == result_fingerprint(run(chunk_size=160)))
 
-    @pytest.mark.parametrize("cache,dram", [
-        ("dict", "object"),
-        ("dict", "flat"),
-        ("flat", "object"),
-        ("flat", "flat"),
-    ])
-    def test_engine_cube_is_bit_identical(self, cache, dram):
+    @pytest.mark.parametrize("dram", ["object", "flat"])
+    def test_engine_cube_is_bit_identical(self, dram):
         reference = run()
-        cell = run(cache_engine=cache, dram_engine=dram)
+        cell = run(dram_engine=dram)
         assert result_fingerprint(cell) == result_fingerprint(reference)
 
     def test_spec_and_prebuilt_source_agree(self):
@@ -224,7 +219,7 @@ class TestSnapshots:
         scenario = small_scenario()
         warmup = int(scenario.total_accesses * 0.25)
         system = ServerSystem(base_open(), workload_name=scenario.name,
-                              cache_engine="flat", dram_engine="flat")
+                              dram_engine="flat")
         source = ClosedLoopSource(scenario, SPEC, seed=11,
                                   chunk_size=chunk_size)
         snapshot, _, _ = capture_warmup(system, source, warmup)

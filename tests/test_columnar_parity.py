@@ -1,17 +1,16 @@
-"""Parity guards for the columnar trace pipeline and the cache engines.
+"""Parity guards for the columnar trace pipeline.
 
-Two acceptance bars live here:
-
-* chunk-size invariance: for every named paper configuration and every
-  workload at the default seed, simulating the trace in small chunks
-  (misaligned with the warmup boundary) produces a
-  :class:`SimulationResult` *identical* -- full content fingerprint, every
-  counter -- to simulating the whole buffer as one chunk;
-* the flat-array cache engine: for the same matrix, the flat engine's fused
-  hot path produces results bit-identical to the legacy dict engine.
+Chunk-size invariance: for every named paper configuration and every
+workload at the default seed, simulating the trace in small chunks
+(misaligned with the warmup boundary) produces a :class:`SimulationResult`
+*identical* -- full content fingerprint, every counter -- to simulating the
+whole buffer as one chunk.  The whole-buffer result is also held to the one
+the dict cache engine produced for the same cell (see ``engine_pins``).
 """
 
 import pytest
+
+from engine_pins import PINS
 
 from repro.common.params import CacheParams, SystemParams
 from repro.exec.campaign import result_fingerprint
@@ -44,6 +43,8 @@ def test_chunked_path_matches_whole_buffer(workload):
     """Six workloads x all named paper configs: bit-identical results."""
     trace = build_trace(workload, ACCESSES, num_cores=CORES, seed=DEFAULT_SEED)
     assert ACCESSES <= DEFAULT_CHUNK_SIZE  # the reference run is one chunk
+    pins = PINS["columnar"][workload]
+    assert sorted(pins) == sorted(named_configs())
     for name, config in named_configs().items():
         config = _small(config)
         whole = run_trace(trace, config, workload_name=workload,
@@ -51,22 +52,10 @@ def test_chunked_path_matches_whole_buffer(workload):
         chunked = run_trace(trace.iter_chunks(CHUNK), config,
                             workload_name=workload, warmup_fraction=WARMUP,
                             num_accesses=ACCESSES)
+        assert result_fingerprint(whole) == pins[name], (
+            f"whole-buffer run moved off its pin for {workload}/{name}")
         assert result_fingerprint(chunked) == result_fingerprint(whole), (
             f"chunked run diverged from the whole buffer for {workload}/{name}")
-
-
-@pytest.mark.parametrize("workload", workload_names())
-def test_flat_engine_matches_dict_engine(workload):
-    """Six workloads x all named paper configs: both cache engines bit-identical."""
-    trace = build_trace(workload, ACCESSES, num_cores=CORES, seed=DEFAULT_SEED)
-    for name, config in named_configs().items():
-        config = _small(config)
-        flat = run_trace(trace, config, workload_name=workload,
-                         warmup_fraction=WARMUP, cache_engine="flat")
-        dict_engine = run_trace(trace, config, workload_name=workload,
-                                warmup_fraction=WARMUP, cache_engine="dict")
-        assert result_fingerprint(flat) == result_fingerprint(dict_engine), (
-            f"flat cache engine diverged from dict engine for {workload}/{name}")
 
 
 def test_streaming_generation_matches_materialized_path():

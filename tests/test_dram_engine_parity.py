@@ -5,11 +5,13 @@ engines meet: for every workload, every named system configuration and the
 whole scenario catalog, a simulation run under ``dram_engine="flat"`` must
 produce the *identical* :class:`SimulationResult` (same fingerprint over
 every counter, latency accumulator and energy figure) as one run under
-``dram_engine="object"``.  The engine knobs also compose: the cache x DRAM
-engine matrix is asserted on a spot-check cell.
+``dram_engine="object"``.  A spot-check cell also holds both DRAM engines to
+the result the flat and dict cache engines agreed on (``engine_pins``).
 """
 
 import pytest
+
+from engine_pins import PINS
 
 from repro.exec.campaign import result_fingerprint
 from repro.scenario.catalog import get_scenario, scenario_names
@@ -22,10 +24,10 @@ ACCESSES = 4_000
 SCENARIO_SCALE = 0.004
 
 
-def _run(workload, config, dram_engine, cache_engine=None):
+def _run(workload, config, dram_engine):
     trace = build_trace(workload, ACCESSES)
     return run_trace(trace, config, workload_name=workload,
-                     dram_engine=dram_engine, cache_engine=cache_engine)
+                     dram_engine=dram_engine)
 
 
 @pytest.mark.slow
@@ -54,15 +56,11 @@ class TestScenarioCatalog:
 
 class TestEngineMatrix:
     def test_cache_and_dram_engines_compose(self):
-        """All four cache x DRAM engine combinations agree."""
+        """Both DRAM engines match the pinned cache x DRAM engine result."""
         config = named_configs(["bump"])["bump"]
-        fingerprints = {
-            (cache, dram): result_fingerprint(
-                _run("web_search", config, dram, cache_engine=cache))
-            for cache in ("flat", "dict")
-            for dram in ("flat", "object")
-        }
-        assert len(set(fingerprints.values())) == 1, fingerprints
+        for dram in ("flat", "object"):
+            result = _run("web_search", config, dram)
+            assert result_fingerprint(result) == PINS["engine_matrix"], dram
 
     def test_streaming_path_threads_the_engine(self):
         config = named_configs(["base_open"])["base_open"]

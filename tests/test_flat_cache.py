@@ -1,52 +1,47 @@
-"""Unit and property tests for the flat-array cache engine.
+"""Unit and property tests for the flat-array cache.
 
-The flat engine must be observationally identical to the dict engine: same
-hits, misses, victims, statistics and -- critically -- the same replacement
-order.  The property tests drive long randomized access/fill streams through
-both engines in lockstep and compare every externally visible effect,
-including the per-set recency order the LRU stamps encode and the exact
-victim sequence a seeded random policy produces.
+The flat array must behave exactly like the cache layer's specification, a
+reference LRU of one ordered dict per set
+(:class:`repro.fuzz.reference_lru.ReferenceLRU`): same hits, victims, flag
+updates and -- critically -- the same replacement order.  The lockstep test
+drives a long randomized stream of the five calls the simulator makes
+through both and compares every result, then each set's recency order as
+the ``stamps`` plane encodes it.  A shadowed system run then checks the call
+sequences the simulator itself makes, with an LLC small enough to evict.
 """
 
 import random
 
 import pytest
 
-import repro.cache.flat as flat_module
-from repro.cache.engine import ENGINE_ENV_VAR, cache_engine_name, make_cache_array
-from repro.cache.flat import FlatSetAssociativeCache
-from repro.cache.replacement import LRUPolicy, RandomPolicy
-from repro.cache.set_assoc import SetAssociativeCache
-from repro.common.params import CacheParams
+from cache_planes import line_flags, recency_order, resident
+from repro.cache.flat import (
+    FLAG_DIRTY,
+    FLAG_PREFETCHED,
+    FLAG_USED,
+    CacheArray,
+)
+from repro.common.params import CacheParams, SystemParams
+from repro.fuzz.reference_lru import LRUShadow, ReferenceLRU, victim_fields
+from repro.sim.config import named_configs
+from repro.sim.runner import build_trace
+from repro.sim.system import ServerSystem
 
-PARAMS = CacheParams(size_bytes=4 * 1024, associativity=4)
 
-
-def small_flat(size=4 * 1024, assoc=4, policy=None):
-    return FlatSetAssociativeCache(CacheParams(size_bytes=size, associativity=assoc),
-                                   policy=policy)
-
-
-def lockstep_pair(size=2 * 1024, assoc=4, policy_seed=None):
-    params = CacheParams(size_bytes=size, associativity=assoc)
-    if policy_seed is None:
-        return (SetAssociativeCache(params),
-                FlatSetAssociativeCache(params))
-    return (SetAssociativeCache(params, policy=RandomPolicy(seed=policy_seed)),
-            FlatSetAssociativeCache(params, policy=RandomPolicy(seed=policy_seed)))
+def small_flat(size=4 * 1024, assoc=4):
+    return CacheArray(CacheParams(size_bytes=size, associativity=assoc))
 
 
 # --------------------------------------------------------------------- #
-# Basic behaviour (mirrors the dict engine's unit tests)
+# Basic behaviour
 # --------------------------------------------------------------------- #
 def test_miss_fill_hit_and_dirty():
     cache = small_flat()
-    assert cache.access(0x1000) is None
+    assert cache.demand_access(0x1000, False) == -1
     assert cache.fill(0x1000) is None
-    line = cache.access(0x1000)
-    assert line is not None and not line.dirty
-    cache.access(0x1000, is_write=True)
-    assert cache.lookup(0x1000).dirty
+    assert cache.demand_access(0x1000, False) == FLAG_USED  # the prior flags
+    cache.demand_access(0x1000, True)
+    assert line_flags(cache, 0x1000) & FLAG_DIRTY
     assert cache.stats["hits"] == 2
     assert cache.stats["misses"] == 1
 
@@ -57,7 +52,7 @@ def test_lru_eviction_order_matches_dict_semantics():
     blocks = [i * stride for i in range(5)]
     for block in blocks[:4]:
         cache.fill(block)
-    cache.access(blocks[0])  # promote block 0
+    cache.demand_access(blocks[0], False)  # promote block 0
     victim = cache.fill(blocks[4])
     assert victim is not None
     assert victim.block_address == blocks[1]
@@ -67,10 +62,9 @@ def test_lru_eviction_order_matches_dict_semantics():
 def test_prefetched_line_lifecycle_and_counters():
     cache = small_flat()
     cache.fill(0x100, prefetched=True)
-    line = cache.lookup(0x100)
-    assert line.prefetched and not line.used
-    cache.access(0x100)
-    assert cache.lookup(0x100).used
+    assert line_flags(cache, 0x100) == FLAG_PREFETCHED
+    assert cache.demand_access(0x100, False) == FLAG_PREFETCHED
+    assert line_flags(cache, 0x100) & FLAG_USED
     assert cache.stats["prefetch_hits"] == 1
     stride = cache.num_sets * 64
     cache.fill(0x200, prefetched=True)
@@ -79,72 +73,88 @@ def test_prefetched_line_lifecycle_and_counters():
     assert cache.stats["unused_prefetch_evictions"] == 1
 
 
-def test_invalidate_clean_and_touch_set_dirty():
+def test_clean_and_touch_set_dirty():
     cache = small_flat()
     cache.fill(0x300, dirty=True)
     assert cache.clean(0x300) is True
     assert cache.clean(0x300) is False
-    line = cache.invalidate(0x300)
-    assert line is not None and not cache.contains(0x300)
-    assert cache.invalidate(0x300) is None
-    assert cache.touch_set_dirty(0x300) is False
+    assert cache.touch_set_dirty(0x340) is False
+    assert not cache.contains(0x340)
     cache.fill(0x340)
+    cache.fill(0x340 + cache.num_sets * 64)
     assert cache.touch_set_dirty(0x340) is True
-    assert cache.lookup(0x340).dirty
+    assert line_flags(cache, 0x340) & FLAG_DIRTY
+    # The touch promoted the block to most recently used.
+    assert recency_order(cache, (0x340 >> 6) % cache.num_sets)[-1] == 0x340
 
 
 def test_capacity_never_exceeded():
     cache = small_flat(size=1024, assoc=2)
     for i in range(200):
         cache.fill(i * 64)
-    assert cache.resident_count() <= cache.params.num_blocks
+    assert resident(cache) <= cache.params.num_blocks
 
 
 # --------------------------------------------------------------------- #
-# Lockstep property tests against the dict engine
+# Lockstep against the reference LRU
 # --------------------------------------------------------------------- #
-def _random_stream(rng, operations=4_000, footprint_blocks=256):
-    for _ in range(operations):
-        block = rng.randrange(footprint_blocks) * 64
-        yield rng.choice(("access", "fill", "write", "clean", "invalidate")), block
-
-
-def _assert_same_state(dict_cache, flat_cache):
-    assert dict_cache.resident_count() == flat_cache.resident_count()
-    dict_lines = {line.block_address: (line.dirty, line.prefetched, line.used)
-                  for line in dict_cache.iter_lines()}
-    flat_lines = {line.block_address: (line.dirty, line.prefetched, line.used)
-                  for line in flat_cache.iter_lines()}
-    assert dict_lines == flat_lines
-    assert dict_cache.stats.snapshot() == flat_cache.stats.snapshot()
+OPERATIONS = ("access", "write", "fill", "prefetch", "clean", "touch",
+              "contains")
 
 
 def test_lru_stamps_reproduce_dict_order_under_long_streams():
-    """Per-set stamp order equals the insertion-ordered dict's key order."""
-    dict_cache, flat_cache = lockstep_pair()
+    """Every call agrees with the reference LRU, and so does every set's
+    recency order read from the ``stamps`` plane."""
+    params = CacheParams(size_bytes=2 * 1024, associativity=4)
+    flat = CacheArray(params)
+    reference = ReferenceLRU(params.num_sets, params.associativity)
     rng = random.Random(11)
-    for op, block in _random_stream(rng):
-        if op == "access" or op == "write":
-            dict_line = dict_cache.access(block, is_write=op == "write")
-            flat_line = flat_cache.access(block, is_write=op == "write")
-            assert (dict_line is None) == (flat_line is None)
-        elif op == "fill":
-            dict_victim = dict_cache.fill(block, dirty=block % 128 == 0)
-            flat_victim = flat_cache.fill(block, dirty=block % 128 == 0)
-            assert (dict_victim is None) == (flat_victim is None)
-            if dict_victim is not None:
-                assert dict_victim == flat_victim
+    victims = 0
+    for step in range(6_000):
+        op = rng.choice(OPERATIONS)
+        block = rng.randrange(256) * 64
+        if op in ("access", "write"):
+            got = flat.demand_access(block, op == "write")
+            want = reference.demand_access(block, op == "write")
+        elif op in ("fill", "prefetch"):
+            kwargs = dict(dirty=rng.random() < 0.3, prefetched=op == "prefetch",
+                          pc=rng.randrange(64), core=rng.randrange(4))
+            got = victim_fields(flat.fill(block, **kwargs))
+            want = reference.fill(block, **kwargs)
+            victims += want is not None
         elif op == "clean":
-            assert dict_cache.clean(block) == flat_cache.clean(block)
+            got, want = flat.clean(block), reference.clean(block)
+        elif op == "touch":
+            got = flat.touch_set_dirty(block)
+            want = reference.touch_set_dirty(block)
         else:
-            dict_line = dict_cache.invalidate(block)
-            flat_line = flat_cache.invalidate(block)
-            assert (dict_line is None) == (flat_line is None)
-    _assert_same_state(dict_cache, flat_cache)
-    for set_index in range(dict_cache.num_sets):
-        dict_order = list(dict_cache._sets[set_index])
-        assert flat_cache.recency_ordered_tags(set_index) == dict_order, (
+            got, want = flat.contains(block), reference.contains(block)
+        assert got == want, f"step {step}: {op}(0x{block:x})"
+    assert victims > 500  # the stream actually exercised evictions
+    for set_index, lines in enumerate(reference.sets):
+        assert recency_order(flat, set_index) == list(lines), (
             f"recency order diverged in set {set_index}")
+        for block, (flags, _pc, _core) in lines.items():
+            assert line_flags(flat, block) == flags
+
+
+@pytest.mark.parametrize("config_name", ["base_open", "sms_vwq", "bump",
+                                         "eager_writeback"])
+def test_system_cache_calls_match_the_reference_lru(config_name):
+    """Every L1 stage and LLC array call of a run agrees with the reference:
+    demand accesses, demand and prefetch fills, L1 writebacks and eager or
+    bulk writeback cleans, on a 256 KB LLC that evicts."""
+    system_params = SystemParams().scaled(
+        llc=CacheParams(size_bytes=256 * 1024, associativity=16,
+                        hit_latency_cycles=8))
+    config = named_configs([config_name])[config_name].with_overrides(
+        system=system_params)
+    system = ServerSystem(config)
+    shadow = LRUShadow(system)
+    system.run(build_trace("web_search", 3_000, num_cores=8),
+               warmup_accesses=1_200)
+    assert shadow.mismatch is None
+    assert system.llc.array_stats["evictions"] > 0
 
 
 def test_stamps_stay_monotonic_across_evictions():
@@ -154,7 +164,7 @@ def test_stamps_stay_monotonic_across_evictions():
     max_stamp = 0
     for _ in range(5_000):
         block = rng.randrange(64) * 64 * cache.num_sets  # all in set 0
-        if cache.access(block) is None:
+        if cache.demand_access(block, False) < 0:
             cache.fill(block)
         stamp = int(cache.stamps.reshape(-1)[cache._slot_of[block]])
         assert stamp > max_stamp, "every touch/insert must get a fresh stamp"
@@ -164,160 +174,6 @@ def test_stamps_stay_monotonic_across_evictions():
     assert cache._tick[0] == max_stamp >= 5_000
 
 
-def test_random_policy_is_seed_deterministic_across_engines():
-    """Same seed -> identical victim sequence on both engines."""
-    dict_cache, flat_cache = lockstep_pair(policy_seed=99)
-    rng = random.Random(23)
-    victims_dict = []
-    victims_flat = []
-    for _ in range(6_000):
-        block = rng.randrange(512) * 64
-        if rng.random() < 0.3:
-            dict_cache.access(block)
-            flat_cache.access(block)
-        else:
-            dict_victim = dict_cache.fill(block)
-            flat_victim = flat_cache.fill(block)
-            if dict_victim is not None:
-                victims_dict.append(dict_victim.block_address)
-            if flat_victim is not None:
-                victims_flat.append(flat_victim.block_address)
-    assert victims_dict == victims_flat
-    assert len(victims_dict) > 100  # the stream actually exercised evictions
-    _assert_same_state(dict_cache, flat_cache)
-
-
-def test_random_policy_reproducible_between_runs():
-    first = lockstep_pair(policy_seed=7)[1]
-    second = lockstep_pair(policy_seed=7)[1]
-    rng_a, rng_b = random.Random(1), random.Random(1)
-    for _ in range(2_000):
-        block_a = rng_a.randrange(256) * 64
-        block_b = rng_b.randrange(256) * 64
-        va = first.fill(block_a)
-        vb = second.fill(block_b)
-        assert (va is None) == (vb is None)
-        if va is not None:
-            assert va == vb
-
-
-# --------------------------------------------------------------------- #
-# Region scans
-# --------------------------------------------------------------------- #
-def region_pair():
-    params = CacheParams(size_bytes=64 * 1024, associativity=8)
-    dict_cache = SetAssociativeCache(params)
-    flat_cache = FlatSetAssociativeCache(params)
-    rng = random.Random(3)
-    for _ in range(3_000):
-        block = rng.randrange(4_096) * 64
-        dirty = rng.random() < 0.5
-        dict_cache.fill(block, dirty=dirty)
-        flat_cache.fill(block, dirty=dirty)
-    return dict_cache, flat_cache
-
-
-def test_region_scans_match_dict_engine():
-    dict_cache, flat_cache = region_pair()
-    for base in range(0, 64 * 1024, 4 * 1024):
-        dict_lines = [(l.block_address, l.dirty)
-                      for l in dict_cache.resident_blocks_in_region(base, 4 * 1024)]
-        flat_lines = [(l.block_address, l.dirty)
-                      for l in flat_cache.resident_blocks_in_region(base, 4 * 1024)]
-        assert dict_lines == flat_lines
-        assert (dict_cache.dirty_blocks_in_region(base, 4 * 1024)
-                == flat_cache.dirty_blocks_in_region(base, 4 * 1024))
-
-
-def test_region_scans_match_on_vectorized_path(monkeypatch):
-    """Force the NumPy gather path and compare it against the dict engine."""
-    monkeypatch.setattr(flat_module, "_SCALAR_SCAN_LIMIT", 1)
-    dict_cache, flat_cache = region_pair()
-    for base in (0, 8 * 1024, 32 * 1024):
-        dict_lines = [l.block_address
-                      for l in dict_cache.resident_blocks_in_region(base, 8 * 1024)]
-        flat_lines = [l.block_address
-                      for l in flat_cache.resident_blocks_in_region(base, 8 * 1024)]
-        assert dict_lines == flat_lines
-        assert (dict_cache.dirty_blocks_in_region(base, 8 * 1024)
-                == flat_cache.dirty_blocks_in_region(base, 8 * 1024))
-
-
-def test_llc_demand_access_wrapper_matches_probe_plus_access():
-    """The fused LLC wrapper equals the split probe+access on both engines."""
-    from repro.cache.llc import LastLevelCache
-
-    for engine in ("dict", "flat"):
-        reference = LastLevelCache(PARAMS, engine=engine)
-        fused = LastLevelCache(PARAMS, engine=engine)
-        rng = random.Random(31)
-        for _ in range(2_000):
-            block = rng.randrange(256) * 64
-            op = rng.random()
-            if op < 0.4:
-                prefetched = rng.random() < 0.5
-                reference.fill(block, prefetched=prefetched)
-                fused.fill(block, prefetched=prefetched)
-                continue
-            is_write = op < 0.7
-            resident = reference.probe(block, count_traffic=False)
-            covered_ref = (resident is not None and resident.prefetched
-                           and not resident.used)
-            hit_ref = reference.access(block, is_write) is not None
-            hit, covered = fused.demand_access(block, is_write)
-            assert (hit, covered) == (hit_ref, covered_ref), engine
-        assert reference.stats.snapshot() == fused.stats.snapshot(), engine
-        assert (reference.array_stats.snapshot()
-                == fused.array_stats.snapshot()), engine
-
-
-def test_flat_engine_rejects_policies_without_touch_promotes():
-    """A custom policy must declare whether on_access promotes to MRU."""
-    class SilentPolicy(LRUPolicy.__mro__[1]):  # ReplacementPolicy
-        def on_access(self, cache_set, tag):
-            return None
-
-        def victim(self, cache_set):
-            return next(iter(cache_set))
-
-    with pytest.raises(TypeError, match="touch_promotes"):
-        FlatSetAssociativeCache(PARAMS, policy=SilentPolicy())
-
-    class DeclaredPolicy(SilentPolicy):
-        touch_promotes = False
-
-    cache = FlatSetAssociativeCache(PARAMS, policy=DeclaredPolicy())
-    assert cache._promote is False
-    # The dict engine accepts the same policy unchanged.
-    SetAssociativeCache(PARAMS, policy=DeclaredPolicy())
-
-
-# --------------------------------------------------------------------- #
-# Engine selection
-# --------------------------------------------------------------------- #
-def test_engine_explicit_selection():
-    assert isinstance(make_cache_array(PARAMS, engine="dict"), SetAssociativeCache)
-    assert isinstance(make_cache_array(PARAMS, engine="flat"), FlatSetAssociativeCache)
-
-
-def test_engine_env_var_selection(monkeypatch):
-    monkeypatch.setenv(ENGINE_ENV_VAR, "dict")
-    assert cache_engine_name() == "dict"
-    assert isinstance(make_cache_array(PARAMS), SetAssociativeCache)
-    monkeypatch.setenv(ENGINE_ENV_VAR, "flat")
-    assert cache_engine_name() == "flat"
-    monkeypatch.delenv(ENGINE_ENV_VAR)
-    assert cache_engine_name() == "flat"
-
-
-def test_engine_rejects_unknown_names(monkeypatch):
-    with pytest.raises(ValueError, match="unknown cache engine"):
-        cache_engine_name("hashmap")
-    monkeypatch.setenv(ENGINE_ENV_VAR, "typo")
-    with pytest.raises(ValueError, match="unknown cache engine"):
-        cache_engine_name()
-
-
 def test_flat_cache_requires_power_of_two_sets():
     with pytest.raises(ValueError):
-        FlatSetAssociativeCache(CacheParams(size_bytes=3 * 1024, associativity=4))
+        CacheArray(CacheParams(size_bytes=3 * 1024, associativity=4))

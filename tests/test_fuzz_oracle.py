@@ -1,10 +1,17 @@
-"""Differential oracle: cells, subsets, skip semantics, fault sensitivity."""
+"""Fuzz oracle: cells, subsets, skip semantics, fault sensitivity."""
 
 import pytest
 
 from cache_faults import skew_flat_victims
+from repro.exec.campaign import result_fingerprint
 from repro.fuzz import CHECKS, materialize, run_oracle
-from repro.fuzz.oracle import REFERENCE_CELL, _perturbed_chunk_size
+from repro.fuzz.oracle import (
+    REFERENCE_CELL,
+    _perturbed_chunk_size,
+    _run_cell,
+    identity_problems,
+)
+from repro.sim.system import ServerSystem
 
 #: A small hand-written spec covering two tenants, a burst, an idle core and
 #: a warmup split -- every check runs, nothing is slow.
@@ -63,25 +70,79 @@ class TestHealthyOracle:
             assert _perturbed_chunk_size(size) != size
 
     def test_reference_cell_is_the_object_engines(self):
-        assert REFERENCE_CELL == ("dict", "object")
+        assert REFERENCE_CELL == ("flat", "object")
+
+    def test_lru_check_needs_no_reference_cell(self):
+        report = run_oracle(SPEC, checks=("lru",))
+        assert report.ok
+        assert report.reference_fingerprint is None
+        assert [c.describe() for c in report.checks] == ["lru:flat/flat=ok"]
+
+    def test_lru_check_shadows_the_cube_run(self, monkeypatch):
+        """The cube's flat/flat cell is the lru check's shadowed run: the two
+        checks together simulate the spec twice (reference included)."""
+        runs = []
+        real_run = ServerSystem.run
+
+        def counted(self, *args, **kwargs):
+            runs.append(self.dram_engine)
+            return real_run(self, *args, **kwargs)
+
+        monkeypatch.setattr(ServerSystem, "run", counted)
+        report = run_oracle(SPEC, checks=("lru", "cube"))
+        assert report.ok
+        assert sorted(runs) == ["flat", "object"]
+
+
+class TestCounterIdentities:
+    def test_a_healthy_run_satisfies_every_identity(self):
+        result = _run_cell(materialize(SPEC), REFERENCE_CELL)
+        assert result.counters["llc_misses"] > 0
+        assert identity_problems(result) == []
+
+    def test_a_violation_names_the_identity_and_both_sides(self):
+        result = _run_cell(materialize(SPEC), REFERENCE_CELL)
+        misses = int(result.counters["llc_misses"])
+        result.llc.inc("demand_misses")
+        assert identity_problems(result) == [
+            f"llc demand_misses = llc_misses: {misses + 1} != {misses}"]
+
+    def test_the_oracle_checks_every_cell(self, monkeypatch):
+        """A counting bug shared by every cell moves no fingerprint apart;
+        the identities still catch it."""
+        collect = ServerSystem._collect_results
+
+        def miscounted(self):
+            result = collect(self)
+            result.counters.inc("accesses")
+            return result
+
+        monkeypatch.setattr(ServerSystem, "_collect_results", miscounted)
+        report = run_oracle(SPEC)
+        assert report.failed_checks == list(CHECKS)
+        for check in report.failures:
+            assert check.detail.startswith(
+                "accesses = l1_hits + llc_hits + llc_misses: ")
 
 
 class TestFaultSensitivity:
     def test_injected_flat_cache_fault_is_caught(self, monkeypatch):
-        """The oracle exists to see exactly this: a flat-engine divergence
-        the fixed parity matrix might miss on its hand-picked inputs."""
+        """The oracle exists to see exactly this: a cache bug the fixed
+        pins might miss on their hand-picked inputs."""
         skew_flat_victims(monkeypatch)
-        report = run_oracle(SPEC, checks=("cube",))
+        report = run_oracle(SPEC, checks=("lru", "cube"))
         assert not report.ok
-        # Every flat cell diverges; the dict cells still match the reference.
-        failing = {c.cell for c in report.failures}
-        assert failing == {"flat/object", "flat/flat"}
+        # Both DRAM cells run the skewed caches, so the cube sees no
+        # difference; the reference LRU does, at the first skewed victim.
+        (failure,) = report.failures
+        assert (failure.check, failure.cell) == ("lru", "flat/flat")
+        assert "L1 access_chunk" in failure.detail
 
     def test_report_describe_names_the_failures(self, monkeypatch):
         skew_flat_victims(monkeypatch)
-        report = run_oracle(SPEC, checks=("cube",))
+        report = run_oracle(SPEC, checks=("lru",))
         text = report.describe()
-        assert "FAIL" in text and "flat/flat" in text
+        assert "FAIL" in text and "lru:flat/flat" in text
 
 
 class TestMaterialize:

@@ -1,4 +1,4 @@
-"""Shrinker: an injected parity fault must reduce to a minimal reproducer."""
+"""Shrinker: an injected cache fault must reduce to a minimal reproducer."""
 
 import copy
 import json
@@ -53,13 +53,13 @@ BULKY = {
 @pytest.fixture
 def flat_cache_fault(monkeypatch):
     """Rotate the flat cache's eviction victim by one way: the canonical
-    'one engine drifted' bug class the differential oracle exists to catch."""
+    replacement bug the oracle's reference LRU exists to catch."""
     skew_flat_victims(monkeypatch)
 
 
 class TestShrinkWithInjectedFault:
     def test_converges_to_a_minimal_reproducer(self, flat_cache_fault):
-        result = shrink(BULKY, checks=("cube",))
+        result = shrink(BULKY, checks=("lru",))
         assert result.phases <= 1
         assert result.tenants <= 2
         assert result.total_accesses <= 600
@@ -67,25 +67,25 @@ class TestShrinkWithInjectedFault:
         assert result.spec["label"] == "shrink-unit-min"
 
     def test_minimal_spec_still_fails(self, flat_cache_fault):
-        result = shrink(BULKY, checks=("cube",))
-        assert not run_oracle(result.spec, checks=("cube",)).ok
+        result = shrink(BULKY, checks=("lru",))
+        assert not run_oracle(result.spec, checks=("lru",)).ok
 
     def test_input_spec_is_not_mutated(self, flat_cache_fault):
         pristine = copy.deepcopy(BULKY)
-        shrink(BULKY, checks=("cube",))
+        shrink(BULKY, checks=("lru",))
         assert BULKY == pristine
 
     def test_reproducer_round_trips_through_the_corpus(
             self, flat_cache_fault, tmp_path):
-        result = shrink(BULKY, checks=("cube",))
+        result = shrink(BULKY, checks=("lru",))
         path = tmp_path / "reproducer.json"
         save_spec(result.spec, path)
         replayed = load_spec(path)
         assert replayed == result.spec
-        assert not run_oracle(replayed, checks=("cube",)).ok
+        assert not run_oracle(replayed, checks=("lru",)).ok
 
     def test_attempts_respect_the_budget(self, flat_cache_fault):
-        result = shrink(BULKY, checks=("cube",), max_attempts=3)
+        result = shrink(BULKY, checks=("lru",), max_attempts=3)
         assert result.attempts <= 3
 
 
@@ -124,7 +124,7 @@ class TestShrinkGuards:
         materialize(result.spec)
 
     def test_reproducer_is_json_stable(self, flat_cache_fault, tmp_path):
-        result = shrink(BULKY, checks=("cube",))
+        result = shrink(BULKY, checks=("lru",))
         path = tmp_path / "stable.json"
         save_spec(result.spec, path)
         text = path.read_text()

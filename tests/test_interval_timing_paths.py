@@ -3,13 +3,16 @@
 ``timing_model="interval"`` was previously exercised only by the
 timing-sensitivity ablation; these tests pin down its behaviour on the two
 production paths (streaming single workloads and compiled scenarios), its
-engine-independence (TimingSummary-derived fields bit-identical between the
-flat and dict cache engines and the flat and object DRAM engines), its
-constructor validation, and the zero-miss edge where
-``instructions_per_miss`` is infinite.
+engine-independence (TimingSummary-derived fields equal to the ones the
+flat and dict cache engines agreed on, pinned in ``engine_pins``, and
+bit-identical between the flat and object DRAM engines), its constructor
+validation, and the zero-miss edge where ``instructions_per_miss`` is
+infinite.
 """
 
 import math
+
+from engine_pins import PINS
 
 import numpy as np
 import pytest
@@ -87,21 +90,19 @@ class TestZeroMissGuard:
 
 
 class TestEngineParity:
-    def test_streaming_timing_identical_across_cache_engines(self):
-        config = _interval(base_open)
-        flat = run_workload_streaming("web_search", config,
-                                      num_accesses=ACCESSES, chunk_size=1024,
-                                      cache_engine="flat")
-        dict_engine = run_workload_streaming("web_search", config,
-                                             num_accesses=ACCESSES,
-                                             chunk_size=1024,
-                                             cache_engine="dict")
+    @staticmethod
+    def _assert_pinned(result, pin):
         # The TimingSummary-derived result fields, bit for bit.
-        assert flat.cycles == dict_engine.cycles
-        assert flat.throughput_ipc == dict_engine.throughput_ipc
-        assert flat.elapsed_seconds == dict_engine.elapsed_seconds
+        assert result.cycles == pin["cycles"]
+        assert result.throughput_ipc == pin["throughput_ipc"]
+        assert result.elapsed_seconds == pin["elapsed_seconds"]
         # And the rest of the result too.
-        assert result_fingerprint(flat) == result_fingerprint(dict_engine)
+        assert result_fingerprint(result) == pin["fingerprint"]
+
+    def test_streaming_timing_identical_across_cache_engines(self):
+        result = run_workload_streaming("web_search", _interval(base_open),
+                                        num_accesses=ACCESSES, chunk_size=1024)
+        self._assert_pinned(result, PINS["interval_streaming"])
 
     def test_streaming_timing_identical_across_dram_engines(self):
         config = _interval(base_open)
@@ -117,14 +118,9 @@ class TestEngineParity:
 
     def test_scenario_path_runs_interval_model_identically(self):
         scenario = get_scenario("tenant-colocation", scale=0.004)
-        config = _interval(bump_system)
-        flat = run_scenario(scenario, config, cache_engine="flat")
-        dict_engine = run_scenario(scenario, config, cache_engine="dict")
-        assert flat.cycles == dict_engine.cycles
-        assert flat.throughput_ipc == dict_engine.throughput_ipc
-        assert flat.elapsed_seconds == dict_engine.elapsed_seconds
-        assert result_fingerprint(flat) == result_fingerprint(dict_engine)
-        assert math.isfinite(flat.cycles)
+        result = run_scenario(scenario, _interval(bump_system))
+        self._assert_pinned(result, PINS["interval_scenario"])
+        assert math.isfinite(result.cycles)
 
     def test_interval_differs_from_analytic(self):
         """Sanity: the knob actually selects a different model."""

@@ -3,6 +3,8 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cache_planes import line_flags, resident
+
 from repro.common.addressing import (
     BLOCK_SIZE,
     REGION_SIZE,
@@ -15,7 +17,7 @@ from repro.common.addressing import (
 from repro.common.assoc_table import AssociativeTable
 from repro.common.params import CacheParams, DRAMOrganization
 from repro.common.stats import StatGroup
-from repro.cache.set_assoc import SetAssociativeCache
+from repro.cache.flat import FLAG_DIRTY, CacheArray
 from repro.dram.address_mapping import make_block_interleaving, make_region_interleaving
 from repro.energy.dram_energy import DRAMEnergyModel
 
@@ -89,30 +91,31 @@ def test_assoc_table_never_exceeds_capacity_and_finds_latest_value(operations, g
 @settings(max_examples=50, deadline=None)
 def test_cache_dirty_data_is_never_silently_dropped(operations):
     """Every dirty block is either still resident or was reported dirty on eviction."""
-    cache = SetAssociativeCache(CacheParams(size_bytes=4 * 1024, associativity=4))
+    cache = CacheArray(CacheParams(size_bytes=4 * 1024,
+                                                associativity=4))
     dirty = set()
     for block_number, is_write in operations:
         block = block_number * BLOCK_SIZE
-        line = cache.access(block, is_write=is_write)
-        if line is None:
+        if cache.demand_access(block, is_write) < 0:
             victim = cache.fill(block, dirty=is_write)
             if victim is not None and victim.dirty:
                 dirty.discard(victim.block_address)
         if is_write:
             dirty.add(block)
     for block in dirty:
-        line = cache.lookup(block)
-        assert line is not None and line.dirty
-    assert cache.resident_count() <= cache.params.num_blocks
+        flags = line_flags(cache, block)
+        assert flags is not None and flags & FLAG_DIRTY
+    assert resident(cache) <= cache.params.num_blocks
 
 
 @given(st.lists(st.integers(0, 300), min_size=1, max_size=300))
 @settings(max_examples=50, deadline=None)
 def test_cache_hits_plus_misses_equals_accesses(blocks):
-    cache = SetAssociativeCache(CacheParams(size_bytes=2 * 1024, associativity=2))
+    cache = CacheArray(CacheParams(size_bytes=2 * 1024,
+                                                associativity=2))
     for block_number in blocks:
         block = block_number * BLOCK_SIZE
-        if cache.access(block) is None:
+        if cache.demand_access(block, False) < 0:
             cache.fill(block)
     assert cache.stats["hits"] + cache.stats["misses"] == len(blocks)
 

@@ -1,36 +1,40 @@
-"""Unit tests for the generic set-associative cache model."""
+"""Unit tests for the set-associative cache array (LRU, write-back)."""
 
 import pytest
 
-from repro.cache.replacement import LRUPolicy, RandomPolicy, make_policy
-from repro.cache.set_assoc import SetAssociativeCache
+from cache_planes import line_flags, resident
+from repro.cache.flat import (
+    FLAG_DIRTY,
+    FLAG_PREFETCHED,
+    FLAG_USED,
+    CacheArray,
+)
 from repro.common.params import CacheParams
 
 
 def small_cache(size=4 * 1024, assoc=4):
-    return SetAssociativeCache(CacheParams(size_bytes=size, associativity=assoc))
+    return CacheArray(CacheParams(size_bytes=size, associativity=assoc))
 
 
 def test_miss_then_fill_then_hit():
     cache = small_cache()
-    assert cache.access(0x1000) is None
+    assert cache.demand_access(0x1000, False) == -1
     assert cache.fill(0x1000) is None
-    line = cache.access(0x1000)
-    assert line is not None
-    assert not line.dirty
+    assert cache.demand_access(0x1000, False) >= 0
+    assert not line_flags(cache, 0x1000) & FLAG_DIRTY
 
 
 def test_write_access_sets_dirty():
     cache = small_cache()
     cache.fill(0x40)
-    cache.access(0x40, is_write=True)
-    assert cache.lookup(0x40).dirty
+    cache.demand_access(0x40, True)
+    assert line_flags(cache, 0x40) & FLAG_DIRTY
 
 
 def test_fill_dirty_flag_persists():
     cache = small_cache()
     cache.fill(0x80, dirty=True)
-    assert cache.lookup(0x80).dirty
+    assert line_flags(cache, 0x80) & FLAG_DIRTY
 
 
 def test_refill_merges_dirty_and_does_not_evict():
@@ -38,7 +42,7 @@ def test_refill_merges_dirty_and_does_not_evict():
     cache.fill(0x80, dirty=True)
     victim = cache.fill(0x80, dirty=False)
     assert victim is None
-    assert cache.lookup(0x80).dirty
+    assert line_flags(cache, 0x80) & FLAG_DIRTY
 
 
 def test_eviction_of_lru_line_within_set():
@@ -48,7 +52,7 @@ def test_eviction_of_lru_line_within_set():
     blocks = [i * set_stride for i in range(5)]
     for block in blocks[:4]:
         cache.fill(block)
-    cache.access(blocks[0])  # promote block 0
+    cache.demand_access(blocks[0], False)  # promote block 0
     victim = cache.fill(blocks[4])
     assert victim is not None
     assert victim.block_address == blocks[1]
@@ -68,10 +72,9 @@ def test_dirty_victim_reports_dirty():
 def test_prefetched_line_becomes_used_on_access():
     cache = small_cache()
     cache.fill(0x100, prefetched=True)
-    line = cache.lookup(0x100)
-    assert line.prefetched and not line.used
-    cache.access(0x100)
-    assert cache.lookup(0x100).used
+    assert line_flags(cache, 0x100) & (FLAG_PREFETCHED | FLAG_USED) == FLAG_PREFETCHED
+    cache.demand_access(0x100, False)
+    assert line_flags(cache, 0x100) & FLAG_USED
     assert cache.stats["prefetch_hits"] == 1
 
 
@@ -84,60 +87,27 @@ def test_unused_prefetch_eviction_is_counted():
     assert cache.stats["unused_prefetch_evictions"] == 1
 
 
-def test_invalidate_removes_line():
-    cache = small_cache()
-    cache.fill(0x200)
-    assert cache.invalidate(0x200) is not None
-    assert not cache.contains(0x200)
-    assert cache.invalidate(0x200) is None
-
-
 def test_clean_clears_dirty_only_when_dirty():
     cache = small_cache()
     cache.fill(0x300, dirty=True)
     assert cache.clean(0x300) is True
     assert cache.clean(0x300) is False
-    assert not cache.lookup(0x300).dirty
-
-
-def test_resident_blocks_in_region():
-    cache = small_cache()
-    cache.fill(1024)
-    cache.fill(1024 + 128, dirty=True)
-    lines = cache.resident_blocks_in_region(1024, 1024)
-    assert {line.block_address for line in lines} == {1024, 1024 + 128}
+    assert not line_flags(cache, 0x300) & FLAG_DIRTY
 
 
 def test_resident_count_and_hit_ratio():
     cache = small_cache()
-    assert cache.resident_count() == 0
+    assert resident(cache) == 0
     cache.fill(0)
-    cache.access(0)
-    cache.access(64)
-    assert cache.resident_count() == 1
-    assert cache.hit_ratio == pytest.approx(0.5)
+    cache.demand_access(0, False)
+    cache.demand_access(64, False)
+    assert resident(cache) == 1
+    stats = cache.stats
+    assert stats["hits"] / (stats["hits"] + stats["misses"]) == pytest.approx(0.5)
 
 
 def test_capacity_never_exceeded():
     cache = small_cache(size=1024, assoc=2)
     for i in range(200):
         cache.fill(i * 64)
-    assert cache.resident_count() <= cache.params.num_blocks
-
-
-def test_replacement_policy_factory():
-    assert isinstance(make_policy("lru"), LRUPolicy)
-    assert isinstance(make_policy("random", seed=3), RandomPolicy)
-    with pytest.raises(ValueError):
-        make_policy("plru")
-
-
-def test_random_policy_only_evicts_resident_tags():
-    cache = SetAssociativeCache(
-        CacheParams(size_bytes=1024, associativity=2), policy=RandomPolicy(seed=7)
-    )
-    for i in range(50):
-        victim = cache.fill(i * 64 * cache.num_sets)
-        if victim is not None:
-            assert victim.block_address % 64 == 0
-    assert cache.resident_count() <= 2 * cache.num_sets
+    assert resident(cache) <= cache.params.num_blocks

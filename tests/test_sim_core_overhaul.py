@@ -12,6 +12,7 @@ import random
 import numpy as np
 import pytest
 
+from engine_pins import PINS
 from repro.common.addressing import BLOCK_BITS
 from repro.common.params import DDR3Timing, DRAMOrganization
 from repro.common.request import DRAMRequest, DRAMRequestKind
@@ -134,25 +135,26 @@ def test_engines_bit_identical_with_non_power_of_two_cores():
 
     Regression: folding ``instructions * cpi / cores`` into one precomputed
     factor rounds differently when ``cores`` is not a power of two, which
-    shifted DRAM arrival cycles and broke engine parity.  The second trace
-    gives every row a distinct instruction gap, so each row's cycle
-    increment is computed afresh.
+    shifted DRAM arrival cycles and broke parity with the per-access dict
+    engine.  The runs are held to the cycle count and result both cache
+    engines agreed on (``engine_pins``).  The second trace gives every row a
+    distinct instruction gap, so each row's cycle increment is computed
+    afresh.
     """
     from repro.common.params import SystemParams
     from repro.exec.campaign import result_fingerprint
 
     config = base_open(system=SystemParams().scaled(num_cores=12))
-    traces = (build_trace("web_search", 3_000, num_cores=12, seed=5),
-              _distinct_gap_trace(12))
-    assert len(np.unique(traces[1].instructions)) >= 3_000
-    for trace in traces:
-        warmup = len(trace) * 2 // 5
-        flat = ServerSystem(config, cache_engine="flat")
-        dict_engine = ServerSystem(config, cache_engine="dict")
-        flat_result = flat.run(trace, warmup_accesses=warmup)
-        dict_result = dict_engine.run(trace, warmup_accesses=warmup)
-        assert flat._core_cycle == dict_engine._core_cycle
-        assert result_fingerprint(flat_result) == result_fingerprint(dict_result)
+    traces = {"web_search": build_trace("web_search", 3_000, num_cores=12,
+                                        seed=5),
+              "distinct_gaps": _distinct_gap_trace(12)}
+    assert len(np.unique(traces["distinct_gaps"].instructions)) >= 3_000
+    for label, trace in traces.items():
+        pin = PINS["non_power_of_two_cores"][label]
+        system = ServerSystem(config)
+        result = system.run(trace, warmup_accesses=len(trace) * 2 // 5)
+        assert system._core_cycle == pin["core_cycle"]
+        assert result_fingerprint(result) == pin["fingerprint"]
 
 
 # --------------------------------------------------------------------- #

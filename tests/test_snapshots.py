@@ -3,13 +3,15 @@
 The acceptance bar for ``repro.sim.snapshot`` is absolute: restoring a
 warmup snapshot and simulating the measured tail must produce the
 *identical* :class:`SimulationResult` (full fingerprint, every counter and
-energy figure) as an uninterrupted run -- across the cache x DRAM engine
-cube, both DRAM page policies, any chunking of the stream, scenario
-mid-phase boundaries, and across process boundaries (snapshot written by
-one process, restored in another).
+energy figure) as an uninterrupted run -- on both DRAM engines, both DRAM
+page policies, any chunking of the stream, scenario mid-phase boundaries,
+and across process boundaries (snapshot written by one process, restored
+in another).  A container that is damaged or from another format version
+is rejected with ``ValueError``.
 """
 
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -18,6 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from broken_snapshots import BROKEN, rewrite_meta, write_broken, write_snapshot
 from repro.exec.campaign import result_fingerprint, run_campaign
 from repro.exec.jobs import JobGrid
 from repro.exec.store import ArtifactStore
@@ -73,7 +76,6 @@ def _warm_twice(config, store, **engines):
     key = snapshot_fingerprint(
         get_workload(WORKLOAD), config, ACCESSES // 2,
         num_cores=CORES, seed=SEED,
-        cache_engine=engines.get("cache_engine"),
         dram_engine=engines.get("dram_engine"))
     first = run_trace(_trace(), config, workload_name=WORKLOAD,
                       warmup_fraction=0.5, warmup_snapshot=store,
@@ -85,19 +87,16 @@ def _warm_twice(config, store, **engines):
 
 
 class TestEngineCube:
-    @pytest.mark.parametrize("cache_engine", ["flat", "dict"])
     @pytest.mark.parametrize("dram_engine", ["flat", "object"])
-    def test_capture_restore_bit_identical(self, tmp_path, cache_engine,
-                                           dram_engine):
+    def test_capture_restore_bit_identical(self, tmp_path, dram_engine):
         config = _config()
-        engines = dict(cache_engine=cache_engine, dram_engine=dram_engine)
-        cold = _cold(config, **engines)
+        cold = _cold(config, dram_engine=dram_engine)
         captured, restored = _warm_twice(config, ArtifactStore(tmp_path),
-                                         **engines)
+                                         dram_engine=dram_engine)
         assert result_fingerprint(cold) == result_fingerprint(captured), (
-            f"{cache_engine}/{dram_engine}: capture run diverged")
+            f"{dram_engine}: capture run diverged")
         assert result_fingerprint(cold) == result_fingerprint(restored), (
-            f"{cache_engine}/{dram_engine}: restored run diverged")
+            f"{dram_engine}: restored run diverged")
 
 
 class TestPagePolicies:
@@ -308,6 +307,22 @@ class TestValidation:
         with pytest.raises(ValueError, match="format"):
             load_snapshot(path)
 
+    def test_format_v3_file_is_rejected(self, tmp_path):
+        path = tmp_path / "v3.npz"
+        write_snapshot(path)
+        rewrite_meta(path, format_version=3)
+        with pytest.raises(ValueError, match="format v3 is not supported"):
+            load_snapshot(path)
+
+    @pytest.mark.parametrize("kind", sorted(BROKEN))
+    def test_damaged_container_is_rejected(self, tmp_path, kind):
+        path = tmp_path / f"{kind}.npz"
+        write_broken(kind, path)
+        config = named_configs(["base_open"])["base_open"]
+        with pytest.raises(ValueError, match=re.escape(BROKEN[kind])):
+            run_trace(build_trace(WORKLOAD, 4_000), config,
+                      workload_name=WORKLOAD, snapshot=str(path))
+
     def test_empty_warmup_rejected(self):
         system = ServerSystem(_config(), workload_name=WORKLOAD)
         with pytest.raises(ValueError):
@@ -403,7 +418,7 @@ class TestFingerprint:
                                             num_cores=CORES, seed=SEED)
         assert base != snapshot_fingerprint(spec, config, 2_000,
                                             num_cores=CORES, seed=SEED,
-                                            cache_engine="dict")
+                                            dram_engine="object")
 
     def test_config_rename_shares_snapshot(self):
         """The fingerprint keys on configuration content, not display name."""

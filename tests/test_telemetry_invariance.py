@@ -2,8 +2,8 @@
 
 A run with ``telemetry="full"`` produces a :class:`SimulationResult` whose
 content fingerprint is bit-identical to the same run with telemetry off --
-across every workload, every named system configuration, both cache
-engines, both DRAM engines, the streaming path and the scenario runner.
+across every workload, every named system configuration, both DRAM
+engines, the streaming path and the scenario runner.
 This is the invariant that keeps the artifact store sound (fingerprints
 cover every result field) and is additionally gated in CI by
 ``benchmarks/bench_telemetry.py``.
@@ -39,12 +39,10 @@ def test_full_is_bit_identical_to_off(workload, config_name):
     assert off == full
 
 
-@pytest.mark.parametrize("cache_engine", ["flat", "dict"])
 @pytest.mark.parametrize("dram_engine", ["flat", "object"])
-def test_invariance_holds_on_every_engine_combination(cache_engine, dram_engine):
+def test_invariance_holds_on_every_engine_combination(dram_engine):
     trace = build_trace("web_search", ACCESSES)
-    off, full = _digests(trace, bump_system(),
-                         cache_engine=cache_engine, dram_engine=dram_engine)
+    off, full = _digests(trace, bump_system(), dram_engine=dram_engine)
     assert off == full
 
 

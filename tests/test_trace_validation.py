@@ -43,9 +43,8 @@ def _expected(column, value):
 
 
 @pytest.mark.parametrize("column,value", MALFORMED)
-@pytest.mark.parametrize("cache_engine", ["flat", "dict"])
-def test_malformed_row_in_trace_buffer_raises(column, value, cache_engine):
-    system = ServerSystem(base_open(), cache_engine=cache_engine)
+def test_malformed_row_in_trace_buffer_raises(column, value):
+    system = ServerSystem(base_open())
     with pytest.raises(ValueError, match=_expected(column, value)):
         system.run(_trace(column, value))
 
@@ -70,8 +69,7 @@ def test_highest_block_below_the_address_limit_runs():
     assert result.counters["accesses"] == ROWS
 
 
-@pytest.mark.parametrize("cache_engine", ["flat", "dict"])
-def test_highest_pc_below_the_limit_runs(cache_engine):
-    system = ServerSystem(base_open(), cache_engine=cache_engine)
+def test_highest_pc_below_the_limit_runs():
+    system = ServerSystem(base_open())
     result = system.run(_trace("pc", 2**63 - 4))
     assert result.counters["accesses"] == ROWS
