@@ -11,8 +11,9 @@ to use for measurement:
 * **determinism gate** -- for every catalog scenario, two compilations at
   different chunk sizes must be bit-identical (chunk-size invariance) and a
   different seed must change the trace;
-* **parity gate** -- a streamed scenario run under the flat DRAM engine
-  must fingerprint identically to the object DRAM engine;
+* **parity gate** -- a streamed scenario run must agree, after every
+  memory-system call, with the reference DRAM
+  (:class:`~repro.fuzz.reference_dram.DRAMShadow`) running beside it;
 * **streaming simulation** -- end-to-end accesses/second of
   ``tenant-colocation`` under ``base_open`` and ``bump``;
 * **closed-loop gate** -- generation overhead of pulling a scenario
@@ -43,6 +44,7 @@ from pathlib import Path
 
 from repro import __version__
 from repro.exec.campaign import result_fingerprint
+from repro.fuzz.reference_dram import DRAMShadow
 from repro.scenario import (
     ClosedLoopSource,
     ClosedLoopSpec,
@@ -53,6 +55,8 @@ from repro.scenario import (
 )
 from repro.scenario.compiler import iter_scenario_chunks
 from repro.sim.config import base_open, bump_system
+from repro.sim.runner import DEFAULT_WARMUP_FRACTION
+from repro.sim.system import ServerSystem
 from repro.trace.source import FeedbackSample
 from repro.workloads.generator import generate_trace_buffer
 from repro.workloads.catalog import get_workload
@@ -128,10 +132,12 @@ def bench_streaming_sim(scale: float, parity_scale: float) -> dict:
               f"{rows[config.name]['accesses_per_second']:,.0f} acc/s, "
               f"row-hit {result.row_buffer_hit_ratio:.3f}")
     parity_scenario = get_scenario("antagonist-burst", scale=parity_scale)
-    flat = run_scenario(parity_scenario, base_open(), dram_engine="flat")
-    reference = run_scenario(parity_scenario, base_open(), dram_engine="object")
-    identical = result_fingerprint(flat) == result_fingerprint(reference)
-    print(f"  engine parity (antagonist-burst): identical={identical}")
+    system = ServerSystem(base_open(), workload_name=parity_scenario.name)
+    shadow = DRAMShadow(system)
+    system.run(parity_scenario, warmup_accesses=int(
+        parity_scenario.total_accesses * DEFAULT_WARMUP_FRACTION))
+    identical = shadow.mismatch is None and shadow.calls > 0
+    print(f"  reference DRAM parity (antagonist-burst): identical={identical}")
     return {
         "scenario": "tenant-colocation",
         "accesses": scenario.total_accesses,
@@ -271,7 +277,8 @@ def main(argv=None) -> int:
         if not row["seed_sensitive"]:
             failures.append(f"{name}: reseeding did not change the trace")
     if not streaming["engine_parity_identical"]:
-        failures.append("flat and object DRAM engines diverged on a scenario trace")
+        failures.append("the memory system diverged from the reference DRAM "
+                        "on a scenario trace")
     if not closed_loop["deterministic"]:
         failures.append("closed-loop rerun diverged from itself")
     if (not args.smoke

@@ -9,8 +9,7 @@ reports and EXPERIMENTS.md can show paper-vs-measured side by side, and
 
 :mod:`repro.analysis.ablations` adds the ablation/extension experiments
 DESIGN.md calls out, :mod:`repro.analysis.scalability` reproduces the
-Section VI storage-scaling numbers, :mod:`repro.analysis.scenarios` sweeps
-BuMP against the baselines across the heterogeneous scenario catalog, and
+Section VI storage-scaling numbers, and
 :mod:`repro.analysis.validation` checks measured results against the
 paper's values under explicit shape-preservation rules.
 """
@@ -21,10 +20,8 @@ from repro.analysis import (
     paper_data,
     reporting,
     scalability,
-    scenarios,
     validation,
 )
-from repro.analysis.scenarios import scenario_comparison, scenario_uplift
 from repro.analysis.experiments import (
     figure1_energy_breakdown,
     figure2_row_buffer_hit,
@@ -46,9 +43,6 @@ __all__ = [
     "paper_data",
     "reporting",
     "scalability",
-    "scenario_comparison",
-    "scenario_uplift",
-    "scenarios",
     "validation",
     "figure1_energy_breakdown",
     "figure2_row_buffer_hit",

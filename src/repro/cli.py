@@ -180,8 +180,7 @@ def _warmup_snapshot_key(args: argparse.Namespace, config) -> Optional[str]:
     return snapshot_fingerprint(
         get_workload(args.workload), config,
         int(args.accesses * args.warmup),
-        num_cores=args.cores, seed=args.seed,
-        dram_engine=getattr(args, "dram_engine", None))
+        num_cores=args.cores, seed=args.seed)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -192,7 +191,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     try:
         result = run_trace(trace, config, workload_name=args.workload,
                            warmup_fraction=args.warmup,
-                           dram_engine=args.dram_engine,
                            telemetry=recorder,
                            snapshot=args.snapshot or None,
                            warmup_snapshot=args.warmup_snapshot,
@@ -219,7 +217,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
         try:
             result = run_trace(trace, config, workload_name=args.workload,
                                warmup_fraction=args.warmup,
-                               dram_engine=args.dram_engine,
                                warmup_snapshot=args.warmup_snapshot,
                                snapshot_key=_warmup_snapshot_key(args, config))
         except (ValueError, OSError) as exc:
@@ -381,7 +378,6 @@ def cmd_scenario_run(args: argparse.Namespace) -> int:
         result = run_scenario(scenario, config, seed=args.seed,
                               warmup_fraction=args.warmup,
                               chunk_size=args.chunk_size,
-                              dram_engine=args.dram_engine,
                               telemetry=recorder,
                               snapshot=args.snapshot or None,
                               warmup_snapshot=args.warmup_snapshot,
@@ -500,8 +496,7 @@ def cmd_trace_ingest(args: argparse.Namespace) -> int:
         result = run_trace(source, config,
                            workload_name=f"ingest:{args.path}",
                            warmup_fraction=args.warmup,
-                           num_accesses=source.total_accesses,
-                           dram_engine=args.dram_engine)
+                           num_accesses=source.total_accesses)
     except (ValueError, OSError) as exc:
         raise SystemExit(str(exc))
     _print(f"replayed {source.total_accesses} accesses from {args.path} "
@@ -536,8 +531,7 @@ def cmd_snapshot_create(args: argparse.Namespace) -> int:
     spec = get_workload(args.workload)
     trace = build_trace(args.workload, args.accesses, num_cores=args.cores,
                         seed=args.seed)
-    system = ServerSystem(config, workload_name=args.workload,
-                          dram_engine=args.dram_engine)
+    system = ServerSystem(config, workload_name=args.workload)
     try:
         snapshot, _, _ = capture_warmup(system, trace, warmup)
     except ValueError as exc:
@@ -548,8 +542,7 @@ def cmd_snapshot_create(args: argparse.Namespace) -> int:
     else:
         store = _snapshot_store_or_exit(args.store)
         digest = snapshot_fingerprint(spec, config, warmup,
-                                      num_cores=args.cores, seed=args.seed,
-                                      dram_engine=args.dram_engine)
+                                      num_cores=args.cores, seed=args.seed)
         store.put_snapshot(digest, snapshot)
         _print(f"stored snapshot {digest} in {store.root}")
     rows = [[key, str(value)] for key, value in snapshot.describe().items()]
@@ -578,11 +571,11 @@ def cmd_snapshot_list(args: argparse.Namespace) -> int:
         try:
             snapshot = load_snapshot(path)
         except (OSError, ValueError):
-            rows.append([path.stem, "(unreadable)", "", "", ""])
+            rows.append([path.stem, "(unreadable)", "", ""])
             continue
-        rows.append([path.stem, snapshot.workload_name, snapshot.dram_engine,
+        rows.append([path.stem, snapshot.workload_name,
                      str(snapshot.processed), str(snapshot.nbytes)])
-    _print(format_table(rows, headers=["digest", "workload", "dram",
+    _print(format_table(rows, headers=["digest", "workload",
                                        "warmed accesses", "bytes"]))
     return 0
 
@@ -787,9 +780,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--system", default="bump", help="system configuration name")
     run.add_argument("--warmup", type=float, default=0.5,
                      help="fraction of the trace used for warmup")
-    run.add_argument("--dram-engine", choices=["flat", "object"], default=None,
-                     help="DRAM engine (default: REPRO_DRAM_ENGINE or flat; "
-                          "results are bit-identical)")
     run.add_argument("--telemetry", choices=list(TELEMETRY_MODES), default=None,
                      help="observability mode (default: REPRO_TELEMETRY or "
                           "off; results are bit-identical)")
@@ -814,9 +804,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated system names")
     compare.add_argument("--warmup", type=float, default=0.5,
                          help="fraction of the trace used for warmup")
-    compare.add_argument("--dram-engine", choices=["flat", "object"], default=None,
-                         help="DRAM engine (default: REPRO_DRAM_ENGINE or "
-                              "flat; results are bit-identical)")
     compare.add_argument("--warmup-snapshot", nargs="?", const=True,
                          default=None, metavar="DIR",
                          help="reuse each system's warmup through a snapshot "
@@ -883,10 +870,6 @@ def build_parser() -> argparse.ArgumentParser:
                               help="fraction of the trace used for warmup")
     scenario_run.add_argument("--chunk-size", type=int, default=65_536,
                               help="streaming chunk granularity (accesses)")
-    scenario_run.add_argument("--dram-engine", choices=["flat", "object"],
-                              default=None,
-                              help="DRAM engine (default: REPRO_DRAM_ENGINE "
-                                   "or flat; results are bit-identical)")
     scenario_run.add_argument("--telemetry", choices=list(TELEMETRY_MODES),
                               default=None,
                               help="observability mode (default: "
@@ -972,10 +955,6 @@ def build_parser() -> argparse.ArgumentParser:
     trace_ingest.add_argument("--mmap", action="store_true",
                               help="memory-map .npy traces instead of "
                                    "loading them")
-    trace_ingest.add_argument("--dram-engine", choices=["flat", "object"],
-                              default=None,
-                              help="DRAM engine (default: REPRO_DRAM_ENGINE "
-                                   "or flat; results are bit-identical)")
     trace_ingest.set_defaults(handler=cmd_trace_ingest)
 
     snapshot = subparsers.add_parser(
@@ -990,10 +969,6 @@ def build_parser() -> argparse.ArgumentParser:
                                  help="system configuration name")
     snapshot_create.add_argument("--warmup", type=float, default=0.5,
                                  help="fraction of the trace to warm up over")
-    snapshot_create.add_argument("--dram-engine", choices=["flat", "object"],
-                                 default=None,
-                                 help="DRAM engine (default: "
-                                      "REPRO_DRAM_ENGINE or flat)")
     snapshot_create.add_argument("--output", "-o", default="",
                                  help="write the snapshot to this .npz file "
                                       "instead of the store")
@@ -1019,8 +994,8 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz = subparsers.add_parser(
         "fuzz",
         help="fuzzing: random scenario/config specs checked against the "
-             "reference LRU and counter identities, and proven "
-             "bit-identical across DRAM engines, chunk sizes, telemetry "
+             "reference LRU, the reference DRAM and counter identities, "
+             "and proven bit-identical across chunk sizes, telemetry "
              "and snapshot resume")
     fuzz.add_argument("--budget", type=int, default=100,
                       help="number of generated samples to examine "

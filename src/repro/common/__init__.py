@@ -5,8 +5,7 @@ single microarchitectural component:
 
 * :mod:`repro.common.params` -- the architectural parameters of Table II of
   the paper (cache geometry, DRAM organisation, DDR3 timing).
-* :mod:`repro.common.request` -- the DRAM transfer record and its
-  provenance kinds.
+* :mod:`repro.common.request` -- the provenance kinds of DRAM transfers.
 * :mod:`repro.common.addressing` -- helpers for carving physical addresses
   into blocks, regions and DRAM coordinates.
 * :mod:`repro.common.stats` -- lightweight named counters and histograms used
@@ -35,7 +34,7 @@ from repro.common.params import (
     DRAMOrganization,
     SystemParams,
 )
-from repro.common.request import DRAMRequest, DRAMRequestKind
+from repro.common.request import DRAMRequestKind
 from repro.common.stats import StatGroup
 
 __all__ = [
@@ -55,7 +54,6 @@ __all__ = [
     "DDR3Timing",
     "DRAMOrganization",
     "SystemParams",
-    "DRAMRequest",
     "DRAMRequestKind",
     "StatGroup",
 ]

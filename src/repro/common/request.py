@@ -1,10 +1,12 @@
-"""Record types for block transfers between the LLC and main memory.
+"""Provenance kinds of block transfers between the LLC and main memory.
 
-A :class:`DRAMRequest` is one block transfer, tagged with the reason it was
-generated (demand miss, prefetch, bulk read, demand writeback, eager/bulk
-writeback) so the experiment harness can attribute traffic, coverage and
-overfetch.  Processor-side references never exist as records: they travel
-as :class:`repro.trace.buffer.TraceBuffer` columns.
+Every DRAM transfer is tagged with the reason it was generated (demand
+miss, prefetch, bulk read, demand writeback, eager/bulk writeback) so the
+experiment harness can attribute traffic, coverage and overfetch.
+Transfers never exist as records: the simulator stages them as scalar
+columns (block, kind code, arrival cycle, issuing core) for the memory
+system's batched intake, and processor-side references travel as
+:class:`repro.trace.buffer.TraceBuffer` columns.
 """
 
 from __future__ import annotations
@@ -55,56 +57,3 @@ for _code, _kind in enumerate(DRAMRequestKind):
 #: ``KIND_IS_READ[kind.code]`` / ``KIND_IS_DEMAND[kind.code]`` fast tables.
 KIND_IS_READ = tuple(kind.is_read for kind in DRAMRequestKind)
 KIND_IS_DEMAND = tuple(kind.is_demand for kind in DRAMRequestKind)
-
-
-class DRAMRequest:
-    """One 64-byte transfer between the LLC and main memory.
-
-    A plain ``__slots__`` class (one is allocated per transfer on the
-    simulator hot path).  Equality compares the identity fields only --
-    ``row_hit`` and ``latency_cycles`` are measurement outputs, matching the
-    ``compare=False`` semantics of the original dataclass.
-    """
-
-    __slots__ = ("block_address", "kind", "core", "pc", "arrival_cycle",
-                 "row_hit", "latency_cycles")
-
-    def __init__(self, block_address: int, kind: DRAMRequestKind, core: int = 0,
-                 pc: int = 0, arrival_cycle: float = 0.0) -> None:
-        self.block_address = block_address
-        self.kind = kind
-        self.core = core
-        self.pc = pc
-        #: Core-clock cycle at which the request became visible to the memory
-        #: controller.  Filled in by the system model.
-        self.arrival_cycle = arrival_cycle
-        #: Set by the memory controller: whether the column access hit in an
-        #: already-open row buffer.
-        self.row_hit = False
-        #: Set by the memory controller: total latency in memory-bus cycles
-        #: from arrival to completion (queueing + bank timing + burst).
-        self.latency_cycles = 0.0
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DRAMRequest):
-            return NotImplemented
-        return (self.block_address == other.block_address
-                and self.kind == other.kind
-                and self.core == other.core
-                and self.pc == other.pc
-                and self.arrival_cycle == other.arrival_cycle)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"DRAMRequest(block_address=0x{self.block_address:x}, "
-                f"kind={self.kind}, core={self.core}, pc={self.pc}, "
-                f"arrival_cycle={self.arrival_cycle})")
-
-    @property
-    def is_read(self) -> bool:
-        """True when the transfer moves data from DRAM toward the chip."""
-        return self.kind.is_read
-
-    @property
-    def is_write(self) -> bool:
-        """True when the transfer moves data from the chip into DRAM."""
-        return self.kind.is_write

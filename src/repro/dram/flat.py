@@ -1,81 +1,89 @@
-"""Batch-vectorized flat-array DRAM engine.
+"""The DDR3 memory system: every channel, flat arrays, batched intake.
 
-:class:`FlatMemorySystem` is the memory-system counterpart of the PR-3 cache
-overhaul (:mod:`repro.cache.flat`): the same DDR3 timing, FR-FCFS scheduling
-and page-policy semantics as the object engine
-(:class:`repro.dram.system.MemorySystem` driving per-channel
-:class:`repro.dram.controller.MemoryController` instances), re-expressed so
-the per-transfer cost is a handful of scalar operations instead of an
-allocation-heavy call chain.  Results are **bit-identical** to the object
-engine -- the parity suite asserts it across every workload, named system
-configuration and catalog scenario -- only the speed differs.
+:class:`FlatMemorySystem` models the simulated server's main memory: DDR3
+bank timing, a bounded transaction window per channel, open-row or
+close-row pages, and one of three schedulers:
 
-Three structural changes carry the speedup:
+``frfcfs``
+    First-Ready FCFS [Rixner et al., ISCA 2000], the policy of every system
+    the paper evaluates: the oldest row hit in the window, else the oldest
+    demand request in the window, else the oldest request.
+``fcfs``
+    Strict arrival order, the lower bound on row-buffer locality.
+``bank_round_robin``
+    A fairness-oriented scheduler for the Section VI discussion: it rotates
+    over the cores that have pending requests and serves the chosen core's
+    oldest row hit among its first ``window`` requests, else its oldest.
+
+The per-transfer cost is a handful of scalar operations.  Three structural
+choices carry it:
 
 1. **Batched intake.**  ``enqueue_block_batch`` accepts whole per-chunk
-   arrays of (block address, kind code, arrival cycle) triples.  Channel
-   routing and full DRAM-coordinate decode (rank/bank/row plus the packed
-   row-state key of :func:`repro.dram.scheduler.row_state_key`) run as a few
-   NumPy vector operations over the batch, instead of one
-   ``DRAMRequest`` allocation, one ``AddressMapping.map`` call and one
-   ``DRAMCoordinates`` tuple per transfer.  Batching is exact, not
-   approximate: FR-FCFS decisions only ever inspect the oldest ``window``
-   pending entries (every candidate is gated on its rank within the window),
-   so requests enqueued behind the window cannot influence a pop, and
-   serving at the object engine's drain points or at batch boundaries yields
-   the same serve order, cycle for cycle.
+   arrays of (block address, kind code, arrival cycle, core) rows.  Channel
+   routing and the decode to rank/bank/row plus a packed row-state key
+   ``(row << 12) | (rank << 6) | bank`` run as a few NumPy vector
+   operations over the batch.  Each channel then absorbs its rows in order
+   and serves a window's worth whenever twice the window is pending, so the
+   serve order does not depend on where batches begin and end.
 
 2. **Flat ring-buffer queues.**  Each channel's transaction queue is a pair
    of parallel Python lists (entry tuples and their arrival sequence
    numbers) with a head cursor: front pops -- the overwhelmingly common case
    for the row-locality-poor streams the paper studies -- advance the cursor
    in O(1) and the dead prefix is compacted away periodically, so no
-   per-pop memmove is paid.  On top of the ring sits the incremental
-   FR-FCFS bucket scheme ported from :class:`repro.dram.scheduler.FRFCFSQueue`:
-   per-row FIFO buckets, a ready view holding exactly the buckets whose row
-   is open, and a FIFO of demand entries.  Buckets store a bare ``int`` seq
-   while they hold a single entry (almost always, for these streams) and
-   are promoted to a list only on the second same-row arrival, so the
-   common push allocates nothing.
+   per-pop memmove is paid.  On top of the ring sit per-row FIFO buckets, a
+   ready view holding exactly the buckets whose row is open, and a FIFO of
+   demand entries, so the FR-FCFS choice inspects a handful of buckets
+   instead of the window.  Buckets store a bare ``int`` seq while they hold
+   a single entry and are promoted to a list only on the second same-row
+   arrival, so the common push allocates nothing.  Round robin adds one
+   list of entries per core.
 
 3. **Preallocated NumPy state, scalar hot loop.**  Open-row ids, per-bank
    ready/activate timestamps, per-channel bus/completion cycles and every
    measurement counter live in preallocated NumPy arrays
    (``open_row[channels, banks]``, ``bank_ready[channels, banks]``, ...).
    The serve loop hoists one channel's state into plain Python scalars and
-   lists, runs the bank timing arithmetic in exactly the object engine's
-   operation order (IEEE doubles both ways, hence bit-identical cycles),
-   and writes the state back once per drain burst.
+   lists, runs the bank timing arithmetic and writes the state back once
+   per drain burst.
 
-The engine folds every measurement into the counter arrays at serve time and
-never retains completed requests (the object engine's
-``record_completed=False`` mode); :meth:`drain` therefore always returns an
-empty list.  Select the engine with ``REPRO_DRAM_ENGINE=flat|object`` or the
-``dram_engine=`` keyword of :class:`repro.sim.system.ServerSystem` /
-:func:`repro.sim.runner.run_trace` (see :mod:`repro.dram.engine`).
+Every measurement folds into the counter arrays at serve time; no request
+is retained.  :mod:`repro.fuzz.reference_dram` states the same rules one
+request at a time and is this engine's specification.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from collections import deque
-from typing import Dict, List, Tuple
+from enum import Enum
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.common.addressing import BLOCK_BITS
 from repro.common.params import DDR3Timing, DRAMOrganization
-from repro.common.request import (
-    DRAMRequest,
-    DRAMRequestKind,
-    KIND_IS_DEMAND,
-    KIND_IS_READ,
-)
+from repro.common.request import DRAMRequestKind, KIND_IS_DEMAND, KIND_IS_READ
 from repro.common.stats import StatGroup
 from repro.dram.address_mapping import AddressMapping
-from repro.dram.controller import PagePolicy
 
-__all__ = ["FlatMemorySystem", "FlatChannelStats"]
+__all__ = ["FlatMemorySystem", "PagePolicy", "SCHEDULERS"]
+
+
+class PagePolicy(Enum):
+    """Row-buffer management policy of the memory controller.
+
+    *Open-row* pages stay open after an access; *close-row* pages are
+    precharged right after an access unless another request the scheduler
+    can see targets the same row.
+    """
+
+    OPEN = "open"
+    CLOSE = "close"
+
+
+#: Transaction schedulers :class:`FlatMemorySystem` serves.
+SCHEDULERS = ("frfcfs", "fcfs", "bank_round_robin")
 
 #: Kinds in ``code`` order (mirrors the fast tables of repro.common.request).
 _KINDS_BY_CODE = tuple(DRAMRequestKind)
@@ -97,99 +105,52 @@ _FLOAT_KEYS = ("bus_busy_cycles", "demand_read_latency_cycles",
 _COMPACT_THRESHOLD = 512
 
 #: Mutable state of a :class:`FlatMemorySystem`: the NumPy arrays, then the
-#: queues, their cursors and the open-key map.
+#: queues, their cursors, the open-key map and the round-robin state.
 _STATE = ("open_row", "bank_ready", "last_activate", "bus_free",
           "last_completion", "counts", "fcounts", "kind_counts",
           "_pending", "_seqs", "_head", "_next_seq", "_by_key", "_ready",
-          "_demand", "_open_key_of_bank")
+          "_demand", "_open_key_of_bank", "_core_buckets", "_rotation",
+          "_rotation_index")
 
-#: Rank/bank bound of the packed row-state key (``row_state_key`` packs
-#: ``(row << 12) | (rank << 6) | bank``); organisations beyond it fall back
-#: to the object engine (see :func:`repro.dram.engine.resolve_dram_engine`).
+#: Rank/bank bound of the packed row-state key, whose rank and bank fields
+#: are six bits wide.
 PACK_LIMIT = 64
 
 
-class FlatChannelStats:
-    """Read-only per-channel view mirroring ``MemoryController``'s surface.
-
-    The flat engine keeps all state in system-wide arrays; tests and the
-    measurement boundary still want to talk to "the controller of channel
-    *i*".  This view adapts one channel of those arrays to the relevant
-    subset of the :class:`repro.dram.controller.MemoryController` interface
-    (``stats``, ``reset_counters``, ``last_completion_cycle``,
-    ``_completed`` -- always empty, the engine never retains requests).
-    """
-
-    __slots__ = ("_system", "_channel")
-
-    #: The flat engine never retains completed requests.
-    _completed: Tuple = ()
-
-    def __init__(self, system: "FlatMemorySystem", channel: int) -> None:
-        self._system = system
-        self._channel = channel
-
-    @property
-    def channel_id(self) -> int:
-        return self._channel
-
-    @property
-    def stats(self) -> StatGroup:
-        """Measurement counters of this channel as a :class:`StatGroup`."""
-        return self._system.channel_stats(self._channel)
-
-    def reset_counters(self) -> None:
-        """Zero this channel's measurement counters (state is preserved)."""
-        system = self._system
-        channel = self._channel
-        system.counts[channel, :] = 0
-        system.fcounts[channel, :] = 0.0
-        system.kind_counts[channel, :] = 0
-
-    @property
-    def last_completion_cycle(self) -> float:
-        return float(self._system.last_completion[self._channel])
-
-    @property
-    def activations(self) -> int:
-        return int(self._system.counts[self._channel,
-                                       _INT_KEYS.index("activations")])
-
-    def drain(self) -> List[DRAMRequest]:
-        """Serve everything pending on this channel (returns no requests)."""
-        self._system._drain_channel(self._channel,
-                                    self._system._live(self._channel))
-        return []
-
-
 class FlatMemorySystem:
-    """All DDR3 channels of the simulated server, flat-array edition.
+    """All DDR3 channels of the simulated server.
 
-    Drop-in replacement for :class:`repro.dram.system.MemorySystem` running
-    with ``record_completed=False`` (the simulator's configuration): the
-    public metrics surface is identical and every statistic is bit-identical.
-    Only FR-FCFS scheduling is supported -- the ablation-only alternatives
-    live in the object engine (:mod:`repro.dram.policies`).
+    ``scheduler`` names one of :data:`SCHEDULERS`; ``window`` is the number
+    of oldest pending requests per channel a choice may look at.
+    Organisations with more than :data:`PACK_LIMIT` ranks per channel or
+    banks per rank do not fit the packed row-state key and are rejected.
     """
 
     def __init__(self, timing: DDR3Timing, org: DRAMOrganization,
                  mapping: AddressMapping,
                  page_policy: PagePolicy = PagePolicy.OPEN,
-                 window: int = 64) -> None:
+                 window: int = 64, scheduler: str = "frfcfs") -> None:
         if window < 1:
             raise ValueError("scheduling window must hold at least one request")
-        if (org.ranks_per_channel > PACK_LIMIT
-                or org.banks_per_rank > PACK_LIMIT):
+        for field in ("ranks_per_channel", "banks_per_rank"):
+            count = getattr(org, field)
+            if count > PACK_LIMIT:
+                raise ValueError(
+                    f"DRAM organisation has {field}={count}; the memory "
+                    f"system packs rank and bank into six bits each, so "
+                    f"{field} must not exceed {PACK_LIMIT}")
+        if scheduler not in SCHEDULERS:
             raise ValueError(
-                "flat DRAM engine packs (row, rank, bank) into one int key; "
-                f"rank and bank counts must not exceed {PACK_LIMIT} "
-                "(use the object engine for larger organisations)")
+                f"unknown scheduler {scheduler!r}; known schedulers: "
+                + ", ".join(SCHEDULERS))
         self.timing = timing
         self.org = org
         self.mapping = mapping
         self.page_policy = page_policy
-        self.scheduler = "frfcfs"
+        self.scheduler = scheduler
         self.window = window
+        self._frfcfs = scheduler == "frfcfs"
+        self._round_robin = scheduler == "bank_round_robin"
         self._close_policy = page_policy is PagePolicy.CLOSE
         self._drain_threshold = 2 * window
 
@@ -243,10 +204,13 @@ class FlatMemorySystem:
         self._open_key_of_bank: List[list] = [
             [None] * self._num_banks for _ in range(channels)
         ]
-
-        self.controllers: Tuple[FlatChannelStats, ...] = tuple(
-            FlatChannelStats(self, channel) for channel in range(channels)
-        )
+        # Round robin: per channel, each core's pending entries oldest first,
+        # keyed in the order the cores' buckets were created (an emptied
+        # bucket is dropped, so the core's next entry re-creates it last);
+        # the core list the cursor last rotated over, and the cursor.
+        self._core_buckets: List[dict] = [{} for _ in range(channels)]
+        self._rotation: List[list] = [[] for _ in range(channels)]
+        self._rotation_index = [0] * channels
 
     # ------------------------------------------------------------------ #
     # Request intake
@@ -255,36 +219,28 @@ class FlatMemorySystem:
         """Channel index serving ``block_address`` under the active mapping."""
         return (block_address >> self._channel_shift) & self._channel_mask
 
-    def enqueue(self, request: DRAMRequest) -> None:
-        """Route one block transfer (compatibility path, one request).
-
-        The simulator always uses :meth:`enqueue_block_batch`; this scalar
-        path serves tests and external callers holding boxed ``DRAMRequest``
-        objects, and makes identical scheduling decisions.
-        """
-        self.enqueue_block_batch(
-            [request.block_address], [request.kind.code],
-            [request.arrival_cycle])
-
     def enqueue_block_batch(self, block_addresses, kind_codes,
-                            arrival_cycles) -> None:
+                            arrival_cycles, cores) -> None:
         """Queue a whole batch of block transfers, in arrival order.
 
         ``block_addresses`` are block-aligned physical addresses,
-        ``kind_codes`` the :class:`DRAMRequestKind` ``code`` integers and
-        ``arrival_cycles`` the arrival timestamps in memory-bus cycles; the
-        three sequences (lists or NumPy arrays) are parallel.  Channel
+        ``kind_codes`` the :class:`DRAMRequestKind` ``code`` integers,
+        ``arrival_cycles`` the arrival timestamps in memory-bus cycles and
+        ``cores`` the issuing cores; the sequences (lists or NumPy arrays)
+        are parallel, and only round robin reads ``cores``.  Channel
         routing, coordinate decode and row-state-key packing run vectorized
         over the batch; each channel then absorbs its requests in order,
         serving a window's worth whenever twice the scheduling window is
-        pending -- exactly the object engine's eager-drain discipline, so
-        the serve order (and with it every statistic) is identical.
+        pending.
         """
         blocks = np.asarray(block_addresses, dtype=np.int64)
         if not len(blocks):
             return
         kinds = np.asarray(kind_codes, dtype=np.int64)
         arrivals = np.asarray(arrival_cycles, dtype=np.float64)
+        round_robin = self._round_robin
+        if round_robin:
+            issuers = np.asarray(cores, dtype=np.int64)
 
         bits = blocks >> (BLOCK_BITS + self._cl_bits)
         channel = bits & self._channel_mask
@@ -315,6 +271,9 @@ class FlatMemorySystem:
             row = row[order]
             key_vec = key_vec[order]
             demand_vec = demand_vec[order]
+            if round_robin:
+                issuers = issuers[order]
+        cores_c = issuers.tolist() if round_robin else None
         kinds_c = kinds.tolist()
         arrivals_c = arrivals.tolist()
         fbank_c = fbank_vec.tolist()
@@ -335,6 +294,7 @@ class FlatMemorySystem:
             okob = self._open_key_of_bank[ci]
             head = self._head[ci]
             seq = self._next_seq[ci]
+            core_buckets = self._core_buckets[ci] if round_robin else None
             pending_append = pending.append
             seqs_append = seqs.append
             by_key_get = by_key.get
@@ -343,9 +303,12 @@ class FlatMemorySystem:
                 key = key_c[i]
                 fbank = fbank_c[i]
                 is_demand = demand_c[i]
-                pending_append((seq, kinds_c[i], arrivals_c[i], fbank,
-                                row_c[i], key, is_demand))
+                entry = (seq, kinds_c[i], arrivals_c[i], fbank, row_c[i], key,
+                         is_demand)
+                pending_append(entry)
                 seqs_append(seq)
+                if core_buckets is not None:
+                    core_buckets.setdefault(cores_c[i], []).append(entry)
                 bucket = by_key_get(key)
                 if bucket is None:
                     by_key[key] = seq
@@ -374,13 +337,13 @@ class FlatMemorySystem:
         return len(self._pending[channel]) - self._head[channel]
 
     def _drain_channel(self, ci: int, count: int) -> None:
-        """Serve up to ``count`` requests on channel ``ci`` under FR-FCFS.
+        """Serve up to ``count`` requests on channel ``ci``.
 
-        One fused loop covers scheduling (the incremental bucket scheme of
-        :class:`repro.dram.scheduler.FRFCFSQueue` -- keep the two in sync),
-        bank timing (:meth:`repro.dram.bank.Bank.access`, same operation
-        order) and the counter updates of
-        :meth:`repro.dram.controller.MemoryController._serve_core`.
+        One fused loop covers the scheduler's choice, the close-row check,
+        bank timing and the counter updates.  FR-FCFS chooses from the
+        bucket scheme inline; round robin delegates its choice and its
+        close-row check to :meth:`_round_robin_pick` and
+        :meth:`_round_robin_wants`.
         """
         if count <= 0:
             return
@@ -395,6 +358,8 @@ class FlatMemorySystem:
         okob = self._open_key_of_bank[ci]
         window = self.window
         close_policy = self._close_policy
+        frfcfs = self._frfcfs
+        round_robin = self._round_robin
 
         # Hoist this channel's NumPy state into scalars/lists for the loop.
         open_row = self.open_row[ci].tolist()
@@ -427,33 +392,39 @@ class FlatMemorySystem:
             live = len(pending) - head
             if not live:
                 break
-            # ---- FR-FCFS choice: oldest row hit in the window, else the
-            # oldest demand in the window, else the oldest request.  Window
-            # membership of a seq s reduces to ``s <= seqs[head+limit-1]``
-            # because seqs is sorted and duplicate-free.
-            limit = window if window < live else live
-            fence = seqs[head + limit - 1]
-            s0 = seqs[head]
-            chosen = -1
-            if ready:
-                best = -1
-                for bucket in ready.values():
-                    s = bucket if type(bucket) is int else bucket[0]
-                    if best < 0 or s < best:
-                        best = s
-                if best == s0:
-                    chosen = head
-                elif best <= fence:
-                    chosen = bisect_left(seqs, best, head)
-            if chosen < 0:
-                if demand:
-                    d0 = demand[0]
-                    if d0 == s0:
+            if frfcfs:
+                # ---- FR-FCFS choice: oldest row hit in the window, else the
+                # oldest demand in the window, else the oldest request.  Window
+                # membership of a seq s reduces to ``s <= seqs[head+limit-1]``
+                # because seqs is sorted and duplicate-free.
+                limit = window if window < live else live
+                fence = seqs[head + limit - 1]
+                s0 = seqs[head]
+                chosen = -1
+                if ready:
+                    best = -1
+                    for bucket in ready.values():
+                        s = bucket if type(bucket) is int else bucket[0]
+                        if best < 0 or s < best:
+                            best = s
+                    if best == s0:
                         chosen = head
-                    elif d0 <= fence:
-                        chosen = bisect_left(seqs, d0, head)
+                    elif best <= fence:
+                        chosen = bisect_left(seqs, best, head)
                 if chosen < 0:
-                    chosen = head
+                    if demand:
+                        d0 = demand[0]
+                        if d0 == s0:
+                            chosen = head
+                        elif d0 <= fence:
+                            chosen = bisect_left(seqs, d0, head)
+                    if chosen < 0:
+                        chosen = head
+            elif round_robin:
+                s = self._round_robin_pick(ci, okob)
+                chosen = head if s == seqs[head] else bisect_left(seqs, s, head)
+            else:
+                chosen = head
             if chosen == head:
                 # Front pop: advance the ring cursor over both parallel
                 # lists (the dead prefix stays in place -- its seqs are all
@@ -494,23 +465,28 @@ class FlatMemorySystem:
                     demand.remove(seq)
 
             # ---- close-row policy: keep the row open only when another
-            # queued request inside the window targets it (checked after
-            # this entry's removal, as the object engine does).
+            # queued request the scheduler can see targets it (checked after
+            # this entry's removal).
             close_after = False
             if close_policy:
-                other = by_key_get(key)
-                if other is None:
-                    close_after = True
+                if round_robin:
+                    close_after = not self._round_robin_wants(ci, key)
                 else:
-                    other_head = other if type(other) is int else other[0]
-                    live_now = len(pending) - head
-                    if live_now:
-                        limit_now = window if window < live_now else live_now
-                        close_after = other_head > seqs[head + limit_now - 1]
-                    else:
+                    other = by_key_get(key)
+                    if other is None:
                         close_after = True
+                    else:
+                        other_head = other if type(other) is int else other[0]
+                        live_now = len(pending) - head
+                        if live_now:
+                            limit_now = (window if window < live_now
+                                         else live_now)
+                            close_after = (other_head
+                                           > seqs[head + limit_now - 1])
+                        else:
+                            close_after = True
 
-            # ---- bank timing (Bank.access, same operation order).
+            # ---- bank timing.
             bready = bank_ready[fbank]
             start = arrival if arrival > bready else bready
             orow = open_row[fbank]
@@ -549,7 +525,7 @@ class FlatMemorySystem:
                 bank_ready[fbank] = issue + burst
                 new_key = key
 
-            # ---- open-key maintenance (controller + note_row_* fused).
+            # ---- open-key maintenance.
             old_key = okob[fbank]
             if new_key != old_key:
                 if old_key is not None and old_key in ready:
@@ -595,20 +571,58 @@ class FlatMemorySystem:
         self.fcounts[ci] = (bus_busy, dr_latency, dr_service)
         self.kind_counts[ci] = kind_counts
 
-    def drain(self) -> List[DRAMRequest]:
-        """Complete all outstanding transfers on every channel.
+    def _round_robin_pick(self, ci: int, okob: list) -> int:
+        """Take round robin's next entry off its core bucket; return its seq.
 
-        The flat engine folds every measurement into the counter arrays at
-        serve time and retains no request objects, so the returned list is
-        always empty (the object engine behaves the same way under
-        ``record_completed=False``).
+        The cursor rotates over the cores with pending entries in bucket
+        order.  When that list differs from the one it last rotated over,
+        the cursor keeps its position modulo the new length.  Within the
+        chosen core's first ``window`` entries the oldest row hit wins, else
+        the core's oldest entry.
         """
+        buckets = self._core_buckets[ci]
+        cores = list(buckets)
+        rotation = self._rotation[ci]
+        index = self._rotation_index[ci]
+        if rotation != cores:
+            rotation = self._rotation[ci] = cores
+            index %= len(cores)
+        core = rotation[index]
+        self._rotation_index[ci] = (index + 1) % len(rotation)
+        bucket = buckets[core]
+        pick = 0
+        for j in range(min(self.window, len(bucket))):
+            entry = bucket[j]
+            if okob[entry[3]] == entry[5]:
+                pick = j
+                break
+        entry = bucket.pop(pick)
+        if not bucket:
+            del buckets[core]
+        return entry[0]
+
+    def _round_robin_wants(self, ci: int, key: int) -> bool:
+        """Whether one of the first ``window`` entries, in core-bucket order,
+        targets ``key``'s row."""
+        seen = 0
+        for bucket in self._core_buckets[ci].values():
+            for entry in bucket:
+                if seen >= self.window:
+                    return False
+                seen += 1
+                if entry[5] == key:
+                    return True
+        return False
+
+    def drain(self) -> None:
+        """Complete all outstanding transfers on every channel."""
         for ci in range(self._channels):
             self._drain_channel(ci, self._live(ci))
-        return []
 
-    def pending_count(self) -> int:
-        """Number of queued-but-unserved transfers across all channels."""
+    def pending_count(self, channel: Optional[int] = None) -> int:
+        """Queued-but-unserved transfers on ``channel``, or on all channels."""
+        if channel is not None:
+            return self._live(channel)
         return sum(self._live(ci) for ci in range(self._channels))
 
     def row_outcomes(self) -> Tuple[int, int, int, int]:
@@ -639,7 +653,7 @@ class FlatMemorySystem:
                 setattr(self, name, value)
 
     # ------------------------------------------------------------------ #
-    # Aggregated metrics (mirrors repro.dram.system.MemorySystem)
+    # Aggregated metrics
     # ------------------------------------------------------------------ #
     def reset_counters(self) -> None:
         """Zero every measurement counter (architectural state is preserved)."""
@@ -648,7 +662,7 @@ class FlatMemorySystem:
         self.kind_counts[:] = 0
 
     def channel_stats(self, channel: int) -> StatGroup:
-        """One channel's counters as a :class:`StatGroup` (controller shape)."""
+        """One channel's counters as a :class:`StatGroup`."""
         group = StatGroup(f"mc{channel}")
         ints = self.counts[channel].tolist()
         for key, value in zip(_INT_KEYS, ints):
@@ -663,9 +677,8 @@ class FlatMemorySystem:
     def aggregate_stats(self) -> StatGroup:
         """Merge the per-channel statistics into one group.
 
-        Channels are merged in index order with the same float-addition
-        sequence as the object engine's ``StatGroup.merge`` chain, so the
-        aggregate is bit-identical, not merely numerically close.
+        Channels are merged in index order, so the float sums are added in
+        a fixed sequence.
         """
         merged = StatGroup("dram")
         for channel in range(self._channels):

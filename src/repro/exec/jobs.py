@@ -14,13 +14,9 @@ length, core count, seed, warmup fraction and the full system-configuration
 dataclass (including the nested BuMP geometry and architectural parameters)
 are field-for-field identical.  Renaming a configuration does not fake a new
 artifact, and tweaking a nested knob never silently reuses a stale one.
-
-The DRAM engine knob is deliberately **not** part of a job's identity: the
-DRAM engines (``REPRO_DRAM_ENGINE=flat|object``) produce bit-identical
-results, so an artifact computed under either is *the* artifact for that
-job -- a campaign resumed on a machine with a different engine setting
-reuses it safely.  (Engine *behaviour* changes do invalidate artifacts, via
-the package version embedded in every fingerprint.)
+There is one simulator, with no engine knob, so nothing outside the job
+decides its result; a change in simulator *behaviour* invalidates
+artifacts through the package version embedded in every fingerprint.
 """
 
 from __future__ import annotations
@@ -177,11 +173,8 @@ class JobSpec:
 
         Jobs that agree on workload, configuration (content, not name),
         warmup length, core count and seed share one warm snapshot: the
-        measure phase differs only in what runs *after* warmup.  The DRAM
-        engine enters this fingerprint (unlike :meth:`result_fingerprint`)
-        because a snapshot stores engine-specific state; the default
-        resolves deterministically inside
-        :func:`repro.sim.snapshot.snapshot_fingerprint`.
+        measure phase differs only in what runs *after* warmup (see
+        :func:`repro.sim.snapshot.snapshot_fingerprint`).
         """
         return snapshot_fingerprint(
             self.workload, self.config,

@@ -9,10 +9,11 @@ This package turns that checklist into a coverage engine:
   bursts, intensity scaling, idle cores, page policies, interleavings,
   warmup lengths, chunk sizes) from a seed, deterministically;
 * :mod:`repro.fuzz.oracle` runs one sample with the reference LRU of
-  :mod:`repro.fuzz.reference_lru` shadowing its caches, across both DRAM
-  engines, at a perturbed chunk size, with telemetry on and through a
-  snapshot split-then-resume; every cell must fingerprint identically to
-  the object-DRAM-engine reference and satisfy the counter identities;
+  :mod:`repro.fuzz.reference_lru` shadowing its caches and the reference
+  DRAM of :mod:`repro.fuzz.reference_dram` shadowing its memory system,
+  then at a perturbed chunk size, with telemetry on and through a snapshot
+  split-then-resume; every run must fingerprint identically to the
+  shadowed one and satisfy the counter identities;
 * :mod:`repro.fuzz.shrink` reduces a failing sample to a minimal reproducer
   (drop phases and tenants, halve accesses, strip bursts/intensities,
   simplify the configuration) and the :mod:`repro.fuzz.corpus` codec writes

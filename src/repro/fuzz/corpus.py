@@ -33,7 +33,8 @@ Schema (``format`` 1)::
           "page_policy": "close",
           "interleaving": "block",
           "timing_model": "interval",
-          "arrival_cpi": 2.5
+          "arrival_cpi": 2.5,
+          "scheduler": "bank_round_robin"
         }
       },
       "closed_loop": {                  # optional: feedback-driven traffic
@@ -59,7 +60,7 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 from repro.common.fingerprint import fingerprint
-from repro.dram.controller import PagePolicy
+from repro.dram.flat import PagePolicy
 from repro.scenario.closed_loop import ClosedLoopSpec, as_closed_loop_spec
 from repro.scenario.spec import Burst, Phase, Scenario, TenantAssignment
 from repro.sim.config import SystemConfig, extended_configs, named_configs
@@ -87,6 +88,7 @@ _OVERRIDE_DECODERS = {
     "interleaving": str,
     "timing_model": str,
     "arrival_cpi": float,
+    "scheduler": str,
 }
 
 

@@ -5,11 +5,11 @@ configuration layer expose -- multi-tenant core partitions with idle cores,
 1-3 phases with independent tenant layouts, per-phase and per-tenant
 intensity scaling, stacked burst windows, every named system configuration
 (paper and extended sets) with page-policy / interleaving / timing-model /
-arrival-CPI overrides, randomized warmup fractions, streaming chunk sizes
-and (on about a third of samples) closed-loop feedback-controller
-parameters -- while staying inside the validated envelope: every sample
-materializes without error and simulates in well under a second, so a
-200-sample differential sweep fits a CI smoke budget.
+arrival-CPI / scheduler overrides, randomized warmup fractions, streaming
+chunk sizes and (on about a third of samples) closed-loop
+feedback-controller parameters -- while staying inside the validated
+envelope: every sample materializes without error and simulates in well
+under a second, so a 200-sample differential sweep fits a CI smoke budget.
 
 Determinism contract: ``generate_spec(seed, index)`` depends on nothing but
 its arguments.  :func:`corpus_fingerprint` digests the first N specs of a
@@ -168,10 +168,16 @@ def generate_spec(seed: int, index: int) -> Dict:
         "config": _sample_config(rng),
     }
     # A third of the stream drives the run through the feedback controller,
-    # so the closed-loop path gets the same differential scrutiny (cube,
-    # chunk-size, telemetry, snapshot resume) as the open-loop engine.
+    # so the closed-loop path gets the same differential scrutiny (reference
+    # shadows, chunk-size, telemetry, snapshot resume) as the open-loop one.
     if rng.random() < 0.35:
         spec["closed_loop"] = _sample_closed_loop(rng)
+    # A quarter of the samples run an ablation scheduler, so the ``dram``
+    # check sees FCFS and bank round robin on every sweep.  Drawn after
+    # every other field, so this choice never shifts the other draws.
+    if rng.random() < 0.25:
+        overrides = spec["config"].setdefault("overrides", {})
+        overrides["scheduler"] = rng.choice(("fcfs", "bank_round_robin"))
     return spec
 
 

@@ -1,29 +1,29 @@
 """Verification of one fuzz spec against specifications and invariances.
 
 One sample, one verdict: the oracle simulates the spec's scenario under its
-configuration and checks the run against the cache layer's specification
-(a reference LRU), counter identities, and every invariance the simulator
-promises.  Cells are named ``<cache>/<DRAM engine>``; there is one cache
-engine, so every cell is ``flat/...``.  The **reference cell** is
-``flat/object``: the object DRAM engine, the flat DRAM engine's reference.
+configuration and checks the run against the cache and memory layers'
+specifications (a reference LRU and a reference DRAM), counter identities,
+and every invariance the simulator promises.  The **default run** is the
+spec simulated as written; its fingerprint is the reference the other
+checks compare against.
 
 Checks (each independently selectable; ``CHECKS`` lists them all):
 
 ``lru``
-    The default ``flat/flat`` run with a reference LRU of one ordered dict
-    per set (:mod:`repro.fuzz.reference_lru`) shadowing every L1 stage call
-    and every LLC array call; the first result that differs fails the
-    check.
-``cube``
-    The DRAM engine axis: ``flat/flat`` against the reference cell.  When
-    the ``lru`` check runs too, its shadowed run is this cell's run (the
-    shadow never changes a result).
+    The default run with a reference LRU of one ordered dict per set
+    (:mod:`repro.fuzz.reference_lru`) shadowing every L1 stage call and
+    every LLC array call; the first result that differs fails the check.
+``dram``
+    The default run with a reference DRAM of one pending list per channel
+    (:mod:`repro.fuzz.reference_dram`) shadowing every memory-system call;
+    the first state that differs fails the check.  When ``lru`` runs too,
+    both shadows ride the same run (a shadow never changes a result).
 ``chunk``
     Chunk-size invariance: the same run at a perturbed streaming chunk size
     must not leak batch boundaries into any statistic.
 ``telemetry``
     Observability is an observer: a fully instrumented run must fingerprint
-    identically to the uninstrumented reference.
+    identically to the default run.
 ``snapshot``
     Warm-state checkpointing: capture at the warmup boundary, round-trip the
     snapshot through the on-disk ``.npz`` codec, restore into a fresh
@@ -32,12 +32,11 @@ Checks (each independently selectable; ``CHECKS`` lists them all):
 
 Every checked run must also satisfy the counter identities of
 :func:`identity_problems` (conservation: every access, DRAM transfer and
-row-buffer outcome is counted exactly once).  The reference run is held to
-them through every cell that matches it.
+row-buffer outcome is counted exactly once).
 
-Specs with a ``closed_loop`` block run every cell through the
+Specs with a ``closed_loop`` block run every simulation through the
 feedback-driven :class:`~repro.scenario.closed_loop.ClosedLoopSource`: the
-cube check then additionally reruns the reference cell verbatim (asserting
+``dram`` check then additionally reruns the spec unshadowed (asserting
 run-to-run determinism of the feedback path), and the snapshot check
 checkpoints/restores the source's controller state alongside the simulator
 arrays.
@@ -56,6 +55,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.exec.campaign import result_fingerprint
 from repro.fuzz.corpus import FuzzCase, materialize
+from repro.fuzz.reference_dram import DRAMShadow
 from repro.fuzz.reference_lru import LRUShadow
 from repro.scenario.compiler import iter_scenario_chunks
 from repro.scenario.runner import run_scenario
@@ -67,20 +67,15 @@ __all__ = [
     "CHECKS",
     "CheckResult",
     "OracleReport",
-    "REFERENCE_CELL",
     "identity_problems",
     "run_oracle",
 ]
 
-#: The reference cell (cache, DRAM engine) every other cell is compared
-#: against.
-REFERENCE_CELL = ("flat", "object")
-
-#: The cell of the cube and ``lru`` checks: the default engines.
-_DEFAULT_CELL = ("flat", "flat")
-
 #: All check names, in execution order.
-CHECKS = ("lru", "cube", "chunk", "telemetry", "snapshot")
+CHECKS = ("lru", "dram", "chunk", "telemetry", "snapshot")
+
+#: The checks that shadow the default run.
+_SHADOWS = {"lru": LRUShadow, "dram": DRAMShadow}
 
 
 @dataclass
@@ -93,8 +88,9 @@ class CheckResult:
     #: ``True`` when the cell could not run for this spec (e.g. the snapshot
     #: check on a spec with no warmup interval); never counted as a failure.
     skipped: bool = False
-    #: What failed: the differing fingerprint, the first reference-LRU
-    #: mismatch or a violated counter identity with both sides.
+    #: What failed: the differing fingerprint, the first reference-LRU or
+    #: reference-DRAM mismatch, or a violated counter identity with both
+    #: sides.
     detail: str = ""
 
     def describe(self) -> str:
@@ -105,11 +101,10 @@ class CheckResult:
 
 @dataclass
 class OracleReport:
-    """Every cell verdict for one spec, plus the reference fingerprint."""
+    """Every cell verdict for one spec, plus the default run's fingerprint."""
 
     label: str
-    #: ``None`` when no selected check compares against the reference.
-    reference_fingerprint: Optional[str]
+    reference_fingerprint: str
     checks: List[CheckResult] = field(default_factory=list)
 
     @property
@@ -177,19 +172,13 @@ def _count(value: float):
     return int(value) if float(value).is_integer() else value
 
 
-def _cell_name(cell: Tuple[str, str]) -> str:
-    return "/".join(cell)
-
-
-def _run_cell(case: FuzzCase, cell: Tuple[str, str],
-              chunk_size: Optional[int] = None,
+def _run_cell(case: FuzzCase, chunk_size: Optional[int] = None,
               telemetry=None) -> SimulationResult:
     return run_scenario(
         case.scenario, case.config, seed=case.seed,
         warmup_fraction=case.warmup_fraction,
         chunk_size=chunk_size if chunk_size is not None else case.chunk_size,
-        dram_engine=cell[1], telemetry=telemetry,
-        closed_loop=case.closed_loop)
+        telemetry=telemetry, closed_loop=case.closed_loop)
 
 
 def _chunks(case: FuzzCase):
@@ -204,23 +193,22 @@ def _chunks(case: FuzzCase):
                                 chunk_size=case.chunk_size)
 
 
-def _run_shadowed(case: FuzzCase) -> Tuple[SimulationResult, Optional[str]]:
-    """The default cell with the reference LRU shadowing its caches.
+def _run_shadowed(case: FuzzCase, checks: Sequence[str]
+                  ) -> Tuple[SimulationResult, Dict[str, Optional[str]]]:
+    """The default run with the named checks' references shadowing it.
 
-    Returns the run's result (identical to :func:`_run_cell`'s) and the
-    first reference-LRU mismatch, or ``None``.
+    Returns the run's result (identical to :func:`_run_cell`'s) and, per
+    check, its reference's first mismatch or ``None``.
     """
-    system = ServerSystem(case.config, workload_name=case.scenario.name,
-                          dram_engine=_DEFAULT_CELL[1])
-    shadow = LRUShadow(system)
+    system = ServerSystem(case.config, workload_name=case.scenario.name)
+    shadows = {name: _SHADOWS[name](system) for name in checks}
     result = system.run(_chunks(case), warmup_accesses=case.warmup_accesses)
-    return result, shadow.mismatch
+    return result, {name: shadow.mismatch for name, shadow in shadows.items()}
 
 
 def _snapshot_result(case: FuzzCase, workdir: Optional[Path]) -> SimulationResult:
     """Capture at the warmup boundary, file round-trip, restore, measure."""
-    system = ServerSystem(case.config, workload_name=case.scenario.name,
-                          dram_engine=_DEFAULT_CELL[1])
+    system = ServerSystem(case.config, workload_name=case.scenario.name)
     # A closed-loop source's controller state rides inside the snapshot,
     # and the replay rebuilds a fresh source to restore into -- proving the
     # checkpoint carries everything production needs, not just simulator
@@ -251,10 +239,10 @@ def run_oracle(spec: Dict, checks: Optional[Sequence[str]] = None,
     """Run the oracle over one spec dict.
 
     ``checks`` restricts the run to a subset of :data:`CHECKS` (the shrinker
-    re-runs only the originally failing axis); the reference cell is only
-    simulated when a selected check compares against it.  ``workdir`` keeps
-    the snapshot check's ``.npz`` round-trip file for inspection; by default
-    it lives in a temporary directory.
+    re-runs only the originally failing axis).  The default run is
+    simulated once, shadowed by the selected ``lru`` and ``dram`` checks.
+    ``workdir`` keeps the snapshot check's ``.npz`` round-trip file for
+    inspection; by default it lives in a temporary directory.
 
     Raises ``ValueError`` for specs that do not materialize; every
     simulation failure below that propagates -- a crash on a valid spec is
@@ -265,9 +253,9 @@ def run_oracle(spec: Dict, checks: Optional[Sequence[str]] = None,
     if unknown:
         raise ValueError(f"unknown oracle checks {unknown}; known: {CHECKS}")
     case = materialize(spec)
-    reference = None
-    if any(name != "lru" for name in selected):
-        reference = result_fingerprint(_run_cell(case, REFERENCE_CELL))
+    shadowed = [name for name in selected if name in _SHADOWS]
+    default, mismatches = _run_shadowed(case, shadowed)
+    reference = result_fingerprint(default)
     report = OracleReport(label=case.label, reference_fingerprint=reference)
 
     def record(check: str, cell: str, result: SimulationResult,
@@ -279,31 +267,24 @@ def run_oracle(spec: Dict, checks: Optional[Sequence[str]] = None,
     def compare(check: str, cell: str, result: SimulationResult) -> None:
         differs = result_fingerprint(result) != reference
         record(check, cell, result,
-               [f"fingerprint differs from {_cell_name(REFERENCE_CELL)}"]
+               ["fingerprint differs from the default run"]
                if differs else [])
 
-    default = None
-    if "lru" in selected:
-        default, mismatch = _run_shadowed(case)
-        record("lru", _cell_name(_DEFAULT_CELL), default,
+    for name in shadowed:
+        mismatch = mismatches[name]
+        record(name, "default", default,
                [mismatch] if mismatch is not None else [])
-    if "cube" in selected:
-        if case.closed_loop is not None:
-            # Closed-loop production feeds simulator observations back into
-            # the stream, so assert run-to-run determinism explicitly: an
-            # exact rerun of the reference cell must reproduce it.
-            compare("cube", "repeat:" + _cell_name(REFERENCE_CELL),
-                    _run_cell(case, REFERENCE_CELL))
-        if default is None:
-            default = _run_cell(case, _DEFAULT_CELL)
-        compare("cube", _cell_name(_DEFAULT_CELL), default)
+    if "dram" in selected and case.closed_loop is not None:
+        # Closed-loop production feeds simulator observations back into
+        # the stream, so assert run-to-run determinism explicitly: an
+        # unshadowed rerun must reproduce the default run.
+        compare("dram", "repeat", _run_cell(case))
     if "chunk" in selected:
         alt = _perturbed_chunk_size(case.chunk_size)
-        compare("chunk", f"chunk={alt}",
-                _run_cell(case, _DEFAULT_CELL, chunk_size=alt))
+        compare("chunk", f"chunk={alt}", _run_cell(case, chunk_size=alt))
     if "telemetry" in selected:
         compare("telemetry", "telemetry=full",
-                _run_cell(case, _DEFAULT_CELL, telemetry="full"))
+                _run_cell(case, telemetry="full"))
     if "snapshot" in selected:
         if case.warmup_accesses < 1:
             report.checks.append(

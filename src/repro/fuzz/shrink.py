@@ -11,7 +11,7 @@ accesses -- and, serialized through :mod:`repro.fuzz.corpus`, the artifact
 the regression corpus replays forever after.
 
 Only the originally failing oracle checks are re-run while shrinking (a
-chunk-invariance bug does not need the full cube re-simulated per
+chunk-invariance bug does not need every check re-simulated per
 candidate), which keeps a shrink to a few dozen short simulations.
 """
 

@@ -37,10 +37,8 @@ Typical use::
     print(base.row_buffer_hit_ratio, bump.row_buffer_hit_ratio)
 
 Campaigns grid over scenarios through
-:class:`repro.exec.jobs.ScenarioGrid`, the CLI exposes the catalog as
-``repro scenario list|describe|run``, and
-:func:`repro.analysis.scenarios.scenario_comparison` sweeps BuMP against
-the baselines across the whole catalog.
+:class:`repro.exec.jobs.ScenarioGrid`, and the CLI exposes the catalog as
+``repro scenario list|describe|run``.
 """
 
 from repro.scenario.catalog import (

@@ -4,9 +4,8 @@
 :func:`repro.sim.runner.run_workload_streaming`: the compiled chunk stream
 feeds the simulator directly, so a million-access multi-tenant run holds one
 chunk of columns in memory regardless of scenario length.  The warmup split,
-agent attachment and the ``dram_engine`` knob (flat/object, see
-:mod:`repro.dram.engine`) behave exactly as they do for single-workload
-runs -- a scenario is just a trace.
+agent attachment, telemetry and snapshots behave exactly as they do for
+single-workload runs -- a scenario is just a trace.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ def run_scenario(scenario: Union[str, Scenario], config: SystemConfig,
                  seed: int = DEFAULT_SEED,
                  warmup_fraction: float = DEFAULT_WARMUP_FRACTION,
                  chunk_size: int = DEFAULT_CHUNK_SIZE,
-                 dram_engine: Optional[str] = None,
                  scale: float = 1.0,
                  extra_agents: Optional[Iterable] = None,
                  telemetry=None,
@@ -44,8 +42,7 @@ def run_scenario(scenario: Union[str, Scenario], config: SystemConfig,
     :class:`Scenario` instance (used as-is).  The trace is never
     materialized: generator chunks flow straight into the simulator's row
     loop, so memory stays bounded by ``chunk_size`` for arbitrarily long
-    scenarios.  Results are bit-identical for any ``chunk_size`` and across
-    the flat/object DRAM engines.
+    scenarios.  Results are bit-identical for any ``chunk_size``.
 
     ``telemetry`` follows :func:`repro.sim.runner.run_trace`; when the mode
     records spans, the scenario's phase boundaries are emitted as ``phase``
@@ -55,8 +52,7 @@ def run_scenario(scenario: Union[str, Scenario], config: SystemConfig,
     ``snapshot`` / ``warmup_snapshot`` behave as in
     :func:`repro.sim.runner.run_trace`.  The snapshot fingerprint covers the
     resolved scenario (post-``scale``), the configuration, the warmup
-    length, the seed, the DRAM engine and -- when set -- the
-    closed-loop spec; ``chunk_size`` is excluded because results are
+    length, the seed and -- when set -- the closed-loop spec; ``chunk_size`` is excluded because results are
     chunk-size invariant.
 
     ``closed_loop`` turns the run closed-loop: a
@@ -65,7 +61,7 @@ def run_scenario(scenario: Union[str, Scenario], config: SystemConfig,
     one built over the *resolved* scenario to inspect its intensity
     trajectory after the run).  The compiled stream is then produced through
     the feedback-driven source instead of the open-loop chunk iterator;
-    determinism, chunk-size invariance and engine parity all still hold (see
+    determinism and chunk-size invariance still hold (see
     :mod:`repro.scenario.closed_loop`).
     """
     from repro.telemetry.recorder import resolve_telemetry
@@ -98,8 +94,7 @@ def run_scenario(scenario: Union[str, Scenario], config: SystemConfig,
 
         snapshot_key = snapshot_fingerprint(
             resolved, config, int(resolved.total_accesses * warmup_fraction),
-            num_cores=None, seed=seed, dram_engine=dram_engine,
-            closed_loop=loop_spec)
+            num_cores=None, seed=seed, closed_loop=loop_spec)
     if source is not None:
         chunks = source
     else:
@@ -109,7 +104,6 @@ def run_scenario(scenario: Union[str, Scenario], config: SystemConfig,
                      warmup_fraction=warmup_fraction,
                      num_accesses=resolved.total_accesses,
                      extra_agents=extra_agents,
-                     dram_engine=dram_engine,
                      telemetry=recorder,
                      snapshot=snapshot,
                      warmup_snapshot=warmup_snapshot,
@@ -121,7 +115,6 @@ def run_scenario_configs(scenario: Union[str, Scenario],
                          seed: int = DEFAULT_SEED,
                          warmup_fraction: float = DEFAULT_WARMUP_FRACTION,
                          chunk_size: int = DEFAULT_CHUNK_SIZE,
-                         dram_engine: Optional[str] = None,
                          scale: float = 1.0,
                          telemetry=None) -> Dict[str, SimulationResult]:
     """Run one scenario under several configurations over the identical trace.
@@ -137,6 +130,5 @@ def run_scenario_configs(scenario: Union[str, Scenario],
     for config in configs:
         results[config.name] = run_scenario(
             resolved, config, seed=seed, warmup_fraction=warmup_fraction,
-            chunk_size=chunk_size, dram_engine=dram_engine,
-            telemetry=telemetry)
+            chunk_size=chunk_size, telemetry=telemetry)
     return results

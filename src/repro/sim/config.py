@@ -32,7 +32,7 @@ from typing import Dict, List, Optional
 
 from repro.common.params import SystemParams
 from repro.core.config import BuMPConfig
-from repro.dram.controller import PagePolicy
+from repro.dram.flat import SCHEDULERS, PagePolicy
 
 
 @dataclass
@@ -44,8 +44,8 @@ class SystemConfig:
     page_policy: PagePolicy = PagePolicy.OPEN
     #: ``"block"`` (Base-close) or ``"region"`` (everything else).
     interleaving: str = "region"
-    #: Transaction scheduling policy (see :mod:`repro.dram.policies`); every
-    #: system of the paper uses FR-FCFS, the alternatives exist for the
+    #: Transaction scheduler, one of :data:`repro.dram.flat.SCHEDULERS`;
+    #: every system of the paper uses FR-FCFS, the alternatives exist for the
     #: Section VI fairness discussion and the ablation benchmarks.
     scheduler: str = "frfcfs"
     #: Core timing model: ``"analytic"`` (fixed-MLP, the default used by every
@@ -79,12 +79,16 @@ class SystemConfig:
 
     def __post_init__(self) -> None:
         # Fail at construction, not three layers deep in ServerSystem: these
-        # three fields select code paths, and a typo would otherwise surface
-        # as an obscure error (or not at all) only once a simulation starts.
+        # fields select code paths, and a typo would otherwise surface as an
+        # obscure error (or not at all) only once a simulation starts.
         if self.interleaving not in ("block", "region"):
             raise ValueError(
                 f"unknown interleaving scheme {self.interleaving!r}; "
                 "known schemes: block, region")
+        if self.scheduler not in SCHEDULERS:
+            raise ValueError(
+                f"unknown scheduler {self.scheduler!r}; known schedulers: "
+                + ", ".join(SCHEDULERS))
         if self.timing_model not in ("analytic", "interval"):
             raise ValueError(
                 f"unknown timing model {self.timing_model!r}; "

@@ -6,7 +6,7 @@ can work on another CPU while the loop runs:
 * **read-ahead** -- an open-loop trace source never reads simulator state,
   so a helper process pulls its chunks ahead of the loop and ships their
   columns;
-* **DRAM service** -- the flat memory system only consumes the transfers the
+* **DRAM service** -- the memory system only consumes the transfers the
   loop stages, so a helper serves every flushed batch and hands the memory
   state back when the run (or a warmup capture) ends.
 
@@ -80,8 +80,9 @@ _CHUNK, _END, _STATE, _ERROR, _BATCH, _DRAIN, _RESET, _MARK, _FINISH = range(9)
 _WIRE_COLUMNS = ("pc", "address", "core", "instructions", "is_store")
 
 #: Staged-transfer columns of a DRAM batch frame: blocks, kind codes,
-#: arrival cycles.
-_BATCH_DTYPES = (np.dtype(np.int64), np.dtype(np.int64), np.dtype(np.float64))
+#: arrival cycles, issuing cores.
+_BATCH_DTYPES = (np.dtype(np.int64), np.dtype(np.int64), np.dtype(np.float64),
+                 np.dtype(np.int64))
 _BATCH_ROW_BYTES = sum(dtype.itemsize for dtype in _BATCH_DTYPES)
 
 
@@ -401,7 +402,7 @@ def _dram_body(memory) -> Callable[[int, int], None]:
 
 
 class DRAMStage:
-    """The flat memory system served by a forked helper.
+    """The memory system served by a forked helper.
 
     Stands in for :class:`repro.dram.flat.FlatMemorySystem` for the three
     calls a run makes while it is running -- ``enqueue_block_batch``,
@@ -416,8 +417,8 @@ class DRAMStage:
         self.stage = _Stage("dram", _dram_body(memory), cpus, timed, inherited)
 
     def enqueue_block_batch(self, block_addresses, kind_codes,
-                            arrival_cycles) -> None:
-        columns = (block_addresses, kind_codes, arrival_cycles)
+                            arrival_cycles, cores) -> None:
+        columns = (block_addresses, kind_codes, arrival_cycles, cores)
         self.stage.send(_BATCH, *(np.asarray(column, dtype=dtype)
                                   for column, dtype in zip(columns,
                                                            _BATCH_DTYPES)))
@@ -490,7 +491,7 @@ def start_pipeline(source, memory, timed: bool) -> Optional[Pipeline]:
     """Fork the helpers a run can use, or return ``None``.
 
     ``source`` is the open-loop source to read ahead (``None``: no
-    read-ahead) and ``memory`` the flat memory system to serve (``None``: no
+    read-ahead) and ``memory`` the memory system to serve (``None``: no
     DRAM stage).  Returns ``None`` when neither applies, when
     :func:`helper_cpus` refuses, or when the system cannot fork or open a
     pipe right now (the run then simply stays in-process).

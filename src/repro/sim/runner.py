@@ -150,7 +150,6 @@ def run_trace(trace: TraceLike, config: SystemConfig,
               warmup_fraction: float = DEFAULT_WARMUP_FRACTION,
               extra_agents: Optional[Iterable] = None,
               num_accesses: Optional[int] = None,
-              dram_engine: Optional[str] = None,
               telemetry=None,
               snapshot=None,
               warmup_snapshot=None,
@@ -172,11 +171,6 @@ def run_trace(trace: TraceLike, config: SystemConfig,
     instances attached to the LLC for this run only -- typically passive
     observers such as :class:`repro.trace.capture.LLCTraceRecorder` or the
     region-density profiler.
-
-    ``dram_engine`` selects the memory-system engine (``"flat"`` or
-    ``"object"``; default ``REPRO_DRAM_ENGINE``).  Both produce
-    bit-identical results wherever both apply; the object engine also runs
-    the ablation schedulers (see :mod:`repro.dram.engine`).
 
     ``telemetry`` selects the observability mode (``"off"``, ``"chunks"``,
     ``"spans"``, ``"full"``, a :class:`repro.telemetry.TelemetryRecorder`
@@ -234,10 +228,9 @@ def run_trace(trace: TraceLike, config: SystemConfig,
     if warmup_snapshot is not None and warmup:
         return _run_with_warmup_store(
             trace, config, warmup_snapshot, snapshot_key,
-            workload_name=workload_name, warmup=warmup,
-            dram_engine=dram_engine, telemetry=telemetry)
+            workload_name=workload_name, warmup=warmup, telemetry=telemetry)
     system = ServerSystem(config, workload_name=workload_name,
-                          dram_engine=dram_engine, telemetry=telemetry)
+                          telemetry=telemetry)
     if extra_agents is not None:
         system.agents.extend(extra_agents)
     return system.run(trace, warmup_accesses=warmup)
@@ -316,7 +309,6 @@ def _resolve_snapshot_store(warmup_snapshot):
 def _run_with_warmup_store(trace: TraceLike, config: SystemConfig,
                            warmup_snapshot, snapshot_key: Optional[str],
                            workload_name: str, warmup: int,
-                           dram_engine: Optional[str],
                            telemetry) -> SimulationResult:
     """Warmup via the snapshot store: restore on hit, capture-once on miss."""
     store = _resolve_snapshot_store(warmup_snapshot)
@@ -333,7 +325,7 @@ def _run_with_warmup_store(trace: TraceLike, config: SystemConfig,
                 f"{snap.processed} accesses, not the requested {warmup}")
         return _run_from_snapshot(snap, trace, config, telemetry=telemetry)
     system = ServerSystem(config, workload_name=workload_name,
-                          dram_engine=dram_engine, telemetry=telemetry)
+                          telemetry=telemetry)
     snap, leftover, source = capture_warmup(system, _as_stream(trace),
                                             warmup)
     store.put_snapshot(snapshot_key, snap)
@@ -365,15 +357,13 @@ def run_workload(workload: Union[str, WorkloadSpec], config: SystemConfig,
                  num_cores: int = DEFAULT_NUM_CORES,
                  seed: int = DEFAULT_SEED,
                  warmup_fraction: float = DEFAULT_WARMUP_FRACTION,
-                 dram_engine: Optional[str] = None,
                  telemetry=None,
                  snapshot=None,
                  warmup_snapshot=None) -> SimulationResult:
     """Run one workload through one system configuration.
 
     ``snapshot`` / ``warmup_snapshot`` behave as in :func:`run_trace`; the
-    warmup fingerprint is computed here from the workload spec, geometry and
-    DRAM engine.
+    warmup fingerprint is computed here from the workload spec and geometry.
     """
     spec = get_workload(workload) if isinstance(workload, str) else workload
     trace = build_trace(spec, num_accesses, num_cores, seed)
@@ -381,10 +371,9 @@ def run_workload(workload: Union[str, WorkloadSpec], config: SystemConfig,
     if warmup_snapshot is not None and warmup_fraction > 0:
         key = snapshot_fingerprint(
             spec, config, int(num_accesses * warmup_fraction),
-            num_cores=num_cores, seed=seed, dram_engine=dram_engine)
+            num_cores=num_cores, seed=seed)
     return run_trace(trace, config, workload_name=spec.name,
-                     warmup_fraction=warmup_fraction,
-                     dram_engine=dram_engine, telemetry=telemetry,
+                     warmup_fraction=warmup_fraction, telemetry=telemetry,
                      snapshot=snapshot, warmup_snapshot=warmup_snapshot,
                      snapshot_key=key)
 
@@ -395,7 +384,6 @@ def run_workload_streaming(workload: Union[str, WorkloadSpec], config: SystemCon
                            seed: int = DEFAULT_SEED,
                            warmup_fraction: float = DEFAULT_WARMUP_FRACTION,
                            chunk_size: int = DEFAULT_CHUNK_SIZE,
-                           dram_engine: Optional[str] = None,
                            telemetry=None,
                            snapshot=None,
                            warmup_snapshot=None,
@@ -429,7 +417,7 @@ def run_workload_streaming(workload: Union[str, WorkloadSpec], config: SystemCon
 
         return run_scenario(workload, config, seed=seed,
                             warmup_fraction=warmup_fraction,
-                            chunk_size=chunk_size, dram_engine=dram_engine,
+                            chunk_size=chunk_size,
                             telemetry=telemetry, snapshot=snapshot,
                             warmup_snapshot=warmup_snapshot,
                             closed_loop=closed_loop)
@@ -444,10 +432,9 @@ def run_workload_streaming(workload: Union[str, WorkloadSpec], config: SystemCon
     if warmup_snapshot is not None and warmup_fraction > 0:
         key = snapshot_fingerprint(
             spec, config, int(num_accesses * warmup_fraction),
-            num_cores=num_cores, seed=seed, dram_engine=dram_engine)
+            num_cores=num_cores, seed=seed)
     return run_trace(chunks, config, workload_name=spec.name,
                      warmup_fraction=warmup_fraction, num_accesses=num_accesses,
-                     dram_engine=dram_engine,
                      telemetry=telemetry,
                      snapshot=snapshot, warmup_snapshot=warmup_snapshot,
                      snapshot_key=key)

@@ -20,7 +20,7 @@ checkpoint/restore a cheap serialization problem.  This module provides it:
   pickle blob) for the artifact store and cross-process restore;
 * :func:`snapshot_fingerprint` names a warm state by what produced it:
   (workload/scenario spec, system configuration, warmup length, cores, seed,
-  DRAM engine, package version).
+  package version).
 
 **Restore strategy.**  ``restore`` never unpickles a live system wholesale.
 It builds a fresh :class:`ServerSystem` from the snapshot's configuration
@@ -49,7 +49,6 @@ from typing import Dict, Iterator, Optional
 import numpy as np
 
 from repro.common.fingerprint import canonical_data, fingerprint
-from repro.dram.engine import resolve_dram_engine
 from repro.sim.system import ServerSystem
 from repro.trace.buffer import as_chunk_iterator
 
@@ -74,8 +73,10 @@ __all__ = [
 #: :class:`~repro.cache.l1.StackedL1`, so no per-core slot index, occupancy,
 #: statistics or policy is pickled.  v4: one cache engine, so there is no
 #: ``cache_engine`` field and the LLC's pickled state carries no
-#: replacement policy.
-SNAPSHOT_FORMAT_VERSION = 4
+#: replacement policy.  v5: one DRAM engine, so there is no ``dram_engine``
+#: field, and the memory system's pickled state carries the round-robin
+#: scheduler's queues.
+SNAPSHOT_FORMAT_VERSION = 5
 
 #: Crossbar counters (plain ints on the hot path), captured by name.
 _NOC_COUNTERS = (
@@ -108,7 +109,7 @@ _PLANE_MEMBERS = tuple(f"{cache}_{plane}" for cache in ("l1", "llc")
 
 #: Keys of a container's JSON ``meta`` member.
 _META_KEYS = ("format_version", "package_version", "workload_name",
-              "dram_engine", "processed", "config_key")
+              "processed", "config_key")
 
 
 def _package_version() -> str:
@@ -135,7 +136,6 @@ class SystemSnapshot:
     format_version: int
     package_version: str
     workload_name: str
-    dram_engine: str
     #: Accesses consumed before capture (the warmup length for warmup
     #: snapshots); restore paths skip exactly this many from the trace.
     processed: int
@@ -163,7 +163,6 @@ class SystemSnapshot:
             "format_version": self.format_version,
             "package_version": self.package_version,
             "workload": self.workload_name,
-            "dram_engine": self.dram_engine,
             "processed_accesses": self.processed,
             "config_key": self.config_key,
             "array_members": len(self.arrays),
@@ -190,7 +189,6 @@ def config_key(config) -> str:
 def snapshot_fingerprint(workload, config, warmup_accesses: int,
                          num_cores: Optional[int] = None,
                          seed: Optional[int] = None,
-                         dram_engine: Optional[str] = None,
                          closed_loop=None) -> str:
     """Content address of the warm state a (spec, config, warmup) run produces.
 
@@ -200,10 +198,6 @@ def snapshot_fingerprint(workload, config, warmup_accesses: int,
     the total access count: a 60k-access query and a 240k-access query with
     the same 30k-access warmup share one snapshot.  Scenarios carry their
     core count in the spec, so ``num_cores`` may be ``None`` for them.
-
-    The digest keys on the *effective* DRAM engine: it transparently
-    downgrades to ``object`` for ablation schedulers and oversized
-    organisations, and an env-var override changes the default.
 
     ``closed_loop`` (a :class:`repro.scenario.closed_loop.ClosedLoopSpec`)
     enters the digest only when set, so every open-loop fingerprint -- and
@@ -217,9 +211,6 @@ def snapshot_fingerprint(workload, config, warmup_accesses: int,
         "warmup_accesses": int(warmup_accesses),
         "num_cores": num_cores,
         "seed": seed,
-        "dram_engine": resolve_dram_engine(dram_engine,
-                                           scheduler=config.scheduler,
-                                           org=config.system.dram_org),
     }
     if closed_loop is not None:
         data["closed_loop"] = canonical_data(closed_loop)
@@ -289,7 +280,6 @@ def capture(system: ServerSystem, processed: int,
         format_version=SNAPSHOT_FORMAT_VERSION,
         package_version=_package_version(),
         workload_name=system.workload_name,
-        dram_engine=system.dram_engine,
         processed=int(processed),
         config_key=config_key(system.config),
         arrays=arrays,
@@ -350,14 +340,8 @@ def restore(snapshot: SystemSnapshot, telemetry=None) -> ServerSystem:
     system = ServerSystem(
         state["config"],
         workload_name=state["workload_name"],
-        dram_engine=snapshot.dram_engine,
         telemetry=telemetry,
     )
-    if system.dram_engine != snapshot.dram_engine:
-        raise ValueError(
-            f"engine resolution drifted: snapshot was captured on the "
-            f"{snapshot.dram_engine} DRAM engine but this build resolves "
-            f"{system.dram_engine}")
 
     # Planes are written *in place*, so the LLC's memoryview aliases stay
     # valid.
@@ -480,7 +464,6 @@ def save_snapshot(snapshot: SystemSnapshot, path) -> None:
         "format_version": snapshot.format_version,
         "package_version": snapshot.package_version,
         "workload_name": snapshot.workload_name,
-        "dram_engine": snapshot.dram_engine,
         "processed": snapshot.processed,
         "config_key": snapshot.config_key,
     }
@@ -552,7 +535,6 @@ def load_snapshot(path) -> SystemSnapshot:
         format_version=version,
         package_version=meta["package_version"],
         workload_name=meta["workload_name"],
-        dram_engine=meta["dram_engine"],
         processed=int(meta["processed"]),
         config_key=meta["config_key"],
         arrays=arrays,

@@ -16,7 +16,8 @@ it walks the hierarchy the same way hardware would:
    writes; eager/bulk writebacks clean resident dirty blocks and become DRAM
    writes attributed to the mechanism that generated them;
 5. every DRAM transfer is timestamped with the core-time at which it was
-   generated and handed to the FR-FCFS memory controllers.
+   generated, tagged with the core it was issued for, and handed to the
+   memory controllers (FR-FCFS in every system of the paper).
 
 At the end of a run the system assembles a :class:`SimulationResult` with the
 traffic decomposition, row-buffer statistics, timing summary and energy
@@ -35,14 +36,12 @@ from repro.cache.flat import FLAG_PREFETCHED, FLAG_USED
 from repro.cache.l1 import StackedL1
 from repro.cache.llc import LastLevelCache
 from repro.common.addressing import BLOCK_BITS
-from repro.common.request import DRAMRequest, DRAMRequestKind
+from repro.common.request import DRAMRequestKind
 from repro.common.stats import StatGroup, fold_pending
 from repro.core.bump import BuMPPredictor
 from repro.core.fullregion import FullRegionStreamer
 from repro.dram.address_mapping import make_block_interleaving, make_region_interleaving
-from repro.dram.engine import resolve_dram_engine
 from repro.dram.flat import FlatMemorySystem
-from repro.dram.system import MemorySystem
 from repro.energy.accounting import ServerEnergyModel
 from repro.noc.crossbar import Crossbar
 from repro.prefetch.sms import SpatialMemoryStreaming
@@ -77,7 +76,7 @@ _HOT_COUNTERS = (
     ("_h_eager_writebacks", "eager_writebacks"),
 )
 
-#: DRAM request-kind codes, hoisted for the staged flat-DRAM issue path.
+#: DRAM request-kind codes, hoisted for the staged DRAM issue sites.
 _DEMAND_READ_CODE = DRAMRequestKind.DEMAND_READ.code
 _DEMAND_WRITEBACK_CODE = DRAMRequestKind.DEMAND_WRITEBACK.code
 
@@ -100,7 +99,6 @@ class ServerSystem:
     """One configured instance of the simulated 16-core server."""
 
     def __init__(self, config: SystemConfig, workload_name: str = "workload",
-                 dram_engine: Optional[str] = None,
                  telemetry=None) -> None:
         self.config = config
         self.workload_name = workload_name
@@ -128,36 +126,18 @@ class ServerSystem:
                                                params.dram_org.row_buffer_bytes)
         else:
             raise ValueError(f"unknown interleaving scheme {config.interleaving!r}")
-        # Effective DRAM engine: the flat engine covers the paper's space
-        # (FR-FCFS, packable organisations) and transparently falls back to
-        # the object engine outside it; results are bit-identical either way.
-        self.dram_engine = resolve_dram_engine(
-            dram_engine, scheduler=config.scheduler, org=params.dram_org)
-        self._flat_dram = self.dram_engine == "flat"
-        if self._flat_dram:
-            self.memory = FlatMemorySystem(
-                params.dram_timing, params.dram_org, mapping,
-                config.page_policy,
-                window=params.dram_org.transaction_queue_entries,
-            )
-        else:
-            self.memory = MemorySystem(
-                params.dram_timing, params.dram_org, mapping, config.page_policy,
-                window=params.dram_org.transaction_queue_entries,
-                scheduler=config.scheduler,
-                # Every measurement folds into scalar counters at serve time;
-                # retaining one request object per transfer would grow memory
-                # linearly with trace length and break the streaming paths'
-                # bounded-footprint promise.
-                record_completed=False,
-            )
-        # Staged DRAM transfers (flat DRAM engine): the hot paths append
-        # (block, kind code, arrival) scalars here and ``_flush_dram`` hands
-        # the memory system the whole batch after every miss slice -- no
-        # DRAMRequest object is ever built on the hot path.
+        self.memory = FlatMemorySystem(
+            params.dram_timing, params.dram_org, mapping, config.page_policy,
+            window=params.dram_org.transaction_queue_entries,
+            scheduler=config.scheduler,
+        )
+        # Staged DRAM transfers: the hot paths append (block, kind code,
+        # arrival, issuing core) scalars here and ``_flush_dram`` hands the
+        # memory system the whole batch after every miss slice.
         self._dram_blocks: list = []
         self._dram_kinds: list = []
         self._dram_arrivals: list = []
+        self._dram_cores: list = []
         #: The forked DRAM stage serving ``memory`` while a pipelined run
         #: holds it (see :mod:`repro.sim.pipeline`); ``None`` otherwise.
         self._dram_stage = None
@@ -323,8 +303,8 @@ class ServerSystem:
         Once :data:`repro.sim.pipeline.ENGAGE_ACCESSES` accesses have been
         pulled from an open-loop source, the loop may fork pipeline helpers:
         a read-ahead of ``source`` (not when stopping at the boundary, whose
-        caller keeps using the source) and, on the flat DRAM engine, the DRAM
-        stage, which hands the memory state back before this method returns.
+        caller keeps using the source) and the DRAM stage, which hands the
+        memory state back before this method returns.
         """
         from repro.sim import pipeline as pipelining
 
@@ -401,13 +381,12 @@ class ServerSystem:
         """Fork the helpers this run can use (see :mod:`repro.sim.pipeline`).
 
         ``source`` is the source to read ahead, or ``None`` for no
-        read-ahead; the DRAM stage needs the flat DRAM engine.  Returns the
-        pipeline, or ``None`` when the run stays in-process.
+        read-ahead.  Returns the pipeline, or ``None`` when the run stays
+        in-process.
         """
         from repro.sim import pipeline
 
-        pipe = pipeline.start_pipeline(
-            source, self.memory if self._flat_dram else None, timing)
+        pipe = pipeline.start_pipeline(source, self.memory, timing)
         if pipe is not None:
             self._dram_stage = pipe.dram
             if recorder is not None:
@@ -524,24 +503,24 @@ class ServerSystem:
     def _flush_dram(self) -> None:
         """Hand the staged DRAM transfers to the memory system.
 
-        Under the flat DRAM engine every DRAM issue site appends plain
-        (block, kind code, arrival cycle) scalars to the staging lists; this
-        flush routes the whole batch through
+        Every DRAM issue site appends plain (block, kind code, arrival
+        cycle, issuing core) scalars to the staging lists; this flush routes
+        the whole batch through
         :meth:`repro.dram.flat.FlatMemorySystem.enqueue_block_batch` (or the
         DRAM stage standing in for it) after every miss slice of the chunk
-        loop and at chunk boundaries.  FR-FCFS only ever inspects the oldest
-        window of each channel's queue and the batch preserves per-channel
-        arrival order, so serving at batch boundaries is cycle-identical to
-        the object engine's per-request enqueue (see :mod:`repro.dram.flat`).
-        No-op for the object engine (the staging lists stay empty).
+        loop and at chunk boundaries.  The memory system absorbs each
+        channel's transfers in order and serves as its queue fills, so where
+        a batch ends never changes a result.
         """
         blocks = self._dram_blocks
         if blocks:
             self._dram_target().enqueue_block_batch(
-                blocks, self._dram_kinds, self._dram_arrivals)
+                blocks, self._dram_kinds, self._dram_arrivals,
+                self._dram_cores)
             self._dram_blocks = []
             self._dram_kinds = []
             self._dram_arrivals = []
+            self._dram_cores = []
 
     def _run_chunk(self, chunk: TraceBuffer) -> None:
         """Interpret one columnar chunk: the staged chunk loop.
@@ -684,14 +663,11 @@ class ServerSystem:
             self._h_llc_misses += 1
             for hook in self._miss_hooks:
                 hook(core, pc, block, is_store)
-            if self._flat_dram:
-                # Stage the demand read for the batched flush, without a
-                # call frame or a DRAMRequest allocation.
-                self._dram_blocks.append(block)
-                self._dram_kinds.append(_DEMAND_READ_CODE)
-                self._dram_arrivals.append(self._arrival_bus)
-            else:
-                self._issue_dram(block, DRAMRequestKind.DEMAND_READ, core, pc)
+            # Stage the demand read for the batched flush.
+            self._dram_blocks.append(block)
+            self._dram_kinds.append(_DEMAND_READ_CODE)
+            self._dram_arrivals.append(self._arrival_bus)
+            self._dram_cores.append(core)
             self._h_demand_reads += 1
             if is_store:
                 self._h_store_triggered_reads += 1
@@ -722,14 +698,10 @@ class ServerSystem:
 
         if victim.dirty:
             self._h_demand_writebacks += 1
-            if self._flat_dram:
-                self._dram_blocks.append(victim.block_address)
-                self._dram_kinds.append(_DEMAND_WRITEBACK_CODE)
-                self._dram_arrivals.append(self._arrival_bus)
-            else:
-                self._issue_dram(victim.block_address,
-                                 DRAMRequestKind.DEMAND_WRITEBACK,
-                                 victim.core, victim.pc)
+            self._dram_blocks.append(victim.block_address)
+            self._dram_kinds.append(_DEMAND_WRITEBACK_CODE)
+            self._dram_arrivals.append(self._arrival_bus)
+            self._dram_cores.append(victim.core)
             self.noc.n_data += 1
         if victim.prefetched and not victim.used:
             self._h_overfetch_evictions += 1
@@ -757,42 +729,37 @@ class ServerSystem:
         BuMP/Full-region), with the per-block overhead between the layers
         stripped: NOC counters bumped as plain attributes, traffic counters
         hoisted to instance ints, the LLC array's calls bound once per
-        event, and, on the flat DRAM engine, transfers staged as scalars for
-        the batched flush instead of one ``_issue_dram`` call (frame +
-        request object) per block.
+        event, and transfers staged as scalars for the batched flush, every
+        one issued for ``core``, the core of the event that asked for it.
         """
         fetch_blocks, writeback_blocks = self._take_actions(fetch_mark,
                                                             writeback_mark)
         noc = self.noc
         llc = self.llc
         array = self._llc_array
-        flat_dram = self._flat_dram
         bulk = self.config.uses_bulk_streaming
-        if flat_dram:
-            dram_blocks = self._dram_blocks
-            dram_kinds = self._dram_kinds
-            dram_arrivals = self._dram_arrivals
-            arrival = self._arrival_bus
+        dram_blocks = self._dram_blocks
+        dram_kinds = self._dram_kinds
+        dram_arrivals = self._dram_arrivals
+        dram_cores = self._dram_cores
+        arrival = self._arrival_bus
 
         if fetch_blocks:
             contains = array.contains
             array_fill = array.fill
             if bulk:
-                kind = DRAMRequestKind.BULK_READ
+                kind_code = DRAMRequestKind.BULK_READ.code
             else:
-                kind = DRAMRequestKind.PREFETCH_READ
-            kind_code = kind.code
+                kind_code = DRAMRequestKind.PREFETCH_READ.code
             fetched = 0
             for block in fetch_blocks:
                 if block < 0 or contains(block):
                     continue
                 noc.n_generated_request += 1
-                if flat_dram:
-                    dram_blocks.append(block)
-                    dram_kinds.append(kind_code)
-                    dram_arrivals.append(arrival)
-                else:
-                    self._issue_dram(block, kind, core, pc)
+                dram_blocks.append(block)
+                dram_kinds.append(kind_code)
+                dram_arrivals.append(arrival)
+                dram_cores.append(core)
                 fetched += 1
                 # LastLevelCache.fill inlined (one call into the flat array;
                 # the wrapper's hot counters are accumulated below / here).
@@ -816,10 +783,9 @@ class ServerSystem:
         if writeback_blocks:
             array_clean = array.clean
             if bulk:
-                kind = DRAMRequestKind.BULK_WRITEBACK
+                kind_code = DRAMRequestKind.BULK_WRITEBACK.code
             else:
-                kind = DRAMRequestKind.EAGER_WRITEBACK
-            kind_code = kind.code
+                kind_code = DRAMRequestKind.EAGER_WRITEBACK.code
             cleaned = 0
             probed = 0
             for block in writeback_blocks:
@@ -829,12 +795,10 @@ class ServerSystem:
                 probed += 1
                 # LastLevelCache.clean inlined (counters accumulated below).
                 if array_clean(block):
-                    if flat_dram:
-                        dram_blocks.append(block)
-                        dram_kinds.append(kind_code)
-                        dram_arrivals.append(arrival)
-                    else:
-                        self._issue_dram(block, kind, core, pc)
+                    dram_blocks.append(block)
+                    dram_kinds.append(kind_code)
+                    dram_arrivals.append(arrival)
+                    dram_cores.append(core)
                     cleaned += 1
                     noc.n_data += 1
             if probed:
@@ -846,22 +810,13 @@ class ServerSystem:
                 else:
                     self._h_eager_writebacks += cleaned
 
-    def _issue_dram(self, block: int, kind: DRAMRequestKind, core: int, pc: int) -> None:
-        """Enqueue one transfer on the object DRAM engine."""
-        arrival_bus_cycles = self._core_cycle / self._bus_ratio
-        request = DRAMRequest(block_address=block, kind=kind, core=core, pc=pc,
-                              arrival_cycle=arrival_bus_cycles)
-        self.memory.enqueue(request)
-
     # ------------------------------------------------------------------ #
     # Result assembly
     # ------------------------------------------------------------------ #
     def _collect_results(self) -> SimulationResult:
-        # Flush without draining, deliberately: the object engine enqueues at
-        # issue time (serving only eager threshold bursts), so a direct
-        # caller that skipped run()'s final drain observes partially-served
-        # queues there.  Flushing the staged batch reproduces exactly that
-        # state on the flat engine; draining here would *diverge* from it.
+        # Flush without draining, deliberately: a direct caller that skipped
+        # run()'s final drain observes the queues as the issue sites left
+        # them, partially served by the eager threshold bursts.
         self._flush_dram()
         self._flush_hot_counters()
         config = self.config
@@ -921,8 +876,7 @@ class ServerSystem:
             activations=result.effective_activations,
             dram_reads=dram_reads,
             dram_writes=dram_writes,
-            llc_reads=self.llc.stats["demand_hits"] + self.llc.stats["demand_misses"]
-                       + self.llc.stats["probe_ops"],
+            llc_reads=self.llc.stats["demand_hits"] + self.llc.stats["demand_misses"],
             llc_writes=self.llc.stats["demand_fills"] + self.llc.stats["prefetch_fills"],
             noc_utilization=self.noc.utilization(timing.cycles),
             channel_utilization=channel_utilization,

@@ -11,8 +11,8 @@ package adds the *when* and the *where*:
 * :mod:`repro.telemetry.metrics` -- per-job and fleet-level campaign cost
   accounting (wall time, peak RSS, store provenance, worker utilization).
 
-Selection follows the engine idiom: ``REPRO_TELEMETRY=off|chunks|spans|full``
-or a ``telemetry=`` argument anywhere a run starts; the default is ``off``
+Select a mode with ``REPRO_TELEMETRY=off|chunks|spans|full`` or a
+``telemetry=`` argument anywhere a run starts; the default is ``off``
 and costs a single ``is None`` test per chunk.  Telemetry is observational
 only -- results stay bit-identical with it on (tested, and gated by
 ``benchmarks/bench_telemetry.py`` at <= 5% overhead in full mode).

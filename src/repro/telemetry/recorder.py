@@ -1,7 +1,6 @@
 """Telemetry mode resolution and the per-run recorder.
 
-Telemetry follows the engine-selection idiom (:mod:`repro.dram.engine`):
-an explicit argument beats the ``REPRO_TELEMETRY`` environment variable,
+An explicit argument beats the ``REPRO_TELEMETRY`` environment variable,
 which beats the default (``off``).  :func:`resolve_telemetry` returns
 ``None`` for ``off`` -- the simulator's hot path tests ``recorder is
 None`` once per chunk and otherwise runs the exact same code as before, so
@@ -14,8 +13,8 @@ gated in CI) depends on telemetry staying out of the result object.
 
 Sampling discipline: one sample per streaming chunk boundary, never per
 access.  Every sampled value is a counter the system already maintains as a
-plain int / flat NumPy array (``ServerSystem.counters``, the flat DRAM
-channel count arrays) -- the recorder only reads, subtracts the previous
+plain int / flat NumPy array (``ServerSystem.counters``, the memory
+system's per-channel count arrays) -- the recorder only reads, subtracts the previous
 snapshot and appends one row.
 
 While a pipelined run's DRAM stage holds the memory system (see

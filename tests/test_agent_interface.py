@@ -2,7 +2,6 @@
 hooks appending to one system-owned action sink."""
 
 import numpy as np
-import pytest
 
 from agent_harness import AgentHarness
 from repro.cache.agent import LLCAgent
@@ -63,59 +62,52 @@ class DirtyNeighbour(LLCAgent):
 
 
 def _record_transfers(system) -> list:
-    """Collect (block, kind) of every transfer the memory system receives."""
+    """Collect (block, kind, core) of every transfer the memory system receives."""
     staged = []
     memory = system.memory
-    if system.dram_engine == "flat":
-        intake = memory.enqueue_block_batch
+    intake = memory.enqueue_block_batch
 
-        def batch(blocks, kinds, arrivals):
-            staged.extend(zip(blocks, kinds))
-            return intake(blocks, kinds, arrivals)
+    def batch(blocks, kinds, arrivals, cores):
+        staged.extend(zip(blocks, kinds, cores))
+        return intake(blocks, kinds, arrivals, cores)
 
-        memory.enqueue_block_batch = batch
-    else:
-        enqueue = memory.enqueue
-
-        def single(request):
-            staged.append((request.block_address, request.kind.code))
-            return enqueue(request)
-
-        memory.enqueue = single
+    memory.enqueue_block_batch = batch
     return staged
 
 
-@pytest.mark.parametrize("dram_engine", ["flat", "object"])
-def test_eviction_writebacks_nest_inside_a_bulk_read(dram_engine):
-    # A one-set, four-way LLC holds dirty D1..D4 (oldest first) when a miss
-    # on M from the trigger PC asks for a bulk read of A1, A2.  M's own fill
-    # evicts D1, whose hook asks for D3's writeback: it is staged inside that
-    # eviction, before the pending bulk read starts.  A1's fill then evicts
-    # D2, whose D4 writeback is staged before the bulk read resumes with A2.
+def test_eviction_writebacks_nest_inside_a_bulk_read():
+    # A one-set, four-way LLC holds dirty D1..D4 (oldest first, stored by
+    # core 0) when core 1 misses on M from the trigger PC and asks for a
+    # bulk read of A1, A2.  M's own fill evicts D1, whose hook asks for D3's
+    # writeback: it is staged inside that eviction, before the pending bulk
+    # read starts.  A1's fill then evicts D2, whose D4 writeback is staged
+    # before the bulk read resumes with A2.  Every transfer carries the core
+    # of the event that issued it: the bulk read core 1's, the writebacks
+    # the victims' core 0.
     params = SystemParams(llc=CacheParams(size_bytes=4 * 64, associativity=4,
                                           hit_latency_cycles=8, banks=1))
-    system = ServerSystem(base_open(use_stride=False, system=params),
-                          dram_engine=dram_engine)
+    system = ServerSystem(base_open(use_stride=False, system=params))
     system.agents.extend([BulkReader(), DirtyNeighbour()])
     staged = _record_transfers(system)
-    rows = [(D1, 0x10, True), (D2, 0x10, True), (D3, 0x10, True),
-            (D4, 0x10, True), (M, TRIGGER_PC, False)]
+    rows = [(D1, 0x10, True, 0), (D2, 0x10, True, 0), (D3, 0x10, True, 0),
+            (D4, 0x10, True, 0), (M, TRIGGER_PC, False, 1)]
     system.run(TraceBuffer(
-        core=np.zeros(len(rows), dtype=np.int32),
-        pc=np.array([pc for _, pc, _ in rows], dtype=np.uint64),
-        address=np.array([block for block, _, _ in rows], dtype=np.uint64),
-        is_store=np.array([store for _, _, store in rows]),
+        core=np.array([core for *_, core in rows], dtype=np.int32),
+        pc=np.array([pc for _, pc, _, _ in rows], dtype=np.uint64),
+        address=np.array([block for block, *_ in rows], dtype=np.uint64),
+        is_store=np.array([store for _, _, store, _ in rows]),
         instructions=np.ones(len(rows), dtype=np.int32)))
     read = DRAMRequestKind.DEMAND_READ.code
     demand_writeback = DRAMRequestKind.DEMAND_WRITEBACK.code
     eager_writeback = DRAMRequestKind.EAGER_WRITEBACK.code
     prefetch = DRAMRequestKind.PREFETCH_READ.code
     assert staged == [
-        (D1, read), (D2, read), (D3, read), (D4, read), (M, read),
-        (D1, demand_writeback), (D3, eager_writeback),
-        (A1, prefetch),
-        (D2, demand_writeback), (D4, eager_writeback),
-        (A2, prefetch),
+        (D1, read, 0), (D2, read, 0), (D3, read, 0), (D4, read, 0),
+        (M, read, 1),
+        (D1, demand_writeback, 0), (D3, eager_writeback, 0),
+        (A1, prefetch, 1),
+        (D2, demand_writeback, 0), (D4, eager_writeback, 0),
+        (A2, prefetch, 1),
     ]
 
 

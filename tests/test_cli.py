@@ -344,6 +344,20 @@ class TestFailurePaths:
                 assert err.value.code == 2  # argparse usage error
                 assert "unrecognized arguments" in capsys.readouterr().err
 
+    def test_dram_engine_is_an_argparse_error(self, capsys, tmp_path):
+        """There is one DRAM engine, so no ``--dram-engine`` is accepted."""
+        trace = tmp_path / "t.csv"
+        trace.write_text("0,4096,64,R,1\n")
+        for argv in (("run", "web_search"), ("compare", "web_search"),
+                     ("scenario", "run", "idle-cores"),
+                     ("trace", "ingest", str(trace)),
+                     ("snapshot", "create", "web_search")):
+            for value in ("flat", "object"):
+                with pytest.raises(SystemExit) as err:
+                    run_cli(capsys, *argv, "--dram-engine", value)
+                assert err.value.code == 2  # argparse usage error
+                assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestFuzzCli:
     def test_smoke_run_passes_and_writes_a_summary(self, capsys, tmp_path):
@@ -376,7 +390,7 @@ class TestFuzzCli:
                               "--artifacts", str(artifacts),
                               "--shrink-attempts", "30")
         assert status == 1
-        assert "lru:flat/flat=FAIL" in out
+        assert "lru:default=FAIL" in out
         saved = list(artifacts.glob("*.json"))
         assert saved, "a shrunk reproducer artifact must be written"
 

@@ -7,7 +7,8 @@ also sampled continuously by the fuzz oracle):
   fingerprint and the entire intensity trajectory bit for bit;
 * the streaming chunk size is invisible: control updates land at fixed
   access-count boundaries, so any chunk size yields the identical run;
-* both DRAM engines agree;
+* FR-FCFS and bank round robin reproduce the results both DRAM engines
+  agreed on, pinned in ``engine_pins``;
 * telemetry is an observer, and the intensity gauge actually records the
   controller's trajectory;
 * a warm-state snapshot taken mid-run carries the controller state, so the
@@ -20,6 +21,7 @@ also sampled continuously by the fuzz oracle):
 import numpy as np
 import pytest
 
+from engine_pins import PINS
 from repro.exec.campaign import result_fingerprint
 from repro.scenario import (
     ClosedLoopSource,
@@ -52,9 +54,11 @@ def small_scenario(accesses=2400, num_cores=4):
 SPEC = ClosedLoopSpec(target_latency=60.0, interval=160, gain=0.5)
 
 
-def run(scenario=None, spec=SPEC, chunk_size=160, warmup=0.25, **kwargs):
+def run(scenario=None, spec=SPEC, chunk_size=160, warmup=0.25,
+        config=None, **kwargs):
     scenario = scenario if scenario is not None else small_scenario()
-    return run_scenario(scenario, base_open(), seed=11,
+    config = config if config is not None else base_open()
+    return run_scenario(scenario, config, seed=11,
                         warmup_fraction=warmup, chunk_size=chunk_size,
                         closed_loop=spec, **kwargs)
 
@@ -174,11 +178,13 @@ class TestDeterminismEnvelope:
         assert (result_fingerprint(run(chunk_size=chunk_size))
                 == result_fingerprint(run(chunk_size=160)))
 
-    @pytest.mark.parametrize("dram", ["object", "flat"])
-    def test_engine_cube_is_bit_identical(self, dram):
-        reference = run()
-        cell = run(dram_engine=dram)
-        assert result_fingerprint(cell) == result_fingerprint(reference)
+    @pytest.mark.parametrize("scheduler", ["frfcfs", "bank_round_robin"])
+    def test_engine_cube_is_bit_identical(self, scheduler):
+        # The feedback path reads the queue depth, which round robin keeps
+        # in per-core queues as well.
+        cell = run(config=base_open(scheduler=scheduler))
+        assert (result_fingerprint(cell)
+                == PINS["dram"]["closed_loop"][scheduler])
 
     def test_spec_and_prebuilt_source_agree(self):
         via_spec = run(spec=SPEC)
@@ -218,8 +224,7 @@ class TestSnapshots:
     def _warm_restore_fingerprint(self, tmp_path, chunk_size):
         scenario = small_scenario()
         warmup = int(scenario.total_accesses * 0.25)
-        system = ServerSystem(base_open(), workload_name=scenario.name,
-                              dram_engine="flat")
+        system = ServerSystem(base_open(), workload_name=scenario.name)
         source = ClosedLoopSource(scenario, SPEC, seed=11,
                                   chunk_size=chunk_size)
         snapshot, _, _ = capture_warmup(system, source, warmup)

@@ -1,195 +1,167 @@
-"""Unit tests for the FR-FCFS queue, memory controller and memory system."""
+"""FR-FCFS scheduling, the per-channel controller and the memory system.
+
+The scheduling tests place transfers on chosen rows of one bank and read
+the serve order off the row-buffer outcomes: a transfer served while its
+row is open is a hit, one served after another row opened is a conflict.
+"""
 
 import pytest
 
+from dram_harness import (
+    PREFETCH,
+    TIMING,
+    WRITEBACK,
+    bank_state,
+    block,
+    enqueue,
+    memory,
+    serve,
+    stat,
+)
 from repro.common.addressing import BLOCK_SIZE, REGION_SIZE
-from repro.common.params import DDR3Timing, DRAMOrganization
-from repro.common.request import DRAMRequest, DRAMRequestKind
-from repro.dram.address_mapping import make_block_interleaving, make_region_interleaving
-from repro.dram.controller import MemoryController, PagePolicy
-from repro.dram.scheduler import FRFCFSQueue
-from repro.dram.system import MemorySystem
-
-
-def region_mapping():
-    return make_region_interleaving(DRAMOrganization())
-
-
-def make_controller(policy=PagePolicy.OPEN, window=64, mapping=None):
-    org = DRAMOrganization()
-    return MemoryController(0, DDR3Timing(), org,
-                            mapping if mapping is not None else region_mapping(),
-                            page_policy=policy, window=window)
-
-
-def read_request(block, arrival=0.0, kind=DRAMRequestKind.DEMAND_READ):
-    return DRAMRequest(block_address=block, kind=kind, arrival_cycle=arrival)
+from repro.common.request import DRAMRequestKind
+from repro.dram.address_mapping import make_block_interleaving
+from repro.dram.flat import PagePolicy
 
 
 # --------------------------------------------------------------------- #
-# FR-FCFS queue
+# FR-FCFS choice
 # --------------------------------------------------------------------- #
 def test_frfcfs_prefers_row_hit_within_window():
-    mapping = region_mapping()
-    queue = FRFCFSQueue(window=8)
-    blocks = [0, REGION_SIZE * 2, BLOCK_SIZE]  # first and third share a region/row
-    for block in blocks:
-        queue.push(read_request(block), mapping.map(block))
-    coords0 = mapping.map(blocks[0])
-    open_rows = {(coords0.rank, coords0.bank): coords0.row}
-    first = queue.pop_next(open_rows)
-    assert first[0].block_address == 0
-    second = queue.pop_next(open_rows)
-    # The other request to the open row jumps ahead of the older non-hit one.
-    assert second[0].block_address == BLOCK_SIZE
+    system = memory()
+    first, other, co_row = (block(system, row=0), block(system, row=7),
+                            block(system, row=0, column=1))
+    serve(system, first, other, co_row)
+    # first opens row 0, the younger co_row request hits it ahead of the
+    # older request to row 7, which then conflicts: one hit, one conflict
+    # (arrival order would give two conflicts).
+    assert stat(system, "row_hits") == 1
+    assert stat(system, "row_conflicts") == 1
 
 
 def test_frfcfs_falls_back_to_oldest():
-    mapping = region_mapping()
-    queue = FRFCFSQueue(window=8)
-    for block in (0, REGION_SIZE * 2):
-        queue.push(read_request(block), mapping.map(block))
-    entry = queue.pop_next({})
-    assert entry[0].block_address == 0
+    system = memory()
+    # No open row and no demand request: the oldest goes first, so the
+    # younger request's row is the one left open.
+    serve(system, (block(system, row=3), PREFETCH),
+          (block(system, row=5), PREFETCH))
+    assert bank_state(system)[0] == 5
 
 
 def test_frfcfs_window_bounds_reordering():
-    mapping = region_mapping()
-    queue = FRFCFSQueue(window=2)
-    co_row_block = BLOCK_SIZE  # same row as block 0
-    blocks = [REGION_SIZE * 2, REGION_SIZE * 4, co_row_block]
-    for block in blocks:
-        queue.push(read_request(block), mapping.map(block))
-    coords = mapping.map(co_row_block)
-    open_rows = {(coords.rank, coords.bank): coords.row}
-    # The row-hit request sits outside the 2-entry window, so the oldest wins.
-    entry = queue.pop_next(open_rows)
-    assert entry[0].block_address == blocks[0]
+    hits = []
+    for window in (2, 3):
+        system = memory(window=window)
+        serve(system, block(system, row=0))
+        serve(system, block(system, row=2), block(system, row=4),
+              block(system, row=0, column=1))
+        hits.append(stat(system, "row_hits"))
+    # The row-hit request sits third: outside a 2-entry window the oldest
+    # wins and row 0 is closed before it is served; a 3-entry window sees it.
+    assert hits == [0, 1]
 
 
 def test_frfcfs_rejects_empty_window():
     with pytest.raises(ValueError):
-        FRFCFSQueue(window=0)
-    assert FRFCFSQueue(window=4).pop_next({}) is None
+        memory(window=0)
+    system = memory(window=4)
+    system.drain()
+    assert stat(system, "accesses") == 0
 
 
 # --------------------------------------------------------------------- #
 # Memory controller
 # --------------------------------------------------------------------- #
 def test_bulk_region_transfer_amortises_one_activation():
-    controller = make_controller()
-    base = 5 * REGION_SIZE * 2  # even region -> channel 0 under region interleaving
-    blocks = [base + i * BLOCK_SIZE for i in range(16)]
-    for block in blocks:
-        controller.enqueue(read_request(block))
-    completed = controller.drain()
-    assert len(completed) == 16
-    assert controller.activations == 1
-    assert controller.row_hit_ratio == pytest.approx(15.0 / 16.0)
+    system = memory()
+    base = 5 * REGION_SIZE * 2
+    serve(system, *(base + i * BLOCK_SIZE for i in range(16)))
+    assert stat(system, "accesses") == 16
+    assert system.activations == 1
+    assert system.row_hit_ratio == pytest.approx(15.0 / 16.0)
 
 
 def test_scattered_accesses_activate_repeatedly():
-    controller = make_controller()
-    org = DRAMOrganization()
-    stride = REGION_SIZE * org.channels * org.banks_per_rank * org.ranks_per_channel * 8
-    blocks = [i * stride for i in range(8)]  # same bank, different rows
-    for block in blocks:
-        controller.enqueue(read_request(block))
-    controller.drain()
-    assert controller.activations == len(blocks)
-    assert controller.row_hit_ratio == 0.0
+    system = memory()
+    serve(system, *(block(system, row=row) for row in range(8)))
+    assert system.activations == 8
+    assert system.row_hit_ratio == 0.0
 
 
 def test_close_row_policy_precharges_between_isolated_accesses():
-    open_controller = make_controller(PagePolicy.OPEN)
-    close_controller = make_controller(PagePolicy.CLOSE)
-    base = 4 * REGION_SIZE
-    for controller in (open_controller, close_controller):
-        controller.enqueue(read_request(base))
-        controller.drain()
-        controller.enqueue(read_request(base + BLOCK_SIZE, arrival=10_000.0))
-        controller.drain()
-    assert open_controller.row_hit_ratio == pytest.approx(0.5)
-    assert close_controller.row_hit_ratio == 0.0
+    ratios = []
+    for policy in (PagePolicy.OPEN, PagePolicy.CLOSE):
+        system = memory(policy)
+        base = 4 * REGION_SIZE
+        serve(system, base)
+        serve(system, (base + BLOCK_SIZE, DRAMRequestKind.DEMAND_READ, 10_000.0))
+        ratios.append(system.row_hit_ratio)
+    assert ratios == [0.5, 0.0]
 
 
 def test_demand_read_latency_recorded():
-    controller = make_controller()
-    controller.enqueue(read_request(0))
-    completed = controller.drain()
-    assert completed[0].latency_cycles > 0
-    assert controller.average_demand_read_latency == pytest.approx(
-        completed[0].latency_cycles
-    )
+    system = memory()
+    serve(system, 0)
+    # An idle bank: activate, tRCD, tCAS, one burst.
+    assert system.average_demand_read_latency == TIMING.row_miss_latency
 
 
 def test_writes_counted_separately():
-    controller = make_controller()
-    controller.enqueue(read_request(0))
-    controller.enqueue(read_request(BLOCK_SIZE, kind=DRAMRequestKind.DEMAND_WRITEBACK))
-    controller.drain()
-    stats = controller.stats
+    system = memory()
+    serve(system, 0, (BLOCK_SIZE, WRITEBACK))
+    stats = system.channel_stats(0)
     assert stats["reads"] == 1
     assert stats["writes"] == 1
     assert stats["kind_demand_writeback"] == 1
 
 
 def test_enqueue_drains_when_queue_saturates():
-    controller = make_controller(window=4)
-    for i in range(20):
-        controller.enqueue(read_request(i * BLOCK_SIZE))
+    system = memory(window=4)
+    enqueue(system, *(i * BLOCK_SIZE for i in range(20)))
     # Eager draining keeps the pending queue below twice the window.
-    assert len(controller.queue) < 2 * controller.queue.window
-    controller.drain()
-    assert controller.stats["accesses"] == 20
+    assert system.pending_count(0) < 2 * system.window
+    system.drain()
+    assert stat(system, "accesses") == 20
 
 
 def test_reset_counters_preserves_bank_state():
-    controller = make_controller()
-    controller.enqueue(read_request(0))
-    controller.drain()
-    controller.reset_counters()
-    assert controller.stats["accesses"] == 0
+    system = memory()
+    serve(system, 0)
+    system.reset_counters()
+    assert stat(system, "accesses") == 0
     # The row opened before the reset is still open: the next access hits.
-    controller.enqueue(read_request(BLOCK_SIZE))
-    controller.drain()
-    assert controller.row_hit_ratio == 1.0
+    serve(system, BLOCK_SIZE)
+    assert system.row_hit_ratio == 1.0
 
 
 # --------------------------------------------------------------------- #
 # Memory system
 # --------------------------------------------------------------------- #
 def test_memory_system_routes_to_both_channels():
-    system = MemorySystem(DDR3Timing(), DRAMOrganization(), region_mapping())
-    for region in range(8):
-        system.enqueue(read_request(region * REGION_SIZE))
-    system.drain()
-    per_channel = [c.stats["accesses"] for c in system.controllers]
-    assert sum(per_channel) == 8
-    assert all(count > 0 for count in per_channel)
+    system = memory(channels=2)
+    serve(system, *(region * REGION_SIZE for region in range(8)))
+    per_channel = [system.channel_stats(channel)["accesses"]
+                   for channel in range(2)]
+    assert per_channel == [4, 4]
 
 
 def test_memory_system_aggregates_stats():
-    system = MemorySystem(DDR3Timing(), DRAMOrganization(), region_mapping())
+    system = memory(channels=2)
     base = 3 * REGION_SIZE
-    for i in range(16):
-        system.enqueue(read_request(base + i * BLOCK_SIZE))
-    system.drain()
+    serve(system, *(base + i * BLOCK_SIZE for i in range(16)))
     assert system.accesses == 16
     assert system.activations == 1
     assert system.row_hit_ratio == pytest.approx(15.0 / 16.0)
-    assert system.elapsed_cycles > 0
-    assert system.bus_busy_cycles == pytest.approx(16 * DDR3Timing().burst_cycles)
+    # One miss, then fifteen hits streaming back to back on the bus.
+    assert system.elapsed_cycles == TIMING.row_miss_latency + 15 * TIMING.burst_cycles
+    assert system.bus_busy_cycles == 16 * TIMING.burst_cycles
     kinds = system.traffic_by_kind()
     assert kinds[DRAMRequestKind.DEMAND_READ] == 16
 
 
 def test_block_interleaving_distributes_a_region_across_banks():
-    mapping = make_block_interleaving(DRAMOrganization())
-    system = MemorySystem(DDR3Timing(), DRAMOrganization(), mapping)
-    for i in range(16):
-        system.enqueue(read_request(i * BLOCK_SIZE))
-    system.drain()
+    system = memory(channels=2, interleave=make_block_interleaving)
+    serve(system, *(i * BLOCK_SIZE for i in range(16)))
     # Every block of the region activates its own bank: no row hits at all.
     assert system.row_hit_ratio == 0.0
     assert system.activations == 16

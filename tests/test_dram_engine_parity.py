@@ -1,12 +1,11 @@
-"""End-to-end DRAM engine parity: flat vs object, bit-identical everywhere.
+"""End-to-end DRAM results held to the pins of the last two-engine commit.
 
-The acceptance bar for the flat DRAM engine is the same one the cache
-engines meet: for every workload, every named system configuration and the
-whole scenario catalog, a simulation run under ``dram_engine="flat"`` must
-produce the *identical* :class:`SimulationResult` (same fingerprint over
-every counter, latency accumulator and energy figure) as one run under
-``dram_engine="object"``.  A spot-check cell also holds both DRAM engines to
-the result the flat and dict cache engines agreed on (``engine_pins``).
+Until the object DRAM engine was retired, every workload, named system
+configuration and catalog scenario ran under both DRAM engines and the two
+results had to be bit-identical.  ``engine_pins`` holds what those cells
+produced; the one engine must still produce exactly that.  The ablation
+cells pin the object engine's FCFS and bank round-robin results, which the
+ported schedulers must reproduce.
 """
 
 import pytest
@@ -22,24 +21,27 @@ from repro.workloads.catalog import workload_names
 
 ACCESSES = 4_000
 SCENARIO_SCALE = 0.004
+DRAM = PINS["dram"]
+ABLATION_SYSTEMS = ("bump", "base_close", "sms_vwq")
+ABLATION_SCHEDULERS = ("fcfs", "bank_round_robin")
 
 
-def _run(workload, config, dram_engine):
-    trace = build_trace(workload, ACCESSES)
-    return run_trace(trace, config, workload_name=workload,
-                     dram_engine=dram_engine)
+def _run(workload, config, trace=None):
+    if trace is None:
+        trace = build_trace(workload, ACCESSES)
+    return run_trace(trace, config, workload_name=workload)
 
 
 @pytest.mark.slow
 class TestWorkloadConfigMatrix:
     @pytest.mark.parametrize("workload", workload_names())
     def test_all_named_configs_bit_identical(self, workload):
-        """6 workloads x 8 named configs: flat == object, bit for bit."""
+        """6 workloads x 8 named configs, each equal to its pin."""
+        trace = build_trace(workload, ACCESSES)
         for name, config in named_configs().items():
-            flat = _run(workload, config, "flat")
-            obj = _run(workload, config, "object")
-            assert result_fingerprint(flat) == result_fingerprint(obj), (
-                f"{workload}/{name}: flat and object DRAM engines diverged")
+            result = _run(workload, config, trace)
+            assert result_fingerprint(result) == DRAM["matrix"][workload][name], (
+                f"{workload}/{name}: result drifted from the pin")
 
 
 @pytest.mark.slow
@@ -48,29 +50,39 @@ class TestScenarioCatalog:
     def test_catalog_scenarios_bit_identical(self, scenario_name):
         scenario = get_scenario(scenario_name, scale=SCENARIO_SCALE)
         config = named_configs(["bump"])["bump"]
-        flat = run_scenario(scenario, config, dram_engine="flat")
-        obj = run_scenario(scenario, config, dram_engine="object")
-        assert result_fingerprint(flat) == result_fingerprint(obj), (
-            f"{scenario_name}: flat and object DRAM engines diverged")
+        result = run_scenario(scenario, config)
+        assert result_fingerprint(result) == DRAM["scenarios"][scenario_name]
+
+
+@pytest.mark.slow
+class TestAblationSchedulers:
+    @pytest.mark.parametrize("workload", workload_names())
+    def test_ported_schedulers_reproduce_the_object_engine(self, workload):
+        """bump, base_close and sms_vwq under FCFS and bank round robin."""
+        trace = build_trace(workload, ACCESSES)
+        for name in ABLATION_SYSTEMS:
+            for scheduler in ABLATION_SCHEDULERS:
+                config = named_configs([name])[name].with_overrides(
+                    scheduler=scheduler)
+                result = _run(workload, config, trace)
+                assert (result_fingerprint(result)
+                        == DRAM["ablation"][workload][f"{name}/{scheduler}"]), (
+                    f"{workload}/{name}/{scheduler}: result drifted from the "
+                    "object engine's")
 
 
 class TestEngineMatrix:
     def test_cache_and_dram_engines_compose(self):
-        """Both DRAM engines match the pinned cache x DRAM engine result."""
+        """The one engine matches the pinned cache x DRAM engine result."""
         config = named_configs(["bump"])["bump"]
-        for dram in ("flat", "object"):
-            result = _run("web_search", config, dram)
-            assert result_fingerprint(result) == PINS["engine_matrix"], dram
+        result = _run("web_search", config)
+        assert result_fingerprint(result) == PINS["engine_matrix"]
 
     def test_streaming_path_threads_the_engine(self):
         config = named_configs(["base_open"])["base_open"]
-        flat = run_workload_streaming("data_serving", config,
-                                      num_accesses=ACCESSES, chunk_size=1024,
-                                      dram_engine="flat")
-        obj = run_workload_streaming("data_serving", config,
-                                     num_accesses=ACCESSES, chunk_size=1024,
-                                     dram_engine="object")
-        assert result_fingerprint(flat) == result_fingerprint(obj)
+        result = run_workload_streaming("data_serving", config,
+                                        num_accesses=ACCESSES, chunk_size=1024)
+        assert result_fingerprint(result) == DRAM["streaming"]
 
     def test_streaming_chunk_size_invisible_under_flat_engine(self):
         """Batched DRAM intake must not leak chunk boundaries into results."""
@@ -78,17 +90,7 @@ class TestEngineMatrix:
         results = [
             result_fingerprint(run_workload_streaming(
                 "web_serving", config, num_accesses=ACCESSES,
-                chunk_size=chunk, dram_engine="flat"))
+                chunk_size=chunk))
             for chunk in (256, 1000, ACCESSES)
         ]
         assert len(set(results)) == 1
-
-    def test_server_system_reports_effective_engine(self):
-        from repro.sim.config import base_open
-        from repro.sim.system import ServerSystem
-
-        assert ServerSystem(base_open(), dram_engine="flat").dram_engine == "flat"
-        assert ServerSystem(base_open(), dram_engine="object").dram_engine == "object"
-        # Ablation-only schedulers only exist in the object engine.
-        fcfs = base_open().with_overrides(scheduler="fcfs")
-        assert ServerSystem(fcfs, dram_engine="flat").dram_engine == "object"

@@ -1,223 +1,153 @@
-"""Tests for the alternative memory-controller scheduling policies."""
+"""The ablation schedulers: FCFS and bank round robin.
+
+As in ``test_dram_controller.py``, transfers are placed on chosen rows of a
+one-channel memory system and the serve order is read off the row-buffer
+outcomes and off the demand-read latency of one marked transfer.
+"""
 
 import pytest
 
-from repro.common.params import DDR3Timing, DRAMOrganization
-from repro.common.request import DRAMRequest, DRAMRequestKind
-from repro.dram.address_mapping import DRAMCoordinates, make_region_interleaving
-from repro.dram.controller import MemoryController, PagePolicy
-from repro.dram.policies import (
-    BankRoundRobinQueue,
-    DrainWhenFullWriteQueue,
-    FCFSQueue,
-    make_scheduler,
-    scheduler_names,
+from dram_harness import (
+    PREFETCH,
+    READ,
+    TIMING,
+    block,
+    enqueue,
+    memory,
+    serve,
+    stat,
 )
-from repro.dram.scheduler import FRFCFSQueue
+from repro.common.addressing import REGION_SIZE
+from repro.dram.flat import SCHEDULERS, PagePolicy
+
+BURST = TIMING.burst_cycles
 
 
-def read_request(block, core=0, cycle=0.0):
-    return DRAMRequest(block_address=block, kind=DRAMRequestKind.DEMAND_READ,
-                       core=core, arrival_cycle=cycle)
-
-
-def write_request(block, core=0, cycle=0.0):
-    return DRAMRequest(block_address=block, kind=DRAMRequestKind.DEMAND_WRITEBACK,
-                       core=core, arrival_cycle=cycle)
-
-
-def coords(row, bank=0, rank=0, channel=0, column=0):
-    return DRAMCoordinates(channel=channel, rank=rank, bank=bank, row=row, column=column)
-
-
-class TestFCFSQueue:
+class TestFCFS:
     def test_serves_in_strict_arrival_order(self):
-        queue = FCFSQueue()
-        queue.push(read_request(0), coords(row=1))
-        queue.push(read_request(64), coords(row=2))
-        queue.push(read_request(128), coords(row=1))
-        open_rows = {(0, 0): 1}
-        order = [queue.pop_next(open_rows)[1].row for _ in range(3)]
-        assert order == [1, 2, 1]
+        system = memory(scheduler="fcfs")
+        serve(system, block(system, row=1))
+        system.reset_counters()
+        serve(system, block(system, row=1, column=1), block(system, row=2),
+              block(system, row=1, column=2))
+        # Rows 1, 2, 1 in arrival order: a hit, then two conflicts (FR-FCFS
+        # would serve both row-1 requests first).
+        assert stat(system, "row_hits") == 1
+        assert stat(system, "row_conflicts") == 2
 
     def test_empty_queue_returns_none(self):
-        assert FCFSQueue().pop_next({}) is None
+        system = memory(scheduler="fcfs")
+        assert system.drain() is None
+        assert system.pending_count() == 0
+        assert stat(system, "accesses") == 0
 
     def test_rejects_degenerate_window(self):
         with pytest.raises(ValueError):
-            FCFSQueue(window=0)
+            memory(scheduler="fcfs", window=0)
 
     def test_any_pending_for_row_respects_window(self):
-        queue = FCFSQueue(window=1)
-        queue.push(read_request(0), coords(row=1))
-        queue.push(read_request(64), coords(row=9))
-        assert queue.any_pending_for_row(coords(row=1))
-        assert not queue.any_pending_for_row(coords(row=9))
+        hits = []
+        for window in (1, 2):
+            system = memory(PagePolicy.CLOSE, scheduler="fcfs", window=window)
+            serve(system, block(system, row=5), block(system, row=9, bank=1),
+                  block(system, row=5, column=1))
+            hits.append(stat(system, "row_hits"))
+        # The second row-5 request keeps the row open only when the window
+        # reaches past the request to bank 1.
+        assert hits == [0, 1]
 
 
-class TestBankRoundRobinQueue:
+class TestBankRoundRobin:
     def test_rotates_service_across_cores(self):
-        queue = BankRoundRobinQueue()
-        for index in range(3):
-            queue.push(read_request(index * 64, core=0), coords(row=10 + index))
-        queue.push(read_request(1024, core=1), coords(row=50))
-        served_cores = [queue.pop_next({})[0].core for _ in range(4)]
-        # Core 1 must be served before core 0's backlog is exhausted.
-        assert served_cores.index(1) < 3
+        system = memory(scheduler="bank_round_robin")
+        # Core 0's backlog on banks 0-2, one demand read from core 1 on bank
+        # 3; every transfer is a miss on an idle bank, so the data bus serves
+        # them one burst apart in the order they are chosen.
+        serve(system, *((block(system, row=10, bank=bank), PREFETCH, 0.0, 0)
+                        for bank in range(3)),
+              (block(system, row=50, bank=3), READ, 0.0, 1))
+        # Core 1 goes second: its data leaves in the second burst slot.
+        assert system.average_demand_read_latency == (
+            TIMING.row_miss_latency + BURST)
 
     def test_prefers_row_hits_within_the_chosen_core(self):
-        queue = BankRoundRobinQueue()
-        queue.push(read_request(0, core=0), coords(row=1))
-        queue.push(read_request(64, core=0), coords(row=7))
-        request, picked = queue.pop_next({(0, 0): 7})
-        assert picked.row == 7
-        assert request.core == 0
+        system = memory(scheduler="bank_round_robin")
+        serve(system, block(system, row=7))
+        system.reset_counters()
+        serve(system, block(system, row=1), block(system, row=7, column=1))
+        # Core 0's younger row-7 request hits first; row 1 then conflicts.
+        assert stat(system, "row_hits") == 1
+        assert stat(system, "row_conflicts") == 1
 
     def test_length_tracks_pushes_and_pops(self):
-        queue = BankRoundRobinQueue()
-        queue.push(read_request(0, core=0), coords(row=1))
-        queue.push(read_request(64, core=1), coords(row=2))
-        assert len(queue) == 2
-        queue.pop_next({})
-        assert len(queue) == 1
-        queue.pop_next({})
-        assert len(queue) == 0
-        assert queue.pop_next({}) is None
+        system = memory(scheduler="bank_round_robin")
+        enqueue(system, (block(system, row=1), READ, 0.0, 0))
+        assert system.pending_count() == 1
+        enqueue(system, (block(system, row=2, bank=1), READ, 0.0, 1))
+        assert system.pending_count() == 2
+        system.drain()
+        assert system.pending_count() == 0
+        system.drain()
+        assert stat(system, "accesses") == 2
 
     def test_any_pending_for_row_scans_all_cores(self):
-        queue = BankRoundRobinQueue()
-        queue.push(read_request(0, core=0), coords(row=1))
-        queue.push(read_request(64, core=5), coords(row=9))
-        assert queue.any_pending_for_row(coords(row=9))
-        assert not queue.any_pending_for_row(coords(row=3))
+        hits = []
+        for row in (9, 3):
+            system = memory(PagePolicy.CLOSE, scheduler="bank_round_robin")
+            serve(system, (block(system, row=row), READ, 0.0, 0),
+                  (block(system, row=9, column=1), READ, 0.0, 5))
+            hits.append(stat(system, "row_hits"))
+        # Core 5's row-9 request keeps core 0's row 9 open; a row-3 access
+        # finds no taker on any core and closes its row.
+        assert hits == [1, 0]
 
     def test_no_core_starves(self):
-        queue = BankRoundRobinQueue()
-        for index in range(50):
-            queue.push(read_request(index * 64, core=0), coords(row=index))
-        queue.push(read_request(10_000, core=1), coords(row=999))
-        positions = []
-        for position in range(51):
-            request, _ = queue.pop_next({})
-            if request.core == 1:
-                positions.append(position)
-        # With only two cores the single core-1 request is served within the
-        # first couple of pops.
-        assert positions and positions[0] <= 2
-
-
-class TestDrainWhenFullWriteQueue:
-    def test_reads_bypass_buffered_writes(self):
-        queue = DrainWhenFullWriteQueue(high_watermark=4, low_watermark=1)
-        queue.push(write_request(0), coords(row=1))
-        queue.push(read_request(64), coords(row=2))
-        request, _ = queue.pop_next({})
-        assert request.is_read
-        assert queue.buffered_writes == 1
-
-    def test_drains_writes_past_high_watermark(self):
-        queue = DrainWhenFullWriteQueue(high_watermark=3, low_watermark=1)
-        for index in range(3):
-            queue.push(write_request(index * 64), coords(row=index))
-        queue.push(read_request(4096), coords(row=50))
-        request, _ = queue.pop_next({})
-        assert request.is_write
-        assert queue.draining
-
-    def test_drain_stops_at_low_watermark(self):
-        queue = DrainWhenFullWriteQueue(high_watermark=3, low_watermark=1)
-        for index in range(3):
-            queue.push(write_request(index * 64), coords(row=index))
-        queue.push(read_request(4096), coords(row=50))
-        kinds = []
-        for _ in range(4):
-            request, _ = queue.pop_next({})
-            kinds.append("W" if request.is_write else "R")
-        # Two writes drain (3 -> 1 buffered), then the read goes out, then the
-        # final write.
-        assert kinds == ["W", "W", "R", "W"]
-
-    def test_drain_prefers_open_row_writes(self):
-        queue = DrainWhenFullWriteQueue(high_watermark=2, low_watermark=0)
-        queue.push(write_request(0), coords(row=5))
-        queue.push(write_request(64), coords(row=9))
-        request, picked = queue.pop_next({(0, 0): 9})
-        assert picked.row == 9
-
-    def test_writes_served_when_no_reads_remain(self):
-        queue = DrainWhenFullWriteQueue(high_watermark=10, low_watermark=1)
-        queue.push(write_request(0), coords(row=3))
-        request, _ = queue.pop_next({})
-        assert request.is_write
-        assert queue.pop_next({}) is None
-
-    def test_sorted_drain_groups_same_row_writes(self):
-        queue = DrainWhenFullWriteQueue(high_watermark=4, low_watermark=0)
-        queue.push(write_request(0), coords(row=9, bank=1))
-        queue.push(write_request(64), coords(row=2, bank=0))
-        queue.push(write_request(128), coords(row=2, bank=0))
-        queue.push(write_request(192), coords(row=9, bank=1))
-        rows = [queue.pop_next({})[1].row for _ in range(4)]
-        assert rows == sorted(rows) or rows.count(rows[0]) == 2
-
-    def test_watermark_validation(self):
-        with pytest.raises(ValueError):
-            DrainWhenFullWriteQueue(high_watermark=2, low_watermark=2)
-
-    def test_any_pending_covers_reads_and_writes(self):
-        queue = DrainWhenFullWriteQueue()
-        queue.push(read_request(0), coords(row=1))
-        queue.push(write_request(64), coords(row=7))
-        assert queue.any_pending_for_row(coords(row=1))
-        assert queue.any_pending_for_row(coords(row=7))
-        assert not queue.any_pending_for_row(coords(row=3))
+        system = memory(scheduler="bank_round_robin")
+        # Fifty row hits queued by core 0, then one demand read by core 1.
+        serve(system, *((block(system, row=0, column=column % 128), PREFETCH,
+                         0.0, 0) for column in range(50)),
+              (block(system, row=0, bank=1), READ, 0.0, 1))
+        # With two cores the core-1 request is served second, not behind
+        # core 0's stream of hits.
+        assert system.average_demand_read_latency == (
+            TIMING.row_miss_latency + BURST)
 
 
 class TestSchedulerRegistry:
     def test_all_registered_names_instantiate(self):
-        for name in scheduler_names():
-            queue = make_scheduler(name, window=16)
-            assert len(queue) == 0
-            assert queue.window == 16 or hasattr(queue, "read_queue")
+        for name in SCHEDULERS:
+            system = memory(scheduler=name, window=16)
+            assert system.scheduler == name
+            assert system.window == 16
+            assert system.pending_count() == 0
 
     def test_unknown_name_raises_with_suggestions(self):
-        with pytest.raises(KeyError) as err:
-            make_scheduler("fr_fcfs")
+        with pytest.raises(ValueError) as err:
+            memory(scheduler="fr_fcfs")
         assert "frfcfs" in str(err.value)
-
-    def test_frfcfs_factory_matches_paper_scheduler(self):
-        assert isinstance(make_scheduler("frfcfs"), FRFCFSQueue)
 
 
 class TestControllerWithAlternativeSchedulers:
-    def make_controller(self, scheduler):
-        org = DRAMOrganization()
-        mapping = make_region_interleaving(org)
-        return MemoryController(0, DDR3Timing(), org, mapping,
-                                PagePolicy.OPEN, window=16, scheduler=scheduler)
-
-    def run_stream(self, controller, blocks):
-        for index, block in enumerate(blocks):
-            controller.enqueue(DRAMRequest(block_address=block,
-                                           kind=DRAMRequestKind.DEMAND_READ,
-                                           core=index % 4,
-                                           arrival_cycle=float(index)))
-        controller.drain()
-        return controller
+    def run_stream(self, scheduler, blocks):
+        system = memory(scheduler=scheduler, window=16)
+        serve(system, *((address, READ, float(index), index % 4)
+                        for index, address in enumerate(blocks)))
+        return system
 
     def test_every_scheduler_serves_all_requests(self):
         blocks = [i * 64 for i in range(64)]
-        for name in scheduler_names():
-            controller = self.run_stream(self.make_controller(name), blocks)
-            assert controller.stats["accesses"] == len(blocks), name
+        for name in SCHEDULERS:
+            system = self.run_stream(name, blocks)
+            assert stat(system, "accesses") == len(blocks), name
 
     def test_frfcfs_beats_fcfs_on_interleaved_regions(self):
-        """Round-robin interleaving of two regions defeats FCFS but FR-FCFS
+        """Interleaving two regions of one bank defeats FCFS but FR-FCFS
         reorders within its window and recovers row hits."""
         region_a = [i * 64 for i in range(16)]
-        region_b = [1024 * 1024 + i * 64 for i in range(16)]
+        region_b = [1024 * REGION_SIZE + i * 64 for i in range(16)]
         blocks = [block for pair in zip(region_a, region_b) for block in pair]
 
-        fcfs = self.run_stream(self.make_controller("fcfs"), blocks)
-        frfcfs = self.run_stream(self.make_controller("frfcfs"), blocks)
-        assert frfcfs.row_hit_ratio >= fcfs.row_hit_ratio
+        fcfs = self.run_stream("fcfs", blocks)
+        frfcfs = self.run_stream("frfcfs", blocks)
+        assert fcfs.row_hit_ratio == 0.0
+        assert frfcfs.row_hit_ratio > fcfs.row_hit_ratio

@@ -19,7 +19,7 @@ from repro.fuzz import (
 #: print(corpus_fingerprint(0), corpus_fingerprint(1))"`` and update both
 #: pins in the same commit.
 _PINNED_STREAM_0 = "a86673678b5bc1022a6f2f20b8557d23"
-_PINNED_STREAM_1 = "e961de94bfebf34d9585d15f859412da"
+_PINNED_STREAM_1 = "9b04f5748f6c92ad0d6f490faaaf10b9"
 
 
 class TestDeterminism:
@@ -58,6 +58,8 @@ class TestValidity:
         assert {c.config.interleaving for c in cases} == {"block", "region"}
         assert {c.config.page_policy.name for c in cases} == {"OPEN", "CLOSE"}
         assert {c.config.timing_model for c in cases} == {"analytic", "interval"}
+        assert {c.config.scheduler for c in cases} == {
+            "frfcfs", "fcfs", "bank_round_robin"}
         assert any(c.warmup_fraction == 0.0 for c in cases)
         assert any(p.bursts for c in cases for p in c.scenario.phases)
         assert any(len(p.active_cores) < c.scenario.num_cores

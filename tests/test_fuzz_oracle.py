@@ -3,10 +3,10 @@
 import pytest
 
 from cache_faults import skew_flat_victims
+from dram_faults import drop_trcd
 from repro.exec.campaign import result_fingerprint
 from repro.fuzz import CHECKS, materialize, run_oracle
 from repro.fuzz.oracle import (
-    REFERENCE_CELL,
     _perturbed_chunk_size,
     _run_cell,
     identity_problems,
@@ -59,7 +59,7 @@ class TestHealthyOracle:
 
     def test_unknown_check_is_rejected(self):
         with pytest.raises(ValueError, match="unknown oracle checks"):
-            run_oracle(SPEC, checks=("cube", "vibes"))
+            run_oracle(SPEC, checks=("dram", "vibes"))
 
     def test_malformed_spec_is_rejected(self):
         with pytest.raises(ValueError, match="format"):
@@ -69,46 +69,46 @@ class TestHealthyOracle:
         for size in (64, 128, 256, 512, 1024, 2048):
             assert _perturbed_chunk_size(size) != size
 
-    def test_reference_cell_is_the_object_engines(self):
-        assert REFERENCE_CELL == ("flat", "object")
-
     def test_lru_check_needs_no_reference_cell(self):
         report = run_oracle(SPEC, checks=("lru",))
         assert report.ok
-        assert report.reference_fingerprint is None
-        assert [c.describe() for c in report.checks] == ["lru:flat/flat=ok"]
+        assert report.reference_fingerprint == result_fingerprint(
+            _run_cell(materialize(SPEC)))
+        assert [c.describe() for c in report.checks] == ["lru:default=ok"]
 
-    def test_lru_check_shadows_the_cube_run(self, monkeypatch):
-        """The cube's flat/flat cell is the lru check's shadowed run: the two
-        checks together simulate the spec twice (reference included)."""
+    def test_lru_and_dram_checks_shadow_one_run(self, monkeypatch):
+        """Both references shadow the default run: the two checks together
+        simulate the spec once."""
         runs = []
         real_run = ServerSystem.run
 
         def counted(self, *args, **kwargs):
-            runs.append(self.dram_engine)
+            runs.append(self.config.name)
             return real_run(self, *args, **kwargs)
 
         monkeypatch.setattr(ServerSystem, "run", counted)
-        report = run_oracle(SPEC, checks=("lru", "cube"))
+        report = run_oracle(SPEC, checks=("lru", "dram"))
         assert report.ok
-        assert sorted(runs) == ["flat", "object"]
+        assert runs == ["bump"]
+        assert [c.describe() for c in report.checks] == [
+            "lru:default=ok", "dram:default=ok"]
 
 
 class TestCounterIdentities:
     def test_a_healthy_run_satisfies_every_identity(self):
-        result = _run_cell(materialize(SPEC), REFERENCE_CELL)
+        result = _run_cell(materialize(SPEC))
         assert result.counters["llc_misses"] > 0
         assert identity_problems(result) == []
 
     def test_a_violation_names_the_identity_and_both_sides(self):
-        result = _run_cell(materialize(SPEC), REFERENCE_CELL)
+        result = _run_cell(materialize(SPEC))
         misses = int(result.counters["llc_misses"])
         result.llc.inc("demand_misses")
         assert identity_problems(result) == [
             f"llc demand_misses = llc_misses: {misses + 1} != {misses}"]
 
     def test_the_oracle_checks_every_cell(self, monkeypatch):
-        """A counting bug shared by every cell moves no fingerprint apart;
+        """A counting bug shared by every run moves no fingerprint apart;
         the identities still catch it."""
         collect = ServerSystem._collect_results
 
@@ -130,19 +130,31 @@ class TestFaultSensitivity:
         """The oracle exists to see exactly this: a cache bug the fixed
         pins might miss on their hand-picked inputs."""
         skew_flat_victims(monkeypatch)
-        report = run_oracle(SPEC, checks=("lru", "cube"))
+        report = run_oracle(SPEC, checks=("lru", "dram"))
         assert not report.ok
-        # Both DRAM cells run the skewed caches, so the cube sees no
-        # difference; the reference LRU does, at the first skewed victim.
+        # The reference DRAM sees the transfers the skewed caches produce,
+        # so the dram check passes; the reference LRU fails at the first
+        # skewed victim.
         (failure,) = report.failures
-        assert (failure.check, failure.cell) == ("lru", "flat/flat")
+        assert (failure.check, failure.cell) == ("lru", "default")
         assert "L1 access_chunk" in failure.detail
+
+    def test_injected_dram_fault_is_caught(self, monkeypatch):
+        """A memory-system timing bug: the caches agree with the reference
+        LRU, the memory system disagrees with the reference DRAM."""
+        drop_trcd(monkeypatch)
+        report = run_oracle(SPEC, checks=("lru", "dram"))
+        (failure,) = report.failures
+        assert (failure.check, failure.cell) == ("dram", "default")
+        # The queues fill without serving until the warmup boundary drains
+        # them; the first served activation shows the missing tRCD.
+        assert failure.detail.startswith("call 3: DRAM drain: channel 0 ")
 
     def test_report_describe_names_the_failures(self, monkeypatch):
         skew_flat_victims(monkeypatch)
         report = run_oracle(SPEC, checks=("lru",))
         text = report.describe()
-        assert "FAIL" in text and "lru:flat/flat" in text
+        assert "FAIL" in text and "lru:default" in text
 
 
 class TestMaterialize:
@@ -162,12 +174,14 @@ class TestMaterialize:
                           "overrides": {"page_policy": "close",
                                         "interleaving": "block",
                                         "timing_model": "interval",
-                                        "arrival_cpi": 3.5}}
+                                        "arrival_cpi": 3.5,
+                                        "scheduler": "bank_round_robin"}}
         config = materialize(spec).config
         assert config.page_policy.name == "CLOSE"
         assert config.interleaving == "block"
         assert config.timing_model == "interval"
         assert config.arrival_cpi == 3.5
+        assert config.scheduler == "bank_round_robin"
 
     def test_unknown_override_is_rejected(self):
         spec = dict(SPEC)
@@ -187,4 +201,11 @@ class TestMaterialize:
         spec["config"] = {"base": "base_open",
                           "overrides": {"page_policy": "ajar"}}
         with pytest.raises(ValueError, match="ajar"):
+            materialize(spec)
+
+    def test_bad_scheduler_is_rejected(self):
+        spec = dict(SPEC)
+        spec["config"] = {"base": "base_open",
+                          "overrides": {"scheduler": "write_drain"}}
+        with pytest.raises(ValueError, match="write_drain"):
             materialize(spec)

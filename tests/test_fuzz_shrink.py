@@ -1,4 +1,4 @@
-"""Shrinker: an injected cache fault must reduce to a minimal reproducer."""
+"""Shrinker: an injected fault must reduce to a minimal reproducer."""
 
 import copy
 import json
@@ -6,6 +6,7 @@ import json
 import pytest
 
 from cache_faults import skew_flat_victims
+from dram_faults import drop_trcd
 from repro.fuzz import (
     generate_spec,
     load_spec,
@@ -88,11 +89,19 @@ class TestShrinkWithInjectedFault:
         result = shrink(BULKY, checks=("lru",), max_attempts=3)
         assert result.attempts <= 3
 
+    def test_converges_on_a_dram_fault(self, monkeypatch):
+        drop_trcd(monkeypatch)
+        result = shrink(BULKY, checks=("dram",))
+        assert result.phases <= 1
+        assert result.tenants <= 2
+        assert result.total_accesses <= 600
+        assert not run_oracle(result.spec, checks=("dram",)).ok
+
 
 class TestShrinkGuards:
     def test_passing_spec_is_rejected(self):
         with pytest.raises(ValueError, match="nothing to shrink"):
-            shrink(BULKY, checks=("cube",))
+            shrink(BULKY, checks=("dram",))
 
     def test_custom_predicate_drives_the_reduction(self):
         """No simulator involved: shrink against a pure structural predicate."""

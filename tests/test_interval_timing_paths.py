@@ -4,10 +4,9 @@
 timing-sensitivity ablation; these tests pin down its behaviour on the two
 production paths (streaming single workloads and compiled scenarios), its
 engine-independence (TimingSummary-derived fields equal to the ones the
-flat and dict cache engines agreed on, pinned in ``engine_pins``, and
-bit-identical between the flat and object DRAM engines), its constructor
-validation, and the zero-miss edge where ``instructions_per_miss`` is
-infinite.
+flat and dict cache engines, and the flat and object DRAM engines, agreed
+on, pinned in ``engine_pins``), its constructor validation, and the
+zero-miss edge where ``instructions_per_miss`` is infinite.
 """
 
 import math
@@ -105,16 +104,9 @@ class TestEngineParity:
         self._assert_pinned(result, PINS["interval_streaming"])
 
     def test_streaming_timing_identical_across_dram_engines(self):
-        config = _interval(base_open)
-        flat = run_workload_streaming("data_serving", config,
-                                      num_accesses=ACCESSES, chunk_size=1024,
-                                      dram_engine="flat")
-        obj = run_workload_streaming("data_serving", config,
-                                     num_accesses=ACCESSES, chunk_size=1024,
-                                     dram_engine="object")
-        assert flat.cycles == obj.cycles
-        assert flat.throughput_ipc == obj.throughput_ipc
-        assert result_fingerprint(flat) == result_fingerprint(obj)
+        result = run_workload_streaming("data_serving", _interval(base_open),
+                                        num_accesses=ACCESSES, chunk_size=1024)
+        self._assert_pinned(result, PINS["dram"]["interval_streaming"])
 
     def test_scenario_path_runs_interval_model_identically(self):
         scenario = get_scenario("tenant-colocation", scale=0.004)

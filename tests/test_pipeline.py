@@ -1,8 +1,8 @@
 """The pipelined run loop (``repro.sim.pipeline``).
 
 A pipelined run forks a read-ahead of its trace source and a DRAM stage
-serving the flat memory system, and must stay bit-identical to the
-in-process loop.  Tests force engagement on short traces by lowering
+serving the memory system, and must stay bit-identical to the in-process
+loop.  Tests force engagement on short traces by lowering
 ``ENGAGE_ACCESSES`` and keep it off by raising it; a spy on
 ``start_pipeline`` records which helpers a run actually forked.
 """
@@ -18,6 +18,7 @@ import warnings
 import numpy as np
 import pytest
 
+from engine_pins import PINS
 from repro.cache.agent import LLCAgent
 from repro.exec.campaign import result_fingerprint
 from repro.scenario import (
@@ -382,13 +383,14 @@ def test_closed_loop_sources_stay_in_process(monkeypatch, started):
 
 
 @needs_cpus
-def test_object_dram_engine_gets_the_read_ahead_only(monkeypatch, started):
+def test_round_robin_runs_get_both_helpers(monkeypatch, started):
+    """Round robin's per-core queues travel to the DRAM helper and back."""
     trace = build_trace("web_search", ACCESSES, num_cores=CORES, seed=8)
     in_process, pipelined = _both(monkeypatch, lambda: _fingerprint(
-        bump_system(), _chunks(trace), 1_100, dram_engine="object"))
+        bump_system(scheduler="bank_round_robin"), _chunks(trace), 1_100))
     assert pipelined == in_process
     (pipe,) = _engaged(started)
-    assert pipe.reader is not None and pipe.dram is None
+    assert pipe.reader is not None and pipe.dram is not None
 
 
 def _run_forced(monkeypatch):
@@ -452,28 +454,25 @@ class _FeedbackLog:
 
     def next_chunk(self, feedback):
         if feedback is not None:
-            controllers = self._system.memory.controllers
-            if hasattr(controllers[0], "queue"):
-                queued = sum(len(c.queue) for c in controllers)
-                assert feedback.queue_depth == queued
+            assert feedback.queue_depth == self._system.memory.pending_count()
             self.depths.append(feedback.queue_depth)
         return self._source.next_chunk(feedback)
 
 
-def test_object_engine_reports_pending_transfers_and_resets_counters():
-    fingerprints, depths = {}, {}
-    for engine in ("object", "flat"):
-        system = ServerSystem(base_open(), dram_engine=engine)
-        source = _FeedbackLog(_closed_loop_source(), system)
-        result = system.run(source, warmup_accesses=600)
-        fingerprints[engine] = result_fingerprint(result)
-        depths[engine] = source.depths
-    assert fingerprints["object"] == fingerprints["flat"]
-    assert depths["object"] == depths["flat"]
-    assert any(depths["object"])
-    # begin_measurement zeroes the object engine's counters through the
-    # memory system's own reset_counters.
-    system = ServerSystem(bump_system(), dram_engine="object")
+@pytest.mark.parametrize("scheduler", ["frfcfs", "bank_round_robin"])
+def test_every_scheduler_reports_pending_transfers_and_resets_counters(
+        scheduler):
+    """Queue depths and results equal the ones the object engine reported."""
+    pin = PINS["dram"]["pending_depths"][scheduler]
+    system = ServerSystem(base_open(scheduler=scheduler))
+    source = _FeedbackLog(_closed_loop_source(), system)
+    result = system.run(source, warmup_accesses=600)
+    assert result_fingerprint(result) == pin["fingerprint"]
+    assert source.depths == pin["depths"]
+    assert any(source.depths)
+    # begin_measurement zeroes the counters through the memory system's
+    # own reset_counters.
+    system = ServerSystem(bump_system(scheduler=scheduler))
     system.run(_chunks(build_trace("web_search", 800, num_cores=CORES, seed=1)))
     assert system.memory.aggregate_stats()["accesses"] > 0
     system.begin_measurement()

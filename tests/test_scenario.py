@@ -250,15 +250,21 @@ class TestSimulationParity:
         assert result_fingerprint(via_trace) == result_fingerprint(via_runner)
 
     def test_streaming_run_retains_no_completed_requests(self):
-        # Bounded-memory promise: the simulator's controllers must not keep
-        # one request object per DRAM transfer (they fold everything into
-        # scalar counters at serve time).
+        # Bounded-memory promise: the memory system must not keep one entry
+        # per DRAM transfer; it folds everything into counters at serve
+        # time, and its queues hold at most a compaction prefix plus twice
+        # the window, however long the trace.
+        from repro.dram.flat import _COMPACT_THRESHOLD
+
         scenario = small("tenant-colocation")
         system = ServerSystem(base_open(), workload_name=scenario.name)
         result = system.run(scenario)
+        memory = system.memory
         assert result.counters["accesses"] == scenario.total_accesses
-        assert all(not controller._completed
-                   for controller in system.memory.controllers)
+        assert memory.accesses > _COMPACT_THRESHOLD + 2 * memory.window
+        assert memory.pending_count() == 0
+        assert all(len(queue) < _COMPACT_THRESHOLD + 2 * memory.window
+                   for queue in memory._pending)
 
     def test_run_workload_streaming_delegates(self):
         scenario = small("idle-cores")

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common.params import SystemParams
-from repro.dram.controller import PagePolicy
+from repro.dram.flat import PagePolicy
 from repro.sim.config import (
     base_close,
     base_open,
@@ -70,6 +70,17 @@ def test_with_overrides_builds_variants():
     config = bump_system().with_overrides(name="bump_small")
     assert config.name == "bump_small"
     assert config.use_bump
+
+
+def test_unknown_scheduler_is_rejected_at_construction():
+    for scheduler in ("fcfs", "frfcfs", "bank_round_robin"):
+        assert base_open().with_overrides(
+            scheduler=scheduler).scheduler == scheduler
+    with pytest.raises(ValueError, match="unknown scheduler 'frfcs'.*"
+                                         "bank_round_robin"):
+        base_open().with_overrides(scheduler="frfcs")
+    with pytest.raises(ValueError, match="unknown scheduler 'write_drain'"):
+        bump_system(scheduler="write_drain")
 
 
 # --------------------------------------------------------------------- #

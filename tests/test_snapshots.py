@@ -66,37 +66,36 @@ def _trace():
     return build_trace(WORKLOAD, ACCESSES, num_cores=CORES, seed=SEED)
 
 
-def _cold(config, **engines):
+def _cold(config):
     return run_trace(_trace(), config, workload_name=WORKLOAD,
-                     warmup_fraction=0.5, **engines)
+                     warmup_fraction=0.5)
 
 
-def _warm_twice(config, store, **engines):
+def _warm_twice(config, store):
     """One miss-and-capture run followed by one hit-and-restore run."""
     key = snapshot_fingerprint(
         get_workload(WORKLOAD), config, ACCESSES // 2,
-        num_cores=CORES, seed=SEED,
-        dram_engine=engines.get("dram_engine"))
+        num_cores=CORES, seed=SEED)
     first = run_trace(_trace(), config, workload_name=WORKLOAD,
                       warmup_fraction=0.5, warmup_snapshot=store,
-                      snapshot_key=key, **engines)
+                      snapshot_key=key)
     second = run_trace(_trace(), config, workload_name=WORKLOAD,
                        warmup_fraction=0.5, warmup_snapshot=store,
-                       snapshot_key=key, **engines)
+                       snapshot_key=key)
     return first, second
 
 
 class TestEngineCube:
-    @pytest.mark.parametrize("dram_engine", ["flat", "object"])
-    def test_capture_restore_bit_identical(self, tmp_path, dram_engine):
-        config = _config()
-        cold = _cold(config, dram_engine=dram_engine)
-        captured, restored = _warm_twice(config, ArtifactStore(tmp_path),
-                                         dram_engine=dram_engine)
+    @pytest.mark.parametrize("scheduler", ["frfcfs", "bank_round_robin"])
+    def test_capture_restore_bit_identical(self, tmp_path, scheduler):
+        # Round robin's per-core queues ride in the snapshot too.
+        config = _config().with_overrides(scheduler=scheduler)
+        cold = _cold(config)
+        captured, restored = _warm_twice(config, ArtifactStore(tmp_path))
         assert result_fingerprint(cold) == result_fingerprint(captured), (
-            f"{dram_engine}: capture run diverged")
+            f"{scheduler}: capture run diverged")
         assert result_fingerprint(cold) == result_fingerprint(restored), (
-            f"{dram_engine}: restored run diverged")
+            f"{scheduler}: restored run diverged")
 
 
 class TestPagePolicies:
@@ -416,9 +415,9 @@ class TestFingerprint:
                                             num_cores=CORES, seed=SEED + 1)
         assert base != snapshot_fingerprint(spec, _config("base_open"), 2_000,
                                             num_cores=CORES, seed=SEED)
-        assert base != snapshot_fingerprint(spec, config, 2_000,
-                                            num_cores=CORES, seed=SEED,
-                                            dram_engine="object")
+        assert base != snapshot_fingerprint(
+            spec, config.with_overrides(scheduler="fcfs"), 2_000,
+            num_cores=CORES, seed=SEED)
 
     def test_config_rename_shares_snapshot(self):
         """The fingerprint keys on configuration content, not display name."""
