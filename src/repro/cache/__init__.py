@@ -6,27 +6,25 @@ paper:
 * per-core 32KB 2-way L1 data caches (:class:`repro.cache.l1.StackedL1`,
   every core's L1 as one set of stacked planes run a chunk at a time) that
   filter the processor reference stream before it reaches the shared LLC;
-* a shared 4MB 16-way last-level cache (:class:`repro.cache.llc.LastLevelCache`)
+* a shared 4MB 16-way last-level cache (:class:`repro.cache.flat.CacheArray`)
   whose access, miss and eviction streams feed the prefetchers, the
   eager-writeback engine and BuMP.
 
 Both levels are LRU caches held in flat NumPy arrays with per-set recency
-stamps (:class:`repro.cache.flat.CacheArray` backs the LLC).
-Their specification is a reference LRU of one ordered dict per set
-(:mod:`repro.fuzz.reference_lru`), which the tests and the fuzz oracle's
-``lru`` check run beside them.  Components that want to observe or inject
-LLC traffic implement the :class:`repro.cache.agent.LLCAgent` interface.
+stamps, and neither counts anything: the system that drives them owns every
+cache counter.  Their specification is a reference LRU of one ordered dict
+per set (:mod:`repro.fuzz.reference_lru`), which the tests and the fuzz
+oracle's ``lru`` check run beside them.  Components that want to observe or
+inject LLC traffic implement the :class:`repro.cache.agent.LLCAgent`
+interface.
 """
 
-from repro.cache.agent import EvictedLine, LLCAgent
+from repro.cache.agent import LLCAgent
 from repro.cache.flat import CacheArray
 from repro.cache.l1 import StackedL1
-from repro.cache.llc import LastLevelCache
 
 __all__ = [
     "CacheArray",
-    "EvictedLine",
     "LLCAgent",
-    "LastLevelCache",
     "StackedL1",
 ]

@@ -9,11 +9,12 @@ reads) or additional writebacks (eager / bulk writebacks).
 To keep control flow simple and acyclic, agents do not act on the LLC
 directly.  The system owns one *action sink* -- a fetch list and a
 writeback list -- and binds it to every agent once per run
-(:meth:`LLCAgent.bind_sink`).  Hooks take plain scalars, return nothing, and
-append the block addresses they want fetched or written back to the bound
-lists; the system model (:mod:`repro.sim.system`) takes what the hooks of
-one LLC event appended, performs that traffic and attributes it.  Nothing is
-allocated per notification.
+(:meth:`LLCAgent.bind_sink`).  Hooks take plain scalars (an eviction hands
+over the victim's block and its packed flag byte, ``FLAG_*`` below), return
+nothing, and append the block addresses they want fetched or written back
+to the bound lists; the system model (:mod:`repro.sim.system`) takes what
+the hooks of one LLC event appended, performs that traffic and attributes
+it.  Nothing is allocated per notification.
 """
 
 from __future__ import annotations
@@ -21,28 +22,15 @@ from __future__ import annotations
 from typing import List
 
 
-class EvictedLine:
-    """Summary of a line pushed out of the LLC by a fill.
-
-    A plain ``__slots__`` class: once the LLC is warm nearly every fill
-    evicts, so victim records are built on the simulator hot path.
-    """
-
-    __slots__ = ("block_address", "dirty", "prefetched", "used", "pc", "core")
-
-    def __init__(self, block_address: int, dirty: bool, prefetched: bool,
-                 used: bool, pc: int = 0, core: int = 0) -> None:
-        self.block_address = block_address
-        self.dirty = dirty
-        self.prefetched = prefetched
-        self.used = used
-        self.pc = pc
-        self.core = core
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"EvictedLine(block_address=0x{self.block_address:x}, "
-                f"dirty={self.dirty}, prefetched={self.prefetched}, "
-                f"used={self.used}, pc={self.pc}, core={self.core})")
+#: The packed flag byte of an LLC line (:class:`repro.cache.flat.CacheArray`
+#: keeps one per line; :meth:`LLCAgent.on_eviction` receives the victim's).
+#: A line is filled either demanded (``FLAG_USED``) or prefetched
+#: (``FLAG_PREFETCHED``); a demand hit on a prefetched line sets
+#: ``FLAG_USED``, so a prefetched line evicted without ``FLAG_USED`` was
+#: never used (overfetch).
+FLAG_DIRTY = 1
+FLAG_PREFETCHED = 2
+FLAG_USED = 4
 
 
 class LLCAgent:
@@ -72,8 +60,8 @@ class LLCAgent:
     def on_miss(self, core: int, pc: int, block: int, is_store: bool) -> None:
         """A demand request missed in the LLC and will be sent to memory."""
 
-    def on_eviction(self, victim: EvictedLine) -> None:
-        """A block was evicted from the LLC (clean or dirty)."""
+    def on_eviction(self, block: int, flags: int) -> None:
+        """``block`` was evicted from the LLC; ``flags`` is its flag byte."""
 
     def storage_bits(self) -> int:
         """Total storage the agent's hardware structures require, in bits.

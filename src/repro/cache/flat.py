@@ -11,9 +11,11 @@ scalar code addresses it through the flattened index
 * ``tags`` (``int64``) -- resident block address of each slot, ``-1`` when
   the slot is empty;
 * ``flags`` (``uint8``) -- packed per-line status bits: ``FLAG_DIRTY`` (bit
-  0), ``FLAG_PREFETCHED`` (bit 1), ``FLAG_USED`` (bit 2);
+  0), ``FLAG_PREFETCHED`` (bit 1), ``FLAG_USED`` (bit 2), the encoding
+  :mod:`repro.cache.agent` states for agents;
 * ``pcs`` (``int64``) / ``cores`` (``int32``) -- the prediction metadata
-  (requesting PC and core) handed to agents with an evicted line;
+  (requesting PC and core) of each line, which the system reads back from
+  an evicted line;
 * ``stamps`` (``int64``) -- a per-set monotonic recency stamp (the set's
   insertion/touch tick at the time the slot was last written).
 
@@ -28,19 +30,23 @@ and an auxiliary ``block -> slot`` index dict provides O(1) associative
 lookup; the dict maps plain ints to plain ints, so no per-line object is
 ever allocated.  The simulator hot loop calls the five methods below
 directly (:meth:`demand_access`, :meth:`fill`, :meth:`clean`,
-:meth:`contains`, :meth:`touch_set_dirty`).
+:meth:`contains`, :meth:`touch_set_dirty`).  :meth:`fill` returns the victim
+block as an int and leaves the victim's flag byte, PC and core in three int
+attributes, so an eviction allocates nothing either.
+
+The array counts nothing: the system
+(:class:`~repro.sim.system.ServerSystem`) owns every LLC counter.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
 from repro.common.addressing import BLOCK_BITS
 from repro.common.params import CacheParams
-from repro.common.stats import StatGroup, fold_pending
-from repro.cache.agent import EvictedLine
+from repro.cache.agent import FLAG_DIRTY, FLAG_PREFETCHED, FLAG_USED
 
 __all__ = [
     "FLAG_DIRTY",
@@ -49,18 +55,12 @@ __all__ = [
     "CacheArray",
 ]
 
-#: Packed per-line flag bits (``flags`` array).
-FLAG_DIRTY = 1
-FLAG_PREFETCHED = 2
-FLAG_USED = 4
-
 
 class CacheArray:
     """An LRU, write-back, write-allocate cache held in flat arrays."""
 
-    def __init__(self, params: CacheParams, name: str = "cache") -> None:
+    def __init__(self, params: CacheParams) -> None:
         self.params = params
-        self.name = name
         self.num_sets = params.num_sets
         self._set_mask = self.num_sets - 1
         if self.num_sets & self._set_mask:
@@ -93,32 +93,10 @@ class CacheArray:
         self._slot_of: Dict[int, int] = {}
         #: Occupied ways per set.
         self._count = [0] * self.num_sets
-
-        # Hot-path statistics are accumulated as plain ints (attribute bumps
-        # on the increment sites) and folded into the StatGroup lazily; every
-        # external read goes through ``stats``.
-        self._stats = StatGroup(name)
-        for attr, _key in self._PENDING_COUNTERS:
-            setattr(self, attr, 0)
-
-    #: (pending attribute, StatGroup key) pairs flushed by ``stats``.
-    _PENDING_COUNTERS = (
-        ("_p_hits", "hits"),
-        ("_p_misses", "misses"),
-        ("_p_fills", "fills"),
-        ("_p_evictions", "evictions"),
-        ("_p_dirty_evictions", "dirty_evictions"),
-        ("_p_unused_prefetch_evictions", "unused_prefetch_evictions"),
-        ("_p_prefetch_hits", "prefetch_hits"),
-    )
-
-    # ------------------------------------------------------------------ #
-    # Statistics
-    # ------------------------------------------------------------------ #
-    @property
-    def stats(self) -> StatGroup:
-        """Counters as a :class:`StatGroup` (pending increments flushed)."""
-        return fold_pending(self, self._stats, self._PENDING_COUNTERS)
+        #: The last :meth:`fill`'s victim: its flag byte, PC and core.
+        self.victim_flags = 0
+        self.victim_pc = 0
+        self.victim_core = 0
 
     # ------------------------------------------------------------------ #
     # Probing
@@ -140,81 +118,60 @@ class CacheArray:
         """
         slot = self._slot_of.get(block_address)
         if slot is None:
-            self._p_misses += 1
             return -1
-        self._p_hits += 1
         set_index = (block_address >> BLOCK_BITS) & self._set_mask
         tick = self._tick[set_index] + 1
         self._tick[set_index] = tick
         self._stamps_mv[slot] = tick
         flags_mv = self._flags_mv
         prior = flags_mv[slot]
-        flags = prior
+        flags = prior | FLAG_USED
         if is_write:
             flags |= FLAG_DIRTY
-        if not flags & FLAG_USED:
-            flags |= FLAG_USED
-            self._p_prefetch_hits += 1
         if flags != prior:
             flags_mv[slot] = flags
         return prior
 
     def fill(self, block_address: int, dirty: bool = False, prefetched: bool = False,
-             pc: int = 0, core: int = 0) -> Optional[EvictedLine]:
-        """Allocate ``block_address``; return the evicted victim, if any."""
-        slot_of = self._slot_of
-        slot = slot_of.get(block_address)
-        set_index = (block_address >> BLOCK_BITS) & self._set_mask
-        if slot is not None:
-            # Refill of a resident block: merge the dirty bit, promote.
-            if dirty:
-                self._flags_mv[slot] |= FLAG_DIRTY
-            tick = self._tick[set_index] + 1
-            self._tick[set_index] = tick
-            self._stamps_mv[slot] = tick
-            return None
+             pc: int = 0, core: int = 0) -> int:
+        """Allocate ``block_address``; return the evicted victim's block, or -1.
 
-        victim: Optional[EvictedLine] = None
+        The block must not be resident: every caller fills only after
+        :meth:`demand_access`, :meth:`contains` or :meth:`touch_set_dirty`
+        found it absent.  A victim's flag byte, PC and core are left in
+        :attr:`victim_flags`, :attr:`victim_pc` and :attr:`victim_core`,
+        valid until the next fill.  Lines are never invalidated, so a set
+        that is not full fills its ways in order.
+        """
+        set_index = (block_address >> BLOCK_BITS) & self._set_mask
         base = set_index * self.ways
         count = self._count[set_index]
         tags_mv = self._tags_mv
         flags_mv = self._flags_mv
-        if count >= self.ways:
+        if count == self.ways:
             slot = self._victim_slot(set_index, base)
-            victim_tag = tags_mv[slot]
-            victim_flags = flags_mv[slot]
-            victim = EvictedLine(
-                victim_tag,
-                bool(victim_flags & FLAG_DIRTY),
-                bool(victim_flags & FLAG_PREFETCHED),
-                bool(victim_flags & FLAG_USED),
-                self._pcs_mv[slot],
-                self._cores_mv[slot],
-            )
-            del slot_of[victim_tag]
-            self._p_evictions += 1
-            if victim_flags & FLAG_DIRTY:
-                self._p_dirty_evictions += 1
-            if victim_flags & (FLAG_PREFETCHED | FLAG_USED) == FLAG_PREFETCHED:
-                self._p_unused_prefetch_evictions += 1
+            victim = tags_mv[slot]
+            self.victim_flags = flags_mv[slot]
+            self.victim_pc = self._pcs_mv[slot]
+            self.victim_core = self._cores_mv[slot]
+            del self._slot_of[victim]
         else:
-            slot = base
-            while tags_mv[slot] != -1:
-                slot += 1
+            slot = base + count
             self._count[set_index] = count + 1
+            victim = -1
 
-        slot_of[block_address] = slot
+        self._slot_of[block_address] = slot
         tags_mv[slot] = block_address
-        flags = FLAG_DIRTY if dirty else 0
         # ``used`` starts true for demand fills, false for prefetched ones.
-        flags |= FLAG_PREFETCHED if prefetched else FLAG_USED
+        flags = FLAG_PREFETCHED if prefetched else FLAG_USED
+        if dirty:
+            flags |= FLAG_DIRTY
         flags_mv[slot] = flags
         self._pcs_mv[slot] = pc
         self._cores_mv[slot] = core
         tick = self._tick[set_index] + 1
         self._tick[set_index] = tick
         self._stamps_mv[slot] = tick
-        self._p_fills += 1
         return victim
 
     def _victim_slot(self, set_index: int, base: int) -> int:

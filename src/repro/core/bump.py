@@ -25,7 +25,7 @@ from typing import Optional
 
 from repro.common.addressing import BLOCK_SIZE
 from repro.common.stats import StatGroup, fold_pending
-from repro.cache.agent import EvictedLine, LLCAgent
+from repro.cache.agent import FLAG_DIRTY, LLCAgent
 from repro.core.bht import BulkHistoryTable
 from repro.core.config import BuMPConfig
 from repro.core.drt import DirtyRegionTable
@@ -103,16 +103,16 @@ class BuMPPredictor(LLCAgent):
     # ------------------------------------------------------------------ #
     # LLC eviction stream (region termination and bulk writebacks)
     # ------------------------------------------------------------------ #
-    def on_eviction(self, victim: EvictedLine) -> None:
+    def on_eviction(self, block: int, flags: int) -> None:
         """Terminate the victim's region and generate bulk writebacks."""
         self._n_evictions_observed += 1
-        block = victim.block_address
+        dirty = bool(flags & FLAG_DIRTY)
         terminated = self.rdtt.observe_eviction(block)
         if terminated is not None:
-            self._terminate(terminated, victim.dirty, block)
+            self._terminate(terminated, dirty, block)
             return
 
-        if victim.dirty:
+        if dirty:
             region = block // self._region_size
             self._n_drt_probes += 1
             if self.drt.probe_and_invalidate(region):

@@ -13,7 +13,7 @@ memory systems do.
 from __future__ import annotations
 
 from repro.common.stats import StatGroup
-from repro.cache.agent import EvictedLine, LLCAgent
+from repro.cache.agent import FLAG_DIRTY, LLCAgent
 from repro.core.config import BuMPConfig
 
 
@@ -41,11 +41,11 @@ class FullRegionStreamer(LLCAgent):
         self.stats.inc("bulk_read_triggers")
         self.stats.inc("bulk_read_blocks_requested", requested)
 
-    def on_eviction(self, victim: EvictedLine) -> None:
+    def on_eviction(self, block: int, flags: int) -> None:
         """Write back the whole region around every dirty eviction."""
-        if not victim.dirty:
+        if not flags & FLAG_DIRTY:
             return
-        requested = self._region_except(victim.block_address, self.writebacks)
+        requested = self._region_except(block, self.writebacks)
         self.stats.inc("bulk_writeback_triggers")
         self.stats.inc("bulk_writeback_blocks_requested", requested)
 

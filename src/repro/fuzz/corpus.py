@@ -34,7 +34,8 @@ Schema (``format`` 1)::
           "interleaving": "block",
           "timing_model": "interval",
           "arrival_cpi": 2.5,
-          "scheduler": "bank_round_robin"
+          "scheduler": "bank_round_robin",
+          "llc_bytes": 65536            # LLC capacity, 32 KB - 4 MB
         }
       },
       "closed_loop": {                  # optional: feedback-driven traffic
@@ -55,7 +56,7 @@ addresses a spec for corpus-stability pins and artifact naming.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Dict, List, Optional
 
@@ -89,7 +90,23 @@ _OVERRIDE_DECODERS = {
     "timing_model": str,
     "arrival_cpi": float,
     "scheduler": str,
+    "llc_bytes": lambda v: _decode_llc_bytes(v),
 }
+
+#: Bounds of the ``llc_bytes`` override (a power of two): from 32 KB, which
+#: a sample's few thousand accesses overflow, to the paper's 4 MB.
+_LLC_BYTES_MIN = 32 * 1024
+_LLC_BYTES_MAX = 4 * 1024 * 1024
+
+
+def _decode_llc_bytes(value) -> int:
+    if (isinstance(value, bool) or not isinstance(value, int)
+            or not _LLC_BYTES_MIN <= value <= _LLC_BYTES_MAX
+            or value & (value - 1)):
+        raise ValueError(
+            f"llc_bytes must be a power of two from {_LLC_BYTES_MIN} to "
+            f"{_LLC_BYTES_MAX}, not {value!r}")
+    return value
 
 
 def _decode_page_policy(value: str) -> PagePolicy:
@@ -195,6 +212,11 @@ def materialize(spec: Dict) -> FuzzCase:
                 f"unsupported configuration override {key!r}; supported: "
                 + ", ".join(sorted(_OVERRIDE_DECODERS)))
         overrides[key] = decoder(raw)
+    llc_bytes = overrides.pop("llc_bytes", None)
+    if llc_bytes is not None:
+        system = config.system
+        overrides["system"] = system.scaled(
+            llc=replace(system.llc, size_bytes=llc_bytes))
     if overrides:
         config = config.with_overrides(**overrides)
 

@@ -5,11 +5,12 @@ configuration layer expose -- multi-tenant core partitions with idle cores,
 1-3 phases with independent tenant layouts, per-phase and per-tenant
 intensity scaling, stacked burst windows, every named system configuration
 (paper and extended sets) with page-policy / interleaving / timing-model /
-arrival-CPI / scheduler overrides, randomized warmup fractions, streaming
-chunk sizes and (on about a third of samples) closed-loop
-feedback-controller parameters -- while staying inside the validated
-envelope: every sample materializes without error and simulates in well
-under a second, so a 200-sample differential sweep fits a CI smoke budget.
+arrival-CPI / scheduler / LLC-capacity overrides, randomized warmup
+fractions, streaming chunk sizes and (on about a third of samples)
+closed-loop feedback-controller parameters -- while staying inside the
+validated envelope: every sample materializes without error and simulates
+in well under a second, so a 200-sample differential sweep fits a CI smoke
+budget.
 
 Determinism contract: ``generate_spec(seed, index)`` depends on nothing but
 its arguments.  :func:`corpus_fingerprint` digests the first N specs of a
@@ -178,6 +179,14 @@ def generate_spec(seed: int, index: int) -> Dict:
     if rng.random() < 0.25:
         overrides = spec["config"].setdefault("overrides", {})
         overrides["scheduler"] = rng.choice(("fcfs", "bank_round_robin"))
+    # Three quarters of the samples shrink the LLC to 32-128 KB, which
+    # their few thousand accesses overflow, so the ``lru`` check compares
+    # LLC victims and the agents see evictions; half of those get 32 KB,
+    # which even a short sample overflows.  The rest keep the paper's 4 MB.
+    # Drawn last, like the scheduler.
+    if rng.random() < 0.75:
+        overrides = spec["config"].setdefault("overrides", {})
+        overrides["llc_bytes"] = rng.choice((32, 32, 64, 128)) * 1024
     return spec
 
 

@@ -137,10 +137,11 @@ def identity_problems(result: SimulationResult) -> List[str]:
 
     Every access is an L1 hit, an LLC hit or an LLC miss, and every LLC
     miss is one demand read; every DRAM read and write is attributed to
-    exactly one kind; every DRAM access has one row-buffer outcome; and the
-    LLC's own demand-miss and prefetch-fill counts agree with the system's.
+    exactly one kind; and every DRAM access has one row-buffer outcome.
+    (``result.llc`` is derived from the system's counters, so it has no
+    counts of its own to compare.)
     """
-    counters, dram, llc = result.counters, result.dram, result.llc
+    counters, dram = result.counters, result.dram
 
     def total(*keys: str) -> float:
         return sum(counters[key] for key in keys)
@@ -158,10 +159,6 @@ def identity_problems(result: SimulationResult) -> List[str]:
         ("row_hits + row_misses + row_conflicts = dram accesses",
          dram["row_hits"] + dram["row_misses"] + dram["row_conflicts"],
          dram["accesses"]),
-        ("llc demand_misses = llc_misses",
-         llc["demand_misses"], counters["llc_misses"]),
-        ("llc prefetch_fills = prefetch_reads + bulk_reads",
-         llc["prefetch_fills"], total("prefetch_reads", "bulk_reads")),
     )
     return [f"{name}: {_count(left)} != {_count(right)}"
             for name, left, right in identities if left != right]

@@ -5,13 +5,14 @@ The simulator's caches are flat NumPy planes with per-set recency stamps
 :class:`repro.cache.l1.StackedL1` for every core's L1).  This module states
 what they must compute in the plainest form LRU has: one ordered dict per
 set, least recently used first, so a touch is ``move_to_end`` and a victim
-is the first key.  It shares no code with the arrays -- only their flag
-constants -- so a bug in the stamps, the victim scan or the lockstep L1
-stage cannot hide in both.
+is the first key.  It shares no code with the arrays -- only the flag
+constants of :mod:`repro.cache.agent` -- so a bug in the stamps, the victim
+scan or the lockstep L1 stage cannot hide in both.
 
 * :class:`ReferenceLRU` mirrors the five calls the simulator makes on the
   LLC array: ``demand_access``, ``fill``, ``clean``, ``contains`` and
-  ``touch_set_dirty``;
+  ``touch_set_dirty``.  Its ``fill`` states the array's precondition: it
+  raises on a block that is already resident;
 * :class:`ReferenceL1` mirrors :meth:`StackedL1.access_chunk`;
 * :class:`LRUShadow` runs both beside a live
   :class:`~repro.sim.system.ServerSystem` and compares every call's result.
@@ -25,38 +26,30 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.cache.flat import FLAG_DIRTY, FLAG_PREFETCHED, FLAG_USED
+from repro.cache.agent import FLAG_DIRTY, FLAG_PREFETCHED, FLAG_USED
 from repro.common.addressing import BLOCK_BITS
 
 __all__ = [
     "LRUShadow",
     "ReferenceL1",
     "ReferenceLRU",
-    "victim_fields",
 ]
-
-#: A victim as ``(block, dirty, prefetched, used, pc, core)``.
-Victim = Tuple[int, bool, bool, bool, int, int]
-
-
-def victim_fields(victim) -> Optional[Victim]:
-    """An :class:`~repro.cache.agent.EvictedLine` as a comparable tuple."""
-    if victim is None:
-        return None
-    return (victim.block_address, victim.dirty, victim.prefetched,
-            victim.used, victim.pc, victim.core)
 
 
 class ReferenceLRU:
     """One set-associative LRU cache: an ordered dict per set, LRU first.
 
-    Each line is ``[flags, pc, core]`` with the flat array's flag bits.
+    Each line is ``[flags, pc, core]`` with the agents' flag bits.  Like
+    the array, :meth:`fill` returns the victim's block (or -1) and leaves
+    its flag byte, PC and core in ``victim_flags``, ``victim_pc`` and
+    ``victim_core``.
     """
 
     def __init__(self, num_sets: int, ways: int) -> None:
         self.ways = ways
         self._mask = num_sets - 1
         self.sets: List[OrderedDict] = [OrderedDict() for _ in range(num_sets)]
+        self.victim_flags = self.victim_pc = self.victim_core = 0
 
     def _set(self, block: int) -> OrderedDict:
         return self.sets[(block >> BLOCK_BITS) & self._mask]
@@ -73,21 +66,15 @@ class ReferenceLRU:
         return prior
 
     def fill(self, block: int, dirty: bool = False, prefetched: bool = False,
-             pc: int = 0, core: int = 0) -> Optional[Victim]:
-        """Allocate ``block`` as most recently used; return the victim."""
+             pc: int = 0, core: int = 0) -> int:
+        """Allocate absent ``block`` as most recently used; return the victim or -1."""
         lines = self._set(block)
-        line = lines.get(block)
-        if line is not None:
-            if dirty:
-                line[0] |= FLAG_DIRTY
-            lines.move_to_end(block)
-            return None
-        victim = None
+        if block in lines:
+            raise ValueError(f"fill of resident block 0x{block:x}")
+        victim = -1
         if len(lines) == self.ways:
-            old, (flags, old_pc, old_core) = lines.popitem(last=False)
-            victim = (old, bool(flags & FLAG_DIRTY),
-                      bool(flags & FLAG_PREFETCHED), bool(flags & FLAG_USED),
-                      old_pc, old_core)
+            victim, (self.victim_flags, self.victim_pc,
+                     self.victim_core) = lines.popitem(last=False)
         flags = (FLAG_DIRTY if dirty else 0) | (
             FLAG_PREFETCHED if prefetched else FLAG_USED)
         lines[block] = [flags, pc, core]
@@ -160,13 +147,15 @@ class ReferenceL1:
 class LRUShadow:
     """Run the reference LRU beside a system's L1 stage and LLC array.
 
-    Wraps ``system.l1.access_chunk`` and the five LLC array calls on the
-    instances, so the system runs exactly as it would unshadowed.  Every
-    call is also made on the reference and the results compared; the L1's
-    victim PCs only where a victim exists (the L1 planes keep stale PCs in
-    other rows, which the system never reads).  The first mismatch is kept
-    in :attr:`mismatch` and checking stops there: past it the two states
-    have diverged.  Attach to a freshly built system only.
+    Wraps ``system.l1.access_chunk`` and the five calls on ``system.llc``
+    on the instances, so the system runs exactly as it would unshadowed.
+    Every call is also made on the reference and the results compared; the
+    L1's victim PCs only where a victim exists (the L1 planes keep stale
+    PCs in other rows, which the system never reads), and an LLC victim's
+    flag byte, PC and core whenever a fill evicts.  A fill of a resident
+    block, which the reference refuses, is a mismatch too.  The first
+    mismatch is kept in :attr:`mismatch` and checking stops there: past it
+    the two states have diverged.  Attach to a freshly built system only.
     """
 
     _LLC_CALLS = ("demand_access", "fill", "clean", "contains",
@@ -182,9 +171,8 @@ class LRUShadow:
         #: Description of the first mismatching call, or ``None``.
         self.mismatch: Optional[str] = None
         self._wrap_l1(system.l1)
-        array = system.llc._cache
         for name in self._LLC_CALLS:
-            self._wrap_llc(array, name)
+            self._wrap_llc(system.llc, name)
 
     def _diverged(self, description: str) -> None:
         self.mismatch = f"call {self.calls}: {description}"
@@ -216,14 +204,23 @@ class LRUShadow:
     def _wrap_llc(self, array, name: str) -> None:
         real = getattr(array, name)
         reference = getattr(self.llc, name)
-        as_fields = victim_fields if name == "fill" else None
+        is_fill = name == "fill"
 
         def call(*args, **kwargs):
             result = real(*args, **kwargs)
             if self.mismatch is None:
                 self.calls += 1
-                want = reference(*args, **kwargs)
-                got = as_fields(result) if as_fields is not None else result
+                try:
+                    want = reference(*args, **kwargs)
+                except ValueError as exc:
+                    self._diverged(f"LLC {name}{args}: {exc}")
+                    return result
+                got = result
+                if is_fill and want >= 0:
+                    got = (result, array.victim_flags, array.victim_pc,
+                           array.victim_core)
+                    want = (want, self.llc.victim_flags, self.llc.victim_pc,
+                            self.llc.victim_core)
                 if got != want:
                     self._diverged(f"LLC {name}{args}: {got!r}, "
                                    f"reference {want!r}")

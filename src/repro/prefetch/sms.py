@@ -33,7 +33,7 @@ from repro.common.addressing import (
 )
 from repro.common.assoc_table import AssociativeTable
 from repro.common.stats import StatGroup, fold_pending
-from repro.cache.agent import EvictedLine, LLCAgent
+from repro.cache.agent import LLCAgent
 
 
 class _Generation:
@@ -137,9 +137,9 @@ class SpatialMemoryStreaming(LLCAgent):
         if victim is not None:
             self._end_generation(victim)
 
-    def on_eviction(self, victim: EvictedLine) -> None:
+    def on_eviction(self, block: int, flags: int) -> None:
         """The first eviction of a block of an active region ends its generation."""
-        region = victim.block_address // self.region_size
+        region = block // self.region_size
         generation = self._agt_sets[hash(region) % self._agt_num_sets].pop(
             region, None)
         if generation is not None:

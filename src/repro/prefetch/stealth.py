@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from repro.common.addressing import BLOCK_SIZE, REGION_SIZE
 from repro.common.assoc_table import AssociativeTable
 from repro.common.stats import StatGroup
-from repro.cache.agent import EvictedLine, LLCAgent
+from repro.cache.agent import LLCAgent
 
 
 @dataclass
@@ -118,9 +118,9 @@ class StealthPrefetcher(LLCAgent):
         self.stats.inc("streams_triggered")
         self.stats.inc("blocks_requested", len(fetch))
 
-    def on_eviction(self, victim: EvictedLine) -> None:
+    def on_eviction(self, block: int, flags: int) -> None:
         """Close the region's generation when one of its blocks is evicted."""
-        region = self._region(victim.block_address)
+        region = self._region(block)
         history = self.table.lookup(region, touch=False)
         if history is None or history.live_pattern == 0:
             return

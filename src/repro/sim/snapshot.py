@@ -75,8 +75,10 @@ __all__ = [
 #: ``cache_engine`` field and the LLC's pickled state carries no
 #: replacement policy.  v5: one DRAM engine, so there is no ``dram_engine``
 #: field, and the memory system's pickled state carries the round-robin
-#: scheduler's queues.
-SNAPSHOT_FORMAT_VERSION = 5
+#: scheduler's queues.  v6: one LLC object, so the state carries no LLC
+#: wrapper or array statistics, and the system's two LLC counts outside
+#: ``counters`` ride with the scalars.
+SNAPSHOT_FORMAT_VERSION = 6
 
 #: Crossbar counters (plain ints on the hot path), captured by name.
 _NOC_COUNTERS = (
@@ -94,6 +96,8 @@ _SCALARS = (
     "_instructions",
     "_measurement_start_core_cycle",
     "_measurement_start_bus_cycle",
+    "_l1_writeback_fills",
+    "_writeback_probes",
 )
 
 #: npz member-name prefix for the native array members.
@@ -220,20 +224,6 @@ def snapshot_fingerprint(workload, config, warmup_accesses: int,
 # --------------------------------------------------------------------- #
 # Capture
 # --------------------------------------------------------------------- #
-def _flush_pending(system: ServerSystem) -> None:
-    """Fold every hot-path pending counter into its StatGroup.
-
-    All of these folds are semantically neutral (every external read goes
-    through the flushing ``stats`` properties anyway); doing them before
-    capture means the pickled StatGroups are complete and the freshly built
-    restore target's zeroed pending ints are correct.
-    """
-    system._flush_dram()
-    system._flush_hot_counters()
-    system.llc.stats  # wrapper pendings -> StatGroup
-    system._llc_array.stats
-
-
 def capture(system: ServerSystem, processed: int,
             source_state: Optional[Dict] = None) -> SystemSnapshot:
     """Freeze ``system`` at a chunk boundary into a :class:`SystemSnapshot`.
@@ -254,7 +244,10 @@ def capture(system: ServerSystem, processed: int,
     their effect on another query.
     """
     _check_no_extra_agents(system)
-    _flush_pending(system)
+    # Semantically neutral at a chunk boundary: the pickled counters are
+    # then complete, and the restore target's zeroed hot ints correct.
+    system._flush_dram()
+    system._flush_hot_counters()
 
     state: Dict[str, object] = {
         "config": system.config,
@@ -267,13 +260,12 @@ def capture(system: ServerSystem, processed: int,
         "bump": system.bump,
         "profiler": system.profiler,
     }
-    llc = system._llc_array
+    llc = system.llc
     arrays = {f"l1_{plane}": array
               for plane, array in system.l1.core_planes().items()}
     for plane in _CACHE_PLANES:
         arrays[f"llc_{plane}"] = getattr(llc, plane).copy()
     state["llc_state"] = _flat_cache_state(llc)
-    state["llc_wrapper_stats"] = system.llc._stats
 
     blob = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
     return SystemSnapshot(
@@ -307,13 +299,12 @@ def _flat_cache_state(cache) -> Dict[str, object]:
     """The non-array state of one :class:`CacheArray`.
 
     The five state planes + tick array travel as native npz members (see
-    :func:`capture`); everything else -- the block->slot index, per-set
-    occupancy and flushed statistics -- pickles here.
+    :func:`capture`); everything else -- the block->slot index and per-set
+    occupancy -- pickles here.
     """
     return {
         "slot_of": cache._slot_of,
         "count": cache._count,
-        "stats": cache._stats,
     }
 
 
@@ -346,13 +337,12 @@ def restore(snapshot: SystemSnapshot, telemetry=None) -> ServerSystem:
     # Planes are written *in place*, so the LLC's memoryview aliases stay
     # valid.
     arrays = snapshot.arrays
-    llc = system._llc_array
+    llc = system.llc
     system.l1.load_core_planes(
         {plane: arrays[f"l1_{plane}"] for plane in _CACHE_PLANES})
     for plane in _CACHE_PLANES:
         np.copyto(getattr(llc, plane), arrays[f"llc_{plane}"])
     _load_flat_cache(llc, state["llc_state"])
-    system.llc._stats = state["llc_wrapper_stats"]
 
     system.memory = state["memory"]
     system.agents = state["agents"]
@@ -372,7 +362,6 @@ def _load_flat_cache(cache, saved: Dict[str, object]) -> None:
     """Adopt captured non-array state into a fresh flat cache."""
     cache._slot_of = saved["slot_of"]
     cache._count = saved["count"]
-    cache._stats = saved["stats"]
 
 
 def _unpickle(blob: bytes, member: str):

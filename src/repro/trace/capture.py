@@ -35,7 +35,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from repro.common.stats import StatGroup
-from repro.cache.agent import EvictedLine, LLCAgent
+from repro.cache.agent import FLAG_DIRTY, FLAG_PREFETCHED, FLAG_USED, LLCAgent
 from repro.trace.buffer import TRACE_DTYPES, TraceBuffer
 
 
@@ -133,7 +133,8 @@ class LLCTraceRecorder(LLCAgent):
 
     ``capacity`` bounds each stream independently; records beyond it are
     counted in ``stats["dropped_records"]`` instead of stored, so attaching a
-    recorder can never make a run's memory unbounded.
+    recorder can never make a run's memory unbounded.  The
+    ``*_recorded`` counts cover stored records only.
     """
 
     name = "llc_recorder"
@@ -162,20 +163,21 @@ class LLCTraceRecorder(LLCAgent):
                   hit: bool) -> None:
         """Record a demand access."""
         if self._record(self._accesses, (core, pc, block, is_store, hit)):
+            self.stats.inc("accesses_recorded")
             if not hit:
                 self._access_misses += 1
-        self.stats.inc("accesses_recorded")
 
     def on_miss(self, core: int, pc: int, block: int, is_store: bool) -> None:
         """Record a demand miss."""
-        self._record(self._misses, (core, pc, block, is_store, False))
-        self.stats.inc("misses_recorded")
+        if self._record(self._misses, (core, pc, block, is_store, False)):
+            self.stats.inc("misses_recorded")
 
-    def on_eviction(self, victim: EvictedLine) -> None:
-        """Record an eviction."""
-        self._record(self._evictions, (victim.block_address, victim.dirty,
-                                       victim.prefetched, victim.used))
-        self.stats.inc("evictions_recorded")
+    def on_eviction(self, block: int, flags: int) -> None:
+        """Record an eviction as ``(block, dirty, prefetched, used)``."""
+        if self._record(self._evictions, (
+                block, bool(flags & FLAG_DIRTY), bool(flags & FLAG_PREFETCHED),
+                bool(flags & FLAG_USED))):
+            self.stats.inc("evictions_recorded")
 
     # ------------------------------------------------------------------ #
     # Boxed views (materialized on demand; sized for inspection, not bulk)

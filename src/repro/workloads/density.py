@@ -27,7 +27,7 @@ from typing import Dict, Optional
 
 from repro.common.addressing import BLOCK_SIZE, REGION_SIZE
 from repro.common.stats import StatGroup
-from repro.cache.agent import EvictedLine, LLCAgent
+from repro.cache.agent import FLAG_DIRTY, LLCAgent
 
 #: Density class boundaries from Figure 5 of the paper.
 LOW_DENSITY_BOUND = 0.25
@@ -147,19 +147,20 @@ class RegionDensityProfiler(LLCAgent):
             lifetime.reads += 1
             self._total_reads += 1
 
-    def on_eviction(self, victim: EvictedLine) -> None:
+    def on_eviction(self, block: int, flags: int) -> None:
         """The first eviction of a block of an active region ends its lifetime."""
-        region = self._region(victim.block_address)
+        region = self._region(block)
         lifetime = self._lifetimes.get(region)
-        if victim.dirty:
+        dirty = bool(flags & FLAG_DIRTY)
+        if dirty:
             self._total_writes += 1
         if lifetime is None:
             return
-        if victim.dirty:
+        if dirty:
             lifetime.writes += 1
         if not lifetime.terminated:
             lifetime.terminated = True
-            lifetime.terminated_by_dirty = victim.dirty
+            lifetime.terminated_by_dirty = dirty
 
     # ------------------------------------------------------------------ #
     # Aggregation

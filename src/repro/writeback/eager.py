@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import OrderedDict
 
 from repro.common.stats import StatGroup
-from repro.cache.agent import EvictedLine, LLCAgent
+from repro.cache.agent import LLCAgent
 
 
 class EagerWriteback(LLCAgent):
@@ -60,9 +60,9 @@ class EagerWriteback(LLCAgent):
             self.stats.inc("eager_drains")
             self.stats.inc("blocks_drained", drained)
 
-    def on_eviction(self, victim: EvictedLine) -> None:
+    def on_eviction(self, block: int, flags: int) -> None:
         """Forget blocks that left the cache on their own."""
-        self._dirty.pop(victim.block_address, None)
+        self._dirty.pop(block, None)
 
     # ------------------------------------------------------------------ #
     # Introspection

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from repro.common.addressing import BLOCK_SIZE, REGION_SIZE
 from repro.common.stats import StatGroup
-from repro.cache.agent import EvictedLine, LLCAgent
+from repro.cache.agent import FLAG_DIRTY, LLCAgent
 
 
 class VirtualWriteQueue(LLCAgent):
@@ -34,18 +34,18 @@ class VirtualWriteQueue(LLCAgent):
         self.region_size = region_size
         self.stats = StatGroup("vwq")
 
-    def on_eviction(self, victim: EvictedLine) -> None:
+    def on_eviction(self, block: int, flags: int) -> None:
         """Request eager writebacks of the blocks adjacent to a dirty victim."""
-        if not victim.dirty:
+        if not flags & FLAG_DIRTY:
             return
 
         self.stats.inc("dirty_evictions_seen")
-        region_base = victim.block_address - (victim.block_address % self.region_size)
+        region_base = block - (block % self.region_size)
         region_limit = region_base + self.region_size
         writebacks = []
         for step in range(1, self.lookahead_blocks + 1):
-            for candidate in (victim.block_address + step * BLOCK_SIZE,
-                              victim.block_address - step * BLOCK_SIZE):
+            for candidate in (block + step * BLOCK_SIZE,
+                              block - step * BLOCK_SIZE):
                 if region_base <= candidate < region_limit:
                     writebacks.append(candidate)
         # Keep only the closest `lookahead_blocks` candidates so the engine

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.cache.agent import EvictedLine
+from repro.cache.agent import FLAG_DIRTY, FLAG_PREFETCHED, FLAG_USED
 
 
 class Requested:
@@ -54,8 +54,9 @@ class AgentHarness:
 
     def evict(self, block: int, dirty: bool = False, prefetched: bool = False,
               used: bool = True) -> Requested:
-        """``on_eviction`` of a line."""
-        victim = EvictedLine(block_address=block, dirty=dirty,
-                             prefetched=prefetched, used=used)
-        assert self.agent.on_eviction(victim) is None
+        """``on_eviction`` of a line with these flag bits."""
+        flags = ((FLAG_DIRTY if dirty else 0)
+                 | (FLAG_PREFETCHED if prefetched else 0)
+                 | (FLAG_USED if used else 0))
+        assert self.agent.on_eviction(block, flags) is None
         return self._take()

@@ -4,7 +4,7 @@ hooks appending to one system-owned action sink."""
 import numpy as np
 
 from agent_harness import AgentHarness
-from repro.cache.agent import LLCAgent
+from repro.cache.agent import FLAG_DIRTY, LLCAgent
 from repro.common.params import CacheParams, SystemParams
 from repro.common.request import DRAMRequestKind
 from repro.sim.config import base_open, bump_vwq_system
@@ -56,9 +56,9 @@ class BulkReader(LLCAgent):
 class DirtyNeighbour(LLCAgent):
     """Eagerly writes back a dirty victim's partner block."""
 
-    def on_eviction(self, victim):
-        if victim.dirty and victim.block_address in PARTNER:
-            self.writebacks.append(PARTNER[victim.block_address])
+    def on_eviction(self, block, flags):
+        if flags & FLAG_DIRTY and block in PARTNER:
+            self.writebacks.append(PARTNER[block])
 
 
 def _record_transfers(system) -> list:

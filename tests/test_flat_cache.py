@@ -22,7 +22,7 @@ from repro.cache.flat import (
     CacheArray,
 )
 from repro.common.params import CacheParams, SystemParams
-from repro.fuzz.reference_lru import LRUShadow, ReferenceLRU, victim_fields
+from repro.fuzz.reference_lru import LRUShadow, ReferenceLRU
 from repro.sim.config import named_configs
 from repro.sim.runner import build_trace
 from repro.sim.system import ServerSystem
@@ -38,12 +38,10 @@ def small_flat(size=4 * 1024, assoc=4):
 def test_miss_fill_hit_and_dirty():
     cache = small_flat()
     assert cache.demand_access(0x1000, False) == -1
-    assert cache.fill(0x1000) is None
+    assert cache.fill(0x1000) == -1
     assert cache.demand_access(0x1000, False) == FLAG_USED  # the prior flags
-    cache.demand_access(0x1000, True)
-    assert line_flags(cache, 0x1000) & FLAG_DIRTY
-    assert cache.stats["hits"] == 2
-    assert cache.stats["misses"] == 1
+    assert cache.demand_access(0x1000, True) == FLAG_USED
+    assert line_flags(cache, 0x1000) == FLAG_USED | FLAG_DIRTY
 
 
 def test_lru_eviction_order_matches_dict_semantics():
@@ -53,9 +51,7 @@ def test_lru_eviction_order_matches_dict_semantics():
     for block in blocks[:4]:
         cache.fill(block)
     cache.demand_access(blocks[0], False)  # promote block 0
-    victim = cache.fill(blocks[4])
-    assert victim is not None
-    assert victim.block_address == blocks[1]
+    assert cache.fill(blocks[4]) == blocks[1]
     assert cache.contains(blocks[0])
 
 
@@ -65,12 +61,14 @@ def test_prefetched_line_lifecycle_and_counters():
     assert line_flags(cache, 0x100) == FLAG_PREFETCHED
     assert cache.demand_access(0x100, False) == FLAG_PREFETCHED
     assert line_flags(cache, 0x100) & FLAG_USED
-    assert cache.stats["prefetch_hits"] == 1
     stride = cache.num_sets * 64
-    cache.fill(0x200, prefetched=True)
-    for i in range(1, 5):
+    cache.fill(0x200, prefetched=True, pc=0x51, core=2)
+    for i in range(1, 4):
         cache.fill(0x200 + i * stride)
-    assert cache.stats["unused_prefetch_evictions"] == 1
+    assert cache.fill(0x200 + 4 * stride) == 0x200
+    # Evicted unused: the system counts it as an overfetch.
+    assert (cache.victim_flags, cache.victim_pc, cache.victim_core) == (
+        FLAG_PREFETCHED, 0x51, 2)
 
 
 def test_clean_and_touch_set_dirty():
@@ -104,7 +102,9 @@ OPERATIONS = ("access", "write", "fill", "prefetch", "clean", "touch",
 
 def test_lru_stamps_reproduce_dict_order_under_long_streams():
     """Every call agrees with the reference LRU, and so does every set's
-    recency order read from the ``stamps`` plane."""
+    recency order read from the ``stamps`` plane.  Fills, like the
+    simulator's, only ever name an absent block; a fill's victim is
+    compared with its flag byte, PC and core."""
     params = CacheParams(size_bytes=2 * 1024, associativity=4)
     flat = CacheArray(params)
     reference = ReferenceLRU(params.num_sets, params.associativity)
@@ -119,9 +119,15 @@ def test_lru_stamps_reproduce_dict_order_under_long_streams():
         elif op in ("fill", "prefetch"):
             kwargs = dict(dirty=rng.random() < 0.3, prefetched=op == "prefetch",
                           pc=rng.randrange(64), core=rng.randrange(4))
-            got = victim_fields(flat.fill(block, **kwargs))
+            if reference.contains(block):
+                continue
+            got = flat.fill(block, **kwargs)
             want = reference.fill(block, **kwargs)
-            victims += want is not None
+            if want >= 0:
+                victims += 1
+                got = (got, flat.victim_flags, flat.victim_pc, flat.victim_core)
+                want = (want, reference.victim_flags, reference.victim_pc,
+                        reference.victim_core)
         elif op == "clean":
             got, want = flat.clean(block), reference.clean(block)
         elif op == "touch":
@@ -151,10 +157,10 @@ def test_system_cache_calls_match_the_reference_lru(config_name):
         system=system_params)
     system = ServerSystem(config)
     shadow = LRUShadow(system)
-    system.run(build_trace("web_search", 3_000, num_cores=8),
-               warmup_accesses=1_200)
+    result = system.run(build_trace("web_search", 3_000, num_cores=8),
+                        warmup_accesses=1_200)
     assert shadow.mismatch is None
-    assert system.llc.array_stats["evictions"] > 0
+    assert result.counters["llc_evictions"] > 0
 
 
 def test_stamps_stay_monotonic_across_evictions():

@@ -13,6 +13,8 @@ from repro.fuzz import (
     save_spec,
     spec_fingerprint,
 )
+from repro.scenario.compiler import iter_scenario_chunks
+from repro.sim.system import ServerSystem
 
 CORPUS_DIR = Path(__file__).parent / "fuzz_corpus"
 
@@ -34,6 +36,29 @@ class TestCorpusReplay:
         # Corpus entries run inside tier-1 on every push: keep them short.
         assert case.total_accesses <= 2000, (
             f"{path.name} is too large for the regression corpus")
+
+
+def test_small_llc_spec_streams_bulk_writebacks_from_evictions():
+    """The ``bump`` spec with a 64 KB LLC evicts after warmup, and BuMP's
+    eviction hook streams bulk writebacks that the eviction applies."""
+    case = materialize(load_spec(CORPUS_DIR / "bump-small-llc.json"))
+    system = ServerSystem(case.config, workload_name=case.scenario.name)
+    handle = system._handle_llc_eviction
+    streaming = []
+
+    def handle_eviction(*args):
+        before = system._h_bulk_writebacks
+        handle(*args)
+        streaming.append(system._h_bulk_writebacks > before)
+
+    system._handle_llc_eviction = handle_eviction
+    chunks = iter_scenario_chunks(case.scenario, seed=case.seed,
+                                  chunk_size=case.chunk_size)
+    result = system.run(chunks, warmup_accesses=case.warmup_accesses)
+    assert case.config.system.llc.size_bytes == 64 * 1024
+    assert result.counters["llc_evictions"] > 100
+    assert result.counters["bulk_writebacks"] > 0
+    assert sum(streaming) >= 2
 
 
 class TestCorpusHygiene:

@@ -18,8 +18,8 @@ from repro.fuzz import (
 #: ``python -c "from repro.fuzz import corpus_fingerprint;
 #: print(corpus_fingerprint(0), corpus_fingerprint(1))"`` and update both
 #: pins in the same commit.
-_PINNED_STREAM_0 = "a86673678b5bc1022a6f2f20b8557d23"
-_PINNED_STREAM_1 = "9b04f5748f6c92ad0d6f490faaaf10b9"
+_PINNED_STREAM_0 = "ef7181cd3f0d97e556a285a4a038f8bf"
+_PINNED_STREAM_1 = "5c14901642c57f805b987a37fbc5bca4"
 
 
 class TestDeterminism:
@@ -60,6 +60,8 @@ class TestValidity:
         assert {c.config.timing_model for c in cases} == {"analytic", "interval"}
         assert {c.config.scheduler for c in cases} == {
             "frfcfs", "fcfs", "bank_round_robin"}
+        assert {c.config.system.llc.size_bytes // 1024 for c in cases} == {
+            32, 64, 128, 4096}
         assert any(c.warmup_fraction == 0.0 for c in cases)
         assert any(p.bursts for c in cases for p in c.scenario.phases)
         assert any(len(p.active_cores) < c.scenario.num_cores

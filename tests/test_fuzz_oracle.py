@@ -102,10 +102,11 @@ class TestCounterIdentities:
 
     def test_a_violation_names_the_identity_and_both_sides(self):
         result = _run_cell(materialize(SPEC))
-        misses = int(result.counters["llc_misses"])
-        result.llc.inc("demand_misses")
+        accesses = int(result.dram["accesses"])
+        result.dram.inc("row_conflicts")
         assert identity_problems(result) == [
-            f"llc demand_misses = llc_misses: {misses + 1} != {misses}"]
+            "row_hits + row_misses + row_conflicts = dram accesses: "
+            f"{accesses + 1} != {accesses}"]
 
     def test_the_oracle_checks_every_cell(self, monkeypatch):
         """A counting bug shared by every run moves no fingerprint apart;
@@ -175,13 +176,16 @@ class TestMaterialize:
                                         "interleaving": "block",
                                         "timing_model": "interval",
                                         "arrival_cpi": 3.5,
-                                        "scheduler": "bank_round_robin"}}
+                                        "scheduler": "bank_round_robin",
+                                        "llc_bytes": 65536}}
         config = materialize(spec).config
         assert config.page_policy.name == "CLOSE"
         assert config.interleaving == "block"
         assert config.timing_model == "interval"
         assert config.arrival_cpi == 3.5
         assert config.scheduler == "bank_round_robin"
+        assert config.system.llc.size_bytes == 65536
+        assert config.system.llc.associativity == 16
 
     def test_unknown_override_is_rejected(self):
         spec = dict(SPEC)
@@ -208,4 +212,13 @@ class TestMaterialize:
         spec["config"] = {"base": "base_open",
                           "overrides": {"scheduler": "write_drain"}}
         with pytest.raises(ValueError, match="write_drain"):
+            materialize(spec)
+
+    @pytest.mark.parametrize("size", [16 * 1024, 8 * 1024 * 1024, 96 * 1024,
+                                      "65536", 65536.0, True])
+    def test_bad_llc_bytes_is_rejected(self, size):
+        spec = dict(SPEC)
+        spec["config"] = {"base": "base_open",
+                          "overrides": {"llc_bytes": size}}
+        with pytest.raises(ValueError, match="llc_bytes"):
             materialize(spec)

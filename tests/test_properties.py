@@ -19,6 +19,7 @@ from repro.common.params import CacheParams, DRAMOrganization
 from repro.common.stats import StatGroup
 from repro.cache.flat import FLAG_DIRTY, CacheArray
 from repro.dram.address_mapping import make_block_interleaving, make_region_interleaving
+from repro.fuzz.reference_lru import ReferenceLRU
 from repro.energy.dram_energy import DRAMEnergyModel
 
 addresses = st.integers(min_value=0, max_value=2**40 - 1)
@@ -98,8 +99,8 @@ def test_cache_dirty_data_is_never_silently_dropped(operations):
         block = block_number * BLOCK_SIZE
         if cache.demand_access(block, is_write) < 0:
             victim = cache.fill(block, dirty=is_write)
-            if victim is not None and victim.dirty:
-                dirty.discard(victim.block_address)
+            if victim >= 0 and cache.victim_flags & FLAG_DIRTY:
+                dirty.discard(victim)
         if is_write:
             dirty.add(block)
     for block in dirty:
@@ -111,13 +112,24 @@ def test_cache_dirty_data_is_never_silently_dropped(operations):
 @given(st.lists(st.integers(0, 300), min_size=1, max_size=300))
 @settings(max_examples=50, deadline=None)
 def test_cache_hits_plus_misses_equals_accesses(blocks):
-    cache = CacheArray(CacheParams(size_bytes=2 * 1024,
-                                                associativity=2))
+    """Each access is one hit or one miss, as the reference LRU says.
+
+    The array counts nothing; the system counts the outcomes its
+    ``demand_access`` calls return (``llc_hits``, ``llc_misses``).
+    """
+    cache = CacheArray(CacheParams(size_bytes=2 * 1024, associativity=2))
+    reference = ReferenceLRU(cache.num_sets, cache.ways)
+    hits = misses = 0
     for block_number in blocks:
         block = block_number * BLOCK_SIZE
-        if cache.demand_access(block, False) < 0:
-            cache.fill(block)
-    assert cache.stats["hits"] + cache.stats["misses"] == len(blocks)
+        hit = cache.demand_access(block, False) >= 0
+        assert hit == (reference.demand_access(block, False) >= 0)
+        if hit:
+            hits += 1
+        else:
+            misses += 1
+            assert cache.fill(block) == reference.fill(block)
+    assert hits + misses == len(blocks)
 
 
 # --------------------------------------------------------------------- #

@@ -313,6 +313,15 @@ class TestValidation:
         with pytest.raises(ValueError, match="format v3 is not supported"):
             load_snapshot(path)
 
+    def test_format_v5_file_is_rejected(self, tmp_path):
+        # v5 pickled the LLC wrapper's and array's statistics, which v6
+        # derives from the system's counters instead.
+        path = tmp_path / "v5.npz"
+        write_snapshot(path)
+        rewrite_meta(path, format_version=5)
+        with pytest.raises(ValueError, match="snapshot format v5 is not supported"):
+            load_snapshot(path)
+
     @pytest.mark.parametrize("kind", sorted(BROKEN))
     def test_damaged_container_is_rejected(self, tmp_path, kind):
         path = tmp_path / f"{kind}.npz"

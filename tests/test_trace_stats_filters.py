@@ -114,9 +114,18 @@ class TestLLCTraceRecorder:
     def test_capacity_bounds_memory(self):
         recorder = LLCTraceRecorder(capacity=10)
         trace = build_trace("web_serving", 4_000, seed=5)
-        run_trace(trace, base_open(), warmup_fraction=0.0, extra_agents=[recorder])
-        assert len(recorder.accesses) == 10
-        assert recorder.stats["dropped_records"] > 0
+        result = run_trace(trace, base_open(), warmup_fraction=0.0,
+                           extra_agents=[recorder])
+        assert len(recorder.accesses) == len(recorder.misses) == 10
+        # Only stored rows count as recorded; every other row is dropped.
+        stats = result.predictor
+        assert stats["accesses_recorded"] == stats["misses_recorded"] == 10
+        counters = result.counters
+        observed = (counters["llc_hits"] + 2 * counters["llc_misses"]
+                    + counters["llc_evictions"])
+        recorded = (stats["accesses_recorded"] + stats["misses_recorded"]
+                    + stats["evictions_recorded"])
+        assert stats["dropped_records"] == observed - recorded > 0
 
     def test_clear_resets_everything(self):
         recorder = LLCTraceRecorder()
