@@ -6,8 +6,8 @@ Measures the two stages of the trace pipeline:
   batched vector draws scattered straight into ``TraceBuffer`` columns).
 * **End-to-end simulation** -- feeding the simulator one materialized
   ``TraceBuffer`` versus streaming generator chunks through the chunk loop
-  (``run_workload_streaming``, which regenerates the trace inside the
-  measured window).
+  (``run_workload``, which regenerates the trace inside the measured
+  window).
 
 The results are written as a JSON trajectory file
 (``BENCH_trace_pipeline.json`` by default) so CI can archive one point per
@@ -32,7 +32,7 @@ from pathlib import Path
 
 from repro import __version__
 from repro.sim.config import base_open
-from repro.sim.runner import run_trace, run_workload_streaming
+from repro.sim.runner import run_trace, run_workload
 from repro.trace.buffer import TraceBuffer
 from repro.trace.io import load_trace_buffer, save_trace
 from repro.workloads.catalog import get_workload
@@ -75,8 +75,8 @@ def bench_simulation(spec, accesses: int) -> dict:
     materialized_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    run_workload_streaming(spec, config, num_accesses=accesses, num_cores=CORES,
-                           seed=SEED, warmup_fraction=0.5)
+    run_workload(spec, config, num_accesses=accesses, num_cores=CORES,
+                 seed=SEED, warmup_fraction=0.5)
     streamed_seconds = time.perf_counter() - start
 
     materialized_rate = _rate(accesses, materialized_seconds)

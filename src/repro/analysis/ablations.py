@@ -3,7 +3,7 @@
 DESIGN.md calls out a handful of design choices the paper asserts but does
 not sweep, plus the Section VI/VII discussion points.  Each function here is
 an experiment in the same style as :mod:`repro.analysis.experiments`
-(plain-dict results, shared result cache) covering one of them:
+(plain-dict results, shared result memo) covering one of them:
 
 * :func:`rdtt_sizing` -- how read coverage depends on the RDTT geometry (the
   Software Testing discussion of Section V.B);
@@ -23,7 +23,10 @@ an experiment in the same style as :mod:`repro.analysis.experiments`
 
 Every study accepts ``workers``: with more than one, its simulation grid is
 fanned out through the campaign engine (:mod:`repro.exec`) before the
-aggregation loops run, which then hit only warm caches.
+aggregation loops run, which then hit only the warm result memo.  The memo
+is keyed by configuration content, so a study's cell that builds the same
+system as a main-figure run (BuMP under FR-FCFS, region interleaving or the
+analytic timing model) reuses that run.
 """
 
 from __future__ import annotations
@@ -54,20 +57,20 @@ def _average(values: List[float]) -> float:
     return sum(values) / len(values) if values else 0.0
 
 
-def _precompute(configs_by_key: Dict[str, SystemConfig], workloads: List[str],
+def _precompute(configs: Iterable[SystemConfig], workloads: List[str],
                 num_accesses: Optional[int], workers: Optional[int],
                 seed: int = DEFAULT_SEED) -> None:
     """Fan a study's (workload x configuration) grid out as one campaign.
 
-    Results are seeded into the shared experiment result cache under the
-    study's cache keys, so the subsequent serial aggregation loop (which
-    still calls :func:`repro.analysis.experiments._run`) never simulates.
-    No-op for ``workers`` of one or ``None`` -- the study then runs serially
-    exactly as before.
+    Results land in the shared experiment result memo, keyed by content,
+    so the subsequent serial aggregation loop (which still calls
+    :func:`repro.analysis.experiments._run`) never simulates.  No-op for
+    ``workers`` of one or ``None`` -- the study then runs serially exactly
+    as before.
     """
     if not workers or workers <= 1:
         return
-    precompute_results(configs_by_key, workloads, num_accesses=num_accesses,
+    precompute_results(configs, workloads, num_accesses=num_accesses,
                        seed=seed, workers=workers)
 
 
@@ -86,19 +89,16 @@ def rdtt_sizing(entry_counts: Iterable[int] = (64, 256, 1024, 2048),
     """
     results: Dict[int, Dict[str, float]] = {}
     selected = _workloads(workloads)
-    entry_counts = list(entry_counts)
-    _precompute(
-        {f"bump_rdtt{entries}": bump_system(
+    configs = {
+        entries: bump_system(
             bump=BuMPConfig(trigger_entries=entries, density_entries=entries))
-         for entries in entry_counts},
-        selected, num_accesses, workers)
-    for entries in entry_counts:
-        bump_config = BuMPConfig(trigger_entries=entries, density_entries=entries)
-        config = bump_system(bump=bump_config)
-        key = f"bump_rdtt{entries}"
+        for entries in entry_counts
+    }
+    _precompute(configs.values(), selected, num_accesses, workers)
+    for entries, config in configs.items():
         coverage, overfetch = [], []
         for workload in selected:
-            result = _run(workload, config, config_key=key, num_accesses=num_accesses)
+            result = _run(workload, config, num_accesses=num_accesses)
             coverage.append(result.read_coverage)
             overfetch.append(result.read_overfetch)
         results[entries] = {
@@ -115,20 +115,18 @@ def predictor_table_sizing(entry_counts: Iterable[int] = (128, 512, 1024, 4096),
     """Write coverage and extra writebacks as the BHT and DRT grow together."""
     results: Dict[int, Dict[str, float]] = {}
     selected = _workloads(workloads)
-    entry_counts = list(entry_counts)
-    grid = {f"bump_bhtdrt{entries}": bump_system(
-        bump=BuMPConfig(bht_entries=entries, drt_entries=entries))
-        for entries in entry_counts}
-    grid["base_open"] = base_open()
-    _precompute(grid, selected, num_accesses, workers)
-    for entries in entry_counts:
-        bump_config = BuMPConfig(bht_entries=entries, drt_entries=entries)
-        config = bump_system(bump=bump_config)
-        key = f"bump_bhtdrt{entries}"
+    configs = {
+        entries: bump_system(
+            bump=BuMPConfig(bht_entries=entries, drt_entries=entries))
+        for entries in entry_counts
+    }
+    _precompute([*configs.values(), base_open()], selected, num_accesses,
+                workers)
+    for entries, config in configs.items():
         write_cov, read_cov, extra = [], [], []
         for workload in selected:
             baseline = _run(workload, base_open(), num_accesses=num_accesses)
-            result = _run(workload, config, config_key=key, num_accesses=num_accesses)
+            result = _run(workload, config, num_accesses=num_accesses)
             write_cov.append(result.write_coverage)
             read_cov.append(result.read_coverage)
             baseline_writes = max(baseline.total_dram_writes, 1.0)
@@ -152,29 +150,13 @@ def scheduler_policy_study(policies: Iterable[str] = ("fcfs", "frfcfs", "bank_ro
 
     Section VI argues BuMP composes with fairness-oriented scheduling because
     server cores execute near-identical instruction streams; this study
-    quantifies how much row locality each policy preserves.
+    quantifies how much row locality each policy preserves.  FR-FCFS is the
+    paper's default scheduler, so its cells are the main figures' BuMP runs.
     """
-    results: Dict[str, Dict[str, float]] = {}
     selected = _workloads(workloads)
-    policies = list(policies)
-    _precompute(
-        {("bump" if policy == "frfcfs" else f"bump_sched_{policy}"):
-         bump_system().with_overrides(scheduler=policy) for policy in policies},
-        selected, num_accesses, workers)
-    for policy in policies:
-        config = bump_system().with_overrides(scheduler=policy)
-        # FR-FCFS is the paper's default scheduler, so reuse the cached BuMP runs.
-        key = "bump" if policy == "frfcfs" else f"bump_sched_{policy}"
-        hits, energy = [], []
-        for workload in selected:
-            result = _run(workload, config, config_key=key, num_accesses=num_accesses)
-            hits.append(result.row_buffer_hit_ratio)
-            energy.append(result.memory_energy_per_access_nj)
-        results[policy] = {
-            "row_buffer_hit_ratio": _average(hits),
-            "energy_per_access_nj": _average(energy),
-        }
-    return results
+    configs = {policy: bump_system().with_overrides(scheduler=policy)
+               for policy in policies}
+    return _hits_and_energy(configs, selected, num_accesses, workers)
 
 
 def interleaving_sensitivity(workloads: Optional[Iterable[str]] = None,
@@ -185,25 +167,28 @@ def interleaving_sensitivity(workloads: Optional[Iterable[str]] = None,
     Region interleaving maps a 1KB region onto a single DRAM row so a bulk
     transfer amortises one activation; block interleaving spreads the same
     region over sixteen banks and forfeits that amortisation even though the
-    predictor behaves identically.
+    predictor behaves identically.  The region-interleaved variant is the
+    default BuMP system, so only the block-interleaved cells are new.
     """
-    results: Dict[str, Dict[str, float]] = {}
     selected = _workloads(workloads)
-    _precompute(
-        {"bump": bump_system(),
-         "bump_interleave_block": bump_system().with_overrides(interleaving="block")},
-        selected, num_accesses, workers)
-    for interleaving in ("region", "block"):
-        config = bump_system().with_overrides(interleaving=interleaving)
-        # The region-interleaved variant is the default BuMP system, so reuse
-        # its cached runs; only the block-interleaved variant is new.
-        key = "bump" if interleaving == "region" else "bump_interleave_block"
+    configs = {interleaving: bump_system().with_overrides(interleaving=interleaving)
+               for interleaving in ("region", "block")}
+    return _hits_and_energy(configs, selected, num_accesses, workers)
+
+
+def _hits_and_energy(configs: Dict[str, SystemConfig], selected: List[str],
+                     num_accesses: Optional[int],
+                     workers: Optional[int]) -> Dict[str, Dict[str, float]]:
+    """Workload-averaged row-buffer hit ratio and energy per access."""
+    _precompute(configs.values(), selected, num_accesses, workers)
+    results: Dict[str, Dict[str, float]] = {}
+    for label, config in configs.items():
         hits, energy = [], []
         for workload in selected:
-            result = _run(workload, config, config_key=key, num_accesses=num_accesses)
+            result = _run(workload, config, num_accesses=num_accesses)
             hits.append(result.row_buffer_hit_ratio)
             energy.append(result.memory_energy_per_access_nj)
-        results[interleaving] = {
+        results[label] = {
             "row_buffer_hit_ratio": _average(hits),
             "energy_per_access_nj": _average(energy),
         }
@@ -230,11 +215,11 @@ def writeback_mechanism_study(workloads: Optional[Iterable[str]] = None,
     }
     results: Dict[str, Dict[str, float]] = {}
     selected = _workloads(workloads)
-    _precompute(systems, selected, num_accesses, workers)
+    _precompute(systems.values(), selected, num_accesses, workers)
     for name, config in systems.items():
         coverage, hits, writes = [], [], []
         for workload in selected:
-            result = _run(workload, config, config_key=name, num_accesses=num_accesses)
+            result = _run(workload, config, num_accesses=num_accesses)
             coverage.append(result.write_coverage)
             hits.append(result.row_buffer_hit_ratio)
             writes.append(result.total_dram_writes)
@@ -254,7 +239,8 @@ def prefetcher_comparison(workloads: Optional[Iterable[str]] = None,
     Reports coverage, overfetch and row-buffer locality for each mechanism --
     the trade-off Section VII draws between address-correlated and
     code-correlated schemes (their storage costs are compared separately by
-    the Section VI scalability analysis).
+    the Section VI scalability analysis).  Runs shared with the main figures
+    (base_open as "stride", sms, bump) are reused.
     """
     systems = {
         "nextline": nextline_system(),
@@ -265,15 +251,11 @@ def prefetcher_comparison(workloads: Optional[Iterable[str]] = None,
     }
     results: Dict[str, Dict[str, float]] = {}
     selected = _workloads(workloads)
-    _precompute({config.name: config for config in systems.values()},
-                selected, num_accesses, workers)
+    _precompute(systems.values(), selected, num_accesses, workers)
     for name, config in systems.items():
         coverage, overfetch, hits = [], [], []
         for workload in selected:
-            # Key the cache by the underlying configuration name so runs shared
-            # with the main figures (base_open, sms, bump) are reused.
-            result = _run(workload, config, config_key=config.name,
-                          num_accesses=num_accesses)
+            result = _run(workload, config, num_accesses=num_accesses)
             coverage.append(result.read_coverage)
             overfetch.append(result.read_overfetch)
             hits.append(result.row_buffer_hit_ratio)
@@ -295,27 +277,23 @@ def timing_model_sensitivity(workloads: Optional[Iterable[str]] = None,
 
     The claim that bulk streaming helps performance should not hinge on the
     fixed-MLP assumption of the default model; this study recomputes the
-    speedup with the interval (ROB/MSHR-derived) model.
+    speedup with the interval (ROB/MSHR-derived) model.  The analytic model
+    is the default, so those runs are shared with the main figures.
     """
     results: Dict[str, Dict[str, float]] = {}
     selected = _workloads(workloads)
-    grid: Dict[str, SystemConfig] = {}
-    for model in ("analytic", "interval"):
-        suffix = "" if model == "analytic" else f"_{model}"
-        grid[f"base_open{suffix}"] = base_open().with_overrides(timing_model=model)
-        grid[f"bump{suffix}"] = bump_system().with_overrides(timing_model=model)
-    _precompute(grid, selected, num_accesses, workers)
-    for model in ("analytic", "interval"):
+    pairs = {
+        model: (base_open().with_overrides(timing_model=model),
+                bump_system().with_overrides(timing_model=model))
+        for model in ("analytic", "interval")
+    }
+    _precompute([config for pair in pairs.values() for config in pair],
+                selected, num_accesses, workers)
+    for model, (base_config, bump_config) in pairs.items():
         speedups = []
         for workload in selected:
-            # The analytic model is the default, so those runs are shared with
-            # the main figures; only the interval-model runs are new.
-            base_key = "base_open" if model == "analytic" else f"base_open_{model}"
-            bump_key = "bump" if model == "analytic" else f"bump_{model}"
-            base = _run(workload, base_open().with_overrides(timing_model=model),
-                        config_key=base_key, num_accesses=num_accesses)
-            bump = _run(workload, bump_system().with_overrides(timing_model=model),
-                        config_key=bump_key, num_accesses=num_accesses)
+            base = _run(workload, base_config, num_accesses=num_accesses)
+            bump = _run(workload, bump_config, num_accesses=num_accesses)
             speedups.append(bump.throughput_ipc / max(base.throughput_ipc, 1e-12) - 1.0)
         results[model] = {"bump_speedup_over_base_open": _average(speedups)}
     return results

@@ -3,9 +3,12 @@
 Every function returns plain dictionaries shaped like the corresponding
 figure's data series so the benchmark harness, the examples and EXPERIMENTS.md
 can consume them directly.  Results of individual (workload, configuration)
-simulations are cached in-process: several figures reuse the same runs (e.g.
-Figures 2, 9, 10 and 13 all need the open-row baseline), and re-simulating
-them would dominate the harness run time.
+simulations are memoized in-process under their job's content fingerprint
+(:meth:`repro.exec.jobs.JobSpec.result_fingerprint`): several figures reuse
+the same runs (e.g. Figures 2, 9, 10 and 13 all need the open-row baseline),
+and re-simulating them would dominate the harness run time.  Two
+configurations share a memo entry exactly when they build the identical
+system, whatever they are named.
 
 The default trace length is read from the ``REPRO_EXPERIMENT_ACCESSES``
 environment variable so CI or a laptop can dial the fidelity/runtime
@@ -14,8 +17,9 @@ trade-off without touching code.
 Simulations are executed through the campaign engine (:mod:`repro.exec`):
 ``_run`` funnels single runs through :func:`repro.exec.campaign.run_job` so
 they hit the on-disk artifact store when ``REPRO_ARTIFACT_DIR`` is set, and
-:func:`run_experiment_campaign` fans the whole figure matrix out across
-worker processes and seeds the in-process cache the figure functions read.
+:func:`precompute_results` (behind :func:`run_experiment_campaign`) fans
+whole grids out across worker processes and fills the memo the figure
+functions read, skipping cells it already holds.
 """
 
 from __future__ import annotations
@@ -36,7 +40,8 @@ from repro.workloads.catalog import workload_names
 DEFAULT_ACCESSES = int(os.environ.get("REPRO_EXPERIMENT_ACCESSES", "240000"))
 DEFAULT_SEED = int(os.environ.get("REPRO_EXPERIMENT_SEED", "42"))
 
-_RESULT_CACHE: Dict[Tuple, SimulationResult] = {}
+#: Simulation results keyed by :meth:`JobSpec.result_fingerprint`.
+_RESULT_CACHE: Dict[str, SimulationResult] = {}
 
 
 def clear_result_cache() -> None:
@@ -44,53 +49,32 @@ def clear_result_cache() -> None:
     _RESULT_CACHE.clear()
 
 
-def seed_result_cache(workload: str, config_key: str, num_accesses: int,
-                      seed: int, result: SimulationResult) -> None:
-    """Publish one result under the key the figure functions look up.
-
-    This is the supported way for campaign-style precompute paths (the
-    ablation studies, the benchmark harness) to warm this module's cache
-    without reaching into its internals.
-    """
-    _RESULT_CACHE[(workload, config_key, num_accesses, seed)] = result
-
-
-def cached_result(workload: str, config_key: str, num_accesses: int,
-                  seed: int) -> Optional[SimulationResult]:
-    """Return a cached result, or ``None`` when that cell has not run yet."""
-    return _RESULT_CACHE.get((workload, config_key, num_accesses, seed))
-
-
-def precompute_results(configs_by_key: Dict[str, SystemConfig],
+def precompute_results(configs: Iterable[SystemConfig],
                        workloads: Iterable[str],
                        num_accesses: Optional[int] = None,
                        seed: int = DEFAULT_SEED,
                        workers: int = 1,
                        store: Optional[ArtifactStore] = None,
                        progress: Optional[CampaignProgress] = None) -> CampaignResult:
-    """Run a keyed (configuration x workload) grid as one campaign.
+    """Run a (configuration x workload) grid as one campaign.
 
-    Cells already present in the result cache are skipped; every simulated
-    or store-restored cell is seeded back under its key, so the serial
-    aggregation loops that follow are pure lookups.  This is the shared
-    engine behind :func:`run_experiment_campaign` sidekicks like
+    Cells already in the result memo are skipped, and configurations with
+    identical content run once; every simulated or store-restored cell is
+    memoized, so the serial aggregation loops that follow are pure lookups.
+    This is the shared engine behind :func:`run_experiment_campaign`,
     :func:`precompute_design_space` and the ablation studies' ``workers=``
     support.
     """
     accesses = num_accesses if num_accesses is not None else DEFAULT_ACCESSES
-    keyed_jobs = [
-        (key, JobSpec(workload=workload, config=config, num_accesses=accesses,
-                      seed=seed))
-        for key, config in configs_by_key.items()
-        for workload in workloads
-        if cached_result(workload, key, accesses, seed) is None
-    ]
-    outcome = run_campaign([job for _, job in keyed_jobs],
-                           store=store if store is not None else default_store(),
-                           workers=workers, progress=progress)
-    for (key, job), job_outcome in zip(keyed_jobs, outcome.outcomes):
-        seed_result_cache(job.workload.name, key, accesses, seed,
-                          job_outcome.result)
+    grid = JobGrid(workloads=list(workloads), configs=list(configs),
+                   seeds=(seed,), num_accesses=accesses)
+    jobs = [job for job in grid.expand()
+            if job.result_fingerprint() not in _RESULT_CACHE]
+    outcome = run_campaign(jobs, store=store if store is not None
+                           else default_store(), workers=workers,
+                           progress=progress)
+    for job_outcome in outcome.outcomes:
+        _RESULT_CACHE[job_outcome.job.result_fingerprint()] = job_outcome.result
     return outcome
 
 
@@ -98,23 +82,22 @@ def design_space_accesses(num_accesses: Optional[int] = None) -> int:
     """Trace length of the Figure 11 sweep (half the default, floored).
 
     Single source of truth shared by the example report, the benchmark
-    harness and the precompute path -- the sweep's cache cells only line up
+    harness and the precompute path -- the sweep's memo cells only line up
     when every caller computes the same length.
     """
     accesses = num_accesses if num_accesses is not None else DEFAULT_ACCESSES
     return max(accesses // 2, 60_000)
 
 
-def _run(workload: str, config: SystemConfig, config_key: Optional[str] = None,
+def _run(workload: str, config: SystemConfig,
          num_accesses: Optional[int] = None, seed: int = DEFAULT_SEED) -> SimulationResult:
-    """Run (or fetch from the cache) one workload under one configuration."""
+    """Run (or fetch from the memo) one workload under one configuration."""
     accesses = num_accesses if num_accesses is not None else DEFAULT_ACCESSES
-    key = (workload, config_key or config.name, accesses, seed)
-    if key in _RESULT_CACHE:
-        return _RESULT_CACHE[key]
     job = JobSpec(workload=workload, config=config, num_accesses=accesses, seed=seed)
-    result = run_job(job, store=default_store())
-    _RESULT_CACHE[key] = result
+    key = job.result_fingerprint()
+    result = _RESULT_CACHE.get(key)
+    if result is None:
+        result = _RESULT_CACHE[key] = run_job(job, store=default_store())
     return result
 
 
@@ -128,23 +111,15 @@ def run_experiment_campaign(workloads: Optional[Iterable[str]] = None,
     """Precompute the (workload x system) figure matrix as one campaign.
 
     Results land in both the artifact store (when one is configured) and the
-    in-process result cache, so every subsequent ``figureN_*`` call is a pure
+    in-process result memo, so every subsequent ``figureN_*`` call is a pure
     lookup.  ``systems`` defaults to the paper's eight evaluated
     configurations; extended (ablation) names are accepted too.
     """
-    selected = _workloads(workloads)
     names = list(systems) if systems is not None else list(named_configs())
-    configs = named_configs(names)
-    accesses = num_accesses if num_accesses is not None else DEFAULT_ACCESSES
-    grid = JobGrid(workloads=selected, configs=list(configs.values()),
-                   seeds=(seed,), num_accesses=accesses)
-    outcome = run_campaign(grid.expand(), store=store if store is not None
-                           else default_store(), workers=workers, progress=progress)
-    for job_outcome in outcome.outcomes:
-        job = job_outcome.job
-        seed_result_cache(job.workload.name, job.config.name, job.num_accesses,
-                          job.seed, job_outcome.result)
-    return outcome
+    return precompute_results(named_configs(names).values(),
+                              _workloads(workloads), num_accesses=num_accesses,
+                              seed=seed, workers=workers, store=store,
+                              progress=progress)
 
 
 def _workloads(workloads: Optional[Iterable[str]]) -> List[str]:
@@ -327,6 +302,19 @@ def figure10_performance(workloads: Optional[Iterable[str]] = None,
 # --------------------------------------------------------------------- #
 # Figure 11 -- design space exploration (region size x density threshold)
 # --------------------------------------------------------------------- #
+def _design_space_configs(region_sizes: Iterable[int],
+                          threshold_fractions: Iterable[float]
+                          ) -> Dict[Tuple[int, float], SystemConfig]:
+    """The Figure 11 BuMP configurations, keyed by (region size, threshold)."""
+    fractions = list(threshold_fractions)
+    return {
+        (region_size, fraction): bump_system(
+            bump=BuMPConfig().with_region_size(region_size, fraction))
+        for region_size in region_sizes
+        for fraction in fractions
+    }
+
+
 def precompute_design_space(workloads: Optional[Iterable[str]] = None,
                             region_sizes: Iterable[int] = (512, 1024, 2048),
                             threshold_fractions: Iterable[float] = (0.25, 0.5, 0.75, 1.0),
@@ -337,17 +325,13 @@ def precompute_design_space(workloads: Optional[Iterable[str]] = None,
                             progress: Optional[CampaignProgress] = None) -> CampaignResult:
     """Fan the Figure 11 sweep grid out as one campaign.
 
-    Mirrors :func:`figure11_design_space`'s cache keys exactly (including the
-    open-row baseline it normalises against), so a subsequent call to that
-    function aggregates without simulating.
+    Runs exactly the configurations :func:`figure11_design_space` reads
+    (including the open-row baseline it normalises against), so a
+    subsequent call to that function aggregates without simulating.
     """
-    keyed_configs = {"base_open": _named("base_open")}
-    for region_size in region_sizes:
-        for fraction in threshold_fractions:
-            key = f"bump_r{region_size}_t{int(fraction * 100)}"
-            keyed_configs[key] = bump_system(
-                bump=BuMPConfig().with_region_size(region_size, fraction))
-    return precompute_results(keyed_configs, _workloads(workloads),
+    configs = [_named("base_open")]
+    configs += _design_space_configs(region_sizes, threshold_fractions).values()
+    return precompute_results(configs, _workloads(workloads),
                               num_accesses=num_accesses, seed=seed,
                               workers=workers, store=store, progress=progress)
 
@@ -360,18 +344,15 @@ def figure11_design_space(workloads: Optional[Iterable[str]] = None,
     for every (region size, density threshold) BuMP configuration."""
     selected = _workloads(workloads)
     improvements: Dict[Tuple[int, float], float] = {}
-    for region_size in region_sizes:
-        for fraction in threshold_fractions:
-            bump_config = BuMPConfig().with_region_size(region_size, fraction)
-            config = bump_system(bump=bump_config)
-            key = f"bump_r{region_size}_t{int(fraction * 100)}"
-            per_workload = []
-            for workload in selected:
-                baseline = _run(workload, _named("base_open"), num_accesses=num_accesses)
-                result = _run(workload, config, config_key=key, num_accesses=num_accesses)
-                base_epa = max(baseline.memory_energy_per_access_nj, 1e-9)
-                per_workload.append(1.0 - result.memory_energy_per_access_nj / base_epa)
-            improvements[(region_size, fraction)] = sum(per_workload) / len(per_workload)
+    configs = _design_space_configs(region_sizes, threshold_fractions)
+    for point, config in configs.items():
+        per_workload = []
+        for workload in selected:
+            baseline = _run(workload, _named("base_open"), num_accesses=num_accesses)
+            result = _run(workload, config, num_accesses=num_accesses)
+            base_epa = max(baseline.memory_energy_per_access_nj, 1e-9)
+            per_workload.append(1.0 - result.memory_energy_per_access_nj / base_epa)
+        improvements[point] = sum(per_workload) / len(per_workload)
     return improvements
 
 

@@ -29,8 +29,8 @@ Command                Purpose
                        ``compare`` and ``scenario run`` reuse them via
                        ``--snapshot`` / ``--warmup-snapshot``
 ``report``             render telemetry artifacts: run timelines and span
-                       tables from JSONL event logs, campaign metrics files,
-                       and the in-process trace/snapshot-cache counters
+                       tables from JSONL event logs and campaign metrics
+                       files (with their snapshot-reuse counters)
 ``fuzz``               scenario fuzzer + verification oracle: generate
                        random valid scenario/config specs and check each
                        against the reference LRU and the counter identities,
@@ -62,7 +62,7 @@ from repro.exec.store import ArtifactStore, default_snapshot_store, default_stor
 from repro.scenario.catalog import get_scenario, scenario_names
 from repro.scenario.runner import run_scenario
 from repro.sim.config import extended_configs, named_configs
-from repro.sim.runner import build_trace, run_trace, trace_cache_info
+from repro.sim.runner import build_trace, run_trace, run_workload
 from repro.sim.snapshot import (
     capture_warmup,
     load_snapshot,
@@ -173,28 +173,16 @@ def _finish_telemetry(recorder, args: argparse.Namespace) -> None:
         _print(f"wrote telemetry events to {path}")
 
 
-def _warmup_snapshot_key(args: argparse.Namespace, config) -> Optional[str]:
-    """Fingerprint of the warm state a ``run``/``compare`` invocation needs."""
-    if getattr(args, "warmup_snapshot", None) is None:
-        return None
-    return snapshot_fingerprint(
-        get_workload(args.workload), config,
-        int(args.accesses * args.warmup),
-        num_cores=args.cores, seed=args.seed)
-
-
 def cmd_run(args: argparse.Namespace) -> int:
     config = _resolve_config(args.system)
-    trace = build_trace(args.workload, args.accesses, num_cores=args.cores,
-                        seed=args.seed)
     recorder = _setup_telemetry(args)
     try:
-        result = run_trace(trace, config, workload_name=args.workload,
-                           warmup_fraction=args.warmup,
-                           telemetry=recorder,
-                           snapshot=args.snapshot or None,
-                           warmup_snapshot=args.warmup_snapshot,
-                           snapshot_key=_warmup_snapshot_key(args, config))
+        result = run_workload(args.workload, config, num_accesses=args.accesses,
+                              num_cores=args.cores, seed=args.seed,
+                              warmup_fraction=args.warmup,
+                              telemetry=recorder,
+                              snapshot=args.snapshot or None,
+                              warmup_snapshot=args.warmup_snapshot)
     except (ValueError, OSError) as exc:
         raise SystemExit(str(exc))
     _print(f"{display_name(args.workload)} under {config.name}")
@@ -208,17 +196,16 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if not systems:
         raise SystemExit("no systems requested")
     configs = [_resolve_config(name) for name in systems]
-    trace = build_trace(args.workload, args.accesses, num_cores=args.cores,
-                        seed=args.seed)
     metrics = ["row_buffer_hit_ratio", "read_coverage", "write_coverage",
                "energy_per_access_nj", "throughput_ipc"]
     rows = []
     for config in configs:
         try:
-            result = run_trace(trace, config, workload_name=args.workload,
-                               warmup_fraction=args.warmup,
-                               warmup_snapshot=args.warmup_snapshot,
-                               snapshot_key=_warmup_snapshot_key(args, config))
+            result = run_workload(args.workload, config,
+                                  num_accesses=args.accesses,
+                                  num_cores=args.cores, seed=args.seed,
+                                  warmup_fraction=args.warmup,
+                                  warmup_snapshot=args.warmup_snapshot)
         except (ValueError, OSError) as exc:
             raise SystemExit(str(exc))
         summary = result.summary()
@@ -253,17 +240,14 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         raise SystemExit("no seeds requested")
     if args.workers < 1:
         raise SystemExit("--workers must be at least 1")
-    if args.accesses < 1:
-        raise SystemExit("--accesses must be positive")
-    if args.cores < 1:
-        raise SystemExit("--cores must be positive")
-    if not 0.0 <= args.warmup < 1.0:
-        raise SystemExit("--warmup must be in [0, 1)")
 
     grid = JobGrid(workloads=workloads, configs=configs, seeds=seeds,
                    num_accesses=args.accesses, num_cores=args.cores,
                    warmup_fraction=args.warmup)
-    jobs = grid.expand()
+    try:
+        jobs = grid.expand()
+    except ValueError as exc:  # JobSpec rejects impossible run arguments
+        raise SystemExit(str(exc))
     try:
         store = ArtifactStore(args.store) if args.store else default_store()
     except OSError as exc:
@@ -357,8 +341,6 @@ def cmd_scenario_run(args: argparse.Namespace) -> int:
     config = _resolve_config(args.system)
     if args.chunk_size < 1:
         raise SystemExit("--chunk-size must be positive")
-    if not 0.0 <= args.warmup < 1.0:
-        raise SystemExit("--warmup must be in [0, 1)")
     recorder = _setup_telemetry(args)
     source = None
     if args.closed_loop:
@@ -485,8 +467,6 @@ def cmd_trace_ingest(args: argparse.Namespace) -> int:
     config = _resolve_config(args.system)
     if args.chunk_size < 1:
         raise SystemExit("--chunk-size must be positive")
-    if not 0.0 <= args.warmup < 1.0:
-        raise SystemExit("--warmup must be in [0, 1)")
     try:
         source = IngestSource(args.path, chunk_size=args.chunk_size,
                               mmap=args.mmap)
@@ -695,53 +675,31 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     import json
 
-    from repro.telemetry.metrics import snapshot_cache_info
-
-    emitted = False
-    if args.caches:
-        info = trace_cache_info()
-        snapshots = snapshot_cache_info()
-        if args.json:
-            _print(json.dumps({"trace_cache": info,
-                               "snapshot_cache": snapshots},
-                              indent=2, sort_keys=True))
-        else:
-            rows = [[key, f"{value:.4g}" if isinstance(value, float) else str(value)]
-                    for key, value in info.items()]
-            _print("trace cache (this process)")
-            _print(format_table(rows, headers=["metric", "value"]))
-            rows = [[key, f"{value:.4g}" if isinstance(value, float) else str(value)]
-                    for key, value in snapshots.items()]
-            _print("snapshot cache (this process)")
-            _print(format_table(rows, headers=["metric", "value"]))
-        emitted = True
-    if args.path:
-        if args.path.endswith(".jsonl"):
-            try:
-                events = read_events_jsonl(args.path)
-            except (OSError, ValueError) as exc:
-                raise SystemExit(f"cannot read event log {args.path!r}: {exc}")
-            if args.json:
-                _print(json.dumps(summarize_events(events), indent=2,
-                                  sort_keys=True))
-            else:
-                _print(render_timeline(timeline_from_events(events)))
-                _print("")
-                _print(render_spans(events))
-        else:
-            try:
-                document = read_campaign_metrics(args.path)
-            except (OSError, ValueError) as exc:
-                raise SystemExit(
-                    f"cannot read campaign metrics {args.path!r}: {exc}")
-            if args.json:
-                _print(json.dumps(document, indent=2, sort_keys=True))
-            else:
-                _print(render_campaign(document))
-        emitted = True
-    if not emitted:
+    if not args.path:
         raise SystemExit("nothing to report: pass a telemetry .jsonl event "
-                         "log, a campaign metrics .json file, or --caches")
+                         "log or a campaign metrics .json file")
+    if args.path.endswith(".jsonl"):
+        try:
+            events = read_events_jsonl(args.path)
+        except (OSError, ValueError) as exc:
+            raise SystemExit(f"cannot read event log {args.path!r}: {exc}")
+        if args.json:
+            _print(json.dumps(summarize_events(events), indent=2,
+                              sort_keys=True))
+        else:
+            _print(render_timeline(timeline_from_events(events)))
+            _print("")
+            _print(render_spans(events))
+    else:
+        try:
+            document = read_campaign_metrics(args.path)
+        except (OSError, ValueError) as exc:
+            raise SystemExit(
+                f"cannot read campaign metrics {args.path!r}: {exc}")
+        if args.json:
+            _print(json.dumps(document, indent=2, sort_keys=True))
+        else:
+            _print(render_campaign(document))
     return 0
 
 
@@ -1024,14 +982,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     report = subparsers.add_parser(
         "report",
-        help="render telemetry artifacts (event logs, campaign metrics, "
-             "cache counters)")
+        help="render telemetry artifacts (event logs, campaign metrics)")
     report.add_argument("path", nargs="?", default="",
                         help="telemetry .jsonl event log or campaign metrics "
                              ".json file")
-    report.add_argument("--caches", action="store_true",
-                        help="show the in-process trace-cache counters "
-                             "(entries, hits, misses, hit ratio)")
     report.add_argument("--json", action="store_true",
                         help="emit machine-readable JSON instead of tables")
     report.set_defaults(handler=cmd_report)

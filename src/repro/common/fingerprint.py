@@ -1,11 +1,13 @@
 """Content fingerprints for dataclass-shaped configuration objects.
 
 The canonical reduction below is the common currency of every content
-address in the package: the campaign engine keys its on-disk artifacts with
-it (:mod:`repro.exec.jobs`), the runner keys its in-process trace cache with
-it, and the parity guard compares full :class:`SimulationResult` bundles
-through it.  It lives in :mod:`repro.common` so both the execution layer and
-the simulation layer can use it without importing each other.
+address in the package: the campaign engine keys its on-disk artifacts and
+its in-process trace and result memos with it (:mod:`repro.exec.jobs`), warm
+snapshots record the configuration they were captured under with it
+(:mod:`repro.sim.snapshot`), and the parity guard compares full
+:class:`SimulationResult` bundles through it.  It lives in
+:mod:`repro.common` so both the execution layer and the simulation layer can
+use it without importing each other.
 """
 
 from __future__ import annotations
@@ -55,3 +57,17 @@ def fingerprint(obj) -> str:
 def workload_fingerprint(spec) -> str:
     """Content fingerprint of a :class:`repro.workloads.spec.WorkloadSpec`."""
     return fingerprint(spec)
+
+
+def config_fingerprint(config) -> str:
+    """Content fingerprint of a system configuration (name excluded).
+
+    ``name`` and ``description`` are labels, not behaviour: two differently
+    named configurations that build the identical system (e.g. ``bump`` and
+    ``bump`` with its default scheduler spelled out) produce identical
+    results and warm state, so they share one digest.
+    """
+    data = canonical_data(config)
+    data.pop("name", None)
+    data.pop("description", None)
+    return fingerprint(data)

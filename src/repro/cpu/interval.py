@@ -1,9 +1,10 @@
 """Interval-analysis timing model.
 
-A drop-in alternative to :class:`repro.sim.timing.TimingModel` (same
-``summarize`` signature, selected with ``SystemConfig.timing_model =
-"interval"``).  Instead of charging every exposed load miss a fixed
-``latency / MLP`` penalty, it derives the overlap from the core's structure:
+A drop-in alternative to :class:`repro.sim.timing.TimingModel` (a subclass
+that overrides only the stall term, selected with
+``SystemConfig.timing_model = "interval"``).  Instead of charging every
+exposed load miss a fixed ``latency / MLP`` penalty, it derives the overlap
+from the core's structure:
 
 * the instructions-per-miss density of the measured run determines how many
   misses fall inside one ROB window;
@@ -24,10 +25,10 @@ from typing import Optional
 
 from repro.common.params import SystemParams
 from repro.cpu.rob import ROBModel
-from repro.sim.timing import TimingSummary
+from repro.sim.timing import TimingModel
 
 
-class IntervalTimingModel:
+class IntervalTimingModel(TimingModel):
     """First-order interval-analysis replacement for the analytic timing model.
 
     ``independence`` is the fraction of off-chip misses independent of the
@@ -45,21 +46,16 @@ class IntervalTimingModel:
         if mshr_entries < 1:
             raise ValueError(
                 f"mshr_entries must be at least 1, got {mshr_entries!r}")
-        self.params = params if params is not None else SystemParams()
+        super().__init__(params)
         self.rob = ROBModel(core=self.params.core, independence=independence,
                             mshr_entries=mshr_entries)
 
-    def summarize(self, *, instructions: float, load_demand_misses: float,
-                  covered_loads: float, llc_load_hits: float,
-                  average_dram_latency_bus_cycles: float,
-                  dram_elapsed_bus_cycles: float) -> TimingSummary:
-        """Compute cycles and throughput with ROB/MSHR-derived overlap."""
+    def stall_cycles(self, *, instructions: float, load_demand_misses: float,
+                     covered_loads: float, llc_load_hits: float,
+                     miss_latency: float) -> float:
+        """Exposed stall cycles per core with ROB/MSHR-derived overlap."""
         params = self.params
-        core = params.core
         num_cores = params.num_cores
-        to_core_cycles = params.core_cycles_per_dram_cycle
-
-        base_cycles = instructions * core.base_cpi / num_cores
 
         per_core_instructions = instructions / num_cores
         per_core_misses = load_demand_misses / num_cores
@@ -67,36 +63,15 @@ class IntervalTimingModel:
             per_core_instructions / per_core_misses if per_core_misses > 0 else float("inf")
         )
 
-        miss_latency = (
-            params.noc_latency_cycles
-            + params.llc.hit_latency_cycles
-            + average_dram_latency_bus_cycles * to_core_cycles
-        )
         exposed_per_miss = self.rob.exposed_miss_latency(
-            miss_latency, instructions_per_miss, base_cpi=core.base_cpi
+            miss_latency, instructions_per_miss, base_cpi=params.core.base_cpi
         )
 
         onchip_penalty = params.noc_latency_cycles + params.llc.hit_latency_cycles
         onchip_mlp = self.rob.memory_level_parallelism(instructions_per_miss)
 
-        stall_cycles = (
+        return (
             load_demand_misses * exposed_per_miss
             + covered_loads * onchip_penalty / onchip_mlp
             + llc_load_hits * params.llc.hit_latency_cycles / onchip_mlp
         ) / num_cores
-
-        core_cycles = base_cycles + stall_cycles
-        dram_bound_cycles = dram_elapsed_bus_cycles * to_core_cycles
-        cycles = max(core_cycles, dram_bound_cycles)
-
-        throughput = instructions / cycles if cycles > 0 else 0.0
-        elapsed_seconds = cycles * core.cycle_time_ns * 1e-9
-        return TimingSummary(
-            instructions=instructions,
-            base_cycles=base_cycles,
-            stall_cycles=stall_cycles,
-            dram_bound_cycles=dram_bound_cycles,
-            cycles=cycles,
-            throughput_ipc=throughput,
-            elapsed_seconds=elapsed_seconds,
-        )

@@ -24,7 +24,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.exec import pool
 from repro.exec.jobs import JobSpec, fingerprint
@@ -32,6 +32,7 @@ from repro.telemetry.metrics import (
     JobMetrics,
     campaign_metrics,
     snapshot_cache_info,
+    snapshot_counts,
     write_campaign_metrics,
 )
 from repro.exec.progress import (
@@ -197,20 +198,29 @@ class Campaign:
                 self.progress.on_job_done(outcome.job, outcome.source,
                                           completed, len(self.jobs))
 
+        # Snapshot activity of this campaign's jobs only, summed from the
+        # per-job counts of whichever process ran each job.
+        snapshot_activity = dict.fromkeys(snapshot_counts(), 0)
         if pending:
-            if self.workers == 1:
-                completed = self._run_serial(pending, outcomes, metrics_rows,
-                                             completed)
-            else:
-                completed = self._run_parallel(pending, outcomes, metrics_rows,
-                                               completed)
+            produced = (self._run_serial(pending) if self.workers == 1
+                        else self._run_parallel(pending))
+            for index, result, simulated, cost in produced:
+                job = self.jobs[index]
+                source = SOURCE_SIMULATED if simulated else SOURCE_STORE
+                outcomes[index] = JobOutcome(job, result, source)
+                metrics_rows[index] = _job_metrics(job, source, cost)
+                for key, value in cost["snapshot"].items():
+                    snapshot_activity[key] += value
+                completed += 1
+                self.progress.on_job_done(job, source, completed,
+                                          len(self.jobs))
 
         elapsed = time.perf_counter() - start
         job_metrics = [m for m in metrics_rows if m is not None]
         document = campaign_metrics(
             job_metrics, elapsed_seconds=elapsed, workers=self.workers,
             store_stats=self.store.stats() if self.store is not None else None,
-            snapshot_cache=(snapshot_cache_info()
+            snapshot_cache=(snapshot_cache_info(snapshot_activity)
                             if self.warmup_snapshots else None),
         )
         result = CampaignResult(
@@ -239,26 +249,14 @@ class Campaign:
         return write_campaign_metrics(document, path)
 
     # ------------------------------------------------------------------ #
-    def _run_serial(self, pending: List[Tuple[int, JobSpec]],
-                    outcomes: List[Optional[JobOutcome]],
-                    metrics_rows: List[Optional[JobMetrics]],
-                    completed: int) -> int:
+    def _run_serial(self, pending: List[Tuple[int, JobSpec]]
+                    ) -> Iterator[Tuple[int, SimulationResult, bool, Dict]]:
         for index, job in pending:
-            started = time.perf_counter()
-            result, simulated = pool.execute_job_sourced(
-                job, self.store, warmup_snapshots=self.warmup_snapshots)
-            cost = pool.job_cost_metrics(time.perf_counter() - started)
-            source = SOURCE_SIMULATED if simulated else SOURCE_STORE
-            outcomes[index] = JobOutcome(job, result, source)
-            metrics_rows[index] = _job_metrics(job, source, cost)
-            completed += 1
-            self.progress.on_job_done(job, source, completed, len(self.jobs))
-        return completed
+            yield (index, *pool.run_job_measured(
+                job, self.store, warmup_snapshots=self.warmup_snapshots))
 
-    def _run_parallel(self, pending: List[Tuple[int, JobSpec]],
-                      outcomes: List[Optional[JobOutcome]],
-                      metrics_rows: List[Optional[JobMetrics]],
-                      completed: int) -> int:
+    def _run_parallel(self, pending: List[Tuple[int, JobSpec]]
+                      ) -> Iterator[Tuple[int, SimulationResult, bool, Dict]]:
         shards = pool.shard_jobs(pending, workers=self.workers)
         store = self.store
         initargs = (
@@ -281,17 +279,9 @@ class Campaign:
                     labels = ", ".join(job.label for _, job in shard)
                     errors.append(f"shard [{labels}]: {exc!r}")
                     continue
-                for index, result, simulated, cost in shard_results:
-                    job = self.jobs[index]
-                    source = SOURCE_SIMULATED if simulated else SOURCE_STORE
-                    outcomes[index] = JobOutcome(job, result, source)
-                    metrics_rows[index] = _job_metrics(job, source, cost)
-                    completed += 1
-                    self.progress.on_job_done(job, source,
-                                              completed, len(self.jobs))
+                yield from shard_results
         if errors:
             raise CampaignError("campaign jobs failed:\n" + "\n".join(errors))
-        return completed
 
 
 # --------------------------------------------------------------------- #

@@ -21,13 +21,16 @@ artifacts through the package version embedded in every fingerprint.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 from repro import __version__ as _PACKAGE_VERSION
-from repro.common.fingerprint import canonical_data, fingerprint, workload_fingerprint
+from repro.common.fingerprint import (
+    canonical_data,
+    config_fingerprint,
+    fingerprint,
+    workload_fingerprint,
+)
 from repro.scenario.catalog import get_scenario
 from repro.scenario.closed_loop import ClosedLoopSpec, as_closed_loop_spec
 from repro.scenario.spec import Scenario
@@ -37,6 +40,7 @@ from repro.sim.runner import (
     DEFAULT_SEED,
     DEFAULT_TRACE_LENGTH,
     DEFAULT_WARMUP_FRACTION,
+    check_warmup_fraction,
 )
 from repro.sim.snapshot import snapshot_fingerprint
 from repro.workloads.catalog import get_workload
@@ -46,28 +50,15 @@ from repro.workloads.spec import WorkloadSpec
 # --------------------------------------------------------------------- #
 # Content fingerprints
 # --------------------------------------------------------------------- #
-# ``canonical_data``, ``fingerprint`` and ``workload_fingerprint`` live in
-# :mod:`repro.common.fingerprint` (the runner's trace cache keys on them
-# too); they are re-exported here as the historical public surface.
+# ``canonical_data``, ``config_fingerprint``, ``fingerprint`` and
+# ``workload_fingerprint`` live in :mod:`repro.common.fingerprint` (warm
+# snapshots key on them too); they are re-exported here as the historical
+# public surface.
 __all__ = [
     "JobGrid", "JobSpec", "ScenarioGrid", "canonical_data",
     "config_fingerprint", "expand_grid", "expand_scenario_grid",
     "fingerprint", "workload_fingerprint",
 ]
-
-
-def config_fingerprint(config: SystemConfig) -> str:
-    """Content fingerprint of a system configuration (name excluded).
-
-    Two differently named configurations that build the identical system
-    (e.g. ``bump`` and ``bump`` with its default scheduler spelled out) map to
-    the same artifact; the display name is presentation, not identity.
-    """
-    data = canonical_data(config)
-    data.pop("name", None)
-    data.pop("description", None)
-    payload = json.dumps(data, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:32]
 
 
 # --------------------------------------------------------------------- #
@@ -121,8 +112,7 @@ class JobSpec:
             raise ValueError("num_accesses must be positive")
         if self.num_cores < 1:
             raise ValueError("num_cores must be positive")
-        if not 0.0 <= self.warmup_fraction < 1.0:
-            raise ValueError("warmup_fraction must be in [0, 1)")
+        check_warmup_fraction(self.warmup_fraction)
         # Fingerprints are requested several times per job (grid dedup, store
         # pre-check, worker get/put); jobs are treated as immutable once
         # built, so the digests are computed once and memoized.

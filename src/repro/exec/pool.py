@@ -14,6 +14,10 @@ Everything here is deliberately a thin composition of the single-run API
 (:func:`repro.sim.runner.run_trace` over :func:`generate_trace_buffer`
 output): a worker executes byte-for-byte the same code path as a serial run,
 which is what makes the serial/parallel parity guarantee hold.
+
+:func:`job_trace`'s memo is the package's one in-process trace memo: the
+campaign workers, the serial campaign path and the analysis layer's
+single-run helper all resolve traces through it, keyed by content.
 """
 
 from __future__ import annotations
@@ -29,8 +33,8 @@ from repro.scenario.compiler import generate_scenario_buffer
 from repro.scenario.spec import Scenario
 from repro.sim.results import SimulationResult
 from repro.sim.runner import run_trace
-from repro.telemetry.metrics import peak_rss_bytes
-from repro.trace.buffer import TraceBuffer
+from repro.telemetry.metrics import peak_rss_bytes, snapshot_counts
+from repro.trace.buffer import TRACE_FIELDS, TraceBuffer
 from repro.workloads.generator import generate_trace_buffer
 
 __all__ = [
@@ -40,6 +44,7 @@ __all__ = [
     "execute_job_sourced",
     "job_cost_metrics",
     "job_trace",
+    "run_job_measured",
     "run_shard",
     "shard_jobs",
 ]
@@ -48,7 +53,7 @@ __all__ = [
 #: (~29 bytes per access) but the bound must cover the six paper workloads
 #: at once -- config-outer sweeps cycle through all six traces per
 #: configuration, and a smaller memo would regenerate every one of them on
-#: every lap (mirrors ``repro.sim.runner.TRACE_CACHE_MAX_ENTRIES``).
+#: every lap.  Eight entries leave room for two sweep variants.
 TRACE_MEMO_MAX_ENTRIES = 8
 
 #: Per-worker state installed by :func:`_init_worker` (fork- and spawn-safe).
@@ -58,9 +63,9 @@ _WORKER_STORE: Optional[ArtifactStore] = None
 #: given warmup fingerprint captures it, siblings restore instead of
 #: re-simulating the warmup prefix.
 _WORKER_WARMUP_SNAPSHOTS: bool = False
-#: Deliberately separate from ``repro.sim.runner``'s trace cache: this memo
-#: additionally sits behind the shared artifact store, so a campaign-wide
-#: trace is built once per store, then mapped (not regenerated) per worker.
+#: Content-keyed (:meth:`JobSpec.trace_fingerprint`) and backed by the shared
+#: artifact store, so a campaign-wide trace is built once per store, then
+#: mapped (not regenerated) per worker.
 _TRACE_MEMO: "OrderedDict[str, TraceBuffer]" = OrderedDict()
 
 
@@ -84,6 +89,10 @@ def _init_worker(store_root: Optional[str],
 
 
 def _memoize_trace(digest: str, trace: TraceBuffer) -> None:
+    # Every hit hands back the same arrays, so they are made read-only: a
+    # caller writing into one would corrupt every later run of the trace.
+    for name in TRACE_FIELDS:
+        getattr(trace, name).setflags(write=False)
     _TRACE_MEMO[digest] = trace
     _TRACE_MEMO.move_to_end(digest)
     while len(_TRACE_MEMO) > TRACE_MEMO_MAX_ENTRIES:
@@ -96,10 +105,12 @@ def job_trace(job: JobSpec, store: Optional[ArtifactStore] = None) -> TraceBuffe
     Resolution order: per-process memo, shared artifact store (memory-mapped
     ``.npy`` columns), fresh generation (which is then published to both).
     Generation is deterministic in (spec, length, cores, seed), so every
-    source yields the identical access stream.  Scenario jobs compile
-    through :mod:`repro.scenario.compiler` instead of the single-workload
-    generator; everything downstream (store format, memoization, sharding)
-    is identical because a compiled scenario is an ordinary columnar trace.
+    source yields the identical access stream.  Memoized buffers are
+    read-only: writing to a column raises instead of corrupting later hits.
+    Scenario jobs compile through :mod:`repro.scenario.compiler` instead of
+    the single-workload generator; everything downstream (store format,
+    memoization, sharding) is identical because a compiled scenario is an
+    ordinary columnar trace.
     """
     digest = job.trace_fingerprint()
     cached = _TRACE_MEMO.get(digest)
@@ -181,7 +192,7 @@ def execute_job(job: JobSpec, store: Optional[ArtifactStore] = None) -> Simulati
     return execute_job_sourced(job, store)[0]
 
 
-def job_cost_metrics(wall_seconds: float) -> Dict[str, float]:
+def job_cost_metrics(wall_seconds: float) -> Dict[str, object]:
     """Cost provenance of one finished job in the *current* process.
 
     Small plain dict (pickle-cheap across the pool boundary); the campaign
@@ -194,23 +205,40 @@ def job_cost_metrics(wall_seconds: float) -> Dict[str, float]:
     }
 
 
+def run_job_measured(job: JobSpec, store: Optional[ArtifactStore] = None,
+                     warmup_snapshots: bool = False
+                     ) -> Tuple[SimulationResult, bool, Dict[str, object]]:
+    """:func:`execute_job_sourced` plus the job's cost in this process.
+
+    The cost is :func:`job_cost_metrics` with one more entry, ``snapshot``:
+    the warm-snapshot counters (hits, misses, captures, restores, bytes)
+    this job moved.  Counting per job, in whichever process ran it, lets a
+    campaign sum exactly its own snapshot activity whether its jobs ran
+    here or in pool workers.
+    """
+    before = snapshot_counts()
+    started = time.perf_counter()
+    result, simulated = execute_job_sourced(job, store, warmup_snapshots)
+    cost = job_cost_metrics(time.perf_counter() - started)
+    cost["snapshot"] = {key: value - before[key]
+                        for key, value in snapshot_counts().items()}
+    return result, simulated, cost
+
+
 def run_shard(indexed_jobs: Sequence[Tuple[int, JobSpec]]
-              ) -> List[Tuple[int, SimulationResult, bool, Dict[str, float]]]:
+              ) -> List[Tuple[int, SimulationResult, bool, Dict[str, object]]]:
     """Worker entry point: execute one shard of (index, job) pairs.
 
     All jobs of a shard share a trace fingerprint, so the trace is resolved
     once and every configuration replays the identical stream.  Each entry
-    carries the worker-side cost metrics (:func:`job_cost_metrics`) so the
-    campaign can account wall time and memory per producing process.
+    carries the worker-side cost (:func:`run_job_measured`) so the campaign
+    can account wall time, memory and snapshot reuse per producing process.
     """
-    results = []
-    for index, job in indexed_jobs:
-        started = time.perf_counter()
-        result, simulated = execute_job_sourced(
-            job, _WORKER_STORE, warmup_snapshots=_WORKER_WARMUP_SNAPSHOTS)
-        metrics = job_cost_metrics(time.perf_counter() - started)
-        results.append((index, result, simulated, metrics))
-    return results
+    return [
+        (index, *run_job_measured(job, _WORKER_STORE,
+                                  warmup_snapshots=_WORKER_WARMUP_SNAPSHOTS))
+        for index, job in indexed_jobs
+    ]
 
 
 def shard_jobs(indexed_jobs: Sequence[Tuple[int, JobSpec]],

@@ -53,7 +53,7 @@ from repro.scenario.closed_loop import (
     as_closed_loop_spec,
 )
 from repro.scenario.compiler import generate_scenario_buffer, iter_scenario_chunks
-from repro.scenario.runner import run_scenario, run_scenario_configs
+from repro.scenario.runner import run_scenario
 from repro.scenario.spec import Burst, Phase, Scenario, TenantAssignment
 
 __all__ = [
@@ -69,7 +69,6 @@ __all__ = [
     "get_scenario",
     "iter_scenario_chunks",
     "run_scenario",
-    "run_scenario_configs",
     "scale_scenario",
     "scenario_names",
 ]

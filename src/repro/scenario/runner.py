@@ -1,7 +1,7 @@
 """Run scenarios through the simulator (streaming, bounded memory).
 
 ``run_scenario`` is the scenario counterpart of
-:func:`repro.sim.runner.run_workload_streaming`: the compiled chunk stream
+:func:`repro.sim.runner.run_workload`: the compiled chunk stream
 feeds the simulator directly, so a million-access multi-tenant run holds one
 chunk of columns in memory regardless of scenario length.  The warmup split,
 agent attachment, telemetry and snapshots behave exactly as they do for
@@ -10,7 +10,7 @@ single-workload runs -- a scenario is just a trace.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Union
+from typing import Iterable, Optional, Union
 
 from repro.scenario.catalog import get_scenario
 from repro.scenario.compiler import iter_scenario_chunks
@@ -22,7 +22,6 @@ from repro.trace.buffer import DEFAULT_CHUNK_SIZE
 
 __all__ = [
     "run_scenario",
-    "run_scenario_configs",
 ]
 
 
@@ -63,6 +62,9 @@ def run_scenario(scenario: Union[str, Scenario], config: SystemConfig,
     the feedback-driven source instead of the open-loop chunk iterator;
     determinism and chunk-size invariance still hold (see
     :mod:`repro.scenario.closed_loop`).
+
+    ``warmup_fraction`` outside ``[0, 1)`` raises ``ValueError`` (checked
+    by :func:`repro.sim.runner.run_trace` before anything runs).
     """
     from repro.telemetry.recorder import resolve_telemetry
 
@@ -109,26 +111,3 @@ def run_scenario(scenario: Union[str, Scenario], config: SystemConfig,
                      warmup_snapshot=warmup_snapshot,
                      snapshot_key=snapshot_key)
 
-
-def run_scenario_configs(scenario: Union[str, Scenario],
-                         configs: Iterable[SystemConfig],
-                         seed: int = DEFAULT_SEED,
-                         warmup_fraction: float = DEFAULT_WARMUP_FRACTION,
-                         chunk_size: int = DEFAULT_CHUNK_SIZE,
-                         scale: float = 1.0,
-                         telemetry=None) -> Dict[str, SimulationResult]:
-    """Run one scenario under several configurations over the identical trace.
-
-    Each configuration replays the same deterministic chunk stream (the
-    compiler regenerates it per run rather than buffering it, keeping memory
-    bounded), so cross-configuration deltas isolate the mechanism under
-    study exactly as :func:`repro.sim.runner.run_configs` does for
-    single workloads.
-    """
-    resolved = get_scenario(scenario, scale=scale)
-    results: Dict[str, SimulationResult] = {}
-    for config in configs:
-        results[config.name] = run_scenario(
-            resolved, config, seed=seed, warmup_fraction=warmup_fraction,
-            chunk_size=chunk_size, telemetry=telemetry)
-    return results

@@ -1,33 +1,34 @@
 """Convenience entry points for running experiments.
 
-The runner hides the boilerplate every experiment shares: build the workload
-trace (once per workload, reused across system configurations so every system
-sees the identical reference stream), instantiate the configured system, run
-the trace and hand back the :class:`SimulationResult`.
+The runner hides the boilerplate every experiment shares: produce the
+workload's trace, instantiate the configured system, run the trace and hand
+back the :class:`SimulationResult`.  Each input kind has one entry point:
 
-Traces are columnar :class:`repro.trace.buffer.TraceBuffer` bundles end to
-end: :func:`build_trace` returns a buffer, :func:`run_trace` feeds buffers --
-or streaming chunk iterators -- straight into the simulator's chunk loop, and
-:func:`run_workload_streaming` runs arbitrarily long traces at bounded
-memory without ever materializing per-access Python objects.
+* :func:`run_workload` streams a catalog workload's generator chunks
+  straight into the simulator's chunk loop, so a run holds one chunk of
+  columns in memory however long the trace is;
+* :func:`run_trace` runs an explicit trace -- a columnar
+  :class:`repro.trace.buffer.TraceBuffer`, an iterable of buffer chunks or a
+  trace source -- and is what every other entry point funnels through;
+* :func:`repro.scenario.runner.run_scenario` streams a compiled scenario.
 
-A small in-process trace cache keeps the benchmark harness fast: Figures 2, 9,
-10 and 13 each run the same six traces through several configurations, and
-regenerating a trace costs more than simulating it.
+:func:`build_trace` only generates a workload's trace; nothing here memoizes
+traces.  Sweeps that replay one trace through many configurations hold it
+themselves (:func:`run_configs`) or go through the campaign engine, whose
+content-keyed memo (:func:`repro.exec.pool.job_trace`) is the package's one
+in-process trace memo.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Dict, Iterable, Optional, Union
 
-from repro.common.fingerprint import workload_fingerprint
-from repro.sim.config import SystemConfig, named_configs
+from repro.common.fingerprint import config_fingerprint
+from repro.sim.config import SystemConfig
 from repro.sim.results import SimulationResult
 from repro.sim.snapshot import (
     SystemSnapshot,
     capture_warmup,
-    config_key as _snapshot_config_key,
     load_snapshot,
     restore,
     skip_accesses,
@@ -54,95 +55,33 @@ DEFAULT_WARMUP_FRACTION = 0.5
 DEFAULT_NUM_CORES = 16
 DEFAULT_SEED = 42
 
-#: Upper bound on cached traces (the cache previously grew without limit).
-#: Eight entries cover the six paper workloads at one geometry with room for
-#: two sweep variants; columnar buffers keep the bound's residency to tens of
-#: MB.  The campaign engine keeps its own equally-bounded, content-keyed memo
-#: (:mod:`repro.exec.pool`) for the analysis paths; this cache serves the
-#: single-run API and the CLI's run/compare/trace commands.
-TRACE_CACHE_MAX_ENTRIES = 8
-
-_TRACE_CACHE: "OrderedDict[tuple, TraceBuffer]" = OrderedDict()
-#: Lifetime hit/miss counts of the trace cache (cache-consulted calls only;
-#: ``use_cache=False`` bypasses are neither).  Surfaced by
-#: :func:`trace_cache_info` and the ``repro report --caches`` command.
-_TRACE_CACHE_HITS = 0
-_TRACE_CACHE_MISSES = 0
-
 #: A TraceBuffer, an iterable of TraceBuffer chunks, a Scenario or a
 #: TraceSource; :func:`run_trace` rejects anything else.
 TraceLike = Union[TraceBuffer, Iterable]
 
 
-def _freeze_trace(trace: TraceBuffer) -> TraceBuffer:
-    """Mark a buffer's column arrays read-only (in place) and return it."""
-    for column in (trace.core, trace.pc, trace.address, trace.is_store,
-                   trace.instructions):
-        column.setflags(write=False)
-    return trace
+def check_warmup_fraction(warmup_fraction: float) -> None:
+    """Reject a warmup fraction outside ``[0, 1)`` with a ``ValueError``.
+
+    A fraction of 1 or more leaves nothing to measure and a negative one
+    would silently run without warmup; every run entry point and
+    :class:`repro.exec.jobs.JobSpec` share this one check.
+    """
+    if not 0.0 <= warmup_fraction < 1.0:
+        raise ValueError(
+            f"warmup_fraction must be in [0, 1), got {warmup_fraction!r}")
 
 
 def build_trace(workload: Union[str, WorkloadSpec], num_accesses: int = DEFAULT_TRACE_LENGTH,
-                num_cores: int = DEFAULT_NUM_CORES, seed: int = DEFAULT_SEED,
-                use_cache: bool = True) -> TraceBuffer:
-    """Build (or fetch from the LRU cache) the columnar trace for a workload.
+                num_cores: int = DEFAULT_NUM_CORES, seed: int = DEFAULT_SEED) -> TraceBuffer:
+    """Generate the columnar trace of a workload (a fresh buffer per call).
 
-    The cache key is the *content fingerprint* of the spec -- every field,
-    not the display name -- so two specs that share a name but differ in any
-    parameter (e.g. ``with_overrides`` variants) can never serve each other's
-    trace.
-
-    Cached buffers are returned **read-only** (``writeable=False`` on every
-    column array): every cache hit hands back the same arrays, so a caller
-    mutating them in place would silently corrupt the reference stream of
-    every later run of the same workload.  Writing to a column now raises;
-    callers that need a mutable trace should copy the columns or pass
-    ``use_cache=False``.
+    Generation is deterministic in (spec content, length, cores, seed), so
+    every call returns an equal trace; hold on to the buffer to replay it
+    through several configurations.
     """
-    global _TRACE_CACHE_HITS, _TRACE_CACHE_MISSES
     spec = get_workload(workload) if isinstance(workload, str) else workload
-    key = (workload_fingerprint(spec), num_accesses, num_cores, seed)
-    if use_cache and key in _TRACE_CACHE:
-        _TRACE_CACHE_HITS += 1
-        _TRACE_CACHE.move_to_end(key)
-        return _TRACE_CACHE[key]
-    trace = generate_trace_buffer(spec, num_accesses, num_cores=num_cores, seed=seed)
-    if use_cache:
-        _TRACE_CACHE_MISSES += 1
-        _freeze_trace(trace)
-        _TRACE_CACHE[key] = trace
-        _TRACE_CACHE.move_to_end(key)
-        while len(_TRACE_CACHE) > TRACE_CACHE_MAX_ENTRIES:
-            _TRACE_CACHE.popitem(last=False)
-    return trace
-
-
-def clear_trace_cache() -> None:
-    """Drop all cached traces (frees memory between unrelated sweeps).
-
-    Also zeroes the hit/miss counters, so :func:`trace_cache_info` after a
-    clear describes only the activity since.
-    """
-    global _TRACE_CACHE_HITS, _TRACE_CACHE_MISSES
-    _TRACE_CACHE.clear()
-    _TRACE_CACHE_HITS = 0
-    _TRACE_CACHE_MISSES = 0
-
-
-def trace_cache_info() -> Dict[str, float]:
-    """Occupancy, capacity and lifetime effectiveness of the trace cache.
-
-    ``hit_ratio`` is hits over cache-consulted lookups (hits + misses),
-    0.0 before the first lookup.
-    """
-    lookups = _TRACE_CACHE_HITS + _TRACE_CACHE_MISSES
-    return {
-        "entries": len(_TRACE_CACHE),
-        "capacity": TRACE_CACHE_MAX_ENTRIES,
-        "hits": _TRACE_CACHE_HITS,
-        "misses": _TRACE_CACHE_MISSES,
-        "hit_ratio": _TRACE_CACHE_HITS / lookups if lookups else 0.0,
-    }
+    return generate_trace_buffer(spec, num_accesses, num_cores=num_cores, seed=seed)
 
 
 def run_trace(trace: TraceLike, config: SystemConfig,
@@ -194,7 +133,11 @@ def run_trace(trace: TraceLike, config: SystemConfig,
     snapshot and continues -- either way the result is bit-identical to a
     cold run.  Neither snapshot path may be combined with ``extra_agents``
     (attached agents are invisible to the fingerprint).
+
+    ``warmup_fraction`` outside ``[0, 1)`` raises ``ValueError`` before
+    anything runs.
     """
+    check_warmup_fraction(warmup_fraction)
     if snapshot is not None and warmup_snapshot is not None:
         raise ValueError("pass either snapshot or warmup_snapshot, not both")
     if (snapshot is not None or warmup_snapshot is not None) and extra_agents:
@@ -261,7 +204,7 @@ def _run_from_snapshot(snap: SystemSnapshot, trace: TraceLike,
                        config: SystemConfig,
                        telemetry=None) -> SimulationResult:
     """Fork a system from ``snap`` and measure the remainder of ``trace``."""
-    if snap.config_key != _snapshot_config_key(config):
+    if snap.config_key != config_fingerprint(config):
         raise ValueError(
             "snapshot was captured under a different system configuration")
     system = restore(snap, telemetry=telemetry)
@@ -314,8 +257,8 @@ def _run_with_warmup_store(trace: TraceLike, config: SystemConfig,
     store = _resolve_snapshot_store(warmup_snapshot)
     if snapshot_key is None:
         raise ValueError(
-            "warmup_snapshot requires snapshot_key (run_workload, "
-            "run_workload_streaming and run_scenario compute it; see "
+            "warmup_snapshot requires snapshot_key (run_workload and "
+            "run_scenario compute it; see "
             "repro.sim.snapshot.snapshot_fingerprint)")
     snap = store.get_snapshot(snapshot_key)
     if snap is not None:
@@ -357,74 +300,34 @@ def run_workload(workload: Union[str, WorkloadSpec], config: SystemConfig,
                  num_cores: int = DEFAULT_NUM_CORES,
                  seed: int = DEFAULT_SEED,
                  warmup_fraction: float = DEFAULT_WARMUP_FRACTION,
+                 chunk_size: int = DEFAULT_CHUNK_SIZE,
                  telemetry=None,
                  snapshot=None,
                  warmup_snapshot=None) -> SimulationResult:
-    """Run one workload through one system configuration.
+    """Run one workload through one system configuration, streaming.
+
+    The generator's chunks feed the simulator directly: the trace is never
+    materialized, so memory stays bounded by ``chunk_size`` for arbitrarily
+    long traces, and results are bit-identical for any ``chunk_size`` and
+    to :func:`run_trace` over :func:`build_trace`'s buffer.
 
     ``snapshot`` / ``warmup_snapshot`` behave as in :func:`run_trace`; the
-    warmup fingerprint is computed here from the workload spec and geometry.
+    warmup fingerprint is computed here from the workload spec and
+    geometry.  A snapshot hit skips the warmup prefix chunk by chunk
+    instead of simulating it.
+
+    ``workload`` is a catalog name or a :class:`WorkloadSpec`; a scenario
+    runs through :func:`repro.scenario.runner.run_scenario` instead.
+    ``num_accesses`` below 1 and ``warmup_fraction`` outside ``[0, 1)``
+    raise ``ValueError``.
     """
-    spec = get_workload(workload) if isinstance(workload, str) else workload
-    trace = build_trace(spec, num_accesses, num_cores, seed)
-    key = None
-    if warmup_snapshot is not None and warmup_fraction > 0:
-        key = snapshot_fingerprint(
-            spec, config, int(num_accesses * warmup_fraction),
-            num_cores=num_cores, seed=seed)
-    return run_trace(trace, config, workload_name=spec.name,
-                     warmup_fraction=warmup_fraction, telemetry=telemetry,
-                     snapshot=snapshot, warmup_snapshot=warmup_snapshot,
-                     snapshot_key=key)
-
-
-def run_workload_streaming(workload: Union[str, WorkloadSpec], config: SystemConfig,
-                           num_accesses: int = DEFAULT_TRACE_LENGTH,
-                           num_cores: int = DEFAULT_NUM_CORES,
-                           seed: int = DEFAULT_SEED,
-                           warmup_fraction: float = DEFAULT_WARMUP_FRACTION,
-                           chunk_size: int = DEFAULT_CHUNK_SIZE,
-                           telemetry=None,
-                           snapshot=None,
-                           warmup_snapshot=None,
-                           closed_loop=None) -> SimulationResult:
-    """Run one workload at bounded memory: generator chunks feed the simulator.
-
-    The trace is never materialized (neither as objects nor as one large
-    buffer) and nothing is cached, so million-access traces simulate with a
-    memory footprint of one chunk.  Results are bit-identical to
-    :func:`run_workload` for the same arguments.
-
-    ``workload`` may also be a :class:`repro.scenario.spec.Scenario`; the
-    call then delegates to :func:`repro.scenario.runner.run_scenario` (the
-    scenario defines its own length and core layout, so ``num_accesses`` and
-    ``num_cores`` are ignored).
-
-    ``snapshot`` / ``warmup_snapshot`` behave as in :func:`run_trace` and
-    stay streaming: a snapshot hit skips the warmup prefix without
-    generating it access by access (the generators are cheap; the simulator
-    is not).
-
-    ``closed_loop`` (a :class:`repro.scenario.closed_loop.ClosedLoopSpec`
-    or parameter dict) turns a *scenario* run closed-loop -- see
-    :func:`repro.scenario.runner.run_scenario`.  Plain workloads have no
-    phase structure for the controller to rescale, so the knob is rejected
-    for them.
-    """
-    if hasattr(workload, "phases") and hasattr(workload, "total_accesses"):
-        # Lazy import: repro.scenario layers above repro.sim.
-        from repro.scenario.runner import run_scenario
-
-        return run_scenario(workload, config, seed=seed,
-                            warmup_fraction=warmup_fraction,
-                            chunk_size=chunk_size,
-                            telemetry=telemetry, snapshot=snapshot,
-                            warmup_snapshot=warmup_snapshot,
-                            closed_loop=closed_loop)
-    if closed_loop is not None:
-        raise ValueError(
-            "closed_loop applies to scenario runs only; pass a Scenario "
-            "(see repro.scenario.closed_loop)")
+    if not isinstance(workload, (str, WorkloadSpec)):
+        raise TypeError(
+            f"run_workload takes a workload name or WorkloadSpec, not "
+            f"{type(workload).__name__}; run a Scenario with "
+            "repro.scenario.runner.run_scenario")
+    if num_accesses < 1:
+        raise ValueError(f"num_accesses must be at least 1, got {num_accesses!r}")
     spec = get_workload(workload) if isinstance(workload, str) else workload
     chunks = iter_trace_chunks(spec, num_accesses, num_cores=num_cores,
                                seed=seed, chunk_size=chunk_size)
@@ -453,15 +356,3 @@ def run_configs(workload: Union[str, WorkloadSpec], configs: Iterable[SystemConf
         results[config.name] = run_trace(trace, config, workload_name=spec.name,
                                          warmup_fraction=warmup_fraction)
     return results
-
-
-def run_named_configs(workload: Union[str, WorkloadSpec],
-                      config_names: Optional[List[str]] = None,
-                      num_accesses: int = DEFAULT_TRACE_LENGTH,
-                      num_cores: int = DEFAULT_NUM_CORES,
-                      seed: int = DEFAULT_SEED,
-                      warmup_fraction: float = DEFAULT_WARMUP_FRACTION) -> Dict[str, SimulationResult]:
-    """Run one workload through the named paper configurations."""
-    configs = named_configs(config_names)
-    return run_configs(workload, configs.values(), num_accesses, num_cores, seed,
-                       warmup_fraction)

@@ -48,7 +48,11 @@ from typing import Dict, Iterator, Optional
 
 import numpy as np
 
-from repro.common.fingerprint import canonical_data, fingerprint
+from repro.common.fingerprint import (
+    canonical_data,
+    config_fingerprint,
+    fingerprint,
+)
 from repro.sim.system import ServerSystem
 from repro.trace.buffer import as_chunk_iterator
 
@@ -176,20 +180,6 @@ class SystemSnapshot:
         }
 
 
-def config_key(config) -> str:
-    """Fingerprint of a system configuration's behaviour-relevant fields.
-
-    ``name`` and ``description`` are labels, not behaviour (two differently
-    named but identical configurations produce identical warm state), so
-    they are dropped -- mirroring the result-fingerprint convention of
-    :mod:`repro.exec.jobs`.
-    """
-    data = canonical_data(config)
-    data.pop("name", None)
-    data.pop("description", None)
-    return fingerprint(data)
-
-
 def snapshot_fingerprint(workload, config, warmup_accesses: int,
                          num_cores: Optional[int] = None,
                          seed: Optional[int] = None,
@@ -211,7 +201,7 @@ def snapshot_fingerprint(workload, config, warmup_accesses: int,
         "kind": "snapshot",
         "version": _package_version(),
         "workload": canonical_data(workload),
-        "config": config_key(config),
+        "config": config_fingerprint(config),
         "warmup_accesses": int(warmup_accesses),
         "num_cores": num_cores,
         "seed": seed,
@@ -273,7 +263,7 @@ def capture(system: ServerSystem, processed: int,
         package_version=_package_version(),
         workload_name=system.workload_name,
         processed=int(processed),
-        config_key=config_key(system.config),
+        config_key=config_fingerprint(system.config),
         arrays=arrays,
         state_blob=blob,
         source_state=source_state,

@@ -52,10 +52,34 @@ class TimingSummary:
 
 
 class TimingModel:
-    """Turns event counts and measured DRAM latencies into cycles and IPC."""
+    """Turns event counts and measured DRAM latencies into cycles and IPC.
+
+    Subclasses change how much of each memory access's latency the core
+    exposes by overriding :meth:`stall_cycles` only; the cycle count, the
+    DRAM-bandwidth bound and the throughput are shared.
+    """
 
     def __init__(self, params: Optional[SystemParams] = None) -> None:
         self.params = params if params is not None else SystemParams()
+
+    def stall_cycles(self, *, instructions: float, load_demand_misses: float,
+                     covered_loads: float, llc_load_hits: float,
+                     miss_latency: float) -> float:
+        """Exposed memory stall cycles per core.
+
+        Every class of load overlaps at the core's fixed memory-level
+        parallelism: demand misses pay ``miss_latency`` (NOC + LLC + DRAM),
+        covered loads the NOC and LLC latency, LLC hits the LLC latency.
+        """
+        params = self.params
+        memory_level_parallelism = params.core.memory_level_parallelism
+        covered_penalty = params.noc_latency_cycles + params.llc.hit_latency_cycles
+        hit_penalty = params.llc.hit_latency_cycles
+        return (
+            load_demand_misses * miss_latency / memory_level_parallelism
+            + covered_loads * covered_penalty / memory_level_parallelism
+            + llc_load_hits * hit_penalty / memory_level_parallelism
+        ) / params.num_cores
 
     def summarize(self, *, instructions: float, load_demand_misses: float,
                   covered_loads: float, llc_load_hits: float,
@@ -69,24 +93,18 @@ class TimingModel:
         """
         params = self.params
         core = params.core
-        num_cores = params.num_cores
         to_core_cycles = params.core_cycles_per_dram_cycle
 
-        base_cycles = instructions * core.base_cpi / num_cores
-
-        miss_penalty = (
+        base_cycles = instructions * core.base_cpi / params.num_cores
+        miss_latency = (
             params.noc_latency_cycles
             + params.llc.hit_latency_cycles
             + average_dram_latency_bus_cycles * to_core_cycles
         )
-        covered_penalty = params.noc_latency_cycles + params.llc.hit_latency_cycles
-        hit_penalty = params.llc.hit_latency_cycles
-
-        stall_cycles = (
-            load_demand_misses * miss_penalty / core.memory_level_parallelism
-            + covered_loads * covered_penalty / core.memory_level_parallelism
-            + llc_load_hits * hit_penalty / core.memory_level_parallelism
-        ) / num_cores
+        stall_cycles = self.stall_cycles(
+            instructions=instructions, load_demand_misses=load_demand_misses,
+            covered_loads=covered_loads, llc_load_hits=llc_load_hits,
+            miss_latency=miss_latency)
 
         core_cycles = base_cycles + stall_cycles
         dram_bound_cycles = dram_elapsed_bus_cycles * to_core_cycles

@@ -33,6 +33,7 @@ __all__ = [
     "record_snapshot_restore",
     "reset_snapshot_counters",
     "snapshot_cache_info",
+    "snapshot_counts",
     "write_campaign_metrics",
 ]
 
@@ -41,7 +42,7 @@ CAMPAIGN_METRICS_SCHEMA_VERSION = 1
 
 
 # --------------------------------------------------------------------- #
-# Snapshot-cache counters (process-wide, like the runner's trace cache)
+# Snapshot-cache counters (process-wide)
 # --------------------------------------------------------------------- #
 #: Warm-state snapshot reuse counters for this process: store lookups that
 #: found a matching snapshot (``hits``) or did not (``misses``), warmups
@@ -81,11 +82,22 @@ def record_snapshot_restore(nbytes: int) -> None:
     _SNAPSHOT_COUNTERS["bytes_restored"] += int(nbytes)
 
 
-def snapshot_cache_info() -> Dict[str, object]:
-    """This process's snapshot reuse counters (``repro report --caches``)."""
-    info: Dict[str, object] = dict(_SNAPSHOT_COUNTERS)
-    lookups = _SNAPSHOT_COUNTERS["hits"] + _SNAPSHOT_COUNTERS["misses"]
-    info["hit_ratio"] = _SNAPSHOT_COUNTERS["hits"] / lookups if lookups else 0.0
+def snapshot_counts() -> Dict[str, int]:
+    """A copy of this process's raw snapshot counters."""
+    return dict(_SNAPSHOT_COUNTERS)
+
+
+def snapshot_cache_info(counts: Optional[Dict[str, int]] = None
+                        ) -> Dict[str, object]:
+    """Snapshot reuse counters plus their derived hit ratio.
+
+    ``counts`` defaults to this process's counters; a campaign passes the
+    counts summed over the jobs it ran.
+    """
+    info: Dict[str, object] = dict(_SNAPSHOT_COUNTERS if counts is None
+                                   else counts)
+    lookups = info["hits"] + info["misses"]
+    info["hit_ratio"] = info["hits"] / lookups if lookups else 0.0
     return info
 
 
@@ -142,7 +154,6 @@ def campaign_metrics(job_metrics: Iterable[JobMetrics],
                      elapsed_seconds: float,
                      workers: int,
                      store_stats: Optional[Dict[str, object]] = None,
-                     trace_cache: Optional[Dict[str, object]] = None,
                      snapshot_cache: Optional[Dict[str, object]] = None,
                      ) -> Dict[str, object]:
     """Fold per-job metrics into the fleet-level campaign document.
@@ -179,8 +190,6 @@ def campaign_metrics(job_metrics: Iterable[JobMetrics],
     }
     if store_stats is not None:
         document["store"] = dict(store_stats)
-    if trace_cache is not None:
-        document["trace_cache"] = dict(trace_cache)
     if snapshot_cache is not None:
         document["snapshot_cache"] = dict(snapshot_cache)
     return document

@@ -16,6 +16,7 @@ from repro.analysis.experiments import (
     figure5_region_density,
     figure9_energy_per_access,
     figure10_performance,
+    figure11_design_space,
     figure13_summary,
     table1_late_writes,
     table4_bump_row_hits,
@@ -86,6 +87,21 @@ def test_figure13_and_table4_summary():
     assert summary["base_close"]["energy_normalized"] == pytest.approx(1.0)
     table4 = table4_bump_row_hits(WORKLOADS, num_accesses=ACCESSES)
     assert 0.0 < table4["web_search"] <= 1.0
+
+
+def test_figure11_cells_are_keyed_by_configuration_content():
+    """Thresholds that share a rounded percentage are still distinct systems.
+
+    0.28 and 0.289 both read "28%"; each cell must hold its own run, the
+    one a 0.289-only sweep computes.
+    """
+    sweep = dict(workloads=WORKLOADS, region_sizes=(1024,), num_accesses=8000)
+    clear_result_cache()
+    alone = figure11_design_space(threshold_fractions=(0.289,), **sweep)
+    clear_result_cache()
+    both = figure11_design_space(threshold_fractions=(0.28, 0.289), **sweep)
+    assert both[(1024, 0.289)] == alone[(1024, 0.289)]
+    assert both[(1024, 0.28)] != both[(1024, 0.289)]
 
 
 def test_paper_reference_values_are_self_consistent():

@@ -209,13 +209,6 @@ class TestTelemetryCli:
         assert status == 0
         assert "telemetry[spans]:" in out
 
-    def test_report_caches_renders_counters(self, capsys):
-        status, out = run_cli(capsys, "report", "--caches")
-        assert status == 0
-        assert "trace cache" in out
-        for key in ("entries", "capacity", "hits", "misses", "hit_ratio"):
-            assert key in out
-
     def test_report_campaign_metrics_file(self, capsys, tmp_path):
         status, out = run_cli(capsys, "campaign",
                               "--workloads", "web_search",
@@ -333,6 +326,27 @@ class TestFailurePaths:
                 run_cli(capsys, "run", "web_search", "--interp", value)
             assert err.value.code == 2  # argparse usage error
             assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_impossible_warmup_fraction_exits_naming_its_range(self, capsys,
+                                                               tmp_path):
+        """The run layer rejects the fraction; every command reports it."""
+        from repro.sim.runner import build_trace
+        from repro.trace.io import save_trace
+
+        trace = save_trace(build_trace("web_search", 200, num_cores=2),
+                           tmp_path / "t.npy")
+        for argv in (("run", "web_search", "--accesses", "500",
+                      "--warmup", "1.0"),
+                     ("compare", "web_search", "--accesses", "500",
+                      "--warmup", "-0.5"),
+                     ("scenario", "run", "idle-cores", "--scale", "0.002",
+                      "--warmup", "1.5"),
+                     ("trace", "ingest", str(trace), "--warmup", "1.0"),
+                     ("campaign", "--workloads", "web_search", "--systems",
+                      "base_open", "--accesses", "500", "--warmup", "1.0")):
+            with pytest.raises(SystemExit) as err:
+                run_cli(capsys, *argv)
+            assert "warmup_fraction must be in [0, 1)" in str(err.value), argv
 
     def test_bad_cache_engine_is_an_argparse_error(self, capsys):
         """There is one cache engine, so no ``--engine`` value is accepted."""

@@ -19,7 +19,7 @@ from repro.sim.runner import (
     DEFAULT_SEED,
     build_trace,
     run_trace,
-    run_workload_streaming,
+    run_workload,
 )
 from repro.trace.buffer import DEFAULT_CHUNK_SIZE
 from repro.workloads.catalog import workload_names
@@ -59,14 +59,14 @@ def test_chunked_path_matches_whole_buffer(workload):
 
 
 def test_streaming_generation_matches_materialized_path():
-    """Generator-chunk streaming equals cache-materialized simulation."""
+    """Generator-chunk streaming equals the materialized-buffer simulation."""
     config = _small(named_configs(["bump"])["bump"])
     trace = build_trace("web_search", ACCESSES, num_cores=CORES, seed=DEFAULT_SEED)
     materialized = run_trace(trace, config, workload_name="web_search",
                              warmup_fraction=WARMUP)
-    streamed = run_workload_streaming("web_search", config, num_accesses=ACCESSES,
-                                      num_cores=CORES, seed=DEFAULT_SEED,
-                                      warmup_fraction=WARMUP, chunk_size=CHUNK)
+    streamed = run_workload("web_search", config, num_accesses=ACCESSES,
+                            num_cores=CORES, seed=DEFAULT_SEED,
+                            warmup_fraction=WARMUP, chunk_size=CHUNK)
     assert result_fingerprint(streamed) == result_fingerprint(materialized)
 
 

@@ -8,6 +8,8 @@ cells pin the object engine's FCFS and bank round-robin results, which the
 ported schedulers must reproduce.
 """
 
+import functools
+
 import pytest
 
 from engine_pins import PINS
@@ -16,7 +18,7 @@ from repro.exec.campaign import result_fingerprint
 from repro.scenario.catalog import get_scenario, scenario_names
 from repro.scenario.runner import run_scenario
 from repro.sim.config import named_configs
-from repro.sim.runner import build_trace, run_trace, run_workload_streaming
+from repro.sim.runner import build_trace, run_trace, run_workload
 from repro.workloads.catalog import workload_names
 
 ACCESSES = 4_000
@@ -26,9 +28,14 @@ ABLATION_SYSTEMS = ("bump", "base_close", "sms_vwq")
 ABLATION_SCHEDULERS = ("fcfs", "bank_round_robin")
 
 
+@functools.lru_cache(maxsize=None)
+def _trace(workload):
+    return build_trace(workload, ACCESSES)
+
+
 def _run(workload, config, trace=None):
     if trace is None:
-        trace = build_trace(workload, ACCESSES)
+        trace = _trace(workload)
     return run_trace(trace, config, workload_name=workload)
 
 
@@ -37,7 +44,7 @@ class TestWorkloadConfigMatrix:
     @pytest.mark.parametrize("workload", workload_names())
     def test_all_named_configs_bit_identical(self, workload):
         """6 workloads x 8 named configs, each equal to its pin."""
-        trace = build_trace(workload, ACCESSES)
+        trace = _trace(workload)
         for name, config in named_configs().items():
             result = _run(workload, config, trace)
             assert result_fingerprint(result) == DRAM["matrix"][workload][name], (
@@ -59,7 +66,7 @@ class TestAblationSchedulers:
     @pytest.mark.parametrize("workload", workload_names())
     def test_ported_schedulers_reproduce_the_object_engine(self, workload):
         """bump, base_close and sms_vwq under FCFS and bank round robin."""
-        trace = build_trace(workload, ACCESSES)
+        trace = _trace(workload)
         for name in ABLATION_SYSTEMS:
             for scheduler in ABLATION_SCHEDULERS:
                 config = named_configs([name])[name].with_overrides(
@@ -80,15 +87,15 @@ class TestEngineMatrix:
 
     def test_streaming_path_threads_the_engine(self):
         config = named_configs(["base_open"])["base_open"]
-        result = run_workload_streaming("data_serving", config,
-                                        num_accesses=ACCESSES, chunk_size=1024)
+        result = run_workload("data_serving", config,
+                              num_accesses=ACCESSES, chunk_size=1024)
         assert result_fingerprint(result) == DRAM["streaming"]
 
     def test_streaming_chunk_size_invisible_under_flat_engine(self):
         """Batched DRAM intake must not leak chunk boundaries into results."""
         config = named_configs(["base_open"])["base_open"]
         results = [
-            result_fingerprint(run_workload_streaming(
+            result_fingerprint(run_workload(
                 "web_serving", config, num_accesses=ACCESSES,
                 chunk_size=chunk))
             for chunk in (256, 1000, ACCESSES)

@@ -19,7 +19,7 @@ from repro.exec.campaign import (
 from repro.exec.jobs import JobGrid, JobSpec
 from repro.exec.progress import RecordingProgress
 from repro.exec.store import ArtifactStore
-from repro.sim.config import named_configs
+from repro.sim.config import bump_system, named_configs
 
 #: Small LLC so the tiny test traces still produce DRAM traffic.
 SMALL = SystemParams().scaled(
@@ -176,8 +176,9 @@ class TestCampaignResult:
                 ["web_search"], systems=["base_open", "bump"],
                 num_accesses=2000, workers=2)
             assert len(outcome) == 2
-            assert experiments.cached_result(
-                "web_search", "bump", 2000, experiments.DEFAULT_SEED) is not None
+            bump = JobSpec(workload="web_search", config=bump_system(),
+                           num_accesses=2000, seed=experiments.DEFAULT_SEED)
+            assert bump.result_fingerprint() in experiments._RESULT_CACHE
             # The figure function must now be a pure cache lookup.
             table = experiments.figure2_row_buffer_hit(["web_search"],
                                                        num_accesses=2000)

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import sys
@@ -68,7 +69,9 @@ SCENARIO_CONFIG = "bump"
 SCENARIOS = tuple(scenario_names())
 
 
+@functools.lru_cache(maxsize=None)
 def _trace(workload: str = WORKLOAD):
+    """The workload's pinned trace, generated once per process."""
     return build_trace(workload, ACCESSES, num_cores=CORES, seed=SEED)
 
 

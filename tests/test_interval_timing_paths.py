@@ -21,7 +21,7 @@ from repro.exec.campaign import result_fingerprint
 from repro.scenario.catalog import get_scenario
 from repro.scenario.runner import run_scenario
 from repro.sim.config import base_open, bump_system
-from repro.sim.runner import run_trace, run_workload_streaming
+from repro.sim.runner import run_trace, run_workload
 from repro.trace.buffer import TraceBuffer
 
 ACCESSES = 4_000
@@ -99,13 +99,13 @@ class TestEngineParity:
         assert result_fingerprint(result) == pin["fingerprint"]
 
     def test_streaming_timing_identical_across_cache_engines(self):
-        result = run_workload_streaming("web_search", _interval(base_open),
-                                        num_accesses=ACCESSES, chunk_size=1024)
+        result = run_workload("web_search", _interval(base_open),
+                              num_accesses=ACCESSES, chunk_size=1024)
         self._assert_pinned(result, PINS["interval_streaming"])
 
     def test_streaming_timing_identical_across_dram_engines(self):
-        result = run_workload_streaming("data_serving", _interval(base_open),
-                                        num_accesses=ACCESSES, chunk_size=1024)
+        result = run_workload("data_serving", _interval(base_open),
+                              num_accesses=ACCESSES, chunk_size=1024)
         self._assert_pinned(result, PINS["dram"]["interval_streaming"])
 
     def test_scenario_path_runs_interval_model_identically(self):
@@ -116,8 +116,8 @@ class TestEngineParity:
 
     def test_interval_differs_from_analytic(self):
         """Sanity: the knob actually selects a different model."""
-        analytic = run_workload_streaming("web_search", base_open(),
-                                          num_accesses=ACCESSES)
-        interval = run_workload_streaming("web_search", _interval(base_open),
-                                          num_accesses=ACCESSES)
+        analytic = run_workload("web_search", base_open(),
+                                num_accesses=ACCESSES)
+        interval = run_workload("web_search", _interval(base_open),
+                                num_accesses=ACCESSES)
         assert analytic.cycles != interval.cycles

@@ -32,7 +32,7 @@ from repro.scenario.catalog import get_scenario, scenario_names
 from repro.scenario.compiler import iter_scenario_chunks
 from repro.sim import pipeline
 from repro.sim.config import base_open, bump_system, named_configs
-from repro.sim.runner import build_trace, run_workload_streaming
+from repro.sim.runner import build_trace, run_workload
 from repro.sim.snapshot import capture_warmup, save_snapshot
 from repro.sim.system import ServerSystem
 from repro.telemetry import TelemetryRecorder
@@ -143,7 +143,7 @@ def test_a_long_run_engages_without_forcing(monkeypatch, started):
     assert default == DEFAULT_CHUNK_SIZE
 
     def run():
-        return result_fingerprint(run_workload_streaming(
+        return result_fingerprint(run_workload(
             "web_search", bump_system(), 70_000, num_cores=CORES, seed=9))
 
     monkeypatch.setattr(pipeline, "ENGAGE_ACCESSES", NEVER)

@@ -29,7 +29,7 @@ from repro.scenario import (
 )
 from repro.sim.config import base_open
 from repro.workloads.catalog import get_workload
-from repro.sim.runner import run_trace, run_workload_streaming
+from repro.sim.runner import run_trace, run_workload
 from repro.sim.system import ServerSystem
 
 #: Scales every catalog scenario down to a few thousand accesses.
@@ -266,11 +266,10 @@ class TestSimulationParity:
         assert all(len(queue) < _COMPACT_THRESHOLD + 2 * memory.window
                    for queue in memory._pending)
 
-    def test_run_workload_streaming_delegates(self):
-        scenario = small("idle-cores")
-        streamed = run_workload_streaming(scenario, base_open(), seed=7)
-        direct = run_scenario(scenario, base_open(), seed=7)
-        assert result_fingerprint(streamed) == result_fingerprint(direct)
+    def test_run_workload_rejects_a_scenario(self):
+        """A scenario has one run path, and the error names it."""
+        with pytest.raises(TypeError, match="run_scenario"):
+            run_workload(small("idle-cores"), base_open(), seed=7)
 
 
 # --------------------------------------------------------------------- #

@@ -10,6 +10,7 @@ in another).  A container that is damaged or from another format version
 is rejected with ``ValueError``.
 """
 
+import functools
 import os
 import re
 import subprocess
@@ -27,7 +28,7 @@ from repro.exec.store import ArtifactStore
 from repro.scenario.catalog import get_scenario
 from repro.scenario.runner import run_scenario
 from repro.sim.config import named_configs
-from repro.sim.runner import build_trace, run_trace, run_workload_streaming
+from repro.sim.runner import build_trace, run_trace, run_workload
 from repro.sim.snapshot import (
     SNAPSHOT_FORMAT_VERSION,
     capture,
@@ -62,6 +63,7 @@ def _config(name="bump"):
     return named_configs([name])[name]
 
 
+@functools.lru_cache(maxsize=None)
 def _trace():
     return build_trace(WORKLOAD, ACCESSES, num_cores=CORES, seed=SEED)
 
@@ -440,20 +442,17 @@ class TestFingerprint:
 
 
 class TestRunnerIntegration:
-    def test_run_workload_streaming_warmup_snapshot(self, tmp_path):
+    def test_run_workload_warmup_snapshot(self, tmp_path):
         store = ArtifactStore(tmp_path)
         config = _config()
-        cold = run_workload_streaming(WORKLOAD, config, num_accesses=ACCESSES,
-                                      num_cores=CORES, seed=SEED,
-                                      warmup_fraction=0.5)
-        run_workload_streaming(WORKLOAD, config, num_accesses=ACCESSES,
-                               num_cores=CORES, seed=SEED,
-                               warmup_fraction=0.5, warmup_snapshot=store)
-        restored = run_workload_streaming(WORKLOAD, config,
-                                          num_accesses=ACCESSES,
-                                          num_cores=CORES, seed=SEED,
-                                          warmup_fraction=0.5,
-                                          warmup_snapshot=store)
+        cold = run_workload(WORKLOAD, config, num_accesses=ACCESSES,
+                            num_cores=CORES, seed=SEED, warmup_fraction=0.5)
+        run_workload(WORKLOAD, config, num_accesses=ACCESSES,
+                     num_cores=CORES, seed=SEED,
+                     warmup_fraction=0.5, warmup_snapshot=store)
+        restored = run_workload(WORKLOAD, config, num_accesses=ACCESSES,
+                                num_cores=CORES, seed=SEED,
+                                warmup_fraction=0.5, warmup_snapshot=store)
         info = snapshot_cache_info()
         assert info["captures"] == 1 and info["restores"] == 1
         assert result_fingerprint(cold) == result_fingerprint(restored)
@@ -515,6 +514,30 @@ class TestCampaign:
         info = snapshot_cache_info()
         assert info["restores"] == len(jobs)
         assert info["captures"] == 0
+
+    def test_campaign_reports_its_own_snapshot_activity(self, tmp_path):
+        """Workers 1 and 2 report the same reuse, and a second campaign in
+        the same process reports only its own activity."""
+        # Same 2,000-access warmup under a different measure phase: the
+        # second campaign's jobs are new results but reuse the snapshots.
+        resumed = JobGrid(workloads=[WORKLOAD], configs=["base_open", "bump"],
+                          seeds=[SEED], num_accesses=5_000, num_cores=CORES,
+                          warmup_fraction=0.4).expand()
+        reports = {}
+        for workers in (1, 2):
+            store = ArtifactStore(tmp_path / f"workers{workers}")
+            first = run_campaign(self._jobs(), store=store, workers=workers,
+                                 warmup_snapshots=True)
+            second = run_campaign(resumed, store=store, workers=workers,
+                                  warmup_snapshots=True)
+            reports[workers] = (first.metrics["snapshot_cache"],
+                                second.metrics["snapshot_cache"])
+        counts = ("hits", "misses", "captures", "restores")
+        for first, second in reports.values():
+            assert [first[key] for key in counts] == [0, 2, 2, 0]
+            assert [second[key] for key in counts] == [2, 0, 0, 2]
+            assert first["bytes_written"] > 0 and second["bytes_written"] == 0
+            assert second["bytes_restored"] == first["bytes_written"]
 
     def test_warmup_snapshots_require_store(self):
         with pytest.raises(ValueError, match="store"):

@@ -9,17 +9,24 @@ cover every result field) and is additionally gated in CI by
 ``benchmarks/bench_telemetry.py``.
 """
 
+import functools
+
 import pytest
 
 from repro.exec.campaign import result_fingerprint
 from repro.scenario import get_scenario, run_scenario
 from repro.sim.config import base_open, bump_system, named_configs
-from repro.sim.runner import build_trace, run_trace, run_workload_streaming
+from repro.sim.runner import build_trace, run_trace, run_workload
 from repro.telemetry import TelemetryRecorder
 from repro.workloads import WORKLOADS
 
 ACCESSES = 2500
 CONFIGS = sorted(named_configs())
+
+
+@functools.lru_cache(maxsize=None)
+def _trace(workload):
+    return build_trace(workload, ACCESSES)
 
 
 def _digests(trace, config, **kwargs):
@@ -33,7 +40,7 @@ def _digests(trace, config, **kwargs):
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
 @pytest.mark.parametrize("config_name", CONFIGS)
 def test_full_is_bit_identical_to_off(workload, config_name):
-    trace = build_trace(workload, ACCESSES)
+    trace = _trace(workload)
     config = named_configs()[config_name]
     off, full = _digests(trace, config)
     assert off == full
@@ -43,18 +50,18 @@ def test_full_is_bit_identical_to_off(workload, config_name):
 def test_invariance_holds_on_every_engine_combination(scheduler):
     # Telemetry reads the queue depth, which round robin keeps in per-core
     # queues as well.
-    trace = build_trace("web_search", ACCESSES)
+    trace = _trace("web_search")
     off, full = _digests(trace, bump_system(scheduler=scheduler))
     assert off == full
 
 
 def test_invariance_holds_for_streaming_runs():
     kwargs = dict(num_accesses=4000, chunk_size=1000)
-    off = run_workload_streaming("media_streaming", base_open(),
-                                 telemetry="off", **kwargs)
+    off = run_workload("media_streaming", base_open(),
+                       telemetry="off", **kwargs)
     recorder = TelemetryRecorder("full")
-    full = run_workload_streaming("media_streaming", base_open(),
-                                  telemetry=recorder, **kwargs)
+    full = run_workload("media_streaming", base_open(),
+                        telemetry=recorder, **kwargs)
     assert len(recorder.timeline) >= 4
     assert result_fingerprint(off) == result_fingerprint(full)
 
@@ -75,7 +82,7 @@ def test_invariance_holds_for_scenarios_and_phases_are_marked():
 
 
 def test_chunks_and_spans_modes_are_also_invariant():
-    trace = build_trace("online_analytics", ACCESSES)
+    trace = _trace("online_analytics")
     baseline = result_fingerprint(run_trace(trace, bump_system(),
                                             telemetry="off"))
     for mode in ("chunks", "spans"):
