@@ -1,7 +1,9 @@
 """Shared fixtures for the benchmark harness.
 
-Every benchmark module regenerates one table or figure of the paper.  The
-modules share an in-process result cache (see
+``bench_paper_figures.py`` regenerates every figure and table of the paper
+(one test per :mod:`repro.analysis.figures` entry); the other modules run
+the ablation studies, the Section VI tables and the performance gates.  The
+tests share an in-process result cache (see
 :mod:`repro.analysis.experiments`), so the whole suite costs roughly one
 simulation per (workload, system configuration) pair even though several
 figures consume the same runs.
@@ -51,6 +53,8 @@ def pytest_collect_file(file_path: Path, parent):
     """Collect ``bench_*.py`` modules when the run targets this directory."""
     if file_path.suffix != ".py" or not file_path.name.startswith("bench_"):
         return None
+    if parent.session.isinitpath(file_path):
+        return None  # named on the command line: the default collector takes it
     config = parent.config
     if any(fnmatch(file_path.name, pattern)
            for pattern in config.getini("python_files")):
@@ -108,14 +112,10 @@ def campaign_precompute(request) -> None:
     workers = bench_workers()
     if workers <= 1:
         return
-    collected = {item.location[0].replace("\\", "/").rsplit("/", 1)[-1]
-                 for item in request.session.items}
-    wants_design_space = "bench_fig11_design_space.py" in collected
-    wants_matrix = any(
-        name.startswith(("bench_fig", "bench_tab"))
-        and name != "bench_fig11_design_space.py"
-        for name in collected
-    )
+    figures = {item.callspec.params.get("figure") for item in request.session.items
+               if hasattr(item, "callspec")} - {None}
+    wants_design_space = "figure11" in figures
+    wants_matrix = bool(figures - {"figure11"})
     if not (wants_matrix or wants_design_space):
         return
     from repro.analysis.experiments import (
@@ -127,7 +127,7 @@ def campaign_precompute(request) -> None:
     if wants_matrix:
         run_experiment_campaign(selected_workloads(), workers=workers)
     if wants_design_space:
-        # Mirrors bench_fig11_design_space's trace length so its cells hit.
+        # The Figure 11 entry's trace length, so its cells hit.
         precompute_design_space(selected_workloads(),
                                 num_accesses=design_space_accesses(),
                                 workers=workers)

@@ -28,8 +28,9 @@ The package is organised as one subpackage per subsystem:
   full simulator state, bit-identical, for fork-per-query amortized
   warmup).
 * :mod:`repro.analysis` -- one experiment function per paper figure/table,
-  the ablation and Section VI scalability studies, paper-vs-measured
-  validation, and plain-text reporting.
+  registered once with its tables and shape checks
+  (:mod:`repro.analysis.figures`), the ablation and Section VI scalability
+  studies, paper-vs-measured validation, and plain-text reporting.
 * :mod:`repro.exec` -- the parallel experiment-campaign engine: declarative
   job grids, a content-addressed on-disk artifact store, worker-process
   sharding and the serial-vs-parallel parity guard.
@@ -74,7 +75,7 @@ from repro.workloads import (
     iter_trace_chunks,
 )
 
-__version__ = "1.19.0"
+__version__ = "1.20.0"
 
 __all__ = [
     "BuMPConfig",

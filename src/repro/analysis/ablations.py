@@ -1,7 +1,7 @@
 """Ablation and extension experiments.
 
-DESIGN.md calls out a handful of design choices the paper asserts but does
-not sweep, plus the Section VI/VII discussion points.  Each function here is
+The paper asserts a handful of design choices it does not sweep, and
+discusses more in Sections VI and VII.  Each function here is
 an experiment in the same style as :mod:`repro.analysis.experiments`
 (plain-dict results, shared result memo) covering one of them:
 

@@ -1,8 +1,8 @@
 """One experiment function per figure/table of the paper's evaluation.
 
 Every function returns plain dictionaries shaped like the corresponding
-figure's data series so the benchmark harness, the examples and EXPERIMENTS.md
-can consume them directly.  Results of individual (workload, configuration)
+figure's data series; :mod:`repro.analysis.figures` registers each one with
+the tables that render it and the checks that validate it.  Results of individual (workload, configuration)
 simulations are memoized in-process under their job's content fingerprint
 (:meth:`repro.exec.jobs.JobSpec.result_fingerprint`): several figures reuse
 the same runs (e.g. Figures 2, 9, 10 and 13 all need the open-row baseline),

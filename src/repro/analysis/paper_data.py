@@ -1,11 +1,11 @@
 """Reference values reported by the paper, for side-by-side comparison.
 
 These numbers are transcribed from the text, tables and (approximately) the
-figures of the MICRO 2014 paper.  They are used by the reporting module and by
-EXPERIMENTS.md to show paper-vs-measured rows, and by a handful of tests that
-check the *shape* of the reproduction (orderings and rough magnitudes), never
-exact equality -- the reproduction runs synthetic traces on an analytic
-simulator, so absolute values are not expected to match.
+figures of the MICRO 2014 paper.  :mod:`repro.analysis.figures` prints them
+next to the measured values and uses them in the shape checks (orderings and
+rough magnitudes), never for exact equality -- the reproduction runs
+synthetic traces on an analytic simulator, so absolute values are not
+expected to match.
 """
 
 from __future__ import annotations

@@ -1,9 +1,9 @@
 """Plain-text rendering of experiment results.
 
-The benchmark harness and the examples print their results through these
-helpers so every figure reproduction ends up as a readable table on stdout
-(and, via ``tee``, in ``bench_output.txt``), mirroring the rows/series of the
-paper's figures.
+The figure registry (:mod:`repro.analysis.figures`) renders every figure
+and table of the paper through these helpers, so each reproduction ends up
+as a readable table on stdout, mirroring the rows/series of the paper's
+figures.
 """
 
 from __future__ import annotations

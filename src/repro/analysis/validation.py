@@ -1,19 +1,18 @@
 """Paper-versus-measured validation.
 
-EXPERIMENTS.md promises that the *shape* of every paper result is reproduced
-even though absolute magnitudes differ (synthetic workloads, analytic
-timing).  This module turns that promise into code: each check compares a
-measured quantity against the paper's reference value under an explicit rule
--- an ordering, a range, or a tolerance band -- and the collection of checks
-is rendered as the pass/fail table the summary benchmark and the
-``report`` CLI command print.
+The reproduction must preserve the *shape* of every paper result even though
+absolute magnitudes differ (synthetic workloads, analytic timing).  Each
+check compares a measured quantity against the paper's reference value under
+an explicit rule -- an ordering, a range, a tolerance band or a predicate --
+and a :class:`ValidationSuite` renders its checks as a pass/fail table.  The
+figures' checks are defined in :mod:`repro.analysis.figures`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Callable, List, Mapping, Sequence
 
 
 class CheckKind(Enum):
@@ -89,10 +88,11 @@ class ValidationSuite:
             passed = all(b > a for a, b in zip(values, values[1:]))
         else:
             passed = all(b >= a for a, b in zip(values, values[1:]))
+        relation = " < " if strict else " <= "
         self.results.append(CheckResult(
             name=name, kind=CheckKind.ORDERING, passed=passed,
-            measured=" < ".join(f"{key}={measured[key]:.3g}" for key in expected_order),
-            expected=" < ".join(expected_order),
+            measured=relation.join(f"{key}={measured[key]:.3g}" for key in expected_order),
+            expected=relation.join(expected_order),
         ))
         return passed
 
@@ -133,36 +133,3 @@ class ValidationSuite:
                              headers=["check", "kind", "measured", "expected", "status"])
         return f"{header}\n{table}"
 
-
-def validate_headline_results(summary: Mapping[str, Mapping[str, float]],
-                              suite: Optional[ValidationSuite] = None) -> ValidationSuite:
-    """Validate a Figure 13 style cross-system summary against the paper.
-
-    ``summary`` maps system name to ``{"row_buffer_hit_ratio": ..,
-    "energy_normalized": ..}`` as produced by
-    :func:`repro.analysis.experiments.figure13_summary`.
-    """
-    from repro.analysis import paper_data
-
-    suite = suite if suite is not None else ValidationSuite("headline results")
-
-    hit_ratios = {name: entry["row_buffer_hit_ratio"] for name, entry in summary.items()}
-    suite.check_ordering(
-        "row-buffer hit ratio ordering (Fig. 2/13)",
-        hit_ratios,
-        ["base_open", "sms", "vwq", "sms_vwq", "bump", "ideal"],
-    )
-
-    if "bump" in summary and "base_open" in summary:
-        base_energy = summary["base_open"]["energy_normalized"]
-        bump_energy = summary["bump"]["energy_normalized"]
-        reduction = 1.0 - bump_energy / base_energy if base_energy else 0.0
-        suite.check_predicate(
-            "BuMP saves memory energy vs Base-open (Fig. 9)",
-            reduction, lambda value: value > 0.05, "> 5% reduction",
-        )
-        suite.check_relative(
-            "BuMP energy reduction vs Base-open (paper: 23%)",
-            reduction, paper_data.BUMP_ENERGY_REDUCTION_VS_OPEN, tolerance=1.0,
-        )
-    return suite

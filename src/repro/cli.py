@@ -49,15 +49,15 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro import __version__
-from repro.analysis import experiments
+from repro.analysis.figures import FIGURES
 from repro.analysis.reporting import format_table
 from repro.analysis.scalability import storage_scaling_table, virtualization_storage_table
 from repro.exec.campaign import run_campaign, verify_parity
 from repro.exec.jobs import JobGrid
-from repro.exec.progress import ConsoleProgress, NullProgress
+from repro.exec.progress import CampaignProgress, ConsoleProgress
 from repro.exec.store import ArtifactStore, default_snapshot_store, default_store
 from repro.scenario.catalog import get_scenario, scenario_names
 from repro.scenario.runner import run_scenario
@@ -86,23 +86,6 @@ from repro.trace.io import save_trace
 from repro.trace.stats import characterize_trace
 from repro.workloads.catalog import display_name, get_workload, workload_names
 from repro.workloads.generator import generate_trace_buffer
-
-#: Experiment functions reachable through ``repro-bump experiment <name>``.
-EXPERIMENTS: Dict[str, Callable] = {
-    "figure1": experiments.figure1_energy_breakdown,
-    "figure2": experiments.figure2_row_buffer_hit,
-    "figure3": experiments.figure3_traffic_breakdown,
-    "figure5": experiments.figure5_region_density,
-    "figure8": experiments.figure8_prediction_accuracy,
-    "figure9": experiments.figure9_energy_per_access,
-    "figure10": experiments.figure10_performance,
-    "figure11": experiments.figure11_design_space,
-    "figure12": experiments.figure12_onchip_overheads,
-    "figure13": experiments.figure13_summary,
-    "table1": experiments.table1_late_writes,
-    "table4": experiments.table4_bump_row_hits,
-}
-
 
 def _all_config_names() -> List[str]:
     return sorted(set(named_configs()) | set(extended_configs()))
@@ -265,7 +248,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         _print(f"parity verified on {len(sample)} job(s) at {sample_accesses} "
                "accesses: parallel results are identical to serial")
 
-    progress = NullProgress() if args.quiet else ConsoleProgress()
+    progress = CampaignProgress() if args.quiet else ConsoleProgress()
     if args.warmup_snapshots and store is None:
         raise SystemExit("--warmup-snapshots needs an artifact store: pass "
                          "--store or set REPRO_ARTIFACT_DIR")
@@ -384,40 +367,13 @@ def cmd_scenario_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _render_experiment(name: str, table) -> str:
-    if name == "figure11":
-        rows = [[f"{region}B", f"{threshold:.0%}", f"{value:.3f}"]
-                for (region, threshold), value in sorted(table.items())]
-        return format_table(rows, headers=["region size", "threshold", "energy improvement"])
-    if isinstance(table, dict) and table and not isinstance(next(iter(table.values())), dict):
-        rows = [[key, f"{value:.4g}"] for key, value in table.items()]
-        return format_table(rows, headers=["workload", "value"])
-    # Nested mappings: one row per outer key, one column per inner key.
-    rows = []
-    columns: List[str] = []
-    for outer, inner in table.items():
-        flattened = {}
-        for key, value in inner.items():
-            if isinstance(value, dict):
-                for subkey, subvalue in value.items():
-                    flattened[f"{key}.{subkey}"] = subvalue
-            else:
-                flattened[key] = value
-        if not columns:
-            columns = list(flattened)
-        rows.append([outer] + [f"{flattened.get(column, 0.0):.4g}" for column in columns])
-    return format_table(rows, headers=["workload/system"] + columns)
-
-
 def cmd_experiment(args: argparse.Namespace) -> int:
-    function = EXPERIMENTS.get(args.name)
-    if function is None:
-        known = ", ".join(sorted(EXPERIMENTS))
+    figure = FIGURES.get(args.name)
+    if figure is None:
+        known = ", ".join(sorted(FIGURES))
         raise SystemExit(f"unknown experiment {args.name!r}; known experiments: {known}")
     workloads = args.workloads.split(",") if args.workloads else None
-    table = function(workloads=workloads, num_accesses=args.accesses)
-    _print(f"Experiment {args.name}")
-    _print(_render_experiment(args.name, table))
+    _print(figure.render(figure.experiment(workloads, num_accesses=args.accesses)))
     return 0
 
 

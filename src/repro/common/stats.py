@@ -83,10 +83,6 @@ class StatGroup:
         """Iterate over the names of all counters that have been touched."""
         return self._counters.keys()
 
-    def as_dict(self) -> Dict[str, float]:
-        """Alias of :meth:`snapshot` for symmetry with dataclass interfaces."""
-        return self.snapshot()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         body = ", ".join(f"{k}={v:g}" for k, v in sorted(self._counters.items()))
         return f"StatGroup({self.name}: {body})"

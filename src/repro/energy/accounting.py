@@ -19,13 +19,8 @@ from dataclasses import dataclass
 
 from repro.common.params import DRAMOrganization, SystemParams
 from repro.energy.chip_energy import ChipEnergyBreakdown, ChipEnergyModel
-from repro.energy.dram_energy import DRAMEnergyBreakdown, DRAMEnergyModel, MemoryEnergyPerAccessParts
+from repro.energy.dram_energy import DRAMEnergyBreakdown, DRAMEnergyModel, MemoryEnergyPerAccess
 from repro.energy.params import ChipEnergyParams, DRAMEnergyParams
-
-
-@dataclass
-class MemoryEnergyPerAccess(MemoryEnergyPerAccessParts):
-    """Alias kept for the public API: per-access activation and burst/IO energy."""
 
 
 @dataclass
@@ -118,11 +113,8 @@ class ServerEnergyModel:
                                  dram_writes: float,
                                  useful_accesses: float) -> MemoryEnergyPerAccess:
         """Dynamic memory energy per useful access, as plotted in Figure 9."""
-        parts = self.dram_model.energy_per_access_nj(
+        return self.dram_model.energy_per_access_nj(
             activations, dram_reads, dram_writes, useful_accesses
-        )
-        return MemoryEnergyPerAccess(
-            activation_nj=parts.activation_nj, burst_io_nj=parts.burst_io_nj
         )
 
     @staticmethod

@@ -87,7 +87,7 @@ class DRAMEnergyModel:
         )
 
     def energy_per_access_nj(self, activations: float, reads: float, writes: float,
-                             useful_accesses: float) -> "MemoryEnergyPerAccessParts":
+                             useful_accesses: float) -> "MemoryEnergyPerAccess":
         """Dynamic memory energy per *useful* access, split as in Figure 9.
 
         ``useful_accesses`` is the number of demand transfers the program
@@ -97,16 +97,16 @@ class DRAMEnergyModel:
         the indiscriminate Full-region scheme look (correctly) bad.
         """
         if useful_accesses <= 0:
-            return MemoryEnergyPerAccessParts(0.0, 0.0)
+            return MemoryEnergyPerAccess(0.0, 0.0)
         breakdown = self.compute(activations, reads, writes, elapsed_seconds=0.0)
-        return MemoryEnergyPerAccessParts(
+        return MemoryEnergyPerAccess(
             activation_nj=breakdown.activation_nj / useful_accesses,
             burst_io_nj=breakdown.burst_io_nj / useful_accesses,
         )
 
 
 @dataclass
-class MemoryEnergyPerAccessParts:
+class MemoryEnergyPerAccess:
     """Per-access dynamic memory energy, split into the Figure 9 components."""
 
     activation_nj: float

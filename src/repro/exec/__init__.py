@@ -43,15 +43,12 @@ from repro.exec.jobs import (
     JobSpec,
     ScenarioGrid,
     config_fingerprint,
-    expand_grid,
-    expand_scenario_grid,
     fingerprint,
     workload_fingerprint,
 )
 from repro.exec.progress import (
     CampaignProgress,
     ConsoleProgress,
-    NullProgress,
     RecordingProgress,
 )
 from repro.exec.store import ArtifactStore, default_store
@@ -66,14 +63,11 @@ __all__ = [
     "JobGrid",
     "JobOutcome",
     "JobSpec",
-    "NullProgress",
     "ParityError",
     "RecordingProgress",
     "ScenarioGrid",
     "config_fingerprint",
     "default_store",
-    "expand_grid",
-    "expand_scenario_grid",
     "fingerprint",
     "result_fingerprint",
     "run_campaign",

@@ -39,7 +39,6 @@ from repro.exec.progress import (
     SOURCE_SIMULATED,
     SOURCE_STORE,
     CampaignProgress,
-    NullProgress,
 )
 from repro.exec.store import ArtifactStore
 from repro.sim.results import SimulationResult
@@ -165,7 +164,7 @@ class Campaign:
         self.jobs = list(jobs)
         self.store = store
         self.workers = workers
-        self.progress = progress if progress is not None else NullProgress()
+        self.progress = progress if progress is not None else CampaignProgress()
         #: Share warm-state snapshots across measure-phase jobs: all jobs
         #: agreeing on :meth:`JobSpec.warmup_fingerprint` warm up once; the
         #: rest fork from the stored snapshot (bit-identical results).
@@ -178,6 +177,7 @@ class Campaign:
         outcomes: List[Optional[JobOutcome]] = [None] * len(self.jobs)
         metrics_rows: List[Optional[JobMetrics]] = [None] * len(self.jobs)
 
+        store_before = dict(self.store.counters) if self.store is not None else {}
         pending: List[Tuple[int, JobSpec]] = []
         for index, job in enumerate(self.jobs):
             cached = (self.store.get_result(job.result_fingerprint())
@@ -198,8 +198,9 @@ class Campaign:
                 self.progress.on_job_done(outcome.job, outcome.source,
                                           completed, len(self.jobs))
 
-        # Snapshot activity of this campaign's jobs only, summed from the
-        # per-job counts of whichever process ran each job.
+        # Store and snapshot activity of this campaign only: its own result
+        # pre-checks plus the per-job counts of whichever process ran each job.
+        store_activity = pool.counter_delta(self.store, store_before)
         snapshot_activity = dict.fromkeys(snapshot_counts(), 0)
         if pending:
             produced = (self._run_serial(pending) if self.workers == 1
@@ -211,6 +212,8 @@ class Campaign:
                 metrics_rows[index] = _job_metrics(job, source, cost)
                 for key, value in cost["snapshot"].items():
                     snapshot_activity[key] += value
+                for key, value in cost["store"].items():
+                    store_activity[key] += value
                 completed += 1
                 self.progress.on_job_done(job, source, completed,
                                           len(self.jobs))
@@ -219,7 +222,8 @@ class Campaign:
         job_metrics = [m for m in metrics_rows if m is not None]
         document = campaign_metrics(
             job_metrics, elapsed_seconds=elapsed, workers=self.workers,
-            store_stats=self.store.stats() if self.store is not None else None,
+            store_stats=({**self.store.stats(), **store_activity}
+                         if self.store is not None else None),
             snapshot_cache=(snapshot_cache_info(snapshot_activity)
                             if self.warmup_snapshots else None),
         )

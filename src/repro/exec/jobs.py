@@ -56,7 +56,7 @@ from repro.workloads.spec import WorkloadSpec
 # public surface.
 __all__ = [
     "JobGrid", "JobSpec", "ScenarioGrid", "canonical_data",
-    "config_fingerprint", "expand_grid", "expand_scenario_grid",
+    "config_fingerprint",
     "fingerprint", "workload_fingerprint",
 ]
 
@@ -299,26 +299,3 @@ class ScenarioGrid:
 
     def __len__(self) -> int:
         return len(self.expand())
-
-
-def expand_scenario_grid(scenarios: Sequence[Union[str, Scenario]],
-                         configs: Sequence[ConfigLike],
-                         seeds: Sequence[int] = (DEFAULT_SEED,),
-                         scale: float = 1.0,
-                         warmup_fraction: float = DEFAULT_WARMUP_FRACTION,
-                         closed_loop: Optional[ClosedLoopSpec] = None
-                         ) -> List[JobSpec]:
-    """Functional shorthand for ``ScenarioGrid(...).expand()``."""
-    return ScenarioGrid(scenarios, configs, seeds, scale,
-                        warmup_fraction, closed_loop).expand()
-
-
-def expand_grid(workloads: Sequence[WorkloadLike],
-                configs: Sequence[ConfigLike],
-                seeds: Sequence[int] = (DEFAULT_SEED,),
-                num_accesses: int = DEFAULT_TRACE_LENGTH,
-                num_cores: int = DEFAULT_NUM_CORES,
-                warmup_fraction: float = DEFAULT_WARMUP_FRACTION) -> List[JobSpec]:
-    """Functional shorthand for ``JobGrid(...).expand()``."""
-    return JobGrid(workloads, configs, seeds, num_accesses, num_cores,
-                   warmup_fraction).expand()

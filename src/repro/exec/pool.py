@@ -40,6 +40,7 @@ from repro.workloads.generator import generate_trace_buffer
 __all__ = [
     "TRACE_MEMO_MAX_ENTRIES",
     "clear_trace_memo",
+    "counter_delta",
     "execute_job",
     "execute_job_sourced",
     "job_cost_metrics",
@@ -210,19 +211,30 @@ def run_job_measured(job: JobSpec, store: Optional[ArtifactStore] = None,
                      ) -> Tuple[SimulationResult, bool, Dict[str, object]]:
     """:func:`execute_job_sourced` plus the job's cost in this process.
 
-    The cost is :func:`job_cost_metrics` with one more entry, ``snapshot``:
+    The cost is :func:`job_cost_metrics` with two more entries: ``snapshot``,
     the warm-snapshot counters (hits, misses, captures, restores, bytes)
-    this job moved.  Counting per job, in whichever process ran it, lets a
-    campaign sum exactly its own snapshot activity whether its jobs ran
-    here or in pool workers.
+    this job moved, and ``store``, the artifact-store counters (hits,
+    misses, puts, ...) it moved on ``store`` (empty without a store).
+    Counting per job, in whichever process ran it, lets a campaign sum
+    exactly its own activity whether its jobs ran here or in pool workers.
     """
     before = snapshot_counts()
+    store_before = dict(store.counters) if store is not None else {}
     started = time.perf_counter()
     result, simulated = execute_job_sourced(job, store, warmup_snapshots)
     cost = job_cost_metrics(time.perf_counter() - started)
     cost["snapshot"] = {key: value - before[key]
                         for key, value in snapshot_counts().items()}
+    cost["store"] = counter_delta(store, store_before)
     return result, simulated, cost
+
+
+def counter_delta(store: Optional[ArtifactStore],
+                  before: Dict[str, int]) -> Dict[str, int]:
+    """What ``store``'s counters moved since they read ``before``."""
+    if store is None:
+        return {}
+    return {key: value - before[key] for key, value in store.counters.items()}
 
 
 def run_shard(indexed_jobs: Sequence[Tuple[int, JobSpec]]

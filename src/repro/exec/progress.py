@@ -2,7 +2,7 @@
 
 A campaign can run for minutes to hours; callers want to see jobs complete
 as they finish, not a single summary at the end.  The engine reports through
-the tiny observer interface below: :class:`NullProgress` for library use,
+the tiny observer interface below: the silent base class for library use,
 :class:`ConsoleProgress` for the CLI and the examples, and
 :class:`RecordingProgress` for tests that assert on the exact event stream.
 """
@@ -20,7 +20,6 @@ __all__ = [
     "SOURCE_STORE",
     "CampaignProgress",
     "ConsoleProgress",
-    "NullProgress",
     "RecordingProgress",
 ]
 
@@ -41,10 +40,6 @@ class CampaignProgress:
 
     def on_finish(self, simulated: int, cached: int, elapsed_seconds: float) -> None:
         """Campaign completed."""
-
-
-class NullProgress(CampaignProgress):
-    """Explicitly silent observer (alias of the base class, reads better)."""
 
 
 class ConsoleProgress(CampaignProgress):

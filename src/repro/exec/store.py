@@ -108,7 +108,7 @@ class ArtifactStore:
         for kind in _KINDS:
             (self.root / kind).mkdir(parents=True, exist_ok=True)
         self.counters: Dict[str, int] = {
-            "hits": 0, "misses": 0, "stores": 0, "puts": 0, "evictions": 0,
+            "hits": 0, "misses": 0, "puts": 0, "evictions": 0,
             "corrupt": 0, "prune_bytes_reclaimed": 0, "touch_failures": 0,
         }
         # Approximate occupancy, maintained incrementally so bounded stores
@@ -192,9 +192,6 @@ class ArtifactStore:
         except BaseException:
             self._remove(staging)
             raise
-        # "stores" predates "puts"; both count successful publishes so older
-        # consumers keep working while the campaign metrics file uses "puts".
-        self.counters["stores"] += 1
         self.counters["puts"] += 1
         if self._bounded:
             # Approximate on purpose: concurrent writers can skew these
@@ -398,7 +395,7 @@ class ArtifactStore:
             self._approx_bytes = 0
 
     def stats(self) -> Dict[str, object]:
-        """Hit/miss/store/eviction counters plus occupancy, total and per kind."""
+        """Hit/miss/put/eviction counters plus occupancy, total and per kind."""
         snapshot: Dict[str, object] = dict(self.counters)
         entries = self._entries()
         snapshot["entries"] = len(entries)

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.cli import EXPERIMENTS, build_parser, main
+from repro.analysis.figures import FIGURES
+from repro.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -31,7 +32,7 @@ class TestParser:
     def test_every_experiment_name_is_registered(self):
         expected = {"figure1", "figure2", "figure3", "figure5", "figure8", "figure9",
                     "figure10", "figure11", "figure12", "figure13", "table1", "table4"}
-        assert set(EXPERIMENTS) == expected
+        assert set(FIGURES) == expected
 
 
 class TestCommands:

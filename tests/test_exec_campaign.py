@@ -250,6 +250,21 @@ class TestCampaignMetrics:
         assert result.metrics["jobs_total"] == 2
         assert "store" not in result.metrics
 
+    def test_parallel_campaign_counts_its_workers_store_activity(self, store):
+        jobs = small_grid(seeds=(1,)).expand()[:2]  # one trace, two configs
+        counts = Campaign(jobs, store=store, workers=2).run().metrics["store"]
+        # Here: two result pre-check misses.  In the workers: two result
+        # misses and puts, and at least one trace miss and put.
+        assert counts["puts"] >= 3
+        assert counts["misses"] >= 5
+
+    def test_repeated_campaign_reports_only_its_own_store_activity(self, store):
+        jobs = small_grid(seeds=(1,)).expand()[:2]
+        Campaign(jobs, store=store, workers=1).run()
+        counts = Campaign(jobs, store=store, workers=1).run().metrics["store"]
+        assert (counts["hits"], counts["misses"], counts["puts"]) == (2, 0, 0)
+        assert counts["entries"] == store.entry_count()
+
     def test_parallel_campaign_attributes_work_to_worker_pids(self, store):
         jobs = small_grid(seeds=(1,)).expand()
         result = Campaign(jobs, store=store, workers=2).run()

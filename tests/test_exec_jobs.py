@@ -7,7 +7,6 @@ from repro.exec.jobs import (
     JobGrid,
     JobSpec,
     config_fingerprint,
-    expand_grid,
     fingerprint,
     workload_fingerprint,
 )
@@ -96,7 +95,8 @@ class TestJobGrid:
 
     def test_duplicate_cells_are_dropped(self):
         renamed = base_open().with_overrides(name="base_open_again")
-        jobs = expand_grid(["web_search"], [base_open(), renamed], num_accesses=1000)
+        jobs = JobGrid(workloads=["web_search"], configs=[base_open(), renamed],
+                       num_accesses=1000).expand()
         assert len(jobs) == 1
 
     def test_dedup_can_be_disabled(self):
@@ -105,6 +105,6 @@ class TestJobGrid:
         assert len(grid.expand(dedup=False)) == 2
 
     def test_accepts_config_objects_and_names_mixed(self):
-        jobs = expand_grid(["web_search"], ["base_open", bump_system()],
-                           num_accesses=1000)
+        jobs = JobGrid(workloads=["web_search"], configs=["base_open", bump_system()],
+                       num_accesses=1000).expand()
         assert [j.config.name for j in jobs] == ["base_open", "bump"]

@@ -197,7 +197,7 @@ class TestPruneOrdering:
 
 class TestObservabilityCounters:
     def test_stats_reports_every_counter(self, store):
-        expected = {"hits", "misses", "stores", "puts", "evictions", "corrupt",
+        expected = {"hits", "misses", "puts", "evictions", "corrupt",
                     "prune_bytes_reclaimed", "touch_failures",
                     "entries", "bytes"}
         assert expected <= set(store.stats())
@@ -209,7 +209,6 @@ class TestObservabilityCounters:
         assert store.get_result("f" * 32) is None
         stats = store.stats()
         assert stats["puts"] == 2
-        assert stats["puts"] == stats["stores"]  # "stores" predates "puts"
         assert stats["hits"] == 1
         assert stats["misses"] == 1
 
