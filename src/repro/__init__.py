@@ -75,7 +75,7 @@ from repro.workloads import (
     iter_trace_chunks,
 )
 
-__version__ = "1.20.0"
+__version__ = "1.21.0"
 
 __all__ = [
     "BuMPConfig",

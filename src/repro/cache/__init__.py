@@ -10,10 +10,11 @@ paper:
   whose access, miss and eviction streams feed the prefetchers, the
   eager-writeback engine and BuMP.
 
-Both levels are LRU caches held in flat NumPy arrays with per-set recency
-stamps, and neither counts anything: the system that drives them owns every
-cache counter.  Their specification is a reference LRU of one ordered dict
-per set (:mod:`repro.fuzz.reference_lru`), which the tests and the fuzz
+Both levels are LRU caches -- the L1s NumPy planes with per-set recency
+stamps, the LLC one recency-ordered dict per set -- and neither counts
+anything: the system that drives them owns every cache counter.  Their
+specification is a reference LRU of one ordered dict per set
+(:mod:`repro.fuzz.reference_lru`), which the tests and the fuzz
 oracle's ``lru`` check run beside them.  Components that want to observe or
 inject LLC traffic implement the :class:`repro.cache.agent.LLCAgent`
 interface.

@@ -46,10 +46,13 @@ def _lockstep_order(lanes: np.ndarray) -> Tuple[np.ndarray, List[int]]:
 class StackedL1:
     """Every core's L1 data cache as one set of stacked LRU planes.
 
-    Core ``c``'s set ``s`` is *lane* ``c * num_sets + s``.  The planes are
-    :class:`~repro.cache.flat.CacheArray`'s (``tags``, ``-1`` when never
-    filled; ``flags``; ``pcs``; LRU ``stamps``), each ``[lanes, ways]``,
-    plus each lane's running ``ticks``.
+    Core ``c``'s set ``s`` is *lane* ``c * num_sets + s``.  Four planes,
+    each ``[lanes, ways]``, hold every line: ``tags`` (``-1`` when never
+    filled), ``flags`` (the LLC's ``FLAG_DIRTY`` and ``FLAG_USED`` bits),
+    ``pcs`` and the LRU ``stamps``; ``ticks`` holds each lane's running
+    stamp.  Unlike the LLC's one dict per set
+    (:class:`~repro.cache.flat.CacheArray`), planes let a chunk's lanes
+    step together in NumPy.
     """
 
     def __init__(self, params: CacheParams, num_cores: int) -> None:
@@ -133,16 +136,12 @@ class StackedL1:
         """Copies of the planes, keyed by name, with a leading core axis.
 
         Planes are ``[cores, sets, ways]`` and ``ticks`` is ``[cores,
-        sets]``.  A derived ``cores`` plane holds ``c`` in core ``c``'s
-        filled ways and 0 in empty ones.
+        sets]``.
         """
         shape = (self.num_cores, self.num_sets)
-        planes = {plane: getattr(self, plane).reshape(
-                      shape + getattr(self, plane).shape[1:]).copy()
-                  for plane in _PLANES}
-        owner = np.arange(self.num_cores, dtype=np.int32)[:, None, None]
-        planes["cores"] = np.where(planes["tags"] != -1, owner, np.int32(0))
-        return planes
+        return {plane: getattr(self, plane).reshape(
+                    shape + getattr(self, plane).shape[1:]).copy()
+                for plane in _PLANES}
 
     def load_core_planes(self, planes: Dict[str, np.ndarray]) -> None:
         """Copy planes in the :meth:`core_planes` layout back in place."""

@@ -373,7 +373,11 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         known = ", ".join(sorted(FIGURES))
         raise SystemExit(f"unknown experiment {args.name!r}; known experiments: {known}")
     workloads = args.workloads.split(",") if args.workloads else None
-    _print(figure.render(figure.experiment(workloads, num_accesses=args.accesses)))
+    if args.accesses is None:  # the harness length: reuse its store cells
+        result = figure.run(workloads)
+    else:
+        result = figure.experiment(workloads, num_accesses=args.accesses)
+    _print(figure.render(result))
     return 0
 
 

@@ -9,7 +9,8 @@ and reports the eviction to the caller (BuMP uses such conflict evictions as
 region terminations).
 
 The layout is part of the contract, because the predictors on the
-simulator's per-access path (BuMP's four tables, SMS's two) operate on
+simulator's per-access path (BuMP's four tables, SMS's two, the stride
+prefetcher's one) operate on
 :attr:`AssociativeTable.sets` directly instead of paying a method call per
 operation:
 
@@ -59,8 +60,7 @@ class AssociativeTable(Generic[K, V]):
         ``touch`` promotes the entry to most-recently-used on a hit.
         """
         self.lookups += 1
-        # _set_for inlined: the stride prefetcher looks up once per access.
-        table_set = self.sets[hash(key) % self.num_sets]
+        table_set = self._set_for(key)
         value = table_set.get(key)
         if value is None:
             return None

@@ -1,13 +1,15 @@
 """A reference LRU: the cache layer's specification.
 
-The simulator's caches are flat NumPy planes with per-set recency stamps
-(:class:`repro.cache.flat.CacheArray` for the LLC,
-:class:`repro.cache.l1.StackedL1` for every core's L1).  This module states
-what they must compute in the plainest form LRU has: one ordered dict per
-set, least recently used first, so a touch is ``move_to_end`` and a victim
-is the first key.  It shares no code with the arrays -- only the flag
-constants of :mod:`repro.cache.agent` -- so a bug in the stamps, the victim
-scan or the lockstep L1 stage cannot hide in both.
+The simulator's LLC (:class:`repro.cache.flat.CacheArray`) is a plain
+dict per set of packed line words, popped and re-inserted on every touch;
+every core's L1 (:class:`repro.cache.l1.StackedL1`) is NumPy planes with
+recency stamps.  This module states what they must compute in the plainest
+form LRU has: one ``OrderedDict`` per set, least recently used first, a
+touch is ``move_to_end``, a victim is the first key and a line is a
+``[flags, pc, core]`` list.  Both LLCs keep an ordered dict per set, but
+they share no code -- only the flag constants of :mod:`repro.cache.agent`:
+``move_to_end`` checks the array's pop/re-insert and the per-line lists its
+word packing, so a bug there, or in the L1's stamps, cannot hide in both.
 
 * :class:`ReferenceLRU` mirrors the five calls the simulator makes on the
   LLC array: ``demand_access``, ``fill``, ``clean``, ``contains`` and

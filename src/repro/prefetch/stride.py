@@ -9,9 +9,8 @@ the prefetcher becomes confident and issues prefetches for the next
 
 from __future__ import annotations
 
-from repro.common.addressing import BLOCK_SIZE
 from repro.common.assoc_table import AssociativeTable
-from repro.common.stats import StatGroup
+from repro.common.stats import StatGroup, fold_pending
 from repro.cache.agent import LLCAgent
 
 
@@ -32,9 +31,19 @@ class StridePrefetcher(LLCAgent):
     each core's instruction streams train their own entries, so the
     interleaving of requests from sixteen cores does not destroy stride
     detection (mirroring the per-core training of commercial designs).
+
+    :meth:`on_access` runs on every LLC access, so it operates on the
+    table's sets directly (as :class:`~repro.common.assoc_table.AssociativeTable`
+    lays them out), with counters as plain ints folded on read.
     """
 
     name = "stride"
+
+    #: (pending attribute, StatGroup key) pairs folded by ``stats``.
+    _PENDING_COUNTERS = (
+        ("_n_prefetch_bursts", "prefetch_bursts"),
+        ("_n_prefetches_issued", "prefetches_issued"),
+    )
 
     def __init__(self, degree: int = 4, entries: int = 1024, associativity: int = 4) -> None:
         if degree < 1:
@@ -43,16 +52,30 @@ class StridePrefetcher(LLCAgent):
         self.table: AssociativeTable[tuple, _StrideEntry] = AssociativeTable(
             entries, associativity, name="stride_rpt"
         )
-        self.stats = StatGroup("stride")
+        self._ways = associativity
+        self._sets = self.table.sets
+        self._num_sets = self.table.num_sets
+        self._stats = StatGroup("stride")
+        for attr, _key in self._PENDING_COUNTERS:
+            setattr(self, attr, 0)
+
+    @property
+    def stats(self) -> StatGroup:
+        """Counters (pending hot increments folded in)."""
+        return fold_pending(self, self._stats, self._PENDING_COUNTERS)
 
     def on_access(self, core: int, pc: int, block: int, is_store: bool,
                   hit: bool) -> None:
         """Observe a demand access and emit prefetches on a confirmed stride."""
         key = (core, pc)
-        entry = self.table.lookup(key)
+        table_set = self._sets[hash(key) % self._num_sets]
+        entry = table_set.pop(key, None)
         if entry is None:
-            self.table.insert(key, _StrideEntry(last_block=block))
+            if len(table_set) >= self._ways:
+                del table_set[next(iter(table_set))]
+            table_set[key] = _StrideEntry(last_block=block)
             return
+        table_set[key] = entry  # re-inserted: now the most recently used
 
         stride = block - entry.last_block
         if stride == 0:
@@ -64,8 +87,8 @@ class StridePrefetcher(LLCAgent):
                 fetches = self.fetches
                 for step in range(1, self.degree + 1):
                     fetches.append(block + step * stride)
-                self.stats.inc("prefetch_bursts")
-                self.stats.inc("prefetches_issued", self.degree)
+                self._n_prefetch_bursts += 1
+                self._n_prefetches_issued += self.degree
             entry.confident = True
         else:
             entry.confident = False
@@ -81,8 +104,3 @@ class StridePrefetcher(LLCAgent):
     def issued(self) -> int:
         """Total prefetches issued so far."""
         return int(self.stats["prefetches_issued"])
-
-
-def aligned_stride_blocks(base_block: int, stride_blocks: int, degree: int) -> list:
-    """Utility: the block addresses a stride prefetch burst would cover."""
-    return [base_block + step * stride_blocks * BLOCK_SIZE for step in range(1, degree + 1)]

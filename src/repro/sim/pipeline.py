@@ -19,13 +19,16 @@ memory system as they stand, copy-on-write, so nothing has to be pickled to
 start it (generators cannot be) and no interpreter is started.  Two pipes
 connect it to the caller, carrying length-prefixed frames of raw column
 bytes (``tobytes`` on the way out, ``np.frombuffer`` on the way in); only
-the final DRAM state and an error travel pickled.  The pipe's capacity is
-the backpressure: the read-ahead runs at most about one chunk ahead.
+the final DRAM state and an error travel pickled.  The pipes' capacity
+(:data:`PIPE_BYTES` where the kernel grants it, else its default) is the
+backpressure: the read-ahead runs at most about one chunk ahead, and a
+flushed DRAM batch (~10k transfers of 32 bytes) fits whole, so the loop
+need not wait for the DRAM helper to finish serving the previous one.
 
 :meth:`repro.sim.system.ServerSystem.run` engages the pipeline once a run
 has pulled :data:`ENGAGE_ACCESSES` accesses from an open-loop source, when
-:func:`helper_cpus` finds a CPU to put the helpers on.  The threshold is the
-only tunable, and it is a module constant, not an option.
+:func:`helper_cpus` finds a CPU to put the helpers on.  The threshold and
+the pipe size are module constants, not options.
 
 A helper ignores SIGINT (a terminal's Ctrl-C reaches the whole process
 group; the caller's ``KeyboardInterrupt`` tears the helpers down) and always
@@ -50,10 +53,16 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+try:
+    import fcntl
+except ImportError:  # pragma: no cover - platforms without fcntl
+    fcntl = None
+
 from repro.trace.buffer import DEFAULT_CHUNK_SIZE, TRACE_DTYPES, TraceBuffer
 
 __all__ = [
     "ENGAGE_ACCESSES",
+    "PIPE_BYTES",
     "DRAMStage",
     "Pipeline",
     "ReadAhead",
@@ -65,6 +74,9 @@ __all__ = [
 #: default chunk the fixed cost (two forks, copy-on-write faults, the final
 #: state transfer; 15-25 ms) cannot pay back.
 ENGAGE_ACCESSES = DEFAULT_CHUNK_SIZE
+
+#: Capacity asked for each helper pipe: a flushed DRAM batch fits whole.
+PIPE_BYTES = 1 << 20
 
 #: Frame header: tag byte and payload length in bytes.
 _FRAME = struct.Struct("<Bq")
@@ -207,6 +219,8 @@ class _Stage:
         try:
             fds.extend(os.pipe())
             fds.extend(os.pipe())
+            _widen(fds[1])
+            _widen(fds[3])
             pid = os.fork()
         except OSError:
             for fd in fds:
@@ -297,6 +311,14 @@ class _Stage:
             except ProcessLookupError:
                 pass
             self._reap()
+
+
+def _widen(fd: int) -> None:
+    """Ask for a :data:`PIPE_BYTES` pipe behind ``fd``; keep its size if refused."""
+    try:
+        fcntl.fcntl(fd, fcntl.F_SETPIPE_SZ, PIPE_BYTES)
+    except (AttributeError, OSError):  # no F_SETPIPE_SZ here, or refused
+        pass
 
 
 def _helper_main(body, recv_fd: int, send_fd: int, cpus: Sequence[int],

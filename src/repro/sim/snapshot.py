@@ -1,10 +1,10 @@
 """Warm-state snapshots: checkpoint/restore of a full :class:`ServerSystem`.
 
-Warmup dominates BuMP-style studies: row-buffer locality, LRU stamp state
-and predictor tables only become representative after hundreds of thousands
+Warmup dominates BuMP-style studies: row-buffer locality, LRU state and
+predictor tables only become representative after hundreds of thousands
 of accesses, and every what-if query re-pays that warmup from a cold system.
-The PR 3/5/7 flattening program turned all engine state into a handful of
-NumPy arrays plus small Python containers, which makes full-system
+Engine state is a handful of NumPy arrays plus plain Python containers
+(the LLC's per-set dicts among them), which makes full-system
 checkpoint/restore a cheap serialization problem.  This module provides it:
 
 * :func:`capture` freezes a :class:`ServerSystem` at a chunk boundary into a
@@ -16,7 +16,7 @@ checkpoint/restore a cheap serialization problem.  This module provides it:
 * :func:`capture_warmup` runs a trace's warmup interval and captures at the
   measurement boundary -- the pay-warmup-once / fork-per-query entry point;
 * :func:`save_snapshot` / :func:`load_snapshot` persist snapshots as ``.npz``
-  containers (big cache arrays as native members, everything else as one
+  containers (the L1 planes as native members, everything else as one
   pickle blob) for the artifact store and cross-process restore;
 * :func:`snapshot_fingerprint` names a warm state by what produced it:
   (workload/scenario spec, system configuration, warmup length, cores, seed,
@@ -24,9 +24,8 @@ checkpoint/restore a cheap serialization problem.  This module provides it:
 
 **Restore strategy.**  ``restore`` never unpickles a live system wholesale.
 It builds a fresh :class:`ServerSystem` from the snapshot's configuration
-(re-deriving every view and memoryview alias exactly as ``__init__`` does),
-then copies the captured state *into* it: cache arrays are written in place
-(so the memoryview aliases stay valid), and slot indices / stat groups /
+exactly as ``__init__`` does, then copies the captured state *into* it:
+the L1 planes are written in place, and the LLC's set dicts / stat groups /
 the memory system / agents are replaced as objects.
 Each restore unpickles a private copy of the state blob, so many systems
 can be forked from one snapshot without sharing mutable state.
@@ -72,17 +71,9 @@ __all__ = [
 #: changes incompatibly; :func:`load_snapshot` and :func:`restore` refuse
 #: other versions (the fingerprint additionally carries the package version,
 #: so stale-but-loadable snapshots never match a fresh fingerprint either).
-#: v2: agents carry their counters as pending ints and their tables' entries
-#: as ``__slots__`` objects.  v3: the flat engine's L1s are one
-#: :class:`~repro.cache.l1.StackedL1`, so no per-core slot index, occupancy,
-#: statistics or policy is pickled.  v4: one cache engine, so there is no
-#: ``cache_engine`` field and the LLC's pickled state carries no
-#: replacement policy.  v5: one DRAM engine, so there is no ``dram_engine``
-#: field, and the memory system's pickled state carries the round-robin
-#: scheduler's queues.  v6: one LLC object, so the state carries no LLC
-#: wrapper or array statistics, and the system's two LLC counts outside
-#: ``counters`` ride with the scalars.
-SNAPSHOT_FORMAT_VERSION = 6
+#: ``docs/snapshots.md`` lists what each version changed; in v7 the state
+#: blob carries the LLC's recency-ordered set dicts.
+SNAPSHOT_FORMAT_VERSION = 7
 
 #: Crossbar counters (plain ints on the hot path), captured by name.
 _NOC_COUNTERS = (
@@ -107,13 +98,12 @@ _SCALARS = (
 #: npz member-name prefix for the native array members.
 _ARRAY_PREFIX = "array_"
 
-#: State planes of a flat cache, captured as ``l1_<plane>`` (every core's
-#: plane stacked along a leading core axis) and ``llc_<plane>`` members.
-_CACHE_PLANES = ("tags", "flags", "pcs", "cores", "stamps", "ticks")
+#: The L1 planes, captured as ``l1_<plane>`` members with every core's
+#: plane stacked along a leading core axis (:meth:`StackedL1.core_planes`).
+_L1_PLANES = ("tags", "flags", "pcs", "stamps", "ticks")
 
-#: The twelve plane members every snapshot container must hold.
-_PLANE_MEMBERS = tuple(f"{cache}_{plane}" for cache in ("l1", "llc")
-                       for plane in _CACHE_PLANES)
+#: The five plane members every snapshot container must hold.
+_PLANE_MEMBERS = tuple(f"l1_{plane}" for plane in _L1_PLANES)
 
 #: Keys of a container's JSON ``meta`` member.
 _META_KEYS = ("format_version", "package_version", "workload_name",
@@ -132,13 +122,13 @@ def _package_version() -> str:
 class SystemSnapshot:
     """One captured warm state, self-describing and restore-ready.
 
-    ``arrays`` holds the big cache planes as native NumPy arrays
+    ``arrays`` holds the L1 planes as native NumPy arrays
     (mmap-friendly in the ``.npz`` container); ``state_blob`` is one pickle
-    of everything else -- slot indices, stat groups, the memory system,
-    agents, NOC counters and interpreter cursors -- serialized as a single
-    object graph so internal aliasing (``system.bump`` *is* an entry of
-    ``system.agents``; a DRAM ready-bucket *is* a ``_by_key`` value) survives
-    the round trip.
+    of everything else -- the LLC's set dicts, stat groups, the memory
+    system, agents, NOC counters and interpreter cursors -- serialized as a
+    single object graph so internal aliasing (``system.bump`` *is* an entry
+    of ``system.agents``; a DRAM ready-bucket *is* a ``_by_key`` value)
+    survives the round trip.
     """
 
     format_version: int
@@ -249,13 +239,10 @@ def capture(system: ServerSystem, processed: int,
         "agents": system.agents,
         "bump": system.bump,
         "profiler": system.profiler,
+        "llc_sets": system.llc.sets,
     }
-    llc = system.llc
     arrays = {f"l1_{plane}": array
               for plane, array in system.l1.core_planes().items()}
-    for plane in _CACHE_PLANES:
-        arrays[f"llc_{plane}"] = getattr(llc, plane).copy()
-    state["llc_state"] = _flat_cache_state(llc)
 
     blob = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
     return SystemSnapshot(
@@ -285,19 +272,6 @@ def _check_no_extra_agents(system: ServerSystem) -> None:
             "agents are not part of the snapshot fingerprint")
 
 
-def _flat_cache_state(cache) -> Dict[str, object]:
-    """The non-array state of one :class:`CacheArray`.
-
-    The five state planes + tick array travel as native npz members (see
-    :func:`capture`); everything else -- the block->slot index and per-set
-    occupancy -- pickles here.
-    """
-    return {
-        "slot_of": cache._slot_of,
-        "count": cache._count,
-    }
-
-
 # --------------------------------------------------------------------- #
 # Restore
 # --------------------------------------------------------------------- #
@@ -324,16 +298,10 @@ def restore(snapshot: SystemSnapshot, telemetry=None) -> ServerSystem:
         telemetry=telemetry,
     )
 
-    # Planes are written *in place*, so the LLC's memoryview aliases stay
-    # valid.
     arrays = snapshot.arrays
-    llc = system.llc
     system.l1.load_core_planes(
-        {plane: arrays[f"l1_{plane}"] for plane in _CACHE_PLANES})
-    for plane in _CACHE_PLANES:
-        np.copyto(getattr(llc, plane), arrays[f"llc_{plane}"])
-    _load_flat_cache(llc, state["llc_state"])
-
+        {plane: arrays[f"l1_{plane}"] for plane in _L1_PLANES})
+    system.llc.sets = state["llc_sets"]
     system.memory = state["memory"]
     system.agents = state["agents"]
     system.bump = state["bump"]
@@ -346,12 +314,6 @@ def restore(snapshot: SystemSnapshot, telemetry=None) -> ServerSystem:
     for name, value in state["scalars"].items():
         setattr(system, name, value)
     return system
-
-
-def _load_flat_cache(cache, saved: Dict[str, object]) -> None:
-    """Adopt captured non-array state into a fresh flat cache."""
-    cache._slot_of = saved["slot_of"]
-    cache._count = saved["count"]
 
 
 def _unpickle(blob: bytes, member: str):
@@ -434,7 +396,7 @@ def skip_accesses(chunks, n: int) -> Iterator:
 def save_snapshot(snapshot: SystemSnapshot, path) -> None:
     """Write ``snapshot`` to ``path`` as an ``.npz`` container.
 
-    The big cache planes are native members (zero-copy on the write side,
+    The L1 planes are native members (zero-copy on the write side,
     regular arrays on load); the metadata rides as a JSON byte member and
     the pickled state as a raw byte member, so ``allow_pickle`` stays off
     for the container itself.

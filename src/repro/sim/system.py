@@ -159,10 +159,11 @@ class ServerSystem:
         self.telemetry = resolve_telemetry(telemetry)
         params = config.system
 
+        #: The shared LLC, which counts nothing (see :func:`llc_stats`).
+        #: Built first: it refuses a core count its line words cannot hold.
+        self.llc = CacheArray(params.llc, params.num_cores)
         #: Every core's L1, run a chunk at a time.
         self.l1 = StackedL1(params.l1d, params.num_cores)
-        #: The shared LLC, which counts nothing (see :func:`llc_stats`).
-        self.llc = CacheArray(params.llc)
         self._carries_pc = config.carries_pc
         self.noc = Crossbar(num_cores=params.num_cores)
         for attr, _key in _HOT_COUNTERS:

@@ -19,7 +19,7 @@ from repro.sim.system import ServerSystem
 
 #: Kind of damage -> the error message it must produce.
 BROKEN = {
-    "missing-plane": "missing member(s) array_llc_tags",
+    "missing-plane": "missing member(s) array_l1_tags",
     "truncated-state": "snapshot member 'state' does not unpickle",
     "meta-without-processed": "metadata lacks processed",
     "corrupt-source": "snapshot member 'source' does not unpickle",
@@ -67,7 +67,7 @@ def write_broken(kind: str, path) -> None:
         return
     members = _members(path)
     if kind == "missing-plane":
-        del members["array_llc_tags"]
+        del members["array_l1_tags"]
     elif kind == "truncated-state":
         members["state"] = members["state"][: len(members["state"]) // 2]
     elif kind == "corrupt-source":

@@ -110,6 +110,33 @@ class TestCommands:
         assert status == 0
         assert "web_serving" in out
 
+    @pytest.mark.parametrize("accesses", [None, 4000])
+    def test_experiment_runs_at_the_harness_length(self, capsys, monkeypatch,
+                                                   accesses):
+        """Without --accesses a figure runs at its harness trace length
+        (Figure 11's sweep at half the default); --accesses N runs at N."""
+        import dataclasses
+
+        import repro.cli
+
+        calls = []
+
+        def experiment(workloads, num_accesses=None):
+            calls.append((workloads, num_accesses))
+            return {}
+
+        figure = dataclasses.replace(FIGURES["figure11"], experiment=experiment,
+                                     tables=lambda result: ["sweep"])
+        monkeypatch.setattr(repro.cli, "FIGURES", {"figure11": figure})
+        argv = ["experiment", "figure11", "--workloads", "web_search"]
+        if accesses is not None:
+            argv += ["--accesses", str(accesses)]
+        status, out = run_cli(capsys, *argv)
+        assert status == 0 and "sweep" in out
+        want = accesses if accesses is not None else figure.trace_length(None)
+        assert want is not None
+        assert calls == [(["web_search"], want)]
+
     def test_experiment_rejects_unknown_name(self, capsys):
         with pytest.raises(SystemExit) as err:
             run_cli(capsys, "experiment", "figure99")

@@ -1,13 +1,14 @@
-"""Unit and property tests for the flat-array cache.
+"""Unit and property tests for the LLC array.
 
-The flat array must behave exactly like the cache layer's specification, a
+The array must behave exactly like the cache layer's specification, a
 reference LRU of one ordered dict per set
 (:class:`repro.fuzz.reference_lru.ReferenceLRU`): same hits, victims, flag
 updates and -- critically -- the same replacement order.  The lockstep test
 drives a long randomized stream of the five calls the simulator makes
-through both and compares every result, then each set's recency order as
-the ``stamps`` plane encodes it.  A shadowed system run then checks the call
-sequences the simulator itself makes, with an LLC small enough to evict.
+through both and compares every result, then each set's recency order, the
+order of the array's per-set dict.  A shadowed system run then checks the
+call sequences the simulator itself makes, with an LLC small enough to
+evict.  The line-word tests pin the packing of flags, core and PC.
 """
 
 import random
@@ -19,6 +20,7 @@ from repro.cache.flat import (
     FLAG_DIRTY,
     FLAG_PREFETCHED,
     FLAG_USED,
+    MAX_CORES,
     CacheArray,
 )
 from repro.common.params import CacheParams, SystemParams
@@ -100,11 +102,11 @@ OPERATIONS = ("access", "write", "fill", "prefetch", "clean", "touch",
               "contains")
 
 
-def test_lru_stamps_reproduce_dict_order_under_long_streams():
+def test_lru_sets_reproduce_dict_order_under_long_streams():
     """Every call agrees with the reference LRU, and so does every set's
-    recency order read from the ``stamps`` plane.  Fills, like the
-    simulator's, only ever name an absent block; a fill's victim is
-    compared with its flag byte, PC and core."""
+    recency order, the order of the array's dict for that set.  Fills,
+    like the simulator's, only ever name an absent block; a fill's victim
+    is compared with its flag byte, PC and core."""
     params = CacheParams(size_bytes=2 * 1024, associativity=4)
     flat = CacheArray(params)
     reference = ReferenceLRU(params.num_sets, params.associativity)
@@ -163,21 +165,80 @@ def test_system_cache_calls_match_the_reference_lru(config_name):
     assert result.counters["llc_evictions"] > 0
 
 
-def test_stamps_stay_monotonic_across_evictions():
-    """Every touch/insert in a set gets a strictly larger stamp, forever."""
+def test_every_touch_and_fill_makes_the_block_most_recent():
+    """A hit, a writeback touch and a fill each move their block to the end
+    of its set, forever: after 5,000 calls on one 2-way set, with thousands
+    of evictions, the set's order is the blocks' last-use order."""
     cache = small_flat(size=1024, assoc=2)
     rng = random.Random(5)
-    max_stamp = 0
-    for _ in range(5_000):
+    last_use = {}
+    for step in range(5_000):
         block = rng.randrange(64) * 64 * cache.num_sets  # all in set 0
-        if cache.demand_access(block, False) < 0:
-            cache.fill(block)
-        stamp = int(cache.stamps.reshape(-1)[cache._slot_of[block]])
-        assert stamp > max_stamp, "every touch/insert must get a fresh stamp"
-        max_stamp = stamp
-    # The set's tick counter only ever grows (it survives evictions): one
-    # tick per access-hit promote plus one per fill.
-    assert cache._tick[0] == max_stamp >= 5_000
+        if rng.random() < 0.2:
+            touched = cache.touch_set_dirty(block)
+        else:
+            touched = cache.demand_access(block, False) >= 0
+        if not touched:
+            victim = cache.fill(block)
+            last_use.pop(victim, None)
+        last_use[block] = step
+        assert recency_order(cache, 0)[-1] == block
+    assert recency_order(cache, 0) == sorted(last_use, key=last_use.get)
+    assert len(last_use) == cache.ways
+
+
+# --------------------------------------------------------------------- #
+# Line words: flags, core and PC packed into one int per line
+# --------------------------------------------------------------------- #
+#: Every flag byte a line can hold: the calls that make it from a fill.
+REACHABLE_FLAGS = {
+    FLAG_USED: ("fill",),
+    FLAG_USED | FLAG_DIRTY: ("fill dirty",),
+    FLAG_PREFETCHED: ("prefetch",),
+    FLAG_PREFETCHED | FLAG_DIRTY: ("prefetch dirty",),
+    FLAG_PREFETCHED | FLAG_USED: ("prefetch", "read"),
+    FLAG_PREFETCHED | FLAG_USED | FLAG_DIRTY: ("prefetch dirty", "read", "clean",
+                                               "write"),
+}
+
+
+@pytest.mark.parametrize("flags", sorted(REACHABLE_FLAGS))
+@pytest.mark.parametrize("pc", [0, 1, 0x4A5_B6C7, 2**63 - 1])
+def test_line_word_fields_read_back_exactly_after_eviction(flags, pc):
+    """Each flag combination, PC 2**63 - 1 (the largest a trace may carry)
+    and the highest core of the largest system come back from an eviction
+    unchanged, with no field leaking into another."""
+    cache = CacheArray(CacheParams(size_bytes=1024, associativity=2),
+                       num_cores=MAX_CORES)
+    core = MAX_CORES - 1
+    block = 0x40
+    steps = REACHABLE_FLAGS[flags]
+    cache.fill(block, dirty=steps[0].endswith("dirty"),
+               prefetched=steps[0].startswith("prefetch"), pc=pc, core=core)
+    for step in steps[1:]:
+        if step == "clean":
+            assert cache.clean(block)
+        else:
+            cache.demand_access(block, step == "write")
+    assert line_flags(cache, block) == flags
+    stride = cache.num_sets * 64
+    assert cache.fill(block + stride, pc=pc, core=core) == -1
+    assert cache.fill(block + 2 * stride) == block
+    assert (cache.victim_flags, cache.victim_pc, cache.victim_core) == (
+        flags, pc, core)
+
+
+def test_system_refuses_cores_a_line_word_cannot_hold():
+    """The core field is CORE_BITS wide: one core more than it can name is
+    refused when the system is built, never packed into the PC bits."""
+    params = SystemParams().scaled(num_cores=MAX_CORES + 1)
+    config = named_configs(["base_open"])["base_open"].with_overrides(
+        system=params)
+    with pytest.raises(ValueError, match="cores do not fit"):
+        ServerSystem(config)
+    with pytest.raises(ValueError, match="cores do not fit"):
+        CacheArray(params.llc, num_cores=MAX_CORES + 1)
+    CacheArray(params.llc, num_cores=MAX_CORES)
 
 
 def test_flat_cache_requires_power_of_two_sets():

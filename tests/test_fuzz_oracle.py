@@ -2,7 +2,7 @@
 
 import pytest
 
-from cache_faults import skew_flat_victims
+from cache_faults import skew_flat_victims, skew_llc_victims
 from dram_faults import drop_trcd
 from repro.exec.campaign import result_fingerprint
 from repro.fuzz import CHECKS, materialize, run_oracle
@@ -139,6 +139,18 @@ class TestFaultSensitivity:
         (failure,) = report.failures
         assert (failure.check, failure.cell) == ("lru", "default")
         assert "L1 access_chunk" in failure.detail
+
+    def test_injected_llc_fault_alone_is_caught(self, monkeypatch):
+        """With the L1 stage sound, the LLC array's wrong victim (the
+        second least recently used line) fails the lru check at the first
+        fill of a full set, on an LLC small enough to evict."""
+        skew_llc_victims(monkeypatch)
+        spec = dict(SPEC, config={"base": "bump",
+                                  "overrides": {"llc_bytes": 32 * 1024}})
+        report = run_oracle(spec, checks=("lru",))
+        (failure,) = report.failures
+        assert (failure.check, failure.cell) == ("lru", "default")
+        assert "LLC fill" in failure.detail
 
     def test_injected_dram_fault_is_caught(self, monkeypatch):
         """A memory-system timing bug: the caches agree with the reference

@@ -154,6 +154,29 @@ def test_a_long_run_engages_without_forcing(monkeypatch, started):
     assert pipe.names == ("read-ahead", "dram")
 
 
+@needs_cpus
+@pytest.mark.parametrize("granted", [True, False], ids=["granted", "refused"])
+def test_pipes_ask_for_the_module_size_and_results_never_depend_on_it(
+        granted, monkeypatch, started):
+    asked = []
+    real = pipeline.fcntl.fcntl
+
+    def set_size(fd, command, size):
+        asked.append((command, size))
+        if not granted:
+            raise OSError("pipe size refused")
+        return real(fd, command, size)
+
+    monkeypatch.setattr(pipeline.fcntl, "fcntl", set_size)
+    trace = build_trace("web_search", ACCESSES, num_cores=CORES, seed=6)
+    in_process, pipelined = _both(monkeypatch, lambda: _fingerprint(
+        bump_system(), _chunks(trace), 1_100))
+    assert pipelined == in_process
+    assert len(_engaged(started)) == 1
+    # Two pipes per helper, two helpers.
+    assert asked == [(pipeline.fcntl.F_SETPIPE_SZ, pipeline.PIPE_BYTES)] * 4
+
+
 # ---------------------------------------------------------------------- #
 # Telemetry
 # ---------------------------------------------------------------------- #

@@ -58,6 +58,34 @@ def test_stride_storage_reported():
     assert StridePrefetcher().storage_bits() > 0
 
 
+def test_stride_counters_appear_only_once_a_burst_happened():
+    pf = AgentHarness(StridePrefetcher(degree=4))
+    for block in (0, 64, 128):
+        pf.access(0x400, block)
+    stats = pf.agent.stats
+    assert "prefetch_bursts" not in stats and "prefetches_issued" not in stats
+    pf.access(0x400, 192)
+    pf.access(0x400, 256)
+    stats = pf.agent.stats
+    assert (stats["prefetch_bursts"], stats["prefetches_issued"]) == (2, 8)
+    stats.reset()
+    assert pf.agent.issued == 0
+
+
+def test_stride_table_replaces_its_least_recently_used_entry():
+    # One set of two entries: touching PC A makes PC B the LRU entry, so a
+    # third PC replaces B and A keeps its trained stride.
+    pf = AgentHarness(StridePrefetcher(degree=1, entries=2, associativity=2))
+    for block in (0, 64):
+        pf.access(0xA0, block)
+    pf.access(0xB0, 4096)
+    pf.access(0xA0, 128)
+    pf.access(0xC0, 8192)
+    assert pf.agent.table.contains((0, 0xA0))
+    assert not pf.agent.table.contains((0, 0xB0))
+    assert pf.access(0xA0, 192).fetch_blocks == [256]
+
+
 # --------------------------------------------------------------------- #
 # SMS
 # --------------------------------------------------------------------- #

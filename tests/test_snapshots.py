@@ -197,23 +197,18 @@ class TestSerialization:
         assert describe["total_bytes"] == loaded.nbytes
 
     def test_cache_plane_members_keep_their_layout(self):
-        """L1 planes carry a leading core axis; LLC planes are the array's."""
+        """The L1 planes carry a leading core axis; the LLC's set dicts ride
+        in the state blob, in recency order, so no ``llc_*`` member exists."""
         config = _config()
         system = ServerSystem(config, workload_name=WORKLOAD)
         snapshot, _, _ = capture_warmup(system, _trace(), 2_000)
         params = config.system
         cores = params.num_cores
-        l1 = (params.l1d.num_sets, params.l1d.associativity)
-        llc = (params.llc.num_sets, params.llc.associativity)
-        expected = {}
-        for prefix, geometry, lead in (("l1", l1, (cores,)), ("llc", llc, ())):
-            for plane, dtype in (("tags", np.int64), ("flags", np.uint8),
-                                 ("pcs", np.int64), ("cores", np.int32),
-                                 ("stamps", np.int64)):
-                expected[f"{prefix}_{plane}"] = (lead + geometry,
-                                                 np.dtype(dtype))
-            expected[f"{prefix}_ticks"] = (lead + geometry[:1],
-                                           np.dtype(np.int64))
+        l1 = (cores, params.l1d.num_sets, params.l1d.associativity)
+        expected = {f"l1_{plane}": (l1, np.dtype(dtype))
+                    for plane, dtype in (("tags", np.int64), ("flags", np.uint8),
+                                         ("pcs", np.int64), ("stamps", np.int64))}
+        expected["l1_ticks"] = (l1[:2], np.dtype(np.int64))
         assert {name: (array.shape, array.dtype)
                 for name, array in snapshot.arrays.items()} == expected
         sets = params.l1d.num_sets
@@ -223,6 +218,21 @@ class TestSerialization:
                     == system.l1.tags[lanes]).all()
             assert (snapshot.arrays["l1_ticks"][core]
                     == system.l1.ticks[lanes]).all()
+
+    def test_restore_rebuilds_the_llc_sets_in_recency_order(self, tmp_path):
+        """Each set comes back with the same blocks, line words and order,
+        through the file round trip too, and each restore owns its sets."""
+        system = ServerSystem(_config(), workload_name=WORKLOAD)
+        snapshot, _, _ = capture_warmup(system, _trace(), 2_000)
+        path = tmp_path / "snap.npz"
+        save_snapshot(snapshot, path)
+        want = [list(lines.items()) for lines in system.llc.sets]
+        assert sum(map(len, want)) > 0
+        first = restore(snapshot).llc
+        for source in (snapshot, load_snapshot(path)):
+            restored = restore(source).llc
+            assert [list(lines.items()) for lines in restored.sets] == want
+            assert restored.sets[0] is not first.sets[0]
 
     def test_snapshot_restore_via_file(self, tmp_path):
         """run_trace(snapshot=path) loads the file and runs only the tail."""
@@ -322,6 +332,15 @@ class TestValidation:
         write_snapshot(path)
         rewrite_meta(path, format_version=5)
         with pytest.raises(ValueError, match="snapshot format v5 is not supported"):
+            load_snapshot(path)
+
+    def test_format_v6_file_is_rejected(self, tmp_path):
+        # v6 carried the LLC as stamped planes plus a pickled slot index;
+        # v7 carries each set's lines in recency order.
+        path = tmp_path / "v6.npz"
+        write_snapshot(path)
+        rewrite_meta(path, format_version=6)
+        with pytest.raises(ValueError, match="snapshot format v6 is not supported"):
             load_snapshot(path)
 
     @pytest.mark.parametrize("kind", sorted(BROKEN))
