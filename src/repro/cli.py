@@ -14,10 +14,7 @@ Command                Purpose
 ``campaign``           run a (workload x system x seed) grid across worker
                        processes, resumable via the on-disk artifact store
 ``scenario``           list/describe/run the multi-tenant scenario catalog
-                       (``repro scenario list|describe|run``); ``scenario
-                       run --closed-loop`` drives the run through the
-                       feedback controller of
-                       :mod:`repro.scenario.closed_loop`
+                       (``repro scenario list|describe|run``)
 ``experiment``         regenerate one paper figure/table and print its rows
 ``scaling``            print the Section VI storage-scaling tables
 ``trace``              trace files on disk: ``trace generate`` writes a
@@ -33,11 +30,11 @@ Command                Purpose
                        files (with their snapshot-reuse counters)
 ``fuzz``               scenario fuzzer + verification oracle: generate
                        random valid scenario/config specs and check each
-                       against the reference LRU and the counter identities,
-                       and for DRAM-engine / chunk-size / telemetry /
-                       snapshot bit-identity (``--budget``, ``--seed``,
-                       ``--corpus``); failures are shrunk to minimal
-                       replayable reproducers
+                       against the reference LRU, the reference DRAM and
+                       the counter identities, and for chunk-size /
+                       telemetry / snapshot bit-identity (``--budget``,
+                       ``--seed``, ``--corpus``); failures are shrunk to
+                       minimal replayable reproducers
 =====================  =====================================================
 
 Every command prints plain text to stdout; exit status is zero on success,
@@ -310,59 +307,24 @@ def cmd_scenario_describe(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sample_rows(rows: List[List[str]], limit: int = 12) -> List[List[str]]:
-    """Evenly thin a long table, always keeping the first and last row."""
-    if len(rows) <= limit:
-        return rows
-    step = (len(rows) - 1) / (limit - 1)
-    picked = sorted({round(index * step) for index in range(limit)})
-    return [rows[index] for index in picked]
-
-
 def cmd_scenario_run(args: argparse.Namespace) -> int:
     scenario = _resolve_scenario(args.name, args.scale)
     config = _resolve_config(args.system)
     if args.chunk_size < 1:
         raise SystemExit("--chunk-size must be positive")
     recorder = _setup_telemetry(args)
-    source = None
-    if args.closed_loop:
-        from repro.scenario.closed_loop import ClosedLoopSource, ClosedLoopSpec
-
-        try:
-            loop_spec = ClosedLoopSpec(target_latency=args.target_latency,
-                                       interval=args.control_interval,
-                                       gain=args.loop_gain,
-                                       min_intensity=args.min_intensity,
-                                       max_intensity=args.max_intensity)
-        except ValueError as exc:
-            raise SystemExit(str(exc))
-        source = ClosedLoopSource(scenario, loop_spec, seed=args.seed,
-                                  chunk_size=args.chunk_size)
     try:
         result = run_scenario(scenario, config, seed=args.seed,
                               warmup_fraction=args.warmup,
                               chunk_size=args.chunk_size,
                               telemetry=recorder,
                               snapshot=args.snapshot or None,
-                              warmup_snapshot=args.warmup_snapshot,
-                              closed_loop=source)
+                              warmup_snapshot=args.warmup_snapshot)
     except (ValueError, OSError) as exc:
         raise SystemExit(str(exc))
     _print(f"{scenario.name} ({scenario.total_accesses} accesses) "
-           f"under {config.name}"
-           + (" [closed-loop]" if source is not None else ""))
+           f"under {config.name}")
     _print(format_table(_result_rows(result), headers=["metric", "value"]))
-    if source is not None:
-        _print(f"closed loop: target {source.spec.target_latency:.4g} cycles, "
-               f"interval {source.spec.interval}, {source.updates} update(s), "
-               f"final intensity {source.current_intensity:.4g}")
-        rows = [[str(position), f"{intensity:.4g}",
-                 "-" if observed is None else f"{observed:.4g}"]
-                for position, intensity, observed in source.history]
-        _print(format_table(_sample_rows(rows),
-                            headers=["position", "intensity",
-                                     "observed latency"]))
     _finish_telemetry(recorder, args)
     return 0
 
@@ -804,30 +766,6 @@ def build_parser() -> argparse.ArgumentParser:
                               help="reuse the warmup through a snapshot store "
                                    "(default directory: $REPRO_SNAPSHOT_DIR "
                                    "or $REPRO_ARTIFACT_DIR)")
-    scenario_run.add_argument("--closed-loop", action="store_true",
-                              help="drive the run through the feedback "
-                                   "controller: per-phase intensity is "
-                                   "rescaled at control-interval boundaries "
-                                   "toward --target-latency (deterministic, "
-                                   "chunk-size invariant)")
-    scenario_run.add_argument("--target-latency", type=float, default=60.0,
-                              metavar="CYCLES",
-                              help="closed-loop mean demand-read latency "
-                                   "target per control interval "
-                                   "(default: 60)")
-    scenario_run.add_argument("--control-interval", type=int, default=4096,
-                              metavar="ACCESSES",
-                              help="closed-loop controller update period "
-                                   "(default: 4096)")
-    scenario_run.add_argument("--loop-gain", type=float, default=0.5,
-                              help="closed-loop proportional gain "
-                                   "(default: 0.5)")
-    scenario_run.add_argument("--min-intensity", type=float, default=0.25,
-                              help="closed-loop intensity floor "
-                                   "(default: 0.25)")
-    scenario_run.add_argument("--max-intensity", type=float, default=4.0,
-                              help="closed-loop intensity ceiling "
-                                   "(default: 4.0)")
     scenario_run.set_defaults(handler=cmd_scenario_run)
 
     experiment = subparsers.add_parser("experiment",

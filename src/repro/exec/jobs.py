@@ -32,7 +32,6 @@ from repro.common.fingerprint import (
     workload_fingerprint,
 )
 from repro.scenario.catalog import get_scenario
-from repro.scenario.closed_loop import ClosedLoopSpec, as_closed_loop_spec
 from repro.scenario.spec import Scenario
 from repro.sim.config import SystemConfig, named_configs
 from repro.sim.runner import (
@@ -75,12 +74,6 @@ class JobSpec:
     declare the scenario's own geometry (``num_accesses ==
     scenario.total_accesses``, ``num_cores == scenario.num_cores``) --
     :class:`ScenarioGrid` takes care of that.
-
-    ``closed_loop`` (scenario jobs only) runs the cell through the
-    feedback-driven :class:`repro.scenario.closed_loop.ClosedLoopSource`
-    instead of the open-loop compiled stream.  The spec becomes part of the
-    job's identity -- a closed-loop cell is a different artifact from its
-    open-loop twin -- but open-loop jobs fingerprint exactly as before.
     """
 
     workload: Union[WorkloadSpec, Scenario]
@@ -89,16 +82,10 @@ class JobSpec:
     num_cores: int = DEFAULT_NUM_CORES
     seed: int = DEFAULT_SEED
     warmup_fraction: float = DEFAULT_WARMUP_FRACTION
-    closed_loop: Optional[ClosedLoopSpec] = None
 
     def __post_init__(self) -> None:
         if isinstance(self.workload, str):
             self.workload = get_workload(self.workload)
-        self.closed_loop = as_closed_loop_spec(self.closed_loop)
-        if self.closed_loop is not None and not isinstance(self.workload, Scenario):
-            raise ValueError(
-                "closed_loop applies to scenario jobs only; "
-                f"{self.workload.name!r} is a single workload")
         if isinstance(self.workload, Scenario):
             if self.num_accesses != self.workload.total_accesses:
                 raise ValueError(
@@ -140,22 +127,15 @@ class JobSpec:
         return self._trace_fingerprint
 
     def result_fingerprint(self) -> str:
-        """Content address of this job's :class:`SimulationResult` artifact.
-
-        The closed-loop spec enters the digest only when set, so every
-        open-loop job keeps the address it always had.
-        """
+        """Content address of this job's :class:`SimulationResult` artifact."""
         if self._result_fingerprint is None:
-            data = {
+            self._result_fingerprint = fingerprint({
                 "kind": "result",
                 "version": _PACKAGE_VERSION,
                 "trace": self.trace_fingerprint(),
                 "config": config_fingerprint(self.config),
                 "warmup_fraction": self.warmup_fraction,
-            }
-            if self.closed_loop is not None:
-                data["closed_loop"] = canonical_data(self.closed_loop)
-            self._result_fingerprint = fingerprint(data)
+            })
         return self._result_fingerprint
 
     def warmup_fingerprint(self) -> str:
@@ -169,14 +149,12 @@ class JobSpec:
         return snapshot_fingerprint(
             self.workload, self.config,
             int(self.num_accesses * self.warmup_fraction),
-            num_cores=self.num_cores, seed=self.seed,
-            closed_loop=self.closed_loop)
+            num_cores=self.num_cores, seed=self.seed)
 
     @property
     def label(self) -> str:
         """Human-readable job identifier used by progress reporting."""
-        base = f"{self.workload.name}/{self.config.name}/n{self.num_accesses}/s{self.seed}"
-        return base + "/closed-loop" if self.closed_loop is not None else base
+        return f"{self.workload.name}/{self.config.name}/n{self.num_accesses}/s{self.seed}"
 
 
 # --------------------------------------------------------------------- #
@@ -257,10 +235,6 @@ class ScenarioGrid:
     :class:`JobSpec` list runs through the unchanged campaign engine --
     store hits, sharding and the parity guard all behave exactly as for
     single-workload grids, because a compiled scenario is just a trace.
-
-    ``closed_loop`` (a :class:`~repro.scenario.closed_loop.ClosedLoopSpec`
-    or parameter dict) applies one feedback controller to every cell of the
-    grid, turning the whole sweep closed-loop.
     """
 
     scenarios: Sequence[Union[str, Scenario]]
@@ -268,14 +242,12 @@ class ScenarioGrid:
     seeds: Sequence[int] = (DEFAULT_SEED,)
     scale: float = 1.0
     warmup_fraction: float = DEFAULT_WARMUP_FRACTION
-    closed_loop: Optional[ClosedLoopSpec] = None
 
     def expand(self, dedup: bool = True) -> List[JobSpec]:
         """Materialise the grid as a flat, optionally deduplicated, job list."""
         jobs: List[JobSpec] = []
         seen: Dict[str, None] = {}
         configs = _resolve_configs(self.configs)
-        closed_loop = as_closed_loop_spec(self.closed_loop)
         for scenario in self.scenarios:
             resolved = get_scenario(scenario, scale=self.scale)
             for config in configs:
@@ -287,7 +259,6 @@ class ScenarioGrid:
                         num_cores=resolved.num_cores,
                         seed=seed,
                         warmup_fraction=self.warmup_fraction,
-                        closed_loop=closed_loop,
                     )
                     if dedup:
                         digest = job.result_fingerprint()

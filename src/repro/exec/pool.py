@@ -151,29 +151,11 @@ def execute_job_sourced(job: JobSpec, store: Optional[ArtifactStore] = None,
     for the siblings.  Restored runs are bit-identical to cold ones, so the
     result artifact is the same either way; such runs still count as
     simulated (their measure phase ran).
-
-    Closed-loop jobs have no pregeneratable trace -- the stream depends on
-    simulator feedback -- so they bypass the trace store and run through
-    :func:`repro.scenario.runner.run_scenario` with the job's spec; result
-    caching and warm-state snapshots work unchanged (the closed-loop spec is
-    part of both fingerprints).
     """
     if store is not None:
         cached = store.get_result(job.result_fingerprint())
         if cached is not None:
             return cached, False
-    if job.closed_loop is not None:
-        from repro.scenario.runner import run_scenario
-
-        result = run_scenario(
-            job.workload, job.config, seed=job.seed,
-            warmup_fraction=job.warmup_fraction,
-            closed_loop=job.closed_loop,
-            warmup_snapshot=(store if warmup_snapshots and store is not None
-                             and job.warmup_fraction > 0 else None))
-        if store is not None:
-            store.put_result(job.result_fingerprint(), result)
-        return result, True
     trace = job_trace(job, store)
     if warmup_snapshots and store is not None and job.warmup_fraction > 0:
         result = run_trace(trace, job.config, workload_name=job.workload.name,

@@ -37,20 +37,14 @@ Schema (``format`` 1)::
           "scheduler": "bank_round_robin",
           "llc_bytes": 65536            # LLC capacity, 32 KB - 4 MB
         }
-      },
-      "closed_loop": {                  # optional: feedback-driven traffic
-        "target_latency": 120.0,        # (repro.scenario.closed_loop)
-        "interval": 128,
-        "gain": 0.5,
-        "min_intensity": 0.25,
-        "max_intensity": 4.0
       }
     }
 
 :func:`materialize` turns a spec into live :class:`~repro.scenario.spec.
 Scenario` / :class:`~repro.sim.config.SystemConfig` objects (re-validating
-everything the constructors validate); :func:`spec_fingerprint` content-
-addresses a spec for corpus-stability pins and artifact naming.
+everything the constructors validate, and refusing any top-level key the
+schema does not name); :func:`spec_fingerprint` content-addresses a spec for
+corpus-stability pins and artifact naming.
 """
 
 from __future__ import annotations
@@ -58,11 +52,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.common.fingerprint import fingerprint
 from repro.dram.flat import PagePolicy
-from repro.scenario.closed_loop import ClosedLoopSpec, as_closed_loop_spec
 from repro.scenario.spec import Burst, Phase, Scenario, TenantAssignment
 from repro.sim.config import SystemConfig, extended_configs, named_configs
 
@@ -80,6 +73,12 @@ __all__ = [
 #: and :func:`materialize` refuse other versions so a stale corpus fails
 #: loudly instead of silently replaying something else.
 SPEC_FORMAT_VERSION = 1
+
+#: The top-level keys of a spec.  Any other key is refused: a key the
+#: materializer would skip (a misspelt field, or a block this build no
+#: longer runs) would otherwise replay as something else and pass.
+_SPEC_KEYS = frozenset({"format", "label", "seed", "warmup_fraction",
+                        "chunk_size", "scenario", "config"})
 
 #: Configuration fields a spec may override, with their decoders.  The
 #: whitelist keeps artifacts portable: every value is a JSON scalar and every
@@ -128,9 +127,6 @@ class FuzzCase:
     seed: int
     warmup_fraction: float
     chunk_size: int
-    #: When set, the oracle drives every cell through the feedback-driven
-    #: :class:`~repro.scenario.closed_loop.ClosedLoopSource`.
-    closed_loop: Optional[ClosedLoopSpec] = None
 
     @property
     def total_accesses(self) -> int:
@@ -151,14 +147,20 @@ def materialize(spec: Dict) -> FuzzCase:
     """Build the live scenario/configuration a spec describes.
 
     Raises ``ValueError`` for malformed specs (wrong format version, unknown
-    workload/configuration names, override values the constructors reject) --
-    the shrinker relies on this to discard invalid mutations.
+    top-level keys, unknown workload/configuration names, override values
+    the constructors reject) -- the shrinker relies on this to discard
+    invalid mutations.
     """
     version = spec.get("format")
     if version != SPEC_FORMAT_VERSION:
         raise ValueError(
             f"fuzz spec format v{version!r} is not supported by this build "
             f"(expected v{SPEC_FORMAT_VERSION})")
+    unknown = sorted(set(spec) - _SPEC_KEYS)
+    if unknown:
+        raise ValueError(
+            f"unsupported fuzz spec key(s) {', '.join(map(repr, unknown))}; "
+            f"supported: {', '.join(sorted(_SPEC_KEYS))}")
     label = str(spec.get("label", "fuzz"))
 
     scenario_spec = spec["scenario"]
@@ -226,10 +228,6 @@ def materialize(spec: Dict) -> FuzzCase:
     chunk_size = int(spec.get("chunk_size", 512))
     if chunk_size < 1:
         raise ValueError("chunk_size must be positive")
-    try:
-        closed_loop = as_closed_loop_spec(spec.get("closed_loop"))
-    except TypeError as exc:
-        raise ValueError(str(exc))
     return FuzzCase(
         label=label,
         scenario=scenario,
@@ -237,7 +235,6 @@ def materialize(spec: Dict) -> FuzzCase:
         seed=int(spec.get("seed", 42)),
         warmup_fraction=warmup_fraction,
         chunk_size=chunk_size,
-        closed_loop=closed_loop,
     )
 
 

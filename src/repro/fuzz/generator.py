@@ -6,11 +6,9 @@ configuration layer expose -- multi-tenant core partitions with idle cores,
 intensity scaling, stacked burst windows, every named system configuration
 (paper and extended sets) with page-policy / interleaving / timing-model /
 arrival-CPI / scheduler / LLC-capacity overrides, randomized warmup
-fractions, streaming chunk sizes and (on about a third of samples)
-closed-loop feedback-controller parameters -- while staying inside the
-validated envelope: every sample materializes without error and simulates
-in well under a second, so a 200-sample differential sweep fits a CI smoke
-budget.
+fractions and streaming chunk sizes -- while staying inside the validated
+envelope: every sample materializes without error and simulates in well
+under a second, so a 200-sample differential sweep fits a CI smoke budget.
 
 Determinism contract: ``generate_spec(seed, index)`` depends on nothing but
 its arguments.  :func:`corpus_fingerprint` digests the first N specs of a
@@ -93,24 +91,6 @@ def _sample_bursts(rng: random.Random) -> List[List[float]]:
     return bursts
 
 
-def _sample_closed_loop(rng: random.Random) -> Dict:
-    """Random valid closed-loop controller parameters.
-
-    Intervals are small relative to the phase budget so several control
-    decisions land inside every run; the latency target spans from easily
-    met to unreachable (a saturated small-scale system observes thousands of
-    cycles), so samples cover intensity ramp-up, ramp-down and clamping.
-    """
-    low = round(rng.uniform(0.2, 0.6), 3)
-    return {
-        "target_latency": round(rng.uniform(20.0, 4000.0), 1),
-        "interval": rng.choice((96, 128, 160, 224, 320)),
-        "gain": round(rng.uniform(0.1, 0.9), 3),
-        "min_intensity": low,
-        "max_intensity": round(rng.uniform(1.5, 4.0), 3),
-    }
-
-
 def _sample_config(rng: random.Random) -> Dict:
     names = sorted(set(named_configs()) | set(extended_configs()))
     config: Dict = {"base": rng.choice(names)}
@@ -168,11 +148,6 @@ def generate_spec(seed: int, index: int) -> Dict:
         },
         "config": _sample_config(rng),
     }
-    # A third of the stream drives the run through the feedback controller,
-    # so the closed-loop path gets the same differential scrutiny (reference
-    # shadows, chunk-size, telemetry, snapshot resume) as the open-loop one.
-    if rng.random() < 0.35:
-        spec["closed_loop"] = _sample_closed_loop(rng)
     # A quarter of the samples run an ablation scheduler, so the ``dram``
     # check sees FCFS and bank round robin on every sweep.  Drawn after
     # every other field, so this choice never shifts the other draws.

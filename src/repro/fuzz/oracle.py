@@ -34,13 +34,6 @@ Every checked run must also satisfy the counter identities of
 :func:`identity_problems` (conservation: every access, DRAM transfer and
 row-buffer outcome is counted exactly once).
 
-Specs with a ``closed_loop`` block run every simulation through the
-feedback-driven :class:`~repro.scenario.closed_loop.ClosedLoopSource`: the
-``dram`` check then additionally reruns the spec unshadowed (asserting
-run-to-run determinism of the feedback path), and the snapshot check
-checkpoints/restores the source's controller state alongside the simulator
-arrays.
-
 Every simulation in a check replays the identical deterministic chunk
 stream, so a mismatch is always a simulator bug (or an injected fault),
 never workload noise.
@@ -175,17 +168,11 @@ def _run_cell(case: FuzzCase, chunk_size: Optional[int] = None,
         case.scenario, case.config, seed=case.seed,
         warmup_fraction=case.warmup_fraction,
         chunk_size=chunk_size if chunk_size is not None else case.chunk_size,
-        telemetry=telemetry, closed_loop=case.closed_loop)
+        telemetry=telemetry)
 
 
 def _chunks(case: FuzzCase):
     """The case's chunk stream, built the way :func:`run_scenario` builds it."""
-    if case.closed_loop is not None:
-        # Imported lazily, as run_scenario does.
-        from repro.scenario.closed_loop import ClosedLoopSource
-
-        return ClosedLoopSource(case.scenario, case.closed_loop,
-                                seed=case.seed, chunk_size=case.chunk_size)
     return iter_scenario_chunks(case.scenario, seed=case.seed,
                                 chunk_size=case.chunk_size)
 
@@ -206,10 +193,6 @@ def _run_shadowed(case: FuzzCase, checks: Sequence[str]
 def _snapshot_result(case: FuzzCase, workdir: Optional[Path]) -> SimulationResult:
     """Capture at the warmup boundary, file round-trip, restore, measure."""
     system = ServerSystem(case.config, workload_name=case.scenario.name)
-    # A closed-loop source's controller state rides inside the snapshot,
-    # and the replay rebuilds a fresh source to restore into -- proving the
-    # checkpoint carries everything production needs, not just simulator
-    # state.
     snapshot, _, _ = capture_warmup(system, _chunks(case), case.warmup_accesses)
     if workdir is None:
         with tempfile.TemporaryDirectory(prefix="repro-fuzz-") as tmp:
@@ -222,8 +205,7 @@ def _snapshot_result(case: FuzzCase, workdir: Optional[Path]) -> SimulationResul
         snapshot = load_snapshot(path)
     return run_scenario(case.scenario, case.config, seed=case.seed,
                         warmup_fraction=case.warmup_fraction,
-                        chunk_size=case.chunk_size, snapshot=snapshot,
-                        closed_loop=case.closed_loop)
+                        chunk_size=case.chunk_size, snapshot=snapshot)
 
 
 def _perturbed_chunk_size(chunk_size: int) -> int:
@@ -271,11 +253,6 @@ def run_oracle(spec: Dict, checks: Optional[Sequence[str]] = None,
         mismatch = mismatches[name]
         record(name, "default", default,
                [mismatch] if mismatch is not None else [])
-    if "dram" in selected and case.closed_loop is not None:
-        # Closed-loop production feeds simulator observations back into
-        # the stream, so assert run-to-run determinism explicitly: an
-        # unshadowed rerun must reproduce the default run.
-        compare("dram", "repeat", _run_cell(case))
     if "chunk" in selected:
         alt = _perturbed_chunk_size(case.chunk_size)
         compare("chunk", f"chunk={alt}", _run_cell(case, chunk_size=alt))

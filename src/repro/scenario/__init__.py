@@ -20,10 +20,6 @@ ramps, antagonist load bursts, phase changes and partially idle CMPs.
   (``tenant-colocation``, ``diurnal-ramp``, ``antagonist-burst``,
   ``phase-change``, ``idle-cores``, ``all-six-mix``), each scalable from
   smoke-test to measurement size.
-* :mod:`repro.scenario.closed_loop` -- closed-loop traffic: a feedback
-  controller over the compiled stream that rescales arrival intensity
-  toward a latency target (deterministic, chunk-size invariant,
-  snapshot-checkpointable).
 * :mod:`repro.scenario.runner` -- streaming simulation entry points.
 
 Typical use::
@@ -47,24 +43,16 @@ from repro.scenario.catalog import (
     scale_scenario,
     scenario_names,
 )
-from repro.scenario.closed_loop import (
-    ClosedLoopSource,
-    ClosedLoopSpec,
-    as_closed_loop_spec,
-)
 from repro.scenario.compiler import generate_scenario_buffer, iter_scenario_chunks
 from repro.scenario.runner import run_scenario
 from repro.scenario.spec import Burst, Phase, Scenario, TenantAssignment
 
 __all__ = [
     "Burst",
-    "ClosedLoopSource",
-    "ClosedLoopSpec",
     "Phase",
     "SCENARIOS",
     "Scenario",
     "TenantAssignment",
-    "as_closed_loop_spec",
     "generate_scenario_buffer",
     "get_scenario",
     "iter_scenario_chunks",

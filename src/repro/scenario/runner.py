@@ -33,8 +33,7 @@ def run_scenario(scenario: Union[str, Scenario], config: SystemConfig,
                  extra_agents: Optional[Iterable] = None,
                  telemetry=None,
                  snapshot=None,
-                 warmup_snapshot=None,
-                 closed_loop=None) -> SimulationResult:
+                 warmup_snapshot=None) -> SimulationResult:
     """Simulate one scenario under one system configuration, streaming.
 
     ``scenario`` is a catalog name (scaled by ``scale``) or a
@@ -51,17 +50,8 @@ def run_scenario(scenario: Union[str, Scenario], config: SystemConfig,
     ``snapshot`` / ``warmup_snapshot`` behave as in
     :func:`repro.sim.runner.run_trace`.  The snapshot fingerprint covers the
     resolved scenario (post-``scale``), the configuration, the warmup
-    length, the seed and -- when set -- the closed-loop spec; ``chunk_size`` is excluded because results are
+    length and the seed; ``chunk_size`` is excluded because results are
     chunk-size invariant.
-
-    ``closed_loop`` turns the run closed-loop: a
-    :class:`repro.scenario.closed_loop.ClosedLoopSpec`, a parameter dict, or
-    a pre-built :class:`~repro.scenario.closed_loop.ClosedLoopSource` (pass
-    one built over the *resolved* scenario to inspect its intensity
-    trajectory after the run).  The compiled stream is then produced through
-    the feedback-driven source instead of the open-loop chunk iterator;
-    determinism and chunk-size invariance still hold (see
-    :mod:`repro.scenario.closed_loop`).
 
     ``warmup_fraction`` outside ``[0, 1)`` raises ``ValueError`` (checked
     by :func:`repro.sim.runner.run_trace` before anything runs).
@@ -75,33 +65,14 @@ def run_scenario(scenario: Union[str, Scenario], config: SystemConfig,
         for phase in resolved.phases:
             boundary += phase.accesses
             recorder.note_phase(phase.name, boundary)
-    loop_spec = None
-    source = None
-    if closed_loop is not None:
-        from repro.scenario.closed_loop import (
-            ClosedLoopSource,
-            as_closed_loop_spec,
-        )
-
-        if isinstance(closed_loop, ClosedLoopSource):
-            source = closed_loop
-            loop_spec = source.spec
-        else:
-            loop_spec = as_closed_loop_spec(closed_loop)
-            source = ClosedLoopSource(resolved, loop_spec, seed=seed,
-                                      chunk_size=chunk_size)
     snapshot_key = None
     if warmup_snapshot is not None and warmup_fraction > 0:
         from repro.sim.snapshot import snapshot_fingerprint
 
         snapshot_key = snapshot_fingerprint(
             resolved, config, int(resolved.total_accesses * warmup_fraction),
-            num_cores=None, seed=seed, closed_loop=loop_spec)
-    if source is not None:
-        chunks = source
-    else:
-        chunks = iter_scenario_chunks(resolved, seed=seed,
-                                      chunk_size=chunk_size)
+            num_cores=None, seed=seed)
+    chunks = iter_scenario_chunks(resolved, seed=seed, chunk_size=chunk_size)
     return run_trace(chunks, config, workload_name=resolved.name,
                      warmup_fraction=warmup_fraction,
                      num_accesses=resolved.total_accesses,

@@ -12,7 +12,7 @@ produces the metrics every figure and table consumes.
   that moves accesses through the L1s, the LLC, the attached agents and the
   memory system while attributing every DRAM transfer.
 * :mod:`repro.sim.pipeline` -- the forked trace read-ahead and DRAM
-  helpers a long open-loop run overlaps with its cache/agent loop.
+  helpers a long run overlaps with its cache/agent loop.
 * :mod:`repro.sim.timing` -- the analytic performance model (base CPI plus
   exposed memory stalls bounded by memory bandwidth).
 * :mod:`repro.sim.results` -- :class:`SimulationResult`, the measurement

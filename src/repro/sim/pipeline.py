@@ -3,8 +3,8 @@
 Two layers of a run only consume what the cache/agent loop produces, so they
 can work on another CPU while the loop runs:
 
-* **read-ahead** -- an open-loop trace source never reads simulator state,
-  so a helper process pulls its chunks ahead of the loop and ships their
+* **read-ahead** -- a trace source never reads simulator state, so a
+  helper process pulls its chunks ahead of the loop and ships their
   columns;
 * **DRAM service** -- the memory system only consumes the transfers the
   loop stages, so a helper serves every flushed batch and hands the memory
@@ -26,7 +26,7 @@ flushed DRAM batch (~10k transfers of 32 bytes) fits whole, so the loop
 need not wait for the DRAM helper to finish serving the previous one.
 
 :meth:`repro.sim.system.ServerSystem.run` engages the pipeline once a run
-has pulled :data:`ENGAGE_ACCESSES` accesses from an open-loop source, when
+has pulled :data:`ENGAGE_ACCESSES` accesses from its source, when
 :func:`helper_cpus` finds a CPU to put the helpers on.  The threshold and
 the pipe size are module constants, not options.
 
@@ -80,8 +80,8 @@ PIPE_BYTES = 1 << 20
 
 #: Frame header: tag byte and payload length in bytes.
 _FRAME = struct.Struct("<Bq")
-#: Chunk payload header: row count and the source's intensity after the pull.
-_CHUNK_HEAD = struct.Struct("<qd")
+#: Chunk payload header: the row count.
+_CHUNK_HEAD = struct.Struct("<q")
 
 # Frame tags.  Helper -> caller: a chunk, the end of the trace, the final
 # DRAM state, an error.  Caller -> DRAM helper: the rest.
@@ -348,13 +348,11 @@ def _helper_main(body, recv_fd: int, send_fd: int, cpus: Sequence[int],
 def _read_ahead_body(source) -> Callable[[int, int], None]:
     def body(_recv_fd: int, send_fd: int) -> None:  # pragma: no cover - helper
         while True:
-            chunk = source.next_chunk(None)
+            chunk = source.next_chunk()
             if chunk is None:
                 _send(send_fd, _END)
                 return
-            head = _CHUNK_HEAD.pack(
-                len(chunk), float(getattr(source, "current_intensity", 1.0)))
-            _send(send_fd, _CHUNK, head,
+            _send(send_fd, _CHUNK, _CHUNK_HEAD.pack(len(chunk)),
                   *(np.ascontiguousarray(getattr(chunk, name))
                     for name in _WIRE_COLUMNS))
 
@@ -363,7 +361,7 @@ def _read_ahead_body(source) -> Callable[[int, int], None]:
 
 def _decode_chunk(payload: bytearray) -> TraceBuffer:
     """Zero-copy :class:`TraceBuffer` over a chunk frame's column bytes."""
-    rows, _intensity = _CHUNK_HEAD.unpack_from(payload)
+    (rows,) = _CHUNK_HEAD.unpack_from(payload)
     columns = dict(zip(_WIRE_COLUMNS, _columns(
         payload, [TRACE_DTYPES[name] for name in _WIRE_COLUMNS], rows,
         _CHUNK_HEAD.size)))
@@ -372,24 +370,18 @@ def _decode_chunk(payload: bytearray) -> TraceBuffer:
 
 
 class ReadAhead:
-    """An open-loop source whose chunks a forked helper pulls ahead of the run.
+    """A source whose chunks a forked helper pulls ahead of the run.
 
-    Stands in for the source in the run loop.  ``current_intensity`` is the
-    value the source reported after producing the chunk last returned, as
-    the run loop would have read it in-process.
+    Stands in for the source in the run loop.
     """
-
-    wants_feedback = False
 
     def __init__(self, source, cpus: Sequence[int], timed: bool) -> None:
         self.stage = _Stage("read-ahead", _read_ahead_body(source), cpus, timed)
-        self.current_intensity = float(getattr(source, "current_intensity", 1.0))
 
-    def next_chunk(self, feedback=None) -> Optional[TraceBuffer]:
+    def next_chunk(self) -> Optional[TraceBuffer]:
         tag, payload = self.stage.recv()
         if tag == _END:
             return None
-        self.current_intensity = _CHUNK_HEAD.unpack_from(payload)[1]
         return _decode_chunk(payload)
 
 
@@ -512,11 +504,11 @@ class Pipeline:
 def start_pipeline(source, memory, timed: bool) -> Optional[Pipeline]:
     """Fork the helpers a run can use, or return ``None``.
 
-    ``source`` is the open-loop source to read ahead (``None``: no
-    read-ahead) and ``memory`` the memory system to serve (``None``: no
-    DRAM stage).  Returns ``None`` when neither applies, when
-    :func:`helper_cpus` refuses, or when the system cannot fork or open a
-    pipe right now (the run then simply stays in-process).
+    ``source`` is the source to read ahead (``None``: no read-ahead) and
+    ``memory`` the memory system to serve (``None``: no DRAM stage).
+    Returns ``None`` when neither applies, when :func:`helper_cpus`
+    refuses, or when the system cannot fork or open a pipe right now (the
+    run then simply stays in-process).
     """
     if source is None and memory is None:
         return None

@@ -209,24 +209,7 @@ def _run_from_snapshot(snap: SystemSnapshot, trace: TraceLike,
             "snapshot was captured under a different system configuration")
     system = restore(snap, telemetry=telemetry)
     record_snapshot_restore(snap.nbytes)
-    stream = _as_stream(trace)
-    restore_state = getattr(stream, "restore_state", None)
-    if restore_state is not None:
-        # A feedback-driven source replays from its checkpointed production
-        # state (controller values + the unserviced warmup-split tail)
-        # instead of skipping a position-deterministic prefix.
-        if snap.source_state is None:
-            raise ValueError(
-                "snapshot carries no trace-source state: it was not captured "
-                "from a feedback-driven (closed-loop) source")
-        restore_state(snap.source_state)
-        tail = stream
-    else:
-        if snap.source_state is not None:
-            raise ValueError(
-                "snapshot carries trace-source state: replay it with the "
-                "matching closed-loop source, not an open-loop trace")
-        tail = skip_accesses(stream, snap.processed)
+    tail = skip_accesses(_as_stream(trace), snap.processed)
     return system.run(tail, warmup_accesses=0)
 
 

@@ -71,9 +71,10 @@ __all__ = [
 #: changes incompatibly; :func:`load_snapshot` and :func:`restore` refuse
 #: other versions (the fingerprint additionally carries the package version,
 #: so stale-but-loadable snapshots never match a fresh fingerprint either).
-#: ``docs/snapshots.md`` lists what each version changed; in v7 the state
-#: blob carries the LLC's recency-ordered set dicts.
-SNAPSHOT_FORMAT_VERSION = 7
+#: ``docs/snapshots.md`` lists what each version changed; v8 dropped the
+#: optional ``source`` member, so a v7 file's trace-source state is never
+#: silently ignored.
+SNAPSHOT_FORMAT_VERSION = 8
 
 #: Crossbar counters (plain ints on the hot path), captured by name.
 _NOC_COUNTERS = (
@@ -143,12 +144,6 @@ class SystemSnapshot:
     config_key: str
     arrays: Dict[str, np.ndarray] = field(default_factory=dict)
     state_blob: bytes = b""
-    #: Checkpointed trace-*source* state (closed-loop controller position,
-    #: intensity, history and any unserviced warmup-split tail), captured
-    #: when the producing source exposes ``checkpoint_state``.  ``None`` for
-    #: open-loop sources and pre-existing snapshot files -- the member is
-    #: optional in the container, so the format version is unchanged.
-    source_state: Optional[Dict] = None
 
     @property
     def nbytes(self) -> int:
@@ -172,8 +167,7 @@ class SystemSnapshot:
 
 def snapshot_fingerprint(workload, config, warmup_accesses: int,
                          num_cores: Optional[int] = None,
-                         seed: Optional[int] = None,
-                         closed_loop=None) -> str:
+                         seed: Optional[int] = None) -> str:
     """Content address of the warm state a (spec, config, warmup) run produces.
 
     The trace *prefix* generated for a (workload spec, cores, seed) triple is
@@ -182,12 +176,8 @@ def snapshot_fingerprint(workload, config, warmup_accesses: int,
     the total access count: a 60k-access query and a 240k-access query with
     the same 30k-access warmup share one snapshot.  Scenarios carry their
     core count in the spec, so ``num_cores`` may be ``None`` for them.
-
-    ``closed_loop`` (a :class:`repro.scenario.closed_loop.ClosedLoopSpec`)
-    enters the digest only when set, so every open-loop fingerprint -- and
-    every snapshot already in an artifact store -- stays stable.
     """
-    data = {
+    return fingerprint({
         "kind": "snapshot",
         "version": _package_version(),
         "workload": canonical_data(workload),
@@ -195,17 +185,13 @@ def snapshot_fingerprint(workload, config, warmup_accesses: int,
         "warmup_accesses": int(warmup_accesses),
         "num_cores": num_cores,
         "seed": seed,
-    }
-    if closed_loop is not None:
-        data["closed_loop"] = canonical_data(closed_loop)
-    return fingerprint(data)
+    })
 
 
 # --------------------------------------------------------------------- #
 # Capture
 # --------------------------------------------------------------------- #
-def capture(system: ServerSystem, processed: int,
-            source_state: Optional[Dict] = None) -> SystemSnapshot:
+def capture(system: ServerSystem, processed: int) -> SystemSnapshot:
     """Freeze ``system`` at a chunk boundary into a :class:`SystemSnapshot`.
 
     Must be called at a chunk boundary (the staged DRAM batch is flushed
@@ -215,8 +201,6 @@ def capture(system: ServerSystem, processed: int,
 
     ``processed`` records how many trace accesses the system has consumed;
     restore paths skip exactly that many before continuing.
-    ``source_state`` carries a feedback-driven trace source's checkpoint
-    (see :class:`SystemSnapshot.source_state`).
 
     Systems carrying agents beyond what their configuration builds
     (``run_trace``'s ``extra_agents``) are refused: those agents are not
@@ -253,7 +237,6 @@ def capture(system: ServerSystem, processed: int,
         config_key=config_fingerprint(system.config),
         arrays=arrays,
         state_blob=blob,
-        source_state=source_state,
     )
 
 
@@ -332,13 +315,7 @@ def _unpickle(blob: bytes, member: str):
 def capture_warmup(system: ServerSystem, trace, warmup_accesses: int):
     """Run ``trace``'s warmup interval on ``system`` and capture at the boundary.
 
-    ``trace`` may be anything :meth:`ServerSystem.run` accepts, including a
-    feedback-driven :class:`~repro.trace.source.TraceSource` -- the pull
-    loop assembles the same :class:`~repro.trace.source.FeedbackSample`\\ s
-    the run loop would, so the production trajectory is identical to an
-    uninterrupted run.  Sources exposing ``checkpoint_state`` have their
-    production state (controller values and the unserviced tail of the
-    split chunk) captured into :attr:`SystemSnapshot.source_state`.
+    ``trace`` may be anything :meth:`ServerSystem.run` accepts.
 
     Returns ``(snapshot, leftover, source)``: the captured warm state, the
     unconsumed tail of the chunk the boundary fell inside (``None`` when the
@@ -362,12 +339,7 @@ def capture_warmup(system: ServerSystem, trace, warmup_accesses: int):
     source = as_trace_source(trace)
     leftover = system._pull(source, warmup_accesses, recorder=None,
                             stop_at_boundary=True)
-    checkpoint = getattr(source, "checkpoint_state", None)
-    source_state = (checkpoint(leftover=leftover)
-                    if checkpoint is not None else None)
-    snapshot = capture(system, processed=warmup_accesses,
-                       source_state=source_state)
-    return snapshot, leftover, source
+    return capture(system, processed=warmup_accesses), leftover, source
 
 
 def skip_accesses(chunks, n: int) -> Iterator:
@@ -413,13 +385,6 @@ def save_snapshot(snapshot: SystemSnapshot, path) -> None:
                               dtype=np.uint8),
         "state": np.frombuffer(snapshot.state_blob, dtype=np.uint8),
     }
-    if snapshot.source_state is not None:
-        # Optional member: absent for open-loop snapshots, ignored by older
-        # readers (load only consults meta/state/array_* plus this name).
-        members["source"] = np.frombuffer(
-            pickle.dumps(snapshot.source_state,
-                         protocol=pickle.HIGHEST_PROTOCOL),
-            dtype=np.uint8)
     for name, array in snapshot.arrays.items():
         members[_ARRAY_PREFIX + name] = array
     # An explicit file object stops np.savez appending a second ``.npz``
@@ -433,9 +398,9 @@ def load_snapshot(path) -> SystemSnapshot:
 
     Raises ``OSError`` for missing/unreadable files and ``ValueError`` for
     corrupt or incomplete containers (truncated zip, missing metadata keys
-    or plane members, a ``source`` member that does not unpickle) --
-    callers can rely on those two types covering every failure mode
-    instead of leaking ``zipfile``/``json``/``pickle`` internals.  The
+    or plane members) -- callers can rely on those two types covering every
+    failure mode instead of leaking ``zipfile``/``json``/``pickle``
+    internals.  The
     ``state`` member is unpickled by :func:`restore`, which raises the same
     ``ValueError`` for a corrupt one.
     """
@@ -448,8 +413,6 @@ def load_snapshot(path) -> SystemSnapshot:
             arrays = {name[len(_ARRAY_PREFIX):]: data[name]
                       for name in data.files if name.startswith(_ARRAY_PREFIX)}
             blob = data["state"].tobytes()
-            source = (data["source"].tobytes()
-                      if "source" in data.files else None)
     except (ValueError, zipfile.BadZipFile, KeyError,
             json.JSONDecodeError) as exc:
         raise ValueError(f"corrupt snapshot container {path}: {exc}")
@@ -470,8 +433,6 @@ def load_snapshot(path) -> SystemSnapshot:
     if missing:
         raise ValueError(f"corrupt snapshot container {path}: missing "
                          f"member(s) {', '.join(missing)}")
-    source_state = (None if source is None
-                    else _unpickle(source, "source"))
     return SystemSnapshot(
         format_version=version,
         package_version=meta["package_version"],
@@ -480,5 +441,4 @@ def load_snapshot(path) -> SystemSnapshot:
         config_key=meta["config_key"],
         arrays=arrays,
         state_blob=blob,
-        source_state=source_state,
     )

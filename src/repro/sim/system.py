@@ -94,11 +94,6 @@ _COLUMN_LIMIT = np.uint64(1 << 63)
 _MISS_SLICE = 8192
 
 
-def _source_intensity(source) -> float:
-    """Current admission intensity a source reports (1.0 when open-loop)."""
-    return float(getattr(source, "current_intensity", 1.0))
-
-
 def llc_stats(counters: StatGroup, l1_writeback_fills: int,
               writeback_probes: int) -> StatGroup:
     """The LLC view of a result (``result.llc``), derived from the system's counts.
@@ -304,24 +299,17 @@ class ServerSystem:
         shape is interpreted through the same columnar chunk loop, so the
         result is identical regardless of how the trace arrives.
 
-        Production is pull-based: the system fully services chunk *k* before
-        requesting chunk *k+1*, and sources declaring ``wants_feedback``
-        receive a :class:`~repro.trace.source.FeedbackSample` (assembled by
-        :meth:`feedback_sample`) before every pull -- the hook closed-loop
-        traffic shapers react through.  Open-loop sources are pulled with
-        ``feedback=None`` and pay nothing for the feedback path.
-
         ``warmup_accesses`` accesses are simulated first to warm the caches,
         the predictor tables and the DRAM row buffers (mirroring the paper's
         SMARTS-style warmed-checkpoint methodology); their events are then
         discarded and only the remainder of the trace is measured.
 
         Sources are single-use.  Once a run has pulled
-        :data:`repro.sim.pipeline.ENGAGE_ACCESSES` accesses from an open-loop
-        source it may move trace production and DRAM service into forked
-        helper processes (:mod:`repro.sim.pipeline`); the source object the
-        caller holds then stops advancing, because only its copy in the
-        helper is pulled.  Results are identical either way.
+        :data:`repro.sim.pipeline.ENGAGE_ACCESSES` accesses from its source
+        it may move trace production and DRAM service into forked helper
+        processes (:mod:`repro.sim.pipeline`); the source object the caller
+        holds then stops advancing, because only its copy in the helper is
+        pulled.  Results are identical either way.
         """
         # Imported lazily: repro.scenario sits above repro.sim in the layer
         # order, so a module-level import would be circular.  By the time a
@@ -356,31 +344,29 @@ class ServerSystem:
         is set; the simulation call sequence is identical either way.
 
         Once :data:`repro.sim.pipeline.ENGAGE_ACCESSES` accesses have been
-        pulled from an open-loop source, the loop may fork pipeline helpers:
-        a read-ahead of ``source`` (not when stopping at the boundary, whose
-        caller keeps using the source) and the DRAM stage, which hands the
-        memory state back before this method returns.
+        pulled, the loop may fork pipeline helpers: a read-ahead of
+        ``source`` (not when stopping at the boundary, whose caller keeps
+        using the source) and the DRAM stage, which hands the memory state
+        back before this method returns.
         """
         from repro.sim import pipeline as pipelining
 
-        wants_feedback = bool(getattr(source, "wants_feedback", False))
         timing = recorder is not None and recorder.wants_spans
         clock = time.perf_counter
         self._refresh_agent_hooks()
         processed = 0
         pulled = 0
-        may_engage = not wants_feedback
+        may_engage = True
         measuring = False
         pipe = None
         try:
             while True:
-                feedback = self.feedback_sample(processed) if wants_feedback else None
                 if timing:
                     tick = clock()
-                    chunk = source.next_chunk(feedback)
+                    chunk = source.next_chunk()
                     recorder.add_stage("chunk_generation", clock() - tick)
                 else:
-                    chunk = source.next_chunk(feedback)
+                    chunk = source.next_chunk()
                 if chunk is None:
                     break
                 if not len(chunk):
@@ -401,7 +387,7 @@ class ServerSystem:
                         # of) this chunk: warm up on the head window, then
                         # measure whatever remains.
                         chunk = self._cross_warmup_boundary(
-                            chunk, split, recorder, timing, clock, source)
+                            chunk, split, recorder, timing, clock)
                         processed += split
                         measuring = True
                         if stop_at_boundary:
@@ -418,7 +404,7 @@ class ServerSystem:
                     self._run_chunk(chunk)
                 processed += len(chunk)
                 if recorder is not None:
-                    recorder.on_chunk(self, intensity=_source_intensity(source))
+                    recorder.on_chunk(self)
             if warmup_accesses and processed < warmup_accesses:
                 raise ValueError("trace shorter than the requested warmup interval")
             if recorder is None:
@@ -508,7 +494,7 @@ class ServerSystem:
                     f"{int(values[row])}, must be < 2**63")
 
     def _cross_warmup_boundary(self, chunk, split: int, recorder, timing: bool,
-                               clock, source) -> Optional[TraceBuffer]:
+                               clock) -> Optional[TraceBuffer]:
         """Service a chunk that crosses the warmup boundary at ``split``.
 
         Runs the warmup head, discards the warmup statistics
@@ -526,34 +512,11 @@ class ServerSystem:
         else:
             self._run_chunk(head)
         if recorder is not None:
-            recorder.on_chunk(self, intensity=_source_intensity(source))
+            recorder.on_chunk(self)
         self.begin_measurement()
         if recorder is not None:
             recorder.on_measurement_start(self)
         return None if split == len(chunk) else chunk[split:]
-
-    def feedback_sample(self, accesses: int) -> "FeedbackSample":
-        """Assemble the closed-loop feedback observation at a chunk boundary.
-
-        All values are cumulative over the run (memory counters reset at the
-        warmup boundary's :meth:`begin_measurement`); controllers difference
-        against their own last-boundary sample.  Safe to call at any chunk
-        boundary: the hot-counter fold is idempotent and every staged DRAM
-        transfer has already been flushed by :meth:`_run_chunk`.
-        """
-        from repro.trace.source import FeedbackSample
-
-        self._flush_hot_counters()
-        memory = self.memory
-        stats = memory.aggregate_stats()
-        return FeedbackSample(
-            accesses=int(accesses),
-            core_cycle=float(self._core_cycle),
-            demand_reads=int(stats["demand_reads"]),
-            read_latency_cycles=float(stats["demand_read_latency_cycles"]),
-            queue_depth=int(memory.pending_count()),
-            llc_misses=int(self.counters["llc_misses"]),
-        )
 
     def _flush_dram(self) -> None:
         """Hand the staged DRAM transfers to the memory system.

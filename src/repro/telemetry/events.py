@@ -46,8 +46,9 @@ __all__ = [
 ]
 
 #: Version stamped into every ``meta`` record; bump on layout changes so
-#: stale logs fail validation instead of rendering nonsense.
-EVENT_SCHEMA_VERSION = 1
+#: stale logs fail validation instead of rendering nonsense.  Version 2
+#: dropped the ``intensity`` sample column.
+EVENT_SCHEMA_VERSION = 2
 
 _REQUIRED_KEYS = {
     "meta": ("schema", "mode", "columns", "created_unix"),

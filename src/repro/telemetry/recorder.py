@@ -159,14 +159,8 @@ class TelemetryRecorder:
         if self.tracer is not None:
             self.tracer.mark("run_start", run=self._runs)
 
-    def on_chunk(self, system, intensity: float = 1.0) -> None:
-        """Append one timeline sample at a streaming chunk boundary.
-
-        ``intensity`` is the trace source's current admission multiplier at
-        the boundary (1.0 for open-loop sources) -- recorded as a gauge so
-        closed-loop runs expose their controller trajectory alongside the
-        counters it reacted to.
-        """
+    def on_chunk(self, system) -> None:
+        """Append one timeline sample at a streaming chunk boundary."""
         if not self.wants_samples:
             return
         stage = system._dram_stage
@@ -186,8 +180,7 @@ class TelemetryRecorder:
         self._prev = totals
         self._accesses_total += deltas[0]
         self.timeline.append(
-            [system._core_cycle, self._accesses_total, queue,
-             float(intensity)] + deltas)
+            [system._core_cycle, self._accesses_total, queue] + deltas)
 
     def on_measurement_start(self, system) -> None:
         """Re-baseline after ``begin_measurement`` reset the counters."""

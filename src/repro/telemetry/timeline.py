@@ -16,9 +16,8 @@ groups:
   (core cycle at the chunk boundary; accesses interpreted since the
   recorder first saw the system, monotone across measurement resets, which
   is what makes timelines from different chunk sizes alignable);
-* ``queue_occupancy`` and ``intensity`` -- instantaneous gauges (transfers
-  queued but not yet served by the memory system when the sample was taken;
-  the trace source's current admission multiplier, 1.0 for open-loop runs);
+* ``queue_occupancy`` -- an instantaneous gauge (transfers queued but not
+  yet served by the memory system when the sample was taken);
 * everything else -- the delta of the corresponding cumulative counter over
   the interval since the previous sample.
 
@@ -40,15 +39,12 @@ __all__ = [
 ]
 
 #: Column order of every sample row.  The first two columns are absolute
-#: coordinates, ``queue_occupancy`` and ``intensity`` are instantaneous
-#: gauges (``intensity`` is the admission multiplier a closed-loop trace
-#: source reported at the boundary, 1.0 for open-loop runs), and the
+#: coordinates, ``queue_occupancy`` is an instantaneous gauge, and the
 #: remaining columns are per-interval deltas of cumulative counters.
 TIMELINE_COLUMNS = (
     "cycle",
     "accesses_total",
     "queue_occupancy",
-    "intensity",
     "accesses",
     "instructions",
     "l1_hits",
@@ -68,7 +64,7 @@ TIMELINE_COLUMNS = (
 )
 
 #: The subset of :data:`TIMELINE_COLUMNS` recorded as interval deltas.
-DELTA_COLUMNS = TIMELINE_COLUMNS[4:]
+DELTA_COLUMNS = TIMELINE_COLUMNS[3:]
 
 _NUM_COLUMNS = len(TIMELINE_COLUMNS)
 _COLUMN_INDEX = {name: index for index, name in enumerate(TIMELINE_COLUMNS)}

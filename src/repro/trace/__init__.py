@@ -21,15 +21,13 @@ needs around those streams:
   agent that records the post-L1 request/eviction stream so the off-chip
   behaviour of a run can itself be saved, inspected and replayed.
 * :mod:`repro.trace.source` -- the ``TraceSource`` protocol every producer
-  speaks (``next_chunk(feedback)``): open-loop adapters over buffers and
-  chunk iterators, the :class:`IngestSource` replay path for captured trace
-  files, and the :class:`FeedbackSample` record closed-loop sources consume.
+  speaks (``next_chunk()``): adapters over buffers and chunk iterators, and
+  the :class:`IngestSource` replay path for captured trace files.
 """
 
 from repro.trace.buffer import DEFAULT_CHUNK_SIZE, TraceBuffer, as_chunk_iterator
 from repro.trace.capture import LLCTraceRecorder
 from repro.trace.source import (
-    FeedbackSample,
     IngestSource,
     IteratorSource,
     TraceSource,
@@ -41,7 +39,6 @@ from repro.trace.stats import TraceStatistics, characterize_trace
 
 __all__ = [
     "DEFAULT_CHUNK_SIZE",
-    "FeedbackSample",
     "IngestSource",
     "IteratorSource",
     "LLCTraceRecorder",

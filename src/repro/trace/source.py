@@ -1,28 +1,16 @@
-"""The ``TraceSource`` protocol: pull-based trace production with feedback.
+"""The ``TraceSource`` protocol: pull-based trace production.
 
 Every way the simulator can be fed -- workload generators, the scenario
-compiler, stored trace files, closed-loop traffic shapers -- speaks one
-protocol::
+compiler, stored trace files -- speaks one protocol::
 
-    chunk = source.next_chunk(feedback)   # TraceBuffer | None (exhausted)
+    chunk = source.next_chunk()   # TraceBuffer | None (exhausted)
 
-``feedback`` is a :class:`FeedbackSample` assembled by the simulator at the
-chunk boundary (or ``None``): cumulative service-side observations -- mean
-memory latency, queue depth -- that a *closed-loop* source can feed into an
-admission controller.  Open-loop sources simply ignore it, and the run loop
-only assembles samples for sources that declare ``wants_feedback``, so the
-feedback path costs nothing unless it is used.
-
-The protocol is deliberately pull-based and chunk-grained: the simulator
-fully services chunk *k* before requesting chunk *k+1*, so a feedback sample
-observed before a pull reflects exactly the accesses produced so far --
-independent of chunk size.  That is what lets closed-loop runs inherit the
-engine-wide chunk-size-invariance guarantee (see
-:class:`repro.scenario.closed_loop.ClosedLoopSource`).
+The protocol is pull-based and chunk-grained.  A source never reads
+simulator state, so the run loop may pull it ahead of the simulation (see
+:mod:`repro.sim.pipeline`).
 
 Members:
 
-* :class:`FeedbackSample` -- the boundary observation record.
 * :class:`IteratorSource` / :func:`as_trace_source` -- adapt anything the
   chunk machinery already accepts (a :class:`~repro.trace.buffer.
   TraceBuffer`, or a list or iterator of buffers) into a source with
@@ -31,18 +19,16 @@ Members:
   (``trace/io`` codecs, including :class:`~repro.trace.capture.
   LLCTraceRecorder` exports) through the streaming pipeline.
 * :func:`resume_source` -- prepend a leftover chunk (e.g. the tail of a
-  warmup-split chunk) to a source, preserving its feedback appetite.
+  warmup-split chunk) to a source.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Optional, Protocol, runtime_checkable
 
 from repro.trace.buffer import DEFAULT_CHUNK_SIZE, TraceBuffer, as_chunk_iterator
 
 __all__ = [
-    "FeedbackSample",
     "IngestSource",
     "IteratorSource",
     "TraceSource",
@@ -51,70 +37,34 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FeedbackSample:
-    """Cumulative service-side observations at one chunk boundary.
-
-    All fields are *cumulative over the run* (monotone except across the
-    measurement reset at the warmup boundary, which drains and zeroes the
-    memory counters).  Controllers that want per-interval behaviour keep
-    their own last-boundary values and difference internally -- that is what
-    makes their decisions independent of how the stream happens to be
-    chunked.
-    """
-
-    #: Accesses produced by the source and fully serviced so far.
-    accesses: int
-    #: Core clock at the boundary (bus cycles).
-    core_cycle: float
-    #: Cumulative DRAM demand reads served.
-    demand_reads: int
-    #: Cumulative demand-read latency (bus cycles, summed per read).
-    read_latency_cycles: float
-    #: Requests currently queued in the memory controllers.
-    queue_depth: int
-    #: Cumulative LLC misses.
-    llc_misses: int
-
-    @property
-    def mean_read_latency(self) -> float:
-        """Run-cumulative mean demand-read latency (0.0 before any read)."""
-        if self.demand_reads <= 0:
-            return 0.0
-        return self.read_latency_cycles / self.demand_reads
-
-
 @runtime_checkable
 class TraceSource(Protocol):
     """Anything that produces trace chunks on demand."""
 
-    def next_chunk(self, feedback: Optional[FeedbackSample]) -> Optional[TraceBuffer]:
+    def next_chunk(self) -> Optional[TraceBuffer]:
         """Produce the next chunk, or ``None`` when the stream is exhausted."""
         ...
 
 
 class IteratorSource:
-    """Adapter: any open-loop chunk producer as a :class:`TraceSource`.
+    """Adapter: any chunk producer as a :class:`TraceSource`.
 
     Accepts everything :func:`~repro.trace.buffer.as_chunk_iterator` accepts
     -- a :class:`TraceBuffer`, or a list or iterator of buffers -- and
-    replays it chunk for chunk.  ``feedback`` is ignored; output is
-    bit-identical to iterating the underlying stream directly.
+    replays it chunk for chunk; output is bit-identical to iterating the
+    underlying stream directly.
     """
-
-    #: Open-loop: the run loop never assembles feedback for this source.
-    wants_feedback = False
 
     def __init__(self, trace, chunk_size: int = DEFAULT_CHUNK_SIZE):
         self._chunks = as_chunk_iterator(trace, chunk_size=chunk_size)
 
-    def next_chunk(self, feedback: Optional[FeedbackSample] = None):
+    def next_chunk(self) -> Optional[TraceBuffer]:
         return next(self._chunks, None)
 
     def __iter__(self) -> Iterator[TraceBuffer]:
         """Drain as a plain chunk iterator (legacy chunk machinery)."""
         while True:
-            chunk = self.next_chunk(None)
+            chunk = self.next_chunk()
             if chunk is None:
                 return
             yield chunk
@@ -160,21 +110,16 @@ class _ResumedSource:
     def __init__(self, leftover: Optional[TraceBuffer], source):
         self._leftover = leftover if leftover is not None and len(leftover) else None
         self._source = source
-        self.wants_feedback = bool(getattr(source, "wants_feedback", False))
 
-    @property
-    def current_intensity(self) -> float:
-        return float(getattr(self._source, "current_intensity", 1.0))
-
-    def next_chunk(self, feedback: Optional[FeedbackSample] = None):
+    def next_chunk(self) -> Optional[TraceBuffer]:
         if self._leftover is not None:
             chunk, self._leftover = self._leftover, None
             return chunk
-        return self._source.next_chunk(feedback)
+        return self._source.next_chunk()
 
     def __iter__(self) -> Iterator[TraceBuffer]:
         while True:
-            chunk = self.next_chunk(None)
+            chunk = self.next_chunk()
             if chunk is None:
                 return
             yield chunk
@@ -185,8 +130,7 @@ def resume_source(leftover: Optional[TraceBuffer], source) -> TraceSource:
 
     Used after a warmup-boundary split: the tail of the split chunk was
     produced but not yet serviced, so it must replay before the source is
-    consulted again.  Feedback appetite and intensity reporting delegate to
-    the wrapped source.
+    consulted again.
     """
     source = as_trace_source(source)
     if leftover is None or not len(leftover):

@@ -22,7 +22,6 @@ BROKEN = {
     "missing-plane": "missing member(s) array_l1_tags",
     "truncated-state": "snapshot member 'state' does not unpickle",
     "meta-without-processed": "metadata lacks processed",
-    "corrupt-source": "snapshot member 'source' does not unpickle",
 }
 
 
@@ -70,8 +69,6 @@ def write_broken(kind: str, path) -> None:
         del members["array_l1_tags"]
     elif kind == "truncated-state":
         members["state"] = members["state"][: len(members["state"]) // 2]
-    elif kind == "corrupt-source":
-        members["source"] = _bytes(b"not a pickle")
     else:
         raise ValueError(f"unknown damage {kind!r}")
     _savez(path, members)

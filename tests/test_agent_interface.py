@@ -119,7 +119,7 @@ class _SinkCheckingSource:
         self._chunks = iter(chunks)
         self.sink_empty = []
 
-    def next_chunk(self, feedback=None):
+    def next_chunk(self):
         system = self._system
         self.sink_empty.append(not system._fetches and not system._writebacks)
         return next(self._chunks, None)

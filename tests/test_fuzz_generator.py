@@ -18,8 +18,8 @@ from repro.fuzz import (
 #: ``python -c "from repro.fuzz import corpus_fingerprint;
 #: print(corpus_fingerprint(0), corpus_fingerprint(1))"`` and update both
 #: pins in the same commit.
-_PINNED_STREAM_0 = "ef7181cd3f0d97e556a285a4a038f8bf"
-_PINNED_STREAM_1 = "5c14901642c57f805b987a37fbc5bca4"
+_PINNED_STREAM_0 = "2336c8294845f19e31e113e27fbd4ee2"
+_PINNED_STREAM_1 = "f2c9b7b4286fc5c50ffd2e8f231d6e83"
 
 
 class TestDeterminism:
@@ -67,11 +67,6 @@ class TestValidity:
         assert any(len(p.active_cores) < c.scenario.num_cores
                    for c in cases for p in c.scenario.phases)
         assert len({c.config.name for c in cases}) >= 8
-        closed = [c for c in cases if c.closed_loop is not None]
-        assert closed and len(closed) < len(cases)
-        assert all(c.closed_loop.interval >= 1 and
-                   c.closed_loop.min_intensity <= c.closed_loop.max_intensity
-                   for c in closed)
 
     def test_tenant_partitions_are_disjoint(self):
         for spec in iter_specs(4, 20):

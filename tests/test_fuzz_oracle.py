@@ -234,3 +234,14 @@ class TestMaterialize:
                           "overrides": {"llc_bytes": size}}
         with pytest.raises(ValueError, match="llc_bytes"):
             materialize(spec)
+
+    @pytest.mark.parametrize("key,value", [
+        # A saved closed-loop reproducer must not replay open-loop and pass.
+        ("closed_loop", {"target_latency": 120.0, "interval": 128}),
+        ("warmup_fracton", 0.3),
+    ])
+    def test_unknown_top_level_key_is_rejected(self, key, value):
+        spec = dict(SPEC, **{key: value})
+        with pytest.raises(ValueError,
+                           match=f"unsupported fuzz spec key.*'{key}'"):
+            materialize(spec)

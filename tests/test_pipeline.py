@@ -21,13 +21,7 @@ import pytest
 from engine_pins import PINS
 from repro.cache.agent import LLCAgent
 from repro.exec.campaign import result_fingerprint
-from repro.scenario import (
-    ClosedLoopSource,
-    ClosedLoopSpec,
-    Phase,
-    Scenario,
-    TenantAssignment,
-)
+from repro.scenario import Phase, Scenario, TenantAssignment
 from repro.scenario.catalog import get_scenario, scenario_names
 from repro.scenario.compiler import iter_scenario_chunks
 from repro.sim import pipeline
@@ -387,24 +381,6 @@ def test_pipelined_runs_emit_no_warning(monkeypatch, started):
 # ---------------------------------------------------------------------- #
 # When it does not engage
 # ---------------------------------------------------------------------- #
-def _closed_loop_source():
-    scenario = Scenario(
-        name="pipeline-closed-loop", description="two tenants",
-        phases=[Phase("only", 2_400, [
-            TenantAssignment("web_search", (0, 1)),
-            TenantAssignment("online_analytics", (2, 3), intensity=1.5),
-        ])],
-        num_cores=4)
-    return ClosedLoopSource(scenario, ClosedLoopSpec(interval=160), seed=11,
-                            chunk_size=160)
-
-
-def test_closed_loop_sources_stay_in_process(monkeypatch, started):
-    monkeypatch.setattr(pipeline, "ENGAGE_ACCESSES", 1)
-    ServerSystem(base_open()).run(_closed_loop_source(), warmup_accesses=600)
-    assert started == []
-
-
 @needs_cpus
 def test_round_robin_runs_get_both_helpers(monkeypatch, started):
     """Round robin's per-core queues travel to the DRAM helper and back."""
@@ -462,36 +438,44 @@ def test_a_multiprocessing_child_keeps_its_runs_in_process():
 # ---------------------------------------------------------------------- #
 # One memory-system surface
 # ---------------------------------------------------------------------- #
-class _FeedbackLog:
-    """A closed-loop source that records every feedback sample it receives."""
+class _DepthLog:
+    """A source that records the memory system's queue depth at every pull."""
 
-    def __init__(self, source, system):
-        self._source = source
+    def __init__(self, chunks, system):
+        self._chunks = chunks
         self._system = system
-        self.wants_feedback = True
         self.depths = []
 
-    @property
-    def current_intensity(self):
-        return self._source.current_intensity
+    def next_chunk(self):
+        self.depths.append(self._system.memory.pending_count())
+        return next(self._chunks, None)
 
-    def next_chunk(self, feedback):
-        if feedback is not None:
-            assert feedback.queue_depth == self._system.memory.pending_count()
-            self.depths.append(feedback.queue_depth)
-        return self._source.next_chunk(feedback)
+
+def _two_tenant_chunks():
+    scenario = Scenario(
+        name="pipeline-two-tenants", description="two tenants",
+        phases=[Phase("only", 2_400, [
+            TenantAssignment("web_search", (0, 1)),
+            TenantAssignment("online_analytics", (2, 3), intensity=1.5),
+        ])],
+        num_cores=4,
+        # The stream the pinned depths were recorded on.
+        seed_stream="pipeline-closed-loop")
+    return iter_scenario_chunks(scenario, seed=11, chunk_size=160)
 
 
 @pytest.mark.parametrize("scheduler", ["frfcfs", "bank_round_robin"])
 def test_every_scheduler_reports_pending_transfers_and_resets_counters(
         scheduler):
-    """Queue depths and results equal the ones the object engine reported."""
-    pin = PINS["dram"]["pending_depths"][scheduler]
+    """Queue depths equal the ones the object engine reported.
+
+    The run is far below ``ENGAGE_ACCESSES``, so it stays in-process and
+    ``system.memory`` is the live queue at every pull.
+    """
     system = ServerSystem(base_open(scheduler=scheduler))
-    source = _FeedbackLog(_closed_loop_source(), system)
-    result = system.run(source, warmup_accesses=600)
-    assert result_fingerprint(result) == pin["fingerprint"]
-    assert source.depths == pin["depths"]
+    source = _DepthLog(_two_tenant_chunks(), system)
+    system.run(source, warmup_accesses=600)
+    assert source.depths == PINS["dram"]["pending_depths"][scheduler]["depths"]
     assert any(source.depths)
     # begin_measurement zeroes the counters through the memory system's
     # own reset_counters.
@@ -505,7 +489,7 @@ def test_every_scheduler_reports_pending_transfers_and_resets_counters(
 
 def test_chunk_frames_decode_without_copying():
     trace = build_trace("web_search", 300, num_cores=CORES, seed=1)
-    head = pipeline._CHUNK_HEAD.pack(len(trace), 1.0)
+    head = pipeline._CHUNK_HEAD.pack(len(trace))
     payload = bytearray(head + b"".join(
         np.ascontiguousarray(getattr(trace, name)).tobytes()
         for name in pipeline._WIRE_COLUMNS))

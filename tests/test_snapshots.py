@@ -334,13 +334,18 @@ class TestValidation:
         with pytest.raises(ValueError, match="snapshot format v5 is not supported"):
             load_snapshot(path)
 
-    def test_format_v6_file_is_rejected(self, tmp_path):
-        # v6 carried the LLC as stamped planes plus a pickled slot index;
-        # v7 carries each set's lines in recency order.
-        path = tmp_path / "v6.npz"
+    @pytest.mark.parametrize("version", [6, 7])
+    def test_retired_format_file_is_rejected(self, tmp_path, version):
+        # v6 carried the LLC as stamped planes plus a pickled slot index.
+        # A v7 file may hold a closed-loop source's state in a ``source``
+        # member, which v8 does not read: loading it would continue a
+        # closed-loop warm state on the open-loop stream.
+        path = tmp_path / f"v{version}.npz"
         write_snapshot(path)
-        rewrite_meta(path, format_version=6)
-        with pytest.raises(ValueError, match="snapshot format v6 is not supported"):
+        rewrite_meta(path, format_version=version)
+        with pytest.raises(
+                ValueError,
+                match=f"snapshot format v{version} is not supported"):
             load_snapshot(path)
 
     @pytest.mark.parametrize("kind", sorted(BROKEN))

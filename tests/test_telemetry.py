@@ -10,6 +10,7 @@ from repro.sim.config import bump_system
 from repro.sim.runner import build_trace, run_trace
 from repro.telemetry import (
     DELTA_COLUMNS,
+    EVENT_SCHEMA_VERSION,
     JobMetrics,
     MODES,
     TELEMETRY_ENV_VAR,
@@ -206,11 +207,16 @@ class TestEventLog:
         with pytest.raises(ValueError):
             validate_event({"event": "meta", "schema": 99, "mode": "full",
                             "columns": [], "created_unix": 0.0})
+        # Schema 1 logs carry the retired ``intensity`` sample column.
+        with pytest.raises(ValueError, match="unsupported event schema 1"):
+            validate_event({"event": "meta", "schema": 1, "mode": "full",
+                            "columns": [], "created_unix": 0.0})
 
     def test_reader_reports_line_numbers_and_meta_first(self, tmp_path):
         bad = tmp_path / "bad.jsonl"
-        bad.write_text('{"event": "meta", "schema": 1, "mode": "full", '
-                       '"columns": [], "created_unix": 0.0}\nnot json\n')
+        bad.write_text(f'{{"event": "meta", "schema": {EVENT_SCHEMA_VERSION}, '
+                       '"mode": "full", "columns": [], "created_unix": 0.0}'
+                       '\nnot json\n')
         with pytest.raises(ValueError, match="bad.jsonl:2"):
             read_events_jsonl(bad)
         headless = tmp_path / "headless.jsonl"

@@ -14,7 +14,13 @@ import functools
 import pytest
 
 from repro.exec.campaign import result_fingerprint
-from repro.scenario import get_scenario, run_scenario
+from repro.scenario import (
+    Phase,
+    Scenario,
+    TenantAssignment,
+    get_scenario,
+    run_scenario,
+)
 from repro.sim.config import base_open, bump_system, named_configs
 from repro.sim.runner import build_trace, run_trace, run_workload
 from repro.telemetry import TelemetryRecorder
@@ -79,6 +85,24 @@ def test_invariance_holds_for_scenarios_and_phases_are_marked():
     boundaries = [m["fields"]["accesses"] for m in phases]
     assert boundaries == sorted(boundaries)
     assert boundaries[-1] == scenario.total_accesses
+
+
+def test_invariance_holds_when_the_warmup_boundary_splits_a_later_chunk():
+    # 600 warmup accesses in chunks of 160: three chunks are sampled before
+    # the boundary splits the fourth.
+    scenario = Scenario(
+        name="split-boundary", description="two tenants",
+        phases=[Phase("only", 2_400, [
+            TenantAssignment("web_search", (0, 1)),
+            TenantAssignment("online_analytics", (2, 3), intensity=1.5),
+        ])],
+        num_cores=4)
+    kwargs = dict(seed=11, warmup_fraction=0.25, chunk_size=160)
+    off = run_scenario(scenario, base_open(), telemetry="off", **kwargs)
+    recorder = TelemetryRecorder("full")
+    full = run_scenario(scenario, base_open(), telemetry=recorder, **kwargs)
+    assert len(recorder.timeline) == 2_400 // 160 + 1
+    assert result_fingerprint(off) == result_fingerprint(full)
 
 
 def test_chunks_and_spans_modes_are_also_invariant():

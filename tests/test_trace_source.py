@@ -1,4 +1,4 @@
-"""The ``TraceSource`` protocol layer: adapters, ingest and feedback records.
+"""The ``TraceSource`` protocol layer: adapters and ingest.
 
 The refactor guarantee under test: every trace shape the simulator accepts
 (a buffer, or a list or iterator of buffer chunks) flows through
@@ -15,7 +15,6 @@ from repro.sim.config import base_open
 from repro.sim.runner import build_trace, run_trace
 from repro.sim.system import ServerSystem
 from repro.trace import (
-    FeedbackSample,
     IngestSource,
     IteratorSource,
     LLCTraceRecorder,
@@ -37,7 +36,7 @@ def small_buffer(accesses=3000, seed=7):
 def drain(source):
     chunks = []
     while True:
-        chunk = source.next_chunk(None)
+        chunk = source.next_chunk()
         if chunk is None:
             return chunks
         chunks.append(chunk)
@@ -56,12 +55,11 @@ class TestIteratorSource:
         source = IteratorSource(iter(chunks), chunk_size=256)
         assert TraceBuffer.concat(drain(source)) == buffer
 
-    def test_exhaustion_is_sticky_and_feedback_free(self):
+    def test_exhaustion_is_sticky(self):
         source = IteratorSource(small_buffer(200), chunk_size=128)
-        assert not source.wants_feedback
         drain(source)
-        assert source.next_chunk(None) is None
-        assert source.next_chunk(None) is None
+        assert source.next_chunk() is None
+        assert source.next_chunk() is None
 
     def test_iter_protocol_matches_next_chunk(self):
         buffer = small_buffer(1000)
@@ -157,27 +155,3 @@ class TestResumeSource:
         inner = IteratorSource(small_buffer(100))
         assert resume_source(None, inner) is inner
         assert resume_source(small_buffer(100)[:0], inner) is inner
-
-    def test_feedback_appetite_is_preserved(self):
-        class Hungry:
-            wants_feedback = True
-
-            def next_chunk(self, feedback):
-                return None
-
-        resumed = resume_source(small_buffer(10), Hungry())
-        assert resumed.wants_feedback
-
-
-class TestFeedbackSample:
-    def test_mean_read_latency(self):
-        sample = FeedbackSample(accesses=100, core_cycle=400.0,
-                                demand_reads=20, read_latency_cycles=900.0,
-                                queue_depth=3, llc_misses=25)
-        assert sample.mean_read_latency == pytest.approx(45.0)
-
-    def test_mean_read_latency_before_any_read_is_zero(self):
-        sample = FeedbackSample(accesses=0, core_cycle=0.0, demand_reads=0,
-                                read_latency_cycles=0.0, queue_depth=0,
-                                llc_misses=0)
-        assert sample.mean_read_latency == 0.0
