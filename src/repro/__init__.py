@@ -23,10 +23,7 @@ The package is organised as one subpackage per subsystem:
   the one trace shape from generator to simulator, plus persistence,
   characterisation, trace sources and post-L1 stream capture.
 * :mod:`repro.sim` -- the trace-driven full-system model, system
-  configurations, timing, the experiment runner and the warm-state
-  snapshot engine (:mod:`repro.sim.snapshot`: checkpoint/restore of the
-  full simulator state, bit-identical, for fork-per-query amortized
-  warmup).
+  configurations, timing and the experiment runner.
 * :mod:`repro.analysis` -- one experiment function per paper figure/table,
   registered once with its tables and shape checks
   (:mod:`repro.analysis.figures`), the ablation and Section VI scalability
@@ -75,7 +72,7 @@ from repro.workloads import (
     iter_trace_chunks,
 )
 
-__version__ = "1.22.0"
+__version__ = "1.23.0"
 
 __all__ = [
     "BuMPConfig",

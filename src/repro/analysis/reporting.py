@@ -8,7 +8,7 @@ figures.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 
 def format_table(rows: Sequence[Sequence[str]], headers: Sequence[str]) -> str:

@@ -17,8 +17,7 @@ spills into the PC bits.
 
 The simulator hot loop calls the five methods below directly; ``fill``
 returns the victim block and leaves its flag byte, PC and core in three int
-attributes, so an eviction allocates nothing.  Snapshots pickle
-:attr:`~CacheArray.sets` as they stand.  The array counts nothing:
+attributes, so an eviction allocates nothing.  The array counts nothing:
 :class:`~repro.sim.system.ServerSystem` owns every LLC counter.
 """
 

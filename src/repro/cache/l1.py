@@ -11,17 +11,13 @@ traffic eventually becomes dirty LLC blocks and, later, DRAM writes).
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from repro.common.addressing import BLOCK_BITS
 from repro.common.params import CacheParams
 from repro.cache.flat import FLAG_DIRTY, FLAG_USED
-
-#: The state planes :class:`StackedL1` keeps.
-_PLANES = ("tags", "flags", "pcs", "stamps", "ticks")
-
 
 def _lockstep_order(lanes: np.ndarray) -> Tuple[np.ndarray, List[int]]:
     """Rows ordered by (position within their lane, lane), and step bounds.
@@ -131,20 +127,3 @@ class StackedL1:
     def _victim_ways(self, stamps: np.ndarray) -> np.ndarray:
         """The way a miss fills in each row of ``stamps``: the lowest stamp."""
         return stamps.argmin(axis=1)
-
-    def core_planes(self) -> Dict[str, np.ndarray]:
-        """Copies of the planes, keyed by name, with a leading core axis.
-
-        Planes are ``[cores, sets, ways]`` and ``ticks`` is ``[cores,
-        sets]``.
-        """
-        shape = (self.num_cores, self.num_sets)
-        return {plane: getattr(self, plane).reshape(
-                    shape + getattr(self, plane).shape[1:]).copy()
-                for plane in _PLANES}
-
-    def load_core_planes(self, planes: Dict[str, np.ndarray]) -> None:
-        """Copy planes in the :meth:`core_planes` layout back in place."""
-        for plane in _PLANES:
-            target = getattr(self, plane)
-            np.copyto(target, planes[plane].reshape(target.shape))

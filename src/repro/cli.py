@@ -21,20 +21,16 @@ Command                Purpose
                        workload trace, ``trace ingest`` replays a stored
                        trace file (e.g. an ``LLCTraceRecorder`` export)
                        through the simulator
-``snapshot``           create/inspect/list warm-state snapshots
-                       (``repro snapshot create|info|list``); ``run``,
-                       ``compare`` and ``scenario run`` reuse them via
-                       ``--snapshot`` / ``--warmup-snapshot``
 ``report``             render telemetry artifacts: run timelines and span
                        tables from JSONL event logs and campaign metrics
-                       files (with their snapshot-reuse counters)
+                       files
 ``fuzz``               scenario fuzzer + verification oracle: generate
                        random valid scenario/config specs and check each
                        against the reference LRU, the reference DRAM and
                        the counter identities, and for chunk-size /
-                       telemetry / snapshot bit-identity (``--budget``,
-                       ``--seed``, ``--corpus``); failures are shrunk to
-                       minimal replayable reproducers
+                       telemetry bit-identity (``--budget``, ``--seed``,
+                       ``--corpus``); failures are shrunk to minimal
+                       replayable reproducers
 =====================  =====================================================
 
 Every command prints plain text to stdout; exit status is zero on success,
@@ -55,17 +51,11 @@ from repro.analysis.scalability import storage_scaling_table, virtualization_sto
 from repro.exec.campaign import run_campaign, verify_parity
 from repro.exec.jobs import JobGrid
 from repro.exec.progress import CampaignProgress, ConsoleProgress
-from repro.exec.store import ArtifactStore, default_snapshot_store, default_store
+from repro.exec.store import ArtifactStore, default_store
 from repro.scenario.catalog import get_scenario, scenario_names
 from repro.scenario.runner import run_scenario
 from repro.sim.config import extended_configs, named_configs
 from repro.sim.runner import build_trace, run_trace, run_workload
-from repro.sim.snapshot import (
-    capture_warmup,
-    load_snapshot,
-    save_snapshot,
-    snapshot_fingerprint,
-)
 from repro.telemetry import MODES as TELEMETRY_MODES
 from repro.telemetry import (
     read_campaign_metrics,
@@ -160,10 +150,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         result = run_workload(args.workload, config, num_accesses=args.accesses,
                               num_cores=args.cores, seed=args.seed,
                               warmup_fraction=args.warmup,
-                              telemetry=recorder,
-                              snapshot=args.snapshot or None,
-                              warmup_snapshot=args.warmup_snapshot)
-    except (ValueError, OSError) as exc:
+                              telemetry=recorder)
+    except ValueError as exc:
         raise SystemExit(str(exc))
     _print(f"{display_name(args.workload)} under {config.name}")
     _print(format_table(_result_rows(result), headers=["metric", "value"]))
@@ -184,9 +172,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
             result = run_workload(args.workload, config,
                                   num_accesses=args.accesses,
                                   num_cores=args.cores, seed=args.seed,
-                                  warmup_fraction=args.warmup,
-                                  warmup_snapshot=args.warmup_snapshot)
-        except (ValueError, OSError) as exc:
+                                  warmup_fraction=args.warmup)
+        except ValueError as exc:
             raise SystemExit(str(exc))
         summary = result.summary()
         rows.append([config.name] + [f"{summary[metric]:.4g}" for metric in metrics])
@@ -246,12 +233,8 @@ def cmd_campaign(args: argparse.Namespace) -> int:
                "accesses: parallel results are identical to serial")
 
     progress = CampaignProgress() if args.quiet else ConsoleProgress()
-    if args.warmup_snapshots and store is None:
-        raise SystemExit("--warmup-snapshots needs an artifact store: pass "
-                         "--store or set REPRO_ARTIFACT_DIR")
     outcome = run_campaign(jobs, store=store, workers=args.workers,
-                           progress=progress,
-                           warmup_snapshots=args.warmup_snapshots)
+                           progress=progress)
 
     metrics = ["row_buffer_hit_ratio", "read_coverage", "write_coverage",
                "energy_per_access_nj", "throughput_ipc"]
@@ -317,10 +300,8 @@ def cmd_scenario_run(args: argparse.Namespace) -> int:
         result = run_scenario(scenario, config, seed=args.seed,
                               warmup_fraction=args.warmup,
                               chunk_size=args.chunk_size,
-                              telemetry=recorder,
-                              snapshot=args.snapshot or None,
-                              warmup_snapshot=args.warmup_snapshot)
-    except (ValueError, OSError) as exc:
+                              telemetry=recorder)
+    except ValueError as exc:
         raise SystemExit(str(exc))
     _print(f"{scenario.name} ({scenario.total_accesses} accesses) "
            f"under {config.name}")
@@ -407,81 +388,6 @@ def cmd_trace_ingest(args: argparse.Namespace) -> int:
     return 0
 
 
-def _snapshot_store_or_exit(root: str) -> ArtifactStore:
-    """Open the snapshot store named on the command line (or the default)."""
-    if root:
-        try:
-            return ArtifactStore(root)
-        except OSError as exc:
-            raise SystemExit(f"cannot open snapshot store at {root!r}: {exc}")
-    store = default_snapshot_store()
-    if store is None:
-        raise SystemExit("no snapshot store configured: pass --store or set "
-                         "REPRO_SNAPSHOT_DIR / REPRO_ARTIFACT_DIR")
-    return store
-
-
-def cmd_snapshot_create(args: argparse.Namespace) -> int:
-    from repro.sim.system import ServerSystem
-
-    config = _resolve_config(args.system)
-    if not 0.0 < args.warmup < 1.0:
-        raise SystemExit("--warmup must be in (0, 1)")
-    warmup = int(args.accesses * args.warmup)
-    if warmup < 1:
-        raise SystemExit("warmup interval is empty; raise --accesses or --warmup")
-    spec = get_workload(args.workload)
-    trace = build_trace(args.workload, args.accesses, num_cores=args.cores,
-                        seed=args.seed)
-    system = ServerSystem(config, workload_name=args.workload)
-    try:
-        snapshot, _, _ = capture_warmup(system, trace, warmup)
-    except ValueError as exc:
-        raise SystemExit(str(exc))
-    if args.output:
-        save_snapshot(snapshot, args.output)
-        _print(f"wrote snapshot to {args.output}")
-    else:
-        store = _snapshot_store_or_exit(args.store)
-        digest = snapshot_fingerprint(spec, config, warmup,
-                                      num_cores=args.cores, seed=args.seed)
-        store.put_snapshot(digest, snapshot)
-        _print(f"stored snapshot {digest} in {store.root}")
-    rows = [[key, str(value)] for key, value in snapshot.describe().items()]
-    _print(format_table(rows, headers=["field", "value"]))
-    return 0
-
-
-def cmd_snapshot_info(args: argparse.Namespace) -> int:
-    try:
-        snapshot = load_snapshot(args.path)
-    except (OSError, ValueError) as exc:
-        raise SystemExit(f"cannot read snapshot {args.path!r}: {exc}")
-    rows = [[key, str(value)] for key, value in snapshot.describe().items()]
-    _print(format_table(rows, headers=["field", "value"]))
-    return 0
-
-
-def cmd_snapshot_list(args: argparse.Namespace) -> int:
-    store = _snapshot_store_or_exit(args.store)
-    paths = sorted((store.root / "snapshots").glob("*.npz"))
-    if not paths:
-        _print(f"no snapshots in {store.root}")
-        return 0
-    rows = []
-    for path in paths:
-        try:
-            snapshot = load_snapshot(path)
-        except (OSError, ValueError):
-            rows.append([path.stem, "(unreadable)", "", ""])
-            continue
-        rows.append([path.stem, snapshot.workload_name,
-                     str(snapshot.processed), str(snapshot.nbytes)])
-    _print(format_table(rows, headers=["digest", "workload",
-                                       "warmed accesses", "bytes"]))
-    return 0
-
-
 def cmd_fuzz(args: argparse.Namespace) -> int:
     import json
     import time
@@ -491,6 +397,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         corpus_paths,
         generate_spec,
         load_spec,
+        materialize,
         run_oracle,
         save_spec,
         shrink,
@@ -514,9 +421,20 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     failures: List[Dict[str, object]] = []
 
     def _examine(spec, origin: str) -> None:
-        """Oracle one spec; on failure shrink it and write the reproducer."""
+        """Oracle one spec; on failure shrink it and write the reproducer.
+
+        A spec that does not materialize is recorded as ``invalid``: it is
+        refused input, so nothing is simulated, shrunk or written.
+        """
         label = spec.get("label", "fuzz")
         try:
+            try:
+                materialize(spec)
+            except ValueError as exc:
+                failures.append({"label": label, "origin": origin,
+                                 "kind": "invalid", "error": str(exc)})
+                _print(f"INVALID {label} [{origin}]: {exc}")
+                return
             report = run_oracle(spec)
         except Exception as exc:  # a crash on a valid spec is a finding
             artifact = save_spec(
@@ -666,15 +584,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--events", default="",
                      help="write the telemetry JSONL event log here "
                           "(implies --telemetry full)")
-    run.add_argument("--snapshot", default="",
-                     help="restore the warm state from this snapshot file and "
-                          "simulate only the measured tail")
-    run.add_argument("--warmup-snapshot", nargs="?", const=True, default=None,
-                     metavar="DIR",
-                     help="reuse the warmup through a snapshot store (default "
-                          "directory: $REPRO_SNAPSHOT_DIR or "
-                          "$REPRO_ARTIFACT_DIR); first run captures, "
-                          "later runs restore")
     run.set_defaults(handler=cmd_run)
 
     compare = subparsers.add_parser("compare",
@@ -684,11 +593,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated system names")
     compare.add_argument("--warmup", type=float, default=0.5,
                          help="fraction of the trace used for warmup")
-    compare.add_argument("--warmup-snapshot", nargs="?", const=True,
-                         default=None, metavar="DIR",
-                         help="reuse each system's warmup through a snapshot "
-                              "store (default directory: $REPRO_SNAPSHOT_DIR "
-                              "or $REPRO_ARTIFACT_DIR)")
     compare.set_defaults(handler=cmd_compare)
 
     campaign = subparsers.add_parser(
@@ -710,10 +614,6 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument("--store", default="",
                           help="artifact store directory (default: "
                                "$REPRO_ARTIFACT_DIR, or no persistence)")
-    campaign.add_argument("--warmup-snapshots", action="store_true",
-                          help="share warm-state snapshots across jobs that "
-                               "agree on workload, system, warmup, cores and "
-                               "seed (requires a store)")
     campaign.add_argument("--verify-parity", action="store_true",
                           help="first prove serial/parallel bit-identity on a "
                                "job sample")
@@ -758,14 +658,6 @@ def build_parser() -> argparse.ArgumentParser:
     scenario_run.add_argument("--events", default="",
                               help="write the telemetry JSONL event log here "
                                    "(implies --telemetry full)")
-    scenario_run.add_argument("--snapshot", default="",
-                              help="restore the warm state from this snapshot "
-                                   "file and simulate only the measured tail")
-    scenario_run.add_argument("--warmup-snapshot", nargs="?", const=True,
-                              default=None, metavar="DIR",
-                              help="reuse the warmup through a snapshot store "
-                                   "(default directory: $REPRO_SNAPSHOT_DIR "
-                                   "or $REPRO_ARTIFACT_DIR)")
     scenario_run.set_defaults(handler=cmd_scenario_run)
 
     experiment = subparsers.add_parser("experiment",
@@ -813,46 +705,11 @@ def build_parser() -> argparse.ArgumentParser:
                                    "loading them")
     trace_ingest.set_defaults(handler=cmd_trace_ingest)
 
-    snapshot = subparsers.add_parser(
-        "snapshot",
-        help="warm-state snapshots: create, inspect, list")
-    snapshot_actions = snapshot.add_subparsers(dest="action", required=True)
-
-    snapshot_create = snapshot_actions.add_parser(
-        "create", help="simulate a warmup and persist the warm state")
-    _add_trace_arguments(snapshot_create)
-    snapshot_create.add_argument("--system", default="bump",
-                                 help="system configuration name")
-    snapshot_create.add_argument("--warmup", type=float, default=0.5,
-                                 help="fraction of the trace to warm up over")
-    snapshot_create.add_argument("--output", "-o", default="",
-                                 help="write the snapshot to this .npz file "
-                                      "instead of the store")
-    snapshot_create.add_argument("--store", default="",
-                                 help="snapshot store directory (default: "
-                                      "$REPRO_SNAPSHOT_DIR or "
-                                      "$REPRO_ARTIFACT_DIR)")
-    snapshot_create.set_defaults(handler=cmd_snapshot_create)
-
-    snapshot_info = snapshot_actions.add_parser(
-        "info", help="describe one snapshot file")
-    snapshot_info.add_argument("path", help="snapshot .npz file")
-    snapshot_info.set_defaults(handler=cmd_snapshot_info)
-
-    snapshot_list = snapshot_actions.add_parser(
-        "list", help="list the snapshots in a store")
-    snapshot_list.add_argument("--store", default="",
-                               help="snapshot store directory (default: "
-                                    "$REPRO_SNAPSHOT_DIR or "
-                                    "$REPRO_ARTIFACT_DIR)")
-    snapshot_list.set_defaults(handler=cmd_snapshot_list)
-
     fuzz = subparsers.add_parser(
         "fuzz",
         help="fuzzing: random scenario/config specs checked against the "
              "reference LRU, the reference DRAM and counter identities, "
-             "and proven bit-identical across chunk sizes, telemetry "
-             "and snapshot resume")
+             "and proven bit-identical across chunk sizes and telemetry")
     fuzz.add_argument("--budget", type=int, default=100,
                       help="number of generated samples to examine "
                            "(default: 100)")

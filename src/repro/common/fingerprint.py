@@ -2,12 +2,11 @@
 
 The canonical reduction below is the common currency of every content
 address in the package: the campaign engine keys its on-disk artifacts and
-its in-process trace and result memos with it (:mod:`repro.exec.jobs`), warm
-snapshots record the configuration they were captured under with it
-(:mod:`repro.sim.snapshot`), and the parity guard compares full
-:class:`SimulationResult` bundles through it.  It lives in
-:mod:`repro.common` so both the execution layer and the simulation layer can
-use it without importing each other.
+its in-process trace and result memos with it (:mod:`repro.exec.jobs`), the
+scenario compiler keys tenant datasets with it, and the parity guard
+compares full :class:`SimulationResult` bundles through it.  It lives in
+:mod:`repro.common` so the execution layer and the layers below it can use
+it without importing each other.
 """
 
 from __future__ import annotations
@@ -65,7 +64,7 @@ def config_fingerprint(config) -> str:
     ``name`` and ``description`` are labels, not behaviour: two differently
     named configurations that build the identical system (e.g. ``bump`` and
     ``bump`` with its default scheduler spelled out) produce identical
-    results and warm state, so they share one digest.
+    results, so they share one digest.
     """
     data = canonical_data(config)
     data.pop("name", None)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.common.params import DRAMOrganization, SystemParams
+from repro.common.params import SystemParams
 from repro.energy.chip_energy import ChipEnergyBreakdown, ChipEnergyModel
 from repro.energy.dram_energy import DRAMEnergyBreakdown, DRAMEnergyModel, MemoryEnergyPerAccess
 from repro.energy.params import ChipEnergyParams, DRAMEnergyParams

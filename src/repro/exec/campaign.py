@@ -31,8 +31,6 @@ from repro.exec.jobs import JobSpec, fingerprint
 from repro.telemetry.metrics import (
     JobMetrics,
     campaign_metrics,
-    snapshot_cache_info,
-    snapshot_counts,
     write_campaign_metrics,
 )
 from repro.exec.progress import (
@@ -155,20 +153,13 @@ class Campaign:
     def __init__(self, jobs: Sequence[JobSpec],
                  store: Optional[ArtifactStore] = None,
                  workers: int = 1,
-                 progress: Optional[CampaignProgress] = None,
-                 warmup_snapshots: bool = False) -> None:
+                 progress: Optional[CampaignProgress] = None) -> None:
         if workers < 1:
             raise ValueError("workers must be positive")
-        if warmup_snapshots and store is None:
-            raise ValueError("warmup_snapshots requires an artifact store")
         self.jobs = list(jobs)
         self.store = store
         self.workers = workers
         self.progress = progress if progress is not None else CampaignProgress()
-        #: Share warm-state snapshots across measure-phase jobs: all jobs
-        #: agreeing on :meth:`JobSpec.warmup_fingerprint` warm up once; the
-        #: rest fork from the stored snapshot (bit-identical results).
-        self.warmup_snapshots = warmup_snapshots
 
     # ------------------------------------------------------------------ #
     def run(self) -> CampaignResult:
@@ -198,10 +189,9 @@ class Campaign:
                 self.progress.on_job_done(outcome.job, outcome.source,
                                           completed, len(self.jobs))
 
-        # Store and snapshot activity of this campaign only: its own result
-        # pre-checks plus the per-job counts of whichever process ran each job.
+        # Store activity of this campaign only: its own result pre-checks
+        # plus the per-job counts of whichever process ran each job.
         store_activity = pool.counter_delta(self.store, store_before)
-        snapshot_activity = dict.fromkeys(snapshot_counts(), 0)
         if pending:
             produced = (self._run_serial(pending) if self.workers == 1
                         else self._run_parallel(pending))
@@ -210,8 +200,6 @@ class Campaign:
                 source = SOURCE_SIMULATED if simulated else SOURCE_STORE
                 outcomes[index] = JobOutcome(job, result, source)
                 metrics_rows[index] = _job_metrics(job, source, cost)
-                for key, value in cost["snapshot"].items():
-                    snapshot_activity[key] += value
                 for key, value in cost["store"].items():
                     store_activity[key] += value
                 completed += 1
@@ -224,8 +212,6 @@ class Campaign:
             job_metrics, elapsed_seconds=elapsed, workers=self.workers,
             store_stats=({**self.store.stats(), **store_activity}
                          if self.store is not None else None),
-            snapshot_cache=(snapshot_cache_info(snapshot_activity)
-                            if self.warmup_snapshots else None),
         )
         result = CampaignResult(
             outcomes=[o for o in outcomes if o is not None],
@@ -256,8 +242,7 @@ class Campaign:
     def _run_serial(self, pending: List[Tuple[int, JobSpec]]
                     ) -> Iterator[Tuple[int, SimulationResult, bool, Dict]]:
         for index, job in pending:
-            yield (index, *pool.run_job_measured(
-                job, self.store, warmup_snapshots=self.warmup_snapshots))
+            yield (index, *pool.run_job_measured(job, self.store))
 
     def _run_parallel(self, pending: List[Tuple[int, JobSpec]]
                       ) -> Iterator[Tuple[int, SimulationResult, bool, Dict]]:
@@ -267,7 +252,6 @@ class Campaign:
             str(store.root) if store is not None else None,
             store.max_entries if store is not None else None,
             store.max_bytes if store is not None else None,
-            self.warmup_snapshots,
         )
         errors: List[str] = []
         with ProcessPoolExecutor(max_workers=self.workers,
@@ -294,11 +278,10 @@ class Campaign:
 def run_campaign(jobs: Sequence[JobSpec],
                  store: Optional[ArtifactStore] = None,
                  workers: int = 1,
-                 progress: Optional[CampaignProgress] = None,
-                 warmup_snapshots: bool = False) -> CampaignResult:
+                 progress: Optional[CampaignProgress] = None) -> CampaignResult:
     """Build and run a :class:`Campaign` in one call."""
-    return Campaign(jobs, store=store, workers=workers, progress=progress,
-                    warmup_snapshots=warmup_snapshots).run()
+    return Campaign(jobs, store=store, workers=workers,
+                    progress=progress).run()
 
 
 def run_job(job: JobSpec, store: Optional[ArtifactStore] = None) -> SimulationResult:

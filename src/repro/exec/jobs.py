@@ -21,7 +21,7 @@ artifacts through the package version embedded in every fingerprint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 from repro import __version__ as _PACKAGE_VERSION
@@ -41,7 +41,6 @@ from repro.sim.runner import (
     DEFAULT_WARMUP_FRACTION,
     check_warmup_fraction,
 )
-from repro.sim.snapshot import snapshot_fingerprint
 from repro.workloads.catalog import get_workload
 from repro.workloads.spec import WorkloadSpec
 
@@ -50,9 +49,8 @@ from repro.workloads.spec import WorkloadSpec
 # Content fingerprints
 # --------------------------------------------------------------------- #
 # ``canonical_data``, ``config_fingerprint``, ``fingerprint`` and
-# ``workload_fingerprint`` live in :mod:`repro.common.fingerprint` (warm
-# snapshots key on them too); they are re-exported here as the historical
-# public surface.
+# ``workload_fingerprint`` live in :mod:`repro.common.fingerprint`; they are
+# re-exported here as the historical public surface.
 __all__ = [
     "JobGrid", "JobSpec", "ScenarioGrid", "canonical_data",
     "config_fingerprint",
@@ -137,19 +135,6 @@ class JobSpec:
                 "warmup_fraction": self.warmup_fraction,
             })
         return self._result_fingerprint
-
-    def warmup_fingerprint(self) -> str:
-        """Content address of this job's warm-state snapshot.
-
-        Jobs that agree on workload, configuration (content, not name),
-        warmup length, core count and seed share one warm snapshot: the
-        measure phase differs only in what runs *after* warmup (see
-        :func:`repro.sim.snapshot.snapshot_fingerprint`).
-        """
-        return snapshot_fingerprint(
-            self.workload, self.config,
-            int(self.num_accesses * self.warmup_fraction),
-            num_cores=self.num_cores, seed=self.seed)
 
     @property
     def label(self) -> str:

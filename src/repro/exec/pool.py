@@ -33,7 +33,7 @@ from repro.scenario.compiler import generate_scenario_buffer
 from repro.scenario.spec import Scenario
 from repro.sim.results import SimulationResult
 from repro.sim.runner import run_trace
-from repro.telemetry.metrics import peak_rss_bytes, snapshot_counts
+from repro.telemetry.metrics import peak_rss_bytes
 from repro.trace.buffer import TRACE_FIELDS, TraceBuffer
 from repro.workloads.generator import generate_trace_buffer
 
@@ -59,11 +59,6 @@ TRACE_MEMO_MAX_ENTRIES = 8
 
 #: Per-worker state installed by :func:`_init_worker` (fork- and spawn-safe).
 _WORKER_STORE: Optional[ArtifactStore] = None
-#: Whether workers reuse warm-state snapshots from the shared store
-#: (campaign ``warmup_snapshots=True``): the first worker to simulate a
-#: given warmup fingerprint captures it, siblings restore instead of
-#: re-simulating the warmup prefix.
-_WORKER_WARMUP_SNAPSHOTS: bool = False
 #: Content-keyed (:meth:`JobSpec.trace_fingerprint`) and backed by the shared
 #: artifact store, so a campaign-wide trace is built once per store, then
 #: mapped (not regenerated) per worker.
@@ -77,16 +72,14 @@ def clear_trace_memo() -> None:
 
 def _init_worker(store_root: Optional[str],
                  max_entries: Optional[int],
-                 max_bytes: Optional[int],
-                 warmup_snapshots: bool = False) -> None:
+                 max_bytes: Optional[int]) -> None:
     """Executor initializer: open the shared store inside the worker."""
-    global _WORKER_STORE, _WORKER_WARMUP_SNAPSHOTS
+    global _WORKER_STORE
     _TRACE_MEMO.clear()
     _WORKER_STORE = (
         ArtifactStore(store_root, max_entries=max_entries, max_bytes=max_bytes)
         if store_root else None
     )
-    _WORKER_WARMUP_SNAPSHOTS = bool(warmup_snapshots)
 
 
 def _memoize_trace(digest: str, trace: TraceBuffer) -> None:
@@ -134,8 +127,7 @@ def job_trace(job: JobSpec, store: Optional[ArtifactStore] = None) -> TraceBuffe
     return trace
 
 
-def execute_job_sourced(job: JobSpec, store: Optional[ArtifactStore] = None,
-                        warmup_snapshots: bool = False
+def execute_job_sourced(job: JobSpec, store: Optional[ArtifactStore] = None
                         ) -> Tuple[SimulationResult, bool]:
     """Run one job end to end; the flag reports whether a simulation ran.
 
@@ -144,27 +136,14 @@ def execute_job_sourced(job: JobSpec, store: Optional[ArtifactStore] = None,
     store is consulted even here (not only in the campaign's pre-check) so a
     concurrent campaign's artifacts are picked up, and such hits are reported
     as cached, not simulated.
-
-    With ``warmup_snapshots`` (and a store), the run goes through the
-    warm-state snapshot path: the warmup prefix is restored from the store
-    when a sibling job already captured it, or simulated once and captured
-    for the siblings.  Restored runs are bit-identical to cold ones, so the
-    result artifact is the same either way; such runs still count as
-    simulated (their measure phase ran).
     """
     if store is not None:
         cached = store.get_result(job.result_fingerprint())
         if cached is not None:
             return cached, False
     trace = job_trace(job, store)
-    if warmup_snapshots and store is not None and job.warmup_fraction > 0:
-        result = run_trace(trace, job.config, workload_name=job.workload.name,
-                           warmup_fraction=job.warmup_fraction,
-                           warmup_snapshot=store,
-                           snapshot_key=job.warmup_fingerprint())
-    else:
-        result = run_trace(trace, job.config, workload_name=job.workload.name,
-                           warmup_fraction=job.warmup_fraction)
+    result = run_trace(trace, job.config, workload_name=job.workload.name,
+                       warmup_fraction=job.warmup_fraction)
     if store is not None:
         store.put_result(job.result_fingerprint(), result)
     return result, True
@@ -188,25 +167,20 @@ def job_cost_metrics(wall_seconds: float) -> Dict[str, object]:
     }
 
 
-def run_job_measured(job: JobSpec, store: Optional[ArtifactStore] = None,
-                     warmup_snapshots: bool = False
+def run_job_measured(job: JobSpec, store: Optional[ArtifactStore] = None
                      ) -> Tuple[SimulationResult, bool, Dict[str, object]]:
     """:func:`execute_job_sourced` plus the job's cost in this process.
 
-    The cost is :func:`job_cost_metrics` with two more entries: ``snapshot``,
-    the warm-snapshot counters (hits, misses, captures, restores, bytes)
-    this job moved, and ``store``, the artifact-store counters (hits,
-    misses, puts, ...) it moved on ``store`` (empty without a store).
-    Counting per job, in whichever process ran it, lets a campaign sum
-    exactly its own activity whether its jobs ran here or in pool workers.
+    The cost is :func:`job_cost_metrics` with one more entry, ``store``: the
+    artifact-store counters (hits, misses, puts, ...) this job moved on
+    ``store`` (empty without a store).  Counting per job, in whichever
+    process ran it, lets a campaign sum exactly its own activity whether its
+    jobs ran here or in pool workers.
     """
-    before = snapshot_counts()
     store_before = dict(store.counters) if store is not None else {}
     started = time.perf_counter()
-    result, simulated = execute_job_sourced(job, store, warmup_snapshots)
+    result, simulated = execute_job_sourced(job, store)
     cost = job_cost_metrics(time.perf_counter() - started)
-    cost["snapshot"] = {key: value - before[key]
-                        for key, value in snapshot_counts().items()}
     cost["store"] = counter_delta(store, store_before)
     return result, simulated, cost
 
@@ -226,13 +200,10 @@ def run_shard(indexed_jobs: Sequence[Tuple[int, JobSpec]]
     All jobs of a shard share a trace fingerprint, so the trace is resolved
     once and every configuration replays the identical stream.  Each entry
     carries the worker-side cost (:func:`run_job_measured`) so the campaign
-    can account wall time, memory and snapshot reuse per producing process.
+    can account wall time, memory and store activity per producing process.
     """
-    return [
-        (index, *run_job_measured(job, _WORKER_STORE,
-                                  warmup_snapshots=_WORKER_WARMUP_SNAPSHOTS))
-        for index, job in indexed_jobs
-    ]
+    return [(index, *run_job_measured(job, _WORKER_STORE))
+            for index, job in indexed_jobs]
 
 
 def shard_jobs(indexed_jobs: Sequence[Tuple[int, JobSpec]],

@@ -36,11 +36,9 @@ from repro.trace.buffer import TraceBuffer
 from repro.trace.io import load_trace_buffer, save_trace
 
 __all__ = [
-    "SNAPSHOT_STORE_ENV_VAR",
     "STORE_ENV_VAR",
     "STORE_FORMAT_VERSION",
     "ArtifactStore",
-    "default_snapshot_store",
     "default_store",
 ]
 
@@ -62,16 +60,10 @@ STORE_FORMAT_VERSION = 2
 #: Environment variable consulted by :func:`default_store`.
 STORE_ENV_VAR = "REPRO_ARTIFACT_DIR"
 
-#: Environment variable consulted by :func:`default_snapshot_store`; when
-#: unset, warm-state snapshots share the ``$REPRO_ARTIFACT_DIR`` store.
-SNAPSHOT_STORE_ENV_VAR = "REPRO_SNAPSHOT_DIR"
-
-_KINDS = ("traces", "results", "snapshots")
+_KINDS = ("traces", "results")
 #: On-disk suffix per artifact kind: columnar traces are ``.npy`` record
-#: files (mmap-able, schema-checked by dtype); warm-state snapshots are
-#: ``.npz`` containers (the :mod:`repro.sim.snapshot` codec, which carries
-#: its own format version inside the container); everything else is pickled.
-_SUFFIXES = {"traces": ".npy", "results": ".pkl", "snapshots": ".npz"}
+#: files (mmap-able, schema-checked by dtype); results are pickled.
+_SUFFIXES = {"traces": ".npy", "results": ".pkl"}
 
 
 def _fsync_path(path) -> None:
@@ -171,7 +163,7 @@ class ArtifactStore:
         must leave the complete payload there.  The staging file is fsynced
         before the rename and the containing directory after it, closing the
         crash window in which a published name could point at unflushed data
-        (applies uniformly to every kind -- traces, results and snapshots).
+        (applies uniformly to both kinds, traces and results).
         """
         handle = tempfile.NamedTemporaryFile(
             mode="wb", dir=str(path.parent), prefix=f".{path.stem}.",
@@ -282,48 +274,6 @@ class ArtifactStore:
         """Persist one simulation result."""
         return self._put("results", digest, result)
 
-    def get_snapshot(self, digest: str):
-        """Return the stored warm-state snapshot for ``digest`` or ``None``.
-
-        Corrupt containers and unsupported snapshot format versions are
-        treated like any other torn artifact: counted, removed, reported as
-        a miss so the caller re-captures.  Hits and misses are additionally
-        recorded in the process-wide snapshot telemetry counters.
-        """
-        # Imported lazily: repro.sim must stay importable without the exec
-        # layer, so the dependency runs strictly downward and only on use.
-        from repro.sim.snapshot import load_snapshot
-        from repro.telemetry.metrics import (
-            record_snapshot_hit,
-            record_snapshot_miss,
-        )
-
-        path = self._path("snapshots", digest)
-        try:
-            size = path.stat().st_size
-            snapshot = load_snapshot(path)
-        except FileNotFoundError:
-            self.counters["misses"] += 1
-            record_snapshot_miss()
-            return None
-        except (ValueError, OSError, EOFError, KeyError):
-            self.counters["corrupt"] += 1
-            self.counters["misses"] += 1
-            record_snapshot_miss()
-            self._remove(path)
-            return None
-        self.counters["hits"] += 1
-        record_snapshot_hit()
-        self._touch(path, size)
-        return snapshot
-
-    def put_snapshot(self, digest: str, snapshot) -> Path:
-        """Persist one :class:`repro.sim.snapshot.SystemSnapshot`."""
-        from repro.sim.snapshot import save_snapshot
-
-        return self._publish(self._path("snapshots", digest),
-                             lambda staging: save_snapshot(snapshot, staging))
-
     # ------------------------------------------------------------------ #
     # Introspection and eviction
     # ------------------------------------------------------------------ #
@@ -340,7 +290,7 @@ class ArtifactStore:
         for kind in _KINDS:
             # Every suffix is scanned in every kind so stale artifacts from
             # an older layout (e.g. pickled traces) still age out via LRU.
-            for pattern in ("*.pkl", "*.npy", "*.npz"):
+            for pattern in ("*.pkl", "*.npy"):
                 for path in (self.root / kind).glob(pattern):
                     if path.name.startswith("."):
                         # A dot-prefixed name is a concurrent writer's staging
@@ -440,23 +390,3 @@ def default_store() -> Optional[ArtifactStore]:
         _DEFAULT_STORES[root] = store
     return store
 
-
-def default_snapshot_store() -> Optional[ArtifactStore]:
-    """Store for warm-state snapshots: ``$REPRO_SNAPSHOT_DIR``, else the
-    :func:`default_store`.
-
-    Snapshots invalidate on every package release (their fingerprints carry
-    the version) and can be large, so fleets often want them on scratch
-    space separate from the long-lived trace/result store; pointing
-    ``REPRO_SNAPSHOT_DIR`` elsewhere does that without touching
-    ``REPRO_ARTIFACT_DIR``.  Handles are memoized per root like
-    :func:`default_store`.
-    """
-    root = os.environ.get(SNAPSHOT_STORE_ENV_VAR, "").strip()
-    if not root:
-        return default_store()
-    store = _DEFAULT_STORES.get(root)
-    if store is None or not store.root.is_dir():
-        store = ArtifactStore(root)
-        _DEFAULT_STORES[root] = store
-    return store

@@ -11,9 +11,9 @@ This package turns that checklist into a coverage engine:
 * :mod:`repro.fuzz.oracle` runs one sample with the reference LRU of
   :mod:`repro.fuzz.reference_lru` shadowing its caches and the reference
   DRAM of :mod:`repro.fuzz.reference_dram` shadowing its memory system,
-  then at a perturbed chunk size, with telemetry on and through a snapshot
-  split-then-resume; every run must fingerprint identically to the
-  shadowed one and satisfy the counter identities;
+  then at a perturbed chunk size and with telemetry on; every run must
+  fingerprint identically to the shadowed one and satisfy the counter
+  identities;
 * :mod:`repro.fuzz.shrink` reduces a failing sample to a minimal reproducer
   (drop phases and tenants, halve accesses, strip bursts/intensities,
   simplify the configuration) and the :mod:`repro.fuzz.corpus` codec writes

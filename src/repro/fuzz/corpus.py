@@ -137,6 +137,27 @@ class FuzzCase:
         return int(self.total_accesses * self.warmup_fraction)
 
 
+def _field(mapping: Dict, key: str, where: str):
+    """``mapping[key]``; a missing key is a ``ValueError`` that names it."""
+    try:
+        return mapping[key]
+    except KeyError:
+        raise ValueError(f"{where} is missing field {key!r}") from None
+
+
+def _tenant(tenant: Dict, where: str) -> TenantAssignment:
+    """A spec tenant as a :class:`TenantAssignment`; an unknown workload
+    name is a ``ValueError`` too."""
+    try:
+        return TenantAssignment(
+            workload=str(_field(tenant, "workload", where)),
+            cores=tuple(int(core) for core in _field(tenant, "cores", where)),
+            intensity=float(tenant.get("intensity", 1.0)),
+        )
+    except KeyError as exc:  # an unknown workload name
+        raise ValueError(f"{where}: {exc.args[0]}") from None
+
+
 def _config_factories():
     factories = dict(named_configs())
     factories.update(extended_configs())
@@ -147,9 +168,9 @@ def materialize(spec: Dict) -> FuzzCase:
     """Build the live scenario/configuration a spec describes.
 
     Raises ``ValueError`` for malformed specs (wrong format version, unknown
-    top-level keys, unknown workload/configuration names, override values
-    the constructors reject) -- the shrinker relies on this to discard
-    invalid mutations.
+    top-level keys, a missing required field, unknown workload/configuration
+    names, override values the constructors reject) -- the shrinker relies
+    on this to discard invalid mutations.
     """
     version = spec.get("format")
     if version != SPEC_FORMAT_VERSION:
@@ -163,40 +184,36 @@ def materialize(spec: Dict) -> FuzzCase:
             f"supported: {', '.join(sorted(_SPEC_KEYS))}")
     label = str(spec.get("label", "fuzz"))
 
-    scenario_spec = spec["scenario"]
+    scenario_spec = _field(spec, "scenario", "fuzz spec")
     phases: List[Phase] = []
-    for index, phase_spec in enumerate(scenario_spec["phases"]):
+    for index, phase_spec in enumerate(
+            _field(scenario_spec, "phases", "fuzz spec scenario")):
+        where = f"fuzz spec phase {index}"
         tenants = [
-            TenantAssignment(
-                workload=str(tenant["workload"]),
-                cores=tuple(int(core) for core in tenant["cores"]),
-                intensity=float(tenant.get("intensity", 1.0)),
-            )
-            for tenant in phase_spec["tenants"]
+            _tenant(tenant, f"{where} tenant {number}")
+            for number, tenant in enumerate(
+                _field(phase_spec, "tenants", where))
         ]
         bursts = tuple(
             Burst(float(start), float(stop), float(intensity))
             for start, stop, intensity in phase_spec.get("bursts", ()))
         phases.append(Phase(
             name=str(phase_spec.get("name", f"phase{index}")),
-            accesses=int(phase_spec["accesses"]),
+            accesses=int(_field(phase_spec, "accesses", where)),
             tenants=tenants,
             intensity=float(phase_spec.get("intensity", 1.0)),
             bursts=bursts,
         ))
-    try:
-        # seed_stream is pinned so the display label never leaks into trace
-        # generation (Scenario defaults seed_stream to its name): a shrunk or
-        # promoted reproducer replays the identical trace after relabeling.
-        scenario = Scenario(
-            name=label,
-            description="fuzz-generated scenario",
-            phases=phases,
-            num_cores=int(scenario_spec["num_cores"]),
-            seed_stream="fuzz-spec",
-        )
-    except KeyError as exc:
-        raise ValueError(f"fuzz spec scenario is missing field {exc}")
+    # seed_stream is pinned so the display label never leaks into trace
+    # generation (Scenario defaults seed_stream to its name): a shrunk or
+    # promoted reproducer replays the identical trace after relabeling.
+    scenario = Scenario(
+        name=label,
+        description="fuzz-generated scenario",
+        phases=phases,
+        num_cores=int(_field(scenario_spec, "num_cores", "fuzz spec scenario")),
+        seed_stream="fuzz-spec",
+    )
 
     config_spec = spec.get("config", {})
     base = str(config_spec.get("base", "base_open"))

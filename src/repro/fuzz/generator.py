@@ -132,8 +132,8 @@ def generate_spec(seed: int, index: int) -> Dict:
         if bursts:
             phase["bursts"] = bursts
         phases.append(phase)
-    # Warmup: usually a split somewhere inside the run (which doubles as the
-    # snapshot boundary the oracle splits at), occasionally none at all.
+    # Warmup: usually a split somewhere inside the run, occasionally none at
+    # all.
     warmup_fraction = 0.0 if rng.random() < 0.15 \
         else round(rng.uniform(0.1, 0.6), 3)
     spec = {

@@ -24,11 +24,6 @@ Checks (each independently selectable; ``CHECKS`` lists them all):
 ``telemetry``
     Observability is an observer: a fully instrumented run must fingerprint
     identically to the default run.
-``snapshot``
-    Warm-state checkpointing: capture at the warmup boundary, round-trip the
-    snapshot through the on-disk ``.npz`` codec, restore into a fresh
-    system and measure the tail -- bit-identical to never having stopped.
-    Skipped (reported, not run) when the spec has no warmup interval.
 
 Every checked run must also satisfy the counter identities of
 :func:`identity_problems` (conservation: every access, DRAM transfer and
@@ -41,9 +36,7 @@ never workload noise.
 
 from __future__ import annotations
 
-import tempfile
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.exec.campaign import result_fingerprint
@@ -53,7 +46,6 @@ from repro.fuzz.reference_lru import LRUShadow
 from repro.scenario.compiler import iter_scenario_chunks
 from repro.scenario.runner import run_scenario
 from repro.sim.results import SimulationResult
-from repro.sim.snapshot import capture_warmup, load_snapshot, save_snapshot
 from repro.sim.system import ServerSystem
 
 __all__ = [
@@ -65,7 +57,7 @@ __all__ = [
 ]
 
 #: All check names, in execution order.
-CHECKS = ("lru", "dram", "chunk", "telemetry", "snapshot")
+CHECKS = ("lru", "dram", "chunk", "telemetry")
 
 #: The checks that shadow the default run.
 _SHADOWS = {"lru": LRUShadow, "dram": DRAMShadow}
@@ -78,17 +70,13 @@ class CheckResult:
     check: str
     cell: str
     matches: bool
-    #: ``True`` when the cell could not run for this spec (e.g. the snapshot
-    #: check on a spec with no warmup interval); never counted as a failure.
-    skipped: bool = False
     #: What failed: the differing fingerprint, the first reference-LRU or
     #: reference-DRAM mismatch, or a violated counter identity with both
     #: sides.
     detail: str = ""
 
     def describe(self) -> str:
-        state = "skip" if self.skipped else ("ok" if self.matches else "FAIL")
-        text = f"{self.check}:{self.cell}={state}"
+        text = f"{self.check}:{self.cell}={'ok' if self.matches else 'FAIL'}"
         return f"{text} ({self.detail})" if self.detail else text
 
 
@@ -102,7 +90,7 @@ class OracleReport:
 
     @property
     def failures(self) -> List[CheckResult]:
-        return [c for c in self.checks if not c.skipped and not c.matches]
+        return [c for c in self.checks if not c.matches]
 
     @property
     def ok(self) -> bool:
@@ -118,9 +106,8 @@ class OracleReport:
         return seen
 
     def describe(self) -> str:
-        ran = [c for c in self.checks if not c.skipped]
         if self.ok:
-            return f"{self.label}: ok ({len(ran)} cell(s))"
+            return f"{self.label}: ok ({len(self.checks)} cell(s))"
         return (f"{self.label}: FAIL "
                 + " ".join(c.describe() for c in self.failures))
 
@@ -190,38 +177,18 @@ def _run_shadowed(case: FuzzCase, checks: Sequence[str]
     return result, {name: shadow.mismatch for name, shadow in shadows.items()}
 
 
-def _snapshot_result(case: FuzzCase, workdir: Optional[Path]) -> SimulationResult:
-    """Capture at the warmup boundary, file round-trip, restore, measure."""
-    system = ServerSystem(case.config, workload_name=case.scenario.name)
-    snapshot, _, _ = capture_warmup(system, _chunks(case), case.warmup_accesses)
-    if workdir is None:
-        with tempfile.TemporaryDirectory(prefix="repro-fuzz-") as tmp:
-            path = Path(tmp) / "warm.npz"
-            save_snapshot(snapshot, path)
-            snapshot = load_snapshot(path)
-    else:
-        path = Path(workdir) / f"{case.label}-warm.npz"
-        save_snapshot(snapshot, path)
-        snapshot = load_snapshot(path)
-    return run_scenario(case.scenario, case.config, seed=case.seed,
-                        warmup_fraction=case.warmup_fraction,
-                        chunk_size=case.chunk_size, snapshot=snapshot)
-
-
 def _perturbed_chunk_size(chunk_size: int) -> int:
     """A second chunk size guaranteed to split the stream differently."""
     return max(32, (chunk_size * 2) // 3 + 17)
 
 
-def run_oracle(spec: Dict, checks: Optional[Sequence[str]] = None,
-               workdir=None) -> OracleReport:
+def run_oracle(spec: Dict, checks: Optional[Sequence[str]] = None
+               ) -> OracleReport:
     """Run the oracle over one spec dict.
 
     ``checks`` restricts the run to a subset of :data:`CHECKS` (the shrinker
     re-runs only the originally failing axis).  The default run is
     simulated once, shadowed by the selected ``lru`` and ``dram`` checks.
-    ``workdir`` keeps the snapshot check's ``.npz`` round-trip file for
-    inspection; by default it lives in a temporary directory.
 
     Raises ``ValueError`` for specs that do not materialize; every
     simulation failure below that propagates -- a crash on a valid spec is
@@ -259,11 +226,4 @@ def run_oracle(spec: Dict, checks: Optional[Sequence[str]] = None,
     if "telemetry" in selected:
         compare("telemetry", "telemetry=full",
                 _run_cell(case, telemetry="full"))
-    if "snapshot" in selected:
-        if case.warmup_accesses < 1:
-            report.checks.append(
-                CheckResult("snapshot", "no-warmup", True, skipped=True))
-        else:
-            compare("snapshot", f"split@{case.warmup_accesses}",
-                    _snapshot_result(case, workdir))
     return report

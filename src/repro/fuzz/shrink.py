@@ -183,7 +183,7 @@ def shrink(spec: Dict, is_failing: Optional[Callable[[Dict], bool]] = None,
             attempts += 1
             try:
                 materialize(candidate)
-            except (ValueError, KeyError):
+            except ValueError:
                 continue
             if is_failing(candidate):
                 current = candidate

@@ -4,8 +4,8 @@
 :func:`repro.sim.runner.run_workload`: the compiled chunk stream
 feeds the simulator directly, so a million-access multi-tenant run holds one
 chunk of columns in memory regardless of scenario length.  The warmup split,
-agent attachment, telemetry and snapshots behave exactly as they do for
-single-workload runs -- a scenario is just a trace.
+agent attachment and telemetry behave exactly as they do for single-workload
+runs -- a scenario is just a trace.
 """
 
 from __future__ import annotations
@@ -31,9 +31,7 @@ def run_scenario(scenario: Union[str, Scenario], config: SystemConfig,
                  chunk_size: int = DEFAULT_CHUNK_SIZE,
                  scale: float = 1.0,
                  extra_agents: Optional[Iterable] = None,
-                 telemetry=None,
-                 snapshot=None,
-                 warmup_snapshot=None) -> SimulationResult:
+                 telemetry=None) -> SimulationResult:
     """Simulate one scenario under one system configuration, streaming.
 
     ``scenario`` is a catalog name (scaled by ``scale``) or a
@@ -47,12 +45,6 @@ def run_scenario(scenario: Union[str, Scenario], config: SystemConfig,
     marks (phase name plus its cumulative end position in the trace), so an
     event log can attribute timeline intervals to scenario phases.
 
-    ``snapshot`` / ``warmup_snapshot`` behave as in
-    :func:`repro.sim.runner.run_trace`.  The snapshot fingerprint covers the
-    resolved scenario (post-``scale``), the configuration, the warmup
-    length and the seed; ``chunk_size`` is excluded because results are
-    chunk-size invariant.
-
     ``warmup_fraction`` outside ``[0, 1)`` raises ``ValueError`` (checked
     by :func:`repro.sim.runner.run_trace` before anything runs).
     """
@@ -65,20 +57,10 @@ def run_scenario(scenario: Union[str, Scenario], config: SystemConfig,
         for phase in resolved.phases:
             boundary += phase.accesses
             recorder.note_phase(phase.name, boundary)
-    snapshot_key = None
-    if warmup_snapshot is not None and warmup_fraction > 0:
-        from repro.sim.snapshot import snapshot_fingerprint
-
-        snapshot_key = snapshot_fingerprint(
-            resolved, config, int(resolved.total_accesses * warmup_fraction),
-            num_cores=None, seed=seed)
     chunks = iter_scenario_chunks(resolved, seed=seed, chunk_size=chunk_size)
     return run_trace(chunks, config, workload_name=resolved.name,
                      warmup_fraction=warmup_fraction,
                      num_accesses=resolved.total_accesses,
                      extra_agents=extra_agents,
-                     telemetry=recorder,
-                     snapshot=snapshot,
-                     warmup_snapshot=warmup_snapshot,
-                     snapshot_key=snapshot_key)
+                     telemetry=recorder)
 

@@ -8,7 +8,7 @@ can work on another CPU while the loop runs:
   columns;
 * **DRAM service** -- the memory system only consumes the transfers the
   loop stages, so a helper serves every flushed batch and hands the memory
-  state back when the run (or a warmup capture) ends.
+  state back when the run ends.
 
 The calling process keeps the L1 stage, the LLC, every agent, the counters
 and result assembly, and the helpers run the same code on the same inputs in
@@ -463,27 +463,19 @@ class DRAMStage:
 # Both stages
 # ---------------------------------------------------------------------- #
 class Pipeline:
-    """The helpers of one run: a read-ahead, a DRAM stage, or both."""
+    """The helpers of one run: a read-ahead and a DRAM stage."""
 
     def __init__(self, source, memory, cpus: Sequence[int],
                  timed: bool) -> None:
         self.cpus = tuple(cpus)
-        self.reader: Optional[ReadAhead] = None
-        self.dram: Optional[DRAMStage] = None
-        self._stages: List[_Stage] = []
+        self.reader = ReadAhead(source, cpus, timed)
         try:
-            if source is not None:
-                self.reader = ReadAhead(source, cpus, timed)
-                self._stages.append(self.reader.stage)
-            if memory is not None:
-                # The DRAM helper must not hold the read-ahead's pipes open.
-                inherited = tuple(fd for stage in self._stages
-                                  for fd in stage.fds)
-                self.dram = DRAMStage(memory, cpus, timed, inherited)
-                self._stages.append(self.dram.stage)
+            # The DRAM helper must not hold the read-ahead's pipes open.
+            self.dram = DRAMStage(memory, cpus, timed, self.reader.stage.fds)
         except BaseException:
-            self.close()
+            self.reader.stage.close()
             raise
+        self._stages = (self.reader.stage, self.dram.stage)
 
     @property
     def names(self) -> Tuple[str, ...]:
@@ -502,16 +494,12 @@ class Pipeline:
 
 
 def start_pipeline(source, memory, timed: bool) -> Optional[Pipeline]:
-    """Fork the helpers a run can use, or return ``None``.
+    """Fork a read-ahead of ``source`` and a DRAM stage serving ``memory``.
 
-    ``source`` is the source to read ahead (``None``: no read-ahead) and
-    ``memory`` the memory system to serve (``None``: no DRAM stage).
-    Returns ``None`` when neither applies, when :func:`helper_cpus`
-    refuses, or when the system cannot fork or open a pipe right now (the
-    run then simply stays in-process).
+    Returns ``None`` when :func:`helper_cpus` refuses, or when the system
+    cannot fork or open a pipe right now (the run then simply stays
+    in-process).
     """
-    if source is None and memory is None:
-        return None
     cpus = helper_cpus()
     if not cpus:
         return None

@@ -23,24 +23,10 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Optional, Union
 
-from repro.common.fingerprint import config_fingerprint
 from repro.sim.config import SystemConfig
 from repro.sim.results import SimulationResult
-from repro.sim.snapshot import (
-    SystemSnapshot,
-    capture_warmup,
-    load_snapshot,
-    restore,
-    skip_accesses,
-    snapshot_fingerprint,
-)
 from repro.sim.system import ServerSystem
-from repro.telemetry.metrics import (
-    record_snapshot_capture,
-    record_snapshot_restore,
-)
 from repro.trace.buffer import DEFAULT_CHUNK_SIZE, TraceBuffer, as_chunk_iterator
-from repro.trace.source import resume_source
 from repro.workloads.catalog import get_workload
 from repro.workloads.generator import generate_trace_buffer, iter_trace_chunks
 from repro.workloads.spec import WorkloadSpec
@@ -89,10 +75,7 @@ def run_trace(trace: TraceLike, config: SystemConfig,
               warmup_fraction: float = DEFAULT_WARMUP_FRACTION,
               extra_agents: Optional[Iterable] = None,
               num_accesses: Optional[int] = None,
-              telemetry=None,
-              snapshot=None,
-              warmup_snapshot=None,
-              snapshot_key: Optional[str] = None) -> SimulationResult:
+              telemetry=None) -> SimulationResult:
     """Run an explicit trace through one system configuration.
 
     ``trace`` may be a :class:`TraceBuffer`, an iterable (list, tuple or
@@ -117,36 +100,10 @@ def run_trace(trace: TraceLike, config: SystemConfig,
     changes the result -- pass a recorder instance to read the timeline and
     span events afterwards.
 
-    ``snapshot`` replays from an explicit warm state instead of simulating
-    the trace prefix: a :class:`repro.sim.snapshot.SystemSnapshot` or a path
-    to a saved one.  The snapshot's ``processed`` accesses are skipped from
-    ``trace`` and the remainder is measured; the result is bit-identical to
-    the uninterrupted warmup run the snapshot was captured from.
-
-    ``warmup_snapshot`` amortizes warmup through a snapshot store: pass an
-    :class:`repro.exec.store.ArtifactStore` (or a directory path, or
-    ``True`` for the ``REPRO_SNAPSHOT_DIR``/``REPRO_ARTIFACT_DIR`` default)
-    together with ``snapshot_key`` (see
-    :func:`repro.sim.snapshot.snapshot_fingerprint`; the workload-level
-    entry points compute it).  A store hit restores instead of warming up; a
-    miss warms up once, captures at the measurement boundary, publishes the
-    snapshot and continues -- either way the result is bit-identical to a
-    cold run.  Neither snapshot path may be combined with ``extra_agents``
-    (attached agents are invisible to the fingerprint).
-
     ``warmup_fraction`` outside ``[0, 1)`` raises ``ValueError`` before
     anything runs.
     """
     check_warmup_fraction(warmup_fraction)
-    if snapshot is not None and warmup_snapshot is not None:
-        raise ValueError("pass either snapshot or warmup_snapshot, not both")
-    if (snapshot is not None or warmup_snapshot is not None) and extra_agents:
-        raise ValueError(
-            "snapshots cannot be combined with extra_agents: the extra "
-            "agents are not part of the snapshot fingerprint")
-    if snapshot is not None:
-        return _run_from_snapshot(_coerce_snapshot(snapshot), trace, config,
-                                  telemetry=telemetry)
     warmup = 0
     if warmup_fraction > 0:
         total = num_accesses
@@ -168,95 +125,11 @@ def run_trace(trace: TraceLike, config: SystemConfig,
         if known is not None and known < warmup:
             raise ValueError(
                 "trace shorter than the requested warmup interval")
-    if warmup_snapshot is not None and warmup:
-        return _run_with_warmup_store(
-            trace, config, warmup_snapshot, snapshot_key,
-            workload_name=workload_name, warmup=warmup, telemetry=telemetry)
     system = ServerSystem(config, workload_name=workload_name,
                           telemetry=telemetry)
     if extra_agents is not None:
         system.agents.extend(extra_agents)
     return system.run(trace, warmup_accesses=warmup)
-
-
-def _as_stream(trace: TraceLike):
-    """Normalize ``trace`` for the snapshot paths (Scenario -> chunk stream).
-
-    Mirrors :meth:`ServerSystem.run`'s scenario handling so skipping and
-    tail-running see the identical chunk stream a direct run would.
-    """
-    # Lazy import: repro.scenario layers above repro.sim.
-    from repro.scenario.compiler import iter_scenario_chunks
-    from repro.scenario.spec import Scenario
-
-    if isinstance(trace, Scenario):
-        return iter_scenario_chunks(trace)
-    return trace
-
-
-def _coerce_snapshot(snapshot) -> SystemSnapshot:
-    if isinstance(snapshot, SystemSnapshot):
-        return snapshot
-    return load_snapshot(snapshot)
-
-
-def _run_from_snapshot(snap: SystemSnapshot, trace: TraceLike,
-                       config: SystemConfig,
-                       telemetry=None) -> SimulationResult:
-    """Fork a system from ``snap`` and measure the remainder of ``trace``."""
-    if snap.config_key != config_fingerprint(config):
-        raise ValueError(
-            "snapshot was captured under a different system configuration")
-    system = restore(snap, telemetry=telemetry)
-    record_snapshot_restore(snap.nbytes)
-    tail = skip_accesses(_as_stream(trace), snap.processed)
-    return system.run(tail, warmup_accesses=0)
-
-
-def _resolve_snapshot_store(warmup_snapshot):
-    """Turn ``warmup_snapshot`` into a store handle with snapshot accessors."""
-    # Lazy imports: repro.sim must stay importable without repro.exec.
-    if warmup_snapshot is True:
-        from repro.exec.store import default_snapshot_store
-
-        store = default_snapshot_store()
-        if store is None:
-            raise ValueError(
-                "no snapshot store configured: set REPRO_SNAPSHOT_DIR or "
-                "REPRO_ARTIFACT_DIR, or pass an ArtifactStore")
-        return store
-    if hasattr(warmup_snapshot, "get_snapshot"):
-        return warmup_snapshot
-    from repro.exec.store import ArtifactStore
-
-    return ArtifactStore(warmup_snapshot)
-
-
-def _run_with_warmup_store(trace: TraceLike, config: SystemConfig,
-                           warmup_snapshot, snapshot_key: Optional[str],
-                           workload_name: str, warmup: int,
-                           telemetry) -> SimulationResult:
-    """Warmup via the snapshot store: restore on hit, capture-once on miss."""
-    store = _resolve_snapshot_store(warmup_snapshot)
-    if snapshot_key is None:
-        raise ValueError(
-            "warmup_snapshot requires snapshot_key (run_workload and "
-            "run_scenario compute it; see "
-            "repro.sim.snapshot.snapshot_fingerprint)")
-    snap = store.get_snapshot(snapshot_key)
-    if snap is not None:
-        if snap.processed != warmup:
-            raise ValueError(
-                f"snapshot under key {snapshot_key!r} was captured after "
-                f"{snap.processed} accesses, not the requested {warmup}")
-        return _run_from_snapshot(snap, trace, config, telemetry=telemetry)
-    system = ServerSystem(config, workload_name=workload_name,
-                          telemetry=telemetry)
-    snap, leftover, source = capture_warmup(system, _as_stream(trace),
-                                            warmup)
-    store.put_snapshot(snapshot_key, snap)
-    record_snapshot_capture(snap.nbytes)
-    return system.run(resume_source(leftover, source), warmup_accesses=0)
 
 
 def _trace_length(trace: TraceLike) -> Optional[int]:
@@ -284,20 +157,13 @@ def run_workload(workload: Union[str, WorkloadSpec], config: SystemConfig,
                  seed: int = DEFAULT_SEED,
                  warmup_fraction: float = DEFAULT_WARMUP_FRACTION,
                  chunk_size: int = DEFAULT_CHUNK_SIZE,
-                 telemetry=None,
-                 snapshot=None,
-                 warmup_snapshot=None) -> SimulationResult:
+                 telemetry=None) -> SimulationResult:
     """Run one workload through one system configuration, streaming.
 
     The generator's chunks feed the simulator directly: the trace is never
     materialized, so memory stays bounded by ``chunk_size`` for arbitrarily
     long traces, and results are bit-identical for any ``chunk_size`` and
     to :func:`run_trace` over :func:`build_trace`'s buffer.
-
-    ``snapshot`` / ``warmup_snapshot`` behave as in :func:`run_trace`; the
-    warmup fingerprint is computed here from the workload spec and
-    geometry.  A snapshot hit skips the warmup prefix chunk by chunk
-    instead of simulating it.
 
     ``workload`` is a catalog name or a :class:`WorkloadSpec`; a scenario
     runs through :func:`repro.scenario.runner.run_scenario` instead.
@@ -314,16 +180,9 @@ def run_workload(workload: Union[str, WorkloadSpec], config: SystemConfig,
     spec = get_workload(workload) if isinstance(workload, str) else workload
     chunks = iter_trace_chunks(spec, num_accesses, num_cores=num_cores,
                                seed=seed, chunk_size=chunk_size)
-    key = None
-    if warmup_snapshot is not None and warmup_fraction > 0:
-        key = snapshot_fingerprint(
-            spec, config, int(num_accesses * warmup_fraction),
-            num_cores=num_cores, seed=seed)
     return run_trace(chunks, config, workload_name=spec.name,
                      warmup_fraction=warmup_fraction, num_accesses=num_accesses,
-                     telemetry=telemetry,
-                     snapshot=snapshot, warmup_snapshot=warmup_snapshot,
-                     snapshot_key=key)
+                     telemetry=telemetry)
 
 
 def run_configs(workload: Union[str, WorkloadSpec], configs: Iterable[SystemConfig],

@@ -260,13 +260,12 @@ class ServerSystem:
     def _refresh_agent_hooks(self) -> None:
         """Bind the action sink to every agent and list each hook's callees.
 
-        Runs at construction, at the start of every run and on snapshot
-        restore, so agents attached after construction (``run_trace``'s
-        ``extra_agents``) and restored agents are bound to *this* system's
-        sink.  A hook an agent leaves at the base-class no-op is never
-        called.  Hooks are taken from the instance, so instance-level
-        wrappers installed before a run (profilers, tracers) are the ones
-        called.
+        Runs at construction and at the start of every run, so agents
+        attached after construction (``run_trace``'s ``extra_agents``) are
+        bound to *this* system's sink.  A hook an agent leaves at the
+        base-class no-op is never called.  Hooks are taken from the
+        instance, so instance-level wrappers installed before a run
+        (profilers, tracers) are the ones called.
         """
         agents = self.agents
         for agent in agents:
@@ -332,22 +331,16 @@ class ServerSystem:
         recorder.on_run_end(self)
         return result
 
-    def _pull(self, source, warmup_accesses: int, recorder,
-              stop_at_boundary: bool = False) -> Optional[TraceBuffer]:
-        """The pull loop: service ``source`` chunk by chunk.
+    def _pull(self, source, warmup_accesses: int, recorder) -> None:
+        """The pull loop: service ``source`` chunk by chunk, then drain.
 
-        Shared by :meth:`run` (to the end of the trace, then drain the
-        memory system) and :func:`repro.sim.snapshot.capture_warmup`
-        (``stop_at_boundary``: return at the measurement boundary with the
-        unserviced tail of the boundary chunk, or ``None`` when the boundary
-        fell on a chunk edge).  Telemetry hooks fire only when ``recorder``
-        is set; the simulation call sequence is identical either way.
+        Telemetry hooks fire only when ``recorder`` is set; the simulation
+        call sequence is identical either way.
 
         Once :data:`repro.sim.pipeline.ENGAGE_ACCESSES` accesses have been
-        pulled, the loop may fork pipeline helpers: a read-ahead of
-        ``source`` (not when stopping at the boundary, whose caller keeps
-        using the source) and the DRAM stage, which hands the memory state
-        back before this method returns.
+        pulled, the loop may fork the pipeline helpers: a read-ahead of
+        ``source`` and the DRAM stage, which hands the memory state back
+        before this method returns.
         """
         from repro.sim import pipeline as pipelining
 
@@ -374,10 +367,9 @@ class ServerSystem:
                 pulled += len(chunk)
                 if may_engage and pulled >= pipelining.ENGAGE_ACCESSES:
                     may_engage = False
-                    pipe = self._start_pipeline(
-                        None if stop_at_boundary else source, pulled,
-                        recorder, timing)
-                    if pipe is not None and pipe.reader is not None:
+                    pipe = self._start_pipeline(source, pulled, recorder,
+                                                timing)
+                    if pipe is not None:
                         source = pipe.reader
                 self._check_chunk(chunk, processed)
                 if warmup_accesses and not measuring:
@@ -390,10 +382,6 @@ class ServerSystem:
                             chunk, split, recorder, timing, clock)
                         processed += split
                         measuring = True
-                        if stop_at_boundary:
-                            if pipe is not None:
-                                self._end_pipeline(pipe, recorder)
-                            return chunk
                         if chunk is None:
                             continue
                 if timing:
@@ -412,18 +400,16 @@ class ServerSystem:
             else:
                 with recorder.span("dram_drain"):
                     self._drain_memory(pipe, recorder)
-            return None
         finally:
             self._dram_stage = None
             if pipe is not None:
                 pipe.close()
 
     def _start_pipeline(self, source, pulled: int, recorder, timing: bool):
-        """Fork the helpers this run can use (see :mod:`repro.sim.pipeline`).
+        """Fork the helpers that read ``source`` ahead and serve the memory.
 
-        ``source`` is the source to read ahead, or ``None`` for no
-        read-ahead.  Returns the pipeline, or ``None`` when the run stays
-        in-process.
+        Returns the pipeline (see :mod:`repro.sim.pipeline`), or ``None``
+        when the run stays in-process.
         """
         from repro.sim import pipeline
 
@@ -435,20 +421,19 @@ class ServerSystem:
         return pipe
 
     def _drain_memory(self, pipe, recorder) -> None:
-        """Serve every outstanding transfer at the end of a run."""
+        """Serve every outstanding transfer at the end of a run.
+
+        A pipelined run then takes the memory state back from the DRAM
+        stage and reports the waits.
+        """
         self._flush_dram()
         self._dram_target().drain()
-        if pipe is not None:
-            self._end_pipeline(pipe, recorder)
-
-    def _end_pipeline(self, pipe, recorder) -> None:
-        """Take the memory state back from the DRAM stage; report the waits."""
-        if pipe.dram is not None:
-            marks = pipe.dram.finish(self.memory)
-            self._dram_stage = None
-            if recorder is not None:
-                recorder.on_dram_marks(marks)
+        if pipe is None:
+            return
+        marks = pipe.dram.finish(self.memory)
+        self._dram_stage = None
         if recorder is not None:
+            recorder.on_dram_marks(marks)
             seconds, calls = pipe.waited
             recorder.add_stage("pipeline_wait", seconds, calls)
 

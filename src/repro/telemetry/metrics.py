@@ -27,84 +27,11 @@ __all__ = [
     "campaign_metrics",
     "peak_rss_bytes",
     "read_campaign_metrics",
-    "record_snapshot_capture",
-    "record_snapshot_hit",
-    "record_snapshot_miss",
-    "record_snapshot_restore",
-    "reset_snapshot_counters",
-    "snapshot_cache_info",
-    "snapshot_counts",
     "write_campaign_metrics",
 ]
 
 #: Stamped into every campaign metrics document.
 CAMPAIGN_METRICS_SCHEMA_VERSION = 1
-
-
-# --------------------------------------------------------------------- #
-# Snapshot-cache counters (process-wide)
-# --------------------------------------------------------------------- #
-#: Warm-state snapshot reuse counters for this process: store lookups that
-#: found a matching snapshot (``hits``) or did not (``misses``), warmups
-#: captured (``captures``) and systems forked from snapshots (``restores``),
-#: with the snapshot byte volume moved each way.  Purely observational --
-#: recording sites never influence simulation state, so off==on bit-identity
-#: holds by construction.
-_SNAPSHOT_COUNTERS: Dict[str, int] = {
-    "hits": 0,
-    "misses": 0,
-    "captures": 0,
-    "restores": 0,
-    "bytes_written": 0,
-    "bytes_restored": 0,
-}
-
-
-def record_snapshot_hit() -> None:
-    """Count one snapshot-store lookup that found a usable warm state."""
-    _SNAPSHOT_COUNTERS["hits"] += 1
-
-
-def record_snapshot_miss() -> None:
-    """Count one snapshot-store lookup that found nothing."""
-    _SNAPSHOT_COUNTERS["misses"] += 1
-
-
-def record_snapshot_capture(nbytes: int) -> None:
-    """Count one warmup capture of ``nbytes`` of snapshot state."""
-    _SNAPSHOT_COUNTERS["captures"] += 1
-    _SNAPSHOT_COUNTERS["bytes_written"] += int(nbytes)
-
-
-def record_snapshot_restore(nbytes: int) -> None:
-    """Count one system forked from a snapshot of ``nbytes``."""
-    _SNAPSHOT_COUNTERS["restores"] += 1
-    _SNAPSHOT_COUNTERS["bytes_restored"] += int(nbytes)
-
-
-def snapshot_counts() -> Dict[str, int]:
-    """A copy of this process's raw snapshot counters."""
-    return dict(_SNAPSHOT_COUNTERS)
-
-
-def snapshot_cache_info(counts: Optional[Dict[str, int]] = None
-                        ) -> Dict[str, object]:
-    """Snapshot reuse counters plus their derived hit ratio.
-
-    ``counts`` defaults to this process's counters; a campaign passes the
-    counts summed over the jobs it ran.
-    """
-    info: Dict[str, object] = dict(_SNAPSHOT_COUNTERS if counts is None
-                                   else counts)
-    lookups = info["hits"] + info["misses"]
-    info["hit_ratio"] = info["hits"] / lookups if lookups else 0.0
-    return info
-
-
-def reset_snapshot_counters() -> None:
-    """Zero the snapshot counters (test isolation helper)."""
-    for key in _SNAPSHOT_COUNTERS:
-        _SNAPSHOT_COUNTERS[key] = 0
 
 
 def peak_rss_bytes() -> int:
@@ -154,7 +81,6 @@ def campaign_metrics(job_metrics: Iterable[JobMetrics],
                      elapsed_seconds: float,
                      workers: int,
                      store_stats: Optional[Dict[str, object]] = None,
-                     snapshot_cache: Optional[Dict[str, object]] = None,
                      ) -> Dict[str, object]:
     """Fold per-job metrics into the fleet-level campaign document.
 
@@ -190,8 +116,6 @@ def campaign_metrics(job_metrics: Iterable[JobMetrics],
     }
     if store_stats is not None:
         document["store"] = dict(store_stats)
-    if snapshot_cache is not None:
-        document["snapshot_cache"] = dict(snapshot_cache)
     return document
 
 

@@ -197,7 +197,7 @@ class TelemetryRecorder:
 
     def on_pipeline_start(self, accesses: int, pipeline) -> None:
         """Note that a run forked its pipeline helpers after ``accesses``."""
-        if self.wants_samples and pipeline.dram is not None:
+        if self.wants_samples:
             self._deferred = []
             self._dram_base = self._prev[_SYSTEM_TOTALS:]
         if self.tracer is not None:

@@ -108,15 +108,6 @@ def render_campaign(document: Dict[str, object]) -> str:
             f"{store.get('puts', 0):.0f} put(s), "
             f"{store.get('evictions', 0):.0f} eviction(s), "
             f"{float(store.get('prune_bytes_reclaimed', 0)) / (1 << 20):.1f} MiB pruned")
-    snapshots = document.get("snapshot_cache")
-    if isinstance(snapshots, dict):
-        lines.append(
-            "snapshots: "
-            f"{snapshots.get('hits', 0):.0f} hit(s), "
-            f"{snapshots.get('misses', 0):.0f} miss(es), "
-            f"{snapshots.get('captures', 0):.0f} capture(s), "
-            f"{snapshots.get('restores', 0):.0f} restore(s), "
-            f"{float(snapshots.get('bytes_restored', 0)) / (1 << 20):.1f} MiB restored")
     jobs = document.get("jobs") or []
     if jobs:
         rows = [(job["label"], job["source"], f"{job['wall_seconds']:.2f}",

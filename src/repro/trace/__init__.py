@@ -32,7 +32,6 @@ from repro.trace.source import (
     IteratorSource,
     TraceSource,
     as_trace_source,
-    resume_source,
 )
 from repro.trace.io import load_trace_buffer, save_trace
 from repro.trace.stats import TraceStatistics, characterize_trace
@@ -48,7 +47,6 @@ __all__ = [
     "as_chunk_iterator",
     "as_trace_source",
     "characterize_trace",
-    "resume_source",
     "load_trace_buffer",
     "save_trace",
 ]

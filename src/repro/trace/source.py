@@ -18,8 +18,6 @@ Members:
 * :class:`IngestSource` -- replay an externally captured trace file
   (``trace/io`` codecs, including :class:`~repro.trace.capture.
   LLCTraceRecorder` exports) through the streaming pipeline.
-* :func:`resume_source` -- prepend a leftover chunk (e.g. the tail of a
-  warmup-split chunk) to a source.
 """
 
 from __future__ import annotations
@@ -33,7 +31,6 @@ __all__ = [
     "IteratorSource",
     "TraceSource",
     "as_trace_source",
-    "resume_source",
 ]
 
 
@@ -103,36 +100,3 @@ def as_trace_source(trace, chunk_size: int = DEFAULT_CHUNK_SIZE):
         return trace
     return IteratorSource(trace, chunk_size=chunk_size)
 
-
-class _ResumedSource:
-    """A source with a pre-produced chunk stitched back onto its front."""
-
-    def __init__(self, leftover: Optional[TraceBuffer], source):
-        self._leftover = leftover if leftover is not None and len(leftover) else None
-        self._source = source
-
-    def next_chunk(self) -> Optional[TraceBuffer]:
-        if self._leftover is not None:
-            chunk, self._leftover = self._leftover, None
-            return chunk
-        return self._source.next_chunk()
-
-    def __iter__(self) -> Iterator[TraceBuffer]:
-        while True:
-            chunk = self.next_chunk()
-            if chunk is None:
-                return
-            yield chunk
-
-
-def resume_source(leftover: Optional[TraceBuffer], source) -> TraceSource:
-    """Resume ``source`` with ``leftover`` (an already-produced chunk) first.
-
-    Used after a warmup-boundary split: the tail of the split chunk was
-    produced but not yet serviced, so it must replay before the source is
-    consulted again.
-    """
-    source = as_trace_source(source)
-    if leftover is None or not len(leftover):
-        return source
-    return _ResumedSource(leftover, source)

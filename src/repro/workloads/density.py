@@ -23,7 +23,7 @@ hardware budget.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.common.addressing import BLOCK_SIZE, REGION_SIZE
 from repro.common.stats import StatGroup

@@ -8,7 +8,6 @@ from repro.cache.agent import FLAG_DIRTY, LLCAgent
 from repro.common.params import CacheParams, SystemParams
 from repro.common.request import DRAMRequestKind
 from repro.sim.config import base_open, bump_vwq_system
-from repro.sim.snapshot import capture, restore
 from repro.sim.system import ServerSystem
 from repro.trace.buffer import TraceBuffer
 from repro.workloads.catalog import get_workload
@@ -138,21 +137,6 @@ def test_sink_is_empty_at_every_chunk_boundary_and_after_run():
     assert len(source.sink_empty) > 4
     assert all(source.sink_empty)
     assert system._fetches == [] and system._writebacks == []
-
-
-def test_restored_agents_append_to_the_restored_sink():
-    system = ServerSystem(bump_vwq_system())
-    chunks = list(_web_search_chunks(12_000))
-    system.run(iter(chunks[:2]))
-    snapshot = capture(system, processed=sum(len(chunk) for chunk in chunks[:2]))
-    restored = restore(snapshot)
-    for agent in restored.agents:
-        assert agent.fetches is restored._fetches
-        assert agent.writebacks is restored._writebacks
-        assert agent.fetches is not system._fetches
-    result = restored.run(iter(chunks[2:]))
-    assert result.counters["bulk_reads"] > 0
-    assert restored._fetches == [] and restored._writebacks == []
 
 
 def test_hooks_are_bound_from_the_instance_at_run_start():

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.analysis.figures import FIGURES
@@ -285,49 +287,6 @@ class TestFailurePaths:
         assert "no-such-scenario" in message
         assert "known scenarios" in message
 
-    def test_run_rejects_missing_snapshot_file(self, capsys, tmp_path):
-        missing = tmp_path / "nowhere.npz"
-        with pytest.raises(SystemExit) as err:
-            run_cli(capsys, "run", "web_search", "--accesses", "2000",
-                    "--snapshot", str(missing))
-        assert err.value.code not in (0, None)
-        assert "nowhere.npz" in str(err.value)
-
-    def test_run_rejects_corrupt_snapshot_file(self, capsys, tmp_path):
-        corrupt = tmp_path / "corrupt.npz"
-        corrupt.write_bytes(b"this is not a numpy archive")
-        with pytest.raises(SystemExit) as err:
-            run_cli(capsys, "run", "web_search", "--accesses", "2000",
-                    "--snapshot", str(corrupt))
-        assert err.value.code not in (0, None)
-        assert "corrupt" in str(err.value)
-
-    @pytest.mark.parametrize("kind", ["missing-plane", "truncated-state",
-                                      "meta-without-processed"])
-    def test_run_rejects_damaged_snapshot_file(self, capsys, tmp_path, kind):
-        from broken_snapshots import BROKEN, write_broken
-
-        path = tmp_path / "S.npz"
-        write_broken(kind, path)
-        with pytest.raises(SystemExit) as err:
-            run_cli(capsys, "run", "web_search", "--system", "base_open",
-                    "--accesses", "4000", "--warmup", "0.5",
-                    "--snapshot", str(path))
-        assert err.value.code not in (0, None)
-        assert BROKEN[kind] in str(err.value)
-
-    def test_snapshot_info_rejects_corrupt_file(self, capsys, tmp_path):
-        corrupt = tmp_path / "corrupt.npz"
-        corrupt.write_bytes(b"\x00\x01garbage")
-        with pytest.raises(SystemExit) as err:
-            run_cli(capsys, "snapshot", "info", str(corrupt))
-        assert "cannot read snapshot" in str(err.value)
-
-    def test_snapshot_info_rejects_missing_file(self, capsys, tmp_path):
-        with pytest.raises(SystemExit) as err:
-            run_cli(capsys, "snapshot", "info", str(tmp_path / "gone.npz"))
-        assert err.value.code not in (0, None)
-
     @pytest.mark.parametrize("row", [
         "1,0x10,-64,L,2",                 # negative address
         "1,0x10,0x40,L,3000000000",       # instructions overflow int32
@@ -378,8 +337,7 @@ class TestFailurePaths:
 
     def test_bad_cache_engine_is_an_argparse_error(self, capsys):
         """There is one cache engine, so no ``--engine`` value is accepted."""
-        for argv in (("scenario", "run", "idle-cores"),
-                     ("snapshot", "create", "web_search")):
+        for argv in (("scenario", "run", "idle-cores"),):
             for value in ("flat", "dict"):
                 with pytest.raises(SystemExit) as err:
                     run_cli(capsys, *argv, "--engine", value)
@@ -392,13 +350,28 @@ class TestFailurePaths:
         trace.write_text("0,4096,64,R,1\n")
         for argv in (("run", "web_search"), ("compare", "web_search"),
                      ("scenario", "run", "idle-cores"),
-                     ("trace", "ingest", str(trace)),
-                     ("snapshot", "create", "web_search")):
+                     ("trace", "ingest", str(trace))):
             for value in ("flat", "object"):
                 with pytest.raises(SystemExit) as err:
                     run_cli(capsys, *argv, "--dram-engine", value)
                 assert err.value.code == 2  # argparse usage error
                 assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ("snapshot", "create", "web_search"),
+        ("run", "web_search", "--snapshot", "x.npz"),
+        ("run", "web_search", "--warmup-snapshot"),
+        ("compare", "web_search", "--warmup-snapshot"),
+        ("campaign", "--warmup-snapshots"),
+        ("scenario", "run", "idle-cores", "--snapshot", "x.npz"),
+    ], ids=["snapshot-create", "run-snapshot", "run-warmup-snapshot",
+            "compare-warmup-snapshot", "campaign-warmup-snapshots",
+            "scenario-run-snapshot"])
+    def test_warm_state_snapshots_are_an_argparse_error(self, capsys, argv):
+        """Warm-state snapshots are retired: no command or flag is left."""
+        with pytest.raises(SystemExit) as err:
+            run_cli(capsys, *argv)
+        assert err.value.code == 2  # argparse usage error
 
 
 class TestFuzzCli:
@@ -441,3 +414,33 @@ class TestFuzzCli:
             run_cli(capsys, "fuzz", "--budget", "0",
                     "--corpus", str(tmp_path / "no-corpus"))
         assert err.value.code not in (0, None)
+
+    def test_a_refused_corpus_spec_is_invalid_not_a_crash(self, capsys,
+                                                          tmp_path):
+        import json
+
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        valid = json.loads(sorted(
+            (Path(__file__).parent / "fuzz_corpus").glob("*.json"))[0]
+            .read_text())
+        (corpus / "a-unknown-key.json").write_text(json.dumps(
+            dict(valid, label="unknown-key", warmup_fracton=0.3)))
+        no_scenario = {key: value for key, value in valid.items()
+                       if key != "scenario"}
+        (corpus / "b-no-scenario.json").write_text(json.dumps(
+            dict(no_scenario, label="no-scenario")))
+        artifacts = tmp_path / "artifacts"
+        summary = tmp_path / "summary.json"
+        status, out = run_cli(capsys, "fuzz", "--budget", "0",
+                              "--corpus", str(corpus),
+                              "--artifacts", str(artifacts),
+                              "--summary", str(summary))
+        assert status == 1
+        failures = json.loads(summary.read_text())["failures"]
+        assert [(f["label"], f["kind"]) for f in failures] == [
+            ("unknown-key", "invalid"), ("no-scenario", "invalid")]
+        assert "'warmup_fracton'" in failures[0]["error"]
+        assert "missing field 'scenario'" in failures[1]["error"]
+        assert "INVALID unknown-key" in out and "CRASH" not in out
+        assert not artifacts.exists() or not any(artifacts.iterdir())

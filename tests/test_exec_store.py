@@ -212,6 +212,30 @@ class TestObservabilityCounters:
         assert stats["hits"] == 1
         assert stats["misses"] == 1
 
+    def test_stats_report_per_kind(self, store):
+        store.put_trace("12" * 16, _small_trace())
+        store.put_result("34" * 16, {"answer": 42})
+        stats = store.stats()
+        assert set(stats["kinds"]) == {"traces", "results"}
+        assert stats["kinds"]["traces"]["entries"] == 1
+        assert stats["kinds"]["traces"]["bytes"] > 0
+        assert stats["kinds"]["results"]["entries"] == 1
+        assert stats["entries"] == 2
+
+    def test_a_directory_of_no_kind_is_left_alone(self, tmp_path):
+        """An older store's ``snapshots/`` is not counted, pruned or cleared."""
+        root = tmp_path / "old-store"
+        stale = root / "snapshots" / f"{'56' * 16}.npz"
+        stale.parent.mkdir(parents=True)
+        stale.write_bytes(b"warm state")
+        bounded = ArtifactStore(root, max_entries=1)
+        bounded.put_result("78" * 16, {"answer": 42})
+        bounded.put_result("9a" * 16, {"answer": 43})
+        assert bounded.stats()["entries"] == 1
+        bounded.clear()
+        assert bounded.entry_count() == 0
+        assert stale.read_bytes() == b"warm state"
+
     def test_prune_accounts_reclaimed_bytes(self, tmp_path):
         bounded = ArtifactStore(tmp_path / "reclaim", max_entries=2)
         digests = [f"{i:032x}" for i in range(4)]

@@ -1,4 +1,6 @@
-"""Fuzz oracle: cells, subsets, skip semantics, fault sensitivity."""
+"""Fuzz oracle: cells, subsets, fault sensitivity, spec materialization."""
+
+import copy
 
 import pytest
 
@@ -42,20 +44,13 @@ class TestHealthyOracle:
         report = run_oracle(SPEC)
         assert report.ok
         assert report.failed_checks == []
-        ran = {c.check for c in report.checks if not c.skipped}
+        ran = {c.check for c in report.checks}
         assert ran == set(CHECKS)
 
     def test_check_subset_runs_only_that_axis(self):
         report = run_oracle(SPEC, checks=("chunk",))
         assert report.ok
         assert {c.check for c in report.checks} == {"chunk"}
-
-    def test_snapshot_check_skipped_without_warmup(self):
-        spec = dict(SPEC, warmup_fraction=0.0)
-        report = run_oracle(spec, checks=("snapshot",))
-        assert report.ok
-        (check,) = report.checks
-        assert check.skipped
 
     def test_unknown_check_is_rejected(self):
         with pytest.raises(ValueError, match="unknown oracle checks"):
@@ -244,4 +239,29 @@ class TestMaterialize:
         spec = dict(SPEC, **{key: value})
         with pytest.raises(ValueError,
                            match=f"unsupported fuzz spec key.*'{key}'"):
+            materialize(spec)
+
+    @pytest.mark.parametrize("field", [
+        "scenario",
+        "scenario.phases",
+        "scenario.num_cores",
+        "scenario.phases.0.tenants",
+        "scenario.phases.0.accesses",
+        "scenario.phases.0.tenants.0.workload",
+        "scenario.phases.0.tenants.0.cores",
+    ])
+    def test_a_missing_field_is_a_value_error_naming_it(self, field):
+        spec = copy.deepcopy(SPEC)
+        *path, key = field.split(".")
+        section = spec
+        for step in path:
+            section = section[int(step) if step.isdigit() else step]
+        del section[key]
+        with pytest.raises(ValueError, match=f"missing field '{key}'"):
+            materialize(spec)
+
+    def test_an_unknown_workload_is_a_value_error(self):
+        spec = copy.deepcopy(SPEC)
+        spec["scenario"]["phases"][0]["tenants"][0]["workload"] = "nope"
+        with pytest.raises(ValueError, match="unknown workload 'nope'"):
             materialize(spec)

@@ -27,11 +27,9 @@ from repro.scenario.compiler import iter_scenario_chunks
 from repro.sim import pipeline
 from repro.sim.config import base_open, bump_system, named_configs
 from repro.sim.runner import build_trace, run_workload
-from repro.sim.snapshot import capture_warmup, save_snapshot
 from repro.sim.system import ServerSystem
 from repro.telemetry import TelemetryRecorder
 from repro.trace.buffer import DEFAULT_CHUNK_SIZE, TraceBuffer
-from repro.trace.source import resume_source
 from repro.workloads import WORKLOADS
 
 CORES = 16
@@ -204,33 +202,6 @@ def test_timelines_equal_in_process(mode, engage, monkeypatch, started):
         waits = [e for e in pipelined.tracer.events
                  if e.get("name") == "pipeline_wait"]
         assert len(waits) == 1 and waits[0]["counters"]["calls"] > 0
-
-
-# ---------------------------------------------------------------------- #
-# Warmup capture
-# ---------------------------------------------------------------------- #
-@needs_cpus
-@pytest.mark.parametrize("warmup", [1_100, 5 * CHUNK])
-def test_capture_warmup_snapshots_are_byte_equal(warmup, monkeypatch, started,
-                                                 tmp_path):
-    trace = build_trace("web_search", ACCESSES, num_cores=CORES, seed=4)
-
-    def capture(threshold, path):
-        monkeypatch.setattr(pipeline, "ENGAGE_ACCESSES", threshold)
-        system = ServerSystem(bump_system())
-        snapshot, leftover, source = capture_warmup(system, _chunks(trace),
-                                                    warmup)
-        save_snapshot(snapshot, path)
-        result = system.run(resume_source(leftover, source))
-        return path.read_bytes(), result_fingerprint(result)
-
-    in_process = capture(NEVER, tmp_path / "a.npz")
-    pipelined = capture(1, tmp_path / "b.npz")
-    assert pipelined == in_process
-    # The capture got the DRAM stage only; the continuation both helpers.
-    capture_pipe, continue_pipe = _engaged(started)
-    assert capture_pipe.reader is None and capture_pipe.dram is not None
-    assert continue_pipe.reader is not None
 
 
 # ---------------------------------------------------------------------- #

@@ -4,12 +4,10 @@ import pytest
 
 from repro.common.params import CacheParams, SystemParams
 from repro.exec.campaign import result_fingerprint
-from repro.exec.store import ArtifactStore
 from repro.scenario import get_scenario, run_scenario
 from repro.sim.config import base_open, bump_system, named_configs
 from repro.sim.runner import build_trace, run_configs, run_trace, run_workload
-from repro.sim.snapshot import capture_warmup
-from repro.sim.system import ServerSystem
+from repro.trace.buffer import as_chunk_iterator
 from repro.workloads.catalog import get_workload
 
 SMALL = SystemParams().scaled(
@@ -83,27 +81,29 @@ class TestRunWorkloadStreams:
         expected = result_fingerprint(self._materialized(config))
         assert result_fingerprint(self._streamed(config, chunk_size)) == expected
 
-    @pytest.mark.parametrize("chunk_size", [700, 65_536])
-    def test_warmup_snapshot_capture_and_restore_match(self, tmp_path,
-                                                       chunk_size):
-        config = base_open()
-        expected = result_fingerprint(self._materialized(config))
-        store = ArtifactStore(tmp_path)
-        captured = self._streamed(config, chunk_size, warmup_snapshot=store)
-        restored = self._streamed(config, chunk_size, warmup_snapshot=store)
-        assert result_fingerprint(captured) == expected
-        assert result_fingerprint(restored) == expected
 
-    @pytest.mark.parametrize("chunk_size", [700, 65_536])
-    def test_explicit_snapshot_matches(self, chunk_size):
-        config = bump_system()
-        expected = result_fingerprint(self._materialized(config))
-        system = ServerSystem(config, workload_name="web_search")
-        trace = build_trace("web_search", self.ACCESSES,
-                            num_cores=self.CORES, seed=self.SEED)
-        snapshot, _, _ = capture_warmup(system, trace, self.ACCESSES // 2)
-        resumed = self._streamed(config, chunk_size, snapshot=snapshot)
-        assert result_fingerprint(resumed) == expected
+class TestWarmupLengthValidation:
+    """'trace shorter than the requested warmup interval' raises early."""
+
+    def test_known_length_raises_before_simulating(self):
+        """With a materialized trace the error fires before the simulator
+        consumes anything (the declared length overstates the stream)."""
+        short = build_trace("web_search", 100, num_cores=4, seed=7)
+        with pytest.raises(ValueError, match="shorter than the requested"):
+            run_trace(short, bump_system(), workload_name="web_search",
+                      num_accesses=1_000, warmup_fraction=0.5)
+
+    def test_unknown_length_still_raises_at_stream_end(self):
+        """Generator streams have no knowable length up front; the check
+        still fires once the stream is exhausted inside the warmup."""
+        short = build_trace("web_search", 100, num_cores=4, seed=7)
+
+        def chunks():
+            yield from as_chunk_iterator(short)
+
+        with pytest.raises(ValueError, match="shorter than the requested"):
+            run_trace(chunks(), bump_system(), workload_name="web_search",
+                      num_accesses=1_000, warmup_fraction=0.5)
 
 
 class TestRejectsImpossibleArguments:

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.analysis.scalability import (
-    REFERENCE_CORES,
     REFERENCE_LLC_BYTES,
     scaled_bump_config,
     scaling_summary,

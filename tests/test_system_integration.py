@@ -19,7 +19,7 @@ from repro.sim.config import (
     named_configs,
     vwq_system,
 )
-from repro.sim.runner import build_trace, run_configs, run_trace, run_workload
+from repro.sim.runner import build_trace, run_trace, run_workload
 from repro.sim.system import ServerSystem
 from repro.workloads.catalog import get_workload
 

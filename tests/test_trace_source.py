@@ -21,7 +21,6 @@ from repro.trace import (
     TraceBuffer,
     TraceSource,
     as_trace_source,
-    resume_source,
     save_trace,
 )
 from repro.workloads.catalog import get_workload
@@ -141,17 +140,3 @@ class TestIngestSource:
         wide = TraceBuffer.concat(drain(IngestSource(path, chunk_size=1900)))
         assert narrow == wide == buffer
 
-
-class TestResumeSource:
-    def test_leftover_is_emitted_first_then_delegates(self):
-        buffer = small_buffer(900)
-        leftover, rest = buffer[:123], buffer[123:]
-        source = resume_source(leftover, IteratorSource(rest, chunk_size=400))
-        chunks = drain(source)
-        assert len(chunks[0]) == 123
-        assert TraceBuffer.concat(chunks) == buffer
-
-    def test_empty_leftover_returns_the_source_unwrapped(self):
-        inner = IteratorSource(small_buffer(100))
-        assert resume_source(None, inner) is inner
-        assert resume_source(small_buffer(100)[:0], inner) is inner
