@@ -72,7 +72,7 @@ from repro.workloads import (
     iter_trace_chunks,
 )
 
-__version__ = "1.23.0"
+__version__ = "1.24.0"
 
 __all__ = [
     "BuMPConfig",

@@ -22,7 +22,6 @@ REGION_SIZE = 1 << REGION_BITS
 
 BLOCKS_PER_REGION = REGION_SIZE // BLOCK_SIZE
 
-_OFFSET_BITS = REGION_BITS - BLOCK_BITS
 _OFFSET_MASK = BLOCKS_PER_REGION - 1
 
 

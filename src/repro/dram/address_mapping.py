@@ -43,11 +43,6 @@ class DRAMCoordinates(NamedTuple):
     row: int = 0
     column: int = 0
 
-    @property
-    def bank_id(self) -> int:
-        """Globally unique bank identifier within a channel (rank * banks + bank)."""
-        return self.rank * 1024 + self.bank
-
 
 class AddressMapping:
     """Splits a block-aligned physical address into DRAM coordinates.

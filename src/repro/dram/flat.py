@@ -28,28 +28,35 @@ choices carry it:
 
 2. **Flat ring-buffer queues.**  Each channel's transaction queue is a pair
    of parallel Python lists (entry tuples and their arrival sequence
-   numbers) with a head cursor: front pops -- the overwhelmingly common case
-   for the row-locality-poor streams the paper studies -- advance the cursor
-   in O(1) and the dead prefix is compacted away periodically, so no
-   per-pop memmove is paid.  On top of the ring sit per-row FIFO buckets, a
-   ready view holding exactly the buckets whose row is open, and a FIFO of
-   demand entries, so the FR-FCFS choice inspects a handful of buckets
-   instead of the window.  Buckets store a bare ``int`` seq while they hold
-   a single entry and are promoted to a list only on the second same-row
-   arrival, so the common push allocates nothing.  Round robin adds one
-   list of entries per core.
+   numbers) with a head cursor.  A pick at the queue's front advances the
+   cursor in O(1), and the dead prefix is compacted away periodically; any
+   other pick pays a ``bisect`` and a list ``pop``.  Front picks are not
+   the common case: FR-FCFS serves open-row hits and demand requests past
+   older prefetch, bulk and eager requests, which collect at the head.  At
+   the operating point (``web_search``, 240k accesses) the share of picks
+   that are not the front was measured at 97.5% on ``base_open``, 92.0% on
+   ``sms_vwq`` and 29.7% on ``bump``.  On top of the ring sit per-row FIFO
+   buckets, a ready view holding exactly the buckets whose row is open, and
+   a FIFO of demand entries, so the FR-FCFS choice inspects a handful of
+   buckets instead of the window.  Buckets store a bare ``int`` seq while
+   they hold a single entry and are promoted to a list only on the second
+   same-row arrival, so the common push allocates nothing.  Round robin
+   adds one list of entries per core.
 
-3. **Preallocated NumPy state, scalar hot loop.**  Open-row ids, per-bank
-   ready/activate timestamps, per-channel bus/completion cycles and every
-   measurement counter live in preallocated NumPy arrays
-   (``open_row[channels, banks]``, ``bank_ready[channels, banks]``, ...).
-   The serve loop hoists one channel's state into plain Python scalars and
-   lists, runs the bank timing arithmetic and writes the state back once
-   per drain burst.
+3. **Preallocated NumPy state, scalar hot loop, one tally.**  Open-row ids,
+   per-bank ready/activate timestamps and per-channel bus/completion cycles
+   live in preallocated NumPy arrays (``open_row[channels, banks]``,
+   ``bank_ready[channels, banks]``, ...).  The serve loop hoists one
+   channel's state into plain Python scalars and lists, runs the bank
+   timing arithmetic and writes the state back once per drain burst.  It
+   counts each served transfer once, in its channel's ``tally`` (a plain
+   list indexed ``kind * 3 + outcome``, the outcome being a row hit, miss
+   or conflict), and adds each demand read's latency to one sum.
 
-Every measurement folds into the counter arrays at serve time; no request
-is retained.  :mod:`repro.fuzz.reference_dram` states the same rules one
-request at a time and is this engine's specification.
+Every other figure is derived from the tally when it is read
+(:meth:`FlatMemorySystem.channel_stats`); no request is retained.
+:mod:`repro.fuzz.reference_dram` states the same rules one request at a
+time, counting each figure on its own, and is this engine's specification.
 """
 
 from __future__ import annotations
@@ -92,12 +99,9 @@ _DEMAND_READ_CODE = DRAMRequestKind.DEMAND_READ.code
 #: ``KIND_IS_DEMAND`` as an int64 vector for batched demand classification.
 _IS_DEMAND_VEC = np.array(KIND_IS_DEMAND, dtype=np.int64)
 
-#: Integer counters per channel, in column order of ``_counts``.
-_INT_KEYS = ("accesses", "row_hits", "row_misses", "row_conflicts",
-             "activations", "reads", "writes", "demand_reads")
-#: Float accumulators per channel, in column order of ``_fcounts``.
-_FLOAT_KEYS = ("bus_busy_cycles", "demand_read_latency_cycles",
-               "demand_read_service_cycles")
+#: Row-buffer outcomes of a served transfer, in tally order: a tally cell
+#: is ``kind * 3 + outcome``.
+_OUTCOMES = ("row_hits", "row_misses", "row_conflicts")
 
 #: Dead ring-buffer prefix length that triggers compaction.  Large enough
 #: that the amortized cost per pop is a fraction of a list append, small
@@ -107,8 +111,8 @@ _COMPACT_THRESHOLD = 512
 #: Mutable state of a :class:`FlatMemorySystem`: the NumPy arrays, then the
 #: queues, their cursors, the open-key map and the round-robin state.
 _STATE = ("open_row", "bank_ready", "last_activate", "bus_free",
-          "last_completion", "counts", "fcounts", "kind_counts",
-          "_pending", "_seqs", "_head", "_next_seq", "_by_key", "_ready",
+          "last_completion", "tally", "demand_read_latency", "_pending",
+          "_seqs", "_head", "_next_seq", "_by_key", "_ready",
           "_demand", "_open_key_of_bank", "_core_buckets", "_rotation",
           "_rotation_index")
 
@@ -165,7 +169,6 @@ class FlatMemorySystem:
         self._bank_bits = mapping.bank_bits
         self._rank_bits = mapping.rank_bits
         self._chigh_bits = mapping.column_high_bits
-        self._channel_shift = BLOCK_BITS + mapping.column_low_bits
         self._channel_mask = channels - 1
 
         # ---------------- preallocated NumPy state ---------------------- #
@@ -179,12 +182,7 @@ class FlatMemorySystem:
         self.bus_free = np.zeros(channels)
         #: Cycle of the last completed transfer per channel.
         self.last_completion = np.zeros(channels)
-        #: Integer measurement counters, ``_INT_KEYS`` column order.
-        self.counts = np.zeros((channels, len(_INT_KEYS)), dtype=np.int64)
-        #: Float accumulators, ``_FLOAT_KEYS`` column order.
-        self.fcounts = np.zeros((channels, len(_FLOAT_KEYS)))
-        #: Transfer counts by request-kind code.
-        self.kind_counts = np.zeros((channels, _NUM_KINDS), dtype=np.int64)
+        self.reset_counters()
 
         # ---------------- per-channel flat queues ----------------------- #
         # Ring buffers: parallel entry/seq lists plus a head cursor; the
@@ -215,10 +213,6 @@ class FlatMemorySystem:
     # ------------------------------------------------------------------ #
     # Request intake
     # ------------------------------------------------------------------ #
-    def channel_of(self, block_address: int) -> int:
-        """Channel index serving ``block_address`` under the active mapping."""
-        return (block_address >> self._channel_shift) & self._channel_mask
-
     def enqueue_block_batch(self, block_addresses, kind_codes,
                             arrival_cycles, cores) -> None:
         """Queue a whole batch of block transfers, in arrival order.
@@ -340,7 +334,8 @@ class FlatMemorySystem:
         """Serve up to ``count`` requests on channel ``ci``.
 
         One fused loop covers the scheduler's choice, the close-row check,
-        bank timing and the counter updates.  FR-FCFS chooses from the
+        bank timing and the count: one tally cell per served transfer, plus
+        the latency sum for a demand read.  FR-FCFS chooses from the
         bucket scheme inline; round robin delegates its choice and its
         close-row check to :meth:`_round_robin_pick` and
         :meth:`_round_robin_wants`.
@@ -367,10 +362,8 @@ class FlatMemorySystem:
         last_activate = self.last_activate[ci].tolist()
         bus_free = float(self.bus_free[ci])
         last_completion = float(self.last_completion[ci])
-        (accesses, row_hits, row_misses, row_conflicts, activations,
-         reads, writes, demand_reads) = self.counts[ci].tolist()
-        bus_busy, dr_latency, dr_service = self.fcounts[ci].tolist()
-        kind_counts = self.kind_counts[ci].tolist()
+        tally = self.tally[ci]
+        dr_latency = self.demand_read_latency[ci]
 
         timing = self.timing
         burst = timing.burst_cycles
@@ -382,9 +375,6 @@ class FlatMemorySystem:
         tRRD = timing.tRRD
         tWR = timing.tWR
         tRTP = timing.tRTP
-        hit_latency = timing.row_hit_latency
-        miss_latency = timing.row_miss_latency
-        conflict_latency = timing.row_conflict_latency
         is_read_tab = KIND_IS_READ
         by_key_get = by_key.get
 
@@ -493,14 +483,11 @@ class FlatMemorySystem:
             if orow == req_row:
                 outcome = 0
                 issue = start
-                row_hits += 1
             elif orow < 0:
                 outcome = 1
                 floor = last_activate[fbank] + tRRD
                 activate = start if start > floor else floor
                 issue = activate + tRCD
-                activations += 1
-                row_misses += 1
                 last_activate[fbank] = activate
             else:
                 outcome = 2
@@ -511,8 +498,6 @@ class FlatMemorySystem:
                 a2 = last + tRC
                 activate = a1 if a1 > a2 else a2
                 issue = activate + tRCD
-                activations += 1
-                row_conflicts += 1
                 last_activate[fbank] = activate
             data_ready = issue + tCAS
             if close_after:
@@ -536,40 +521,24 @@ class FlatMemorySystem:
                         ready[new_key] = other
                 okob[fbank] = new_key
 
-            # ---- shared data bus and counters.
+            # ---- shared data bus and the count.
             data_start = data_ready if data_ready > bus_free else bus_free
             completion = data_start + burst
             bus_free = completion
             if completion > last_completion:
                 last_completion = completion
-            accesses += 1
-            bus_busy += burst
-            kind_counts[kind] += 1
-            if is_read_tab[kind]:
-                reads += 1
-            else:
-                writes += 1
+            tally[kind * 3 + outcome] += 1
             if kind == _DEMAND_READ_CODE:
-                demand_reads += 1
                 dr_latency += completion - arrival
-                if outcome == 0:
-                    dr_service += hit_latency
-                elif outcome == 1:
-                    dr_service += miss_latency
-                else:
-                    dr_service += conflict_latency
 
-        # Write the hoisted state back into the NumPy arrays.
+        # Write the hoisted state back.
         self._head[ci] = head
         self.open_row[ci] = open_row
         self.bank_ready[ci] = bank_ready
         self.last_activate[ci] = last_activate
         self.bus_free[ci] = bus_free
         self.last_completion[ci] = last_completion
-        self.counts[ci] = (accesses, row_hits, row_misses, row_conflicts,
-                           activations, reads, writes, demand_reads)
-        self.fcounts[ci] = (bus_busy, dr_latency, dr_service)
-        self.kind_counts[ci] = kind_counts
+        self.demand_read_latency[ci] = dr_latency
 
     def _round_robin_pick(self, ci: int, okob: list) -> int:
         """Take round robin's next entry off its core bucket; return its seq.
@@ -627,8 +596,10 @@ class FlatMemorySystem:
 
     def row_outcomes(self) -> Tuple[int, int, int, int]:
         """``(accesses, row_hits, row_misses, row_conflicts)`` across channels."""
-        accesses, hits, misses, conflicts = self.counts[:, :4].sum(axis=0).tolist()
-        return accesses, hits, misses, conflicts
+        hits, misses, conflicts = (
+            sum(sum(tally[outcome::3]) for tally in self.tally)
+            for outcome in range(len(_OUTCOMES)))
+        return hits + misses + conflicts, hits, misses, conflicts
 
     # ------------------------------------------------------------------ #
     # State transfer (the pipelined run loop's DRAM stage)
@@ -657,21 +628,49 @@ class FlatMemorySystem:
     # ------------------------------------------------------------------ #
     def reset_counters(self) -> None:
         """Zero every measurement counter (architectural state is preserved)."""
-        self.counts[:] = 0
-        self.fcounts[:] = 0.0
-        self.kind_counts[:] = 0
+        #: Per channel, transfers served by ``kind * 3 + outcome``.
+        self.tally: List[List[int]] = [
+            [0] * (_NUM_KINDS * len(_OUTCOMES)) for _ in range(self._channels)]
+        #: Per channel, the demand reads' summed latency in bus cycles.
+        self.demand_read_latency: List[float] = [0.0] * self._channels
 
     def channel_stats(self, channel: int) -> StatGroup:
-        """One channel's counters as a :class:`StatGroup`."""
+        """One channel's counters as a :class:`StatGroup`, derived from its tally.
+
+        Counts are ints, cycle sums floats.  Bus-busy and service cycles are
+        exact products, because the timing parameters are whole cycles.
+        """
+        tally = self.tally[channel]
+        by_kind = [sum(tally[3 * code:3 * code + 3])
+                   for code in range(_NUM_KINDS)]
+        hits, misses, conflicts = (sum(tally[outcome::3])
+                                   for outcome in range(len(_OUTCOMES)))
+        accesses = hits + misses + conflicts
+        reads = sum(count for count, is_read in zip(by_kind, KIND_IS_READ)
+                    if is_read)
+        timing = self.timing
+        first = 3 * _DEMAND_READ_CODE
+        read_hits, read_misses, read_conflicts = tally[first:first + 3]
         group = StatGroup(f"mc{channel}")
-        ints = self.counts[channel].tolist()
-        for key, value in zip(_INT_KEYS, ints):
+        for key, value in (
+                ("accesses", accesses),
+                ("row_hits", hits),
+                ("row_misses", misses),
+                ("row_conflicts", conflicts),
+                ("activations", misses + conflicts),
+                ("reads", reads),
+                ("writes", accesses - reads),
+                ("demand_reads", by_kind[_DEMAND_READ_CODE]),
+                ("bus_busy_cycles", float(accesses * timing.burst_cycles)),
+                ("demand_read_latency_cycles",
+                 self.demand_read_latency[channel]),
+                ("demand_read_service_cycles", float(
+                    read_hits * timing.row_hit_latency
+                    + read_misses * timing.row_miss_latency
+                    + read_conflicts * timing.row_conflict_latency))):
             group.set(key, value)
-        floats = self.fcounts[channel].tolist()
-        for key, value in zip(_FLOAT_KEYS, floats):
-            group.set(key, value)
-        for kind, value in zip(_KINDS_BY_CODE, self.kind_counts[channel].tolist()):
-            group.set(f"kind_{kind.value}", value)
+        for kind, count in zip(_KINDS_BY_CODE, by_kind):
+            group.set(f"kind_{kind.value}", count)
         return group
 
     def aggregate_stats(self) -> StatGroup:
@@ -685,46 +684,17 @@ class FlatMemorySystem:
             merged.merge(self.channel_stats(channel))
         return merged
 
-    @property
-    def row_hit_ratio(self) -> float:
-        """Row-buffer hit ratio across every channel."""
-        stats = self.aggregate_stats()
-        return stats.ratio("row_hits", "accesses")
-
-    @property
-    def activations(self) -> int:
-        """Total activations across every channel."""
-        return int(self.counts[:, _INT_KEYS.index("activations")].sum())
-
-    @property
-    def accesses(self) -> int:
-        """Total column accesses (reads + writes) across every channel."""
-        return int(self.aggregate_stats()["accesses"])
-
-    @property
-    def average_demand_read_latency(self) -> float:
-        """Mean loaded demand-read latency in memory-bus cycles, across channels."""
-        stats = self.aggregate_stats()
-        return stats.ratio("demand_read_latency_cycles", "demand_reads")
-
-    @property
-    def average_demand_read_service(self) -> float:
-        """Mean unloaded demand-read service latency in bus cycles, across channels."""
-        stats = self.aggregate_stats()
-        return stats.ratio("demand_read_service_cycles", "demand_reads")
-
-    @property
-    def bus_busy_cycles(self) -> float:
-        """Total data-bus busy cycles summed across channels."""
-        return self.aggregate_stats()["bus_busy_cycles"]
+    def _bus_busy_cycles(self) -> List[float]:
+        """Data-bus busy cycles per channel."""
+        return [self.channel_stats(channel)["bus_busy_cycles"]
+                for channel in range(self._channels)]
 
     @property
     def bandwidth_bound_cycles(self) -> float:
         """Bus cycles the busiest channel needs just to move all its data."""
         if not self._channels:
             return 0.0
-        busy = self.fcounts[:, _FLOAT_KEYS.index("bus_busy_cycles")]
-        return float(busy.max())
+        return max(self._bus_busy_cycles())
 
     @property
     def elapsed_cycles(self) -> float:
@@ -733,18 +703,10 @@ class FlatMemorySystem:
             return 0.0
         return float(self.last_completion.max())
 
-    def traffic_by_kind(self) -> Dict[DRAMRequestKind, int]:
-        """Number of transfers of each provenance kind."""
-        totals = self.kind_counts.sum(axis=0).tolist()
-        return {kind: int(count) for kind, count in zip(_KINDS_BY_CODE, totals)}
-
     def channel_utilization(self, total_bus_cycles: float) -> float:
         """Average fraction of data-bus cycles in use over ``total_bus_cycles``."""
         if total_bus_cycles <= 0 or not self._channels:
             return 0.0
-        busy_index = _FLOAT_KEYS.index("bus_busy_cycles")
-        per_channel = [
-            float(self.fcounts[channel, busy_index]) / total_bus_cycles
-            for channel in range(self._channels)
-        ]
+        per_channel = [busy / total_bus_cycles
+                       for busy in self._bus_busy_cycles()]
         return sum(per_channel) / len(per_channel)

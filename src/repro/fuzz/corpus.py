@@ -137,22 +137,46 @@ class FuzzCase:
         return int(self.total_accesses * self.warmup_fraction)
 
 
-def _field(mapping: Dict, key: str, where: str):
-    """``mapping[key]``; a missing key is a ``ValueError`` that names it."""
+#: The JSON name of each container type a spec field may need to be.
+_JSON_NAMES = {dict: "an object", list: "an array"}
+
+
+def _typed(value, kind, what: str):
+    """``value``; one that is not a ``kind`` is a ``ValueError`` naming ``what``."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{what} must be {_JSON_NAMES[kind]}, not {value!r}")
+    return value
+
+
+def _number(cast, value, what: str):
+    """``cast(value)``; a value ``cast`` cannot take is a ``ValueError``."""
     try:
-        return mapping[key]
+        return cast(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{what} must be a number, not {value!r}") from None
+
+
+def _field(mapping: Dict, key: str, where: str, kind=None):
+    """``mapping[key]`` (a ``kind``, when given); a missing key or another
+    type is a ``ValueError`` that names the field and its place."""
+    try:
+        value = mapping[key]
     except KeyError:
         raise ValueError(f"{where} is missing field {key!r}") from None
+    return value if kind is None else _typed(value, kind, f"{where} field {key!r}")
 
 
-def _tenant(tenant: Dict, where: str) -> TenantAssignment:
+def _tenant(tenant, where: str) -> TenantAssignment:
     """A spec tenant as a :class:`TenantAssignment`; an unknown workload
     name is a ``ValueError`` too."""
+    _typed(tenant, dict, where)
     try:
         return TenantAssignment(
             workload=str(_field(tenant, "workload", where)),
-            cores=tuple(int(core) for core in _field(tenant, "cores", where)),
-            intensity=float(tenant.get("intensity", 1.0)),
+            cores=tuple(_number(int, core, f"{where} core")
+                        for core in _field(tenant, "cores", where, list)),
+            intensity=_number(float, tenant.get("intensity", 1.0),
+                              f"{where} intensity"),
         )
     except KeyError as exc:  # an unknown workload name
         raise ValueError(f"{where}: {exc.args[0]}") from None
@@ -168,10 +192,12 @@ def materialize(spec: Dict) -> FuzzCase:
     """Build the live scenario/configuration a spec describes.
 
     Raises ``ValueError`` for malformed specs (wrong format version, unknown
-    top-level keys, a missing required field, unknown workload/configuration
-    names, override values the constructors reject) -- the shrinker relies
-    on this to discard invalid mutations.
+    top-level keys, a missing required field, a field of the wrong JSON
+    type, unknown workload/configuration names, override values the
+    constructors reject) -- the shrinker relies on this to discard invalid
+    mutations, and ``repro fuzz`` to report such a spec as invalid input.
     """
+    _typed(spec, dict, "a fuzz spec")
     version = spec.get("format")
     if version != SPEC_FORMAT_VERSION:
         raise ValueError(
@@ -184,25 +210,33 @@ def materialize(spec: Dict) -> FuzzCase:
             f"supported: {', '.join(sorted(_SPEC_KEYS))}")
     label = str(spec.get("label", "fuzz"))
 
-    scenario_spec = _field(spec, "scenario", "fuzz spec")
+    scenario_spec = _field(spec, "scenario", "fuzz spec", dict)
     phases: List[Phase] = []
     for index, phase_spec in enumerate(
-            _field(scenario_spec, "phases", "fuzz spec scenario")):
+            _field(scenario_spec, "phases", "fuzz spec scenario", list)):
         where = f"fuzz spec phase {index}"
+        _typed(phase_spec, dict, where)
         tenants = [
             _tenant(tenant, f"{where} tenant {number}")
             for number, tenant in enumerate(
-                _field(phase_spec, "tenants", where))
+                _field(phase_spec, "tenants", where, list))
         ]
-        bursts = tuple(
-            Burst(float(start), float(stop), float(intensity))
-            for start, stop, intensity in phase_spec.get("bursts", ()))
+        bursts = []
+        for burst in _typed(phase_spec.get("bursts", []), list,
+                            f"{where} field 'bursts'"):
+            if not isinstance(burst, list) or len(burst) != 3:
+                raise ValueError(f"{where} burst {burst!r} is not "
+                                 "[start, stop, intensity]")
+            bursts.append(Burst(*(_number(float, value, f"{where} burst")
+                                  for value in burst)))
         phases.append(Phase(
             name=str(phase_spec.get("name", f"phase{index}")),
-            accesses=int(_field(phase_spec, "accesses", where)),
+            accesses=_number(int, _field(phase_spec, "accesses", where),
+                             f"{where} field 'accesses'"),
             tenants=tenants,
-            intensity=float(phase_spec.get("intensity", 1.0)),
-            bursts=bursts,
+            intensity=_number(float, phase_spec.get("intensity", 1.0),
+                              f"{where} intensity"),
+            bursts=tuple(bursts),
         ))
     # seed_stream is pinned so the display label never leaks into trace
     # generation (Scenario defaults seed_stream to its name): a shrunk or
@@ -211,11 +245,14 @@ def materialize(spec: Dict) -> FuzzCase:
         name=label,
         description="fuzz-generated scenario",
         phases=phases,
-        num_cores=int(_field(scenario_spec, "num_cores", "fuzz spec scenario")),
+        num_cores=_number(int, _field(scenario_spec, "num_cores",
+                                      "fuzz spec scenario"),
+                          "fuzz spec scenario field 'num_cores'"),
         seed_stream="fuzz-spec",
     )
 
-    config_spec = spec.get("config", {})
+    config_spec = _typed(spec.get("config", {}), dict,
+                         "fuzz spec field 'config'")
     base = str(config_spec.get("base", "base_open"))
     factories = _config_factories()
     if base not in factories:
@@ -224,7 +261,8 @@ def materialize(spec: Dict) -> FuzzCase:
             + ", ".join(sorted(factories)))
     config = factories[base]
     overrides = {}
-    for key, raw in (config_spec.get("overrides") or {}).items():
+    for key, raw in _typed(config_spec.get("overrides") or {}, dict,
+                           "fuzz spec config field 'overrides'").items():
         decoder = _OVERRIDE_DECODERS.get(key)
         if decoder is None:
             raise ValueError(
@@ -239,17 +277,19 @@ def materialize(spec: Dict) -> FuzzCase:
     if overrides:
         config = config.with_overrides(**overrides)
 
-    warmup_fraction = float(spec.get("warmup_fraction", 0.5))
+    warmup_fraction = _number(float, spec.get("warmup_fraction", 0.5),
+                              "fuzz spec warmup_fraction")
     if not 0.0 <= warmup_fraction < 1.0:
         raise ValueError("warmup_fraction must be in [0, 1)")
-    chunk_size = int(spec.get("chunk_size", 512))
+    chunk_size = _number(int, spec.get("chunk_size", 512),
+                         "fuzz spec chunk_size")
     if chunk_size < 1:
         raise ValueError("chunk_size must be positive")
     return FuzzCase(
         label=label,
         scenario=scenario,
         config=config,
-        seed=int(spec.get("seed", 42)),
+        seed=_number(int, spec.get("seed", 42), "fuzz spec seed"),
         warmup_fraction=warmup_fraction,
         chunk_size=chunk_size,
     )

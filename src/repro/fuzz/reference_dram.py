@@ -302,19 +302,23 @@ def engine_state(memory) -> List[tuple]:
 
     Each channel is ``(counters, latencies, kind counts, bus-free cycle,
     last completion, pending count, banks)``; each bank is ``(open row or
-    -1, ready cycle, last activation)``.
+    -1, ready cycle, last activation)``.  The engine counts each transfer
+    once, by kind and row outcome, so its counters, latencies and kind
+    counts are read through :meth:`~repro.dram.flat.FlatMemorySystem.
+    channel_stats`, the derivation every result reads.
     """
     return [
-        (tuple(memory.counts[channel].tolist()),
-         tuple(memory.fcounts[channel].tolist()),
-         tuple(memory.kind_counts[channel].tolist()),
+        (tuple(stats[key] for key in COUNTERS),
+         tuple(stats[key] for key in LATENCIES),
+         tuple(stats[f"kind_{kind.value}"] for kind in DRAMRequestKind),
          float(memory.bus_free[channel]),
          float(memory.last_completion[channel]),
          memory.pending_count(channel),
          tuple(zip(memory.open_row[channel].tolist(),
                    memory.bank_ready[channel].tolist(),
                    memory.last_activate[channel].tolist())))
-        for channel in range(len(memory.bus_free))
+        for channel, stats in enumerate(
+            map(memory.channel_stats, range(len(memory.bus_free))))
     ]
 
 

@@ -7,10 +7,10 @@ point (Figure 12): BuMP adds traffic because L1-to-LLC requests carry the
 triggering PC, because LLC access/eviction streams are forwarded to BuMP's
 tables, and because bulk requests and overfetched data cross the crossbar.
 
-:class:`repro.noc.crossbar.Crossbar` counts messages by type and converts
-them into link utilisation and dynamic energy.
+:mod:`repro.noc.crossbar` sizes each message kind and turns message counts
+into bytes moved and link utilisation.
 """
 
-from repro.noc.crossbar import Crossbar, MessageType
+from repro.noc.crossbar import MESSAGE_BYTES, traffic_stats, utilization
 
-__all__ = ["Crossbar", "MessageType"]
+__all__ = ["MESSAGE_BYTES", "traffic_stats", "utilization"]

@@ -1,132 +1,61 @@
-"""Crossbar NOC traffic and energy accounting.
+"""Crossbar NOC traffic accounting.
 
-The model is deliberately coarse: every message type has a fixed size in
+The model is deliberately coarse: every message kind has a fixed size in
 bytes (a control flit for requests, a cache block plus header for data), the
-crossbar sums bytes moved, and utilisation is bytes moved divided by the
-aggregate link capacity over the simulated interval.  Server workloads leave
-the NOC lightly loaded (Section V.F cites low utilisation), so the extra
-traffic BuMP injects changes energy but not performance -- exactly the
-behaviour this accounting reproduces.
+crossbar's traffic is the bytes its messages move, and utilisation is bytes
+moved divided by the aggregate link capacity over the simulated interval.
+Server workloads leave the NOC lightly loaded (Section V.F cites low
+utilisation), so the extra traffic BuMP injects changes energy but not
+performance -- exactly the behaviour this accounting reproduces.
 
-Message counts are one plain integer attribute per type (``n_request``,
-``n_data``, ...): the send path runs several times per simulated access and
-an Enum-keyed dict pays a Python-level ``Enum.__hash__`` per increment.  The
-simulator hot loop bumps the attributes directly; :meth:`send` remains the
-general entry point for everything else.
+Nothing here counts.  Every message is an LLC or DRAM event the simulated
+system already counts once, so :func:`repro.sim.system.noc_stats` derives
+the message counts from those counts and hands them to
+:func:`traffic_stats`.
 """
 
 from __future__ import annotations
 
-from enum import Enum
+from typing import Mapping
 
 from repro.common.stats import StatGroup
 
-
-class MessageType(Enum):
-    """Kinds of messages crossing the crossbar, with their payload in bytes."""
-
-    #: L1 miss request to the LLC: address + metadata.
-    REQUEST = "request"
-    #: L1 miss request extended with the triggering PC (BuMP/SMS configurations).
-    REQUEST_WITH_PC = "request_with_pc"
-    #: A 64-byte data transfer (fill toward a core or writeback toward the LLC/MC).
-    DATA = "data"
-    #: LLC access/eviction notification forwarded to a predictor engine.
-    PREDICTOR_NOTIFY = "predictor_notify"
-    #: Bulk/prefetch request generated by a predictor toward the LLC or MC.
-    GENERATED_REQUEST = "generated_request"
-
-
-#: Payload sizes in bytes per message type (header + payload).
+#: Bytes per message kind (header + payload), in ``result.noc`` key order.
 MESSAGE_BYTES = {
-    MessageType.REQUEST: 8,
-    MessageType.REQUEST_WITH_PC: 16,
-    MessageType.DATA: 72,
-    MessageType.PREDICTOR_NOTIFY: 8,
-    MessageType.GENERATED_REQUEST: 8,
+    "request": 8,             # an L1 miss request to the LLC
+    "request_with_pc": 16,    # the same, with the triggering PC (BuMP, SMS)
+    "data": 72,               # a 64-byte block: a fill or a writeback
+    "predictor_notify": 8,    # an LLC access forwarded to the agents
+    "generated_request": 8,   # an agent's prefetch, bulk or writeback request
 }
 
+#: Bytes each core's injection port moves per core cycle.
+LINK_BYTES_PER_CYCLE = 16.0
 
-class Crossbar:
-    """Traffic and energy accounting for the 16x8 crossbar NOC."""
 
-    def __init__(self, num_cores: int = 16, link_bytes_per_cycle: float = 16.0,
-                 energy_per_byte_nj: float = 0.00075) -> None:
-        self.num_cores = num_cores
-        self.link_bytes_per_cycle = link_bytes_per_cycle
-        self.energy_per_byte_nj = energy_per_byte_nj
-        self.reset()
+def traffic_stats(messages: Mapping[str, int]) -> StatGroup:
+    """``result.noc`` from the message count of every kind in :data:`MESSAGE_BYTES`.
 
-    def send(self, message: MessageType, count: int = 1) -> None:
-        """Record ``count`` messages of the given type crossing the crossbar."""
-        if count <= 0:
-            return
-        # Identity chain ordered by hot-path frequency; dispatching through a
-        # dict would pay an Enum hash per call.  When adding a MessageType,
-        # update this chain plus _counts(), reset() and total_messages.
-        if message is MessageType.DATA:
-            self.n_data += count
-        elif message is MessageType.PREDICTOR_NOTIFY:
-            self.n_predictor_notify += count
-        elif message is MessageType.REQUEST:
-            self.n_request += count
-        elif message is MessageType.REQUEST_WITH_PC:
-            self.n_request_with_pc += count
-        elif message is MessageType.GENERATED_REQUEST:
-            self.n_generated_request += count
-        else:
-            raise ValueError(f"unknown message type: {message!r}")
+    ``msgs_<kind>`` keeps each count as given; ``messages`` (their total)
+    and ``bytes`` (the bytes they move) are floats.  Every key is set.
+    """
+    group = StatGroup("noc")
+    for kind in MESSAGE_BYTES:
+        group.set(f"msgs_{kind}", messages[kind])
+    group.set("messages", float(sum(messages[kind] for kind in MESSAGE_BYTES)))
+    group.set("bytes", float(sum(size * messages[kind]
+                                 for kind, size in MESSAGE_BYTES.items())))
+    return group
 
-    @property
-    def stats(self) -> StatGroup:
-        """Counters in :class:`StatGroup` form (messages, bytes, per-type counts)."""
-        group = StatGroup("noc")
-        for message, count in self._counts().items():
-            group.set(f"msgs_{message.value}", count)
-        group.set("messages", self.total_messages)
-        group.set("bytes", self.total_bytes)
-        return group
 
-    def _counts(self) -> dict:
-        """Per-type message counts keyed by :class:`MessageType`."""
-        return {
-            MessageType.REQUEST: self.n_request,
-            MessageType.REQUEST_WITH_PC: self.n_request_with_pc,
-            MessageType.DATA: self.n_data,
-            MessageType.PREDICTOR_NOTIFY: self.n_predictor_notify,
-            MessageType.GENERATED_REQUEST: self.n_generated_request,
-        }
+def utilization(total_bytes: float, elapsed_cycles: float,
+                num_cores: int) -> float:
+    """Average crossbar utilisation over ``elapsed_cycles`` core cycles.
 
-    def reset(self) -> None:
-        """Zero every message counter (used at the warmup/measurement boundary)."""
-        self.n_request = 0
-        self.n_request_with_pc = 0
-        self.n_data = 0
-        self.n_predictor_notify = 0
-        self.n_generated_request = 0
-
-    @property
-    def total_bytes(self) -> float:
-        """Total bytes moved through the crossbar."""
-        return float(sum(MESSAGE_BYTES[m] * c for m, c in self._counts().items()))
-
-    @property
-    def total_messages(self) -> float:
-        """Total messages moved through the crossbar."""
-        return float(self.n_request + self.n_request_with_pc + self.n_data
-                     + self.n_predictor_notify + self.n_generated_request)
-
-    def utilization(self, elapsed_cycles: float) -> float:
-        """Average crossbar utilisation over ``elapsed_cycles`` core cycles.
-
-        Capacity is modelled as one injection port per core, each moving
-        ``link_bytes_per_cycle`` bytes per cycle.
-        """
-        if elapsed_cycles <= 0:
-            return 0.0
-        capacity = elapsed_cycles * self.num_cores * self.link_bytes_per_cycle
-        return min(self.total_bytes / capacity, 1.0)
-
-    def dynamic_energy_nj(self) -> float:
-        """Traffic-proportional dynamic energy of the crossbar."""
-        return self.total_bytes * self.energy_per_byte_nj
+    Capacity is one injection port per core, each moving
+    :data:`LINK_BYTES_PER_CYCLE` bytes per cycle; the result is capped at 1.
+    """
+    if elapsed_cycles <= 0:
+        return 0.0
+    capacity = elapsed_cycles * num_cores * LINK_BYTES_PER_CYCLE
+    return min(total_bytes / capacity, 1.0)

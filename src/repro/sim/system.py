@@ -24,9 +24,10 @@ At the end of a run the system assembles a :class:`SimulationResult` with the
 traffic decomposition, row-buffer statistics, timing summary and energy
 breakdown the experiments consume.
 
-The LLC (:class:`~repro.cache.flat.CacheArray`, ``ServerSystem.llc``) counts
-nothing: this module counts each LLC event once, and :func:`llc_stats`
-derives ``result.llc`` from those counts.
+The LLC (:class:`~repro.cache.flat.CacheArray`, ``ServerSystem.llc``) and
+the NOC count nothing: this module counts each LLC event once, and
+:func:`llc_stats` and :func:`noc_stats` derive ``result.llc`` and
+``result.noc`` from those counts.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from repro.core.fullregion import FullRegionStreamer
 from repro.dram.address_mapping import make_block_interleaving, make_region_interleaving
 from repro.dram.flat import FlatMemorySystem
 from repro.energy.accounting import ServerEnergyModel
-from repro.noc.crossbar import Crossbar
+from repro.noc.crossbar import traffic_stats, utilization
 from repro.prefetch.sms import SpatialMemoryStreaming
 from repro.prefetch.stride import StridePrefetcher
 from repro.sim.config import SystemConfig
@@ -67,10 +68,7 @@ _HOT_COUNTERS = (
     ("_h_covered_reads", "covered_reads"),
     ("_h_covered_loads", "covered_loads"),
     ("_h_llc_misses", "llc_misses"),
-    ("_h_demand_reads", "demand_reads"),
-    ("_h_store_triggered_reads", "store_triggered_reads"),
     ("_h_load_triggered_reads", "load_triggered_reads"),
-    ("_h_load_demand_misses", "load_demand_misses"),
     ("_h_llc_evictions", "llc_evictions"),
     ("_h_demand_writebacks", "demand_writebacks"),
     ("_h_overfetch_evictions", "overfetch_evictions"),
@@ -113,7 +111,7 @@ def llc_stats(counters: StatGroup, l1_writeback_fills: int,
     evictions = counters["llc_evictions"]
     dirty_evictions = counters["demand_writebacks"]
     # Twice the true counts, as the results pinned in perfbench/pins.json
-    # report them; ROADMAP item 1 drops this line and regenerates the pins.
+    # report them; ROADMAP item 4 drops this line and regenerates the pins.
     evictions, dirty_evictions = 2 * evictions, 2 * dirty_evictions
     view = {
         "hits": hits,
@@ -140,6 +138,32 @@ def llc_stats(counters: StatGroup, l1_writeback_fills: int,
     return stats
 
 
+def noc_stats(counters: StatGroup, writeback_probes: int, carries_pc: bool,
+              notifies: bool) -> StatGroup:
+    """The NOC view of a result (``result.noc``), derived from the system's counts.
+
+    Each LLC demand access is a request (with the PC when ``carries_pc``)
+    and, when ``notifies`` (agents are attached), an agent notification;
+    each block an agent fetched or probed is a generated request; each
+    block moved (L1 writeback, hit, fill, dirty victim, agent fetch or
+    clean) is a data message.
+    """
+    def count(*keys: str) -> int:
+        return int(sum(counters[key] for key in keys))
+
+    demand = count("llc_hits", "llc_misses")
+    return traffic_stats({
+        "request": 0 if carries_pc else demand,
+        "request_with_pc": demand if carries_pc else 0,
+        "data": count("l1_writebacks", "llc_hits", "llc_misses",
+                      "demand_writebacks", "prefetch_reads", "bulk_reads",
+                      "eager_writebacks", "bulk_writebacks"),
+        "predictor_notify": demand if notifies else 0,
+        "generated_request": (count("prefetch_reads", "bulk_reads")
+                              + writeback_probes),
+    })
+
+
 class ServerSystem:
     """One configured instance of the simulated 16-core server."""
 
@@ -159,12 +183,11 @@ class ServerSystem:
         self.llc = CacheArray(params.llc, params.num_cores)
         #: Every core's L1, run a chunk at a time.
         self.l1 = StackedL1(params.l1d, params.num_cores)
-        self._carries_pc = config.carries_pc
-        self.noc = Crossbar(num_cores=params.num_cores)
         for attr, _key in _HOT_COUNTERS:
             setattr(self, attr, 0)
         #: The two LLC counts kept out of ``counters`` (whose keys every
-        #: result fingerprint covers), for :func:`llc_stats`.
+        #: result fingerprint covers), for :func:`llc_stats` and
+        #: :func:`noc_stats`.
         self._l1_writeback_fills = 0
         self._writeback_probes = 0
 
@@ -582,10 +605,7 @@ class ServerSystem:
                             llc.victim_core)
                 demand(core, pc, block, is_store)
             self._flush_dram()
-        # One NOC data message per dirty victim forwarded above.
-        writebacks = int(np.count_nonzero(victims >= 0))
-        self._h_l1_writebacks += writebacks
-        self.noc.n_data += writebacks
+        self._h_l1_writebacks += int(np.count_nonzero(victims >= 0))
         self._core_cycle = float(cycles[-1])
         self._instructions += int(chunk.instructions.sum(dtype=np.int64))
         counters = self.counters
@@ -596,8 +616,20 @@ class ServerSystem:
         self._flush_hot_counters()
 
     def _flush_hot_counters(self) -> None:
-        """Fold the hoisted per-chunk counter ints into the StatGroup."""
-        fold_pending(self, self.counters, _HOT_COUNTERS)
+        """Fold the hoisted per-chunk counter ints into the StatGroup.
+
+        Every LLC miss is a demand read (``demand_reads``) that a load
+        (``load_demand_misses``) or a store (``store_triggered_reads``)
+        triggered; those three keys are derived here, not counted.
+        """
+        misses = self._h_llc_misses
+        load_misses = self._h_load_triggered_reads
+        counters = fold_pending(self, self.counters, _HOT_COUNTERS)
+        for key, value in (("demand_reads", misses),
+                           ("load_demand_misses", load_misses),
+                           ("store_triggered_reads", misses - load_misses)):
+            if value:
+                counters.inc(key, value)
 
     def begin_measurement(self) -> None:
         """Discard warmup statistics while keeping all architectural state."""
@@ -608,7 +640,6 @@ class ServerSystem:
         self.counters.reset()
         self._l1_writeback_fills = 0
         self._writeback_probes = 0
-        self.noc.reset()
         dram.reset_counters()
         for agent in self.agents:
             stats = getattr(agent, "stats", None)
@@ -634,26 +665,17 @@ class ServerSystem:
                     is_store: bool) -> None:
         """One L1 miss's LLC demand request.
 
-        The LLC probe and access are fused into one array call, NOC
-        counters are bumped as plain attributes and system counters are
-        hoisted to instance ints.  A victim's flag byte, PC and core are
-        read right after its fill: the eviction's own hooks and fills
-        overwrite them.
+        The LLC probe and access are fused into one array call and system
+        counters are hoisted to instance ints.  A victim's flag byte, PC and
+        core are read right after its fill: the eviction's own hooks and
+        fills overwrite them.
         """
-        noc = self.noc
-        if self._carries_pc:
-            noc.n_request_with_pc += 1
-        else:
-            noc.n_request += 1
-
         llc = self.llc
         prior = llc.demand_access(block, is_store)
         hit = prior >= 0
 
-        if self.agents:
-            noc.n_predictor_notify += 1
-            for hook in self._access_hooks:
-                hook(core, pc, block, is_store, hit)
+        for hook in self._access_hooks:
+            hook(core, pc, block, is_store, hit)
 
         if hit:
             self._h_llc_hits += 1
@@ -663,7 +685,6 @@ class ServerSystem:
                 self._h_covered_reads += 1
                 if not is_store:
                     self._h_covered_loads += 1
-            noc.n_data += 1
         else:
             self._h_llc_misses += 1
             for hook in self._miss_hooks:
@@ -673,14 +694,9 @@ class ServerSystem:
             self._dram_kinds.append(_DEMAND_READ_CODE)
             self._dram_arrivals.append(self._arrival_bus)
             self._dram_cores.append(core)
-            self._h_demand_reads += 1
-            if is_store:
-                self._h_store_triggered_reads += 1
-            else:
+            if not is_store:
                 self._h_load_triggered_reads += 1
-                self._h_load_demand_misses += 1
             victim = llc.fill(block, dirty=is_store, pc=pc, core=core)
-            noc.n_data += 1
             if victim >= 0:
                 self._handle_llc_eviction(victim, llc.victim_flags,
                                           llc.victim_pc, llc.victim_core)
@@ -712,7 +728,6 @@ class ServerSystem:
             self._dram_kinds.append(_DEMAND_WRITEBACK_CODE)
             self._dram_arrivals.append(self._arrival_bus)
             self._dram_cores.append(core)
-            self.noc.n_data += 1
         if flags & (FLAG_PREFETCHED | FLAG_USED) == FLAG_PREFETCHED:
             self._h_overfetch_evictions += 1
 
@@ -736,14 +751,13 @@ class ServerSystem:
         This is the bulk datapath the paper's mechanisms live on (one
         iteration per streamed block, several per miss under
         BuMP/Full-region), with the per-block overhead between the layers
-        stripped: NOC counters bumped as plain attributes, traffic counters
-        hoisted to instance ints, the LLC's calls bound once per event, and
-        transfers staged as scalars for the batched flush, every one issued
-        for ``core``, the core of the event that asked for it.
+        stripped: traffic counters hoisted to instance ints, the LLC's
+        calls bound once per event, and transfers staged as scalars for the
+        batched flush, every one issued for ``core``, the core of the event
+        that asked for it.
         """
         fetch_blocks, writeback_blocks = self._take_actions(fetch_mark,
                                                             writeback_mark)
-        noc = self.noc
         llc = self.llc
         bulk = self.config.uses_bulk_streaming
         dram_blocks = self._dram_blocks
@@ -763,14 +777,12 @@ class ServerSystem:
             for block in fetch_blocks:
                 if block < 0 or contains(block):
                     continue
-                noc.n_generated_request += 1
                 dram_blocks.append(block)
                 dram_kinds.append(kind_code)
                 dram_arrivals.append(arrival)
                 dram_cores.append(core)
                 fetched += 1
                 victim = fill(block, prefetched=True, pc=pc, core=core)
-                noc.n_data += 1
                 if victim >= 0:
                     self._handle_llc_eviction(victim, llc.victim_flags,
                                               llc.victim_pc, llc.victim_core)
@@ -791,7 +803,6 @@ class ServerSystem:
             for block in writeback_blocks:
                 if block < 0:
                     continue
-                noc.n_generated_request += 1
                 probed += 1
                 if clean(block):
                     dram_blocks.append(block)
@@ -799,7 +810,6 @@ class ServerSystem:
                     dram_arrivals.append(arrival)
                     dram_cores.append(core)
                     cleaned += 1
-                    noc.n_data += 1
             self._writeback_probes += probed
             if cleaned:
                 if bulk:
@@ -824,7 +834,8 @@ class ServerSystem:
         result.dram = dram_stats
         result.llc = llc_stats(counters, self._l1_writeback_fills,
                                self._writeback_probes)
-        result.noc = self.noc.stats
+        result.noc = noc_stats(counters, self._writeback_probes,
+                               config.carries_pc, bool(self.agents))
         result.predictor = self._predictor_stats()
         result.instructions = self._instructions
 
@@ -848,7 +859,8 @@ class ServerSystem:
             load_demand_misses=counters["load_demand_misses"],
             covered_loads=counters["covered_loads"],
             llc_load_hits=counters["llc_load_hits"],
-            average_dram_latency_bus_cycles=self.memory.average_demand_read_service,
+            average_dram_latency_bus_cycles=dram_stats.ratio(
+                "demand_read_service_cycles", "demand_reads"),
             dram_elapsed_bus_cycles=self.memory.bandwidth_bound_cycles,
         )
         result.cycles = timing.cycles
@@ -876,7 +888,8 @@ class ServerSystem:
             dram_writes=dram_writes,
             llc_reads=result.llc["demand_hits"] + result.llc["demand_misses"],
             llc_writes=result.llc["fills"],
-            noc_utilization=self.noc.utilization(timing.cycles),
+            noc_utilization=utilization(result.noc["bytes"], timing.cycles,
+                                        config.system.num_cores),
             channel_utilization=channel_utilization,
             useful_accesses=useful,
         )

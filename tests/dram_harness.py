@@ -80,3 +80,14 @@ def bank_state(system: FlatMemorySystem, bank: int = 0, rank: int = 0,
 def stat(system: FlatMemorySystem, key: str):
     """One aggregate counter of ``system``."""
     return system.aggregate_stats()[key]
+
+
+def row_hit_ratio(system: FlatMemorySystem) -> float:
+    """Row-buffer hit ratio across every channel of ``system``."""
+    return system.aggregate_stats().ratio("row_hits", "accesses")
+
+
+def demand_read_latency(system: FlatMemorySystem) -> float:
+    """Mean loaded demand-read latency of ``system``, in bus cycles."""
+    return system.aggregate_stats().ratio("demand_read_latency_cycles",
+                                          "demand_reads")

@@ -444,3 +444,28 @@ class TestFuzzCli:
         assert "missing field 'scenario'" in failures[1]["error"]
         assert "INVALID unknown-key" in out and "CRASH" not in out
         assert not artifacts.exists() or not any(artifacts.iterdir())
+
+    def test_a_wrong_typed_corpus_spec_is_invalid_not_a_crash(self, capsys,
+                                                              tmp_path):
+        import json
+
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        spec = json.loads((Path(__file__).parent / "fuzz_corpus"
+                           / "bump-small-llc.json").read_text())
+        spec["label"] = "null-accesses"
+        spec["scenario"]["phases"][0]["accesses"] = None
+        (corpus / "null-accesses.json").write_text(json.dumps(spec))
+        artifacts = tmp_path / "artifacts"
+        summary = tmp_path / "summary.json"
+        status, out = run_cli(capsys, "fuzz", "--budget", "0",
+                              "--corpus", str(corpus),
+                              "--artifacts", str(artifacts),
+                              "--summary", str(summary))
+        assert status == 1
+        (failure,) = json.loads(summary.read_text())["failures"]
+        assert (failure["label"], failure["kind"]) == ("null-accesses",
+                                                       "invalid")
+        assert "field 'accesses' must be a number" in failure["error"]
+        assert "INVALID null-accesses" in out and "CRASH" not in out
+        assert not artifacts.exists() or not any(artifacts.iterdir())

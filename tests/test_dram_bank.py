@@ -9,7 +9,17 @@ cycles).
 
 import pytest
 
-from dram_harness import READ, TIMING, bank_state, block, memory, serve, stat
+from dram_harness import (
+    READ,
+    TIMING,
+    bank_state,
+    block,
+    demand_read_latency,
+    memory,
+    row_hit_ratio,
+    serve,
+    stat,
+)
 from repro.common.params import DDR3Timing
 from repro.dram.flat import PagePolicy
 
@@ -83,10 +93,10 @@ def test_access_respects_start_cycle():
 
 def test_row_hit_ratio_property():
     system = memory()
-    assert system.row_hit_ratio == 0.0
+    assert row_hit_ratio(system) == 0.0
     serve(system, block(system, row=1), block(system, row=1, column=1),
           block(system, row=2))
-    assert system.row_hit_ratio == pytest.approx(1.0 / 3.0)
+    assert row_hit_ratio(system) == pytest.approx(1.0 / 3.0)
 
 
 def test_activation_spacing_respects_trc():
@@ -108,7 +118,7 @@ def test_hit_latency_smaller_than_miss_latency():
             serve(system, block(system, row=opener, column=1))
         system.reset_counters()
         serve(system, (block(system, row=row), READ, start))
-        latencies.append(system.average_demand_read_latency)
+        latencies.append(demand_read_latency(system))
     assert latencies == [TIMING.row_hit_latency, TIMING.row_miss_latency,
                          TIMING.row_conflict_latency]
     assert latencies == sorted(latencies)

@@ -13,8 +13,10 @@ from dram_harness import (
     WRITEBACK,
     bank_state,
     block,
+    demand_read_latency,
     enqueue,
     memory,
+    row_hit_ratio,
     serve,
     stat,
 )
@@ -77,15 +79,15 @@ def test_bulk_region_transfer_amortises_one_activation():
     base = 5 * REGION_SIZE * 2
     serve(system, *(base + i * BLOCK_SIZE for i in range(16)))
     assert stat(system, "accesses") == 16
-    assert system.activations == 1
-    assert system.row_hit_ratio == pytest.approx(15.0 / 16.0)
+    assert stat(system, "activations") == 1
+    assert row_hit_ratio(system) == pytest.approx(15.0 / 16.0)
 
 
 def test_scattered_accesses_activate_repeatedly():
     system = memory()
     serve(system, *(block(system, row=row) for row in range(8)))
-    assert system.activations == 8
-    assert system.row_hit_ratio == 0.0
+    assert stat(system, "activations") == 8
+    assert row_hit_ratio(system) == 0.0
 
 
 def test_close_row_policy_precharges_between_isolated_accesses():
@@ -95,7 +97,7 @@ def test_close_row_policy_precharges_between_isolated_accesses():
         base = 4 * REGION_SIZE
         serve(system, base)
         serve(system, (base + BLOCK_SIZE, DRAMRequestKind.DEMAND_READ, 10_000.0))
-        ratios.append(system.row_hit_ratio)
+        ratios.append(row_hit_ratio(system))
     assert ratios == [0.5, 0.0]
 
 
@@ -103,7 +105,7 @@ def test_demand_read_latency_recorded():
     system = memory()
     serve(system, 0)
     # An idle bank: activate, tRCD, tCAS, one burst.
-    assert system.average_demand_read_latency == TIMING.row_miss_latency
+    assert demand_read_latency(system) == TIMING.row_miss_latency
 
 
 def test_writes_counted_separately():
@@ -131,7 +133,7 @@ def test_reset_counters_preserves_bank_state():
     assert stat(system, "accesses") == 0
     # The row opened before the reset is still open: the next access hits.
     serve(system, BLOCK_SIZE)
-    assert system.row_hit_ratio == 1.0
+    assert row_hit_ratio(system) == 1.0
 
 
 # --------------------------------------------------------------------- #
@@ -149,19 +151,18 @@ def test_memory_system_aggregates_stats():
     system = memory(channels=2)
     base = 3 * REGION_SIZE
     serve(system, *(base + i * BLOCK_SIZE for i in range(16)))
-    assert system.accesses == 16
-    assert system.activations == 1
-    assert system.row_hit_ratio == pytest.approx(15.0 / 16.0)
+    assert stat(system, "accesses") == 16
+    assert stat(system, "activations") == 1
+    assert row_hit_ratio(system) == pytest.approx(15.0 / 16.0)
     # One miss, then fifteen hits streaming back to back on the bus.
     assert system.elapsed_cycles == TIMING.row_miss_latency + 15 * TIMING.burst_cycles
-    assert system.bus_busy_cycles == 16 * TIMING.burst_cycles
-    kinds = system.traffic_by_kind()
-    assert kinds[DRAMRequestKind.DEMAND_READ] == 16
+    assert stat(system, "bus_busy_cycles") == 16 * TIMING.burst_cycles
+    assert stat(system, "kind_demand_read") == 16
 
 
 def test_block_interleaving_distributes_a_region_across_banks():
     system = memory(channels=2, interleave=make_block_interleaving)
     serve(system, *(i * BLOCK_SIZE for i in range(16)))
     # Every block of the region activates its own bank: no row hits at all.
-    assert system.row_hit_ratio == 0.0
-    assert system.activations == 16
+    assert row_hit_ratio(system) == 0.0
+    assert stat(system, "activations") == 16

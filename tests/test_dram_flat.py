@@ -182,12 +182,6 @@ class TestCounters:
         # timing state survived the reset.
         _assert_same_state(flat, reference)
 
-    def test_channel_of_matches_the_address_mapping(self):
-        _, flat = _systems()
-        blocks = _random_stream(1_000, seed=17)[0]
-        for block in blocks.tolist():
-            assert flat.channel_of(block) == flat.mapping.map(block).channel
-
 
 class TestEngineResolution:
     """Construction-time validation of the memory system."""

@@ -12,8 +12,10 @@ from dram_harness import (
     READ,
     TIMING,
     block,
+    demand_read_latency,
     enqueue,
     memory,
+    row_hit_ratio,
     serve,
     stat,
 )
@@ -67,7 +69,7 @@ class TestBankRoundRobin:
                         for bank in range(3)),
               (block(system, row=50, bank=3), READ, 0.0, 1))
         # Core 1 goes second: its data leaves in the second burst slot.
-        assert system.average_demand_read_latency == (
+        assert demand_read_latency(system) == (
             TIMING.row_miss_latency + BURST)
 
     def test_prefers_row_hits_within_the_chosen_core(self):
@@ -109,7 +111,7 @@ class TestBankRoundRobin:
               (block(system, row=0, bank=1), READ, 0.0, 1))
         # With two cores the core-1 request is served second, not behind
         # core 0's stream of hits.
-        assert system.average_demand_read_latency == (
+        assert demand_read_latency(system) == (
             TIMING.row_miss_latency + BURST)
 
 
@@ -149,5 +151,5 @@ class TestControllerWithAlternativeSchedulers:
 
         fcfs = self.run_stream("fcfs", blocks)
         frfcfs = self.run_stream("frfcfs", blocks)
-        assert fcfs.row_hit_ratio == 0.0
-        assert frfcfs.row_hit_ratio > fcfs.row_hit_ratio
+        assert row_hit_ratio(fcfs) == 0.0
+        assert row_hit_ratio(frfcfs) > row_hit_ratio(fcfs)

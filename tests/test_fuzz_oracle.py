@@ -97,11 +97,11 @@ class TestCounterIdentities:
 
     def test_a_violation_names_the_identity_and_both_sides(self):
         result = _run_cell(materialize(SPEC))
-        accesses = int(result.dram["accesses"])
-        result.dram.inc("row_conflicts")
+        reads = int(result.dram["reads"])
+        result.dram.inc("reads")
         assert identity_problems(result) == [
-            "row_hits + row_misses + row_conflicts = dram accesses: "
-            f"{accesses + 1} != {accesses}"]
+            "dram reads = demand_reads + prefetch_reads + bulk_reads: "
+            f"{reads + 1} != {reads}"]
 
     def test_the_oracle_checks_every_cell(self, monkeypatch):
         """A counting bug shared by every run moves no fingerprint apart;
@@ -258,6 +258,28 @@ class TestMaterialize:
             section = section[int(step) if step.isdigit() else step]
         del section[key]
         with pytest.raises(ValueError, match=f"missing field '{key}'"):
+            materialize(spec)
+
+    @pytest.mark.parametrize("field,value", [
+        ("scenario.phases.0.accesses", None),
+        ("scenario.phases.0.tenants.0.cores", 5),
+        ("scenario.phases.0.bursts", 5),
+        ("scenario.phases", {}),
+        ("scenario", []),
+        ("config", "bump"),
+        ("config.overrides", [1]),
+    ])
+    def test_a_wrong_typed_field_is_a_value_error_naming_it(self, field,
+                                                            value):
+        """Not a ``TypeError`` or ``AttributeError``, which ``repro fuzz``
+        would report as a simulator crash."""
+        spec = copy.deepcopy(SPEC)
+        *path, key = field.split(".")
+        section = spec
+        for step in path:
+            section = section[int(step) if step.isdigit() else step]
+        section[key] = value
+        with pytest.raises(ValueError, match=f"field '{key}' must be an? "):
             materialize(spec)
 
     def test_an_unknown_workload_is_a_value_error(self):

@@ -1,4 +1,4 @@
-"""Unit tests for the L1 filter and the shared LLC, and the system's LLC counts."""
+"""Unit tests for the L1 filter and the shared LLC, and the system's counts."""
 
 import numpy as np
 
@@ -56,9 +56,10 @@ class Scripted(LLCAgent):
             self.fetches.append(self.prefetches.pop(0))
 
 
-def run_tiny(rows, agents=()):
+def run_tiny(rows, agents=(), **overrides):
     """Run ``(core, pc, block, is_store)`` rows on the tiny system."""
-    system = ServerSystem(base_open(use_stride=False, system=TINY))
+    system = ServerSystem(base_open(use_stride=False, system=TINY,
+                                    **overrides))
     system.agents.extend(agents)
     result = system.run(TraceBuffer(
         core=np.array([row[0] for row in rows], dtype=np.int32),
@@ -174,13 +175,10 @@ def test_llc_dirty_eviction_statistics():
         FLAG_DIRTY | FLAG_USED, 0x77, 3)
 
 
-def test_result_llc_counts_every_llc_event_once():
-    """Every ``result.llc`` key against a hand count of a nine-access run.
-
-    LLC contents are listed least recently used first; ``*`` marks a dirty
-    line, ``~`` a prefetched line not yet used.
-    """
-    rows = [
+#: Nine accesses that reach every LLC event: LLC contents are listed least
+#: recently used first; ``*`` marks a dirty line, ``~`` a prefetched line
+#: not yet used.
+NINE = [
         (0, PC, A, True),         # miss; LLC [A*]
         (0, PC, B, True),         # miss; LLC [A* B*]
         (0, FETCH_PC, C, False),  # L1 writes A back: a hit, A promoted;
@@ -194,8 +192,12 @@ def test_result_llc_counts_every_llc_event_once():
         (1, FETCH_PC, H, False),  # miss, evicts B; prefetch Q evicts E;
                                   # LLC [F D H Q~]
         (0, PC, Q, False),        # hit on the unused prefetch Q
-    ]
-    _system, result = run_tiny(rows, [Scripted()])
+]
+
+
+def test_result_llc_counts_every_llc_event_once():
+    """Every ``result.llc`` key against a hand count of :data:`NINE`."""
+    _system, result = run_tiny(NINE, [Scripted()])
     hits, misses = 2, 7
     demand_fills = misses + 1     # E's L1 writeback of B allocated
     prefetch_fills = 2            # P, Q
@@ -204,7 +206,7 @@ def test_result_llc_counts_every_llc_event_once():
     evictions = 6                 # B*, A*, C, P~, B, E
     dirty_evictions = 2           # B*, A*
     # ``evictions`` and ``dirty_evictions`` read twice the true counts until
-    # ROADMAP item 1 regenerates the pinned results without the doubling.
+    # ROADMAP item 4 regenerates the pinned results without the doubling.
     assert result.llc.snapshot() == {
         "hits": hits,
         "demand_hits": hits,
@@ -225,3 +227,48 @@ def test_result_llc_counts_every_llc_event_once():
     counters = result.counters
     assert (counters["llc_evictions"], counters["demand_writebacks"],
             counters["eager_writebacks"]) == (evictions, dirty_evictions, 1)
+
+
+def test_result_noc_and_the_derived_counters_follow_the_hand_count():
+    """``result.noc`` and the three derived ``counters`` keys on :data:`NINE`.
+
+    Each of the nine L1 misses sends a request and, with an agent attached,
+    a notification; P and Q (fetched) and B and C (probed) are generated
+    requests; every block moved is a data message.
+    """
+    _system, result = run_tiny(NINE, [Scripted()])
+    demand = 9                     # 2 LLC hits + 7 LLC misses
+    generated = 2 + 2              # fetched P, Q; probed B, C
+    data = (2                      # L1 writebacks of A and B
+            + demand               # a hit's or a fill's block to the core
+            + 2                    # dirty victims B*, A* to DRAM
+            + 2                    # P, Q from DRAM
+            + 1)                   # B cleaned to DRAM
+    assert result.noc.snapshot() == {
+        "msgs_request": demand,
+        "msgs_request_with_pc": 0,
+        "msgs_data": data,
+        "msgs_predictor_notify": demand,
+        "msgs_generated_request": generated,
+        "messages": float(demand + data + demand + generated),
+        "bytes": float(8 * demand + 72 * data + 8 * demand + 8 * generated),
+    }
+    noc = result.noc.snapshot()
+    assert [type(value) for value in noc.values()] == [int] * 5 + [float] * 2
+    counters = result.counters
+    # A and B miss on stores; C, D, E, F and H on loads.
+    assert (counters["demand_reads"], counters["load_demand_misses"],
+            counters["load_triggered_reads"],
+            counters["store_triggered_reads"]) == (7, 5, 5, 2)
+
+    # A PC-carrying system without agents: the requests carry the PC and
+    # nothing notifies an agent, generates a request or moves its blocks.
+    _system, result = run_tiny(NINE, carries_pc=True)
+    noc = result.noc
+    assert (noc["msgs_request"], noc["msgs_request_with_pc"],
+            noc["msgs_predictor_notify"], noc["msgs_generated_request"]) == (
+                0, demand, 0, 0)
+    counters = result.counters
+    assert noc["msgs_data"] == (
+        counters["l1_writebacks"] + demand + counters["demand_writebacks"])
+    assert noc["bytes"] == 16 * demand + 72 * noc["msgs_data"]

@@ -1,52 +1,39 @@
 """Unit tests for the crossbar NOC accounting."""
 
-import pytest
+from repro.noc.crossbar import MESSAGE_BYTES, traffic_stats, utilization
 
-from repro.noc.crossbar import MESSAGE_BYTES, Crossbar, MessageType
-
-
-def test_send_accumulates_messages_and_bytes():
-    noc = Crossbar()
-    noc.send(MessageType.REQUEST)
-    noc.send(MessageType.DATA, count=2)
-    assert noc.total_messages == 3
-    expected = MESSAGE_BYTES[MessageType.REQUEST] + 2 * MESSAGE_BYTES[MessageType.DATA]
-    assert noc.total_bytes == expected
+#: No message of any kind.
+NONE = dict.fromkeys(MESSAGE_BYTES, 0)
 
 
-def test_send_ignores_non_positive_counts():
-    noc = Crossbar()
-    noc.send(MessageType.DATA, count=0)
-    noc.send(MessageType.DATA, count=-5)
-    assert noc.total_messages == 0
+def test_traffic_stats_charge_each_message_kind_its_bytes():
+    for kind, size in MESSAGE_BYTES.items():
+        stats = traffic_stats(dict(NONE, **{kind: 3}))
+        assert stats[f"msgs_{kind}"] == 3
+        assert stats["messages"] == 3
+        assert stats["bytes"] == 3 * size
+    stats = traffic_stats(dict(NONE, request=1, data=2))
+    assert stats["messages"] == 3
+    assert stats["bytes"] == MESSAGE_BYTES["request"] + 2 * MESSAGE_BYTES["data"]
+
+
+def test_traffic_stats_set_every_key_with_its_type():
+    """Every key is set, even at zero: counts stay ints, totals are floats."""
+    stats = traffic_stats(NONE).snapshot()
+    assert stats == {**{f"msgs_{kind}": 0 for kind in MESSAGE_BYTES},
+                     "messages": 0.0, "bytes": 0.0}
+    assert [type(value) for value in stats.values()] == (
+        [int] * len(MESSAGE_BYTES) + [float, float])
 
 
 def test_pc_extended_requests_cost_more_bytes():
-    assert MESSAGE_BYTES[MessageType.REQUEST_WITH_PC] > MESSAGE_BYTES[MessageType.REQUEST]
+    assert MESSAGE_BYTES["request_with_pc"] > MESSAGE_BYTES["request"]
 
 
 def test_utilization_bounded_and_monotonic():
-    noc = Crossbar(num_cores=16, link_bytes_per_cycle=16.0)
-    for _ in range(1000):
-        noc.send(MessageType.DATA)
-    low = noc.utilization(elapsed_cycles=1_000_000)
-    high = noc.utilization(elapsed_cycles=1_000)
+    moved = traffic_stats(dict(NONE, data=1000))["bytes"]
+    low = utilization(moved, elapsed_cycles=1_000_000, num_cores=16)
+    high = utilization(moved, elapsed_cycles=1_000, num_cores=16)
     assert 0.0 < low < high <= 1.0
-    assert noc.utilization(0) == 0.0
-
-
-def test_dynamic_energy_proportional_to_bytes():
-    noc = Crossbar(energy_per_byte_nj=0.001)
-    noc.send(MessageType.DATA, count=10)
-    assert noc.dynamic_energy_nj() == pytest.approx(10 * MESSAGE_BYTES[MessageType.DATA] * 0.001)
-
-
-def test_stats_view_and_reset():
-    noc = Crossbar()
-    noc.send(MessageType.REQUEST_WITH_PC, 4)
-    stats = noc.stats
-    assert stats["msgs_request_with_pc"] == 4
-    assert stats["messages"] == 4
-    noc.reset()
-    assert noc.total_messages == 0
-    assert noc.stats["messages"] == 0
+    assert utilization(moved, elapsed_cycles=10, num_cores=16) == 1.0
+    assert utilization(moved, elapsed_cycles=0, num_cores=16) == 0.0

@@ -261,7 +261,8 @@ class TestSimulationParity:
         result = system.run(scenario)
         memory = system.memory
         assert result.counters["accesses"] == scenario.total_accesses
-        assert memory.accesses > _COMPACT_THRESHOLD + 2 * memory.window
+        assert (memory.aggregate_stats()["accesses"]
+                > _COMPACT_THRESHOLD + 2 * memory.window)
         assert memory.pending_count() == 0
         assert all(len(queue) < _COMPACT_THRESHOLD + 2 * memory.window
                    for queue in memory._pending)
