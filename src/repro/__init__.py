@@ -29,12 +29,12 @@ The package is organised as one subpackage per subsystem:
   (:mod:`repro.analysis.figures`), the ablation and Section VI scalability
   studies, paper-vs-measured validation, and plain-text reporting.
 * :mod:`repro.exec` -- the parallel experiment-campaign engine: declarative
-  job grids, a content-addressed on-disk artifact store, worker-process
-  sharding and the serial-vs-parallel parity guard.
+  workload grids, a content-addressed on-disk artifact store,
+  worker-process sharding and the serial-vs-parallel parity guard.
 * :mod:`repro.telemetry` -- the observability layer: per-chunk timeline
-  sampling of the hot counters, span tracing of the pipeline stages
-  (JSONL event logs) and fleet-level campaign metrics, selected via
-  ``REPRO_TELEMETRY`` / ``telemetry=`` and off (free) by default.
+  sampling of the hot counters and span tracing of the pipeline stages
+  (JSONL event logs), selected via ``REPRO_TELEMETRY`` / ``telemetry=``
+  (``off``, the free default, or ``full``).
 * :mod:`repro.cli` -- the ``repro`` command-line interface (also installed
   as ``repro-bump``).
 
@@ -72,7 +72,7 @@ from repro.workloads import (
     iter_trace_chunks,
 )
 
-__version__ = "1.24.0"
+__version__ = "1.25.0"
 
 __all__ = [
     "BuMPConfig",

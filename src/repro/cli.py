@@ -21,9 +21,8 @@ Command                Purpose
                        workload trace, ``trace ingest`` replays a stored
                        trace file (e.g. an ``LLCTraceRecorder`` export)
                        through the simulator
-``report``             render telemetry artifacts: run timelines and span
-                       tables from JSONL event logs and campaign metrics
-                       files
+``report``             render a telemetry JSONL event log: the run timeline
+                       and its span table
 ``fuzz``               scenario fuzzer + verification oracle: generate
                        random valid scenario/config specs and check each
                        against the reference LRU, the reference DRAM and
@@ -58,13 +57,11 @@ from repro.sim.config import extended_configs, named_configs
 from repro.sim.runner import build_trace, run_trace, run_workload
 from repro.telemetry import MODES as TELEMETRY_MODES
 from repro.telemetry import (
-    read_campaign_metrics,
     read_events_jsonl,
     resolve_telemetry,
     timeline_from_events,
 )
 from repro.telemetry.report import (
-    render_campaign,
     render_spans,
     render_timeline,
     summarize_events,
@@ -134,10 +131,8 @@ def _finish_telemetry(recorder, args: argparse.Namespace) -> None:
     """Print the recorder summary and write the JSONL log if requested."""
     if recorder is None:
         return
-    samples = len(recorder.timeline) if recorder.timeline is not None else 0
-    events = len(recorder.tracer.events) if recorder.tracer is not None else 0
-    _print(f"telemetry[{recorder.mode}]: {samples} sample(s), "
-           f"{events} span/mark event(s)")
+    _print(f"telemetry[{recorder.mode}]: {len(recorder.timeline)} sample(s), "
+           f"{len(recorder.tracer.events)} span/mark event(s)")
     if getattr(args, "events", None):
         path = recorder.write_jsonl(args.events)
         _print(f"wrote telemetry events to {path}")
@@ -252,9 +247,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         f"{outcome.cached_count} from store, {outcome.elapsed_seconds:.1f}s"
         + (f" (store: {store.root})" if store is not None else "")
     )
-    if outcome.metrics_path is not None:
-        _print(f"campaign metrics: {outcome.metrics_path} "
-               f"(render with: repro report {outcome.metrics_path})")
     return 0
 
 
@@ -517,29 +509,17 @@ def cmd_report(args: argparse.Namespace) -> int:
 
     if not args.path:
         raise SystemExit("nothing to report: pass a telemetry .jsonl event "
-                         "log or a campaign metrics .json file")
-    if args.path.endswith(".jsonl"):
-        try:
-            events = read_events_jsonl(args.path)
-        except (OSError, ValueError) as exc:
-            raise SystemExit(f"cannot read event log {args.path!r}: {exc}")
-        if args.json:
-            _print(json.dumps(summarize_events(events), indent=2,
-                              sort_keys=True))
-        else:
-            _print(render_timeline(timeline_from_events(events)))
-            _print("")
-            _print(render_spans(events))
+                         "log")
+    try:
+        events = read_events_jsonl(args.path)
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"cannot read event log {args.path!r}: {exc}")
+    if args.json:
+        _print(json.dumps(summarize_events(events), indent=2, sort_keys=True))
     else:
-        try:
-            document = read_campaign_metrics(args.path)
-        except (OSError, ValueError) as exc:
-            raise SystemExit(
-                f"cannot read campaign metrics {args.path!r}: {exc}")
-        if args.json:
-            _print(json.dumps(document, indent=2, sort_keys=True))
-        else:
-            _print(render_campaign(document))
+        _print(render_timeline(timeline_from_events(events)))
+        _print("")
+        _print(render_spans(events))
     return 0
 
 
@@ -737,10 +717,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     report = subparsers.add_parser(
         "report",
-        help="render telemetry artifacts (event logs, campaign metrics)")
+        help="render a telemetry event log (timeline and spans)")
     report.add_argument("path", nargs="?", default="",
-                        help="telemetry .jsonl event log or campaign metrics "
-                             ".json file")
+                        help="telemetry .jsonl event log")
     report.add_argument("--json", action="store_true",
                         help="emit machine-readable JSON instead of tables")
     report.set_defaults(handler=cmd_report)

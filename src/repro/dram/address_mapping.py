@@ -32,9 +32,10 @@ from repro.common.params import DRAMOrganization
 class DRAMCoordinates(NamedTuple):
     """Location of one cache block inside the memory system.
 
-    A ``NamedTuple`` rather than a frozen dataclass: one is built per DRAM
-    transfer, and tuple construction skips the ``object.__setattr__`` dance
-    frozen dataclasses pay per field.
+    Only the reference DRAM (:mod:`repro.fuzz.reference_dram`) builds these,
+    one per transfer it enqueues; the simulator's memory system
+    (:mod:`repro.dram.flat`) decodes addresses with the mapping's bit
+    widths directly.  A ``NamedTuple`` because construction is cheap.
     """
 
     channel: int = 0
@@ -55,12 +56,13 @@ class AddressMapping:
 
     def __init__(self, org: DRAMOrganization, column_low_bits: int,
                  row_size_bytes: int = 8192) -> None:
-        if org.channels & (org.channels - 1):
-            raise ValueError("channel count must be a power of two")
-        if org.banks_per_rank & (org.banks_per_rank - 1):
-            raise ValueError("bank count must be a power of two")
-        if org.ranks_per_channel & (org.ranks_per_channel - 1):
-            raise ValueError("rank count must be a power of two")
+        for field in ("channels", "ranks_per_channel", "banks_per_rank"):
+            count = getattr(org, field)
+            # 0 would pass the power-of-two test alone (0 & -1 == 0).
+            if count < 1 or count & (count - 1):
+                raise ValueError(
+                    f"DRAMOrganization.{field} must be a power of two of at "
+                    f"least 1, got {count}")
 
         self.org = org
         self.row_size_bytes = row_size_bytes

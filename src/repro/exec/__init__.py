@@ -4,17 +4,21 @@ The reproduction's figures, ablations and design-space sweeps are all grids
 of independent (workload x system configuration x seed) simulations.  This
 package turns those grids into *campaigns*:
 
-* :mod:`repro.exec.jobs` -- declarative job grids (workload grids and
-  scenario grids) and the content fingerprints that give every simulation a
-  stable identity;
+* :mod:`repro.exec.jobs` -- declarative workload grids and the content
+  fingerprints that give every simulation a stable identity;
 * :mod:`repro.exec.store` -- a content-addressed on-disk cache of traces and
   :class:`~repro.sim.results.SimulationResult` bundles, so re-runs and
-  crashed sweeps resume for free;
+  crashed sweeps resume for free (a damaged entry is a miss and is
+  rewritten);
 * :mod:`repro.exec.pool` -- worker-process execution, sharded so each input
   trace is built once and shared through the store;
 * :mod:`repro.exec.campaign` -- orchestration, aggregation and the
   serial-vs-parallel parity guard;
 * :mod:`repro.exec.progress` -- streaming progress observers.
+
+A campaign runs a workload grid and returns its results; it records nothing
+else.  Scenarios are not jobs: they run through
+:func:`repro.scenario.runner.run_scenario`.
 
 Typical use::
 
@@ -41,7 +45,6 @@ from repro.exec.campaign import (
 from repro.exec.jobs import (
     JobGrid,
     JobSpec,
-    ScenarioGrid,
     config_fingerprint,
     fingerprint,
     workload_fingerprint,
@@ -65,7 +68,6 @@ __all__ = [
     "JobSpec",
     "ParityError",
     "RecordingProgress",
-    "ScenarioGrid",
     "config_fingerprint",
     "default_store",
     "fingerprint",

@@ -23,16 +23,10 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.exec import pool
 from repro.exec.jobs import JobSpec, fingerprint
-from repro.telemetry.metrics import (
-    JobMetrics,
-    campaign_metrics,
-    write_campaign_metrics,
-)
 from repro.exec.progress import (
     SOURCE_SIMULATED,
     SOURCE_STORE,
@@ -72,20 +66,6 @@ def result_fingerprint(result: SimulationResult) -> str:
     return fingerprint(result)
 
 
-def _job_metrics(job: JobSpec, source: str, cost: Dict[str, float]) -> JobMetrics:
-    """Fold a job's identity and a :func:`pool.job_cost_metrics` dict together."""
-    return JobMetrics(
-        label=job.label,
-        workload=job.workload.name,
-        config=job.config.name,
-        seed=job.seed,
-        source=source,
-        wall_seconds=float(cost["wall_seconds"]),
-        peak_rss_bytes=int(cost["peak_rss_bytes"]),
-        pid=int(cost["pid"]),
-    )
-
-
 @dataclass
 class JobOutcome:
     """One job's result plus where it came from."""
@@ -101,13 +81,6 @@ class CampaignResult:
 
     outcomes: List[JobOutcome] = field(default_factory=list)
     elapsed_seconds: float = 0.0
-    #: Cost provenance per outcome, in outcome order (wall time, peak RSS,
-    #: producing pid); see :mod:`repro.telemetry.metrics`.
-    job_metrics: List[JobMetrics] = field(default_factory=list)
-    #: The fleet-level campaign metrics document (always built).
-    metrics: Dict[str, object] = field(default_factory=dict)
-    #: Where the metrics document was persisted (``None`` without a store).
-    metrics_path: Optional[Path] = None
 
     @property
     def simulated_count(self) -> int:
@@ -166,17 +139,13 @@ class Campaign:
         """Execute every job, satisfying as many as possible from the store."""
         start = time.perf_counter()
         outcomes: List[Optional[JobOutcome]] = [None] * len(self.jobs)
-        metrics_rows: List[Optional[JobMetrics]] = [None] * len(self.jobs)
 
-        store_before = dict(self.store.counters) if self.store is not None else {}
         pending: List[Tuple[int, JobSpec]] = []
         for index, job in enumerate(self.jobs):
             cached = (self.store.get_result(job.result_fingerprint())
                       if self.store is not None else None)
             if cached is not None:
                 outcomes[index] = JobOutcome(job, cached, SOURCE_STORE)
-                metrics_rows[index] = _job_metrics(
-                    job, SOURCE_STORE, pool.job_cost_metrics(0.0))
             else:
                 pending.append((index, job))
 
@@ -189,74 +158,37 @@ class Campaign:
                 self.progress.on_job_done(outcome.job, outcome.source,
                                           completed, len(self.jobs))
 
-        # Store activity of this campaign only: its own result pre-checks
-        # plus the per-job counts of whichever process ran each job.
-        store_activity = pool.counter_delta(self.store, store_before)
         if pending:
             produced = (self._run_serial(pending) if self.workers == 1
                         else self._run_parallel(pending))
-            for index, result, simulated, cost in produced:
+            for index, result, simulated in produced:
                 job = self.jobs[index]
                 source = SOURCE_SIMULATED if simulated else SOURCE_STORE
                 outcomes[index] = JobOutcome(job, result, source)
-                metrics_rows[index] = _job_metrics(job, source, cost)
-                for key, value in cost["store"].items():
-                    store_activity[key] += value
                 completed += 1
                 self.progress.on_job_done(job, source, completed,
                                           len(self.jobs))
 
-        elapsed = time.perf_counter() - start
-        job_metrics = [m for m in metrics_rows if m is not None]
-        document = campaign_metrics(
-            job_metrics, elapsed_seconds=elapsed, workers=self.workers,
-            store_stats=({**self.store.stats(), **store_activity}
-                         if self.store is not None else None),
-        )
-        result = CampaignResult(
-            outcomes=[o for o in outcomes if o is not None],
-            elapsed_seconds=elapsed,
-            job_metrics=job_metrics,
-            metrics=document,
-            metrics_path=self._persist_metrics(document),
-        )
+        result = CampaignResult(outcomes=outcomes,
+                                elapsed_seconds=time.perf_counter() - start)
         self.progress.on_finish(result.simulated_count, result.cached_count,
                                 result.elapsed_seconds)
         return result
 
-    def _persist_metrics(self, document: Dict[str, object]) -> Optional[Path]:
-        """Write the fleet metrics file next to the artifacts (store runs only).
-
-        The filename is content-addressed over the campaign's job
-        fingerprints, so re-running the same sweep overwrites its own
-        metrics document instead of accumulating duplicates, while distinct
-        sweeps sharing a store keep distinct files.
-        """
-        if self.store is None:
-            return None
-        digest = fingerprint([job.result_fingerprint() for job in self.jobs])[:16]
-        path = self.store.root / "metrics" / f"campaign-{digest}.json"
-        return write_campaign_metrics(document, path)
-
     # ------------------------------------------------------------------ #
     def _run_serial(self, pending: List[Tuple[int, JobSpec]]
-                    ) -> Iterator[Tuple[int, SimulationResult, bool, Dict]]:
+                    ) -> Iterator[Tuple[int, SimulationResult, bool]]:
         for index, job in pending:
-            yield (index, *pool.run_job_measured(job, self.store))
+            yield (index, *pool.execute_job_sourced(job, self.store))
 
     def _run_parallel(self, pending: List[Tuple[int, JobSpec]]
-                      ) -> Iterator[Tuple[int, SimulationResult, bool, Dict]]:
+                      ) -> Iterator[Tuple[int, SimulationResult, bool]]:
         shards = pool.shard_jobs(pending, workers=self.workers)
-        store = self.store
-        initargs = (
-            str(store.root) if store is not None else None,
-            store.max_entries if store is not None else None,
-            store.max_bytes if store is not None else None,
-        )
+        root = str(self.store.root) if self.store is not None else None
         errors: List[str] = []
         with ProcessPoolExecutor(max_workers=self.workers,
                                  initializer=pool._init_worker,
-                                 initargs=initargs) as executor:
+                                 initargs=(root,)) as executor:
             futures = {executor.submit(pool.run_shard, shard): shard
                        for shard in shards}
             for future in as_completed(futures):

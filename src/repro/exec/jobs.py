@@ -22,7 +22,7 @@ artifacts through the package version embedded in every fingerprint.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Iterable, List, Optional, Sequence, Union
 
 from repro import __version__ as _PACKAGE_VERSION
 from repro.common.fingerprint import (
@@ -31,8 +31,6 @@ from repro.common.fingerprint import (
     fingerprint,
     workload_fingerprint,
 )
-from repro.scenario.catalog import get_scenario
-from repro.scenario.spec import Scenario
 from repro.sim.config import SystemConfig, named_configs
 from repro.sim.runner import (
     DEFAULT_NUM_CORES,
@@ -52,8 +50,7 @@ from repro.workloads.spec import WorkloadSpec
 # ``workload_fingerprint`` live in :mod:`repro.common.fingerprint`; they are
 # re-exported here as the historical public surface.
 __all__ = [
-    "JobGrid", "JobSpec", "ScenarioGrid", "canonical_data",
-    "config_fingerprint",
+    "JobGrid", "JobSpec", "canonical_data", "config_fingerprint",
     "fingerprint", "workload_fingerprint",
 ]
 
@@ -65,16 +62,13 @@ __all__ = [
 class JobSpec:
     """One (workload, configuration, trace geometry, seed) simulation.
 
-    ``workload`` is usually a :class:`WorkloadSpec`, but a
-    :class:`repro.scenario.spec.Scenario` slots in unchanged: both carry a
-    ``name``, both reduce canonically for fingerprinting, and the worker
-    pool dispatches trace construction on the type.  Scenario jobs must
-    declare the scenario's own geometry (``num_accesses ==
-    scenario.total_accesses``, ``num_cores == scenario.num_cores``) --
-    :class:`ScenarioGrid` takes care of that.
+    ``workload`` is a :class:`WorkloadSpec` or a catalog workload name.
+    Anything else -- a :class:`repro.scenario.spec.Scenario` included -- is a
+    ``TypeError``: a scenario has one run path,
+    :func:`repro.scenario.runner.run_scenario`.
     """
 
-    workload: Union[WorkloadSpec, Scenario]
+    workload: WorkloadSpec
     config: SystemConfig
     num_accesses: int = DEFAULT_TRACE_LENGTH
     num_cores: int = DEFAULT_NUM_CORES
@@ -84,15 +78,11 @@ class JobSpec:
     def __post_init__(self) -> None:
         if isinstance(self.workload, str):
             self.workload = get_workload(self.workload)
-        if isinstance(self.workload, Scenario):
-            if self.num_accesses != self.workload.total_accesses:
-                raise ValueError(
-                    f"scenario job length {self.num_accesses} disagrees with "
-                    f"the scenario's {self.workload.total_accesses} accesses")
-            if self.num_cores != self.workload.num_cores:
-                raise ValueError(
-                    f"scenario job cores {self.num_cores} disagree with the "
-                    f"scenario's {self.workload.num_cores}")
+        if not isinstance(self.workload, WorkloadSpec):
+            raise TypeError(
+                f"JobSpec takes a workload name or WorkloadSpec, not "
+                f"{type(self.workload).__name__}; run a Scenario with "
+                "repro.scenario.runner.run_scenario")
         if self.num_accesses < 1:
             raise ValueError("num_accesses must be positive")
         if self.num_cores < 1:
@@ -181,10 +171,10 @@ class JobGrid:
     num_cores: int = DEFAULT_NUM_CORES
     warmup_fraction: float = DEFAULT_WARMUP_FRACTION
 
-    def expand(self, dedup: bool = True) -> List[JobSpec]:
-        """Materialise the grid as a flat, optionally deduplicated, job list."""
+    def expand(self) -> List[JobSpec]:
+        """Materialise the grid as a flat, deduplicated job list."""
         jobs: List[JobSpec] = []
-        seen: Dict[str, None] = {}
+        seen = set()
         configs = _resolve_configs(self.configs)
         for workload in _resolve_workloads(self.workloads):
             for config in configs:
@@ -197,60 +187,10 @@ class JobGrid:
                         seed=seed,
                         warmup_fraction=self.warmup_fraction,
                     )
-                    if dedup:
-                        digest = job.result_fingerprint()
-                        if digest in seen:
-                            continue
-                        seen[digest] = None
-                    jobs.append(job)
-        return jobs
-
-    def __len__(self) -> int:
-        return len(self.expand())
-
-
-@dataclass
-class ScenarioGrid:
-    """Cartesian product of scenarios x configurations x seeds.
-
-    The scenario analogue of :class:`JobGrid`: scenarios are resolved from
-    the catalog by name (scaled by ``scale``) or passed as ready
-    :class:`~repro.scenario.spec.Scenario` instances, and each cell's trace
-    geometry is taken from the scenario itself.  The expanded
-    :class:`JobSpec` list runs through the unchanged campaign engine --
-    store hits, sharding and the parity guard all behave exactly as for
-    single-workload grids, because a compiled scenario is just a trace.
-    """
-
-    scenarios: Sequence[Union[str, Scenario]]
-    configs: Sequence[ConfigLike]
-    seeds: Sequence[int] = (DEFAULT_SEED,)
-    scale: float = 1.0
-    warmup_fraction: float = DEFAULT_WARMUP_FRACTION
-
-    def expand(self, dedup: bool = True) -> List[JobSpec]:
-        """Materialise the grid as a flat, optionally deduplicated, job list."""
-        jobs: List[JobSpec] = []
-        seen: Dict[str, None] = {}
-        configs = _resolve_configs(self.configs)
-        for scenario in self.scenarios:
-            resolved = get_scenario(scenario, scale=self.scale)
-            for config in configs:
-                for seed in self.seeds:
-                    job = JobSpec(
-                        workload=resolved,
-                        config=config,
-                        num_accesses=resolved.total_accesses,
-                        num_cores=resolved.num_cores,
-                        seed=seed,
-                        warmup_fraction=self.warmup_fraction,
-                    )
-                    if dedup:
-                        digest = job.result_fingerprint()
-                        if digest in seen:
-                            continue
-                        seen[digest] = None
-                    jobs.append(job)
+                    digest = job.result_fingerprint()
+                    if digest not in seen:
+                        seen.add(digest)
+                        jobs.append(job)
         return jobs
 
     def __len__(self) -> int:

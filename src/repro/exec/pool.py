@@ -22,30 +22,22 @@ single-run helper all resolve traces through it, keyed by content.
 
 from __future__ import annotations
 
-import os
-import time
 from collections import OrderedDict
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.exec.jobs import JobSpec
 from repro.exec.store import ArtifactStore
-from repro.scenario.compiler import generate_scenario_buffer
-from repro.scenario.spec import Scenario
 from repro.sim.results import SimulationResult
 from repro.sim.runner import run_trace
-from repro.telemetry.metrics import peak_rss_bytes
 from repro.trace.buffer import TRACE_FIELDS, TraceBuffer
 from repro.workloads.generator import generate_trace_buffer
 
 __all__ = [
     "TRACE_MEMO_MAX_ENTRIES",
     "clear_trace_memo",
-    "counter_delta",
     "execute_job",
     "execute_job_sourced",
-    "job_cost_metrics",
     "job_trace",
-    "run_job_measured",
     "run_shard",
     "shard_jobs",
 ]
@@ -70,16 +62,11 @@ def clear_trace_memo() -> None:
     _TRACE_MEMO.clear()
 
 
-def _init_worker(store_root: Optional[str],
-                 max_entries: Optional[int],
-                 max_bytes: Optional[int]) -> None:
+def _init_worker(store_root: Optional[str]) -> None:
     """Executor initializer: open the shared store inside the worker."""
     global _WORKER_STORE
     _TRACE_MEMO.clear()
-    _WORKER_STORE = (
-        ArtifactStore(store_root, max_entries=max_entries, max_bytes=max_bytes)
-        if store_root else None
-    )
+    _WORKER_STORE = ArtifactStore(store_root) if store_root else None
 
 
 def _memoize_trace(digest: str, trace: TraceBuffer) -> None:
@@ -101,10 +88,6 @@ def job_trace(job: JobSpec, store: Optional[ArtifactStore] = None) -> TraceBuffe
     Generation is deterministic in (spec, length, cores, seed), so every
     source yields the identical access stream.  Memoized buffers are
     read-only: writing to a column raises instead of corrupting later hits.
-    Scenario jobs compile through :mod:`repro.scenario.compiler` instead of
-    the single-workload generator; everything downstream (store format,
-    memoization, sharding) is identical because a compiled scenario is an
-    ordinary columnar trace.
     """
     digest = job.trace_fingerprint()
     cached = _TRACE_MEMO.get(digest)
@@ -116,11 +99,8 @@ def job_trace(job: JobSpec, store: Optional[ArtifactStore] = None) -> TraceBuffe
         if stored is not None:
             _memoize_trace(digest, stored)
             return stored
-    if isinstance(job.workload, Scenario):
-        trace = generate_scenario_buffer(job.workload, seed=job.seed)
-    else:
-        trace = generate_trace_buffer(job.workload, job.num_accesses,
-                                      num_cores=job.num_cores, seed=job.seed)
+    trace = generate_trace_buffer(job.workload, job.num_accesses,
+                                  num_cores=job.num_cores, seed=job.seed)
     _memoize_trace(digest, trace)
     if store is not None:
         store.put_trace(digest, trace)
@@ -154,55 +134,16 @@ def execute_job(job: JobSpec, store: Optional[ArtifactStore] = None) -> Simulati
     return execute_job_sourced(job, store)[0]
 
 
-def job_cost_metrics(wall_seconds: float) -> Dict[str, object]:
-    """Cost provenance of one finished job in the *current* process.
-
-    Small plain dict (pickle-cheap across the pool boundary); the campaign
-    folds it into a :class:`repro.telemetry.metrics.JobMetrics` record.
-    """
-    return {
-        "wall_seconds": wall_seconds,
-        "peak_rss_bytes": peak_rss_bytes(),
-        "pid": os.getpid(),
-    }
-
-
-def run_job_measured(job: JobSpec, store: Optional[ArtifactStore] = None
-                     ) -> Tuple[SimulationResult, bool, Dict[str, object]]:
-    """:func:`execute_job_sourced` plus the job's cost in this process.
-
-    The cost is :func:`job_cost_metrics` with one more entry, ``store``: the
-    artifact-store counters (hits, misses, puts, ...) this job moved on
-    ``store`` (empty without a store).  Counting per job, in whichever
-    process ran it, lets a campaign sum exactly its own activity whether its
-    jobs ran here or in pool workers.
-    """
-    store_before = dict(store.counters) if store is not None else {}
-    started = time.perf_counter()
-    result, simulated = execute_job_sourced(job, store)
-    cost = job_cost_metrics(time.perf_counter() - started)
-    cost["store"] = counter_delta(store, store_before)
-    return result, simulated, cost
-
-
-def counter_delta(store: Optional[ArtifactStore],
-                  before: Dict[str, int]) -> Dict[str, int]:
-    """What ``store``'s counters moved since they read ``before``."""
-    if store is None:
-        return {}
-    return {key: value - before[key] for key, value in store.counters.items()}
-
-
 def run_shard(indexed_jobs: Sequence[Tuple[int, JobSpec]]
-              ) -> List[Tuple[int, SimulationResult, bool, Dict[str, object]]]:
+              ) -> List[Tuple[int, SimulationResult, bool]]:
     """Worker entry point: execute one shard of (index, job) pairs.
 
     All jobs of a shard share a trace fingerprint, so the trace is resolved
     once and every configuration replays the identical stream.  Each entry
-    carries the worker-side cost (:func:`run_job_measured`) so the campaign
-    can account wall time, memory and store activity per producing process.
+    carries :func:`execute_job_sourced`'s flag, so the campaign can tell
+    simulated results from ones a concurrent campaign already stored.
     """
-    return [(index, *run_job_measured(job, _WORKER_STORE))
+    return [(index, *execute_job_sourced(job, _WORKER_STORE))
             for index, job in indexed_jobs]
 
 

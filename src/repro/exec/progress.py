@@ -45,9 +45,8 @@ class CampaignProgress:
 class ConsoleProgress(CampaignProgress):
     """Line-per-job progress printer for interactive use."""
 
-    def __init__(self, stream: Optional[IO[str]] = None, every: int = 1) -> None:
+    def __init__(self, stream: Optional[IO[str]] = None) -> None:
         self.stream = stream if stream is not None else sys.stderr
-        self.every = max(1, every)
         self._start = 0.0
 
     def _write(self, text: str) -> None:
@@ -63,8 +62,6 @@ class ConsoleProgress(CampaignProgress):
 
     def on_job_done(self, job: JobSpec, source: str,
                     completed: int, total: int) -> None:
-        if completed % self.every and completed != total:
-            return
         elapsed = time.perf_counter() - self._start
         line = f"[{completed:>4}/{total}] {job.label} ({source}, {elapsed:.1f}s)"
         # Rate and ETA need a nonzero elapsed interval: when every job was

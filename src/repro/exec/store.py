@@ -19,9 +19,9 @@ a worker costs page-cache reads instead of unpickling.
 Concurrency model: many worker processes share one store directory.  Writers
 stage into a temporary file and ``os.replace`` it into place, so readers never
 observe partial artifacts and concurrent writers of the same key harmlessly
-race to publish identical bytes.  Reads refresh the artifact's mtime so the
-size-bounded eviction (:meth:`ArtifactStore.prune`) discards least-recently
-*used* entries first.
+race to publish identical bytes.  The store never evicts: its size is the
+campaign grids it has served, and deleting the directory (or any file in it)
+only costs recomputation.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import os
 import pickle
 import tempfile
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.trace.buffer import TraceBuffer
 from repro.trace.io import load_trace_buffer, save_trace
@@ -70,7 +70,7 @@ def _fsync_path(path) -> None:
     """Flush a file (or directory) to stable storage; best-effort.
 
     Filesystems that reject directory fsync (or files that vanished under a
-    racing pruner) degrade to the pre-fsync behaviour rather than failing
+    racing writer) degrade to the pre-fsync behaviour rather than failing
     the publish -- durability hygiene must never break a working store.
     """
     try:
@@ -86,31 +86,15 @@ def _fsync_path(path) -> None:
 
 
 class ArtifactStore:
-    """A directory of content-addressed pickled artifacts with LRU pruning."""
+    """A directory of content-addressed artifacts, one subdirectory per kind."""
 
-    def __init__(self, root, max_entries: Optional[int] = None,
-                 max_bytes: Optional[int] = None) -> None:
-        if max_entries is not None and max_entries < 1:
-            raise ValueError("max_entries must be positive")
-        if max_bytes is not None and max_bytes < 1:
-            raise ValueError("max_bytes must be positive")
+    def __init__(self, root) -> None:
         self.root = Path(root)
-        self.max_entries = max_entries
-        self.max_bytes = max_bytes
         for kind in _KINDS:
             (self.root / kind).mkdir(parents=True, exist_ok=True)
         self.counters: Dict[str, int] = {
-            "hits": 0, "misses": 0, "puts": 0, "evictions": 0,
-            "corrupt": 0, "prune_bytes_reclaimed": 0, "touch_failures": 0,
+            "hits": 0, "misses": 0, "puts": 0, "corrupt": 0,
         }
-        # Approximate occupancy, maintained incrementally so bounded stores
-        # do not stat-scan the whole directory on every put; prune() resyncs
-        # the numbers with the filesystem (other processes write here too).
-        self._bounded = max_entries is not None or max_bytes is not None
-        if self._bounded:
-            entries = self._entries()
-            self._approx_entries = len(entries)
-            self._approx_bytes = sum(size for _, size, _ in entries)
 
     # ------------------------------------------------------------------ #
     # Paths
@@ -128,7 +112,6 @@ class ArtifactStore:
         try:
             with path.open("rb") as handle:
                 version, payload = pickle.load(handle)
-                size = os.fstat(handle.fileno()).st_size
         except FileNotFoundError:
             self.counters["misses"] += 1
             return None
@@ -146,7 +129,6 @@ class ArtifactStore:
             self._remove(path)
             return None
         self.counters["hits"] += 1
-        self._touch(path, size)
         return payload
 
     def _put(self, kind: str, digest: str, payload) -> Path:
@@ -174,59 +156,19 @@ class ArtifactStore:
         try:
             writer(staging)
             _fsync_path(staging)
-            try:
-                replaced_size = path.stat().st_size
-            except OSError:
-                replaced_size = None
-            written_size = os.path.getsize(staging)
             os.replace(staging, path)
             _fsync_path(path.parent)
         except BaseException:
             self._remove(staging)
             raise
         self.counters["puts"] += 1
-        if self._bounded:
-            # Approximate on purpose: concurrent writers can skew these
-            # numbers slightly, and prune() resyncs them with the filesystem.
-            if replaced_size is None:
-                self._approx_entries += 1
-            else:
-                self._approx_bytes -= replaced_size
-            self._approx_bytes += written_size
-            if ((self.max_entries is not None
-                 and self._approx_entries > self.max_entries)
-                    or (self.max_bytes is not None
-                        and self._approx_bytes > self.max_bytes)):
-                self.prune()
         return path
-
-    def _touch(self, path: Path, size: int = 0) -> None:
-        """Refresh an artifact's mtime after a hit (LRU recency signal).
-
-        A touch that fails because the file vanished means a racing pruner
-        or writer removed the artifact between our read and now; the entry
-        this store handle still counts no longer exists, so the approximate
-        occupancy is decremented (by ``size`` bytes and one entry) to stay
-        consistent -- otherwise repeated races would inflate
-        ``_approx_bytes`` until every put triggered a full prune rescan.
-        Other failures (e.g. EACCES on an artifact owned by another worker)
-        leave the counters alone: the artifact still exists.
-        """
-        try:
-            os.utime(path, None)
-        except FileNotFoundError:
-            self.counters["touch_failures"] += 1
-            if self._bounded:
-                self._approx_entries = max(self._approx_entries - 1, 0)
-                self._approx_bytes = max(self._approx_bytes - size, 0)
-        except OSError:
-            self.counters["touch_failures"] += 1
 
     @staticmethod
     def _remove(path: Path) -> None:
         try:
             path.unlink()
-        except OSError:  # pragma: no cover - racing writer/eviction
+        except OSError:  # pragma: no cover - racing writer
             pass
 
     # ------------------------------------------------------------------ #
@@ -241,7 +183,6 @@ class ArtifactStore:
         """
         path = self._path("traces", digest)
         try:
-            size = path.stat().st_size
             buffer = load_trace_buffer(path, mmap=True)
         except FileNotFoundError:
             self.counters["misses"] += 1
@@ -255,7 +196,6 @@ class ArtifactStore:
             self._remove(path)
             return None
         self.counters["hits"] += 1
-        self._touch(path, size)
         return buffer
 
     def put_trace(self, digest: str, trace: TraceBuffer) -> Path:
@@ -274,95 +214,8 @@ class ArtifactStore:
         """Persist one simulation result."""
         return self._put("results", digest, result)
 
-    # ------------------------------------------------------------------ #
-    # Introspection and eviction
-    # ------------------------------------------------------------------ #
-    def _entries(self) -> List[Tuple[int, int, Path]]:
-        """(mtime_ns, size, path) for every artifact, oldest first.
-
-        Recency is ordered on ``st_mtime_ns``: the float ``st_mtime`` loses
-        sub-second precision (and some filesystems only store whole
-        seconds), which made the LRU order among artifacts touched within
-        the same second nondeterministic.  The path string breaks exact
-        timestamp ties so eviction order is total and reproducible.
-        """
-        entries = []
-        for kind in _KINDS:
-            # Every suffix is scanned in every kind so stale artifacts from
-            # an older layout (e.g. pickled traces) still age out via LRU.
-            for pattern in ("*.pkl", "*.npy"):
-                for path in (self.root / kind).glob(pattern):
-                    if path.name.startswith("."):
-                        # A dot-prefixed name is a concurrent writer's staging
-                        # file; counting or pruning it would tear an in-flight
-                        # publish (pathlib's glob matches hidden files).
-                        continue
-                    try:
-                        stat = path.stat()
-                    except OSError:  # pragma: no cover - racing eviction
-                        continue
-                    entries.append((stat.st_mtime_ns, stat.st_size, path))
-        entries.sort(key=lambda item: (item[0], str(item[2])))
-        return entries
-
-    def entry_count(self) -> int:
-        """Number of artifacts currently stored."""
-        return len(self._entries())
-
-    def total_bytes(self) -> int:
-        """Total artifact payload size on disk."""
-        return sum(size for _, size, _ in self._entries())
-
-    def prune(self) -> int:
-        """Evict least-recently-used artifacts beyond the configured bounds."""
-        if not self._bounded:
-            return 0
-        entries = self._entries()
-        total = sum(size for _, size, _ in entries)
-        evicted = 0
-        reclaimed = 0
-        while entries and (
-            (self.max_entries is not None and len(entries) > self.max_entries)
-            or (self.max_bytes is not None and total > self.max_bytes)
-        ):
-            _, size, path = entries.pop(0)
-            self._remove(path)
-            total -= size
-            evicted += 1
-            reclaimed += size
-        self.counters["evictions"] += evicted
-        self.counters["prune_bytes_reclaimed"] += reclaimed
-        self._approx_entries = len(entries)
-        self._approx_bytes = total
-        return evicted
-
-    def clear(self) -> None:
-        """Delete every stored artifact (the directory itself is kept)."""
-        for _, _, path in self._entries():
-            self._remove(path)
-        if self._bounded:
-            self._approx_entries = 0
-            self._approx_bytes = 0
-
-    def stats(self) -> Dict[str, object]:
-        """Hit/miss/put/eviction counters plus occupancy, total and per kind."""
-        snapshot: Dict[str, object] = dict(self.counters)
-        entries = self._entries()
-        snapshot["entries"] = len(entries)
-        snapshot["bytes"] = sum(size for _, size, _ in entries)
-        kinds: Dict[str, Dict[str, int]] = {
-            kind: {"entries": 0, "bytes": 0} for kind in _KINDS
-        }
-        for _, size, path in entries:
-            bucket = kinds.get(path.parent.name)
-            if bucket is not None:
-                bucket["entries"] += 1
-                bucket["bytes"] += size
-        snapshot["kinds"] = kinds
-        return snapshot
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ArtifactStore({str(self.root)!r}, entries={self.entry_count()})"
+        return f"ArtifactStore({str(self.root)!r})"
 
 
 #: Memoized stores handed out by :func:`default_store`, keyed by root path so

@@ -32,9 +32,7 @@ Typical use::
     bump = run_scenario(scenario, bump_system())
     print(base.row_buffer_hit_ratio, bump.row_buffer_hit_ratio)
 
-Campaigns grid over scenarios through
-:class:`repro.exec.jobs.ScenarioGrid`, and the CLI exposes the catalog as
-``repro scenario list|describe|run``.
+The CLI exposes the catalog as ``repro scenario list|describe|run``.
 """
 
 from repro.scenario.catalog import (

@@ -207,7 +207,7 @@ def get_scenario(name, scale: float = 1.0) -> Scenario:
     at measurement size (``1.0``) or smoke-test size (``0.01``).  A ready
     :class:`Scenario` instance passes through unchanged at ``scale=1.0`` and
     is rescaled (a copy; the input is never mutated) otherwise, so
-    ``ScenarioGrid(..., scale=0.01)`` shrinks custom scenarios exactly like
+    ``run_scenario(..., scale=0.01)`` shrinks custom scenarios exactly like
     catalog ones.
     """
     if scale <= 0.0:

@@ -40,10 +40,10 @@ def run_scenario(scenario: Union[str, Scenario], config: SystemConfig,
     loop, so memory stays bounded by ``chunk_size`` for arbitrarily long
     scenarios.  Results are bit-identical for any ``chunk_size``.
 
-    ``telemetry`` follows :func:`repro.sim.runner.run_trace`; when the mode
-    records spans, the scenario's phase boundaries are emitted as ``phase``
-    marks (phase name plus its cumulative end position in the trace), so an
-    event log can attribute timeline intervals to scenario phases.
+    ``telemetry`` follows :func:`repro.sim.runner.run_trace`; when it is
+    on, the scenario's phase boundaries are emitted as ``phase`` marks
+    (phase name plus its cumulative end position in the trace), so an event
+    log can attribute timeline intervals to scenario phases.
 
     ``warmup_fraction`` outside ``[0, 1)`` raises ``ValueError`` (checked
     by :func:`repro.sim.runner.run_trace` before anything runs).

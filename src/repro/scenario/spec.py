@@ -141,9 +141,8 @@ class Scenario:
 
     The scenario is the unit the rest of the stack consumes: the compiler
     turns it into a deterministic chunk stream, ``run_scenario`` simulates it
-    end to end, :class:`repro.exec.jobs.ScenarioGrid` grids campaigns over
-    it, and the CLI's ``repro scenario`` subcommand lists/describes/runs the
-    shipped catalog (:mod:`repro.scenario.catalog`).
+    end to end, and the CLI's ``repro scenario`` subcommand
+    lists/describes/runs the shipped catalog (:mod:`repro.scenario.catalog`).
     """
 
     name: str

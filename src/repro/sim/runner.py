@@ -94,9 +94,9 @@ def run_trace(trace: TraceLike, config: SystemConfig,
     observers such as :class:`repro.trace.capture.LLCTraceRecorder` or the
     region-density profiler.
 
-    ``telemetry`` selects the observability mode (``"off"``, ``"chunks"``,
-    ``"spans"``, ``"full"``, a :class:`repro.telemetry.TelemetryRecorder`
-    to keep, or ``None`` to consult ``REPRO_TELEMETRY``).  Telemetry never
+    ``telemetry`` selects the observability mode (``"off"``, ``"full"``, a
+    :class:`repro.telemetry.TelemetryRecorder` to keep, or ``None`` to
+    consult ``REPRO_TELEMETRY``).  Telemetry never
     changes the result -- pass a recorder instance to read the timeline and
     span events afterwards.
 

@@ -367,7 +367,6 @@ class ServerSystem:
         """
         from repro.sim import pipeline as pipelining
 
-        timing = recorder is not None and recorder.wants_spans
         clock = time.perf_counter
         self._refresh_agent_hooks()
         processed = 0
@@ -377,12 +376,12 @@ class ServerSystem:
         pipe = None
         try:
             while True:
-                if timing:
+                if recorder is None:
+                    chunk = source.next_chunk()
+                else:
                     tick = clock()
                     chunk = source.next_chunk()
                     recorder.add_stage("chunk_generation", clock() - tick)
-                else:
-                    chunk = source.next_chunk()
                 if chunk is None:
                     break
                 if not len(chunk):
@@ -390,8 +389,7 @@ class ServerSystem:
                 pulled += len(chunk)
                 if may_engage and pulled >= pipelining.ENGAGE_ACCESSES:
                     may_engage = False
-                    pipe = self._start_pipeline(source, pulled, recorder,
-                                                timing)
+                    pipe = self._start_pipeline(source, pulled, recorder)
                     if pipe is not None:
                         source = pipe.reader
                 self._check_chunk(chunk, processed)
@@ -402,20 +400,19 @@ class ServerSystem:
                         # of) this chunk: warm up on the head window, then
                         # measure whatever remains.
                         chunk = self._cross_warmup_boundary(
-                            chunk, split, recorder, timing, clock)
+                            chunk, split, recorder, clock)
                         processed += split
                         measuring = True
                         if chunk is None:
                             continue
-                if timing:
+                if recorder is None:
+                    self._run_chunk(chunk)
+                else:
                     tick = clock()
                     self._run_chunk(chunk)
                     recorder.add_stage("chunk_service", clock() - tick)
-                else:
-                    self._run_chunk(chunk)
-                processed += len(chunk)
-                if recorder is not None:
                     recorder.on_chunk(self)
+                processed += len(chunk)
             if warmup_accesses and processed < warmup_accesses:
                 raise ValueError("trace shorter than the requested warmup interval")
             if recorder is None:
@@ -428,7 +425,7 @@ class ServerSystem:
             if pipe is not None:
                 pipe.close()
 
-    def _start_pipeline(self, source, pulled: int, recorder, timing: bool):
+    def _start_pipeline(self, source, pulled: int, recorder):
         """Fork the helpers that read ``source`` ahead and serve the memory.
 
         Returns the pipeline (see :mod:`repro.sim.pipeline`), or ``None``
@@ -436,7 +433,8 @@ class ServerSystem:
         """
         from repro.sim import pipeline
 
-        pipe = pipeline.start_pipeline(source, self.memory, timing)
+        pipe = pipeline.start_pipeline(source, self.memory,
+                                       recorder is not None)
         if pipe is not None:
             self._dram_stage = pipe.dram
             if recorder is not None:
@@ -501,7 +499,7 @@ class ServerSystem:
                     f"trace row {first_row + row}: column {column!r} is "
                     f"{int(values[row])}, must be < 2**63")
 
-    def _cross_warmup_boundary(self, chunk, split: int, recorder, timing: bool,
+    def _cross_warmup_boundary(self, chunk, split: int, recorder,
                                clock) -> Optional[TraceBuffer]:
         """Service a chunk that crosses the warmup boundary at ``split``.
 
@@ -513,13 +511,12 @@ class ServerSystem:
         sequence is identical either way.
         """
         head = chunk if split == len(chunk) else chunk[:split]
-        if timing:
+        if recorder is None:
+            self._run_chunk(head)
+        else:
             tick = clock()
             self._run_chunk(head)
             recorder.add_stage("chunk_service", clock() - tick)
-        else:
-            self._run_chunk(head)
-        if recorder is not None:
             recorder.on_chunk(self)
         self.begin_measurement()
         if recorder is not None:

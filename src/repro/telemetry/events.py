@@ -24,7 +24,7 @@ object with an ``"event"`` discriminator; the schema (version
 
 :func:`read_events_jsonl` validates every line against this schema and
 raises :class:`ValueError` on the first violation, so downstream consumers
-(the ``repro report`` renderer, fleet aggregation) never parse garbage.
+(the ``repro report`` renderer) never parse garbage.
 :func:`timeline_from_events` reconstructs a :class:`~repro.telemetry.timeline.Timeline`
 bit-for-bit from the ``sample`` events (round-trip is tested).
 """

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import os
 import time
-from contextlib import contextmanager
 from pathlib import Path
 from typing import Optional, Union
 
@@ -48,8 +47,8 @@ __all__ = [
 #: Environment variable consulted when no explicit mode is given.
 TELEMETRY_ENV_VAR = "REPRO_TELEMETRY"
 
-#: Recognised telemetry modes, cheapest first.
-MODES = ("off", "chunks", "spans", "full")
+#: Recognised telemetry modes: nothing, or the timeline plus the span log.
+MODES = ("off", "full")
 
 DEFAULT_MODE = "off"
 
@@ -89,21 +88,19 @@ _NO_DRAM = (0,) * len(_DRAM_COLUMNS)
 class TelemetryRecorder:
     """Collects timeline samples and span events for one or more runs.
 
-    ``mode`` decides what is recorded: ``chunks`` keeps only the timeline,
-    ``spans`` only the span/mark event log, ``full`` both.  The simulator
-    calls the ``on_*`` hooks; everything else is for consumers.
+    A recorder always keeps both: one timeline sample per chunk and the
+    span/mark event log.  The simulator calls the ``on_*`` hooks;
+    everything else is for consumers.
     """
 
     def __init__(self, mode: str = "full") -> None:
-        if mode not in MODES or mode == "off":
+        if mode != "full":
             raise ValueError(
-                f"recorder mode must be one of {', '.join(MODES[1:])}; "
-                f"got {mode!r} (off means: pass no recorder)")
+                f"recorder mode must be full; got {mode!r} "
+                "(off means: pass no recorder)")
         self.mode = mode
-        self.wants_samples = mode in ("chunks", "full")
-        self.wants_spans = mode in ("spans", "full")
-        self.timeline = Timeline() if self.wants_samples else None
-        self.tracer = SpanTracer() if self.wants_spans else None
+        self.timeline = Timeline()
+        self.tracer = SpanTracer()
         self.created_unix = time.time()
         #: Cumulative counter snapshot at the previous sample (or baseline).
         self._prev: Optional[tuple] = None
@@ -154,15 +151,11 @@ class TelemetryRecorder:
     def on_run_start(self, system, workload: str = "") -> None:
         """Baseline the counter snapshot before the first chunk runs."""
         self._runs += 1
-        if self.wants_samples:
-            self._prev = self._totals(system)
-        if self.tracer is not None:
-            self.tracer.mark("run_start", run=self._runs)
+        self._prev = self._totals(system)
+        self.tracer.mark("run_start", run=self._runs)
 
     def on_chunk(self, system) -> None:
         """Append one timeline sample at a streaming chunk boundary."""
-        if not self.wants_samples:
-            return
         stage = system._dram_stage
         if stage is None:
             totals = self._totals(system)
@@ -184,26 +177,22 @@ class TelemetryRecorder:
 
     def on_measurement_start(self, system) -> None:
         """Re-baseline after ``begin_measurement`` reset the counters."""
-        if self.wants_samples:
-            if system._dram_stage is None:
-                self._prev = self._totals(system)
-            else:
-                # The reset zeroed the DRAM counters the stage holds.
-                self._deferred.append(None)
-                self._prev = self._system_totals(system) + _NO_DRAM
-        if self.tracer is not None:
-            self.tracer.mark("measurement_start",
-                             accesses_total=self._accesses_total)
+        if system._dram_stage is None:
+            self._prev = self._totals(system)
+        else:
+            # The reset zeroed the DRAM counters the stage holds.
+            self._deferred.append(None)
+            self._prev = self._system_totals(system) + _NO_DRAM
+        self.tracer.mark("measurement_start",
+                         accesses_total=self._accesses_total)
 
     def on_pipeline_start(self, accesses: int, pipeline) -> None:
         """Note that a run forked its pipeline helpers after ``accesses``."""
-        if self.wants_samples:
-            self._deferred = []
-            self._dram_base = self._prev[_SYSTEM_TOTALS:]
-        if self.tracer is not None:
-            self.tracer.mark("pipeline_start", accesses=accesses,
-                             stages=",".join(pipeline.names),
-                             cpus=list(pipeline.cpus))
+        self._deferred = []
+        self._dram_base = self._prev[_SYSTEM_TOTALS:]
+        self.tracer.mark("pipeline_start", accesses=accesses,
+                         stages=",".join(pipeline.names),
+                         cpus=list(pipeline.cpus))
 
     def on_dram_marks(self, marks) -> None:
         """Fill the DRAM columns of the samples taken while the DRAM stage ran.
@@ -231,41 +220,28 @@ class TelemetryRecorder:
 
     def on_run_end(self, system) -> None:
         """Flush aggregated stage spans and stamp the run summary mark."""
-        if self.tracer is not None:
-            self.tracer.flush_stages()
-            self.tracer.mark(
-                "run_end",
-                run=self._runs,
-                core_cycles=system._core_cycle,
-                instructions=system._instructions,
-            )
+        self.tracer.flush_stages()
+        self.tracer.mark(
+            "run_end",
+            run=self._runs,
+            core_cycles=system._core_cycle,
+            instructions=system._instructions,
+        )
 
     def note_phase(self, name: str, accesses: int) -> None:
         """Record a scenario phase boundary (cumulative trace position)."""
-        if self.tracer is not None:
-            self.tracer.mark("phase", phase=name, accesses=accesses)
+        self.tracer.mark("phase", phase=name, accesses=accesses)
 
     # ------------------------------------------------------------------ #
-    # Span helpers (no-ops when the mode records no spans)
+    # Span helpers
     # ------------------------------------------------------------------ #
     def add_stage(self, name: str, seconds: float, calls: int = 1) -> None:
         """Fold hot-loop stage time into the per-stage accumulators."""
-        if self.tracer is not None:
-            self.tracer.add_stage(name, seconds, calls)
+        self.tracer.add_stage(name, seconds, calls)
 
-    @contextmanager
     def span(self, name: str, **counters: float):
         """Wrap a coarse pipeline stage (trace compile, store I/O, ...)."""
-        if self.tracer is None:
-            yield
-            return
-        with self.tracer.span(name, **counters):
-            yield
-
-    def mark(self, name: str, **fields) -> None:
-        """Record an instantaneous annotation if spans are enabled."""
-        if self.tracer is not None:
-            self.tracer.mark(name, **fields)
+        return self.tracer.span(name, **counters)
 
     # ------------------------------------------------------------------ #
     # Output
@@ -279,15 +255,13 @@ class TelemetryRecorder:
             "columns": list(TIMELINE_COLUMNS),
             "created_unix": self.created_unix,
         }]
-        if self.timeline is not None:
-            for index, row in enumerate(self.timeline.rows()):
-                stream.append({
-                    "event": "sample",
-                    "i": index,
-                    "data": dict(zip(TIMELINE_COLUMNS, row)),
-                })
-        if self.tracer is not None:
-            stream.extend(self.tracer.span_events())
+        for index, row in enumerate(self.timeline.rows()):
+            stream.append({
+                "event": "sample",
+                "i": index,
+                "data": dict(zip(TIMELINE_COLUMNS, row)),
+            })
+        stream.extend(self.tracer.span_events())
         return stream
 
     def write_jsonl(self, path: Union[str, Path]) -> Path:
@@ -295,7 +269,6 @@ class TelemetryRecorder:
         return write_events_jsonl(self.events(), path)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        samples = len(self.timeline) if self.timeline is not None else 0
-        spans = len(self.tracer.events) if self.tracer is not None else 0
         return (f"TelemetryRecorder(mode={self.mode!r}, "
-                f"samples={samples}, events={spans})")
+                f"samples={len(self.timeline)}, "
+                f"events={len(self.tracer.events)})")

@@ -2,9 +2,8 @@
 
 Backs the ``repro report`` CLI subcommand: given a JSONL event log this
 module renders the run timeline (sampled intervals with derived rates) and
-the span table; given a campaign metrics document it renders the fleet
-table.  Every renderer has a ``summarize_*`` twin returning plain dicts for
-``--json`` output -- the seed of the ROADMAP's HTML fleet reporting.
+the span table, and :func:`summarize_events` returns the same log as plain
+dicts for ``--json`` output.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from repro.telemetry.events import timeline_from_events
 from repro.telemetry.timeline import Timeline
 
 __all__ = [
-    "render_campaign",
     "render_spans",
     "render_timeline",
     "summarize_events",
@@ -87,35 +85,6 @@ def render_spans(events: Sequence[dict]) -> str:
             rows.append((mark["name"], f"{mark['t_s']:.3f}", fields))
         lines.append(format_table(rows, ("mark", "t_s", "fields")))
     return "\n\n".join(lines)
-
-
-def render_campaign(document: Dict[str, object]) -> str:
-    """A campaign metrics document as summary lines plus the per-job table."""
-    lines = [
-        f"campaign: {document['jobs_total']} job(s) "
-        f"({document['jobs_simulated']} simulated, "
-        f"{document['jobs_from_store']} from store) in "
-        f"{document['elapsed_seconds']:.2f}s on {document['workers']} worker(s)",
-        f"worker utilization: {100.0 * float(document['worker_utilization']):.1f}%"
-        f"  peak RSS: {int(document['peak_rss_bytes']) / (1 << 20):.1f} MiB",
-    ]
-    store = document.get("store")
-    if isinstance(store, dict):
-        lines.append(
-            "store: "
-            f"{store.get('hits', 0):.0f} hit(s), "
-            f"{store.get('misses', 0):.0f} miss(es), "
-            f"{store.get('puts', 0):.0f} put(s), "
-            f"{store.get('evictions', 0):.0f} eviction(s), "
-            f"{float(store.get('prune_bytes_reclaimed', 0)) / (1 << 20):.1f} MiB pruned")
-    jobs = document.get("jobs") or []
-    if jobs:
-        rows = [(job["label"], job["source"], f"{job['wall_seconds']:.2f}",
-                 f"{int(job['peak_rss_bytes']) / (1 << 20):.1f}", str(job["pid"]))
-                for job in jobs]
-        lines.append(format_table(
-            rows, ("job", "source", "wall_s", "rss_MiB", "pid")))
-    return "\n".join(lines)
 
 
 def summarize_events(events: Sequence[dict]) -> Dict[str, object]:

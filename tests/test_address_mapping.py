@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common.addressing import BLOCK_SIZE, REGION_SIZE
-from repro.common.params import DRAMOrganization
+from repro.common.params import DRAMOrganization, SystemParams
 from repro.dram.address_mapping import (
     AddressMapping,
     make_block_interleaving,
@@ -83,3 +83,42 @@ def test_invalid_geometry_rejected():
         AddressMapping(org, column_low_bits=0)
     with pytest.raises(ValueError):
         AddressMapping(DRAMOrganization(), column_low_bits=20)
+
+
+@pytest.mark.parametrize("field", ["channels", "ranks_per_channel",
+                                   "banks_per_rank"])
+def test_zero_count_rejected_naming_the_field(field):
+    # 0 passes a bare power-of-two test (0 & -1 == 0); a memory system
+    # without channels would then drop every transfer silently.
+    org = DRAMOrganization(**{field: 0})
+    with pytest.raises(ValueError, match=field):
+        make_region_interleaving(org)
+
+
+@pytest.mark.parametrize("field", ["channels", "ranks_per_channel",
+                                   "banks_per_rank"])
+def test_count_not_a_power_of_two_rejected_naming_the_field(field):
+    org = DRAMOrganization(**{field: 6})
+    with pytest.raises(ValueError, match=f"{field} must be a power of two"):
+        make_block_interleaving(org)
+
+
+def test_one_channel_rank_and_bank_is_the_smallest_organisation():
+    org = DRAMOrganization(channels=1, ranks_per_channel=1, banks_per_rank=1)
+    for mapping in (make_block_interleaving(org), make_region_interleaving(org)):
+        assert (mapping.channel_bits, mapping.rank_bits,
+                mapping.bank_bits) == (0, 0, 0)
+        coords = [mapping.map(i * BLOCK_SIZE) for i in range(0, 4096, 7)]
+        assert {(c.channel, c.rank, c.bank) for c in coords} == {(0, 0, 0)}
+
+
+@pytest.mark.parametrize("field", ["channels", "ranks_per_channel",
+                                   "banks_per_rank"])
+def test_system_with_a_zero_count_is_refused_when_built(field):
+    from repro.sim.config import bump_system
+    from repro.sim.system import ServerSystem
+
+    config = bump_system().with_overrides(system=SystemParams().scaled(
+        dram_org=DRAMOrganization(**{field: 0})))
+    with pytest.raises(ValueError, match=field):
+        ServerSystem(config)

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import json
 from pathlib import Path
 
 import pytest
@@ -95,6 +96,42 @@ class TestCommands:
         status, out = run_cli(capsys, *argv)
         assert status == 0
         assert "0 simulated, 2 from store" in out
+
+    def test_campaign_reruns_a_truncated_result_and_nothing_else(
+            self, capsys, tmp_path):
+        store = tmp_path / "artifacts"
+        argv = ["campaign", "--workloads", "web_search",
+                "--systems", "base_open,bump", "--accesses", "1500",
+                "--cores", "4", "--store", str(store), "--quiet"]
+        assert run_cli(capsys, *argv)[0] == 0
+        damaged = sorted((store / "results").glob("*.pkl"))[0]
+        damaged.write_bytes(damaged.read_bytes()[:10])
+        status, out = run_cli(capsys, *argv)
+        assert status == 0
+        assert "2 jobs: 1 simulated, 1 from store" in out
+        assert len(damaged.read_bytes()) > 10
+
+    def test_campaign_verify_parity_reports_its_sample(self, capsys,
+                                                       monkeypatch):
+        monkeypatch.delenv("REPRO_ARTIFACT_DIR", raising=False)
+        status, out = run_cli(capsys, "campaign", "--workloads", "web_search",
+                              "--systems", "base_open,bump",
+                              "--accesses", "1500", "--cores", "4",
+                              "--verify-parity", "--quiet")
+        assert status == 0
+        assert ("parity verified on 2 job(s) at 1500 accesses: parallel "
+                "results are identical to serial") in out
+        assert "2 jobs: 2 simulated, 0 from store" in out
+
+    def test_campaign_streams_progress_to_stderr(self, capsys, monkeypatch):
+        monkeypatch.delenv("REPRO_ARTIFACT_DIR", raising=False)
+        status = main(["campaign", "--workloads", "web_search",
+                       "--systems", "base_open,bump", "--accesses", "1500",
+                       "--cores", "4"])
+        err = capsys.readouterr().err
+        assert status == 0
+        assert "campaign: 2 jobs (0 already in store), 1 worker" in err
+        assert "campaign done: 2 simulated, 0 from store" in err
 
     def test_campaign_rejects_unknown_workload(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -235,26 +272,36 @@ class TestTelemetryCli:
     def test_scenario_run_accepts_telemetry(self, capsys):
         status, out = run_cli(capsys, "scenario", "run", "phase-change",
                               "--system", "base_open", "--scale", "0.002",
-                              "--telemetry", "spans")
+                              "--telemetry", "full")
         assert status == 0
-        assert "telemetry[spans]:" in out
+        assert "telemetry[full]:" in out
 
-    def test_report_campaign_metrics_file(self, capsys, tmp_path):
+    def test_campaign_store_holds_only_traces_and_results(self, capsys,
+                                                          tmp_path):
+        store = tmp_path / "artifacts"
         status, out = run_cli(capsys, "campaign",
                               "--workloads", "web_search",
                               "--systems", "base_open,bump",
                               "--accesses", "1500",
-                              "--store", str(tmp_path / "artifacts"), "--quiet")
+                              "--store", str(store), "--quiet")
         assert status == 0
-        assert "campaign metrics:" in out
-        metrics_files = list((tmp_path / "artifacts" / "metrics").glob("*.json"))
-        assert len(metrics_files) == 1
+        assert "2 jobs: 2 simulated, 0 from store" in out
+        assert sorted(path.name for path in store.iterdir()) == [
+            "results", "traces"]
+        assert len(list((store / "results").glob("*.pkl"))) == 2
 
-        status, out = run_cli(capsys, "report", str(metrics_files[0]))
-        assert status == 0
-        assert "job(s)" in out
-        assert "worker utilization" in out
-        assert "web_search" in out
+    def test_report_campaign_metrics_file(self, capsys, tmp_path):
+        # Stores written before 1.25.0 hold metrics/campaign-*.json files;
+        # report reads event logs only and refuses them with a message.
+        metrics = tmp_path / "artifacts" / "metrics" / "campaign-0123.json"
+        metrics.parent.mkdir(parents=True)
+        metrics.write_text(json.dumps({"schema": 1, "jobs_total": 2,
+                                       "worker_utilization": 0.5,
+                                       "jobs": []}, indent=2))
+        with pytest.raises(SystemExit) as err:
+            run_cli(capsys, "report", str(metrics))
+        assert "cannot read event log" in str(err.value)
+        assert str(metrics) in str(err.value)
 
     def test_report_without_arguments_exits(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -270,9 +317,19 @@ class TestTelemetryCli:
             run_cli(capsys, "report", str(bad))
 
     def test_run_rejects_unknown_telemetry_mode(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", "web_search",
-                                       "--telemetry", "loud"])
+        for mode in ("loud", "chunks", "spans"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["run", "web_search",
+                                           "--telemetry", mode])
+
+    def test_scenario_run_rejects_retired_telemetry_modes(self, capsys):
+        for mode in ("chunks", "spans"):
+            with pytest.raises(SystemExit) as err:
+                build_parser().parse_args(["scenario", "run", "phase-change",
+                                           "--telemetry", mode])
+            assert err.value.code == 2
+            message = capsys.readouterr().err
+            assert mode in message and "off" in message and "full" in message
 
 
 class TestFailurePaths:

@@ -8,9 +8,10 @@ artifact store must complete without re-simulating anything.
 
 import pytest
 
-from repro.common.params import CacheParams, SystemParams
+from repro.common.params import CacheParams, DRAMOrganization, SystemParams
 from repro.exec.campaign import (
     Campaign,
+    CampaignError,
     run_campaign,
     run_job,
     result_fingerprint,
@@ -136,6 +137,55 @@ class TestResume:
         serial = Campaign(jobs, store=store, workers=1).run()
         assert serial.simulated_count == 0
 
+    def test_all_cached_rerun_only_reads_the_store(self, store):
+        jobs = small_grid(seeds=(1,)).expand()[:2]
+        Campaign(jobs, store=store, workers=1).run()
+        reopened = ArtifactStore(store.root)
+        rerun = Campaign(jobs, store=reopened, workers=2).run()
+        assert rerun.cached_count == 2
+        assert reopened.counters == {"hits": 2, "misses": 0, "puts": 0,
+                                     "corrupt": 0}
+
+    def test_serial_campaign_publishes_each_trace_once(self, store):
+        from repro.exec import pool
+
+        jobs = small_grid(seeds=(1,)).expand()  # 2 traces x 3 systems
+        pool.clear_trace_memo()
+        Campaign(jobs, store=store, workers=1).run()
+        assert store.counters["puts"] == len(jobs) + 2
+        assert len(list((store.root / "traces").glob("*.npy"))) == 2
+        assert len(list((store.root / "results").glob("*.pkl"))) == len(jobs)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_damaged_cell_is_resimulated_and_rewritten(self, tmp_path,
+                                                       workers):
+        """A truncated result and trace are misses: that one cell reruns."""
+        from repro.exec import pool
+
+        jobs = small_grid(seeds=(1,)).expand()
+        clean = [result_fingerprint(o.result)
+                 for o in Campaign(jobs, workers=1).run().outcomes]
+        root = tmp_path / "artifacts"
+        pool.clear_trace_memo()  # so the store run publishes the traces
+        Campaign(jobs, store=ArtifactStore(root), workers=workers).run()
+        damaged = jobs[0]
+        files = [root / "results" / f"{damaged.result_fingerprint()}.pkl",
+                 root / "traces" / f"{damaged.trace_fingerprint()}.npy"]
+        sizes = [path.stat().st_size for path in files]
+        for path, size in zip(files, sizes):
+            path.write_bytes(path.read_bytes()[:size // 2])
+
+        pool.clear_trace_memo()
+        store = ArtifactStore(root)
+        rerun = Campaign(jobs, store=store, workers=workers).run()
+        assert [o.source for o in rerun.outcomes] == (
+            ["simulated"] + ["store"] * (len(jobs) - 1))
+        assert [path.stat().st_size for path in files] == sizes
+        assert [result_fingerprint(o.result) for o in rerun.outcomes] == clean
+        if workers == 1:
+            # The result pre-check and the trace lookup each met one.
+            assert store.counters["corrupt"] == 2
+
 
 class TestCampaignResult:
     def test_results_indexed_by_workload_config_seed(self):
@@ -166,6 +216,33 @@ class TestCampaignResult:
     def test_rejects_invalid_worker_count(self):
         with pytest.raises(ValueError):
             Campaign([], workers=0)
+
+    def test_storeless_campaign_writes_no_file(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        jobs = small_grid(seeds=(1,)).expand()[:2]
+        outcome = Campaign(jobs, store=None, workers=2).run()
+        assert outcome.simulated_count == 2
+        assert list(tmp_path.iterdir()) == []
+
+    @staticmethod
+    def _jobs_with_a_broken_system():
+        broken = small_configs(["bump"])[0].with_overrides(
+            name="no_channels",
+            system=SMALL.scaled(dram_org=DRAMOrganization(channels=0)))
+        return JobGrid(workloads=["web_search"],
+                       configs=small_configs(["base_open"]) + [broken],
+                       seeds=(1,), num_accesses=1500, num_cores=4).expand()
+
+    def test_failing_serial_job_raises_its_own_error(self):
+        with pytest.raises(ValueError, match="channels"):
+            Campaign(self._jobs_with_a_broken_system(), workers=1).run()
+
+    def test_failing_parallel_job_raises_campaign_error_naming_it(self):
+        good, broken = self._jobs_with_a_broken_system()
+        with pytest.raises(CampaignError, match="channels") as err:
+            Campaign([good, broken], workers=2).run()
+        assert broken.label in str(err.value)
+        assert good.label not in str(err.value)
 
     def test_run_experiment_campaign_seeds_the_figure_cache(self):
         from repro.analysis import experiments
@@ -208,72 +285,6 @@ class TestCampaignResult:
         assert base.counters["accesses"] == bump.counters["accesses"]
 
 
-class TestCampaignMetrics:
-    def test_serial_campaign_records_per_job_cost(self, store):
-        jobs = small_grid(seeds=(1,)).expand()  # 6 jobs
-        result = Campaign(jobs, store=store, workers=1).run()
-        assert len(result.job_metrics) == len(jobs)
-        assert all(m.source == "simulated" for m in result.job_metrics)
-        assert all(m.wall_seconds > 0 for m in result.job_metrics)
-        assert all(m.peak_rss_bytes > 0 for m in result.job_metrics)
-        document = result.metrics
-        assert document["jobs_simulated"] == len(jobs)
-        assert document["workers"] == 1
-        assert 0.0 < document["worker_utilization"] <= 1.0
-        assert document["store"]["puts"] > 0
-
-    def test_metrics_document_is_persisted_next_to_the_store(self, store):
-        jobs = small_grid(seeds=(1,)).expand()
-        result = Campaign(jobs, store=store, workers=1).run()
-        from repro.telemetry import read_campaign_metrics
-
-        assert result.metrics_path is not None
-        assert result.metrics_path.parent == store.root / "metrics"
-        loaded = read_campaign_metrics(result.metrics_path)
-        assert loaded["jobs_total"] == len(jobs)
-        # Re-running the identical sweep overwrites its own document.
-        again = Campaign(jobs, store=store, workers=1).run()
-        assert again.metrics_path == result.metrics_path
-
-    def test_all_cached_rerun_reports_zero_utilization(self, store):
-        jobs = small_grid(seeds=(1,)).expand()
-        Campaign(jobs, store=store, workers=1).run()
-        rerun = Campaign(jobs, store=store, workers=1).run()
-        assert rerun.metrics["jobs_from_store"] == len(jobs)
-        assert rerun.metrics["worker_utilization"] == 0.0
-        assert all(m.wall_seconds == 0.0 for m in rerun.job_metrics)
-
-    def test_storeless_campaign_builds_but_does_not_persist_metrics(self):
-        jobs = small_grid(seeds=(1,)).expand()[:2]
-        result = Campaign(jobs, store=None, workers=1).run()
-        assert result.metrics_path is None
-        assert result.metrics["jobs_total"] == 2
-        assert "store" not in result.metrics
-
-    def test_parallel_campaign_counts_its_workers_store_activity(self, store):
-        jobs = small_grid(seeds=(1,)).expand()[:2]  # one trace, two configs
-        counts = Campaign(jobs, store=store, workers=2).run().metrics["store"]
-        # Here: two result pre-check misses.  In the workers: two result
-        # misses and puts, and at least one trace miss and put.
-        assert counts["puts"] >= 3
-        assert counts["misses"] >= 5
-
-    def test_repeated_campaign_reports_only_its_own_store_activity(self, store):
-        jobs = small_grid(seeds=(1,)).expand()[:2]
-        Campaign(jobs, store=store, workers=1).run()
-        counts = Campaign(jobs, store=store, workers=1).run().metrics["store"]
-        assert (counts["hits"], counts["misses"], counts["puts"]) == (2, 0, 0)
-        assert counts["entries"] == store.entry_count()
-
-    def test_parallel_campaign_attributes_work_to_worker_pids(self, store):
-        jobs = small_grid(seeds=(1,)).expand()
-        result = Campaign(jobs, store=store, workers=2).run()
-        assert len(result.job_metrics) == len(jobs)
-        by_pid = result.metrics["wall_seconds_by_pid"]
-        assert len(by_pid) >= 1
-        assert all(seconds > 0 for seconds in by_pid.values())
-
-
 class TestConsoleProgressEta:
     def _progress(self):
         import io
@@ -313,3 +324,39 @@ class TestConsoleProgressEta:
         progress.on_job_done(self._job(), "store", completed=1, total=3)
         line = stream.getvalue().splitlines()[-1]
         assert "job/s" not in line and "eta" not in line
+
+
+class TestConsoleProgressLines:
+    def _progress(self):
+        import io
+
+        from repro.exec.progress import ConsoleProgress
+
+        stream = io.StringIO()
+        return ConsoleProgress(stream=stream), stream
+
+    def test_start_line_counts_cached_jobs_and_workers(self):
+        progress, stream = self._progress()
+        progress.on_start(total_jobs=4, cached_jobs=1, workers=1)
+        progress.on_start(total_jobs=4, cached_jobs=0, workers=2)
+        assert stream.getvalue().splitlines() == [
+            "campaign: 4 jobs (1 already in store), 1 worker",
+            "campaign: 4 jobs (0 already in store), 2 workers",
+        ]
+
+    def test_job_line_names_its_position_job_and_source(self, monkeypatch):
+        import repro.exec.progress as progress_module
+
+        monkeypatch.setattr(progress_module.time, "perf_counter", lambda: 5.0)
+        job = small_grid(seeds=(1,)).expand()[0]
+        progress, stream = self._progress()
+        progress.on_start(total_jobs=12, cached_jobs=3, workers=1)
+        progress.on_job_done(job, "store", completed=3, total=12)
+        assert stream.getvalue().splitlines()[-1] == (
+            f"[   3/12] {job.label} (store, 0.0s)")
+
+    def test_finish_line_counts_simulated_and_cached_jobs(self):
+        progress, stream = self._progress()
+        progress.on_finish(simulated=1, cached=1, elapsed_seconds=2.5)
+        assert stream.getvalue() == (
+            "campaign done: 1 simulated, 1 from store, 2.5s\n")

@@ -81,6 +81,24 @@ class TestJobSpec:
         job = JobSpec(workload="web_search", config=bump_system(), seed=7)
         assert "web_search" in job.label and "bump" in job.label and "s7" in job.label
 
+    @pytest.mark.parametrize("workload", [42, {"name": "web_search"}],
+                             ids=["int", "dict"])
+    def test_anything_but_a_workload_is_a_type_error(self, workload):
+        with pytest.raises(TypeError, match="workload name or WorkloadSpec"):
+            JobSpec(workload=workload, config=base_open())
+
+    def test_unknown_workload_name_is_rejected(self):
+        with pytest.raises(KeyError, match="warp_drive"):
+            JobSpec(workload="warp_drive", config=base_open())
+
+    def test_trace_key_ignores_the_system_and_its_warmup(self):
+        base = JobSpec(workload="web_search", config=bump_system(),
+                       num_accesses=1000, warmup_fraction=0.25)
+        other = JobSpec(workload="web_search", config=base_open(),
+                        num_accesses=1000, warmup_fraction=0.5)
+        assert base.trace_fingerprint() == other.trace_fingerprint()
+        assert base.result_fingerprint() != other.result_fingerprint()
+
 
 class TestJobGrid:
     def test_expansion_is_the_cartesian_product(self):
@@ -99,12 +117,40 @@ class TestJobGrid:
                        num_accesses=1000).expand()
         assert len(jobs) == 1
 
-    def test_dedup_can_be_disabled(self):
-        grid = JobGrid(workloads=["web_search"],
-                       configs=[base_open(), base_open()], num_accesses=1000)
-        assert len(grid.expand(dedup=False)) == 2
-
     def test_accepts_config_objects_and_names_mixed(self):
         jobs = JobGrid(workloads=["web_search"], configs=["base_open", bump_system()],
                        num_accesses=1000).expand()
         assert [j.config.name for j in jobs] == ["base_open", "bump"]
+
+    def test_expansion_order_is_workload_then_config_then_seed(self):
+        jobs = JobGrid(workloads=["web_search", "web_serving"],
+                       configs=["base_open", "bump"], seeds=(1, 2),
+                       num_accesses=1000).expand()
+        assert [(j.workload.name, j.config.name, j.seed) for j in jobs] == [
+            ("web_search", "base_open", 1), ("web_search", "base_open", 2),
+            ("web_search", "bump", 1), ("web_search", "bump", 2),
+            ("web_serving", "base_open", 1), ("web_serving", "base_open", 2),
+            ("web_serving", "bump", 1), ("web_serving", "bump", 2),
+        ]
+
+    def test_dedup_keeps_the_first_name_and_counts_cells_once(self):
+        renamed = base_open().with_overrides(name="base_open_again")
+        grid = JobGrid(workloads=["web_search"],
+                       configs=[renamed, "bump", base_open()],
+                       seeds=(1, 1), num_accesses=1000)
+        assert [j.config.name for j in grid.expand()] == ["base_open_again",
+                                                           "bump"]
+        assert len(grid) == 2
+
+    def test_grid_geometry_reaches_every_job(self):
+        jobs = JobGrid(workloads=["web_search"], configs=["bump"],
+                       seeds=(5,), num_accesses=1234, num_cores=2,
+                       warmup_fraction=0.3).expand()
+        assert [(j.num_accesses, j.num_cores, j.seed, j.warmup_fraction)
+                for j in jobs] == [(1234, 2, 5, 0.3)]
+
+    def test_an_impossible_cell_fails_expansion(self):
+        grid = JobGrid(workloads=["web_search"], configs=["bump"],
+                       num_accesses=1000, warmup_fraction=1.0)
+        with pytest.raises(ValueError):
+            grid.expand()

@@ -1,7 +1,7 @@
-"""Artifact store round-trips, corruption handling and LRU eviction."""
+"""Artifact store round-trips, corruption handling and counters."""
 
-import os
 import pickle
+import shutil
 
 import numpy as np
 import pytest
@@ -46,7 +46,18 @@ class TestRoundTrip:
 
     def test_missing_key_is_a_miss(self, store):
         assert store.get_result("0" * 32) is None
-        assert store.stats()["misses"] == 1
+        assert store.counters["misses"] == 1
+
+    def test_trace_hits_are_read_only_memory_maps(self, store):
+        store.put_trace("9a" * 16, _small_trace(32))
+        loaded = store.get_trace("9a" * 16)
+        base = loaded.address
+        while base is not None and not isinstance(base, np.memmap):
+            base = base.base
+        assert isinstance(base, np.memmap)
+        assert not loaded.address.flags.writeable
+        with pytest.raises(ValueError):
+            loaded.address[0] = 0
 
 
 class TestRobustness:
@@ -76,39 +87,82 @@ class TestRobustness:
         assert store.get_result(digest) is None
         assert store.counters["corrupt"] == 1
 
-    def test_rejects_invalid_bounds(self, tmp_path):
-        with pytest.raises(ValueError):
-            ArtifactStore(tmp_path, max_entries=0)
-        with pytest.raises(ValueError):
-            ArtifactStore(tmp_path, max_bytes=0)
+    @pytest.mark.parametrize("blob", [
+        b"",
+        b"not a pickle at all",
+        pickle.dumps(42),
+        pickle.dumps((2, "payload", "extra")),
+    ], ids=["empty", "garbage", "not-a-pair", "triple"])
+    def test_unreadable_result_is_a_corrupt_miss(self, store, blob):
+        digest = "f" * 32
+        path = store._path("results", digest)
+        path.write_bytes(blob)
+        assert store.get_result(digest) is None
+        assert store.counters == {"hits": 0, "misses": 1, "puts": 0,
+                                  "corrupt": 1}
+        assert not path.exists()
+
+    def test_truncated_trace_is_a_corrupt_miss_and_removed(self, store):
+        digest = "c" * 32
+        path = store.put_trace(digest, _small_trace(64))
+        path.write_bytes(path.read_bytes()[:40])
+        assert store.get_trace(digest) is None
+        assert (store.counters["corrupt"], store.counters["misses"]) == (1, 1)
+        assert not path.exists()
+
+    def test_npy_of_a_foreign_schema_is_a_corrupt_miss(self, store):
+        digest = "e" * 32
+        path = store._path("traces", digest)
+        np.save(path, np.arange(8))  # a plain array, not trace records
+        assert store.get_trace(digest) is None
+        assert store.counters["corrupt"] == 1
+        assert not path.exists()
+
+    def test_damaged_entry_is_replaced_by_the_next_put(self, store):
+        digest = "d" * 32
+        path = store.put_result(digest, {"run": 1})
+        path.write_bytes(path.read_bytes()[:10])
+        assert store.get_result(digest) is None
+        store.put_result(digest, {"run": 2})
+        assert store.get_result(digest) == {"run": 2}
+        assert store.counters == {"hits": 1, "misses": 1, "puts": 2,
+                                  "corrupt": 1}
 
 
-class TestEviction:
-    def test_max_entries_evicts_least_recently_used(self, store, tmp_path):
-        bounded = ArtifactStore(tmp_path / "bounded", max_entries=3)
-        digests = [f"{i:032x}" for i in range(4)]
-        for index, digest in enumerate(digests):
-            path = bounded._path("results", digest)
-            bounded.put_result(digest, {"index": index})
-            # Space the mtimes out so LRU order is unambiguous on coarse
-            # filesystem timestamp granularity.
-            os.utime(path, (1_000_000 + index, 1_000_000 + index))
-        bounded.prune()
-        assert bounded.entry_count() == 3
-        assert bounded.get_result(digests[0]) is None  # oldest evicted
-        assert bounded.get_result(digests[3]) is not None
+class TestPublish:
+    @staticmethod
+    def _files(store):
+        return sorted(path.relative_to(store.root).as_posix()
+                      for path in store.root.rglob("*") if path.is_file())
 
-    def test_max_bytes_bounds_total_size(self, tmp_path):
-        bounded = ArtifactStore(tmp_path / "bytes", max_bytes=4096)
-        for i in range(8):
-            bounded.put_trace(f"{i:032x}", _small_trace(32))
-        assert bounded.total_bytes() <= 4096
+    def test_publish_leaves_only_the_final_artifacts(self, store):
+        store.put_result("12" * 16, {"x": 1})
+        store.put_trace("34" * 16, _small_trace())
+        assert self._files(store) == [f"results/{'12' * 16}.pkl",
+                                      f"traces/{'34' * 16}.npy"]
 
-    def test_clear_removes_everything(self, store):
-        store.put_trace("c" * 32, _small_trace())
-        store.put_result("d" * 32, {"x": 1})
-        store.clear()
-        assert store.entry_count() == 0
+    def test_failed_write_leaves_no_file_and_counts_no_put(self, store,
+                                                           monkeypatch):
+        import repro.exec.store as store_module
+
+        def failing_save(trace, path):
+            path.write_bytes(b"half a trace")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(store_module, "save_trace", failing_save)
+        with pytest.raises(OSError, match="disk full"):
+            store.put_trace("56" * 16, _small_trace())
+        assert self._files(store) == []
+        assert store.counters["puts"] == 0
+        assert store.get_trace("56" * 16) is None
+
+    def test_republishing_a_key_replaces_its_payload(self, store):
+        digest = "78" * 16
+        first = store.put_result(digest, {"run": 1})
+        assert store.put_result(digest, {"run": 2}) == first
+        assert store.get_result(digest) == {"run": 2}
+        assert self._files(store) == [f"results/{digest}.pkl"]
+        assert store.counters["puts"] == 2
 
 
 class TestDefaultStore:
@@ -130,123 +184,42 @@ class TestDefaultStore:
         monkeypatch.setenv(STORE_ENV_VAR, str(tmp_path / "other-store"))
         assert default_store() is not first
 
+    def test_blank_env_gives_no_store(self, monkeypatch):
+        monkeypatch.setenv(STORE_ENV_VAR, "   ")
+        assert default_store() is None
 
-class TestPruneOrdering:
-    def test_lru_order_is_deterministic_within_one_second(self, tmp_path):
-        """Sub-second recency must order eviction (st_mtime_ns, not st_mtime)."""
-        bounded = ArtifactStore(tmp_path / "ns", max_entries=2)
-        digests = [f"{i:032x}" for i in range(3)]
-        base_ns = 1_000_000_000_000_000
-        for index, digest in enumerate(digests):
-            bounded.put_result(digest, {"index": index})
-            path = bounded._path("results", digest)
-            # All inside the same wall-clock second, microseconds apart.
-            ns = base_ns + index * 1_000
-            os.utime(path, ns=(ns, ns))
-        bounded.prune()
-        assert bounded.get_result(digests[0]) is None  # oldest by nanoseconds
-        assert bounded.get_result(digests[1]) is not None
-        assert bounded.get_result(digests[2]) is not None
-
-    def test_exact_timestamp_ties_break_on_path(self, tmp_path):
-        bounded = ArtifactStore(tmp_path / "tie", max_entries=1)
-        digests = sorted(f"{i:032x}" for i in (7, 3))
-        ns = 1_000_000_000_000_000
-        for digest in digests:
-            bounded.put_result(digest, {"digest": digest})
-            os.utime(bounded._path("results", digest), ns=(ns, ns))
-        bounded.prune()
-        # Identical timestamps: the lexically-smaller path is "older".
-        assert bounded.get_result(digests[0]) is None
-        assert bounded.get_result(digests[1]) is not None
-
-    def test_touch_failure_decrements_approximate_occupancy(self, tmp_path):
-        bounded = ArtifactStore(tmp_path / "race", max_entries=8,
-                                max_bytes=1 << 20)
-        digest = "e" * 32
-        bounded.put_result(digest, {"payload": list(range(64))})
-        entries_before = bounded._approx_entries
-        bytes_before = bounded._approx_bytes
-        path = bounded._path("results", digest)
-        size = path.stat().st_size
-        # Simulate a racing pruner deleting the artifact between the read
-        # and the recency touch.
-        real_utime = os.utime
-
-        def racing_utime(target, *args, **kwargs):
-            if str(target) == str(path):
-                path.unlink(missing_ok=True)
-            return real_utime(target, *args, **kwargs)
-
-        import unittest.mock as mock
-
-        with mock.patch.object(os, "utime", racing_utime):
-            payload = bounded.get_result(digest)
-        assert payload == {"payload": list(range(64))}  # read won the race
-        assert bounded._approx_entries == entries_before - 1
-        assert bounded._approx_bytes == bytes_before - size
-
-    def test_touch_failure_never_goes_negative(self, tmp_path):
-        bounded = ArtifactStore(tmp_path / "floor", max_entries=2)
-        bounded._approx_entries = 0
-        bounded._approx_bytes = 0
-        bounded._touch(tmp_path / "floor" / "results" / "missing.pkl", 4096)
-        assert bounded._approx_entries == 0
-        assert bounded._approx_bytes == 0
+    def test_a_deleted_root_is_recreated(self, monkeypatch, tmp_path):
+        root = tmp_path / "deleted-store"
+        monkeypatch.setenv(STORE_ENV_VAR, str(root))
+        first = default_store()
+        first.put_result("ab" * 16, {"x": 1})
+        shutil.rmtree(root)
+        second = default_store()
+        assert second is not first
+        assert (root / "results").is_dir() and (root / "traces").is_dir()
+        assert second.get_result("ab" * 16) is None
+        second.put_result("ab" * 16, {"x": 2})
+        assert default_store().get_result("ab" * 16) == {"x": 2}
 
 
 class TestObservabilityCounters:
-    def test_stats_reports_every_counter(self, store):
-        expected = {"hits", "misses", "puts", "evictions", "corrupt",
-                    "prune_bytes_reclaimed", "touch_failures",
-                    "entries", "bytes"}
-        assert expected <= set(store.stats())
-
     def test_puts_and_hits_count_artifact_traffic(self, store):
         store.put_result("a" * 32, {"x": 1})
         store.put_trace("b" * 32, _small_trace())
         assert store.get_result("a" * 32) == {"x": 1}
         assert store.get_result("f" * 32) is None
-        stats = store.stats()
-        assert stats["puts"] == 2
-        assert stats["hits"] == 1
-        assert stats["misses"] == 1
-
-    def test_stats_report_per_kind(self, store):
-        store.put_trace("12" * 16, _small_trace())
-        store.put_result("34" * 16, {"answer": 42})
-        stats = store.stats()
-        assert set(stats["kinds"]) == {"traces", "results"}
-        assert stats["kinds"]["traces"]["entries"] == 1
-        assert stats["kinds"]["traces"]["bytes"] > 0
-        assert stats["kinds"]["results"]["entries"] == 1
-        assert stats["entries"] == 2
+        assert store.counters == {"hits": 1, "misses": 1, "puts": 2,
+                                  "corrupt": 0}
 
     def test_a_directory_of_no_kind_is_left_alone(self, tmp_path):
-        """An older store's ``snapshots/`` is not counted, pruned or cleared."""
+        """An older store's ``snapshots/`` is neither read nor touched."""
         root = tmp_path / "old-store"
         stale = root / "snapshots" / f"{'56' * 16}.npz"
         stale.parent.mkdir(parents=True)
         stale.write_bytes(b"warm state")
-        bounded = ArtifactStore(root, max_entries=1)
-        bounded.put_result("78" * 16, {"answer": 42})
-        bounded.put_result("9a" * 16, {"answer": 43})
-        assert bounded.stats()["entries"] == 1
-        bounded.clear()
-        assert bounded.entry_count() == 0
+        store = ArtifactStore(root)
+        store.put_result("78" * 16, {"answer": 42})
+        assert store.get_result("78" * 16) == {"answer": 42}
         assert stale.read_bytes() == b"warm state"
-
-    def test_prune_accounts_reclaimed_bytes(self, tmp_path):
-        bounded = ArtifactStore(tmp_path / "reclaim", max_entries=2)
-        digests = [f"{i:032x}" for i in range(4)]
-        for index, digest in enumerate(digests):
-            bounded.put_result(digest, {"index": index})
-        stats = bounded.stats()
-        assert stats["entries"] == 2
-        assert stats["evictions"] == 2
-        assert stats["prune_bytes_reclaimed"] > 0
-
-    def test_touch_failures_are_counted(self, tmp_path):
-        bounded = ArtifactStore(tmp_path / "count", max_entries=2)
-        bounded._touch(tmp_path / "count" / "results" / "missing.pkl", 64)
-        assert bounded.stats()["touch_failures"] == 1
+        assert sorted(path.name for path in root.iterdir()) == [
+            "results", "snapshots", "traces"]

@@ -173,14 +173,13 @@ def test_pipes_ask_for_the_module_size_and_results_never_depend_on_it(
 # Telemetry
 # ---------------------------------------------------------------------- #
 @needs_cpus
-@pytest.mark.parametrize("mode", ["chunks", "full"])
 @pytest.mark.parametrize("engage", [1, 1_800])
-def test_timelines_equal_in_process(mode, engage, monkeypatch, started):
+def test_timelines_equal_in_process(engage, monkeypatch, started):
     trace = build_trace("web_search", ACCESSES, num_cores=CORES, seed=3)
 
     def run(threshold):
         monkeypatch.setattr(pipeline, "ENGAGE_ACCESSES", threshold)
-        recorder = TelemetryRecorder(mode)
+        recorder = TelemetryRecorder("full")
         system = ServerSystem(bump_system(), telemetry=recorder)
         result = system.run(_chunks(trace), warmup_accesses=1_100)
         return result_fingerprint(result), recorder
@@ -192,16 +191,15 @@ def test_timelines_equal_in_process(mode, engage, monkeypatch, started):
     assert pipelined_fingerprint == fingerprint
     assert pipelined.timeline.rows() == in_process.timeline.rows()
     assert pipelined.timeline.column("row_hits").sum() > 0
-    if mode == "full":
-        marks = [e for e in pipelined.tracer.events
-                 if e.get("name") == "pipeline_start"]
-        assert len(marks) == 1
-        assert marks[0]["fields"]["stages"] == "read-ahead,dram"
-        assert marks[0]["fields"]["accesses"] >= engage
-        assert marks[0]["fields"]["cpus"]
-        waits = [e for e in pipelined.tracer.events
-                 if e.get("name") == "pipeline_wait"]
-        assert len(waits) == 1 and waits[0]["counters"]["calls"] > 0
+    marks = [e for e in pipelined.tracer.events
+             if e.get("name") == "pipeline_start"]
+    assert len(marks) == 1
+    assert marks[0]["fields"]["stages"] == "read-ahead,dram"
+    assert marks[0]["fields"]["accesses"] >= engage
+    assert marks[0]["fields"]["cpus"]
+    waits = [e for e in pipelined.tracer.events
+             if e.get("name") == "pipeline_wait"]
+    assert len(waits) == 1 and waits[0]["counters"]["calls"] > 0
 
 
 # ---------------------------------------------------------------------- #

@@ -4,7 +4,7 @@ The load-bearing properties: one seed fixes the whole multi-tenant trace
 bit for bit, chunking cannot change it (including chunks spanning phase
 boundaries), idle cores stay silent, intensity scales arrival gaps, and a
 compiled scenario behaves like any other trace end to end (pinned results,
-campaign store round trips, streaming entry points).
+streaming entry points).
 """
 
 import numpy as np
@@ -12,10 +12,8 @@ import pytest
 
 from engine_pins import PINS
 
-from repro.exec import ScenarioGrid, run_campaign
 from repro.exec.campaign import result_fingerprint
 from repro.exec.jobs import JobSpec
-from repro.exec.store import ArtifactStore
 from repro.scenario import (
     Burst,
     Phase,
@@ -274,53 +272,9 @@ class TestSimulationParity:
 
 
 # --------------------------------------------------------------------- #
-# Campaign-engine integration
+# Campaign engine
 # --------------------------------------------------------------------- #
-class TestScenarioGrid:
-    def test_expand_uses_scenario_geometry(self):
-        grid = ScenarioGrid(scenarios=["idle-cores"], configs=["base_open"],
-                            scale=SCALE)
-        (job,) = grid.expand()
-        assert job.workload.name == "idle-cores"
-        assert job.num_accesses == job.workload.total_accesses
-        assert job.num_cores == 16
-
-    def test_expand_dedups_identical_cells(self):
-        grid = ScenarioGrid(scenarios=["idle-cores", "idle-cores"],
-                            configs=["base_open"], scale=SCALE)
-        assert len(grid.expand()) == 1
-
-    def test_jobspec_rejects_mismatched_geometry(self):
-        scenario = small("idle-cores")
-        with pytest.raises(ValueError, match="disagrees"):
-            JobSpec(workload=scenario, config=base_open(),
-                    num_accesses=scenario.total_accesses + 1,
-                    num_cores=scenario.num_cores)
-
-    def test_campaign_resumes_from_store(self, tmp_path):
-        jobs = ScenarioGrid(scenarios=["idle-cores"],
-                            configs=["base_open", "bump"],
-                            scale=SCALE).expand()
-        store = ArtifactStore(tmp_path / "store")
-        first = run_campaign(jobs, store=store)
-        assert first.simulated_count == 2
-        second = run_campaign(jobs, store=store)
-        assert second.cached_count == 2
-        for left, right in zip(first.outcomes, second.outcomes):
-            assert (result_fingerprint(left.result)
-                    == result_fingerprint(right.result))
-
-    def test_store_trace_round_trip_matches_direct_run(self, tmp_path):
-        # The store persists the compiled scenario as a structured .npy; a
-        # run over the memory-mapped copy must equal a run over fresh chunks.
-        from repro.exec import pool
-
-        (job,) = ScenarioGrid(scenarios=["idle-cores"], configs=["base_open"],
-                              scale=SCALE).expand()
-        store = ArtifactStore(tmp_path / "store")
-        pool.clear_trace_memo()
-        generated = pool.job_trace(job, store)
-        pool.clear_trace_memo()
-        mapped = pool.job_trace(job, store)
-        assert mapped == generated
-        assert store.counters["hits"] >= 1
+def test_jobspec_rejects_a_scenario():
+    """Campaign jobs are workloads; a scenario's one path is run_scenario."""
+    with pytest.raises(TypeError, match="run_scenario"):
+        JobSpec(workload=small("idle-cores"), config=base_open())

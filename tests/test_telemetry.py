@@ -1,7 +1,5 @@
 """Unit tests for the telemetry package (timeline, recorder, spans, events,
-metrics, report rendering) and its chunk-boundary sampling discipline."""
-
-import json
+report rendering) and its chunk-boundary sampling discipline."""
 
 import numpy as np
 import pytest
@@ -11,25 +9,19 @@ from repro.sim.runner import build_trace, run_trace
 from repro.telemetry import (
     DELTA_COLUMNS,
     EVENT_SCHEMA_VERSION,
-    JobMetrics,
     MODES,
     TELEMETRY_ENV_VAR,
     TIMELINE_COLUMNS,
     SpanTracer,
     TelemetryRecorder,
     Timeline,
-    campaign_metrics,
-    peak_rss_bytes,
-    read_campaign_metrics,
     read_events_jsonl,
     resolve_telemetry,
     timeline_from_events,
     validate_event,
-    write_campaign_metrics,
     write_events_jsonl,
 )
 from repro.telemetry.report import (
-    render_campaign,
     render_spans,
     render_timeline,
     summarize_events,
@@ -106,36 +98,44 @@ class TestModeResolution:
         assert resolve_telemetry("off") is None
 
     def test_env_var_is_consulted_when_no_argument(self, monkeypatch):
-        monkeypatch.setenv(TELEMETRY_ENV_VAR, " chunks ")
+        monkeypatch.setenv(TELEMETRY_ENV_VAR, " full ")
         recorder = resolve_telemetry()
-        assert recorder is not None and recorder.mode == "chunks"
+        assert recorder is not None and recorder.mode == "full"
+
+    def test_blank_env_means_off(self, monkeypatch):
+        monkeypatch.setenv(TELEMETRY_ENV_VAR, "   ")
+        assert resolve_telemetry() is None
 
     def test_explicit_argument_beats_env(self, monkeypatch):
         monkeypatch.setenv(TELEMETRY_ENV_VAR, "full")
         assert resolve_telemetry("off") is None
 
     def test_recorder_instances_pass_through(self):
-        recorder = TelemetryRecorder("spans")
+        recorder = TelemetryRecorder("full")
         assert resolve_telemetry(recorder) is recorder
 
-    def test_unknown_modes_raise(self):
-        with pytest.raises(ValueError):
-            resolve_telemetry("verbose")
+    def test_unknown_modes_raise(self, monkeypatch):
+        # The retired ``chunks`` and ``spans`` modes are unknown too.
+        for mode in ("verbose", "chunks", "spans"):
+            with pytest.raises(ValueError, match="off, full"):
+                resolve_telemetry(mode)
+            monkeypatch.setenv(TELEMETRY_ENV_VAR, mode)
+            with pytest.raises(ValueError, match="off, full"):
+                resolve_telemetry()
+            with pytest.raises(ValueError):
+                TelemetryRecorder(mode)
         with pytest.raises(ValueError):
             TelemetryRecorder("off")
-        with pytest.raises(ValueError):
-            TelemetryRecorder("everything")
 
     def test_modes_gate_what_is_recorded(self):
-        chunks = TelemetryRecorder("chunks")
-        assert chunks.wants_samples and not chunks.wants_spans
-        assert chunks.timeline is not None and chunks.tracer is None
-        spans = TelemetryRecorder("spans")
-        assert spans.wants_spans and not spans.wants_samples
-        assert spans.tracer is not None and spans.timeline is None
+        # off records nothing (no recorder); full keeps both streams.
+        assert MODES == ("off", "full")
+        assert resolve_telemetry("off") is None
         full = TelemetryRecorder("full")
-        assert full.wants_samples and full.wants_spans
-        assert "off" in MODES and "full" in MODES
+        run_trace(build_trace("web_search", 2000), bump_system(),
+                  telemetry=full)
+        assert len(full.timeline) > 0
+        assert any(e["event"] == "span" for e in full.tracer.events)
 
 
 class TestSpanTracer:
@@ -234,7 +234,7 @@ class TestSamplingDiscipline:
     def test_one_sample_per_chunk_with_monotone_coordinates(self):
         trace = build_trace("web_serving", 6000)
         chunks = [trace[lo:lo + 1500] for lo in range(0, 6000, 1500)]
-        recorder = TelemetryRecorder("chunks")
+        recorder = TelemetryRecorder("full")
         run_trace(chunks, bump_system(), num_accesses=6000,
                   telemetry=recorder)
         timeline = recorder.timeline
@@ -251,7 +251,7 @@ class TestSamplingDiscipline:
         finals = {}
         for size in (1000, 3000):
             chunks = [trace[lo:lo + size] for lo in range(0, 6000, size)]
-            recorder = TelemetryRecorder("chunks")
+            recorder = TelemetryRecorder("full")
             run_trace(chunks, bump_system(), num_accesses=6000,
                       telemetry=recorder)
             totals[size] = recorder.timeline.totals()
@@ -271,60 +271,6 @@ class TestSamplingDiscipline:
         assert [m["fields"]["run"] for m in runs] == [1, 2]
 
 
-class TestCampaignMetrics:
-    def _jobs(self):
-        return [
-            JobMetrics(label="a", workload="web_search", config="bump",
-                       seed=0, source="simulated", wall_seconds=2.0,
-                       peak_rss_bytes=1000, pid=11),
-            JobMetrics(label="b", workload="web_search", config="base_open",
-                       seed=0, source="simulated", wall_seconds=4.0,
-                       peak_rss_bytes=3000, pid=12),
-            JobMetrics(label="c", workload="web_serving", config="bump",
-                       seed=0, source="store", wall_seconds=0.0,
-                       peak_rss_bytes=2000, pid=11),
-        ]
-
-    def test_document_aggregates_per_job_costs(self):
-        document = campaign_metrics(self._jobs(), elapsed_seconds=4.0,
-                                    workers=2,
-                                    store_stats={"hits": 1, "misses": 2})
-        assert document["jobs_total"] == 3
-        assert document["jobs_simulated"] == 2
-        assert document["jobs_from_store"] == 1
-        assert document["simulated_wall_seconds"] == 6.0
-        assert document["worker_utilization"] == 6.0 / (2 * 4.0)
-        assert document["max_job_wall_seconds"] == 4.0
-        assert document["mean_job_wall_seconds"] == 3.0
-        assert document["peak_rss_bytes"] == 3000
-        assert document["wall_seconds_by_pid"] == {"11": 2.0, "12": 4.0}
-        assert document["store"] == {"hits": 1, "misses": 2}
-
-    def test_all_cached_campaign_has_zero_utilization(self):
-        cached = [job for job in self._jobs() if job.source == "store"]
-        document = campaign_metrics(cached, elapsed_seconds=0.0, workers=4)
-        assert document["worker_utilization"] == 0.0
-        assert document["mean_job_wall_seconds"] == 0.0
-
-    def test_round_trip_and_schema_rejection(self, tmp_path):
-        document = campaign_metrics(self._jobs(), elapsed_seconds=1.0,
-                                    workers=1)
-        path = write_campaign_metrics(document, tmp_path / "m" / "c.json")
-        loaded = read_campaign_metrics(path)
-        assert loaded == json.loads(json.dumps(document))
-        assert [JobMetrics.from_dict(j) for j in loaded["jobs"]] == self._jobs()
-        bad = tmp_path / "bad.json"
-        bad.write_text('{"schema": 99}')
-        with pytest.raises(ValueError):
-            read_campaign_metrics(bad)
-        bad.write_text('[1, 2]')
-        with pytest.raises(ValueError):
-            read_campaign_metrics(bad)
-
-    def test_peak_rss_is_positive_on_posix(self):
-        assert peak_rss_bytes() > 0
-
-
 class TestReportRendering:
     def test_timeline_table_elides_long_runs(self):
         timeline = Timeline()
@@ -334,19 +280,12 @@ class TestReportRendering:
         assert "cycle" in text
         assert "90 more sample(s)" in text
 
-    def test_span_and_campaign_renderers(self, tmp_path):
+    def test_span_renderer_and_event_summary(self):
         recorder = TelemetryRecorder("full")
         run_trace(build_trace("web_search", 4000), bump_system(),
                   telemetry=recorder)
         spans = render_spans(recorder.events())
         assert "chunk_service" in spans and "run_start" in spans
-        document = campaign_metrics(
-            [JobMetrics(label="a", workload="w", config="c", seed=0,
-                        source="simulated", wall_seconds=1.0,
-                        peak_rss_bytes=1 << 20, pid=1)],
-            elapsed_seconds=1.0, workers=1)
-        text = render_campaign(document)
-        assert "worker_utilization" in text or "utilization" in text
         summary = summarize_events(recorder.events())
         assert summary["samples"] == len(recorder.timeline)
         assert summary["mode"] == "full"

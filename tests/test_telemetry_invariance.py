@@ -103,13 +103,3 @@ def test_invariance_holds_when_the_warmup_boundary_splits_a_later_chunk():
     full = run_scenario(scenario, base_open(), telemetry=recorder, **kwargs)
     assert len(recorder.timeline) == 2_400 // 160 + 1
     assert result_fingerprint(off) == result_fingerprint(full)
-
-
-def test_chunks_and_spans_modes_are_also_invariant():
-    trace = _trace("online_analytics")
-    baseline = result_fingerprint(run_trace(trace, bump_system(),
-                                            telemetry="off"))
-    for mode in ("chunks", "spans"):
-        observed = run_trace(trace, bump_system(),
-                             telemetry=TelemetryRecorder(mode))
-        assert result_fingerprint(observed) == baseline
