@@ -91,7 +91,7 @@ def bench_scenario(name: str, trace: TraceBuffer, config, pairs: int) -> dict:
     events = 0
     for pair in range(pairs):
         for mode in (("off", "full") if pair % 2 == 0 else ("full", "off")):
-            telemetry = TelemetryRecorder("full") if mode == "full" else "off"
+            telemetry = TelemetryRecorder() if mode == "full" else "off"
             start = time.perf_counter()
             result = run_trace(chunks, config, warmup_fraction=0.5,
                                num_accesses=len(trace), telemetry=telemetry)

@@ -131,7 +131,7 @@ def _finish_telemetry(recorder, args: argparse.Namespace) -> None:
     """Print the recorder summary and write the JSONL log if requested."""
     if recorder is None:
         return
-    _print(f"telemetry[{recorder.mode}]: {len(recorder.timeline)} sample(s), "
+    _print(f"telemetry[full]: {len(recorder.timeline)} sample(s), "
            f"{len(recorder.tracer.events)} span/mark event(s)")
     if getattr(args, "events", None):
         path = recorder.write_jsonl(args.events)

@@ -1,4 +1,4 @@
-"""The DDR3 memory system: every channel, flat arrays, batched intake.
+"""The DDR3 memory system: every channel, plain lists, batched intake.
 
 :class:`FlatMemorySystem` models the simulated server's main memory: DDR3
 bank timing, a bounded transaction window per channel, open-row or
@@ -15,8 +15,8 @@ close-row pages, and one of three schedulers:
     over the cores that have pending requests and serves the chosen core's
     oldest row hit among its first ``window`` requests, else its oldest.
 
-The per-transfer cost is a handful of scalar operations.  Three structural
-choices carry it:
+The per-transfer cost is a handful of scalar operations over plain Python
+lists.  Three structural choices carry it:
 
 1. **Batched intake.**  ``enqueue_block_batch`` accepts whole per-chunk
    arrays of (block address, kind code, arrival cycle, core) rows.  Channel
@@ -26,32 +26,26 @@ choices carry it:
    and serves a window's worth whenever twice the window is pending, so the
    serve order does not depend on where batches begin and end.
 
-2. **Flat ring-buffer queues.**  Each channel's transaction queue is a pair
-   of parallel Python lists (entry tuples and their arrival sequence
-   numbers) with a head cursor.  A pick at the queue's front advances the
-   cursor in O(1), and the dead prefix is compacted away periodically; any
-   other pick pays a ``bisect`` and a list ``pop``.  Front picks are not
-   the common case: FR-FCFS serves open-row hits and demand requests past
-   older prefetch, bulk and eager requests, which collect at the head.  At
-   the operating point (``web_search``, 240k accesses) the share of picks
-   that are not the front was measured at 97.5% on ``base_open``, 92.0% on
-   ``sms_vwq`` and 29.7% on ``bump``.  On top of the ring sit per-row FIFO
-   buckets, a ready view holding exactly the buckets whose row is open, and
-   a FIFO of demand entries, so the FR-FCFS choice inspects a handful of
-   buckets instead of the window.  Buckets store a bare ``int`` seq while
-   they hold a single entry and are promoted to a list only on the second
-   same-row arrival, so the common push allocates nothing.  Round robin
-   adds one list of entries per core.
+2. **One queue list, indexed by row.**  Each channel's transaction queue is
+   one list of entry tuples, oldest first, beside the list of their arrival
+   sequence numbers; every pick removes index ``i`` from both, and the
+   queue never holds more than twice the window.  Most picks are not the
+   front: FR-FCFS serves open-row hits and demand requests past older
+   prefetch, bulk and eager requests, which collect at the head.  On top of
+   the queue sit per-row FIFO buckets of seqs, a ready view holding exactly
+   the buckets whose row is open, and a FIFO of demand seqs, so the FR-FCFS
+   choice inspects a handful of buckets instead of the window and finds the
+   chosen entry by ``bisect``.  Round robin adds one list of entries per
+   core.
 
-3. **Preallocated NumPy state, scalar hot loop, one tally.**  Open-row ids,
-   per-bank ready/activate timestamps and per-channel bus/completion cycles
-   live in preallocated NumPy arrays (``open_row[channels, banks]``,
-   ``bank_ready[channels, banks]``, ...).  The serve loop hoists one
-   channel's state into plain Python scalars and lists, runs the bank
-   timing arithmetic and writes the state back once per drain burst.  It
-   counts each served transfer once, in its channel's ``tally`` (a plain
-   list indexed ``kind * 3 + outcome``, the outcome being a row hit, miss
-   or conflict), and adds each demand read's latency to one sum.
+3. **One record per fact, one tally.**  Each bank's open row is recorded
+   once, as its open row-state key (``None`` while precharged), so a row hit
+   is ``open_key[bank] == key``.  Bank ready/activate timestamps and
+   per-channel bus/completion cycles are plain lists kept between drains.
+   The serve loop counts each served transfer once, in its channel's
+   ``tally`` (a plain list indexed ``kind * 3 + outcome``, the outcome
+   being a row hit, miss or conflict), and adds each demand read's latency
+   to one sum.
 
 Every other figure is derived from the tally when it is read
 (:meth:`FlatMemorySystem.channel_stats`); no request is retained.
@@ -103,18 +97,14 @@ _IS_DEMAND_VEC = np.array(KIND_IS_DEMAND, dtype=np.int64)
 #: is ``kind * 3 + outcome``.
 _OUTCOMES = ("row_hits", "row_misses", "row_conflicts")
 
-#: Dead ring-buffer prefix length that triggers compaction.  Large enough
-#: that the amortized cost per pop is a fraction of a list append, small
-#: enough that the dead prefix never holds more than a few KB of tuples.
-_COMPACT_THRESHOLD = 512
-
-#: Mutable state of a :class:`FlatMemorySystem`: the NumPy arrays, then the
-#: queues, their cursors, the open-key map and the round-robin state.
-_STATE = ("open_row", "bank_ready", "last_activate", "bus_free",
-          "last_completion", "tally", "demand_read_latency", "_pending",
-          "_seqs", "_head", "_next_seq", "_by_key", "_ready",
-          "_demand", "_open_key_of_bank", "_core_buckets", "_rotation",
-          "_rotation_index")
+#: Mutable state of a :class:`FlatMemorySystem`, every entry a plain list
+#: indexed by channel: the bank and bus state, the counts, then the queues,
+#: their sequence counters, the row buckets, the open keys and the
+#: round-robin state.
+_STATE = ("bank_ready", "last_activate", "bus_free", "last_completion",
+          "tally", "demand_read_latency", "_pending", "_seqs", "_next_seq",
+          "_by_key", "_ready", "_demand", "_open_key_of_bank",
+          "_core_buckets", "_rotation", "_rotation_index")
 
 #: Rank/bank bound of the packed row-state key, whose rank and bank fields
 #: are six bits wide.
@@ -161,7 +151,7 @@ class FlatMemorySystem:
         channels = org.channels
         self._channels = channels
         self._banks_per_rank = org.banks_per_rank
-        self._num_banks = org.ranks_per_channel * org.banks_per_rank
+        num_banks = org.ranks_per_channel * org.banks_per_rank
 
         # Decode geometry (one shift/mask pipeline, vectorized per batch).
         self._cl_bits = mapping.column_low_bits
@@ -171,36 +161,33 @@ class FlatMemorySystem:
         self._chigh_bits = mapping.column_high_bits
         self._channel_mask = channels - 1
 
-        # ---------------- preallocated NumPy state ---------------------- #
-        #: Open row id per (channel, bank); -1 = precharged (no open row).
-        self.open_row = np.full((channels, self._num_banks), -1, dtype=np.int64)
+        # ---------------- bank and bus state ---------------------------- #
         #: Earliest bus cycle each bank accepts the next column command.
-        self.bank_ready = np.zeros((channels, self._num_banks))
+        self.bank_ready = [[0.0] * num_banks for _ in range(channels)]
         #: Cycle of each bank's last activation (tRRD/tRAS/tRC spacing).
-        self.last_activate = np.full((channels, self._num_banks), -1.0e18)
+        self.last_activate = [[-1.0e18] * num_banks for _ in range(channels)]
         #: Cycle at which each channel's shared data bus becomes free.
-        self.bus_free = np.zeros(channels)
+        self.bus_free = [0.0] * channels
         #: Cycle of the last completed transfer per channel.
-        self.last_completion = np.zeros(channels)
+        self.last_completion = [0.0] * channels
         self.reset_counters()
 
-        # ---------------- per-channel flat queues ----------------------- #
-        # Ring buffers: parallel entry/seq lists plus a head cursor; the
-        # dead prefix below the cursor is compacted away periodically.
+        # ---------------- per-channel queues ---------------------------- #
+        # Parallel entry/seq lists, oldest first.
         self._pending: List[list] = [[] for _ in range(channels)]
         self._seqs: List[list] = [[] for _ in range(channels)]
-        self._head = [0] * channels
         self._next_seq = [0] * channels
-        #: row-state key -> pending seq (int) or FIFO list of seqs.
+        #: row-state key -> FIFO list of its pending seqs.
         self._by_key: List[dict] = [{} for _ in range(channels)]
         #: Subset of ``_by_key`` whose row is currently open.
         self._ready: List[dict] = [{} for _ in range(channels)]
         #: FIFO of demand (latency-critical) seqs per channel.
         self._demand: List[deque] = [deque() for _ in range(channels)]
         #: Open row-state key per (channel, bank); ``None`` = precharged.  A
-        #: key names its bank, so ``okob[fbank] == key`` is "key's row is open".
+        #: key names its bank and row, so ``okob[fbank] == key`` is "key's
+        #: row is open"; this is the only record of the open rows.
         self._open_key_of_bank: List[list] = [
-            [None] * self._num_banks for _ in range(channels)
+            [None] * num_banks for _ in range(channels)
         ]
         # Round robin: per channel, each core's pending entries oldest first,
         # keyed in the order the cores' buckets were created (an emptied
@@ -262,7 +249,6 @@ class FlatMemorySystem:
             kinds = kinds[order]
             arrivals = arrivals[order]
             fbank_vec = fbank_vec[order]
-            row = row[order]
             key_vec = key_vec[order]
             demand_vec = demand_vec[order]
             if round_robin:
@@ -271,7 +257,6 @@ class FlatMemorySystem:
         kinds_c = kinds.tolist()
         arrivals_c = arrivals.tolist()
         fbank_c = fbank_vec.tolist()
-        row_c = row.tolist()
         key_c = key_vec.tolist()
         demand_c = demand_vec.tolist()
 
@@ -286,7 +271,6 @@ class FlatMemorySystem:
             ready = self._ready[ci]
             demand = self._demand[ci]
             okob = self._open_key_of_bank[ci]
-            head = self._head[ci]
             seq = self._next_seq[ci]
             core_buckets = self._core_buckets[ci] if round_robin else None
             pending_append = pending.append
@@ -297,39 +281,29 @@ class FlatMemorySystem:
                 key = key_c[i]
                 fbank = fbank_c[i]
                 is_demand = demand_c[i]
-                entry = (seq, kinds_c[i], arrivals_c[i], fbank, row_c[i], key,
-                         is_demand)
+                entry = (seq, kinds_c[i], arrivals_c[i], fbank, key, is_demand)
                 pending_append(entry)
                 seqs_append(seq)
                 if core_buckets is not None:
                     core_buckets.setdefault(cores_c[i], []).append(entry)
                 bucket = by_key_get(key)
                 if bucket is None:
-                    by_key[key] = seq
-                    if okob[fbank] == key:
-                        ready[key] = seq
-                else:
-                    if type(bucket) is int:
-                        bucket = by_key[key] = [bucket, seq]
-                    else:
-                        bucket.append(seq)
+                    bucket = by_key[key] = [seq]
                     if okob[fbank] == key:
                         ready[key] = bucket
+                else:
+                    bucket.append(seq)
                 if is_demand:
                     demand_append(seq)
                 seq += 1
-                if len(pending) - head >= threshold:
+                if len(pending) >= threshold:
                     self._next_seq[ci] = seq
                     self._drain_channel(ci, window)
-                    head = self._head[ci]
             self._next_seq[ci] = seq
 
     # ------------------------------------------------------------------ #
     # Scheduling and serving
     # ------------------------------------------------------------------ #
-    def _live(self, channel: int) -> int:
-        return len(self._pending[channel]) - self._head[channel]
-
     def _drain_channel(self, ci: int, count: int) -> None:
         """Serve up to ``count`` requests on channel ``ci``.
 
@@ -340,30 +314,22 @@ class FlatMemorySystem:
         close-row check to :meth:`_round_robin_pick` and
         :meth:`_round_robin_wants`.
         """
-        if count <= 0:
-            return
         pending = self._pending[ci]
         seqs = self._seqs[ci]
-        head = self._head[ci]
-        if len(pending) <= head:
-            return
         by_key = self._by_key[ci]
         ready = self._ready[ci]
         demand = self._demand[ci]
         okob = self._open_key_of_bank[ci]
+        bank_ready = self.bank_ready[ci]
+        last_activate = self.last_activate[ci]
+        bus_free = self.bus_free[ci]
+        last_completion = self.last_completion[ci]
+        tally = self.tally[ci]
+        dr_latency = self.demand_read_latency[ci]
         window = self.window
         close_policy = self._close_policy
         frfcfs = self._frfcfs
         round_robin = self._round_robin
-
-        # Hoist this channel's NumPy state into scalars/lists for the loop.
-        open_row = self.open_row[ci].tolist()
-        bank_ready = self.bank_ready[ci].tolist()
-        last_activate = self.last_activate[ci].tolist()
-        bus_free = float(self.bus_free[ci])
-        last_completion = float(self.last_completion[ci])
-        tally = self.tally[ci]
-        dr_latency = self.demand_read_latency[ci]
 
         timing = self.timing
         burst = timing.burst_cycles
@@ -379,75 +345,39 @@ class FlatMemorySystem:
         by_key_get = by_key.get
 
         for _ in range(count):
-            live = len(pending) - head
-            if not live:
+            if not pending:
                 break
             if frfcfs:
                 # ---- FR-FCFS choice: oldest row hit in the window, else the
-                # oldest demand in the window, else the oldest request.  Window
-                # membership of a seq s reduces to ``s <= seqs[head+limit-1]``
-                # because seqs is sorted and duplicate-free.
-                limit = window if window < live else live
-                fence = seqs[head + limit - 1]
-                s0 = seqs[head]
-                chosen = -1
-                if ready:
-                    best = -1
-                    for bucket in ready.values():
-                        s = bucket if type(bucket) is int else bucket[0]
-                        if best < 0 or s < best:
-                            best = s
-                    if best == s0:
-                        chosen = head
-                    elif best <= fence:
-                        chosen = bisect_left(seqs, best, head)
-                if chosen < 0:
-                    if demand:
-                        d0 = demand[0]
-                        if d0 == s0:
-                            chosen = head
-                        elif d0 <= fence:
-                            chosen = bisect_left(seqs, d0, head)
-                    if chosen < 0:
-                        chosen = head
-            elif round_robin:
-                s = self._round_robin_pick(ci, okob)
-                chosen = head if s == seqs[head] else bisect_left(seqs, s, head)
-            else:
-                chosen = head
-            if chosen == head:
-                # Front pop: advance the ring cursor over both parallel
-                # lists (the dead prefix stays in place -- its seqs are all
-                # smaller than any live one, so bisect with lo=head never
-                # sees it -- and is compacted away periodically).
-                entry = pending[head]
-                pending[head] = None
-                head += 1
-                if head >= _COMPACT_THRESHOLD:
-                    del pending[:head]
-                    del seqs[:head]
-                    head = 0
-            else:
-                entry = pending.pop(chosen)
-                del seqs[chosen]
-            seq, kind, arrival, fbank, req_row, key, is_demand = entry
-
-            # ---- retire from buckets / demand FIFO.
-            bucket = by_key[key]
-            if type(bucket) is int:
-                del by_key[key]
-                if key in ready:
-                    del ready[key]
-            else:
-                if bucket[0] == seq:
-                    del bucket[0]
+                # oldest demand in the window, else the oldest request.  Seqs
+                # are sorted and duplicate-free, so window membership of a
+                # seq reduces to ``seq <= fence``; no two buckets share a
+                # seq, so ``min`` over the ready buckets, which compares
+                # their first seqs, finds the oldest row hit.
+                fence = seqs[window - 1] if window < len(seqs) else seqs[-1]
+                best = min(ready.values())[0] if ready else fence + 1
+                if best <= fence:
+                    chosen = bisect_left(seqs, best)
+                elif demand and demand[0] <= fence:
+                    chosen = bisect_left(seqs, demand[0])
                 else:
-                    bucket.remove(seq)
-                if len(bucket) == 1:
-                    lone = bucket[0]
-                    by_key[key] = lone
-                    if key in ready:
-                        ready[key] = lone
+                    chosen = 0
+            elif round_robin:
+                chosen = bisect_left(seqs, self._round_robin_pick(ci, okob))
+            else:
+                chosen = 0
+            seq, kind, arrival, fbank, key, is_demand = pending.pop(chosen)
+            del seqs[chosen]
+
+            # ---- retire from its bucket and the demand FIFO.
+            bucket = by_key[key]
+            if len(bucket) == 1:
+                del by_key[key]
+                ready.pop(key, None)
+            elif bucket[0] == seq:
+                del bucket[0]
+            else:
+                bucket.remove(seq)
             if is_demand:
                 if demand[0] == seq:
                     demand.popleft()
@@ -463,27 +393,17 @@ class FlatMemorySystem:
                     close_after = not self._round_robin_wants(ci, key)
                 else:
                     other = by_key_get(key)
-                    if other is None:
-                        close_after = True
-                    else:
-                        other_head = other if type(other) is int else other[0]
-                        live_now = len(pending) - head
-                        if live_now:
-                            limit_now = (window if window < live_now
-                                         else live_now)
-                            close_after = (other_head
-                                           > seqs[head + limit_now - 1])
-                        else:
-                            close_after = True
+                    close_after = other is None or other[0] > (
+                        seqs[window - 1] if window < len(seqs) else seqs[-1])
 
             # ---- bank timing.
             bready = bank_ready[fbank]
             start = arrival if arrival > bready else bready
-            orow = open_row[fbank]
-            if orow == req_row:
+            old_key = okob[fbank]
+            if old_key == key:
                 outcome = 0
                 issue = start
-            elif orow < 0:
+            elif old_key is None:
                 outcome = 1
                 floor = last_activate[fbank] + tRRD
                 activate = start if start > floor else floor
@@ -502,19 +422,15 @@ class FlatMemorySystem:
             data_ready = issue + tCAS
             if close_after:
                 recovery = tRTP if is_read_tab[kind] else tWR
-                open_row[fbank] = -1
                 bank_ready[fbank] = data_ready + burst + recovery + tRP
                 new_key = None
             else:
-                open_row[fbank] = req_row
                 bank_ready[fbank] = issue + burst
                 new_key = key
 
             # ---- open-key maintenance.
-            old_key = okob[fbank]
             if new_key != old_key:
-                if old_key is not None and old_key in ready:
-                    del ready[old_key]
+                ready.pop(old_key, None)
                 if new_key is not None:
                     other = by_key_get(new_key)
                     if other is not None:
@@ -531,11 +447,6 @@ class FlatMemorySystem:
             if kind == _DEMAND_READ_CODE:
                 dr_latency += completion - arrival
 
-        # Write the hoisted state back.
-        self._head[ci] = head
-        self.open_row[ci] = open_row
-        self.bank_ready[ci] = bank_ready
-        self.last_activate[ci] = last_activate
         self.bus_free[ci] = bus_free
         self.last_completion[ci] = last_completion
         self.demand_read_latency[ci] = dr_latency
@@ -562,7 +473,7 @@ class FlatMemorySystem:
         pick = 0
         for j in range(min(self.window, len(bucket))):
             entry = bucket[j]
-            if okob[entry[3]] == entry[5]:
+            if okob[entry[3]] == entry[4]:
                 pick = j
                 break
         entry = bucket.pop(pick)
@@ -579,20 +490,25 @@ class FlatMemorySystem:
                 if seen >= self.window:
                     return False
                 seen += 1
-                if entry[5] == key:
+                if entry[4] == key:
                     return True
         return False
 
     def drain(self) -> None:
         """Complete all outstanding transfers on every channel."""
         for ci in range(self._channels):
-            self._drain_channel(ci, self._live(ci))
+            self._drain_channel(ci, len(self._pending[ci]))
 
     def pending_count(self, channel: Optional[int] = None) -> int:
         """Queued-but-unserved transfers on ``channel``, or on all channels."""
         if channel is not None:
-            return self._live(channel)
-        return sum(self._live(ci) for ci in range(self._channels))
+            return len(self._pending[channel])
+        return sum(map(len, self._pending))
+
+    def open_rows(self, channel: int) -> List[int]:
+        """Each bank's open row on ``channel``, -1 where it is precharged."""
+        return [-1 if key is None else key >> 12
+                for key in self._open_key_of_bank[channel]]
 
     def row_outcomes(self) -> Tuple[int, int, int, int]:
         """``(accesses, row_hits, row_misses, row_conflicts)`` across channels."""
@@ -607,21 +523,18 @@ class FlatMemorySystem:
     def export_state(self) -> Dict[str, object]:
         """Every piece of mutable state, by attribute name.
 
-        Plain arrays, lists, dicts and deques -- never the object itself,
-        whose methods a caller may have wrapped in closures that do not
-        pickle.  :meth:`load_state` adopts it into another instance built
-        with the same geometry.
+        Plain lists, dicts and deques -- never the object itself, whose
+        methods a caller may have wrapped in closures that do not pickle.
+        Pickle the dict in one call, so that each ready-view bucket stays
+        the same list as its row bucket.  :meth:`load_state` adopts it into
+        another instance built with the same geometry.
         """
         return {name: getattr(self, name) for name in _STATE}
 
     def load_state(self, state: Dict[str, object]) -> None:
-        """Adopt :meth:`export_state` output; arrays are written in place."""
+        """Adopt :meth:`export_state` output."""
         for name in _STATE:
-            value = state[name]
-            if isinstance(value, np.ndarray):
-                np.copyto(getattr(self, name), value)
-            else:
-                setattr(self, name, value)
+            setattr(self, name, state[name])
 
     # ------------------------------------------------------------------ #
     # Aggregated metrics
@@ -685,27 +598,23 @@ class FlatMemorySystem:
         return merged
 
     def _bus_busy_cycles(self) -> List[float]:
-        """Data-bus busy cycles per channel."""
-        return [self.channel_stats(channel)["bus_busy_cycles"]
-                for channel in range(self._channels)]
+        """Data-bus busy cycles per channel: one burst per served transfer."""
+        burst = self.timing.burst_cycles
+        return [float(sum(tally) * burst) for tally in self.tally]
 
     @property
     def bandwidth_bound_cycles(self) -> float:
         """Bus cycles the busiest channel needs just to move all its data."""
-        if not self._channels:
-            return 0.0
         return max(self._bus_busy_cycles())
 
     @property
     def elapsed_cycles(self) -> float:
         """Cycle of the last completed transfer on the busiest channel."""
-        if not self._channels:
-            return 0.0
-        return float(self.last_completion.max())
+        return max(self.last_completion)
 
     def channel_utilization(self, total_bus_cycles: float) -> float:
         """Average fraction of data-bus cycles in use over ``total_bus_cycles``."""
-        if total_bus_cycles <= 0 or not self._channels:
+        if total_bus_cycles <= 0:
             return 0.0
         per_channel = [busy / total_bus_cycles
                        for busy in self._bus_busy_cycles()]

@@ -85,14 +85,18 @@ def job_trace(job: JobSpec, store: Optional[ArtifactStore] = None) -> TraceBuffe
 
     Resolution order: per-process memo, shared artifact store (memory-mapped
     ``.npy`` columns), fresh generation (which is then published to both).
-    Generation is deterministic in (spec, length, cores, seed), so every
-    source yields the identical access stream.  Memoized buffers are
+    A memo hit is published to a store that does not hold it yet, so a
+    store-backed run after a storeless one leaves the trace for the next
+    process.  Generation is deterministic in (spec, length, cores, seed), so
+    every source yields the identical access stream.  Memoized buffers are
     read-only: writing to a column raises instead of corrupting later hits.
     """
     digest = job.trace_fingerprint()
     cached = _TRACE_MEMO.get(digest)
     if cached is not None:
         _TRACE_MEMO.move_to_end(digest)
+        if store is not None and not store.has_trace(digest):
+            store.put_trace(digest, cached)
         return cached
     if store is not None:
         stored = store.get_trace(digest)

@@ -198,6 +198,10 @@ class ArtifactStore:
         self.counters["hits"] += 1
         return buffer
 
+    def has_trace(self, digest: str) -> bool:
+        """Whether a trace file for ``digest`` exists (it is not read)."""
+        return self._path("traces", digest).is_file()
+
     def put_trace(self, digest: str, trace: TraceBuffer) -> Path:
         """Persist a :class:`TraceBuffer` (anything else is a ``TypeError``)."""
         if not isinstance(trace, TraceBuffer):

@@ -1,10 +1,10 @@
 """A reference DRAM model: the memory layer's specification.
 
 The simulator's memory system (:class:`repro.dram.flat.FlatMemorySystem`)
-keeps each channel's queue as a ring buffer with per-row buckets, a ready
-view and a demand FIFO, and fuses scheduling, bank timing and accounting
-into one loop.  This module states what that loop must compute in the
-plainest form the rules have:
+indexes each channel's queue with per-row buckets, a ready view and a
+demand FIFO, records each bank's open row as a packed row-state key, and
+fuses scheduling, bank timing and accounting into one loop.  This module
+states what that loop must compute in the plainest form the rules have:
 
 * every channel keeps one list of pending requests, oldest first, and each
   choice scans its first ``window`` entries:
@@ -27,8 +27,8 @@ plainest form the rules have:
 The rules are the model's own, not textbook DDR3: tRRD spaces one bank's
 own activations, and tFAW and tWTR are not modelled.  The module shares no
 code with the engine -- it imports only the request-kind tables,
-``PagePolicy`` and the address mapping -- so a bug in the ring buffer, the
-buckets or the fused timing cannot hide in both.
+``PagePolicy`` and the address mapping -- so a bug in the buckets, the
+open keys or the fused timing cannot hide in both.
 
 :class:`DRAMShadow` runs the model beside a live
 :class:`~repro.sim.system.ServerSystem` and compares the two states after
@@ -305,18 +305,20 @@ def engine_state(memory) -> List[tuple]:
     -1, ready cycle, last activation)``.  The engine counts each transfer
     once, by kind and row outcome, so its counters, latencies and kind
     counts are read through :meth:`~repro.dram.flat.FlatMemorySystem.
-    channel_stats`, the derivation every result reads.
+    channel_stats`, the derivation every result reads, and it records each
+    open row once, as a key, so the rows are read through
+    :meth:`~repro.dram.flat.FlatMemorySystem.open_rows`.
     """
     return [
         (tuple(stats[key] for key in COUNTERS),
          tuple(stats[key] for key in LATENCIES),
          tuple(stats[f"kind_{kind.value}"] for kind in DRAMRequestKind),
-         float(memory.bus_free[channel]),
-         float(memory.last_completion[channel]),
+         memory.bus_free[channel],
+         memory.last_completion[channel],
          memory.pending_count(channel),
-         tuple(zip(memory.open_row[channel].tolist(),
-                   memory.bank_ready[channel].tolist(),
-                   memory.last_activate[channel].tolist())))
+         tuple(zip(memory.open_rows(channel),
+                   memory.bank_ready[channel],
+                   memory.last_activate[channel])))
         for channel, stats in enumerate(
             map(memory.channel_stats, range(len(memory.bus_free))))
     ]

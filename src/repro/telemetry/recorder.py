@@ -12,10 +12,10 @@ every result field, and the off/full bit-identity guarantee (tested and
 gated in CI) depends on telemetry staying out of the result object.
 
 Sampling discipline: one sample per streaming chunk boundary, never per
-access.  Every sampled value is a counter the system already maintains as a
-plain int / flat NumPy array (``ServerSystem.counters``, the memory
-system's per-channel count arrays) -- the recorder only reads, subtracts the previous
-snapshot and appends one row.
+access.  Every sampled value is a count the system already keeps
+(``ServerSystem.counters`` and the memory system's row outcomes,
+:meth:`~repro.dram.flat.FlatMemorySystem.row_outcomes`) -- the recorder only
+reads, subtracts the previous snapshot and appends one row.
 
 While a pipelined run's DRAM stage holds the memory system (see
 :mod:`repro.sim.pipeline`), the DRAM columns cannot be read at the boundary
@@ -74,7 +74,7 @@ def resolve_telemetry(
             f"{', '.join(MODES)}")
     if telemetry == "off":
         return None
-    return TelemetryRecorder(mode=telemetry)
+    return TelemetryRecorder()
 
 
 #: The delta columns the memory system's row-buffer counters feed (the
@@ -93,12 +93,7 @@ class TelemetryRecorder:
     everything else is for consumers.
     """
 
-    def __init__(self, mode: str = "full") -> None:
-        if mode != "full":
-            raise ValueError(
-                f"recorder mode must be full; got {mode!r} "
-                "(off means: pass no recorder)")
-        self.mode = mode
+    def __init__(self) -> None:
         self.timeline = Timeline()
         self.tracer = SpanTracer()
         self.created_unix = time.time()
@@ -122,13 +117,7 @@ class TelemetryRecorder:
     # ------------------------------------------------------------------ #
     def _totals(self, system) -> tuple:
         """Cumulative hot-counter totals, in ``DELTA_COLUMNS`` order."""
-        dram = system.memory.aggregate_stats()
-        return self._system_totals(system) + (
-            dram["accesses"],
-            dram["row_hits"],
-            dram["row_misses"],
-            dram["row_conflicts"],
-        )
+        return self._system_totals(system) + system.memory.row_outcomes()
 
     @staticmethod
     def _system_totals(system) -> tuple:
@@ -251,7 +240,7 @@ class TelemetryRecorder:
         stream = [{
             "event": "meta",
             "schema": EVENT_SCHEMA_VERSION,
-            "mode": self.mode,
+            "mode": "full",
             "columns": list(TIMELINE_COLUMNS),
             "created_unix": self.created_unix,
         }]
@@ -269,6 +258,5 @@ class TelemetryRecorder:
         return write_events_jsonl(self.events(), path)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"TelemetryRecorder(mode={self.mode!r}, "
-                f"samples={len(self.timeline)}, "
+        return (f"TelemetryRecorder(samples={len(self.timeline)}, "
                 f"events={len(self.tracer.events)})")

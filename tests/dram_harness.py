@@ -72,9 +72,9 @@ def bank_state(system: FlatMemorySystem, bank: int = 0, rank: int = 0,
                channel: int = 0):
     """``(open row or -1, ready cycle, last activation)`` of one bank."""
     index = rank * system.org.banks_per_rank + bank
-    return (int(system.open_row[channel, index]),
-            float(system.bank_ready[channel, index]),
-            float(system.last_activate[channel, index]))
+    return (system.open_rows(channel)[index],
+            system.bank_ready[channel][index],
+            system.last_activate[channel][index])
 
 
 def stat(system: FlatMemorySystem, key: str):

@@ -5,6 +5,7 @@ import pytest
 
 from repro.exec import pool
 from repro.exec.jobs import JobSpec
+from repro.exec.store import ArtifactStore
 from repro.sim.config import base_open
 from repro.sim.runner import build_trace, run_trace
 from repro.workloads.catalog import get_workload
@@ -95,3 +96,15 @@ class TestTraceMemo:
         trace = pool.job_trace(job)
         result = run_trace(trace, base_open(), warmup_fraction=0.0)
         assert result.counters["accesses"] == 1000
+
+    def test_memo_hit_is_published_to_a_store_without_the_trace(self, tmp_path):
+        """A store-backed call after a storeless one leaves the trace stored,
+        so the next process reads it instead of regenerating it."""
+        job = _job(num_accesses=500)
+        first = pool.job_trace(job)
+        store = ArtifactStore(tmp_path / "store")
+        assert pool.job_trace(job, store) is first
+        digest = job.trace_fingerprint()
+        assert (tmp_path / "store" / "traces" / f"{digest}.npy").is_file()
+        stored = ArtifactStore(tmp_path / "store").get_trace(digest)
+        assert np.array_equal(stored.address, first.address)

@@ -10,6 +10,8 @@ from repro.fuzz import (
     materialize,
     spec_fingerprint,
 )
+from repro.scenario.compiler import iter_scenario_chunks
+from repro.sim.system import ServerSystem
 
 #: Pinned digests of the first five specs of streams 0 and 1.  These values
 #: change whenever the sampling logic, ranges or spec schema change -- which
@@ -67,6 +69,31 @@ class TestValidity:
         assert any(len(p.active_cores) < c.scenario.num_cores
                    for c in cases for p in c.scenario.phases)
         assert len({c.config.name for c in cases}) >= 8
+
+    def test_samples_fill_the_scheduling_window(self):
+        """The ``dram`` check exercises a queue: most samples keep more than
+        a window of requests pending on some channel after a flush, so the
+        FR-FCFS choice has older requests to pass over."""
+        filled = 0
+        for spec in iter_specs(0, 10):
+            case = materialize(spec)
+            system = ServerSystem(case.config, workload_name=case.scenario.name)
+            memory = system.memory
+            enqueue = memory.enqueue_block_batch
+            peak = 0
+
+            def enqueue_and_measure(*columns):
+                nonlocal peak
+                enqueue(*columns)
+                peak = max(peak, *map(memory.pending_count,
+                                      range(memory.org.channels)))
+
+            memory.enqueue_block_batch = enqueue_and_measure
+            system.run(iter_scenario_chunks(case.scenario, seed=case.seed,
+                                            chunk_size=case.chunk_size),
+                       warmup_accesses=case.warmup_accesses)
+            filled += peak > memory.window
+        assert filled >= 8
 
     def test_tenant_partitions_are_disjoint(self):
         for spec in iter_specs(4, 20):

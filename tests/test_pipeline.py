@@ -179,7 +179,7 @@ def test_timelines_equal_in_process(engage, monkeypatch, started):
 
     def run(threshold):
         monkeypatch.setattr(pipeline, "ENGAGE_ACCESSES", threshold)
-        recorder = TelemetryRecorder("full")
+        recorder = TelemetryRecorder()
         system = ServerSystem(bump_system(), telemetry=recorder)
         result = system.run(_chunks(trace), warmup_accesses=1_100)
         return result_fingerprint(result), recorder

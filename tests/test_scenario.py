@@ -250,19 +250,16 @@ class TestSimulationParity:
     def test_streaming_run_retains_no_completed_requests(self):
         # Bounded-memory promise: the memory system must not keep one entry
         # per DRAM transfer; it folds everything into counters at serve
-        # time, and its queues hold at most a compaction prefix plus twice
-        # the window, however long the trace.
-        from repro.dram.flat import _COMPACT_THRESHOLD
-
+        # time, and its queues hold less than twice the window, however
+        # long the trace.
         scenario = small("tenant-colocation")
         system = ServerSystem(base_open(), workload_name=scenario.name)
         result = system.run(scenario)
         memory = system.memory
         assert result.counters["accesses"] == scenario.total_accesses
-        assert (memory.aggregate_stats()["accesses"]
-                > _COMPACT_THRESHOLD + 2 * memory.window)
+        assert memory.aggregate_stats()["accesses"] > 2 * memory.window
         assert memory.pending_count() == 0
-        assert all(len(queue) < _COMPACT_THRESHOLD + 2 * memory.window
+        assert all(len(queue) < 2 * memory.window
                    for queue in memory._pending)
 
     def test_run_workload_rejects_a_scenario(self):

@@ -37,7 +37,7 @@ def _trace(workload):
 
 def _digests(trace, config, **kwargs):
     off = run_trace(trace, config, telemetry="off", **kwargs)
-    recorder = TelemetryRecorder("full")
+    recorder = TelemetryRecorder()
     full = run_trace(trace, config, telemetry=recorder, **kwargs)
     assert len(recorder.timeline) >= 1  # telemetry actually recorded
     return result_fingerprint(off), result_fingerprint(full)
@@ -65,7 +65,7 @@ def test_invariance_holds_for_streaming_runs():
     kwargs = dict(num_accesses=4000, chunk_size=1000)
     off = run_workload("media_streaming", base_open(),
                        telemetry="off", **kwargs)
-    recorder = TelemetryRecorder("full")
+    recorder = TelemetryRecorder()
     full = run_workload("media_streaming", base_open(),
                         telemetry=recorder, **kwargs)
     assert len(recorder.timeline) >= 4
@@ -75,7 +75,7 @@ def test_invariance_holds_for_streaming_runs():
 def test_invariance_holds_for_scenarios_and_phases_are_marked():
     scenario = get_scenario("phase-change", scale=0.01)
     off = run_scenario(scenario, bump_system(), telemetry="off")
-    recorder = TelemetryRecorder("full")
+    recorder = TelemetryRecorder()
     full = run_scenario(scenario, bump_system(), telemetry=recorder)
     assert result_fingerprint(off) == result_fingerprint(full)
     phases = [e for e in recorder.events()
@@ -99,7 +99,7 @@ def test_invariance_holds_when_the_warmup_boundary_splits_a_later_chunk():
         num_cores=4)
     kwargs = dict(seed=11, warmup_fraction=0.25, chunk_size=160)
     off = run_scenario(scenario, base_open(), telemetry="off", **kwargs)
-    recorder = TelemetryRecorder("full")
+    recorder = TelemetryRecorder()
     full = run_scenario(scenario, base_open(), telemetry=recorder, **kwargs)
     assert len(recorder.timeline) == 2_400 // 160 + 1
     assert result_fingerprint(off) == result_fingerprint(full)
