@@ -72,7 +72,7 @@ from repro.workloads import (
     iter_trace_chunks,
 )
 
-__version__ = "1.26.0"
+__version__ = "1.27.0"
 
 __all__ = [
     "BuMPConfig",

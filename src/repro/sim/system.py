@@ -251,6 +251,9 @@ class ServerSystem:
     # ------------------------------------------------------------------ #
     def _build_agents(self) -> None:
         config = self.config
+        #: Agent fetches and writebacks are bulk transfers (BuMP,
+        #: Full-region), not prefetches and eager writebacks.
+        self._bulk_streaming = config.uses_bulk_streaming
         if config.use_stride:
             self.agents.append(StridePrefetcher())
         if config.use_nextline:
@@ -329,9 +332,12 @@ class ServerSystem:
         Sources are single-use.  Once a run has pulled
         :data:`repro.sim.pipeline.ENGAGE_ACCESSES` accesses from its source
         it may move trace production and DRAM service into forked helper
-        processes (:mod:`repro.sim.pipeline`); the source object the caller
-        holds then stops advancing, because only its copy in the helper is
-        pulled.  Results are identical either way.
+        processes (:mod:`repro.sim.pipeline`).  From then on only the
+        helper's copy of the source is pulled, and the run closes the
+        caller's copy if it has ``close()`` (see :mod:`repro.trace.source`),
+        so the caller holds only the simulated machine.  A run that stays
+        in-process never closes its source.  Results are identical either
+        way.
         """
         # Imported lazily: repro.scenario sits above repro.sim in the layer
         # order, so a module-level import would be circular.  By the time a
@@ -429,13 +435,18 @@ class ServerSystem:
         """Fork the helpers that read ``source`` ahead and serve the memory.
 
         Returns the pipeline (see :mod:`repro.sim.pipeline`), or ``None``
-        when the run stays in-process.
+        when the run stays in-process.  Once both helpers have forked, the
+        caller's ``source`` is closed if it has ``close``.
         """
         from repro.sim import pipeline
 
         pipe = pipeline.start_pipeline(source, self.memory,
                                        recorder is not None)
         if pipe is not None:
+            # The read-ahead pulls its own copy of the source from now on.
+            close = getattr(source, "close", None)
+            if close is not None:
+                close()
             self._dram_stage = pipe.dram
             if recorder is not None:
                 recorder.on_pipeline_start(pulled, pipe)
@@ -555,9 +566,10 @@ class ServerSystem:
         cumulative sum, seeded with the running core cycle, of
         ``(instructions * arrival_cpi) / num_cores`` computed elementwise
         (that operation order keeps every core count's rounding fixed).
-        Stage 2 visits the L1 misses alone, in trace order: it syncs the
-        core cycle and bus arrival stamp that the DRAM issue sites read,
-        forwards the dirty victim to the LLC and takes the LLC demand path.
+        Stage 2 visits the L1 misses alone, in trace order: it sets the
+        bus arrival stamp that the DRAM issue sites read, forwards the dirty
+        victim to the LLC and takes the LLC demand path.  The core cycle is
+        stored once, at the chunk's end: nothing reads it inside the loop.
         The transfers each slice stages are flushed at its end, which bounds
         the staging lists and, in a pipelined run, feeds the DRAM stage
         while the loop goes on.  Counters are folded once per chunk.
@@ -583,12 +595,11 @@ class ServerSystem:
         fill = llc.fill
         for first in range(0, len(misses), _MISS_SLICE):
             rows = misses[first:first + _MISS_SLICE]
-            for core, pc, block, is_store, cycle, arrival, victim, victim_pc in zip(
+            for core, pc, block, is_store, arrival, victim, victim_pc in zip(
                     cores[rows].tolist(), pcs[rows].tolist(),
                     blocks[rows].tolist(), stores[rows].tolist(),
-                    cycles[rows].tolist(), (cycles[rows] / self._bus_ratio).tolist(),
+                    (cycles[rows] / self._bus_ratio).tolist(),
                     victims[rows].tolist(), victim_pcs[rows].tolist()):
-                self._core_cycle = cycle
                 # Every DRAM transfer generated while this access is
                 # processed arrives at the same bus timestamp.
                 self._arrival_bus = arrival
@@ -756,7 +767,7 @@ class ServerSystem:
         fetch_blocks, writeback_blocks = self._take_actions(fetch_mark,
                                                             writeback_mark)
         llc = self.llc
-        bulk = self.config.uses_bulk_streaming
+        bulk = self._bulk_streaming
         dram_blocks = self._dram_blocks
         dram_kinds = self._dram_kinds
         dram_arrivals = self._dram_arrivals

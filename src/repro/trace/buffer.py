@@ -213,9 +213,15 @@ def as_chunk_iterator(trace, chunk_size: int = DEFAULT_CHUNK_SIZE
             f"accepts {_ACCEPTED_SHAPES}") from None
 
     def checked() -> Iterator[TraceBuffer]:
-        for chunk in iterator:
-            if not isinstance(chunk, TraceBuffer):
-                raise _not_a_chunk(chunk)
-            yield chunk
+        try:
+            for chunk in iterator:
+                if not isinstance(chunk, TraceBuffer):
+                    raise _not_a_chunk(chunk)
+                yield chunk
+        finally:
+            # Closing the check closes the producer it wraps.
+            close = getattr(iterator, "close", None)
+            if close is not None:
+                close()
 
     return checked()

@@ -9,6 +9,15 @@ The protocol is pull-based and chunk-grained.  A source never reads
 simulator state, so the run loop may pull it ahead of the simulation (see
 :mod:`repro.sim.pipeline`).
 
+A source may also have ``close()``.  A run that forks the read-ahead helper
+calls it on the caller's copy once both helpers have forked, which frees
+that copy while the helper's goes on producing.  Closing runs a generator
+producer's cleanup (its ``finally`` blocks) in the caller only.  File
+descriptors and memory mappings are per-process, so that is safe for them,
+but a cleanup that removes something the helper still reads, such as a
+file it has yet to open, would break the helper.  A run that stays
+in-process never closes its source.
+
 Members:
 
 * :class:`IteratorSource` / :func:`as_trace_source` -- adapt anything the
@@ -58,6 +67,13 @@ class IteratorSource:
     def next_chunk(self) -> Optional[TraceBuffer]:
         return next(self._chunks, None)
 
+    def close(self) -> None:
+        """Close and drop the chunk iterator; every later pull returns ``None``."""
+        chunks, self._chunks = self._chunks, iter(())
+        close = getattr(chunks, "close", None)
+        if close is not None:
+            close()
+
     def __iter__(self) -> Iterator[TraceBuffer]:
         """Drain as a plain chunk iterator (legacy chunk machinery)."""
         while True:
@@ -82,12 +98,11 @@ class IngestSource(IteratorSource):
         from repro.trace.io import load_trace_buffer
 
         self.path = path
-        self._buffer = load_trace_buffer(path, mmap=mmap)
-        super().__init__(self._buffer, chunk_size=chunk_size)
-
-    @property
-    def total_accesses(self) -> int:
-        return len(self._buffer)
+        buffer = load_trace_buffer(path, mmap=mmap)
+        #: The file's access count (still readable after :meth:`close`,
+        #: which frees the buffer).
+        self.total_accesses = len(buffer)
+        super().__init__(buffer, chunk_size=chunk_size)
 
 
 def as_trace_source(trace, chunk_size: int = DEFAULT_CHUNK_SIZE):

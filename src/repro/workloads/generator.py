@@ -34,6 +34,7 @@ the emitted trace is bit-identical for every chunk size.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterator, List, Tuple
 
 import numpy as np
@@ -74,10 +75,11 @@ class _CoreLayout:
 
     def __init__(self, spec: WorkloadSpec, rng: np.random.Generator) -> None:
         self.object_bases = _allocate_objects(spec, rng)
-        weights = zipf_weights(len(self.object_bases), spec.popularity_skew)
         #: Cumulative popularity distribution; sampled with searchsorted so a
-        #: job creation costs O(log n) instead of O(n).
-        self.object_cdf = np.cumsum(weights)
+        #: job creation costs O(log n) instead of O(n).  Read-only, and
+        #: shared by every layout with the same object count and skew.
+        self.object_cdf = _popularity_cdf(len(self.object_bases),
+                                          spec.popularity_skew)
         self.coarse_read_pcs = np.array(
             [_COARSE_READ_PC_BASE + 16 * i for i in range(spec.coarse_read_pcs)],
             dtype=np.int64)
@@ -87,6 +89,19 @@ class _CoreLayout:
         self.fine_pcs = np.array(
             [_FINE_PC_BASE + 16 * i for i in range(spec.fine_pcs)], dtype=np.int64)
         self.fine_base = _fine_space_base(spec)
+
+
+# Eight entries cover the six catalog workloads plus two variants.
+@lru_cache(maxsize=8)
+def _popularity_cdf(count: int, skew: float) -> np.ndarray:
+    """The cumulative Zipf popularity of ``count`` objects, read-only.
+
+    It depends only on its two arguments, so a 16-core stream holds one
+    copy instead of one per core.
+    """
+    cdf = np.cumsum(zipf_weights(count, skew))
+    cdf.setflags(write=False)
+    return cdf
 
 
 def _allocate_objects(spec: WorkloadSpec, rng: np.random.Generator) -> np.ndarray:

@@ -20,6 +20,7 @@ import pytest
 
 from engine_pins import PINS
 from repro.cache.agent import LLCAgent
+from repro.cli import main
 from repro.exec.campaign import result_fingerprint
 from repro.scenario import Phase, Scenario, TenantAssignment
 from repro.scenario.catalog import get_scenario, scenario_names
@@ -30,6 +31,8 @@ from repro.sim.runner import build_trace, run_workload
 from repro.sim.system import ServerSystem
 from repro.telemetry import TelemetryRecorder
 from repro.trace.buffer import DEFAULT_CHUNK_SIZE, TraceBuffer
+from repro.trace.io import save_trace
+from repro.trace.source import IteratorSource
 from repro.workloads import WORKLOADS
 
 CORES = 16
@@ -200,6 +203,92 @@ def test_timelines_equal_in_process(engage, monkeypatch, started):
     waits = [e for e in pipelined.tracer.events
              if e.get("name") == "pipeline_wait"]
     assert len(waits) == 1 and waits[0]["counters"]["calls"] > 0
+
+
+# ---------------------------------------------------------------------- #
+# The caller's copy of the source
+# ---------------------------------------------------------------------- #
+class _Bare:
+    """A source with ``next_chunk`` only."""
+
+    def __init__(self, chunks):
+        self._chunks = iter(chunks)
+
+    def next_chunk(self):
+        return next(self._chunks, None)
+
+
+class _ClosingSpy(_Bare):
+    """A source that counts its ``close`` calls."""
+
+    closes = 0
+
+    def close(self):
+        self.closes += 1
+
+
+@needs_cpus
+def test_a_pipelined_run_closes_the_callers_source(monkeypatch, started):
+    trace = build_trace("web_search", ACCESSES, num_cores=CORES, seed=4)
+    finished = []
+
+    def producer():
+        try:
+            yield from trace.iter_chunks(CHUNK)
+        finally:
+            finished.append(os.getpid())
+
+    monkeypatch.setattr(pipeline, "ENGAGE_ACCESSES", NEVER)
+    in_process = _fingerprint(bump_system(), _chunks(trace), 1_100)
+    monkeypatch.setattr(pipeline, "ENGAGE_ACCESSES", 1)
+    # Held here as run_workload holds its generator: closing the source
+    # must close the producer itself, not only drop it.
+    chunks = producer()
+    source = IteratorSource(chunks)
+    spy = _ClosingSpy(_chunks(trace))
+    bare = _Bare(_chunks(trace))
+    for pulled in (source, spy, bare):
+        assert _fingerprint(bump_system(), pulled, 1_100) == in_process
+    assert len(_engaged(started)) == 3
+    # The read-ahead pulled the rest; the caller's copy was closed, so its
+    # producer's cleanup ran here.
+    assert source.next_chunk() is None
+    assert finished == [os.getpid()]
+    assert spy.closes == 1
+    # A source without close is left alone: only the helper's copy advanced
+    # past the first chunk.
+    assert TraceBuffer.concat(list(iter(bare.next_chunk, None))) == \
+        TraceBuffer.concat(_chunks(trace)[1:])
+
+
+@pytest.mark.parametrize("stays", ["below-threshold", "refused"])
+def test_a_run_that_stays_in_process_never_closes_its_source(
+        stays, monkeypatch, started):
+    trace = build_trace("web_search", 1_000, num_cores=CORES, seed=8)
+    if stays == "refused":
+        monkeypatch.setattr(pipeline, "ENGAGE_ACCESSES", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    else:
+        monkeypatch.setattr(pipeline, "ENGAGE_ACCESSES", NEVER)
+    spy = _ClosingSpy(_chunks(trace))
+    ServerSystem(bump_system()).run(spy)
+    assert started == ([None] if stays == "refused" else [])
+    assert spy.closes == 0
+
+
+@needs_cpus
+@pytest.mark.parametrize("mmap", [False, True], ids=["loaded", "mapped"])
+def test_trace_ingest_prints_its_count_after_a_pipelined_replay(
+        mmap, tmp_path, capsys, monkeypatch, started):
+    path = tmp_path / "trace.npy"
+    save_trace(build_trace("web_search", ACCESSES, num_cores=CORES, seed=5),
+               path)
+    monkeypatch.setattr(pipeline, "ENGAGE_ACCESSES", 1)
+    argv = ["trace", "ingest", str(path), "--system", "bump",
+            "--chunk-size", str(CHUNK)] + (["--mmap"] if mmap else [])
+    assert main(argv) == 0
+    assert len(_engaged(started)) == 1
+    assert f"replayed {ACCESSES} accesses" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------- #

@@ -60,6 +60,22 @@ class TestIteratorSource:
         assert source.next_chunk() is None
         assert source.next_chunk() is None
 
+    def test_close_ends_the_stream_and_closes_the_producer(self):
+        buffer = small_buffer(1000)
+        finished = []
+
+        def producer():
+            try:
+                yield from buffer.iter_chunks(300)
+            finally:
+                finished.append(True)
+
+        source = IteratorSource(producer())
+        assert source.next_chunk() == buffer[:300]
+        source.close()
+        assert finished == [True]
+        assert source.next_chunk() is None
+
     def test_iter_protocol_matches_next_chunk(self):
         buffer = small_buffer(1000)
         via_iter = TraceBuffer.concat(list(IteratorSource(buffer, 300)))
@@ -116,6 +132,16 @@ class TestIngestSource:
         source = IngestSource(path, chunk_size=444, mmap=mmap)
         assert source.total_accesses == len(buffer)
         assert TraceBuffer.concat(drain(source)) == buffer
+
+    @pytest.mark.parametrize("mmap", [False, True])
+    def test_total_accesses_outlives_close(self, tmp_path, mmap):
+        path = tmp_path / "trace.npy"
+        save_trace(small_buffer(1500), path)
+        source = IngestSource(path, chunk_size=444, mmap=mmap)
+        assert len(source.next_chunk()) == 444
+        source.close()
+        assert source.next_chunk() is None
+        assert source.total_accesses == 1500
 
     def test_recorder_export_replays_through_ingest(self, tmp_path):
         """The full capture -> codec -> replay path, end to end."""

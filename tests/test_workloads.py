@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.common.addressing import BLOCK_SIZE
+from repro.common.rng import seeded_generator, zipf_weights
 from repro.workloads.catalog import DISPLAY_NAMES, WORKLOADS, display_name, get_workload, workload_names
-from repro.workloads.generator import generate_trace_buffer
+from repro.workloads.generator import CoreLayout, generate_trace_buffer, iter_trace_chunks
 from repro.workloads.spec import WorkloadSpec
 
 
@@ -126,3 +127,31 @@ def test_coarse_scans_touch_contiguous_region_blocks():
     blocks = (trace.address // BLOCK_SIZE).tolist()
     forward_steps = sum(1 for a, b in zip(blocks, blocks[1:]) if b - a in (0, 1))
     assert forward_steps > len(blocks) * 0.7
+
+
+def test_every_core_of_a_stream_shares_one_read_only_popularity_cdf():
+    spec = get_workload("web_search")
+    stream = iter_trace_chunks(spec, 1_000, num_cores=16, seed=3)
+    next(stream)
+    layouts = {id(slot.layout): slot.layout
+               for core in stream.gi_frame.f_locals["slots"] for slot in core}
+    assert len(layouts) == 16
+    cdfs = {id(layout.object_cdf) for layout in layouts.values()}
+    assert len(cdfs) == 1
+    cdf = next(iter(layouts.values())).object_cdf
+    assert not cdf.flags.writeable
+    expected = np.cumsum(zipf_weights(spec.coarse_object_count,
+                                      spec.popularity_skew))
+    assert cdf.dtype == expected.dtype and cdf.tobytes() == expected.tobytes()
+
+
+def test_the_popularity_memo_stays_bounded_over_many_specs():
+    from repro.workloads.generator import _popularity_cdf
+
+    for count in range(64, 64 + 40):
+        spec = WorkloadSpec(name="many", coarse_object_count=count,
+                            popularity_skew=0.5 + count / 1000)
+        layout = CoreLayout(spec, seeded_generator(1, "many"))
+        assert len(layout.object_cdf) == count
+    info = _popularity_cdf.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize < 40
