@@ -17,12 +17,14 @@ so telemetry samples many times per run -- several times more often than the
 default 65536-access streaming granularity -- making this a conservative
 upper bound on the per-sample cost.
 
-Each scenario runs :data:`PAIRS` pairs of one telemetry-off and one
-full-telemetry simulation, alternating which of the two runs first, and
-gates on the median of the per-pair ``full/off - 1`` ratios.  The two runs
-of a pair sit next to each other in time, so slow drift in a shared
-machine's load hits both; alternation cancels any first-run or second-run
-bias; and the median ignores the pairs a burst of contention lands in.
+Each scenario first runs one untimed off and one untimed full simulation,
+so no timed run is the process's first of its kind.  It then runs
+:data:`PAIRS` pairs of one telemetry-off and one full-telemetry
+simulation, alternating which of the two runs first, and gates on the
+median of the per-pair ``full/off - 1`` ratios.  The two runs of a pair
+sit next to each other in time, so slow drift in a shared machine's load
+hits both; alternation cancels any first-run or second-run bias; and the
+median ignores the pairs a burst of contention lands in.
 
 Results are written as a JSON trajectory file (``BENCH_telemetry.json`` by
 default) so CI can archive one point per commit.  Run directly::
@@ -89,6 +91,9 @@ def bench_scenario(name: str, trace: TraceBuffer, config, pairs: int) -> dict:
     digests = set()
     samples = 0
     events = 0
+    for telemetry in ("off", TelemetryRecorder()):  # untimed warm-up
+        run_trace(chunks, config, warmup_fraction=0.5,
+                  num_accesses=len(trace), telemetry=telemetry)
     for pair in range(pairs):
         for mode in (("off", "full") if pair % 2 == 0 else ("full", "off")):
             telemetry = TelemetryRecorder() if mode == "full" else "off"

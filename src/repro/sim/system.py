@@ -111,7 +111,8 @@ def llc_stats(counters: StatGroup, l1_writeback_fills: int,
     evictions = counters["llc_evictions"]
     dirty_evictions = counters["demand_writebacks"]
     # Twice the true counts, as the results pinned in perfbench/pins.json
-    # report them; ROADMAP item 4 drops this line and regenerates the pins.
+    # report them; the ROADMAP item "Correct what the model is known to get
+    # wrong" drops this line and regenerates the pins.
     evictions, dirty_evictions = 2 * evictions, 2 * dirty_evictions
     view = {
         "hits": hits,

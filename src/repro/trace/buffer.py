@@ -59,12 +59,16 @@ class TraceBuffer:
         self.address = np.asarray(address, dtype=TRACE_DTYPES["address"])
         self.is_store = np.asarray(is_store, dtype=TRACE_DTYPES["is_store"])
         self.instructions = np.asarray(instructions, dtype=TRACE_DTYPES["instructions"])
-        length = len(self.core)
-        for name in TRACE_FIELDS[1:]:
-            if len(getattr(self, name)) != length:
+        for name in TRACE_FIELDS:
+            shape = getattr(self, name).shape
+            if len(shape) != 1:
                 raise ValueError(
-                    f"column {name!r} has {len(getattr(self, name))} rows, "
-                    f"expected {length}")
+                    f"column {name!r} has shape {shape}, expected one "
+                    f"dimension")
+            if shape != self.core.shape:
+                raise ValueError(
+                    f"column {name!r} has {shape[0]} rows, "
+                    f"expected {len(self.core)}")
 
     # ------------------------------------------------------------------ #
     # Constructors
@@ -134,10 +138,8 @@ class TraceBuffer:
     def columns_as_lists(self) -> Tuple[list, list, list, list, list]:
         """Decode every column to plain Python scalars in one pass.
 
-        This is the simulator's entry point: ``tolist()`` yields native
-        ``int``/``bool`` values, so the interpretation loop does plain
-        integer arithmetic (no ``uint64`` wraparound surprises) while paying
-        one bulk conversion per chunk.
+        ``tolist()`` yields native ``int``/``bool`` values (no ``uint64``
+        wraparound surprises); the CSV writer calls this.
         """
         return (self.core.tolist(), self.pc.tolist(), self.address.tolist(),
                 self.is_store.tolist(), self.instructions.tolist())

@@ -3,10 +3,12 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.analysis.figures import FIGURES
 from repro.cli import build_parser, main
+from repro.trace.buffer import TRACE_RECORD_DTYPE
 
 
 def run_cli(capsys, *argv):
@@ -362,6 +364,27 @@ class TestFailurePaths:
         message = str(err.value)
         assert message.startswith(f"cannot read trace {str(path)!r}")
         assert "line 2: column" in message
+
+    @pytest.mark.parametrize("suffix", [".npz", ".npy"])
+    def test_trace_ingest_refuses_a_column_that_is_not_one_dimensional(
+            self, capsys, tmp_path, suffix):
+        """An (N, 1) ``core`` array in ``.npz``; 0-d structured records in ``.npy``."""
+        path = tmp_path / f"bad{suffix}"
+        if suffix == ".npz":
+            rows = 100
+            np.savez(path, core=np.zeros((rows, 1), dtype=np.int32),
+                     pc=np.zeros(rows, dtype=np.uint64),
+                     address=np.zeros(rows, dtype=np.uint64),
+                     is_store=np.zeros(rows, dtype=bool),
+                     instructions=np.ones(rows, dtype=np.int32))
+        else:
+            np.save(path, np.zeros((), dtype=TRACE_RECORD_DTYPE))
+        with pytest.raises(SystemExit) as err:
+            run_cli(capsys, "trace", "ingest", str(path), "--system",
+                    "base_open")
+        message = str(err.value)
+        assert message.startswith(f"cannot read trace {str(path)!r}")
+        assert "column 'core' has shape" in message
 
     def test_bad_interp_is_an_argparse_error(self, capsys):
         """There is one chunk loop, so no ``--interp`` value is accepted."""

@@ -4,15 +4,20 @@ Chunk-size invariance: for every named paper configuration and every
 workload at the default seed, simulating the trace in small chunks
 (misaligned with the warmup boundary) produces a :class:`SimulationResult`
 *identical* -- full content fingerprint, every counter -- to simulating the
-whole buffer as one chunk.  The whole-buffer result is also held to the one
-the dict cache engine produced for the same cell (see ``engine_pins``).
+whole buffer as one chunk.  The whole-buffer results are the registry's
+``columnar`` cells (``test_golden_pins``), so each chunked run is held to
+its pin.
 """
 
 import pytest
 
-from engine_pins import PINS
+from test_golden_pins import (
+    COLUMNAR_ACCESSES,
+    SMALL_LLC,
+    columnar_cell,
+    pinned,
+)
 
-from repro.common.params import CacheParams, SystemParams
 from repro.exec.campaign import result_fingerprint
 from repro.sim.config import named_configs
 from repro.sim.runner import (
@@ -24,10 +29,6 @@ from repro.sim.runner import (
 from repro.trace.buffer import DEFAULT_CHUNK_SIZE
 from repro.workloads.catalog import workload_names
 
-#: Scaled-down LLC so evictions and writebacks occur within a short trace.
-SMALL_SYSTEM = SystemParams().scaled(
-    llc=CacheParams(size_bytes=256 * 1024, associativity=16, hit_latency_cycles=8),
-)
 ACCESSES = 3_000
 CORES = 8
 WARMUP = 0.4
@@ -35,26 +36,16 @@ CHUNK = 256  # deliberately misaligned with the warmup boundary
 
 
 def _small(config):
-    return config.with_overrides(system=SMALL_SYSTEM)
+    return config.with_overrides(system=SMALL_LLC)
 
 
 @pytest.mark.parametrize("workload", workload_names())
 def test_chunked_path_matches_whole_buffer(workload):
     """Six workloads x all named paper configs: bit-identical results."""
-    trace = build_trace(workload, ACCESSES, num_cores=CORES, seed=DEFAULT_SEED)
-    assert ACCESSES <= DEFAULT_CHUNK_SIZE  # the reference run is one chunk
-    pins = PINS["columnar"][workload]
-    assert sorted(pins) == sorted(named_configs())
-    for name, config in named_configs().items():
-        config = _small(config)
-        whole = run_trace(trace, config, workload_name=workload,
-                          warmup_fraction=WARMUP)
-        chunked = run_trace(trace.iter_chunks(CHUNK), config,
-                            workload_name=workload, warmup_fraction=WARMUP,
-                            num_accesses=ACCESSES)
-        assert result_fingerprint(whole) == pins[name], (
-            f"whole-buffer run moved off its pin for {workload}/{name}")
-        assert result_fingerprint(chunked) == result_fingerprint(whole), (
+    assert COLUMNAR_ACCESSES <= DEFAULT_CHUNK_SIZE  # the pinned run is one chunk
+    for name in named_configs():
+        chunked = columnar_cell(workload, name, chunk_size=CHUNK)
+        assert chunked == pinned(f"columnar/{workload}/{name}"), (
             f"chunked run diverged from the whole buffer for {workload}/{name}")
 
 
@@ -91,3 +82,14 @@ def test_warmup_boundary_alignment_does_not_matter():
                             warmup_fraction=0.5, num_accesses=2_000)
         assert result_fingerprint(chunked) == result_fingerprint(reference), (
             f"divergence at chunk_size={chunk_size}")
+
+
+def test_streaming_chunk_size_does_not_reach_the_result():
+    """Batched DRAM intake must not leak chunk boundaries into results."""
+    config = named_configs(["base_open"])["base_open"]
+    results = [
+        result_fingerprint(run_workload(
+            "web_serving", config, num_accesses=4_000, chunk_size=chunk))
+        for chunk in (256, 1000, 4_000)
+    ]
+    assert len(set(results)) == 1

@@ -12,7 +12,7 @@ from repro.exec.pool import execute_job
 from repro.exec.store import STORE_ENV_VAR, ArtifactStore, default_store
 from repro.sim.config import base_open
 from repro.sim.results import SimulationResult
-from repro.trace.buffer import TraceBuffer
+from repro.trace.buffer import TRACE_RECORD_DTYPE, TraceBuffer
 
 
 def _small_trace(n=8):
@@ -117,6 +117,18 @@ class TestRobustness:
         assert store.get_trace(digest) is None
         assert store.counters["corrupt"] == 1
         assert not path.exists()
+
+    @pytest.mark.parametrize("shape", [(), (3, 2)], ids=["0-d", "3x2"])
+    def test_wrongly_shaped_trace_is_a_corrupt_miss_and_rewritten(self, store,
+                                                                   shape):
+        digest = "f" * 32
+        path = store._path("traces", digest)
+        np.save(path, np.zeros(shape, dtype=TRACE_RECORD_DTYPE))
+        assert store.get_trace(digest) is None
+        assert (store.counters["corrupt"], store.counters["misses"]) == (1, 1)
+        assert not path.exists()
+        store.put_trace(digest, _small_trace())
+        assert store.get_trace(digest) == _small_trace()
 
     def test_damaged_entry_is_replaced_by_the_next_put(self, store):
         digest = "d" * 32

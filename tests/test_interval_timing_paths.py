@@ -1,26 +1,22 @@
 """Interval timing model through the streaming and scenario paths.
 
 ``timing_model="interval"`` was previously exercised only by the
-timing-sensitivity ablation; these tests pin down its behaviour on the two
-production paths (streaming single workloads and compiled scenarios), its
-engine-independence (TimingSummary-derived fields equal to the ones the
-flat and dict cache engines, and the flat and object DRAM engines, agreed
-on, pinned in ``engine_pins``), its constructor validation, and the
-zero-miss edge where ``instructions_per_miss`` is infinite.
+timing-sensitivity ablation.  Its results on the two production paths
+(streaming single workloads and compiled scenarios) are the registry's
+``interval_streaming``, ``dram.interval_streaming`` and
+``interval_scenario`` cells (``test_golden_pins``), the TimingSummary-derived
+fields bit for bit.  These tests cover its constructor validation, the
+zero-miss edge where ``instructions_per_miss`` is infinite, and that the
+knob selects a different model.
 """
 
 import math
-
-from engine_pins import PINS
 
 import numpy as np
 import pytest
 
 from repro.cpu.interval import IntervalTimingModel
-from repro.exec.campaign import result_fingerprint
-from repro.scenario.catalog import get_scenario
-from repro.scenario.runner import run_scenario
-from repro.sim.config import base_open, bump_system
+from repro.sim.config import base_open
 from repro.sim.runner import run_trace, run_workload
 from repro.trace.buffer import TraceBuffer
 
@@ -89,31 +85,6 @@ class TestZeroMissGuard:
 
 
 class TestEngineParity:
-    @staticmethod
-    def _assert_pinned(result, pin):
-        # The TimingSummary-derived result fields, bit for bit.
-        assert result.cycles == pin["cycles"]
-        assert result.throughput_ipc == pin["throughput_ipc"]
-        assert result.elapsed_seconds == pin["elapsed_seconds"]
-        # And the rest of the result too.
-        assert result_fingerprint(result) == pin["fingerprint"]
-
-    def test_streaming_timing_identical_across_cache_engines(self):
-        result = run_workload("web_search", _interval(base_open),
-                              num_accesses=ACCESSES, chunk_size=1024)
-        self._assert_pinned(result, PINS["interval_streaming"])
-
-    def test_streaming_timing_identical_across_dram_engines(self):
-        result = run_workload("data_serving", _interval(base_open),
-                              num_accesses=ACCESSES, chunk_size=1024)
-        self._assert_pinned(result, PINS["dram"]["interval_streaming"])
-
-    def test_scenario_path_runs_interval_model_identically(self):
-        scenario = get_scenario("tenant-colocation", scale=0.004)
-        result = run_scenario(scenario, _interval(bump_system))
-        self._assert_pinned(result, PINS["interval_scenario"])
-        assert math.isfinite(result.cycles)
-
     def test_interval_differs_from_analytic(self):
         """Sanity: the knob actually selects a different model."""
         analytic = run_workload("web_search", base_open(),

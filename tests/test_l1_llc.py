@@ -206,7 +206,8 @@ def test_result_llc_counts_every_llc_event_once():
     evictions = 6                 # B*, A*, C, P~, B, E
     dirty_evictions = 2           # B*, A*
     # ``evictions`` and ``dirty_evictions`` read twice the true counts until
-    # ROADMAP item 4 regenerates the pinned results without the doubling.
+    # the ROADMAP item "Correct what the model is known to get wrong"
+    # regenerates the pinned results without the doubling.
     assert result.llc.snapshot() == {
         "hits": hits,
         "demand_hits": hits,

@@ -18,15 +18,13 @@ import warnings
 import numpy as np
 import pytest
 
-from engine_pins import PINS
 from repro.cache.agent import LLCAgent
 from repro.cli import main
 from repro.exec.campaign import result_fingerprint
-from repro.scenario import Phase, Scenario, TenantAssignment
 from repro.scenario.catalog import get_scenario, scenario_names
 from repro.scenario.compiler import iter_scenario_chunks
 from repro.sim import pipeline
-from repro.sim.config import base_open, bump_system, named_configs
+from repro.sim.config import bump_system, named_configs
 from repro.sim.runner import build_trace, run_workload
 from repro.sim.system import ServerSystem
 from repro.telemetry import TelemetryRecorder
@@ -496,47 +494,15 @@ def test_a_multiprocessing_child_keeps_its_runs_in_process():
 # ---------------------------------------------------------------------- #
 # One memory-system surface
 # ---------------------------------------------------------------------- #
-class _DepthLog:
-    """A source that records the memory system's queue depth at every pull."""
-
-    def __init__(self, chunks, system):
-        self._chunks = chunks
-        self._system = system
-        self.depths = []
-
-    def next_chunk(self):
-        self.depths.append(self._system.memory.pending_count())
-        return next(self._chunks, None)
-
-
-def _two_tenant_chunks():
-    scenario = Scenario(
-        name="pipeline-two-tenants", description="two tenants",
-        phases=[Phase("only", 2_400, [
-            TenantAssignment("web_search", (0, 1)),
-            TenantAssignment("online_analytics", (2, 3), intensity=1.5),
-        ])],
-        num_cores=4,
-        # The stream the pinned depths were recorded on.
-        seed_stream="pipeline-closed-loop")
-    return iter_scenario_chunks(scenario, seed=11, chunk_size=160)
-
-
 @pytest.mark.parametrize("scheduler", ["frfcfs", "bank_round_robin"])
 def test_every_scheduler_reports_pending_transfers_and_resets_counters(
         scheduler):
-    """Queue depths equal the ones the object engine reported.
+    """``begin_measurement`` empties the queue and zeroes the counters.
 
-    The run is far below ``ENGAGE_ACCESSES``, so it stays in-process and
-    ``system.memory`` is the live queue at every pull.
+    It does so through the memory system's own ``reset_counters``.  The
+    queue depth at every pull of a short run is pinned per scheduler by the
+    registry's ``dram.pending_depths`` cells (``test_golden_pins``).
     """
-    system = ServerSystem(base_open(scheduler=scheduler))
-    source = _DepthLog(_two_tenant_chunks(), system)
-    system.run(source, warmup_accesses=600)
-    assert source.depths == PINS["dram"]["pending_depths"][scheduler]["depths"]
-    assert any(source.depths)
-    # begin_measurement zeroes the counters through the memory system's
-    # own reset_counters.
     system = ServerSystem(bump_system(scheduler=scheduler))
     system.run(_chunks(build_trace("web_search", 800, num_cores=CORES, seed=1)))
     assert system.memory.aggregate_stats()["accesses"] > 0

@@ -1,6 +1,9 @@
 """Guards for the simulation-core overhaul.
 
-* Cycle accumulation must round identically for any core count.
+* Cycle accumulation must round identically for any core count: the
+  registry's ``non_power_of_two_cores`` cells (``test_golden_pins``) pin
+  12-core runs, one of them on a trace whose every row carries its own
+  instruction gap.
 * ``ServerSystem.run`` must begin measurement when the trace length equals
   the warmup interval and raise only when the trace is strictly shorter.
 """
@@ -8,52 +11,16 @@
 import numpy as np
 import pytest
 
-from engine_pins import PINS
-from repro.common.addressing import BLOCK_BITS
+from test_golden_pins import distinct_gap_trace
+
 from repro.sim.config import base_open
 from repro.sim.runner import build_trace
 from repro.sim.system import ServerSystem
-from repro.trace.buffer import TraceBuffer
 
 
-def _distinct_gap_trace(cores: int, accesses: int = 4_000) -> TraceBuffer:
-    """A random trace in which every row carries its own instruction gap."""
-    rng = np.random.default_rng(9)
-    core = rng.integers(0, cores, accesses).astype(np.int32)
-    offsets = rng.integers(0, 2_048, accesses).astype(np.uint64)
-    address = (core.astype(np.uint64) << np.uint64(32)) | \
-        (offsets << np.uint64(BLOCK_BITS))
-    pc = np.full(accesses, 0x400000, dtype=np.uint64)
-    is_store = rng.random(accesses) < 0.3
-    instructions = rng.permutation(np.arange(1, accesses + 1, dtype=np.int32))
-    return TraceBuffer(core, pc, address, is_store, instructions)
-
-
-def test_engines_bit_identical_with_non_power_of_two_cores():
-    """Cycle accumulation must round identically for any core count.
-
-    Regression: folding ``instructions * cpi / cores`` into one precomputed
-    factor rounds differently when ``cores`` is not a power of two, which
-    shifted DRAM arrival cycles and broke parity with the per-access dict
-    engine.  The runs are held to the cycle count and result both cache
-    engines agreed on (``engine_pins``).  The second trace gives every row a
-    distinct instruction gap, so each row's cycle increment is computed
-    afresh.
-    """
-    from repro.common.params import SystemParams
-    from repro.exec.campaign import result_fingerprint
-
-    config = base_open(system=SystemParams().scaled(num_cores=12))
-    traces = {"web_search": build_trace("web_search", 3_000, num_cores=12,
-                                        seed=5),
-              "distinct_gaps": _distinct_gap_trace(12)}
-    assert len(np.unique(traces["distinct_gaps"].instructions)) >= 3_000
-    for label, trace in traces.items():
-        pin = PINS["non_power_of_two_cores"][label]
-        system = ServerSystem(config)
-        result = system.run(trace, warmup_accesses=len(trace) * 2 // 5)
-        assert system._core_cycle == pin["core_cycle"]
-        assert result_fingerprint(result) == pin["fingerprint"]
+def test_distinct_gap_trace_gives_every_row_its_own_gap():
+    """So each row's cycle increment in the pinned 12-core cell is computed afresh."""
+    assert len(np.unique(distinct_gap_trace(12).instructions)) >= 3_000
 
 
 # --------------------------------------------------------------------- #

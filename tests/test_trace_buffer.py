@@ -12,6 +12,7 @@ import pytest
 from repro.exec.store import ArtifactStore
 from repro.trace.buffer import (
     DEFAULT_CHUNK_SIZE,
+    TRACE_DTYPES,
     TRACE_FIELDS,
     TraceBuffer,
     as_chunk_iterator,
@@ -77,6 +78,18 @@ def test_mismatched_column_lengths_rejected():
         TraceBuffer(np.zeros(2, dtype=np.int32), np.zeros(3, dtype=np.uint64),
                     np.zeros(2, dtype=np.uint64), np.zeros(2, dtype=bool),
                     np.ones(2, dtype=np.int32))
+
+
+@pytest.mark.parametrize("shape", [(4, 1), ()], ids=["Nx1", "0-d"])
+@pytest.mark.parametrize("name", TRACE_FIELDS)
+def test_column_that_is_not_one_dimensional_is_refused(name, shape):
+    columns = {field: np.zeros(4, dtype=TRACE_DTYPES[field])
+               for field in TRACE_FIELDS}
+    columns[name] = np.zeros(shape, dtype=TRACE_DTYPES[name])
+    with pytest.raises(ValueError) as err:
+        TraceBuffer(**columns)
+    assert str(err.value) == (f"column {name!r} has shape {shape}, "
+                              "expected one dimension")
 
 
 def test_from_structured_rejects_wrong_schema():
