@@ -1,9 +1,10 @@
-"""Every figure and table of the paper's evaluation, one test each.
+"""Every reproduced result, one test each.
 
-Each case computes one entry of :data:`repro.analysis.figures.FIGURES`,
-prints its tables and its check table, and fails with the check table when
-any of its shape checks fails.  The entries hold the paper's values, the
-checks and the known fidelity limits.
+Each case computes one entry of :data:`repro.analysis.figures.FIGURES` (a
+figure or table of the evaluation, an ablation study or the Section VI
+storage tables), prints its tables and its check table, and fails with the
+check table when any of its shape checks fails.  The entries hold the
+paper's values, the checks and the known fidelity limits.
 """
 
 import pytest

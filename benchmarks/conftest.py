@@ -1,21 +1,20 @@
 """Shared fixtures for the benchmark harness.
 
-``bench_paper_figures.py`` regenerates every figure and table of the paper
-(one test per :mod:`repro.analysis.figures` entry); the other modules run
-the ablation studies, the Section VI tables and the performance gates.  The
-tests share an in-process result cache (see
-:mod:`repro.analysis.experiments`), so the whole suite costs roughly one
-simulation per (workload, system configuration) pair even though several
-figures consume the same runs.
+``bench_paper_figures.py`` regenerates every entry of the registry
+:data:`repro.analysis.figures.FIGURES` -- the paper's figures and tables,
+the ablation studies and the Section VI storage tables -- one test each;
+the other modules are standalone performance gates.  Before the first test
+runs, :func:`repro.analysis.figures.precompute` simulates every run the
+collected entries read, one campaign per trace length, so each test only
+aggregates (several entries share runs, and each run is simulated once).
 
 Four environment variables control the fidelity/runtime trade-off:
 
 * ``REPRO_EXPERIMENT_ACCESSES`` -- trace length per run (default 240000);
 * ``REPRO_BENCH_WORKLOADS`` -- comma-separated subset of workloads to run
   (default: all six of the paper);
-* ``REPRO_BENCH_WORKERS`` -- when > 1, the whole (workload x system) matrix
-  is precomputed as one parallel campaign (:mod:`repro.exec`) before the
-  first benchmark runs, so each benchmark only aggregates;
+* ``REPRO_BENCH_WORKERS`` -- worker processes of those campaigns
+  (default 1: serial, in this process);
 * ``REPRO_ARTIFACT_DIR`` -- on-disk artifact store; a second harness run
   against the same directory re-simulates nothing.
 
@@ -94,43 +93,16 @@ def bench_workers() -> int:
 
 @pytest.fixture(scope="session", autouse=True)
 def campaign_precompute(request) -> None:
-    """Optionally fan the benchmark matrices out across worker processes.
+    """Simulate every run the collected registry entries read, up front.
 
-    With ``REPRO_BENCH_WORKERS`` > 1 the paper's (workload x system) grid and
-    the Figure 11 design-space grid are simulated up front by parallel
-    campaigns; their results seed the shared in-process cache (and the
-    artifact store when ``REPRO_ARTIFACT_DIR`` is set), so the figure
-    benchmarks measure aggregation over warm results instead of serial
-    simulation time.  The ablation benchmarks pass ``workers=bench_workers()``
-    to their studies, which precompute their own grids the same way.
-
-    Each grid is only simulated when a collected benchmark consumes it, so
-    ablation-only runs skip both grids entirely.  Figure benchmarks share the
-    full matrix (single-figure filtered runs still precompute all eight
-    systems; leave ``REPRO_BENCH_WORKERS`` unset for those).
+    ``-k figure2`` collects one entry, so only its runs are simulated.
     """
-    workers = bench_workers()
-    if workers <= 1:
-        return
-    figures = {item.callspec.params.get("figure") for item in request.session.items
-               if hasattr(item, "callspec")} - {None}
-    wants_design_space = "figure11" in figures
-    wants_matrix = bool(figures - {"figure11"})
-    if not (wants_matrix or wants_design_space):
-        return
-    from repro.analysis.experiments import (
-        design_space_accesses,
-        precompute_design_space,
-        run_experiment_campaign,
-    )
+    from repro.analysis.figures import FIGURES, precompute
 
-    if wants_matrix:
-        run_experiment_campaign(selected_workloads(), workers=workers)
-    if wants_design_space:
-        # The Figure 11 entry's trace length, so its cells hit.
-        precompute_design_space(selected_workloads(),
-                                num_accesses=design_space_accesses(),
-                                workers=workers)
+    collected = {item.callspec.params.get("figure")
+                 for item in request.session.items if hasattr(item, "callspec")}
+    precompute([entry for name, entry in FIGURES.items() if name in collected],
+               selected_workloads(), workers=bench_workers())
 
 
 def run_once(benchmark, function, *args, **kwargs):

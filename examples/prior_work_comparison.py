@@ -7,7 +7,9 @@ Write side: demand-only writeback, age-based eager writeback, VWQ, BuMP and
 BuMP+VWQ (footnote 1).  For each mechanism the example reports coverage,
 overfetch/extra traffic, DRAM row-buffer locality and predictor storage --
 the axes on which the paper differentiates code-correlated bulk streaming
-from its alternatives.
+from its alternatives.  The two comparisons are the ``prefetchers`` and
+``writeback`` entries of the result registry (:mod:`repro.analysis.figures`),
+rendered with their checks.
 
 Run it with::
 
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import argparse
 
-from repro.analysis.ablations import prefetcher_comparison, writeback_mechanism_study
+from repro.analysis.figures import FIGURES
 from repro.analysis.reporting import format_nested_mapping, print_report
 from repro.core.bump import BuMPPredictor
 from repro.prefetch import (
@@ -43,7 +45,7 @@ def storage_table() -> str:
         name: {"storage_kib": mechanism.storage_bits() / 8 / 1024}
         for name, mechanism in mechanisms.items()
     }
-    return format_nested_mapping(rows, value_format="{:.1f}",
+    return format_nested_mapping(rows, "mechanism", value_format="{:.1f}",
                                  title="Predictor storage (KiB)",
                                  columns=["storage_kib"])
 
@@ -62,25 +64,11 @@ def main() -> None:
         raise SystemExit(f"unknown workloads: {unknown}")
 
     print_report(storage_table())
-
-    reads = prefetcher_comparison(workloads=selected, num_accesses=args.accesses)
-    print_report(format_nested_mapping(
-        reads, value_format="{:.3f}",
-        title=f"\nRead-side mechanisms ({', '.join(selected)}, {args.accesses} accesses)",
-        columns=["read_coverage", "read_overfetch", "row_buffer_hit_ratio"]))
-
-    writes = writeback_mechanism_study(workloads=selected, num_accesses=args.accesses)
-    print_report(format_nested_mapping(
-        writes, value_format="{:.3f}",
-        title="\nWrite-side mechanisms",
-        columns=["write_coverage", "row_buffer_hit_ratio", "dram_writes"]))
-
-    print_report(
-        "\nReading the tables: BuMP reaches SMS-class read coverage and the best\n"
-        "row-buffer locality at a fraction of Stealth's storage, and it streams\n"
-        "writebacks that the read-only prefetchers ignore; combining it with VWQ\n"
-        "(bump_vwq) picks up the writeback locality outside high-density regions."
-    )
+    for name in ("prefetchers", "writeback"):
+        entry = FIGURES[name]
+        result = entry.run(selected, args.accesses)
+        print_report(entry.render(result))
+        print_report(entry.validate(result).render())
 
 
 if __name__ == "__main__":

@@ -9,6 +9,9 @@ Three questions the paper answers in prose are reproduced quantitatively:
 3. Does BuMP still help when the memory controller uses a fairness-oriented
    scheduling policy instead of FR-FCFS?
 
+The answers are the ``section6`` and ``scheduling`` entries of the result
+registry (:mod:`repro.analysis.figures`), rendered with their checks.
+
 Run it with::
 
     python examples/scalability_virtualization.py [--accesses 60000] [--workload web_search]
@@ -18,40 +21,9 @@ from __future__ import annotations
 
 import argparse
 
-from repro.analysis.ablations import scheduler_policy_study
-from repro.analysis.reporting import format_nested_mapping, format_table, print_report
-from repro.analysis.scalability import (
-    scaling_summary,
-    storage_scaling_table,
-    virtualization_storage_table,
-)
+from repro.analysis.figures import FIGURES
+from repro.analysis.reporting import print_report
 from repro.workloads.catalog import workload_names
-
-
-def print_scaling_tables() -> None:
-    """Storage growth with CMP size and with consolidated workloads."""
-    rows = [[str(e.cores), f"{e.llc_mib:.0f}", f"{e.rdtt_kib:.1f}", f"{e.bht_kib:.1f}",
-             f"{e.drt_kib:.1f}", f"{e.total_kib:.1f}", f"{e.per_core_kib:.2f}"]
-            for e in storage_scaling_table()]
-    print_report("BuMP storage versus CMP size (LLC scaled with cores)")
-    print_report(format_table(rows, headers=["cores", "LLC MiB", "RDTT KiB", "BHT KiB",
-                                             "DRT KiB", "total KiB", "KiB/core"]))
-
-    rows = [[str(e.workloads_sharing), f"{e.bht_kib:.1f}", f"{e.total_kib:.1f}",
-             f"{e.per_core_kib:.2f}"]
-            for e in virtualization_storage_table()]
-    print_report("\nBuMP storage versus consolidated workloads (one BHT share per workload)")
-    print_report(format_table(rows, headers=["workloads", "BHT KiB", "total KiB",
-                                             "KiB/core"]))
-
-    summary = scaling_summary()
-    print_report(
-        f"\nNative design: {summary['native_total_kib']:.1f} KiB total "
-        f"({summary['native_per_core_kib']:.2f} KiB/core); extreme consolidation: "
-        f"{summary['virtualized_bht_kib']:.0f} KiB BHT, "
-        f"{summary['virtualized_per_core_kib']:.1f} KiB/core "
-        "(the paper quotes ~14 KiB, 72 KiB and ~5 KiB respectively)."
-    )
 
 
 def main() -> None:
@@ -61,20 +33,11 @@ def main() -> None:
                         help="trace length for the scheduling-policy study")
     args = parser.parse_args()
 
-    print_scaling_tables()
-
-    policies = scheduler_policy_study(policies=("fcfs", "frfcfs", "bank_round_robin"),
-                                      workloads=[args.workload],
-                                      num_accesses=args.accesses)
-    print_report(format_nested_mapping(
-        policies, value_format="{:.3f}",
-        title=f"\nBuMP under different scheduling policies ({args.workload})",
-        columns=["row_buffer_hit_ratio", "energy_per_access_nj"]))
-    print_report(
-        "\nFR-FCFS recovers the most row locality; the core-rotating fair scheduler\n"
-        "stays close because bulk transfers arrive at the controller back-to-back,\n"
-        "which is why Section VI argues BuMP composes with fairness-oriented policies."
-    )
+    for name in ("section6", "scheduling"):
+        entry = FIGURES[name]
+        result = entry.run([args.workload], args.accesses)
+        print_report(entry.render(result))
+        print_report(entry.validate(result).render())
 
 
 if __name__ == "__main__":

@@ -14,12 +14,12 @@ The default trace length is read from the ``REPRO_EXPERIMENT_ACCESSES``
 environment variable so CI or a laptop can dial the fidelity/runtime
 trade-off without touching code.
 
-Simulations are executed through the campaign engine (:mod:`repro.exec`):
-``_run`` funnels single runs through :func:`repro.exec.campaign.run_job` so
-they hit the on-disk artifact store when ``REPRO_ARTIFACT_DIR`` is set, and
-:func:`precompute_results` (behind :func:`run_experiment_campaign`) fans
-whole grids out across worker processes and fills the memo the figure
-functions read, skipping cells it already holds.
+``_run`` funnels a run the memo lacks through
+:func:`repro.exec.campaign.run_job`, so it hits the on-disk artifact store
+when ``REPRO_ARTIFACT_DIR`` is set;
+:func:`repro.analysis.figures.precompute` fills the memo ahead of time,
+running every configuration a set of registry entries reads as one
+campaign per trace length.
 """
 
 from __future__ import annotations
@@ -28,10 +28,9 @@ import os
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.config import BuMPConfig
-from repro.exec.campaign import CampaignResult, run_campaign, run_job
-from repro.exec.jobs import JobGrid, JobSpec
-from repro.exec.progress import CampaignProgress
-from repro.exec.store import ArtifactStore, default_store
+from repro.exec.campaign import run_job
+from repro.exec.jobs import JobSpec
+from repro.exec.store import default_store
 from repro.sim.config import SystemConfig, bump_system, named_configs
 from repro.sim.results import SimulationResult
 from repro.workloads.catalog import workload_names
@@ -49,77 +48,33 @@ def clear_result_cache() -> None:
     _RESULT_CACHE.clear()
 
 
-def precompute_results(configs: Iterable[SystemConfig],
-                       workloads: Iterable[str],
-                       num_accesses: Optional[int] = None,
-                       seed: int = DEFAULT_SEED,
-                       workers: int = 1,
-                       store: Optional[ArtifactStore] = None,
-                       progress: Optional[CampaignProgress] = None) -> CampaignResult:
-    """Run a (configuration x workload) grid as one campaign.
-
-    Cells already in the result memo are skipped, and configurations with
-    identical content run once; every simulated or store-restored cell is
-    memoized, so the serial aggregation loops that follow are pure lookups.
-    This is the shared engine behind :func:`run_experiment_campaign`,
-    :func:`precompute_design_space` and the ablation studies' ``workers=``
-    support.
-    """
-    accesses = num_accesses if num_accesses is not None else DEFAULT_ACCESSES
-    grid = JobGrid(workloads=list(workloads), configs=list(configs),
-                   seeds=(seed,), num_accesses=accesses)
-    jobs = [job for job in grid.expand()
-            if job.result_fingerprint() not in _RESULT_CACHE]
-    outcome = run_campaign(jobs, store=store if store is not None
-                           else default_store(), workers=workers,
-                           progress=progress)
-    for job_outcome in outcome.outcomes:
-        _RESULT_CACHE[job_outcome.job.result_fingerprint()] = job_outcome.result
-    return outcome
-
-
 def design_space_accesses(num_accesses: Optional[int] = None) -> int:
     """Trace length of the Figure 11 sweep (half the default, floored).
 
-    Single source of truth shared by the example report, the benchmark
-    harness and the precompute path -- the sweep's memo cells only line up
-    when every caller computes the same length.
+    Figure 11's registry entry runs at this length, so its memo and store
+    cells line up wherever the entry runs.
     """
     accesses = num_accesses if num_accesses is not None else DEFAULT_ACCESSES
     return max(accesses // 2, 60_000)
 
 
-def _run(workload: str, config: SystemConfig,
-         num_accesses: Optional[int] = None, seed: int = DEFAULT_SEED) -> SimulationResult:
-    """Run (or fetch from the memo) one workload under one configuration."""
+def job_spec(workload: str, config: SystemConfig,
+             num_accesses: Optional[int] = None) -> JobSpec:
+    """The job an experiment runs for one workload under one configuration."""
     accesses = num_accesses if num_accesses is not None else DEFAULT_ACCESSES
-    job = JobSpec(workload=workload, config=config, num_accesses=accesses, seed=seed)
+    return JobSpec(workload=workload, config=config, num_accesses=accesses,
+                   seed=DEFAULT_SEED)
+
+
+def _run(workload: str, config: SystemConfig,
+         num_accesses: Optional[int] = None) -> SimulationResult:
+    """Run (or fetch from the memo) one workload under one configuration."""
+    job = job_spec(workload, config, num_accesses)
     key = job.result_fingerprint()
     result = _RESULT_CACHE.get(key)
     if result is None:
         result = _RESULT_CACHE[key] = run_job(job, store=default_store())
     return result
-
-
-def run_experiment_campaign(workloads: Optional[Iterable[str]] = None,
-                            systems: Optional[Iterable[str]] = None,
-                            num_accesses: Optional[int] = None,
-                            seed: int = DEFAULT_SEED,
-                            workers: int = 1,
-                            store: Optional[ArtifactStore] = None,
-                            progress: Optional[CampaignProgress] = None) -> CampaignResult:
-    """Precompute the (workload x system) figure matrix as one campaign.
-
-    Results land in both the artifact store (when one is configured) and the
-    in-process result memo, so every subsequent ``figureN_*`` call is a pure
-    lookup.  ``systems`` defaults to the paper's eight evaluated
-    configurations; extended (ablation) names are accepted too.
-    """
-    names = list(systems) if systems is not None else list(named_configs())
-    return precompute_results(named_configs(names).values(),
-                              _workloads(workloads), num_accesses=num_accesses,
-                              seed=seed, workers=workers, store=store,
-                              progress=progress)
 
 
 def _workloads(workloads: Optional[Iterable[str]]) -> List[str]:
@@ -302,9 +257,14 @@ def figure10_performance(workloads: Optional[Iterable[str]] = None,
 # --------------------------------------------------------------------- #
 # Figure 11 -- design space exploration (region size x density threshold)
 # --------------------------------------------------------------------- #
-def _design_space_configs(region_sizes: Iterable[int],
-                          threshold_fractions: Iterable[float]
-                          ) -> Dict[Tuple[int, float], SystemConfig]:
+#: Figure 11's region sizes (bytes) and high-density thresholds (fractions).
+REGION_SIZES = (512, 1024, 2048)
+THRESHOLDS = (0.25, 0.5, 0.75, 1.0)
+
+
+def design_space_configs(region_sizes: Iterable[int] = REGION_SIZES,
+                         threshold_fractions: Iterable[float] = THRESHOLDS
+                         ) -> Dict[Tuple[int, float], SystemConfig]:
     """The Figure 11 BuMP configurations, keyed by (region size, threshold)."""
     fractions = list(threshold_fractions)
     return {
@@ -315,36 +275,15 @@ def _design_space_configs(region_sizes: Iterable[int],
     }
 
 
-def precompute_design_space(workloads: Optional[Iterable[str]] = None,
-                            region_sizes: Iterable[int] = (512, 1024, 2048),
-                            threshold_fractions: Iterable[float] = (0.25, 0.5, 0.75, 1.0),
-                            num_accesses: Optional[int] = None,
-                            seed: int = DEFAULT_SEED,
-                            workers: int = 1,
-                            store: Optional[ArtifactStore] = None,
-                            progress: Optional[CampaignProgress] = None) -> CampaignResult:
-    """Fan the Figure 11 sweep grid out as one campaign.
-
-    Runs exactly the configurations :func:`figure11_design_space` reads
-    (including the open-row baseline it normalises against), so a
-    subsequent call to that function aggregates without simulating.
-    """
-    configs = [_named("base_open")]
-    configs += _design_space_configs(region_sizes, threshold_fractions).values()
-    return precompute_results(configs, _workloads(workloads),
-                              num_accesses=num_accesses, seed=seed,
-                              workers=workers, store=store, progress=progress)
-
-
 def figure11_design_space(workloads: Optional[Iterable[str]] = None,
-                          region_sizes: Iterable[int] = (512, 1024, 2048),
-                          threshold_fractions: Iterable[float] = (0.25, 0.5, 0.75, 1.0),
+                          region_sizes: Iterable[int] = REGION_SIZES,
+                          threshold_fractions: Iterable[float] = THRESHOLDS,
                           num_accesses: Optional[int] = None) -> Dict[Tuple[int, float], float]:
     """Average memory-energy-per-access improvement over the open-row baseline
     for every (region size, density threshold) BuMP configuration."""
     selected = _workloads(workloads)
     improvements: Dict[Tuple[int, float], float] = {}
-    configs = _design_space_configs(region_sizes, threshold_fractions)
+    configs = design_space_configs(region_sizes, threshold_fractions)
     for point, config in configs.items():
         per_workload = []
         for workload in selected:

@@ -1,17 +1,23 @@
-"""The registry of the paper's figures and tables: one entry per figure.
+"""The registry of every reproduced result: one entry per figure, table or study.
 
-Each :class:`Figure` in :data:`FIGURES` defines one of the twelve figures and
-tables of the evaluation once:
+Each :class:`Figure` in :data:`FIGURES` defines one result once:
 
-* its experiment function (:mod:`repro.analysis.experiments` computes the
-  data);
+* its experiment function, which computes the data
+  (:mod:`repro.analysis.experiments` for the twelve figures and tables of
+  the evaluation, :mod:`repro.analysis.ablations` for the seven studies of
+  design choices the paper argues in prose, and
+  :mod:`repro.analysis.scalability` for the Section VI storage tables);
+* the system configurations that experiment reads, and the workloads it
+  runs on;
 * the text tables it prints (rendered through
   :mod:`repro.analysis.reporting`);
 * its shape checks, written with
   :class:`repro.analysis.validation.ValidationSuite`;
 * what the paper reports for it, and the reproduction's known limits.
 
-The benchmark harness (``benchmarks/bench_paper_figures.py``),
+:func:`precompute` runs the configurations a set of entries reads as one
+campaign per trace length.  The benchmark harness
+(``benchmarks/bench_paper_figures.py``),
 ``examples/run_all_experiments.py`` and ``repro experiment`` all loop over
 the registry.  The checks hold at the harness's default trace length
 (240,000 accesses); shorter traces leave the 4 MB LLC cold, and some checks
@@ -22,14 +28,20 @@ from __future__ import annotations
 
 import textwrap
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.analysis import experiments, paper_data
+from repro.analysis import ablations, experiments, paper_data, scalability
 from repro.analysis.reporting import format_comparison, format_nested_mapping, format_table
 from repro.analysis.validation import ValidationSuite
 from repro.core.bump import BuMPPredictor
+from repro.exec.campaign import CampaignResult, run_campaign
+from repro.exec.jobs import JobSpec
+from repro.exec.progress import CampaignProgress
+from repro.exec.store import ArtifactStore, default_store
+from repro.sim.config import SystemConfig, base_open, named_configs
+from repro.workloads.catalog import workload_names
 
-__all__ = ["FIGURES", "Figure"]
+__all__ = ["FIGURES", "Figure", "precompute"]
 
 
 def _same_length(num_accesses: Optional[int]) -> Optional[int]:
@@ -38,31 +50,42 @@ def _same_length(num_accesses: Optional[int]) -> Optional[int]:
 
 @dataclass(frozen=True)
 class Figure:
-    """One figure or table of the paper: its data, its tables, its checks."""
+    """One result of the paper: its data, its runs, its tables, its checks."""
 
     #: Registry key, e.g. ``"figure9"`` (the ``repro experiment`` name).
     name: str
     #: ``experiment(workloads, num_accesses=...)`` computes the data.
     experiment: Callable[..., Any]
+    #: Builds every system configuration the experiment runs on each of its
+    #: workloads (none for an entry that simulates nothing).
+    configs: Callable[[], Iterable[SystemConfig]]
     #: Renders the computed data as titled text tables.
     tables: Callable[[Any], List[str]]
     #: Records one verdict per shape check on the computed data.
     checks: Callable[[Any, ValidationSuite], None]
-    #: What the paper reports for this figure.
+    #: What the paper reports for this result.
     paper: str
     #: Where the reproduction is known to depart from the paper.
     limits: str = ""
-    #: The trace length this figure runs at, given the harness's.
+    #: The trace length this entry runs at, given the harness's.
     trace_length: Callable[[Optional[int]], Optional[int]] = _same_length
+    #: The workloads this entry runs on, of those the harness selects (when
+    #: the selection holds none of them, or this is empty: all it selects).
+    workloads: Tuple[str, ...] = ()
+
+    def select(self, workloads: Optional[Sequence[str]] = None) -> List[str]:
+        """The workloads this entry runs on, given the harness's selection."""
+        selected = list(workloads) if workloads is not None else workload_names()
+        return [name for name in selected if name in self.workloads] or selected
 
     def run(self, workloads: Optional[Sequence[str]] = None,
             num_accesses: Optional[int] = None) -> Any:
-        """Compute the figure's data at the harness trace length."""
-        return self.experiment(workloads,
+        """Compute the entry's data at the harness trace length."""
+        return self.experiment(self.select(workloads),
                                num_accesses=self.trace_length(num_accesses))
 
     def render(self, result: Any) -> str:
-        """The figure's tables, then the paper's values and known limits."""
+        """The entry's tables, then the paper's values and known limits."""
         notes = [f"Paper: {self.paper}"]
         if self.limits:
             notes.append(f"Known limits: {self.limits}")
@@ -77,6 +100,43 @@ class Figure:
         return suite
 
 
+def precompute(entries: Iterable[Figure],
+               workloads: Optional[Sequence[str]] = None,
+               num_accesses: Optional[int] = None,
+               workers: int = 1,
+               store: Optional[ArtifactStore] = None,
+               progress: Optional[CampaignProgress] = None
+               ) -> Dict[int, CampaignResult]:
+    """Simulate every run the entries read, as one campaign per trace length.
+
+    Each entry reads its declared configurations on its workloads (out of
+    ``workloads``, all six when None) at its trace length (given the
+    harness's ``num_accesses``).  A run several entries read is simulated
+    once, and a run already in the experiments' result memo not at all.
+    Every result lands in that memo, and in ``store`` (default: the
+    ``REPRO_ARTIFACT_DIR`` store, if set), so the entries then run without
+    simulating.  Returns the campaigns keyed by trace length.
+    """
+    grids: Dict[int, Dict[str, JobSpec]] = {}
+    for entry in entries:
+        length = entry.trace_length(num_accesses)
+        for config in entry.configs():
+            for workload in entry.select(workloads):
+                job = experiments.job_spec(workload, config, length)
+                key = job.result_fingerprint()
+                if key not in experiments._RESULT_CACHE:
+                    grids.setdefault(job.num_accesses, {})[key] = job
+    campaigns: Dict[int, CampaignResult] = {}
+    for length, jobs in grids.items():
+        campaign = run_campaign(list(jobs.values()),
+                                store=store if store is not None else default_store(),
+                                workers=workers, progress=progress)
+        for outcome in campaign.outcomes:
+            experiments._RESULT_CACHE[outcome.job.result_fingerprint()] = outcome.result
+        campaigns[length] = campaign
+    return campaigns
+
+
 # --------------------------------------------------------------------- #
 # Check helpers
 # --------------------------------------------------------------------- #
@@ -86,6 +146,23 @@ def _above(suite: ValidationSuite, name: str, value: float, floor: float) -> Non
 
 def _below(suite: ValidationSuite, name: str, value: float, ceiling: float) -> None:
     suite.check_predicate(name, value, lambda v: v < ceiling, f"< {ceiling:g}")
+
+
+def _between(suite: ValidationSuite, name: str, value: float, low: float,
+             high: float) -> None:
+    suite.check_predicate(name, value, lambda v: low < v < high,
+                          f"between {low:g} and {high:g} (exclusive)")
+
+
+def _at_least(suite: ValidationSuite, name: str, value: float, floor: float,
+              rule: str) -> None:
+    """``value >= floor``, where ``rule`` says how the floor is derived."""
+    suite.check_predicate(name, value, lambda v: v >= floor,
+                          f">= {rule} = {floor:.3g}")
+
+
+def _nonnegative(suite: ValidationSuite, name: str, value: float) -> None:
+    suite.check_predicate(name, value, lambda v: v >= 0.0, ">= 0")
 
 
 def _sums_to_one(suite: ValidationSuite, name: str, total: float) -> None:
@@ -98,10 +175,17 @@ def _mean(values) -> float:
     return sum(values) / len(values)
 
 
-def _workload_table(title: str, columns: List[str], value_format: str = "{:.2f}"):
-    """``tables`` of a figure whose data is one ``{workload: {column: value}}``."""
+def _table(title: str, row_header: str, columns: List[str],
+           value_format: str = "{:.2f}"):
+    """``tables`` of an entry whose data is one ``{row: {column: value}}``."""
     return lambda table: [format_nested_mapping(
-        table, value_format=value_format, title=title, columns=columns)]
+        table, row_header, value_format=value_format, title=title,
+        columns=columns)]
+
+
+def _systems(*names: str) -> Callable[[], Iterable[SystemConfig]]:
+    """``configs`` of an entry that reads the named systems."""
+    return lambda: named_configs(list(names)).values()
 
 
 def _figure1_checks(shares, suite: ValidationSuite) -> None:
@@ -136,7 +220,7 @@ def _figure5_tables(table) -> List[str]:
     return [
         format_nested_mapping(
             {workload: entry[kind] for workload, entry in table.items()},
-            value_format="{:.2f}",
+            "workload", value_format="{:.2f}",
             title=f"Figure 5 ({kind}): region access density shares",
             columns=["low", "medium", "high"])
         for kind in ("reads", "writes")
@@ -179,7 +263,7 @@ def _figure8_tables(table) -> List[str]:
     return [
         format_nested_mapping(
             {workload: entry[scheme] for workload, entry in table.items()},
-            value_format="{:.2f}",
+            "workload", value_format="{:.2f}",
             title=f"Figure 8 ({label}): coverage and waste",
             columns=["read_coverage", "read_overfetch", "write_coverage",
                      "extra_writebacks"])
@@ -194,10 +278,9 @@ def _figure8_checks(table, suite: ValidationSuite) -> None:
         _above(suite, f"BuMP read coverage ({workload})", bump["read_coverage"], 0.25)
         _above(suite, f"BuMP write coverage ({workload})", bump["write_coverage"], 0.25)
         _below(suite, f"BuMP read overfetch ({workload})", bump["read_overfetch"], 0.6)
-        floor = bump["read_coverage"] - 0.10
-        suite.check_predicate(
-            f"Full-region read coverage ({workload})", full["read_coverage"],
-            lambda v: v >= floor, f">= BuMP's - 0.10 = {floor:.3g}")
+        _at_least(suite, f"Full-region read coverage ({workload})",
+                  full["read_coverage"], bump["read_coverage"] - 0.10,
+                  "BuMP's - 0.10")
         floor = 3 * bump["read_overfetch"]
         suite.check_predicate(
             f"Full-region read overfetch vs BuMP's ({workload})",
@@ -214,7 +297,7 @@ def _figure9_tables(table) -> List[str]:
     return [format_nested_mapping(
         {workload: {name: entry["normalized"] for name, entry in row.items()}
          for workload, row in table.items()},
-        value_format="{:.2f}",
+        "workload", value_format="{:.2f}",
         title="Figure 9: memory energy per access normalised to Base-close",
         columns=["base_close", "base_open", "full_region", "bump"])]
 
@@ -231,9 +314,8 @@ def _figure9_checks(table, suite: ValidationSuite) -> None:
                                  normalized, order, strict=True)
     reduction = 1.0 - (sum(row["bump"]["total_nj"] for row in table.values())
                        / sum(row["base_open"]["total_nj"] for row in table.values()))
-    suite.check_predicate("BuMP energy reduction vs Base-open (paper: 23%)",
-                          reduction, lambda v: 0.10 < v < 0.45,
-                          "between 0.1 and 0.45 (exclusive)")
+    _between(suite, "BuMP energy reduction vs Base-open (paper: 23%)",
+             reduction, 0.10, 0.45)
 
 
 def _figure10_checks(table, suite: ValidationSuite) -> None:
@@ -268,14 +350,10 @@ def _figure11_checks(sweep, suite: ValidationSuite) -> None:
     _above(suite, "energy saving at 1024 B, 50%", sweep[(1024, 0.5)], 0.0)
     chosen = sweep[(paper_data.BEST_REGION_SIZE, paper_data.BEST_DENSITY_THRESHOLD)]
     best = max(sweep, key=sweep.get)
-    floor = sweep[best] - 0.05
-    suite.check_predicate("paper's design point (1024 B, 50%) vs the best",
-                          chosen, lambda v: v >= floor,
-                          f">= best {best} - 0.05 = {floor:.3g}")
-    floor = sweep[(512, 1.0)] - 0.02
-    suite.check_predicate("paper's design point vs (512 B, 100%)",
-                          chosen, lambda v: v >= floor,
-                          f">= (512 B, 100%) - 0.02 = {floor:.3g}")
+    _at_least(suite, "paper's design point (1024 B, 50%) vs the best", chosen,
+              sweep[best] - 0.05, f"best {best} - 0.05")
+    _at_least(suite, "paper's design point vs (512 B, 100%)", chosen,
+              sweep[(512, 1.0)] - 0.02, "(512 B, 100%) - 0.02")
 
 
 def _figure12_checks(table, suite: ValidationSuite) -> None:
@@ -299,7 +377,7 @@ def _figure13_tables(summary) -> List[str]:
     return [
         format_nested_mapping(
             {name: summary[name] for name in _FIGURE13_SYSTEMS},
-            value_format="{:.3f}",
+            "system", value_format="{:.3f}",
             title="Figure 13: workload-averaged row-buffer hit ratio and memory energy",
             columns=["row_buffer_hit_ratio", "energy_per_access_nj",
                      "energy_normalized"]),
@@ -352,27 +430,136 @@ def _table4_tables(measured) -> List[str]:
 
 def _table4_checks(measured, suite: ValidationSuite) -> None:
     for workload, value in measured.items():
-        suite.check_predicate(f"BuMP hit ratio ({workload})", value,
-                              lambda v: 0.30 < v < 0.85,
-                              "between 0.3 and 0.85 (exclusive)")
-    suite.check_predicate("average BuMP hit ratio (paper: 55%)",
-                          _mean(measured.values()), lambda v: 0.40 < v < 0.75,
-                          "between 0.4 and 0.75 (exclusive)")
+        _between(suite, f"BuMP hit ratio ({workload})", value, 0.30, 0.85)
+    _between(suite, "average BuMP hit ratio (paper: 55%)",
+             _mean(measured.values()), 0.40, 0.75)
     if {"media_streaming", "software_testing"} <= set(measured):
         suite.check_ordering("hit ratio: software_testing < media_streaming",
                              measured, ["software_testing", "media_streaming"],
                              strict=True)
 
 
+def _rdtt_checks(table, suite: ValidationSuite) -> None:
+    best = max(row["read_coverage"] for row in table.values())
+    _at_least(suite, "256-entry read coverage vs the best size's",
+              table[256]["read_coverage"], 0.7 * best, "0.7x the best")
+    for entries, row in table.items():
+        suite.check_range(f"read coverage ({entries} entries)",
+                          row["read_coverage"], 0.0, 1.0)
+        _nonnegative(suite, f"read overfetch ({entries} entries)",
+                     row["read_overfetch"])
+
+
+def _table_sizing_checks(table, suite: ValidationSuite) -> None:
+    _at_least(suite, "1024-entry write coverage vs 128-entry",
+              table[1024]["write_coverage"], table[128]["write_coverage"] - 0.02,
+              "128 entries' - 0.02")
+    for entries, row in table.items():
+        _nonnegative(suite, f"extra writebacks ({entries} entries)",
+                     row["extra_writebacks"])
+        suite.check_range(f"read coverage ({entries} entries)",
+                          row["read_coverage"], 0.0, 1.0)
+
+
+def _interleaving_checks(table, suite: ValidationSuite) -> None:
+    hits = {name: row["row_buffer_hit_ratio"] for name, row in table.items()}
+    energy = {name: row["energy_per_access_nj"] for name, row in table.items()}
+    suite.check_ordering("hit ratio: block < region", hits, ["block", "region"],
+                         strict=True)
+    suite.check_ordering("energy: region < block", energy, ["region", "block"],
+                         strict=True)
+
+
+def _scheduling_checks(table, suite: ValidationSuite) -> None:
+    hits = {name: row["row_buffer_hit_ratio"] for name, row in table.items()}
+    _at_least(suite, "FR-FCFS hit ratio vs FCFS's", hits["frfcfs"],
+              hits["fcfs"] - 0.02, "FCFS's - 0.02")
+    _at_least(suite, "FR-FCFS hit ratio vs bank round robin's", hits["frfcfs"],
+              hits["bank_round_robin"] - 0.02, "bank round robin's - 0.02")
+    _at_least(suite, "bank round robin hit ratio vs FR-FCFS's",
+              hits["bank_round_robin"], 0.5 * hits["frfcfs"], "0.5x FR-FCFS's")
+
+
+def _writeback_checks(table, suite: ValidationSuite) -> None:
+    coverage = {name: row["write_coverage"] for name, row in table.items()}
+    suite.check_predicate("Base-open write coverage", coverage["base_open"],
+                          lambda v: v == 0.0, "== 0")
+    _above(suite, "VWQ write coverage", coverage["vwq"], 0.0)
+    _above(suite, "BuMP write coverage", coverage["bump"], 0.0)
+    _at_least(suite, "BuMP+VWQ write coverage vs BuMP's", coverage["bump_vwq"],
+              coverage["bump"] - 0.02, "BuMP's - 0.02")
+    suite.check_ordering("hit ratio: base_open < vwq < bump",
+                         {name: row["row_buffer_hit_ratio"]
+                          for name, row in table.items()},
+                         ["base_open", "vwq", "bump"], strict=True)
+
+
+def _prefetcher_checks(table, suite: ValidationSuite) -> None:
+    bump = table["bump"]
+    for name in ("nextline", "stride", "stealth", "sms"):
+        _at_least(suite, f"BuMP hit ratio vs {name}'s", bump["row_buffer_hit_ratio"],
+                  table[name]["row_buffer_hit_ratio"] - 0.02, f"{name}'s - 0.02")
+    _at_least(suite, "BuMP read coverage vs SMS's", bump["read_coverage"],
+              table["sms"]["read_coverage"] - 0.05, "SMS's - 0.05")
+    for name, row in table.items():
+        _nonnegative(suite, f"read overfetch ({name})", row["read_overfetch"])
+
+
+def _timing_checks(table, suite: ValidationSuite) -> None:
+    for model, row in table.items():
+        _above(suite, f"BuMP speedup over Base-open ({model})",
+               row["bump_speedup_over_base_open"], -0.05)
+
+
+def _storage(workloads=None, num_accesses=None) -> Dict[str, Any]:
+    """The Section VI storage tables; nothing is simulated, so the harness's
+    workloads and trace length do not apply."""
+    return {"cores": scalability.storage_scaling_table(),
+            "virtualization": scalability.virtualization_storage_table(),
+            "summary": scalability.scaling_summary()}
+
+
+def _storage_tables(storage) -> List[str]:
+    cores = [[str(e.cores), f"{e.llc_mib:.0f}", f"{e.rdtt_kib:.1f}",
+              f"{e.bht_kib:.1f}", f"{e.drt_kib:.1f}", f"{e.total_kib:.1f}",
+              f"{e.per_core_kib:.2f}"] for e in storage["cores"]]
+    shared = [[str(e.workloads_sharing), f"{e.bht_kib:.1f}", f"{e.total_kib:.1f}",
+               f"{e.per_core_kib:.2f}"] for e in storage["virtualization"]]
+    return [
+        "Section VI: BuMP storage vs CMP size (LLC scaled with cores)\n"
+        + format_table(cores, headers=["cores", "LLC MiB", "RDTT KiB", "BHT KiB",
+                                       "DRT KiB", "total KiB", "KiB/core"]),
+        "Section VI: BuMP storage vs consolidated workloads (virtualization)\n"
+        + format_table(shared, headers=["workloads", "BHT KiB", "total KiB",
+                                        "KiB/core"]),
+    ]
+
+
+def _storage_checks(storage, suite: ValidationSuite) -> None:
+    totals = {f"{e.cores} cores": e.total_kib for e in storage["cores"]}
+    suite.check_ordering("total storage grows with the core count", totals,
+                         list(totals))
+    _below(suite, "largest storage per core in KiB (cores sweep)",
+           max(e.per_core_kib for e in storage["cores"]), 3.0)
+    summary = storage["summary"]
+    _between(suite, "native total in KiB (paper: 14)",
+             summary["native_total_kib"], 10.0, 20.0)
+    _between(suite, "virtualized BHT in KiB (paper: 72)",
+             summary["virtualized_bht_kib"], 50.0, 95.0)
+    _between(suite, "virtualized storage per core in KiB (paper: ~5)",
+             summary["virtualized_per_core_kib"], 3.0, 8.0)
+
+
 # --------------------------------------------------------------------- #
-# The registry, in the paper's order
+# The registry
 # --------------------------------------------------------------------- #
 _FIGURE_LIST = [
     Figure(
         name="figure1",
         experiment=experiments.figure1_energy_breakdown,
-        tables=_workload_table(
-            "Figure 1: server energy shares by component (Base-open)",
+        configs=_systems("base_open"),
+        tables=_table(
+            "Figure 1: server energy shares by component (Base-open)", "workload",
             ["cores", "llc", "noc", "memory_controller", "memory_activation",
              "memory_burst_io", "memory_background"]),
         checks=_figure1_checks,
@@ -388,9 +575,10 @@ _FIGURE_LIST = [
     Figure(
         name="figure2",
         experiment=experiments.figure2_row_buffer_hit,
-        tables=_workload_table(
+        configs=_systems("base_open", "sms", "vwq", "ideal"),
+        tables=_table(
             "Figure 2: DRAM row-buffer hit ratio (Base-open, SMS, VWQ, Ideal)",
-            ["base_open", "sms", "vwq", "ideal"]),
+            "workload", ["base_open", "sms", "vwq", "ideal"]),
         checks=_figure2_checks,
         paper="The open-row baseline exploits a small fraction of the "
               "row-buffer locality in the access stream (21% hit ratio on "
@@ -401,9 +589,10 @@ _FIGURE_LIST = [
     Figure(
         name="figure3",
         experiment=experiments.figure3_traffic_breakdown,
-        tables=_workload_table(
+        configs=_systems("base_open"),
+        tables=_table(
             "Figure 3: DRAM access mix (load reads / store reads / writes)",
-            ["load_reads", "store_reads", "writes"]),
+            "workload", ["load_reads", "store_reads", "writes"]),
         checks=_figure3_checks,
         paper="DRAM writes (LLC writebacks) are 21-38% of memory traffic, so a "
               "mechanism that only improves the locality of load-triggered "
@@ -417,6 +606,7 @@ _FIGURE_LIST = [
     Figure(
         name="figure5",
         experiment=experiments.figure5_region_density,
+        configs=_systems("ideal"),
         tables=_figure5_tables,
         checks=_figure5_checks,
         paper="For 1 KB regions, most DRAM reads (57-75%) and writes (62-86%) "
@@ -427,6 +617,7 @@ _FIGURE_LIST = [
     Figure(
         name="table1",
         experiment=experiments.table1_late_writes,
+        configs=_systems("ideal"),
         tables=_table1_tables,
         checks=_table1_checks,
         paper="Once the first dirty block of a high-density modified region "
@@ -437,6 +628,7 @@ _FIGURE_LIST = [
     Figure(
         name="figure8",
         experiment=experiments.figure8_prediction_accuracy,
+        configs=_systems("base_open", "bump", "full_region"),
         tables=_figure8_tables,
         checks=_figure8_checks,
         paper="BuMP predicts 45-55% of DRAM reads (28% for Software Testing) "
@@ -448,6 +640,7 @@ _FIGURE_LIST = [
     Figure(
         name="figure9",
         experiment=experiments.figure9_energy_per_access,
+        configs=_systems("base_close", "base_open", "full_region", "bump"),
         tables=_figure9_tables,
         checks=_figure9_checks,
         paper="BuMP reduces dynamic memory energy per access by 23% versus the "
@@ -458,8 +651,9 @@ _FIGURE_LIST = [
     Figure(
         name="figure10",
         experiment=experiments.figure10_performance,
-        tables=_workload_table(
-            "Figure 10: throughput improvement over Base-close",
+        configs=_systems("base_close", "base_open", "full_region", "bump"),
+        tables=_table(
+            "Figure 10: throughput improvement over Base-close", "workload",
             ["base_open", "full_region", "bump"], value_format="{:+.2%}"),
         checks=_figure10_checks,
         paper="Base-open is 1-2% slower than Base-close (it delays "
@@ -476,6 +670,7 @@ _FIGURE_LIST = [
     Figure(
         name="figure11",
         experiment=experiments.figure11_design_space,
+        configs=lambda: [base_open(), *experiments.design_space_configs().values()],
         tables=_figure11_tables,
         checks=_figure11_checks,
         paper="Sweeping the region size (512 B, 1 KB, 2 KB) and the "
@@ -493,9 +688,10 @@ _FIGURE_LIST = [
     Figure(
         name="figure12",
         experiment=experiments.figure12_onchip_overheads,
-        tables=_workload_table(
+        configs=_systems("base_open", "bump"),
+        tables=_table(
             "Figure 12: BuMP LLC/NOC traffic and energy (normalised to Base-open)",
-            ["llc_traffic", "llc_energy", "noc_traffic", "noc_energy"]),
+            "workload", ["llc_traffic", "llc_energy", "noc_traffic", "noc_energy"]),
         checks=_figure12_checks,
         paper="Bulk requests, overfetched data, eager writebacks, PC-extended "
               "requests and table notifications cost about 10% extra LLC "
@@ -506,6 +702,7 @@ _FIGURE_LIST = [
     Figure(
         name="figure13",
         experiment=experiments.figure13_summary,
+        configs=_systems(*_FIGURE13_SYSTEMS),
         tables=_figure13_tables,
         checks=_figure13_checks,
         paper="Averaged across workloads, the row-buffer hit ratio is 21% for "
@@ -519,6 +716,7 @@ _FIGURE_LIST = [
     Figure(
         name="table4",
         experiment=experiments.table4_bump_row_hits,
+        configs=_systems("bump"),
         tables=_table4_tables,
         checks=_table4_checks,
         paper="BuMP's per-workload row-buffer hit ratio ranges from 34% "
@@ -528,7 +726,131 @@ _FIGURE_LIST = [
         limits="Software Testing reads 0.54 at 240,000 accesses against the "
                "paper's 0.34; only its place below Media Streaming is checked.",
     ),
+    # Design choices the paper argues in prose, by section.
+    Figure(
+        name="rdtt_sizing",
+        experiment=ablations.rdtt_sizing,
+        configs=lambda: ablations.rdtt_configs().values(),
+        tables=_table("Section V.B: BuMP read coverage vs RDTT trigger/density "
+                      "table size", "RDTT entries",
+                      ["read_coverage", "read_overfetch"], value_format="{:.3f}"),
+        checks=_rdtt_checks,
+        paper="Software Testing's many simultaneously active regions overwhelm "
+              "the RDTT and cap its read coverage (Section V.B); a larger RDTT "
+              "recovers most of it. The 256-entry trigger and density tables "
+              "of Section IV.D behave close to an unbounded table.",
+        workloads=("software_testing", "web_search"),
+    ),
+    Figure(
+        name="bht_drt_sizing",
+        experiment=ablations.predictor_table_sizing,
+        configs=lambda: [*ablations.table_configs().values(), base_open()],
+        tables=_table("Section IV.D: BuMP coverage vs BHT/DRT size",
+                      "BHT/DRT entries",
+                      ["read_coverage", "write_coverage", "extra_writebacks"],
+                      value_format="{:.3f}"),
+        checks=_table_sizing_checks,
+        paper="Section IV.D sizes the bulk history table and the dirty region "
+              "table at 1,024 entries each; at that size BuMP's bulk writebacks "
+              "add under 10% extra write traffic (Fig. 8).",
+        limits="The extra-writeback column is reported, not checked: its "
+               "denominator, Base-open's demand writebacks, is very sensitive "
+               "to trace length.",
+        workloads=("software_testing", "web_search"),
+    ),
+    Figure(
+        name="interleaving",
+        experiment=ablations.interleaving_sensitivity,
+        configs=lambda: ablations.interleaving_configs().values(),
+        tables=_table("Section IV.D: BuMP with region-level vs block-level "
+                      "address interleaving", "interleaving",
+                      ["row_buffer_hit_ratio", "energy_per_access_nj"],
+                      value_format="{:.3f}"),
+        checks=_interleaving_checks,
+        paper="BuMP maps each 1 KB region onto one DRAM row (Section IV.D), so "
+              "a bulk transfer costs one activation. Block-level interleaving "
+              "spreads the same region over sixteen banks and forfeits that, "
+              "although the predictor behaves identically.",
+        workloads=("data_serving", "web_search", "web_serving"),
+    ),
+    Figure(
+        name="scheduling",
+        experiment=ablations.scheduler_policy_study,
+        configs=lambda: ablations.scheduler_configs().values(),
+        tables=_table("Section VI: BuMP under different transaction scheduling "
+                      "policies", "scheduler",
+                      ["row_buffer_hit_ratio", "energy_per_access_nj"],
+                      value_format="{:.3f}"),
+        checks=_scheduling_checks,
+        paper="The memory controller schedules FR-FCFS. Section VI argues that "
+              "BuMP composes with fairness-oriented scheduling: server cores run "
+              "near-identical instruction streams, so bulk transfers still "
+              "reach the controller back to back and keep most of their row "
+              "hits.",
+        workloads=("data_serving", "web_search", "web_serving"),
+    ),
+    Figure(
+        name="section6",
+        experiment=_storage,
+        configs=lambda: (),
+        tables=_storage_tables,
+        checks=_storage_checks,
+        paper="The RDTT grows linearly with the core count and the DRT with the "
+              "LLC capacity, so BuMP's storage per core stays small as the CMP "
+              "scales (Section VI). Consolidating one workload per core on a "
+              "16-core CMP needs a 72 KB BHT, about 5 KB of BuMP storage per "
+              "core; the native design takes about 14 KB (Section IV.D).",
+    ),
+    Figure(
+        name="writeback",
+        experiment=ablations.writeback_mechanism_study,
+        configs=lambda: ablations.writeback_configs().values(),
+        tables=_table("Section V.G, footnote 1: write-side mechanisms",
+                      "mechanism",
+                      ["write_coverage", "row_buffer_hit_ratio", "dram_writes"],
+                      value_format="{:.3f}"),
+        checks=_writeback_checks,
+        paper="Demand-only writeback streams nothing, and VWQ coalesces only a "
+              "few adjacent blocks, while BuMP streams whole regions: its row "
+              "locality tops VWQ's, as in Fig. 13. Footnote 1 notes that BuMP "
+              "combines with VWQ (bump_vwq here), which picks up writeback "
+              "locality outside high-density regions. Age-based eager "
+              "writeback is the other eager scheme compared.",
+        workloads=("data_serving", "media_streaming", "web_search"),
+    ),
+    Figure(
+        name="prefetchers",
+        experiment=ablations.prefetcher_comparison,
+        configs=lambda: ablations.prefetcher_configs().values(),
+        tables=_table("Section VII: read-side mechanisms", "mechanism",
+                      ["read_coverage", "read_overfetch", "row_buffer_hit_ratio"],
+                      value_format="{:.3f}"),
+        checks=_prefetcher_checks,
+        paper="Section VII sets BuMP's code-correlated bulk streaming against "
+              "next-line, stride and Stealth-style region prefetching and SMS. "
+              "Bulk streaming turns whole-region fetches into row-buffer hits, "
+              "and BuMP reaches at least SMS's read coverage, to which the "
+              "paper credits its performance edge over SMS.",
+        workloads=("data_serving", "media_streaming", "web_search"),
+    ),
+    Figure(
+        name="timing_model",
+        experiment=ablations.timing_model_sensitivity,
+        configs=lambda: [config for pair in ablations.timing_configs().values()
+                         for config in pair],
+        tables=_table("Ablation: BuMP speedup over Base-open under both core "
+                      "timing models", "timing model",
+                      ["bump_speedup_over_base_open"], value_format="{:+.3f}"),
+        checks=_timing_checks,
+        paper="Not a result of the paper, whose speedups (Fig. 10) come from its "
+              "own simulator. The reproduction's analytic core model assumes a "
+              "fixed memory-level parallelism; this study recomputes BuMP's "
+              "speedup under the interval (ROB/MSHR-derived) model, so the "
+              "speedup claim does not hinge on that assumption.",
+        workloads=("data_serving", "media_streaming", "web_search"),
+    ),
 ]
 
-#: Every figure and table of the evaluation, keyed by name, in paper order.
+#: Every reproduced result, keyed by name: the figures and tables of the
+#: evaluation in paper order, then the design choices argued in prose.
 FIGURES: Dict[str, Figure] = {figure.name: figure for figure in _FIGURE_LIST}

@@ -1,8 +1,8 @@
 """Plain-text rendering of experiment results.
 
-The figure registry (:mod:`repro.analysis.figures`) renders every figure
-and table of the paper through these helpers, so each reproduction ends up
-as a readable table on stdout, mirroring the rows/series of the paper's
+The result registry (:mod:`repro.analysis.figures`) renders every figure,
+table and study through these helpers, so each reproduction ends up as a
+readable table on stdout, mirroring the rows/series of the paper's
 figures.
 """
 
@@ -31,13 +31,15 @@ def format_percent(value: float, digits: int = 1) -> str:
 
 
 def format_nested_mapping(table: Mapping[str, Mapping[str, float]],
+                          row_header: str,
                           value_format: str = "{:.3f}",
                           title: Optional[str] = None,
                           columns: Optional[Iterable[str]] = None) -> str:
     """Render ``{row: {column: value}}`` as a text table.
 
-    ``columns`` fixes the column order (defaults to the order of the first
-    row's keys).
+    ``row_header`` heads the column of row names (``"workload"``,
+    ``"system"``, ...).  ``columns`` fixes the column order (defaults to the
+    order of the first row's keys).
     """
     rows = list(table.keys())
     if not rows:
@@ -50,7 +52,7 @@ def format_nested_mapping(table: Mapping[str, Mapping[str, float]],
             value = table[row].get(column, float("nan"))
             cells.append(value_format.format(value))
         body.append(cells)
-    text = format_table(body, headers=["workload"] + column_names)
+    text = format_table(body, headers=[row_header] + column_names)
     if title:
         return f"{title}\n{text}"
     return text

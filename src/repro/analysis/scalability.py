@@ -15,26 +15,19 @@ modest storage growth:
 :func:`scaled_bump_config` applies those scaling rules to a
 :class:`repro.core.config.BuMPConfig`, and :func:`storage_scaling_table` /
 :func:`virtualization_storage_table` regenerate the numbers the section
-quotes so the Section VI benchmark can assert them.
-:func:`core_scaling_performance` goes beyond the paper's storage argument and
-*simulates* the scaled design points, fanning the (core count x system) grid
-out through the campaign engine (:mod:`repro.exec`).
+quotes; the ``section6`` entry of :mod:`repro.analysis.figures` prints and
+checks them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List
 
-from repro.common.params import CacheParams, SystemParams
 from repro.core.bht import BulkHistoryTable
 from repro.core.config import BuMPConfig
 from repro.core.drt import DirtyRegionTable
 from repro.core.rdtt import RegionDensityTracker
-from repro.exec.campaign import run_campaign
-from repro.exec.jobs import JobSpec
-from repro.exec.progress import CampaignProgress
-from repro.exec.store import ArtifactStore, default_store
 
 #: The reference design point of Section IV.D.
 REFERENCE_CORES = 16
@@ -137,57 +130,6 @@ def virtualization_storage_table(num_cores: int = REFERENCE_CORES,
         storage_budget(num_cores=num_cores, workloads_sharing=workloads)
         for workloads in workload_counts
     ]
-
-
-def core_scaling_performance(core_counts: Iterable[int] = (8, 16, 32),
-                             workload: str = "web_search",
-                             num_accesses: int = 60_000,
-                             seed: int = 42,
-                             workers: int = 1,
-                             store: Optional[ArtifactStore] = None,
-                             progress: Optional[CampaignProgress] = None,
-                             llc_bytes_per_core: int = REFERENCE_LLC_BYTES // REFERENCE_CORES
-                             ) -> Dict[int, Dict[str, float]]:
-    """Simulate Base-open versus scaled BuMP at several CMP sizes.
-
-    For each core count the LLC grows proportionally and the BuMP structures
-    follow the Section VI scaling rules (:func:`scaled_bump_config`); the
-    workload trace is regenerated with the matching number of cores so the
-    request interleaving reflects the bigger machine.  All (core count x
-    system) cells run as one campaign, in parallel when ``workers`` > 1.
-    """
-    from repro.sim.config import base_open, bump_system
-
-    core_counts = list(core_counts)
-    jobs: List[JobSpec] = []
-    for cores in core_counts:
-        llc_bytes = cores * llc_bytes_per_core
-        params = SystemParams().scaled(
-            num_cores=cores,
-            llc=CacheParams(size_bytes=llc_bytes, associativity=16,
-                            hit_latency_cycles=8, banks=8),
-        )
-        base = base_open().with_overrides(system=params)
-        bump = bump_system(bump=scaled_bump_config(cores, llc_bytes)
-                           ).with_overrides(system=params)
-        for config in (base, bump):
-            jobs.append(JobSpec(workload=workload, config=config,
-                                num_accesses=num_accesses, num_cores=cores,
-                                seed=seed))
-    outcome = run_campaign(jobs, store=store if store is not None else default_store(),
-                           workers=workers, progress=progress)
-    table: Dict[int, Dict[str, float]] = {}
-    for index, cores in enumerate(core_counts):
-        base = outcome.outcomes[2 * index].result
-        bump = outcome.outcomes[2 * index + 1].result
-        base_energy = max(base.memory_energy_per_access_nj, 1e-9)
-        table[cores] = {
-            "base_row_buffer_hit_ratio": base.row_buffer_hit_ratio,
-            "bump_row_buffer_hit_ratio": bump.row_buffer_hit_ratio,
-            "bump_energy_improvement": 1.0 - bump.memory_energy_per_access_nj / base_energy,
-            "bump_speedup": bump.throughput_ipc / max(base.throughput_ipc, 1e-12) - 1.0,
-        }
-    return table
 
 
 def scaling_summary() -> Dict[str, float]:

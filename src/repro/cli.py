@@ -15,8 +15,9 @@ Command                Purpose
                        processes, resumable via the on-disk artifact store
 ``scenario``           list/describe/run the multi-tenant scenario catalog
                        (``repro scenario list|describe|run``)
-``experiment``         regenerate one paper figure/table and print its rows
-``scaling``            print the Section VI storage-scaling tables
+``experiment``         regenerate one registry entry -- a paper figure or
+                       table, an ablation study or the Section VI storage
+                       tables -- and print its tables
 ``trace``              trace files on disk: ``trace generate`` writes a
                        workload trace, ``trace ingest`` replays a stored
                        trace file (e.g. an ``LLCTraceRecorder`` export)
@@ -46,7 +47,6 @@ from typing import Dict, List, Optional, Sequence
 from repro import __version__
 from repro.analysis.figures import FIGURES
 from repro.analysis.reporting import format_table
-from repro.analysis.scalability import storage_scaling_table, virtualization_storage_table
 from repro.exec.campaign import run_campaign, verify_parity
 from repro.exec.jobs import JobGrid
 from repro.exec.progress import CampaignProgress, ConsoleProgress
@@ -307,32 +307,13 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     if figure is None:
         known = ", ".join(sorted(FIGURES))
         raise SystemExit(f"unknown experiment {args.name!r}; known experiments: {known}")
-    workloads = args.workloads.split(",") if args.workloads else None
+    workloads = _parse_workload_list(args.workloads)
     if args.accesses is None:  # the harness length: reuse its store cells
         result = figure.run(workloads)
     else:
-        result = figure.experiment(workloads, num_accesses=args.accesses)
+        result = figure.experiment(figure.select(workloads),
+                                   num_accesses=args.accesses)
     _print(figure.render(result))
-    return 0
-
-
-def cmd_scaling(args: argparse.Namespace) -> int:
-    rows = [
-        [str(entry.cores), f"{entry.llc_mib:.0f}", f"{entry.rdtt_kib:.1f}",
-         f"{entry.bht_kib:.1f}", f"{entry.drt_kib:.1f}", f"{entry.total_kib:.1f}",
-         f"{entry.per_core_kib:.2f}"]
-        for entry in storage_scaling_table()
-    ]
-    _print("BuMP storage versus CMP size (Section VI)")
-    _print(format_table(rows, headers=["cores", "LLC MiB", "RDTT KiB", "BHT KiB",
-                                       "DRT KiB", "total KiB", "KiB/core"]))
-    rows = [
-        [str(entry.workloads_sharing), f"{entry.bht_kib:.1f}",
-         f"{entry.total_kib:.1f}", f"{entry.per_core_kib:.2f}"]
-        for entry in virtualization_storage_table()
-    ]
-    _print("BuMP storage versus consolidated workloads (virtualization)")
-    _print(format_table(rows, headers=["workloads", "BHT KiB", "total KiB", "KiB/core"]))
     return 0
 
 
@@ -640,18 +621,16 @@ def build_parser() -> argparse.ArgumentParser:
                                    "(implies --telemetry full)")
     scenario_run.set_defaults(handler=cmd_scenario_run)
 
-    experiment = subparsers.add_parser("experiment",
-                                       help="regenerate one paper figure/table")
-    experiment.add_argument("name", help="experiment name, e.g. figure9 or table4")
+    experiment = subparsers.add_parser(
+        "experiment",
+        help="regenerate one paper figure/table, ablation or Section VI table")
+    experiment.add_argument("name", help="registry entry, e.g. figure9, table4, "
+                                         "scheduling or section6")
     experiment.add_argument("--workloads", default="",
                             help="comma-separated workload subset (default: all)")
     experiment.add_argument("--accesses", type=int, default=None,
                             help="trace length per run (default: harness default)")
     experiment.set_defaults(handler=cmd_experiment)
-
-    scaling = subparsers.add_parser("scaling",
-                                    help="Section VI storage-scaling tables")
-    scaling.set_defaults(handler=cmd_scaling)
 
     trace = subparsers.add_parser(
         "trace", help="trace files: generate to disk, ingest and replay")

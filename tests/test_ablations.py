@@ -1,7 +1,8 @@
 """Smoke/shape tests for the ablation experiments.
 
 The ablation functions are exercised on one workload and short traces so the
-whole module stays fast; the benchmark harness runs them at full length.
+whole module stays fast; the benchmark harness runs their registry entries
+at full length.
 """
 
 import pytest
@@ -58,9 +59,9 @@ def test_interleaving_sensitivity_favours_region_mapping():
 
 def test_writeback_mechanism_study_reports_all_mechanisms():
     # Short traces do not fill the 4MB LLC, so dirty evictions (and therefore
-    # write coverage) stay at zero here; the ordering claims are asserted by
-    # the full-length benchmark (bench_ablation_writeback.py).  This test
-    # checks the structure and the invariants that hold at any trace length.
+    # write coverage) stay at zero here; the ordering claims are checked by
+    # the registry's ``writeback`` entry at full length.  This test checks
+    # the structure and the invariants that hold at any trace length.
     table = ablations.writeback_mechanism_study(workloads=WORKLOADS, num_accesses=ACCESSES)
     assert set(table) == {"base_open", "eager_writeback", "vwq", "bump", "bump_vwq"}
     for entry in table.values():

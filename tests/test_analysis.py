@@ -130,10 +130,12 @@ def test_format_percent():
 
 def test_format_nested_mapping_and_comparison():
     table = {"web_search": {"a": 0.5, "b": 0.25}}
-    text = format_nested_mapping(table, value_format="{:.2f}", title="T")
+    text = format_nested_mapping(table, "workload", value_format="{:.2f}", title="T")
     assert "T" in text and "web_search" in text and "0.50" in text
+    systems = format_nested_mapping({"bump": {"a": 0.5}}, "system")
+    assert systems.splitlines()[0].split() == ["system", "a"]
     comparison = format_comparison({"x": 0.5}, {"x": 0.6}, title="C")
     assert "0.50" in comparison and "0.60" in comparison
     missing = format_comparison({"y": 0.5}, {}, title="C")
     assert "-" in missing
-    assert format_nested_mapping({}) == ""
+    assert format_nested_mapping({}, "workload") == ""

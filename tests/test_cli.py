@@ -36,7 +36,9 @@ class TestParser:
 
     def test_every_experiment_name_is_registered(self):
         expected = {"figure1", "figure2", "figure3", "figure5", "figure8", "figure9",
-                    "figure10", "figure11", "figure12", "figure13", "table1", "table4"}
+                    "figure10", "figure11", "figure12", "figure13", "table1", "table4",
+                    "rdtt_sizing", "bht_drt_sizing", "interleaving", "scheduling",
+                    "section6", "writeback", "prefetchers", "timing_model"}
         assert set(FIGURES) == expected
 
 
@@ -183,11 +185,24 @@ class TestCommands:
             run_cli(capsys, "experiment", "figure99")
         assert "figure99" in str(err.value)
 
-    def test_scaling_tables(self, capsys):
-        status, out = run_cli(capsys, "scaling")
+    def test_experiment_section6_prints_the_storage_tables(self, capsys):
+        status, out = run_cli(capsys, "experiment", "section6")
         assert status == 0
         assert "RDTT" in out and "BHT" in out
         assert "virtualization" in out.lower()
+
+    def test_experiment_refuses_an_unknown_workload_in_one_line(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            run_cli(capsys, "experiment", "table4", "--workloads", "nosuch")
+        message = str(err.value)
+        assert message.startswith("unknown workloads: ['nosuch']")
+        assert "\n" not in message
+
+    def test_experiment_ignores_a_trailing_comma_in_workloads(self, capsys):
+        status, out = run_cli(capsys, "experiment", "table4", "--workloads",
+                              "web_search,", "--accesses", "2000")
+        assert status == 0
+        assert "web_search" in out
 
     def test_trace_generation_round_trips(self, capsys, tmp_path):
         from repro.trace.io import load_trace_buffer

@@ -244,15 +244,16 @@ class TestCampaignResult:
         assert broken.label in str(err.value)
         assert good.label not in str(err.value)
 
-    def test_run_experiment_campaign_seeds_the_figure_cache(self):
+    def test_precompute_seeds_the_figure_cache(self):
         from repro.analysis import experiments
+        from repro.analysis.figures import FIGURES, precompute
 
         experiments.clear_result_cache()
         try:
-            outcome = experiments.run_experiment_campaign(
-                ["web_search"], systems=["base_open", "bump"],
-                num_accesses=2000, workers=2)
-            assert len(outcome) == 2
+            campaigns = precompute([FIGURES["figure2"], FIGURES["table4"]],
+                                   ["web_search"], num_accesses=2000, workers=2)
+            outcome = campaigns[2000]
+            assert len(outcome) == 5
             bump = JobSpec(workload="web_search", config=bump_system(),
                            num_accesses=2000, seed=experiments.DEFAULT_SEED)
             assert bump.result_fingerprint() in experiments._RESULT_CACHE
@@ -263,17 +264,6 @@ class TestCampaignResult:
                 outcome.get("web_search", "base_open").row_buffer_hit_ratio)
         finally:
             experiments.clear_result_cache()
-
-    def test_core_scaling_performance_runs_as_one_campaign(self):
-        from repro.analysis.scalability import core_scaling_performance
-
-        table = core_scaling_performance(core_counts=(2, 4),
-                                         workload="web_search",
-                                         num_accesses=1500, workers=2)
-        assert set(table) == {2, 4}
-        for row in table.values():
-            assert {"base_row_buffer_hit_ratio", "bump_row_buffer_hit_ratio",
-                    "bump_energy_improvement", "bump_speedup"} <= set(row)
 
     def test_identical_demand_work_across_shared_trace(self):
         # Jobs sharing a trace fingerprint must observe the identical stream:

@@ -236,6 +236,23 @@ def scheduler_cell(workload: str, name: str, scheduler: str) -> dict:
                                   workload_name=workload))
 
 
+@family("dram.ablation_writes", itertools.product(
+    ("web_search",), ("bump", "base_close", "sms_vwq"), ("fcfs", "bank_round_robin")))
+def scheduler_writes_cell(workload: str, name: str, scheduler: str) -> dict:
+    """A ``dram.ablation`` cell whose stream writes back to DRAM.
+
+    6,000 accesses on 8 cores, 256 KB LLC, warmup 0.4: every cell evicts
+    from the LLC and writes back on demand, ``bump`` in bulk and
+    ``sms_vwq`` eagerly, so FCFS and bank round robin serve writes too.
+    """
+    trace = _trace(workload, 6_000, cores=8)
+    result = run_trace(trace, _config(name, system=SMALL_LLC, scheduler=scheduler),
+                       workload_name=workload, warmup_fraction=0.4,
+                       num_accesses=6_000)
+    return {**_summary(result),
+            "demand_writebacks": int(result.counters["demand_writebacks"])}
+
+
 @family("dram.scenarios", SCENARIOS, pytest.mark.slow)
 def small_scenario_cell(name: str) -> dict:
     """Each catalog scenario at scale 0.004 under ``bump``."""

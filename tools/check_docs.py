@@ -11,15 +11,22 @@ Two checks over README.md and every Markdown file under ``docs/``:
    drift from the actual API.  (Plain ``python`` fences are prose
    illustrations and are not executed.)
 
-No third-party dependencies; run from anywhere::
+and one over README.md alone:
+
+3. **The CLI table** -- the subcommands its ``| `repro NAME ...` |`` rows
+   list are exactly those ``repro.cli.build_parser()`` defines.
+
+No third-party dependencies beyond the package's own; run from anywhere::
 
     PYTHONPATH=src python tools/check_docs.py
 
-Exit status is zero when every link resolves and every doctest passes.
+Exit status is zero when every link resolves, every doctest passes and the
+CLI table matches the parser.
 """
 
 from __future__ import annotations
 
+import argparse
 import doctest
 import io
 import re
@@ -35,6 +42,8 @@ _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 _PYCON_FENCE = re.compile(r"^```pycon\n(.*?)^```", re.DOTALL | re.MULTILINE)
 #: Link targets that are not filesystem paths.
 _EXTERNAL = ("http://", "https://", "mailto:")
+#: A row of README.md's CLI table, ``| `repro NAME ...` | ... |``.
+_CLI_ROW = re.compile(r"^\| `repro ([a-z][\w-]*)", re.MULTILINE)
 
 
 def doc_files() -> List[Path]:
@@ -86,9 +95,28 @@ def run_doctests(path: Path, text: str) -> "Tuple[List[str], int]":
     return errors, blocks
 
 
+def cli_subcommands() -> List[str]:
+    """The subcommands ``repro.cli.build_parser()`` defines."""
+    from repro.cli import build_parser
+
+    actions = [action for action in build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction)]
+    return sorted(actions[0].choices)
+
+
+def check_cli_table(text: str, subcommands: List[str]) -> List[str]:
+    """Errors for each subcommand the README table and the parser disagree on."""
+    listed = set(_CLI_ROW.findall(text))
+    return ([f"README.md: the CLI table lists `repro {name}`, which the parser "
+             "does not define" for name in sorted(listed - set(subcommands))]
+            + [f"README.md: the CLI table omits `repro {name}`"
+               for name in sorted(set(subcommands) - listed)])
+
+
 def main() -> int:
     files = doc_files()
-    errors: List[str] = []
+    errors: List[str] = check_cli_table(
+        (REPO_ROOT / "README.md").read_text(encoding="utf-8"), cli_subcommands())
     checked_links = 0
     checked_blocks = 0
     for path in files:
@@ -102,7 +130,7 @@ def main() -> int:
     for error in errors:
         print(f"FAIL: {error}", file=sys.stderr)
     print(f"checked {len(files)} file(s), {checked_links} link(s), "
-          f"{checked_blocks} pycon block(s): "
+          f"{checked_blocks} pycon block(s), the CLI table: "
           f"{'FAILED' if errors else 'ok'}")
     return 1 if errors else 0
 
